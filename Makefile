@@ -1,4 +1,4 @@
-.PHONY: check test bench elastic attr scale correlated failover
+.PHONY: check test bench identical elastic attr scale correlated failover
 
 # Full verification gate: vet, build, short tests, race detector on the
 # concurrent packages. CI and pre-commit both run this.
@@ -10,6 +10,12 @@ test:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# Byte-identity gate: regenerate BENCH_failover.json, BENCH_elastic.json
+# and BENCH_correlated.json in full into a temp dir and cmp each against
+# the committed file (~75 s). check.sh runs it too.
+identical:
+	./scripts/identical.sh
 
 # Regenerate the online elastic restripe sweep (all chaos arms) and
 # refresh the committed BENCH_elastic.json artifact.

@@ -1,6 +1,8 @@
 package tiger
 
 import (
+	"sort"
+
 	"tiger/internal/msg"
 	"tiger/internal/trace"
 )
@@ -91,7 +93,9 @@ func (c *Cluster) CausalKeys() []trace.ChainKey {
 	for _, l := range c.chains {
 		add(l.Keys())
 	}
-	sortChainKeys(out)
+	// The keys are distinct, so the order does not depend on the sort's
+	// stability.
+	sort.Slice(out, func(i, j int) bool { return chainKeyLess(out[i], out[j]) })
 	return out
 }
 
@@ -118,16 +122,6 @@ func (c *Cluster) ChainDrops() (chainsEvicted, hopsDropped uint64) {
 		hopsDropped += l.HopsDropped()
 	}
 	return
-}
-
-func sortChainKeys(ks []trace.ChainKey) {
-	// Insertion sort: key lists are small and mostly ordered (each log
-	// returns them sorted already).
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && chainKeyLess(ks[j], ks[j-1]); j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
 }
 
 func chainKeyLess(a, b trace.ChainKey) bool {

@@ -216,3 +216,51 @@ func TestFlightRecorderCapturesMisses(t *testing.T) {
 		t.Fatal("no dump carried a causal chain")
 	}
 }
+
+// TestCausalKeysMergeLargeLogs merges the logs of a controller and 14
+// cubs, 4 096 chains each, the way the bench's traced pass leaves them:
+// every log sorted, the union interleaved. The merged keys are distinct,
+// so "strictly increasing and nothing missing" is the one order any
+// correct sort gives — the order the quadratic insertion sort gave, which
+// took 1.5 s here.
+func TestCausalKeysMergeLargeLogs(t *testing.T) {
+	const logs, perLog = 15, 4096
+	c := &Cluster{ctlChain: trace.NewChainLog(perLog, 1)}
+	all := append([]*trace.ChainLog{c.ctlChain}, make([]*trace.ChainLog, logs-1)...)
+	for i := 1; i < logs; i++ {
+		all[i] = trace.NewChainLog(perLog, 1)
+	}
+	c.chains = all[1:]
+	want := map[trace.ChainKey]bool{}
+	for i, l := range all {
+		for j := 0; j < perLog; j++ {
+			// A block's chain lives on every cub it passed through: a
+			// quarter of log i's keys are also in log i+1.
+			n := j*logs + i
+			if j%4 == 0 {
+				n = (j+1)*logs + (i+1)%logs
+			}
+			k := trace.ChainKey{Instance: InstanceID(1 + n%977), Block: int32(n / 977)}
+			l.Record(k.Instance, k.Block, trace.Hop{})
+			want[k] = true
+		}
+	}
+	start := time.Now()
+	keys := c.CausalKeys()
+	took := time.Since(start)
+	if len(keys) != len(want) {
+		t.Fatalf("%d keys merged, want %d", len(keys), len(want))
+	}
+	for i, k := range keys {
+		if !want[k] {
+			t.Fatalf("key %v was in no log", k)
+		}
+		if i > 0 && !chainKeyLess(keys[i-1], k) {
+			t.Fatalf("keys %v, %v out of (instance, block) order at %d", keys[i-1], k, i)
+		}
+	}
+	if took > time.Second {
+		t.Fatalf("merging %d keys took %v", len(keys), took)
+	}
+	t.Logf("%d keys merged in %v", len(keys), took)
+}

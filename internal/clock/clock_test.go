@@ -29,3 +29,40 @@ func TestSimAdapter(t *testing.T) {
 		t.Fatalf("clock at %v", c.Now())
 	}
 }
+
+// TestZeroTimer: an unarmed timer field needs no nil check.
+func TestZeroTimer(t *testing.T) {
+	var tm Timer
+	if tm.Stop() {
+		t.Fatal("Stop on the zero Timer reported a pending callback")
+	}
+}
+
+// TestSimClockAllocs pins the path the protocol code actually takes —
+// scheduling through a Clock interface value, not on the engine — at
+// zero allocations once the engine's slab is warm. A Timer returned as
+// an interface boxes every handle.
+func TestSimClockAllocs(t *testing.T) {
+	eng := sim.New(1)
+	var c Clock = Sim{Eng: eng}
+	fired := 0
+	fn := func() { fired++ }
+	c.After(time.Millisecond, fn)
+	eng.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		c.After(time.Millisecond, fn)
+		eng.Run()
+	}); n != 0 {
+		t.Errorf("After + fire: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if tm := c.At(eng.Now().Add(time.Millisecond), fn); !tm.Stop() {
+			t.Fatal("Stop reported not-pending")
+		}
+	}); n != 0 {
+		t.Errorf("At + Stop: %v allocs", n)
+	}
+	if fired != 1002 {
+		t.Fatalf("fired %d callbacks, want 1002", fired)
+	}
+}

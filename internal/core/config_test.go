@@ -4,11 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
 	"tiger/internal/metrics"
 	"tiger/internal/msg"
+	"tiger/internal/netsim"
 	"tiger/internal/schedule"
+	"tiger/internal/sim"
 )
 
 func validConfig(t *testing.T) *Config {
@@ -79,42 +82,133 @@ func TestMirrorHelpers(t *testing.T) {
 	}
 }
 
-func TestIndexCoversExactlyLocalCopies(t *testing.T) {
-	cfg := validConfig(t)
-	f2 := layout.File{ID: 2, StartDisk: 3, Blocks: 37, BlockSize: 262144}
-	cfg.Files[2] = f2
-	for cub := msg.NodeID(0); cub < 4; cub++ {
-		disks := cfg.Layout.DisksOfCub(cub)
-		idx := buildIndexes(cfg, disks)
-		for _, d := range disks {
-			// Every primary and secondary the layout places here must be
-			// present, and nothing else.
-			want := 0
-			for _, f := range cfg.Files {
-				for b := 0; b < f.Blocks; b++ {
-					if cfg.Layout.PrimaryDisk(f, b) == d {
-						want++
-						if _, err := idx[d].lookup(f.ID, int32(b), -1); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for part := 0; part < cfg.Layout.Decluster; part++ {
-						if cfg.Layout.SecondaryDisk(f, b, part) == d {
-							want++
-							e, err := idx[d].lookup(f.ID, int32(b), int8(part))
-							if err != nil {
-								t.Fatal(err)
-							}
-							if e.zone != disk.Inner {
-								t.Fatal("secondary not in the inner zone")
-							}
-						}
-					}
+// placedCopies is the reference the closed-form index is checked
+// against: the enumeration a map-backed index would be filled by, every
+// block of every file walked through the layout.
+func placedCopies(cfg *Config) map[int]map[[3]int]disk.Zone {
+	placed := make(map[int]map[[3]int]disk.Zone)
+	put := func(d int, f layout.File, b, part int, z disk.Zone) {
+		if placed[d] == nil {
+			placed[d] = make(map[[3]int]disk.Zone)
+		}
+		placed[d][[3]int{int(f.ID), b, part}] = z
+	}
+	for _, f := range cfg.Files {
+		for b := 0; b < f.Blocks; b++ {
+			put(cfg.Layout.PrimaryDisk(f, b), f, b, -1, disk.Outer)
+			for part := 0; part < cfg.Layout.Decluster; part++ {
+				put(cfg.Layout.SecondaryDisk(f, b, part), f, b, part, disk.Inner)
+			}
+		}
+	}
+	return placed
+}
+
+// checkIndexAgainstLayout asserts hit or miss, as the enumeration has
+// it, for every (file, block, part) — each one step past its range too —
+// on an index that answers for disk d of cfg.
+func checkIndexAgainstLayout(t *testing.T, cfg *Config, di *diskIndex, d int, placed map[int]map[[3]int]disk.Zone) {
+	t.Helper()
+	hits := 0
+	for _, f := range cfg.Files {
+		for b := -1; b <= f.Blocks; b++ {
+			for part := -2; part <= cfg.Layout.Decluster; part++ {
+				e, err := di.lookup(f.ID, int32(b), int8(part))
+				zone, want := placed[d][[3]int{int(f.ID), b, part}]
+				if want != (err == nil) {
+					t.Fatalf("disk %d file %d block %d part %d: placed here %v, lookup error %v",
+						d, f.ID, b, part, want, err)
+				}
+				if !want {
+					continue
+				}
+				hits++
+				size := cfg.BlockSize
+				if part >= 0 {
+					size = cfg.MirrorPartSize()
+				}
+				if e.zone != zone || e.bytes != size {
+					t.Fatalf("disk %d file %d block %d part %d: entry %+v, want zone %v size %d",
+						d, f.ID, b, part, e, zone, size)
 				}
 			}
-			if idx[d].size() != want {
-				t.Fatalf("disk %d indexes %d copies, want %d", d, idx[d].size(), want)
+		}
+	}
+	if hits != len(placed[d]) {
+		t.Fatalf("disk %d: %d hits, layout places %d copies", d, hits, len(placed[d]))
+	}
+}
+
+func indexTestConfig(t *testing.T, cubs, disksPerCub, decluster, files, blocks int) *Config {
+	t.Helper()
+	cfg, err := BuildConfig(SystemSpec{Cubs: cubs, DisksPerCub: disksPerCub, Decluster: decluster,
+		BlockPlay: time.Second, BlockSize: 262144, NumFiles: files, FileBlocks: blocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+func TestIndexCoversExactlyLocalCopies(t *testing.T) {
+	shapes := map[string]*Config{
+		"14x4 decluster 4": indexTestConfig(t, 14, 4, 4, 3, 150),
+		"1x2 decluster 1":  indexTestConfig(t, 1, 2, 1, 2, 9),
+		// Files that do not end on a stripe boundary, one shorter than a
+		// stripe: the last disks hold one block fewer, or none.
+		"3x1 decluster 2": indexTestConfig(t, 3, 1, 2, 2, 37),
+	}
+	short := shapes["3x1 decluster 2"]
+	short.Files[7] = layout.File{ID: 7, StartDisk: 2, Blocks: 2, BlockSize: 262144}
+	for name, cfg := range shapes {
+		placed := placedCopies(cfg)
+		for cub := msg.NodeID(0); int(cub) < cfg.Layout.Cubs; cub++ {
+			disks := cfg.Layout.DisksOfCub(cub)
+			idx := buildIndexes(cfg, disks)
+			if len(idx) != len(disks) {
+				t.Fatalf("%s: cub %v: %d indexes for %d disks", name, cub, len(idx), len(disks))
 			}
+			for _, d := range disks {
+				checkIndexAgainstLayout(t, cfg, idx[d], d, placed)
+			}
+		}
+	}
+}
+
+// TestIndexUnderInstalledGeneration: a generation installed on a running
+// cub numbers its drives differently from the cub's native numbering.
+// The plane's index is keyed by the native number and must answer for
+// the generation's.
+func TestIndexUnderInstalledGeneration(t *testing.T) {
+	old := indexTestConfig(t, 14, 4, 4, 3, 150)
+	grown := indexTestConfig(t, 16, 4, 4, 3, 150)
+	placed := placedCopies(grown)
+	eng := sim.New(1)
+	clk := clock.Sim{Eng: eng}
+	net := netsim.New(netsim.DefaultParams(), clk, eng.Rand())
+	for _, id := range []msg.NodeID{0, 3, 13} {
+		c := NewCub(id, old, clk, net, net, eng.Rand())
+		c.InstallGen(1, grown)
+		p := c.planes[1]
+		if len(p.index) != old.Layout.DisksPerCub {
+			t.Fatalf("cub %v: generation 1 indexes %d drives", id, len(p.index))
+		}
+		for i, nd := range old.Layout.DisksOfCub(id) {
+			gd := grown.Layout.DisksOfCub(id)[i]
+			di := p.index[nd]
+			if di == nil {
+				t.Fatalf("cub %v: no generation-1 index for native drive %d", id, nd)
+			}
+			if gd != nd {
+				// The ownership check is what tells the numberings
+				// apart: under the native number the same drive would
+				// claim another disk's blocks.
+				f := grown.Files[0]
+				b := (nd - f.StartDisk + grown.Layout.NumDisks()) % grown.Layout.NumDisks()
+				if _, err := di.lookup(f.ID, int32(b), -1); err == nil {
+					t.Fatalf("cub %v drive %d (generation disk %d) answered for disk %d's block", id, nd, gd, nd)
+				}
+			}
+			checkIndexAgainstLayout(t, grown, di, gd, placed)
 		}
 	}
 }
@@ -128,8 +222,8 @@ func TestIndexLookupMiss(t *testing.T) {
 }
 
 // TestIndexScalesWithContentNotSystem confirms the paper's argument for
-// a memory-resident index: metadata per disk depends on content volume
-// per disk, not on system size.
+// a memory-resident index: what one disk's index answers for depends on
+// content volume per disk, not on system size.
 func TestIndexScalesWithContentNotSystem(t *testing.T) {
 	perDisk := func(cubs int) int {
 		lay := layout.Config{Cubs: cubs, DisksPerCub: 1, Decluster: 2}
@@ -145,8 +239,18 @@ func TestIndexScalesWithContentNotSystem(t *testing.T) {
 		cfg := &Config{Layout: lay, Sched: sp, BlockSize: 4,
 			DiskParams: disk.DefaultParams(), Files: files}
 		cfg.DefaultTimings()
-		idx := buildIndexes(cfg, []int{0})
-		return idx[0].size()
+		di := buildIndexes(cfg, []int{0})[0]
+		copies := 0
+		for _, f := range cfg.Files {
+			for b := 0; b < f.Blocks; b++ {
+				for part := -1; part < lay.Decluster; part++ {
+					if _, err := di.lookup(f.ID, int32(b), int8(part)); err == nil {
+						copies++
+					}
+				}
+			}
+		}
+		return copies
 	}
 	small, large := perDisk(4), perDisk(16)
 	if large > small {

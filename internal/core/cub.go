@@ -36,9 +36,26 @@ type entryKey struct {
 
 // entry is one record in a cub's view of the schedule: an upcoming send
 // from one of this cub's disks.
+//
+// Records belong to the cub and are reused through its free list, so the
+// steady block path allocates nothing: the four callbacks an entry arms
+// over its life (read timer, disk completion, send timer, buffer
+// release) are bound to the record once, when it is first allocated, and
+// read their arguments from it. pins counts what can still call back
+// into the record — each armed timer until it fires or Stop reports
+// true, the outstanding disk read until it completes or Cancel reports
+// true — plus the callback currently running on it. A record returns to
+// the free list only once it has left the view and pins is zero. Under
+// the real-time runtime a Stop that loses the race to an already queued
+// callback reports false, so the pin stays until that callback runs and
+// finds the entry gone.
 type entry struct {
-	vs        msg.ViewerState
+	c   *Cub
+	key entryKey
+	vs  msg.ViewerState
+
 	disk      int // this cub's disk that will serve it
+	live      bool
 	ready     bool
 	forwarded bool
 	hedged    bool   // a mirror chain was launched to cover a suspected disk
@@ -46,6 +63,57 @@ type entry struct {
 	buffered  int64  // bytes of buffer pool held for this entry's read
 	readTimer clock.Timer
 	sendTimer clock.Timer
+
+	// The outstanding read's issue time and zone, for its completion
+	// (its size is buffered).
+	readIssued sim.Time
+	readZone   disk.Zone
+
+	pins int
+
+	onReadTimer func()
+	onSendTimer func()
+	onReadDone  func(done sim.Time, ok bool)
+	onSent      func()
+}
+
+// newEntry takes a record from the free list, or allocates one and
+// binds its callbacks, and installs it in the view under key.
+func (c *Cub) newEntry(key entryKey, vs msg.ViewerState, disk int) *entry {
+	var e *entry
+	if n := len(c.freeEntries); n > 0 {
+		e = c.freeEntries[n-1]
+		c.freeEntries = c.freeEntries[:n-1]
+		*e = entry{c: c, onReadTimer: e.onReadTimer, onSendTimer: e.onSendTimer,
+			onReadDone: e.onReadDone, onSent: e.onSent}
+	} else {
+		e = &entry{c: c}
+		e.onReadTimer = e.readTimerFired
+		e.onSendTimer = e.sendTimerFired
+		e.onReadDone = e.readDone
+		e.onSent = e.sent
+	}
+	e.key, e.vs, e.disk, e.live = key, vs, disk, true
+	c.entries[key] = e
+	c.slotOcc[key.slot]++
+	return e
+}
+
+// unpin drops one pin.
+func (e *entry) unpin() {
+	e.pins--
+	e.retire()
+}
+
+// retire recycles a record that has left the view once nothing can call
+// back into it any more. Only primaries are pooled: mirror pieces exist
+// while a component is failed, four or so to every block it would have
+// sent, and a pool fed by them would hold the failure's peak long after
+// the component is back. Their records go to the collector.
+func (e *entry) retire() {
+	if e.pins == 0 && !e.live && e.key.part == -1 {
+		e.c.freeEntries = append(e.c.freeEntries, e)
+	}
 }
 
 // descKey identifies a held deschedule record (§4.1.2).
@@ -185,8 +253,9 @@ type Cub struct {
 	health      map[int]*diskHealth
 	quarantined map[int]bool
 
-	entries map[entryKey]*entry
-	slotOcc map[int32]int // entries per slot, all parts
+	entries     map[entryKey]*entry
+	freeEntries []*entry      // records ready for reuse; wiped by Restart
+	slotOcc     map[int32]int // entries per slot, all parts
 
 	desch map[descKey]*msg.Deschedule
 
@@ -451,10 +520,7 @@ func (c *Cub) FailDisk(d int) {
 	// and keep the state machine pinned at quarantined so the health
 	// gauge reflects a drive that is out of service.
 	if h := c.health[d]; h != nil {
-		if h.probeTimer != nil {
-			h.probeTimer.Stop()
-			h.probeTimer = nil
-		}
+		h.probeTimer.Stop()
 		delete(c.quarantined, d)
 		h.state = DiskQuarantined
 		c.setHealthGauge(d, h)

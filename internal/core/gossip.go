@@ -149,47 +149,51 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 		c.forwardEntryNow(vs)
 		return
 	}
-	e := &entry{vs: vs, disk: nd}
-	c.entries[key] = e
-	c.slotOcc[vs.Slot]++
+	e := c.newEntry(key, vs, nd)
 	c.fwdPush(key)
 	if o := c.obs; o != nil {
 		o.spans.Observe(obs.StageState, sim.Time(vs.Due), now)
 		o.viewSize.Set(float64(len(c.entries)))
 	}
 	c.traceHop(&vs, trace.HopState, int32(nd))
-	c.scheduleEntry(e, key)
+	c.scheduleEntry(e)
 }
 
 // scheduleEntry arms the disk read and network send for an entry.
-func (c *Cub) scheduleEntry(e *entry, key entryKey) {
+func (c *Cub) scheduleEntry(e *entry) {
 	now := c.clk.Now()
 	readAt := sim.Time(e.vs.Due) - sim.Time(c.cfg.ReadAhead)
 	if readAt < now {
 		readAt = now
 	}
-	e.readTimer = c.clk.At(readAt, func() { c.issueRead(key) })
-	e.sendTimer = c.clk.At(sim.Time(e.vs.Due), func() { c.service(key) })
+	e.pins += 2
+	e.readTimer = c.clk.At(readAt, e.onReadTimer)
+	e.sendTimer = c.clk.At(sim.Time(e.vs.Due), e.onSendTimer)
 }
 
-func (c *Cub) issueRead(key entryKey) {
-	e, ok := c.entries[key]
-	if !ok {
-		return // descheduled meanwhile
+// readTimerFired is the read timer's callback. The timer's pin is held
+// until the callback is done with the record. An entry that has left
+// the view has its timers stopped; only a real-time Stop that lost the
+// race to the executor queue gets here with the entry gone.
+func (e *entry) readTimerFired() {
+	defer e.unpin()
+	if e.live {
+		e.c.issueRead(e)
 	}
+}
+
+func (c *Cub) issueRead(e *entry) {
 	c.cpu.ChargeDiskOp()
-	p := c.planeOf(key.slot)
+	p := c.planeOf(e.key.slot)
 	if p == nil || p.index == nil || p.index[e.disk] == nil {
 		c.stats.IndexMisses++
 		return
 	}
-	part := key.part
-	ie, err := p.index[e.disk].lookup(e.vs.File, e.vs.Block, part)
+	ie, err := p.index[e.disk].lookup(e.vs.File, e.vs.Block, e.key.part)
 	if err != nil {
 		c.stats.IndexMisses++
 		return
 	}
-	inst := e.vs.Instance
 	// The block DMAs into a pre-allocated buffer held until the network
 	// send completes (§2.2's zero-copy disk-to-network path); account
 	// for the pool so tests can check it against the cubs' real memory.
@@ -200,55 +204,70 @@ func (c *Cub) issueRead(key entryKey) {
 	// Gray-failure hedge (health.go): on a suspected drive, a read whose
 	// predicted completion would miss the deadline gets its mirror chain
 	// launched in parallel; service() sends whichever copy is ready.
-	if key.part == -1 && c.shouldHedge(d, ie.bytes, ie.zone, due) {
+	if e.key.part == -1 && c.shouldHedge(d, ie.bytes, ie.zone, due) {
 		c.hedgeEntry(e)
 		c.flushForwards()
 	}
 	c.traceHop(&e.vs, trace.HopDiskQueue, int32(d))
-	issued := c.clk.Now()
-	e.readID = c.disks[d].Read(ie.bytes, ie.zone, due, func(done sim.Time, ok bool) {
-		c.noteRead(d, issued, due, done, ie.bytes, ie.zone, ok)
-		cur, still := c.entries[key]
-		if !still || cur.vs.Instance != inst {
-			// The entry was served-as-missed or descheduled while the
-			// read was in flight; discard the buffer.
-			c.bufAdjust(-ie.bytes)
-			return
-		}
-		cur.readID = 0
-		if !ok {
-			// Transient read failure: release the buffer and retry while
-			// the deadline allows. Repeated failures feed the health
-			// monitor, whose suspicion makes the retry hedge to the
-			// mirrors (shouldHedge returns true mid-streak).
-			c.bufAdjust(-ie.bytes)
-			cur.buffered = 0
-			c.stats.DiskReadErrors++
-			if o := c.obs; o != nil {
-				o.diskReadErrors.Inc()
-			}
-			if due > c.clk.Now() {
-				c.issueRead(key)
-			}
-			return
-		}
-		cur.ready = true
+	e.readIssued, e.readZone = c.clk.Now(), ie.zone
+	e.pins++
+	e.readID = c.disks[d].Read(ie.bytes, ie.zone, due, e.onReadDone)
+}
+
+// readDone is the disk completion of the entry's outstanding read. The
+// drive never completes a read that Cancel withdrew, and every path that
+// takes an entry out of the view withdraws its read, so the entry is
+// normally still there; the health monitor fed below is the exception —
+// it may retire the whole drive, this entry included, from inside the
+// completion.
+func (e *entry) readDone(done sim.Time, ok bool) {
+	defer e.unpin()
+	c := e.c
+	d, due, bytes := e.disk, sim.Time(e.vs.Due), e.buffered
+	c.noteRead(d, e.readIssued, due, done, bytes, e.readZone, ok)
+	if !e.live {
+		// The entry left the view while the read was completing;
+		// discard the buffer.
+		c.bufAdjust(-bytes)
+		return
+	}
+	e.readID = 0
+	if !ok {
+		// Transient read failure: release the buffer and retry while
+		// the deadline allows. Repeated failures feed the health
+		// monitor, whose suspicion makes the retry hedge to the
+		// mirrors (shouldHedge returns true mid-streak).
+		c.bufAdjust(-bytes)
+		e.buffered = 0
+		c.stats.DiskReadErrors++
 		if o := c.obs; o != nil {
-			o.spans.Observe(obs.StageRead, sim.Time(cur.vs.Due), done)
+			o.diskReadErrors.Inc()
 		}
-		c.traceHop(&cur.vs, trace.HopDiskRead, int32(d))
-	})
+		if due > c.clk.Now() {
+			c.issueRead(e)
+		}
+		return
+	}
+	e.ready = true
+	if o := c.obs; o != nil {
+		o.spans.Observe(obs.StageRead, due, done)
+	}
+	c.traceHop(&e.vs, trace.HopDiskRead, int32(d))
+}
+
+// sendTimerFired is the send timer's callback; see readTimerFired.
+func (e *entry) sendTimerFired() {
+	defer e.unpin()
+	if e.live {
+		e.c.service(e)
+	}
 }
 
 // service fires at an entry's due time: send the block if its read
 // completed, otherwise report a missed block (§5's server-side loss
 // path).
-func (c *Cub) service(key entryKey) {
-	e, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	c.dropEntry(key)
+func (c *Cub) service(e *entry) {
+	c.dropEntry(e)
 	if !e.ready {
 		// The read did not complete in time. Feed the health monitor
 		// first — for a stuck drive, these misses are its only signal —
@@ -256,10 +275,7 @@ func (c *Cub) service(key entryKey) {
 		// (and is never charged), and either way its callback will not
 		// fire, so the buffer is released here.
 		c.noteDeadlineMiss(e.disk)
-		if e.readID != 0 && c.disks[e.disk].Cancel(e.readID) {
-			c.bufAdjust(-e.buffered)
-			e.buffered = 0
-		}
+		c.cancelRead(e)
 		if e.hedged {
 			// The hedge's mirror chain covers this send: the viewer
 			// assembles the block from the declustered pieces, so the
@@ -315,13 +331,21 @@ func (c *Cub) service(key entryKey) {
 		}
 		o.spans.Observe(obs.StageSend, sim.Time(e.vs.Due), c.clk.Now())
 	}
-	// The buffer frees once the paced send finishes.
-	held := e.buffered
-	c.clk.After(pace, func() { c.bufAdjust(-held) })
+	// The buffer frees once the paced send finishes. The entry has left
+	// the view, but its record carries the held byte count until then.
+	e.pins++
+	c.clk.After(pace, e.onSent)
 	c.traceHop(&e.vs, trace.HopSend, int32(e.disk))
 	if c.hooks.OnServe != nil {
 		c.hooks.OnServe(c.id, e.vs)
 	}
+}
+
+// sent fires when an entry's paced send has finished: its buffer goes
+// back to the pool.
+func (e *entry) sent() {
+	e.c.bufAdjust(-e.buffered)
+	e.unpin()
 }
 
 func maxI8(a, b int8) int8 {
@@ -369,38 +393,51 @@ func (c *Cub) recordMiss(vs msg.ViewerState) {
 // descheduled viewer's prefetch should not occupy a drive — and since a
 // cancelled read's callback never fires, the buffer is released here.
 func (c *Cub) dropEntryRelease(key entryKey) {
-	if e, ok := c.entries[key]; ok && e.buffered > 0 {
-		if e.ready {
-			c.bufAdjust(-e.buffered)
-			e.buffered = 0
-		} else if e.readID != 0 && c.disks[e.disk].Cancel(e.readID) {
-			c.bufAdjust(-e.buffered)
-			e.buffered = 0
-		}
-	}
-	c.dropEntry(key)
-}
-
-func (c *Cub) dropEntry(key entryKey) {
 	e, ok := c.entries[key]
 	if !ok {
 		return
 	}
-	if e.readTimer != nil {
-		e.readTimer.Stop()
+	if e.buffered > 0 {
+		if e.ready {
+			c.bufAdjust(-e.buffered)
+			e.buffered = 0
+		} else {
+			c.cancelRead(e)
+		}
 	}
-	if e.sendTimer != nil {
-		e.sendTimer.Stop()
+	c.dropEntry(e)
+}
+
+// cancelRead withdraws an entry's outstanding read, if any. A withdrawn
+// read never completes, so its buffer and its pin are released here.
+func (c *Cub) cancelRead(e *entry) {
+	if e.readID != 0 && c.disks[e.disk].Cancel(e.readID) {
+		c.bufAdjust(-e.buffered)
+		e.buffered = 0
+		e.pins--
 	}
-	delete(c.entries, key)
-	if n := c.slotOcc[key.slot] - 1; n > 0 {
-		c.slotOcc[key.slot] = n
+}
+
+// dropEntry takes an entry out of the view and stops its timers. The
+// record is recycled once nothing can call back into it (entry.pins).
+func (c *Cub) dropEntry(e *entry) {
+	if e.readTimer.Stop() {
+		e.pins--
+	}
+	if e.sendTimer.Stop() {
+		e.pins--
+	}
+	e.live = false
+	delete(c.entries, e.key)
+	if n := c.slotOcc[e.key.slot] - 1; n > 0 {
+		c.slotOcc[e.key.slot] = n
 	} else {
-		delete(c.slotOcc, key.slot)
+		delete(c.slotOcc, e.key.slot)
 	}
 	if o := c.obs; o != nil {
 		o.viewSize.Set(float64(len(c.entries)))
 	}
+	e.retire()
 }
 
 // --- mirror viewer states (§4.1.1) ---
@@ -512,15 +549,13 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 	case vs.Due <= int64(c.clk.Now()):
 		c.recordMiss(vs)
 	default:
-		e := &entry{vs: vs, disk: npd}
-		c.entries[key] = e
-		c.slotOcc[vs.Slot]++
+		e := c.newEntry(key, vs, npd)
 		if o := c.obs; o != nil {
 			o.spans.Observe(obs.StageState, sim.Time(vs.Due), c.clk.Now())
 			o.viewSize.Set(float64(len(c.entries)))
 		}
 		c.traceHop(&vs, trace.HopState, int32(npd))
-		c.scheduleEntry(e, key)
+		c.scheduleEntry(e)
 	}
 	// Pass the mirror state to the next piece's cub, due one mirror pace
 	// later, whether or not our own piece could be served: the stream

@@ -313,10 +313,7 @@ func (c *Cub) probeDisk(d int) {
 func (c *Cub) unquarantineDisk(d int, h *diskHealth) {
 	delete(c.quarantined, d)
 	delete(c.failedDisks, d)
-	if h.probeTimer != nil {
-		h.probeTimer.Stop()
-		h.probeTimer = nil
-	}
+	h.probeTimer.Stop()
 	h.state = DiskHealthy
 	h.badStreak = 0
 	h.probeGood = 0
@@ -348,10 +345,7 @@ func (c *Cub) resetHealthOnRestart() {
 	}
 	c.quarantined = make(map[int]bool)
 	for d, h := range c.health {
-		if h.probeTimer != nil {
-			h.probeTimer.Stop()
-			h.probeTimer = nil
-		}
+		h.probeTimer.Stop()
 		if c.failedDisks[d] {
 			continue // permanently retired: gauge stays pinned
 		}

@@ -267,9 +267,7 @@ func (m *MBRCub) abort(seq int32) {
 		return
 	}
 	delete(m.pending, seq)
-	if p.deadline != nil {
-		p.deadline.Stop()
-	}
+	p.deadline.Stop()
 	m.sched.Remove(p.entry.Instance)
 	if !p.readDone {
 		m.stats.AbortedReads++ // the disk I/O is stopped / discarded (§4.2)
@@ -316,9 +314,7 @@ func (m *MBRCub) onReserveResp(r *msg.ReserveResp) {
 		return // already aborted by timeout
 	}
 	delete(m.pending, r.Seq)
-	if p.deadline != nil {
-		p.deadline.Stop()
-	}
+	p.deadline.Stop()
 	if !r.OK {
 		m.stats.RemoteRejects++
 		m.sched.Remove(p.entry.Instance)

@@ -65,6 +65,7 @@ func (c *Cub) Restart() {
 	for _, k := range keys {
 		c.dropEntryRelease(k)
 	}
+	c.freeEntries = nil // record pools are volatile state too
 	c.desch = make(map[descKey]*msg.Deschedule)
 	c.queue = make(map[int32][]*startReq)
 	c.queueLen = 0

@@ -283,10 +283,7 @@ func (c *Controller) moveSource(o msg.MoveOrder) (msg.NodeID, int8) {
 // the coordinator only certifies that every block has landed.
 func (c *Controller) finishRestripe() {
 	c.rs.active = false
-	if c.rs.tick != nil {
-		c.rs.tick.Stop()
-		c.rs.tick = nil
-	}
+	c.rs.tick.Stop()
 	if c.OnRestripeDone != nil {
 		c.OnRestripeDone()
 	}

@@ -118,14 +118,8 @@ func (c *Controller) Crash() {
 		return
 	}
 	c.down = true
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-		c.hbTimer = nil
-	}
-	if c.rs.tick != nil {
-		c.rs.tick.Stop()
-		c.rs.tick = nil
-	}
+	c.hbTimer.Stop()
+	c.rs.tick.Stop()
 	c.scavenging = false
 	c.scavPending = nil
 	c.scavParked = nil

@@ -139,6 +139,7 @@ type Disk struct {
 	rng    *rand.Rand
 
 	pending pendingHeap
+	free    []*pending // records ready for reuse
 	seq     uint64
 	busy    bool
 	cur     *pending // the read on the platter, nil when idle
@@ -205,7 +206,8 @@ func (d *Disk) Faults() Faults { return d.faults }
 // Cancel.
 func (d *Disk) Read(size int64, z Zone, due sim.Time, done func(completed sim.Time, ok bool)) uint64 {
 	d.seq++
-	p := &pending{size: size, zone: z, due: due, seq: d.seq, done: done}
+	p := d.newPending()
+	p.size, p.zone, p.due, p.seq, p.done = size, z, due, d.seq, done
 	if d.params.Discipline == FIFO {
 		p.due = 0 // degenerate key: seq (arrival order) decides
 	}
@@ -234,6 +236,7 @@ func (d *Disk) Cancel(id uint64) bool {
 	for i, p := range d.pending {
 		if p.seq == id {
 			heap.Remove(&d.pending, i)
+			d.recycle(p)
 			d.cancelled++
 			if d.obs.Cancelled != nil {
 				d.obs.Cancelled.Inc()
@@ -280,7 +283,7 @@ func (d *Disk) startNext() {
 	// A transient failure still occupies the drive for the full service
 	// time (the firmware retried and gave up); it just returns ok=false.
 	failed := d.faults.ErrProb > 0 && d.rng.Float64() < d.faults.ErrProb
-	completed := d.clk.Now().Add(svc)
+	p.failed, p.completed = failed, d.clk.Now().Add(svc)
 	d.reads++
 	d.bytes += p.size
 	d.busyTotal += svc
@@ -302,13 +305,39 @@ func (d *Disk) startNext() {
 	if d.obs.Queue != nil {
 		d.obs.Queue.Set(float64(d.QueueLen()))
 	}
-	d.clk.At(completed, func() {
-		d.cur = nil
-		if p.done != nil && !p.cancelled {
-			p.done(completed, !failed)
-		}
-		d.startNext()
-	})
+	d.clk.At(p.completed, p.complete)
+}
+
+// finish is the completion event of the read on the platter. The record
+// is recycled before done runs, so a retry issued from inside done can
+// already reuse it.
+func (d *Disk) finish(p *pending) {
+	d.cur = nil
+	done, completed, ok, cancelled := p.done, p.completed, !p.failed, p.cancelled
+	d.recycle(p)
+	if done != nil && !cancelled {
+		done(completed, ok)
+	}
+	d.startNext()
+}
+
+func (d *Disk) newPending() *pending {
+	if n := len(d.free); n > 0 {
+		p := d.free[n-1]
+		d.free = d.free[:n-1]
+		return p
+	}
+	p := &pending{}
+	p.complete = func() { d.finish(p) }
+	return p
+}
+
+// recycle returns a record no event refers to any more: its completion
+// has fired, or it was withdrawn while still queued and never armed one.
+func (d *Disk) recycle(p *pending) {
+	p.done = nil
+	p.cancelled = false
+	d.free = append(d.free, p)
 }
 
 func (d *Disk) serviceTime(size int64, z Zone) time.Duration {

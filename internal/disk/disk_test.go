@@ -182,3 +182,57 @@ func TestMaxQueueStat(t *testing.T) {
 		t.Fatalf("queue not drained: %d", d.QueueLen())
 	}
 }
+
+// TestReadCompletionAllocs: a read taken to completion with a callback
+// the caller reuses costs the heap nothing once the drive's record pool
+// and the engine's slab are warm.
+func TestReadCompletionAllocs(t *testing.T) {
+	eng, d := testDisk(t, nil)
+	completions := 0
+	done := func(sim.Time, bool) { completions++ }
+	round := func() {
+		for i := 0; i < 4; i++ { // one in service, three queued
+			d.Read(262144, Outer, eng.Now().Add(time.Second), done)
+		}
+		eng.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("%v allocs per four reads", n)
+	}
+	if completions != 4*202 {
+		t.Fatalf("%d completions, want %d", completions, 4*202)
+	}
+}
+
+// TestPendingRecordReuse: a record recycled by Cancel or by completion
+// serves a later read without leaking anything of the earlier one — not
+// its callback, not its cancelled mark.
+func TestPendingRecordReuse(t *testing.T) {
+	eng, d := testDisk(t, nil)
+	var got []string
+	cb := func(name string) func(sim.Time, bool) {
+		return func(sim.Time, bool) { got = append(got, name) }
+	}
+	far := sim.Time(time.Hour)
+	inService := d.Read(262144, Outer, far, cb("in-service"))
+	queued := d.Read(262144, Outer, far, cb("queued"))
+	if !d.Cancel(queued) || !d.Cancel(inService) {
+		t.Fatal("cancel failed")
+	}
+	// The queued read's record is free already; the in-service one stays
+	// with its (suppressed) completion event.
+	a := d.Read(262144, Outer, far, cb("a"))
+	eng.Run()
+	b := d.Read(262144, Outer, far, cb("b"))
+	eng.Run()
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("completions %v, want [a b]", got)
+	}
+	if d.Cancel(queued) || d.Cancel(inService) || d.Cancel(a) || d.Cancel(b) {
+		t.Fatal("a finished read was still cancellable")
+	}
+	if st := d.Stats(); st.Cancelled != 2 || st.CancelledBusy != 1 || st.Reads != 3 {
+		t.Fatalf("stats %+v", st)
+	}
+}

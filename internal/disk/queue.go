@@ -27,6 +27,10 @@ func (q QueueDiscipline) String() string {
 	return "edf"
 }
 
+// pending is one outstanding read. The drive owns the records: Read takes
+// one from the drive's free list and it goes back when the read leaves
+// the drive — withdrawn from the queue by Cancel, or at its completion
+// event — so a steady stream of reads allocates nothing.
 type pending struct {
 	size int64
 	zone Zone
@@ -37,6 +41,13 @@ type pending struct {
 	// platter operation cannot be stopped, but the completion callback
 	// is suppressed.
 	cancelled bool
+
+	// Set when service starts, read by the completion event.
+	completed sim.Time
+	failed    bool
+	// complete is the completion event's callback, bound to the record
+	// once when it is first allocated.
+	complete func()
 }
 
 // pendingHeap orders by (due, seq); with FIFO the cub pushes monotonically

@@ -135,6 +135,13 @@ type nodeStats struct {
 	linkDups  int64
 	dataDrops int64
 
+	// net and clk are the network and the clock of the node's executor,
+	// for the block-in-flight records' callbacks. freeSends are the
+	// records ready for reuse.
+	net       *Network
+	clk       clock.Clock
+	freeSends []*blockSend
+
 	// jitter is the sender-local latency-jitter stream (splitmix64),
 	// used instead of the network-wide rng when the simulation is
 	// sharded so concurrent senders never share a random source.
@@ -229,6 +236,7 @@ func (n *Network) SetSharded(sm *ShardMap) {
 	n.shard = sm
 	for id, st := range n.stats {
 		st.jitter = jitterSeed(sm.Seed, id)
+		st.clk = n.clockFor(id)
 	}
 }
 
@@ -306,7 +314,8 @@ func (n *Network) attachNodeObs(id msg.NodeID, st *nodeStats) {
 func (n *Network) statsFor(id msg.NodeID) *nodeStats {
 	st := n.stats[id]
 	if st == nil {
-		st = &nodeStats{lastChange: n.clockFor(id).Now()}
+		st = &nodeStats{net: n, clk: n.clockFor(id)}
+		st.lastChange = st.clk.Now()
 		if n.shard != nil {
 			st.jitter = jitterSeed(n.shard.Seed, id)
 		}
@@ -588,29 +597,85 @@ func (n *Network) SendBlock(from msg.NodeID, d BlockDelivery, pace time.Duration
 		st.obsDataBytes.Add(float64(d.Bytes))
 	}
 
-	clk := n.clockFor(from)
+	clk := st.clk
 	now := clk.Now()
-	rate := float64(d.Bytes) / pace.Seconds()
-	n.nicAdjust(st, +rate, now)
-	clk.After(pace, func() { n.nicAdjust(st, -rate, clk.Now()) })
+	b := st.newBlockSend()
+	b.rate = float64(d.Bytes) / pace.Seconds()
+	n.nicAdjust(st, +b.rate, now)
+	b.events = 1
+	clk.After(pace, b.paceEnd)
 
 	d.From = from
 	d.Start = now
 	// LastByte >= now + LatencyBase even for a zero pace, which is what
 	// lets a sharded run post the delivery to the viewer shard.
 	d.LastByte = now.Add(pace + n.latency(st))
-	deliver := func() {
-		if s := n.viewers[d.Viewer]; s != nil {
-			s.DeliverBlock(d)
-		}
-	}
 	if n.shard != nil {
 		if src := n.shard.ShardOf(from); src != n.shard.ViewerShard {
-			n.shard.Post(src, n.shard.ViewerShard, d.LastByte, deliver)
+			// The delivery runs on another shard's executor, where the
+			// sender's record and free list must not be touched: it
+			// carries its own copy of d (declared here so that only
+			// this branch pays for the heap copy).
+			posted := d
+			n.shard.Post(src, n.shard.ViewerShard, d.LastByte, func() { n.deliverBlock(posted) })
 			return
 		}
 	}
-	clk.At(d.LastByte, deliver)
+	b.d = d
+	b.events++
+	clk.At(d.LastByte, b.lastByte)
+}
+
+func (n *Network) deliverBlock(d BlockDelivery) {
+	if s := n.viewers[d.Viewer]; s != nil {
+		s.DeliverBlock(d)
+	}
+}
+
+// blockSend is one paced block send in flight from a node: the end of
+// its NIC occupancy and, when the viewers run on the sender's executor,
+// the arrival of its last byte. Records belong to the sending node and
+// are reused through its free list; both callbacks are bound once, when
+// the record is first allocated, and read their arguments from it.
+// Neither event is ever cancelled, so the record is free again when the
+// last of them has fired.
+type blockSend struct {
+	st *nodeStats
+
+	d      BlockDelivery
+	rate   float64
+	events int8 // armed and not yet fired
+
+	paceEnd  func()
+	lastByte func()
+}
+
+func (st *nodeStats) newBlockSend() *blockSend {
+	if k := len(st.freeSends); k > 0 {
+		b := st.freeSends[k-1]
+		st.freeSends = st.freeSends[:k-1]
+		return b
+	}
+	b := &blockSend{st: st}
+	b.paceEnd = b.onPaceEnd
+	b.lastByte = b.onLastByte
+	return b
+}
+
+func (b *blockSend) onPaceEnd() {
+	b.st.net.nicAdjust(b.st, -b.rate, b.st.clk.Now())
+	b.fired()
+}
+
+func (b *blockSend) onLastByte() {
+	b.st.net.deliverBlock(b.d)
+	b.fired()
+}
+
+func (b *blockSend) fired() {
+	if b.events--; b.events == 0 {
+		b.st.freeSends = append(b.st.freeSends, b)
+	}
 }
 
 func (n *Network) nicAdjust(st *nodeStats, delta float64, now sim.Time) {

@@ -399,3 +399,62 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) {}))
 }
+
+// TestSendBlockAllocs: a paced send through to the viewer's DeliverBlock
+// reuses the sender's block-in-flight record.
+func TestSendBlockAllocs(t *testing.T) {
+	eng, n := testNet(t, nil)
+	n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) {}))
+	delivered := 0
+	n.RegisterViewer(7, sinkFunc(func(BlockDelivery) { delivered++ }))
+	round := func() {
+		for i := 0; i < 3; i++ { // overlapping sends: three records
+			n.SendBlock(0, BlockDelivery{Viewer: 7, Bytes: 262144, Parts: 1, PlaySeq: int32(i)}, time.Second)
+		}
+		eng.Run()
+	}
+	round()
+	if a := testing.AllocsPerRun(200, round); a != 0 {
+		t.Fatalf("%v allocs per three sends", a)
+	}
+	if delivered != 3*202 {
+		t.Fatalf("%d deliveries, want %d", delivered, 3*202)
+	}
+}
+
+type sinkFunc func(BlockDelivery)
+
+func (f sinkFunc) DeliverBlock(d BlockDelivery) { f(d) }
+
+// TestBlockSendRecordReuse: overlapping sends each deliver their own
+// block, and a record is back in use only after both of its events have
+// fired — the NIC occupancy it releases is the rate it was armed with.
+func TestBlockSendRecordReuse(t *testing.T) {
+	eng, n := testNet(t, func(p *Params) { p.LatencyJitter = 0 })
+	n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) {}))
+	s := &sink{}
+	n.RegisterViewer(7, s)
+	for round := 0; round < 3; round++ {
+		// A short send that ends while a long one is in flight, then a
+		// third that picks up the short one's record.
+		n.SendBlock(0, BlockDelivery{Viewer: 7, Bytes: 400, Parts: 1, PlaySeq: 0}, 4*time.Second)
+		n.SendBlock(0, BlockDelivery{Viewer: 7, Bytes: 100, Parts: 1, PlaySeq: 1}, time.Second)
+		eng.RunFor(2 * time.Second)
+		n.SendBlock(0, BlockDelivery{Viewer: 7, Bytes: 300, Parts: 1, PlaySeq: 2}, time.Second)
+		eng.Run()
+		if len(s.got) != 3 || s.got[0].PlaySeq != 1 || s.got[1].PlaySeq != 2 || s.got[2].PlaySeq != 0 {
+			t.Fatalf("round %d: deliveries %+v", round, s.got)
+		}
+		if s.got[0].Bytes != 100 || s.got[1].Bytes != 300 || s.got[2].Bytes != 400 {
+			t.Fatalf("round %d: a delivery carries another send's block: %+v", round, s.got)
+		}
+		s.got = s.got[:0]
+	}
+	st := n.NodeStats(0)
+	if want := 3 * 800.0; st.ByteSecs < want-1e-6 || st.ByteSecs > want+1e-6 {
+		t.Fatalf("NIC byte-seconds %v, want %v", st.ByteSecs, want)
+	}
+	if free := len(n.stats[0].freeSends); free != 2 {
+		t.Fatalf("%d records pooled after three rounds of two overlapping sends, want 2", free)
+	}
+}

@@ -85,18 +85,14 @@ func (n *Node) Close() {
 // Now implements clock.Clock: nanoseconds since the system epoch.
 func (n *Node) Now() sim.Time { return sim.Time(time.Since(n.epoch)) }
 
-type rtTimer struct {
-	t *time.Timer
-}
-
-func (t rtTimer) Stop() bool { return t.t.Stop() }
-
-// After implements clock.Clock; the callback runs on the executor.
+// After implements clock.Clock; the callback runs on the executor. Once
+// the wall-clock timer has fired, fn is queued on the executor and a
+// later Stop reports false although fn has yet to run.
 func (n *Node) After(d time.Duration, fn func()) clock.Timer {
 	if d < 0 {
 		d = 0
 	}
-	return rtTimer{time.AfterFunc(d, func() { n.Do(fn) })}
+	return clock.Real(time.AfterFunc(d, func() { n.Do(fn) }))
 }
 
 // At implements clock.Clock.

@@ -78,9 +78,10 @@ type Viewer struct {
 	gotFirst    bool
 	totalBlocks int32 // blocks this play will deliver
 
-	nextCheck int32
-	received  map[int32]partState
-	maxSeq    int32 // highest play sequence with any delivery (-1: none)
+	nextCheck  int32
+	freeChecks []*deadlineCheck // fired check records ready for reuse
+	received   map[int32]partState
+	maxSeq     int32 // highest play sequence with any delivery (-1: none)
 
 	stats Stats
 
@@ -242,14 +243,40 @@ func (v *Viewer) deadline(k int32) sim.Time {
 	return v.firstByteAt.Add(time.Duration(k)*v.blockPlay + v.slack)
 }
 
+// deadlineCheck is one armed deadline check: which play sequence of
+// which play it will judge. A play has one check pending at a time, but
+// a check armed for a stopped or replaced play is never cancelled — it
+// fires and finds its instance gone — so it keeps its own record and the
+// new play arms another. Records are reused through the viewer's free
+// list once fired; fire is bound when the record is first allocated.
+type deadlineCheck struct {
+	v    *Viewer
+	k    int32
+	inst msg.InstanceID
+	fire func()
+}
+
+func (c *deadlineCheck) run() {
+	v, k, inst := c.v, c.k, c.inst
+	v.freeChecks = append(v.freeChecks, c)
+	v.check(k, inst)
+}
+
 func (v *Viewer) scheduleCheck() {
-	k := v.nextCheck
-	inst := v.instance
-	at := v.deadline(k)
+	at := v.deadline(v.nextCheck)
 	if now := v.clk.Now(); at < now {
 		at = now // inferred timeline: the deadline already passed
 	}
-	v.clk.At(at, func() { v.check(k, inst) })
+	var c *deadlineCheck
+	if n := len(v.freeChecks); n > 0 {
+		c = v.freeChecks[n-1]
+		v.freeChecks = v.freeChecks[:n-1]
+	} else {
+		c = &deadlineCheck{v: v}
+		c.fire = c.run
+	}
+	c.k, c.inst = v.nextCheck, v.instance
+	v.clk.At(at, c.fire)
 }
 
 func (v *Viewer) check(k int32, inst msg.InstanceID) {

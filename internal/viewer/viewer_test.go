@@ -255,3 +255,55 @@ func TestWrongDataDetected(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// TestDeliverCheckAllocs: a delivered block and the deadline check that
+// judges it reuse the viewer's check record.
+func TestDeliverCheckAllocs(t *testing.T) {
+	eng, v, _ := newViewer(t)
+	const blocks = 1200
+	v.Begin(42, 0, 0, blocks)
+	k := int32(0)
+	step := func() {
+		deliver(v, k, 1, 1, eng.Now())
+		k++
+		eng.RunFor(bp) // the block's deadline check fires
+	}
+	for i := 0; i < 100; i++ {
+		step() // warm the engine slab and the received map
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("%v allocs per delivered and checked block", n)
+	}
+	if st := v.Stats(); st.BlocksLost != 0 || st.BlocksOK < 1000 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestStaleCheckAfterReplay: a check armed for a play that was replaced
+// is never cancelled. It must fire as a no-op on its own record — not
+// read the new play's sequence from a shared one — and the new play's
+// checks must all still happen.
+func TestStaleCheckAfterReplay(t *testing.T) {
+	eng, v, loss := newViewer(t)
+	v.Begin(42, 0, 0, 100)
+	deliver(v, 0, 1, 1, eng.Now()) // anchors play 42, arms its first check
+	eng.RunFor(100 * time.Millisecond)
+	v.End()
+	v.Begin(43, 0, 0, 3) // replaced while 42's check is pending
+	for k := int32(0); k < 3; k++ {
+		k := k
+		eng.At(eng.Now().Add(time.Duration(k)*bp+200*time.Millisecond), func() { deliver(v, k, 1, 1, eng.Now()) })
+	}
+	done := false
+	v.OnDone = func() { done = true }
+	eng.Run()
+	if st := v.Stats(); st.BlocksOK != 3 || st.BlocksLost != 0 {
+		t.Fatalf("stats %+v: the stale check judged the new play", st)
+	}
+	if !done || loss.Total() != 0 {
+		t.Fatalf("done=%v losses=%d", done, loss.Total())
+	}
+	if len(v.freeChecks) != 2 {
+		t.Fatalf("%d check records pooled, want the stale play's and the new one's", len(v.freeChecks))
+	}
+}
