@@ -1,4 +1,4 @@
-.PHONY: check test bench identical elastic attr scale correlated failover
+.PHONY: check test bench identical loc elastic attr scale correlated failover
 
 # Full verification gate: vet, build, short tests, race detector on the
 # concurrent packages. CI and pre-commit both run this.
@@ -16,6 +16,11 @@ bench:
 # the committed file (~75 s). check.sh runs it too.
 identical:
 	./scripts/identical.sh
+
+# Non-test Go lines per top-level directory, excluding bench/: the
+# number every CHANGES.md entry states its delta of. check.sh prints it.
+loc:
+	./scripts/loc.sh
 
 # Regenerate the online elastic restripe sweep (all chaos arms) and
 # refresh the committed BENCH_elastic.json artifact.

@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"tiger/internal/chaos"
-	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 // This file adapts a Cluster to the chaos scenario engine
@@ -98,18 +98,18 @@ type serveRec struct {
 // a violation any more.
 const servePruneAfter = 10 * time.Second
 
-// ChaosHarness attaches the chaos invariant set to a cluster. It layers
-// a double-service oracle onto the cubs' hooks (the built-in
-// slot-conflict oracle, the trace ring and the flight recorder keep
-// firing), and derives the runner's Invariants from the cluster's
+// ChaosHarness attaches the chaos invariant set to a cluster. It
+// subscribes a double-service oracle to the cubs' serve events (beside
+// the built-in slot-conflict oracle, the trace ring and the flight
+// recorder), and derives the runner's Invariants from the cluster's
 // counters, baselined at harness creation so earlier history is not
-// re-reported. Close removes the layer.
+// re-reported. Close unsubscribes it.
 type ChaosHarness struct {
 	c *Cluster
 
-	// mu guards the serve oracle's state: under sim.Sharded the OnServe
-	// hook fires from concurrent shard goroutines. Single-engine runs
-	// pay one uncontended lock per serve.
+	// mu guards the serve oracle's state: under sim.Sharded serve events
+	// arrive from concurrent shard goroutines. Single-engine runs pay one
+	// uncontended lock per serve.
 	mu         sync.Mutex
 	serves     map[serveKey]serveRec
 	doubles    int
@@ -118,9 +118,11 @@ type ChaosHarness struct {
 
 	baseSlot  int   // oracle violations at harness creation
 	baseState int64 // state conflicts at harness creation
+
+	unsubscribe func()
 }
 
-// NewChaosHarness wires the harness into the cluster's hooks.
+// NewChaosHarness subscribes the harness to the cluster's event sink.
 func NewChaosHarness(c *Cluster) *ChaosHarness {
 	h := &ChaosHarness{
 		c:         c,
@@ -128,41 +130,36 @@ func NewChaosHarness(c *Cluster) *ChaosHarness {
 		baseSlot:  c.InvariantViolations(),
 		baseState: c.TotalCubStats().Conflicts,
 	}
-	// Publish through the hook layers so cubs created mid-run (an elastic
-	// restripe growing the array) observe the serve oracle too.
-	c.harnessHooks = core.Hooks{OnServe: h.onServe}
-	c.publishHooks()
+	h.unsubscribe = c.sink.Subscribe(trace.KindSet(trace.Serve), h.onServe)
 	return h
 }
 
-// Close detaches the serve oracle layer; the other layers stay.
-func (h *ChaosHarness) Close() {
-	h.c.harnessHooks = core.Hooks{}
-	h.c.publishHooks()
-}
+// Close detaches the serve oracle; the other subscribers stay.
+func (h *ChaosHarness) Close() { h.unsubscribe() }
 
-func (h *ChaosHarness) onServe(cub msg.NodeID, vs msg.ViewerState) {
+func (h *ChaosHarness) onServe(e trace.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	k := serveKey{inst: vs.Instance, seq: vs.PlaySeq, mirror: vs.Mirror, part: vs.Part}
+	cub := e.Node
+	k := serveKey{inst: e.Instance, seq: e.PlaySeq, mirror: e.Mirror, part: e.Part}
 	if prev, ok := h.serves[k]; ok && prev.by != cub {
 		h.doubles++
 		h.lastDouble = fmt.Sprintf("instance %d playseq %d (mirror=%v part %d) served by cub %v and cub %v",
-			vs.Instance, vs.PlaySeq, vs.Mirror, vs.Part, prev.by, cub)
+			e.Instance, e.PlaySeq, e.Mirror, e.Part, prev.by, cub)
 		// The flight recorder walks serial-engine state (clock, causal
-		// chains, the trace ring); under a sharded engine the hook fires
-		// on shard goroutines, so only the count and detail string are
-		// recorded there.
+		// chains, the trace ring); under a sharded engine the event
+		// arrives on a shard goroutine, so only the count and detail
+		// string are recorded there.
 		if fr := h.c.flight; fr != nil && h.c.sharded == nil {
-			fr.doubleServe(cub, vs, h.lastDouble)
+			fr.doubleServe(e, h.lastDouble)
 		}
 		return
 	}
 	// Stamp the record with the state's due time, not the cluster clock:
-	// under sim.Sharded this hook runs on shard goroutines, where reading
+	// under sim.Sharded this runs on shard goroutines, where reading
 	// another shard's engine clock would race. Due is within one state
 	// lead of now, which is far inside the prune horizon.
-	h.serves[k] = serveRec{by: cub, at: sim.Time(vs.Due)}
+	h.serves[k] = serveRec{by: cub, at: sim.Time(e.Due)}
 }
 
 func (h *ChaosHarness) pruneServes() {

@@ -152,11 +152,8 @@ func (c *Cluster) RestripeInfo() RestripeInfo {
 
 func (c *Cluster) setRestripePhase(phase string) {
 	c.rsPhase = phase
-	if c.rsGauge != nil {
-		c.rsGauge.Set(restripePhaseVal(phase))
-	}
-	if c.ring != nil {
-		c.ring.Add(trace.Event{
+	if c.sink.Wants(trace.RestripePhase) {
+		c.sink.Emit(trace.Event{
 			At: c.Now(), Node: msg.Controller, Kind: trace.RestripePhase,
 			Slot: int32(restripePhaseVal(phase)),
 		})
@@ -238,10 +235,8 @@ func (c *Cluster) StartRestripe(targetCubs int) error {
 	for i := len(c.Cubs); i < targetCubs; i++ {
 		cub := core.NewCub(msg.NodeID(i), cfg1, clk, c.Net, c.Net, c.Eng.Rand())
 		cub.Rebase(newGen)
-		cub.SetLossLog(c.Loss)
-		cub.SetHooks(c.cubHooks)
+		c.adopt(cub)
 		c.attachChainLog(cub)
-		cub.AttachObs(c.reg)
 		c.Net.Register(msg.NodeID(i), cub)
 		c.Cubs = append(c.Cubs, cub)
 		cub.Start()

@@ -3,7 +3,6 @@ package tiger
 import (
 	"fmt"
 
-	"tiger/internal/core"
 	"tiger/internal/msg"
 	"tiger/internal/trace"
 )
@@ -55,20 +54,18 @@ func (c *Cluster) EnableFlightRecorder(maxDumps int) *FlightRecorder {
 	}
 	fr := &FlightRecorder{c: c, MaxDumps: maxDumps}
 	c.flight = fr
-	c.flightHooks = core.Hooks{
-		OnMiss: func(cub msg.NodeID, vs msg.ViewerState) {
-			fr.capture(fmt.Sprintf("deadline-miss at cub %d (slot %d, mirror=%v)", cub, vs.Slot, vs.Mirror),
-				vs.Instance, vs.Block)
-		},
+	c.sink.Subscribe(trace.KindSet(trace.Miss, trace.Park), func(e trace.Event) {
+		if e.Kind == trace.Miss {
+			fr.capture(fmt.Sprintf("deadline-miss at cub %d (slot %d, mirror=%v)", e.Node, e.Slot, e.Mirror),
+				e.Instance, e.Block)
+			return
+		}
 		// A governor park is a deliberate shed, but each one costs a
 		// viewer their stream — capture the causal window so a park storm
 		// can be traced back to the failure that exhausted the mirrors.
-		OnPark: func(cub msg.NodeID, viewer msg.ViewerID, inst msg.InstanceID, slot int32) {
-			fr.capture(fmt.Sprintf("governor-park at cub %d (viewer %d, slot %d)", cub, viewer, slot),
-				inst, -1)
-		},
-	}
-	c.publishHooks()
+		fr.capture(fmt.Sprintf("governor-park at cub %d (viewer %d, slot %d)", e.Node, e.Viewer, e.Slot),
+			e.Instance, -1)
+	})
 	return fr
 }
 
@@ -112,8 +109,8 @@ func (fr *FlightRecorder) violation(name string, detail string) {
 }
 
 // doubleServe captures a double-service detection with the exact block.
-func (fr *FlightRecorder) doubleServe(cub msg.NodeID, vs msg.ViewerState, detail string) {
-	fr.capture("double-service: "+detail, vs.Instance, vs.Block)
+func (fr *FlightRecorder) doubleServe(e trace.Event, detail string) {
+	fr.capture("double-service: "+detail, e.Instance, e.Block)
 }
 
 // Dumps returns the captured failures, oldest first.

@@ -32,20 +32,21 @@ type playRecord struct {
 	gen        int32 // striping generation the play was admitted under
 }
 
-// ControllerStats are cumulative counters for the controller.
+// ControllerStats are cumulative counters for the controller; the
+// metrics registry collects them through the field tags (obs.go).
 type ControllerStats struct {
-	Starts    int64
-	Stops     int64
-	Acks      int64
-	EOFs      int64
-	Rejected  int64 // refused by the admission limit
-	MaxActive int
+	Starts    int64 `metric:"tiger_ctrl_starts_total" help:"Start-play requests accepted."`
+	Stops     int64 `metric:"tiger_ctrl_stops_total" help:"Stop-play requests handled."`
+	Acks      int64 `metric:"tiger_ctrl_acks_total" help:"Insertion acknowledgements confirmed."`
+	EOFs      int64 `metric:"tiger_ctrl_eofs_total" help:"Streams that reached end of file."`
+	Rejected  int64 `metric:"tiger_ctrl_rejected_total" help:"Start requests refused by the admission limit."`
+	MaxActive int   `metric:"tiger_ctrl_active_streams_max,gauge" help:"Most streams ever inserted at once."`
 
 	// Failover counters (scavenge.go).
-	Takeovers       int64 // restarts of the controller incarnation
-	ScavengeReplies int64 // cub inventory replies folded
-	ScavengedPlays  int64 // play records rebuilt from cub inventories
-	ScavengedParks  int64 // parked-stream tickets recovered from cubs
+	Takeovers       int64 `metric:"tiger_ctrl_takeovers_total" help:"Controller incarnation restarts performed."`
+	ScavengeReplies int64 `metric:"tiger_ctrl_scavenge_replies_total" help:"Cub inventory replies folded during takeovers."`
+	ScavengedPlays  int64 `metric:"tiger_ctrl_scavenged_plays_total" help:"Play records rebuilt from cub inventories."`
+	ScavengedParks  int64 `metric:"tiger_ctrl_scavenged_parks_total" help:"Parked-stream tickets recovered from cubs."`
 }
 
 // Controller is the Tiger controller machine: the clients' contact
@@ -225,9 +226,6 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 			limit := int(acfg.AdmitLimit * float64(acfg.Sched.NumSlots))
 			if c.pendingAndActive() >= limit {
 				c.stats.Rejected++
-				if o := c.obs; o != nil {
-					o.rejected.Inc()
-				}
 				return 0, fmt.Errorf("controller: schedule load limit %d reached", limit)
 			}
 		} else {
@@ -244,9 +242,6 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 			}
 			if frac >= acfg.AdmitLimit {
 				c.stats.Rejected++
-				if o := c.obs; o != nil {
-					o.rejected.Inc()
-				}
 				return 0, fmt.Errorf("controller: joint schedule load limit %.3f reached", acfg.AdmitLimit)
 			}
 		}
@@ -299,9 +294,6 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 	r.Primary = false
 	c.net.Send(msg.Controller, acfg.Layout.Successor(primary), &r)
 	c.stats.Starts++
-	if o := c.obs; o != nil {
-		o.starts.Inc()
-	}
 	return inst, nil
 }
 
@@ -319,9 +311,6 @@ func (c *Controller) StopPlay(inst msg.InstanceID) {
 		return
 	}
 	c.stats.Stops++
-	if o := c.obs; o != nil {
-		o.stops.Inc()
-	}
 	d := msg.Deschedule{
 		Viewer:   rec.viewer,
 		Instance: inst,
@@ -357,18 +346,12 @@ func (c *Controller) NotifyEOF(inst msg.InstanceID) {
 		return
 	}
 	c.stats.EOFs++
-	if o := c.obs; o != nil {
-		o.eofs.Inc()
-	}
 	c.finish(inst, rec)
 }
 
 func (c *Controller) finish(inst msg.InstanceID, rec *playRecord) {
 	if rec.state == PlayActive {
 		c.active--
-		if o := c.obs; o != nil {
-			o.active.Set(float64(c.active))
-		}
 	}
 	if rec.state != PlayDone {
 		if n := c.genLoad[rec.gen]; n > 0 {
@@ -487,8 +470,6 @@ func (c *Controller) onStartAck(a *msg.StartAck) {
 	c.stats.Acks++
 	waited := c.clk.Now().Sub(rec.issued)
 	if o := c.obs; o != nil {
-		o.acks.Inc()
-		o.active.Set(float64(c.active))
 		o.slotWait.Observe(waited.Seconds())
 	}
 	if c.OnAck != nil {

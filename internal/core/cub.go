@@ -131,95 +131,72 @@ type startReq struct {
 	enqueued sim.Time
 }
 
-// CubStats are cumulative protocol counters for one cub.
+// CubStats are cumulative protocol counters for one cub, and the only
+// place a cub counts: tests and experiments read the struct, and the
+// metrics registry collects it through the field tags (obs.go).
 type CubStats struct {
-	BlocksSent   int64 // primary blocks placed on the network
-	PiecesSent   int64 // declustered mirror pieces placed on the network
-	ServerMisses int64 // sends missed (disk not done, or state too late)
-	StatesRecv   int64
-	StatesDup    int64 // idempotent duplicates ignored
-	StatesLate   int64 // viewer states discarded as too late (§4.1.2)
-	Conflicts    int64 // a state for an occupied slot with another instance
-	DeschedRecv  int64
-	DeschedDup   int64
-	Inserts      int64 // slot insertions performed under ownership
-	MirrorsMade  int64 // mirror viewer states created
-	PiecesLost   int64 // mirror pieces undeliverable (covering cub dead)
-	PeakBuffered int64 // peak bytes of block buffers held (the paper's
-	// cubs had 20 MB buffer caches; §3.1 trades buffer usage for
-	// tolerance of disk-performance variation)
-	IndexMisses   int64 // index lookups that failed (always a bug)
-	DeadDeclared  int64 // deadman transitions observed
-	DeathsRefuted int64 // false death declarations withdrawn on proof of life
-	RedundantRuns int64 // redundant start queues promoted after a failure
-	StartsDup     int64 // duplicate start-play enqueues ignored
+	BlocksSent   int64 `metric:"tiger_cub_blocks_sent_total" help:"Primary blocks placed on the network."`
+	PiecesSent   int64 `metric:"tiger_cub_pieces_sent_total" help:"Declustered mirror pieces placed on the network."`
+	ServerMisses int64 `metric:"tiger_cub_server_misses_total" help:"Scheduled sends that could not be made (late read or late state)."`
+	StatesRecv   int64 `metric:"tiger_cub_states_recv_total" help:"Viewer states received."`
+	StatesDup    int64 `metric:"tiger_cub_states_dup_total" help:"Duplicate viewer states ignored."`
+	StatesLate   int64 `metric:"tiger_cub_states_late_total" help:"Viewer states discarded as too late (§4.1.2)."`
+	Conflicts    int64 `metric:"tiger_cub_conflicts_total" help:"States for an occupied slot with another instance (should stay 0)."`
+	DeschedRecv  int64 `metric:"tiger_cub_deschedules_total" help:"Deschedule requests received."`
+	DeschedDup   int64 `metric:"tiger_cub_deschedules_dup_total" help:"Duplicate deschedule requests ignored (§4.1.2)."`
+	Inserts      int64 `metric:"tiger_cub_inserts_total" help:"Slot insertions performed under ownership (§4.1.3)."`
+	MirrorsMade  int64 `metric:"tiger_cub_mirrors_made_total" help:"Mirror viewer-state chains created."`
+	PiecesLost   int64 `metric:"tiger_cub_pieces_lost_total" help:"Mirror pieces undeliverable (covering cub dead)."`
+	// PeakBuffered is a high-water mark: the paper's cubs had 20 MB
+	// buffer caches; §3.1 trades buffer usage for tolerance of
+	// disk-performance variation.
+	PeakBuffered  int64 `metric:"tiger_cub_peak_buffered_bytes,gauge" help:"Peak block buffer bytes held."`
+	IndexMisses   int64 `metric:"tiger_cub_index_misses_total" help:"Content index lookups that failed (always a bug)."`
+	DeadDeclared  int64 `metric:"tiger_cub_dead_declared_total" help:"Deadman transitions observed."`
+	DeathsRefuted int64 `metric:"tiger_cub_deaths_refuted_total" help:"False death declarations withdrawn on proof of life."`
+	RedundantRuns int64 `metric:"tiger_cub_redundant_runs_total" help:"Redundant start queues promoted after a failure."`
+	StartsDup     int64 `metric:"tiger_cub_starts_dup_total" help:"Duplicate start-play enqueues ignored."`
+	GossipBatches int64 `metric:"tiger_cub_gossip_batches_total" help:"Viewer-state gossip batches sent."`
+	GossipMsgs    int64 `metric:"tiger_cub_gossip_msgs_total" help:"Messages carried inside gossip batches."`
 
 	// Restart and reintegration counters.
-	Rejoins         int64 // cold restarts this cub performed
-	RejoinsServed   int64 // rejoin requests answered for neighbours
-	ViewTransferred int64 // schedule entries rebuilt from rejoin replies
-	MirrorsRetired  int64 // mirror entries handed back to a rejoined primary
-	StaleEpochDrops int64 // messages discarded for carrying a stale epoch
+	Rejoins         int64 `metric:"tiger_cub_rejoins_total" help:"Cold restarts this cub performed."`
+	RejoinsServed   int64 `metric:"tiger_cub_rejoins_served_total" help:"Rejoin requests answered for neighbours."`
+	ViewTransferred int64 `metric:"tiger_cub_view_transferred_total" help:"Schedule entries rebuilt from rejoin replies."`
+	MirrorsRetired  int64 `metric:"tiger_cub_mirrors_retired_total" help:"Mirror entries handed back to a rejoined primary."`
+	StaleEpochDrops int64 `metric:"tiger_cub_stale_epoch_drops_total" help:"Messages discarded for carrying a stale epoch."`
 
 	// Gray-failure tolerance counters (health.go).
-	HedgesIssued      int64 // mirror chains launched to cover suspected disks
-	HedgeLocalWins    int64 // hedged sends where the local read made it anyway
-	HedgeMirrorWins   int64 // hedged sends covered by the mirror pieces
-	DiskReadErrors    int64 // transient read failures reported by local drives
-	DiskSuspects      int64 // healthy → suspected transitions
-	DiskRecoveries    int64 // suspected → healthy transitions
-	DiskQuarantines   int64 // suspected → quarantined transitions
-	DiskUnquarantines int64 // quarantines cleared by passing probes
+	HedgesIssued      int64 `metric:"tiger_cub_hedges_issued_total" help:"Mirror chains launched to hedge reads on suspected disks."`
+	HedgeLocalWins    int64 `metric:"tiger_cub_hedge_local_wins_total" help:"Hedged sends where the local read completed in time."`
+	HedgeMirrorWins   int64 `metric:"tiger_cub_hedge_mirror_wins_total" help:"Hedged sends covered by the declustered mirror pieces."`
+	DiskReadErrors    int64 `metric:"tiger_cub_disk_read_errors_total" help:"Transient read failures reported by local drives."`
+	DiskSuspects      int64 `metric:"tiger_cub_disk_suspects_total" help:"Disk health transitions healthy→suspected."`
+	DiskRecoveries    int64 `metric:"tiger_cub_disk_recoveries_total" help:"Disk health transitions suspected→healthy."`
+	DiskQuarantines   int64 `metric:"tiger_cub_disk_quarantines_total" help:"Disk health transitions suspected→quarantined."`
+	DiskUnquarantines int64 `metric:"tiger_cub_disk_unquarantines_total" help:"Quarantines cleared by passing probes."`
+	DiskProbes        int64 `metric:"tiger_cub_disk_probes_total" help:"Probe reads issued against quarantined drives."`
 
 	// Live-restripe mover counters (mover.go).
-	MovesOut     int64 // move copies read and shipped by this cub
-	MovesIn      int64 // move copies landed on this cub's drives
-	MoveBytesOut int64
-	MoveBytesIn  int64
-	MovesNacked  int64 // move orders refused (source disk failed/quarantined)
+	MovesOut     int64 `metric:"tiger_cub_moves_out_total" help:"Restripe copies read and shipped by this cub."`
+	MovesIn      int64 `metric:"tiger_cub_moves_in_total" help:"Restripe copies landed on this cub's drives."`
+	MoveBytesOut int64 `metric:"tiger_cub_move_bytes_out_total" help:"Bytes of restripe copies shipped."`
+	MoveBytesIn  int64 `metric:"tiger_cub_move_bytes_in_total" help:"Bytes of restripe copies landed."`
+	MovesNacked  int64 `metric:"tiger_cub_moves_nacked_total" help:"Move orders refused (source drive failed or quarantined)."`
 
 	// Degradation-governor counters (park.go). Park and Resume orders go
 	// to two cubs each (serving cub + successor), so summed across cubs
 	// these count messages processed, not streams; the authoritative
 	// per-stream counts live in the controller's GovernorStats.
-	StreamsParked  int64 // park orders processed (first sighting per instance)
-	StreamsResumed int64 // resume notices processed
-	DownAdvisories int64 // controller CubDown advisories applied
+	StreamsParked  int64 `metric:"tiger_cub_parks_total" help:"Governor park orders processed (first sighting per instance)."`
+	StreamsResumed int64 `metric:"tiger_cub_resumes_total" help:"Governor resume notices processed."`
+	DownAdvisories int64 `metric:"tiger_cub_down_advisories_total" help:"Controller CubDown advisories applied."`
 
 	// Controller-failover counters (scavenge.go).
-	CtlStaleDrops   int64 // orders dropped for a stale controller epoch
-	CtlTakeovers    int64 // controller epoch bumps observed (takeovers)
-	CtlDeclaredDead int64 // controller deadman transitions observed
-	ScavengesServed int64 // takeover scavenge requests answered
-}
-
-// Hooks let tests and harnesses observe protocol events without
-// perturbing them.
-type Hooks struct {
-	// OnInsert fires when this cub inserts a viewer into a slot it owns.
-	OnInsert func(cub msg.NodeID, slot int32, inst msg.InstanceID, due sim.Time)
-	// OnServe fires when a block or piece send begins.
-	OnServe func(cub msg.NodeID, vs msg.ViewerState)
-	// OnMiss fires when a scheduled send could not be made.
-	OnMiss func(cub msg.NodeID, vs msg.ViewerState)
-	// OnHedge fires when a hedged mirror chain is launched to cover a
-	// suspected disk (health.go).
-	OnHedge func(cub msg.NodeID, vs msg.ViewerState)
-	// OnQuarantine fires when the health monitor quarantines a disk.
-	OnQuarantine func(cub msg.NodeID, disk int32)
-	// OnMoveCommit fires when a restripe move copy is committed.
-	OnMoveCommit func(cub msg.NodeID, seq int64)
-	// OnMoveNack fires when a move order is refused; reason is the
-	// MoveNack wire reason code.
-	OnMoveNack func(cub msg.NodeID, seq int64, reason uint8)
-	// OnPark fires when a cub first processes a governor park order for
-	// an instance.
-	OnPark func(cub msg.NodeID, viewer msg.ViewerID, inst msg.InstanceID, slot int32)
-	// OnResume fires when a cub processes a governor resume notice.
-	OnResume func(cub msg.NodeID, viewer msg.ViewerID, oldInst, newInst msg.InstanceID)
-	// OnUnservable fires when a cub's count of mirror-exhausted disks
-	// changes; disks is the new count.
-	OnUnservable func(cub msg.NodeID, disks int32)
+	CtlStaleDrops   int64 `metric:"tiger_cub_ctl_stale_drops_total" help:"Orders dropped for carrying a dead controller incarnation's epoch."`
+	CtlTakeovers    int64 `metric:"tiger_cub_ctl_takeovers_total" help:"Controller epoch bumps observed (takeovers)."`
+	CtlDeclaredDead int64 `metric:"tiger_cub_ctl_declared_dead_total" help:"Controller deadman transitions observed."`
+	ScavengesServed int64 `metric:"tiger_cub_scavenges_served_total" help:"Takeover scavenge requests answered with an inventory."`
 }
 
 // Cub is one content-holding machine of a Tiger system, implementing the
@@ -329,7 +306,7 @@ type Cub struct {
 	cpu    metrics.CPU
 	stats  CubStats
 	loss   *metrics.LossLog
-	hooks  Hooks
+	sink   *trace.Sink     // nil until SetSink; where protocol events go
 	obs    *cubObs         // nil until AttachObs
 	ctrace *trace.ChainLog // nil until SetChainLog; causal hop recorder
 
@@ -445,9 +422,9 @@ func (c *Cub) CPUBusy() time.Duration { return c.cpu.Busy() }
 // view — the quantity the scalability argument of §4 bounds.
 func (c *Cub) ViewSize() int { return len(c.entries) }
 
-// QueueLen returns the number of start requests waiting for a free slot.
-// Maintained as a counter so the per-insert gauge update is O(1) instead
-// of a sweep over every per-disk queue.
+// QueueLen returns the number of start requests waiting for a free slot,
+// maintained as a counter so reading it is O(1) instead of a sweep over
+// every per-disk queue.
 func (c *Cub) QueueLen() int { return c.queueLen }
 
 // Disks exposes the cub's drive models for metrics collection, keyed by
@@ -466,8 +443,21 @@ func (c *Cub) DiskByIndex(idx int) *disk.Disk { return c.disks[c.NativeDiskKey(i
 // SetLossLog directs server-side miss reports to a shared loss log.
 func (c *Cub) SetLossLog(l *metrics.LossLog) { c.loss = l }
 
-// SetHooks installs observation hooks (tests only).
-func (c *Cub) SetHooks(h Hooks) { c.hooks = h }
+// SetSink directs the cub's protocol events (trace.Event, one per insert,
+// serve, miss, hedge, quarantine, move commit or nack, park, resume and
+// unservable-count change) to s. Observation only: subscribers must not
+// call back into the cub.
+func (c *Cub) SetSink(s *trace.Sink) { c.sink = s }
+
+// emitService reports an event about the service vs describes. Callers
+// test c.sink.Wants first, so an event nobody subscribed to is not built.
+func (c *Cub) emitService(k trace.Kind, vs *msg.ViewerState) {
+	c.sink.Emit(trace.Event{
+		At: c.clk.Now(), Node: c.id, Kind: k,
+		Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block, Mirror: vs.Mirror,
+		Viewer: vs.Viewer, PlaySeq: vs.PlaySeq, Part: vs.Part, Due: vs.Due,
+	})
+}
 
 // SetChainLog installs a causal-trace chain log. Hops are recorded only
 // for viewer states carrying the trace flag; with a nil log (the
@@ -523,7 +513,6 @@ func (c *Cub) FailDisk(d int) {
 		h.probeTimer.Stop()
 		delete(c.quarantined, d)
 		h.state = DiskQuarantined
-		c.setHealthGauge(d, h)
 	}
 	c.retireDisk(d)
 }
@@ -724,9 +713,6 @@ func (c *Cub) staleEpoch(from msg.NodeID, e int32) bool {
 	}
 	if e < c.peerEpoch[from] {
 		c.stats.StaleEpochDrops++
-		if o := c.obs; o != nil {
-			o.staleDrops.Inc()
-		}
 		return true
 	}
 	if e > c.peerEpoch[from] {

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"tiger/internal/msg"
-	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 func TestSteadyStateDelivery(t *testing.T) {
@@ -27,11 +27,7 @@ func TestSteadyStateDelivery(t *testing.T) {
 func TestBlocksFlowInOrderFromConsecutiveCubs(t *testing.T) {
 	r := newRig(t, defaultRigOptions())
 	var served []msg.NodeID
-	for _, c := range r.cubs {
-		c.SetHooks(Hooks{OnServe: func(cub msg.NodeID, vs msg.ViewerState) {
-			served = append(served, cub)
-		}})
-	}
+	r.subscribe(trace.KindSet(trace.Serve), func(e trace.Event) { served = append(served, e.Node) })
 	r.play(1, 0, 0)
 	r.run(20 * time.Second)
 	if len(served) < 15 {
@@ -154,14 +150,12 @@ func TestSlotReuseAfterStop(t *testing.T) {
 	r := newRig(t, o)
 	conflicts := 0
 	insertedSlots := map[int32]msg.InstanceID{}
-	for _, c := range r.cubs {
-		c.SetHooks(Hooks{OnInsert: func(cub msg.NodeID, slot int32, inst msg.InstanceID, due sim.Time) {
-			if _, busy := insertedSlots[slot]; busy {
-				conflicts++
-			}
-			insertedSlots[slot] = inst
-		}})
-	}
+	r.subscribe(trace.KindSet(trace.Insert), func(e trace.Event) {
+		if _, busy := insertedSlots[e.Slot]; busy {
+			conflicts++
+		}
+		insertedSlots[e.Slot] = e.Instance
+	})
 	inst := r.play(1, 0, 0)
 	r.run(5 * time.Second)
 	r.ctl.StopPlay(inst)

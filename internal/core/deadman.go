@@ -34,9 +34,6 @@ func (c *Cub) heartbeatTick() {
 func (c *Cub) markDead(z msg.NodeID) {
 	c.believedDead[z] = true
 	c.stats.DeadDeclared++
-	if o := c.obs; o != nil {
-		o.deadDeclared.Inc()
-	}
 	c.updateUnservable()
 	// We may be the decision maker for z's schedule load on some
 	// installed generations' rings but not others (the rings differ
@@ -159,9 +156,6 @@ func (c *Cub) proofOfLife(z msg.NodeID, e, prior int32) {
 func (c *Cub) refuteDeath(z msg.NodeID) {
 	c.markAlive(z)
 	c.stats.DeathsRefuted++
-	if o := c.obs; o != nil {
-		o.deathsRefuted.Inc()
-	}
 	pace := int64(c.cfg.MirrorPace())
 	now := int64(c.clk.Now())
 	var keys []entryKey
@@ -188,9 +182,6 @@ func (c *Cub) refuteDeath(z msg.NodeID) {
 		}
 		c.dropEntryRelease(k)
 		c.stats.MirrorsRetired++
-		if o := c.obs; o != nil {
-			o.mirrorsBack.Inc()
-		}
 	}
 	if len(keys) > 0 {
 		c.flushForwards()

@@ -15,9 +15,6 @@ import (
 
 func (c *Cub) onDeschedule(d msg.Deschedule) {
 	c.stats.DeschedRecv++
-	if o := c.obs; o != nil {
-		o.deschedRecv.Inc()
-	}
 	if d.Slot < 0 {
 		// The viewer was never inserted: the controller is cancelling a
 		// queued start request. Scrub it from our queues and redundant
@@ -34,9 +31,6 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 					break
 				}
 			}
-		}
-		if o := c.obs; o != nil {
-			o.queueLen.Set(float64(c.queueLen))
 		}
 		return
 	}

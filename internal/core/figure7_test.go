@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"tiger/internal/msg"
-	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 // TestFigure7TransientViews reproduces the paper's Figure 7 scenario:
@@ -24,15 +24,12 @@ func TestFigure7TransientViews(t *testing.T) {
 	// Establish viewer 1 and find its slot.
 	var slot int32 = -1
 	var insertedBy msg.NodeID
-	for _, c := range r.cubs {
-		c := c
-		c.SetHooks(Hooks{OnInsert: func(cub msg.NodeID, s int32, inst msg.InstanceID, due sim.Time) {
-			if slot == -1 {
-				slot = s
-				insertedBy = cub
-			}
-		}})
-	}
+	r.subscribe(trace.KindSet(trace.Insert), func(e trace.Event) {
+		if slot == -1 {
+			slot = e.Slot
+			insertedBy = e.Node
+		}
+	})
 	inst1 := r.play(1, 0, 0)
 	r.run(10 * time.Second)
 	if slot < 0 {

@@ -20,18 +20,12 @@ import (
 
 func (c *Cub) onViewerState(vs msg.ViewerState) {
 	c.stats.StatesRecv++
-	if o := c.obs; o != nil {
-		o.statesRecv.Inc()
-	}
 	now := c.clk.Now()
 
 	// Too late to matter: any deschedule for it would already have been
 	// discarded, so accepting it could resurrect a stopped viewer.
 	if vs.Due < int64(now)-int64(c.cfg.DescheduleHold) {
 		c.stats.StatesLate++
-		if o := c.obs; o != nil {
-			o.statesLate.Inc()
-		}
 		return
 	}
 	if _, killed := c.desch[descKey{vs.Slot, vs.Instance}]; killed {
@@ -49,9 +43,6 @@ func (c *Cub) onViewerState(vs msg.ViewerState) {
 	cfg := c.cfgOf(vs.Slot)
 	if cfg == nil {
 		c.stats.StatesLate++
-		if o := c.obs; o != nil {
-			o.statesLate.Inc()
-		}
 		return
 	}
 
@@ -111,9 +102,6 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 	cfg := c.cfgOf(vs.Slot)
 	if cfg == nil {
 		c.stats.StatesLate++
-		if o := c.obs; o != nil {
-			o.statesLate.Inc()
-		}
 		return
 	}
 	nd := c.nativeDisk(cfg.Layout, d)
@@ -121,16 +109,10 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 	if old, ok := c.entries[key]; ok {
 		if old.vs.Instance == vs.Instance {
 			c.stats.StatesDup++
-			if o := c.obs; o != nil {
-				o.statesDup.Inc()
-			}
 		} else {
 			// §4.1.3's ordering argument makes this unreachable in a
 			// correctly functioning system; count it rather than guess.
 			c.stats.Conflicts++
-			if o := c.obs; o != nil {
-				o.conflicts.Inc()
-			}
 		}
 		return
 	}
@@ -153,7 +135,6 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 	c.fwdPush(key)
 	if o := c.obs; o != nil {
 		o.spans.Observe(obs.StageState, sim.Time(vs.Due), now)
-		o.viewSize.Set(float64(len(c.entries)))
 	}
 	c.traceHop(&vs, trace.HopState, int32(nd))
 	c.scheduleEntry(e)
@@ -240,9 +221,6 @@ func (e *entry) readDone(done sim.Time, ok bool) {
 		c.bufAdjust(-bytes)
 		e.buffered = 0
 		c.stats.DiskReadErrors++
-		if o := c.obs; o != nil {
-			o.diskReadErrors.Inc()
-		}
 		if due > c.clk.Now() {
 			c.issueRead(e)
 		}
@@ -281,9 +259,6 @@ func (c *Cub) service(e *entry) {
 			// assembles the block from the declustered pieces, so the
 			// block is not lost and the miss is not recorded as one.
 			c.stats.HedgeMirrorWins++
-			if o := c.obs; o != nil {
-				o.hedgeMirrorWins.Inc()
-			}
 			return
 		}
 		c.recordMiss(e.vs)
@@ -293,9 +268,6 @@ func (c *Cub) service(e *entry) {
 		// Local read beat the fault after all; the mirror pieces arrive
 		// as duplicates the verification client tolerates.
 		c.stats.HedgeLocalWins++
-		if o := c.obs; o != nil {
-			o.hedgeLocalWins.Inc()
-		}
 	}
 	pace := c.cfg.Sched.BlockPlay
 	bytes := c.cfg.BlockSize
@@ -324,11 +296,6 @@ func (c *Cub) service(e *entry) {
 		c.stats.BlocksSent++
 	}
 	if o := c.obs; o != nil {
-		if e.vs.Mirror {
-			o.piecesSent.Inc()
-		} else {
-			o.blocksSent.Inc()
-		}
 		o.spans.Observe(obs.StageSend, sim.Time(e.vs.Due), c.clk.Now())
 	}
 	// The buffer frees once the paced send finishes. The entry has left
@@ -336,8 +303,8 @@ func (c *Cub) service(e *entry) {
 	e.pins++
 	c.clk.After(pace, e.onSent)
 	c.traceHop(&e.vs, trace.HopSend, int32(e.disk))
-	if c.hooks.OnServe != nil {
-		c.hooks.OnServe(c.id, e.vs)
+	if c.sink.Wants(trace.Serve) {
+		c.emitService(trace.Serve, &e.vs)
 	}
 }
 
@@ -360,9 +327,6 @@ func (c *Cub) bufAdjust(delta int64) {
 	if c.bufBytes > c.stats.PeakBuffered {
 		c.stats.PeakBuffered = c.bufBytes
 	}
-	if o := c.obs; o != nil {
-		o.bufBytes.Set(float64(c.bufBytes))
-	}
 }
 
 // BufferedBytes returns the block buffers currently held.
@@ -371,7 +335,6 @@ func (c *Cub) BufferedBytes() int64 { return c.bufBytes }
 func (c *Cub) recordMiss(vs msg.ViewerState) {
 	c.stats.ServerMisses++
 	if o := c.obs; o != nil {
-		o.misses.Inc()
 		// Record the missed send against the same deadline-slack series
 		// as successful ones, so the distribution shows the whole story:
 		// a late viewer state lands here with negative slack.
@@ -381,8 +344,8 @@ func (c *Cub) recordMiss(vs msg.ViewerState) {
 		c.loss.RecordServerMiss(c.clk.Now())
 	}
 	c.traceHop(&vs, trace.HopMiss, -1)
-	if c.hooks.OnMiss != nil {
-		c.hooks.OnMiss(c.id, vs)
+	if c.sink.Wants(trace.Miss) {
+		c.emitService(trace.Miss, &vs)
 	}
 }
 
@@ -434,9 +397,6 @@ func (c *Cub) dropEntry(e *entry) {
 	} else {
 		delete(c.slotOcc, e.key.slot)
 	}
-	if o := c.obs; o != nil {
-		o.viewSize.Set(float64(len(c.entries)))
-	}
 	e.retire()
 }
 
@@ -455,9 +415,6 @@ func (c *Cub) createMirrors(vs msg.ViewerState, d int) {
 	mvs.Part = 0
 	mvs.OrigDisk = int32(d)
 	c.stats.MirrorsMade++
-	if o := c.obs; o != nil {
-		o.mirrorsMade.Inc()
-	}
 	c.routeMirror(mvs)
 }
 
@@ -477,9 +434,6 @@ func (c *Cub) routeMirror(mvs msg.ViewerState) {
 		pc := cfg.Layout.CubOfDisk(pd)
 		if c.believedDead[pc] {
 			c.stats.PiecesLost++
-			if o := c.obs; o != nil {
-				o.piecesLost.Inc()
-			}
 			mvs.Part++
 			mvs.Due += pace
 			continue
@@ -515,9 +469,6 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 	cfg := c.cfgOf(vs.Slot)
 	if cfg == nil {
 		c.stats.StatesLate++
-		if o := c.obs; o != nil {
-			o.statesLate.Inc()
-		}
 		return
 	}
 	pd := cfg.Layout.SecondaryDiskFor(int(vs.OrigDisk), int(vs.Part))
@@ -529,30 +480,20 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 	if old, ok := c.entries[key]; ok {
 		if old.vs.Instance == vs.Instance {
 			c.stats.StatesDup++
-			if o := c.obs; o != nil {
-				o.statesDup.Inc()
-			}
 		} else {
 			c.stats.Conflicts++
-			if o := c.obs; o != nil {
-				o.conflicts.Inc()
-			}
 		}
 		return // the original acceptance already forwarded the chain
 	}
 	switch {
 	case c.failedDisks[npd]:
 		c.stats.PiecesLost++
-		if o := c.obs; o != nil {
-			o.piecesLost.Inc()
-		}
 	case vs.Due <= int64(c.clk.Now()):
 		c.recordMiss(vs)
 	default:
 		e := c.newEntry(key, vs, npd)
 		if o := c.obs; o != nil {
 			o.spans.Observe(obs.StageState, sim.Time(vs.Due), c.clk.Now())
-			o.viewSize.Set(float64(len(c.entries)))
 		}
 		c.traceHop(&vs, trace.HopState, int32(npd))
 		c.scheduleEntry(e)
@@ -746,10 +687,8 @@ func (c *Cub) flushForwards() {
 		} else {
 			c.net.Send(c.id, to, &msg.Batch{Msgs: msgs})
 		}
-		if o := c.obs; o != nil {
-			o.fwdBatches.Inc()
-			o.fwdMsgs.Add(float64(len(msgs)))
-		}
+		c.stats.GossipBatches++
+		c.stats.GossipMsgs += int64(len(msgs))
 		c.cpu.ChargeCtlMsg()
 	}
 }

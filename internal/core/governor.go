@@ -33,13 +33,13 @@ type ParkTicket struct {
 // accounting. Cub-side CubStats count park/resume messages (two cubs see
 // each order); these count streams.
 type GovernorStats struct {
-	Fence      int32
-	Parked     int   // streams currently parked (awaiting re-admission)
-	QueueLen   int   // parked streams queued for the next drain
-	Parks      int64 // park decisions taken
-	Resumes    int64 // parked streams re-admitted (or resolved at EOF)
-	Acks       int64 // distinct instances acked by cubs
-	Unservable int   // disks currently computed mirror-exhausted
+	Fence      int32 `metric:"tiger_governor_fence,gauge" help:"High-water fence of the governor's CubDown advisories."`
+	Parked     int   `metric:"tiger_governor_parked_streams,gauge" help:"Streams currently parked by the degradation governor."`
+	QueueLen   int   `metric:"tiger_governor_queued_streams,gauge" help:"Parked streams queued for the next re-admission drain."`
+	Parks      int64 `metric:"tiger_governor_parks_total" help:"Streams parked by the degradation governor."`
+	Resumes    int64 `metric:"tiger_governor_resumes_total" help:"Parked streams re-admitted after capacity returned."`
+	Acks       int64 `metric:"tiger_governor_park_acks_total" help:"Distinct parked instances acknowledged by cubs."`
+	Unservable int   `metric:"tiger_governor_unservable_disks,gauge" help:"Disks the governor currently computes mirror-exhausted."`
 }
 
 type governorState struct {
@@ -170,9 +170,6 @@ func (c *Controller) recomputeUnservable() {
 			g.stateLost[d] = true
 		}
 	}
-	if o := c.obs; o != nil {
-		o.unservable.Set(float64(len(g.unservable)))
-	}
 }
 
 // parkSweep parks every active-generation stream whose play position
@@ -286,10 +283,6 @@ func (c *Controller) parkOne(inst msg.InstanceID) {
 	g.parked[inst] = t
 	g.queue = append(g.queue, t)
 	g.stats.Parks++
-	if o := c.obs; o != nil {
-		o.parksTotal.Inc()
-		o.parked.Set(float64(len(g.parked)))
-	}
 	c.finish(inst, rec)
 }
 
@@ -356,10 +349,6 @@ func (c *Controller) drainParked() {
 		delete(g.parked, t.OldInstance)
 		delete(g.acked, t.OldInstance)
 		g.stats.Resumes++
-		if o := c.obs; o != nil {
-			o.resumesTotal.Inc()
-			o.parked.Set(float64(len(g.parked)))
-		}
 		if newInst != 0 {
 			if rec := c.plays[newInst]; rec != nil {
 				rcfg := c.gens[rec.gen]

@@ -152,10 +152,6 @@ func (c *Cub) evalHealth(d int, h *diskHealth) {
 		case h.badStreak == 0 && h.seeded && h.slackEwma > hp.HealthySlack:
 			h.state = DiskHealthy
 			c.stats.DiskRecoveries++
-			if o := c.obs; o != nil {
-				o.diskRecoveries.Inc()
-			}
-			c.setHealthGauge(d, h)
 		}
 	}
 }
@@ -163,10 +159,6 @@ func (c *Cub) evalHealth(d int, h *diskHealth) {
 func (c *Cub) suspectDisk(d int, h *diskHealth) {
 	h.state = DiskSuspected
 	c.stats.DiskSuspects++
-	if o := c.obs; o != nil {
-		o.diskSuspects.Inc()
-	}
-	c.setHealthGauge(d, h)
 	// The backlog that triggered suspicion is exactly the set of reads
 	// that will miss: hedge every outstanding not-yet-due primary on the
 	// drive immediately rather than waiting for each to be re-judged.
@@ -227,12 +219,9 @@ func (c *Cub) hedgeEntry(e *entry) {
 	}
 	e.hedged = true
 	c.stats.HedgesIssued++
-	if o := c.obs; o != nil {
-		o.hedgesIssued.Inc()
-	}
 	c.traceHop(&e.vs, trace.HopHedge, int32(e.disk))
-	if c.hooks.OnHedge != nil {
-		c.hooks.OnHedge(c.id, e.vs)
+	if c.sink.Wants(trace.Hedge) {
+		c.emitService(trace.Hedge, &e.vs)
 	}
 	// The mirror route resolves under the entry's generation, which
 	// numbers the drive differently from the native key e.disk carries.
@@ -249,13 +238,10 @@ func (c *Cub) quarantineDisk(d int, h *diskHealth) {
 	h.probeGood = 0
 	h.seeded = false
 	c.stats.DiskQuarantines++
-	if o := c.obs; o != nil {
-		o.diskQuarantines.Inc()
+	if c.sink.Wants(trace.Quarantine) {
+		// Slot carries the native disk key.
+		c.sink.Emit(trace.Event{At: c.clk.Now(), Node: c.id, Kind: trace.Quarantine, Slot: int32(d)})
 	}
-	if c.hooks.OnQuarantine != nil {
-		c.hooks.OnQuarantine(c.id, int32(d))
-	}
-	c.setHealthGauge(d, h)
 	c.quarantined[d] = true
 	c.retireDisk(d)
 	c.armProbe(d)
@@ -287,9 +273,7 @@ func (c *Cub) probeDisk(d int) {
 	start := c.clk.Now()
 	budget := probeBudget(c.cfg.DiskParams, c.cfg.BlockSize)
 	c.cpu.ChargeDiskOp()
-	if o := c.obs; o != nil {
-		o.diskProbes.Inc()
-	}
+	c.stats.DiskProbes++
 	c.disks[d].Read(c.cfg.BlockSize, disk.Outer, start.Add(budget), func(done sim.Time, ok bool) {
 		if !c.quarantined[d] {
 			return
@@ -319,10 +303,6 @@ func (c *Cub) unquarantineDisk(d int, h *diskHealth) {
 	h.probeGood = 0
 	h.seeded = false
 	c.stats.DiskUnquarantines++
-	if o := c.obs; o != nil {
-		o.diskUnquarantines.Inc()
-	}
-	c.setHealthGauge(d, h)
 }
 
 // resetHealthOnRestart wipes the monitor across a cub restart. Health
@@ -353,14 +333,5 @@ func (c *Cub) resetHealthOnRestart() {
 		h.badStreak = 0
 		h.probeGood = 0
 		h.seeded = false
-		c.setHealthGauge(d, h)
-	}
-}
-
-func (c *Cub) setHealthGauge(d int, h *diskHealth) {
-	if o := c.obs; o != nil {
-		if g := o.diskHealth[d]; g != nil {
-			g.Set(float64(h.state))
-		}
 	}
 }

@@ -57,18 +57,12 @@ func (c *Cub) enqueueStart(req *startReq) {
 	inst := req.sp.Instance
 	if _, dup := c.enqueuedStart[inst]; dup {
 		c.stats.StartsDup++
-		if o := c.obs; o != nil {
-			o.startsDup.Inc()
-		}
 		return
 	}
 	c.enqueuedStart[inst] = c.clk.Now()
 	c.clk.After(time.Minute, func() { delete(c.enqueuedStart, inst) })
 	c.queue[req.dkey] = append(c.queue[req.dkey], req)
 	c.queueLen++
-	if o := c.obs; o != nil {
-		o.queueLen.Set(float64(c.queueLen))
-	}
 	c.ensureScan(req.dkey)
 }
 
@@ -170,14 +164,15 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 	c.stats.Inserts++
 	if o := c.obs; o != nil {
 		now := c.clk.Now()
-		o.inserts.Inc()
 		o.startWait.Observe(now.Sub(req.enqueued).Seconds())
 		o.spans.Observe(obs.StageInsert, due, now)
-		o.queueLen.Set(float64(c.QueueLen()))
 	}
 	c.traceHop(&vs, trace.HopInsert, int32(gd))
-	if c.hooks.OnInsert != nil {
-		c.hooks.OnInsert(c.id, slot, vs.Instance, due)
+	if c.sink.Wants(trace.Insert) {
+		c.sink.Emit(trace.Event{
+			At: c.clk.Now(), Node: c.id, Kind: trace.Insert,
+			Slot: slot, Instance: vs.Instance, Viewer: vs.Viewer, Due: vs.Due,
+		})
 	}
 
 	if cfg.Layout.CubOfDisk(gd) != c.id || c.failedDisks[c.nativeDisk(cfg.Layout, gd)] {

@@ -6,6 +6,7 @@ import (
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 // This file is the cub side of the live restripe (DESIGN §13): the
@@ -194,9 +195,6 @@ func (c *Cub) onMoveData(t msg.MoveData) {
 // it is idle.
 func (c *Cub) enqueueMove(d int, j *mvJob) {
 	c.mover.queues[d] = append(c.mover.queues[d], j)
-	if o := c.obs; o != nil {
-		o.moverPending.Set(float64(c.MoverPending()))
-	}
 	if !c.mover.busy[d] {
 		c.startNextMove(d)
 	}
@@ -219,9 +217,6 @@ func (c *Cub) startNextMove(d int) {
 	j := q[0]
 	c.mover.queues[d] = q[1:]
 	c.mover.busy[d] = true
-	if o := c.obs; o != nil {
-		o.moverPending.Set(float64(c.MoverPending()))
-	}
 	start := c.clk.Now()
 	farDue := start.Add(time.Hour)
 	c.cpu.ChargeDiskOp()
@@ -242,10 +237,6 @@ func (c *Cub) finishMove(d int, j *mvJob, start, done sim.Time, ok bool) {
 		} else {
 			c.stats.MovesOut++
 			c.stats.MoveBytesOut += j.bytes
-			if o := c.obs; o != nil {
-				o.movesOut.Inc()
-				o.moveBytesOut.Add(float64(j.bytes))
-			}
 			md := msg.MoveData{
 				Fence:  j.order.Fence,
 				Seq:    j.order.Seq,
@@ -273,10 +264,6 @@ func (c *Cub) finishMove(d int, j *mvJob, start, done sim.Time, ok bool) {
 			c.mover.done[k] = true
 			c.stats.MovesIn++
 			c.stats.MoveBytesIn += j.bytes
-			if o := c.obs; o != nil {
-				o.movesIn.Inc()
-				o.moveBytesIn.Add(float64(j.bytes))
-			}
 			c.sendMoveCommit(j.data)
 		}
 	}
@@ -335,8 +322,9 @@ func (c *Cub) sendMoveCommit(t msg.MoveData) {
 		From:  c.id,
 		Epoch: c.epoch,
 	})
-	if c.hooks.OnMoveCommit != nil {
-		c.hooks.OnMoveCommit(c.id, int64(t.Seq))
+	if c.sink.Wants(trace.MoveCommit) {
+		// Slot carries the move sequence.
+		c.sink.Emit(trace.Event{At: c.clk.Now(), Node: c.id, Kind: trace.MoveCommit, Slot: t.Seq})
 	}
 }
 
@@ -352,17 +340,14 @@ func (c *Cub) nackMove(t msg.MoveOrder, d int) {
 
 func (c *Cub) nackMoveReason(t msg.MoveOrder, reason uint8) {
 	c.stats.MovesNacked++
-	if o := c.obs; o != nil {
-		o.movesNacked.Inc()
-	}
 	c.net.Send(c.id, msg.Controller, &msg.MoveNack{
 		Fence:  t.Fence,
 		Seq:    t.Seq,
 		From:   c.id,
 		Reason: reason,
 	})
-	if c.hooks.OnMoveNack != nil {
-		c.hooks.OnMoveNack(c.id, int64(t.Seq), reason)
+	if c.sink.Wants(trace.MoveNack) {
+		c.sink.Emit(trace.Event{At: c.clk.Now(), Node: c.id, Kind: trace.MoveNack, Slot: t.Seq, Block: int32(reason)})
 	}
 }
 
@@ -376,9 +361,6 @@ func (c *Cub) moverDiskRetired(d int) {
 		return
 	}
 	c.mover.queues[d] = nil
-	if o := c.obs; o != nil {
-		o.moverPending.Set(float64(c.MoverPending()))
-	}
 	for _, j := range q {
 		if j.out {
 			delete(c.mover.queued, j.key())

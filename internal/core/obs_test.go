@@ -1,0 +1,133 @@
+package core
+
+import (
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"tiger/internal/disk"
+	"tiger/internal/msg"
+	"tiger/internal/netsim"
+	"tiger/internal/obs"
+	"tiger/internal/trace"
+)
+
+// unexported names the stats fields that deliberately have no series,
+// each with its reason. Everything else numeric must carry a metric tag.
+var unexported = map[string]string{
+	"netsim.Stats.ByteSecs":   "NIC occupancy integral: bringing it up to date is a write (NodeStats folds the clock forward), which a scrape must not make",
+	"netsim.Stats.PeakRate":   "part of the same NIC occupancy accounting; experiments read it through NodeStats",
+	"netsim.Stats.OverloadNs": "part of the same NIC occupancy accounting; experiments read it through NodeStats",
+}
+
+// TestStatsStructsAreTheSeriesTable pins "count once": every exported
+// numeric field of a stats struct is a series (exactly one, by a name no
+// other field uses) or sits on the short list above, so a counter added
+// to a struct without a series — or a series added without a field —
+// cannot happen silently.
+func TestStatsStructsAreTheSeriesTable(t *testing.T) {
+	names := make(map[string]string)
+	used := make(map[string]bool)
+	for _, v := range []any{CubStats{}, ControllerStats{}, GovernorStats{}, disk.Stats{}, netsim.Stats{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			field := typ.String() + "." + f.Name
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int32, reflect.Int64, reflect.Float64:
+			default:
+				t.Fatalf("%s: a %v in a stats struct; extend this test", field, f.Type)
+			}
+			tag, ok := f.Tag.Lookup("metric")
+			if !ok {
+				if unexported[field] == "" {
+					t.Errorf("%s has no metric tag and no reason on the unexported list", field)
+				}
+				used[field] = true
+				continue
+			}
+			name, opt, _ := strings.Cut(tag, ",")
+			if prev, dup := names[name]; dup {
+				t.Errorf("%s and %s both export %s", prev, field, name)
+			}
+			names[name] = field
+			if f.Tag.Get("help") == "" {
+				t.Errorf("%s: series %s has no help text", field, name)
+			}
+			if counter := opt != "gauge"; counter != strings.HasSuffix(name, "_total") {
+				t.Errorf("%s: %q: counters, and only counters, end in _total", field, tag)
+			}
+		}
+	}
+	for field := range unexported {
+		if !used[field] {
+			t.Errorf("unexported list names %s, which is not an untagged stats field", field)
+		}
+	}
+}
+
+// TestSnapshotCollect checks how a snapshot is assembled and labelled: a
+// counter from the stats struct, a gauge read at snapshot time, and one
+// series set per drive. (That every CubStats field arrives, on every cub,
+// is the root package's TestRegistryReadsCubStats.)
+func TestSnapshotCollect(t *testing.T) {
+	r := newRig(t, defaultRigOptions())
+	r.play(1, 0, 0)
+	r.run(10 * time.Second)
+	c := r.cubs[0]
+	got := make(map[string]float64)
+	c.Snapshot().Collect(func(d *obs.Desc, labels string, v float64) {
+		got[d.Name+"{"+labels+"}"] = v
+	})
+	if v := got[`tiger_cub_states_recv_total{cub="0"}`]; v != float64(c.Stats().StatesRecv) || v == 0 {
+		t.Errorf("states-received counter = %v, Stats().StatesRecv = %d", v, c.Stats().StatesRecv)
+	}
+	if v := got[`tiger_cub_view_entries{cub="0"}`]; v != float64(c.ViewSize()) || v == 0 {
+		t.Errorf("view gauge = %v, ViewSize = %d", v, c.ViewSize())
+	}
+	for d, dk := range c.Disks() {
+		key := `tiger_disk_reads_total{cub="0",disk="` + strconv.Itoa(d) + `"}`
+		if v, ok := got[key]; !ok || v != float64(dk.Stats().Reads) {
+			t.Errorf("%s = %v (present %v), drive says %d", key, v, ok, dk.Stats().Reads)
+		}
+	}
+}
+
+// TestEmitWithSubscriberAllocs pins the sink's cost claim from both
+// sides: an event nobody subscribed to is one test (no clock read — clk
+// is nil here, so reading it would panic), and an event somebody did
+// subscribe to travels by value, with no allocation.
+func TestEmitWithSubscriberAllocs(t *testing.T) {
+	vs := msg.ViewerState{Instance: 1, Block: 2, Slot: 3, PlaySeq: 4}
+	bare := &Cub{}
+	inserts := &Cub{sink: &trace.Sink{}}
+	inserts.sink.Subscribe(trace.KindSet(trace.Insert), func(trace.Event) {})
+	for _, c := range []*Cub{bare, inserts} {
+		if a := testing.AllocsPerRun(1000, func() {
+			if c.sink.Wants(trace.Serve) {
+				c.emitService(trace.Serve, &vs)
+			}
+		}); a != 0 {
+			t.Fatalf("unwanted serve event allocates %.1f/op, want 0", a)
+		}
+	}
+
+	r := newRig(t, defaultRigOptions())
+	ring := trace.NewRing(64)
+	var seen trace.Event
+	r.subscribe(trace.AllKinds, ring.Add)
+	r.cubs[0].sink.Subscribe(trace.KindSet(trace.Serve), func(e trace.Event) { seen = e })
+	c := r.cubs[0]
+	if a := testing.AllocsPerRun(1000, func() {
+		if c.sink.Wants(trace.Serve) {
+			c.emitService(trace.Serve, &vs)
+		}
+	}); a != 0 {
+		t.Fatalf("serve event with two subscribers allocates %.1f/op, want 0", a)
+	}
+	if seen.PlaySeq != 4 || seen.Slot != 3 || seen.Kind != trace.Serve || ring.Total() == 0 {
+		t.Fatalf("subscribers saw %+v, ring total %d", seen, ring.Total())
+	}
+}

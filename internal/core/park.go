@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tiger/internal/msg"
+	"tiger/internal/trace"
 )
 
 // This file is the cub side of the degradation-governor protocol
@@ -71,17 +72,17 @@ func (c *Cub) onPark(p msg.Park) {
 		}
 		c.clk.After(parkedTicketTTL, func() { delete(c.parkedTickets, p.Instance) })
 		c.stats.StreamsParked++
-		if o := c.obs; o != nil {
-			o.parks.Inc()
-		}
 		c.onDeschedule(msg.Deschedule{
 			Viewer:   p.Viewer,
 			Instance: p.Instance,
 			Slot:     p.Slot,
 			Created:  int64(c.clk.Now()),
 		})
-		if c.hooks.OnPark != nil {
-			c.hooks.OnPark(c.id, p.Viewer, p.Instance, p.Slot)
+		if c.sink.Wants(trace.Park) {
+			c.sink.Emit(trace.Event{
+				At: c.clk.Now(), Node: c.id, Kind: trace.Park,
+				Slot: p.Slot, Instance: p.Instance, Viewer: p.Viewer,
+			})
 		}
 	}
 	c.net.Send(c.id, msg.Controller, &msg.ParkAck{Instance: p.Instance, Fence: p.Fence, By: c.id})
@@ -94,11 +95,11 @@ func (c *Cub) onResume(r msg.Resume) {
 	delete(c.parkedInst, r.OldInstance)
 	delete(c.parkedTickets, r.OldInstance)
 	c.stats.StreamsResumed++
-	if o := c.obs; o != nil {
-		o.resumes.Inc()
-	}
-	if c.hooks.OnResume != nil {
-		c.hooks.OnResume(c.id, r.Viewer, r.OldInstance, r.NewInstance)
+	if c.sink.Wants(trace.Resume) {
+		c.sink.Emit(trace.Event{
+			At: c.clk.Now(), Node: c.id, Kind: trace.Resume,
+			Slot: -1, Instance: r.NewInstance, Viewer: r.Viewer,
+		})
 	}
 }
 
@@ -116,11 +117,9 @@ func (c *Cub) updateUnservable() {
 		return
 	}
 	c.unservable = n
-	if o := c.obs; o != nil {
-		o.unservable.Set(float64(n))
-	}
-	if c.hooks.OnUnservable != nil {
-		c.hooks.OnUnservable(c.id, int32(n))
+	if c.sink.Wants(trace.Unservable) {
+		// Slot carries the new count.
+		c.sink.Emit(trace.Event{At: c.clk.Now(), Node: c.id, Kind: trace.Unservable, Slot: int32(n)})
 	}
 }
 

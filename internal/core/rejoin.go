@@ -93,11 +93,6 @@ func (c *Cub) Restart() {
 	// provably stale.
 	c.epoch++
 	c.stats.Rejoins++
-	if o := c.obs; o != nil {
-		o.rejoins.Inc()
-		o.epoch.Set(float64(c.epoch))
-		o.queueLen.Set(0)
-	}
 
 	// Announce the new incarnation immediately — neighbours clear their
 	// believedDead entry and stop generating new mirror load for us —
@@ -144,9 +139,6 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 		c.markAlive(req.From)
 	}
 	c.stats.RejoinsServed++
-	if o := c.obs; o != nil {
-		o.rejoinsServed.Inc()
-	}
 
 	now := int64(c.clk.Now())
 	bp := int64(c.cfg.Sched.BlockPlay)
@@ -224,9 +216,6 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 	if rep.ForEpoch != c.epoch {
 		// Answer to a previous incarnation's request.
 		c.stats.StaleEpochDrops++
-		if o := c.obs; o != nil {
-			o.staleDrops.Inc()
-		}
 		return
 	}
 	c.lastSeen[rep.From] = c.clk.Now()
@@ -261,9 +250,6 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 		c.acceptPrimary(vs, d)
 		if e, ok := c.entries[key]; ok && e.vs.Instance == vs.Instance {
 			c.stats.ViewTransferred++
-			if o := c.obs; o != nil {
-				o.viewXfer.Inc()
-			}
 			owned = append(owned, vs)
 		}
 	}
@@ -300,9 +286,6 @@ func (c *Cub) onRejoinConfirm(cf *msg.RejoinConfirm) {
 			}
 			c.dropEntryRelease(key)
 			c.stats.MirrorsRetired++
-			if o := c.obs; o != nil {
-				o.mirrorsBack.Inc()
-			}
 		}
 	}
 }

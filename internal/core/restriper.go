@@ -69,10 +69,10 @@ type restriperState struct {
 type RestripeStats struct {
 	Active    bool
 	Total     int
-	Committed int
+	Committed int `metric:"tiger_restripe_commits_total" help:"Restripe moves committed at their destinations."`
 	Inflight  int
 	Pending   int
-	Rerouted  int64
+	Rerouted  int64 `metric:"tiger_restripe_reroutes_total" help:"Restripe moves re-routed to a redundant copy."`
 	Nacks     int64
 }
 
@@ -190,9 +190,6 @@ func (c *Controller) onMoveCommit(t *msg.MoveCommit) {
 	}
 	m.state = rsCommitted
 	c.rs.committed++
-	if o := c.obs; o != nil {
-		o.rsCommitted.Inc()
-	}
 	if c.rs.committed == len(c.rs.moves) {
 		c.finishRestripe()
 	}
@@ -221,9 +218,6 @@ func (c *Controller) onMoveNack(t *msg.MoveNack) {
 	m.order.SrcIdx = idx
 	m.state = rsPending
 	c.rs.rerouted++
-	if o := c.obs; o != nil {
-		o.rsRerouted.Inc()
-	}
 }
 
 // moveSource resolves the current source of a move under the old

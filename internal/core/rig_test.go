@@ -12,6 +12,7 @@ import (
 	"tiger/internal/netsim"
 	"tiger/internal/schedule"
 	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 // rig assembles a minimal Tiger system for protocol tests, with direct
@@ -36,6 +37,15 @@ type rigOptions struct {
 	fileBlocks                   int
 	blockPlay                    time.Duration
 	mutate                       func(*Config)
+}
+
+// subscribe attaches fn to the given event kinds on every cub of the rig.
+func (r *rig) subscribe(kinds trace.Kinds, fn func(trace.Event)) {
+	sink := &trace.Sink{}
+	sink.Subscribe(kinds, fn)
+	for _, c := range r.cubs {
+		c.SetSink(sink)
+	}
 }
 
 func defaultRigOptions() rigOptions {

@@ -156,11 +156,6 @@ func (c *Controller) Restart() {
 		c.scavPending[z] = true
 		c.net.Send(msg.Controller, z, &msg.ScavengeReq{Epoch: c.ctlEpoch})
 	}
-	if o := c.obs; o != nil {
-		o.epoch.Set(float64(c.ctlEpoch))
-		o.takeovers.Inc()
-		o.active.Set(0)
-	}
 	// A cub that is itself dead never answers; close the fold after a
 	// deadman timeout so the takeover clock always stops.
 	ep := c.ctlEpoch
@@ -186,9 +181,6 @@ func (c *Controller) onScavengeReply(r *msg.ScavengeReply) {
 	}
 	delete(c.scavPending, r.From)
 	c.stats.ScavengeReplies++
-	if o := c.obs; o != nil {
-		o.scavReplies.Inc()
-	}
 	if r.GovFence > c.gov.fence {
 		c.gov.fence = r.GovFence
 		c.gov.stats.Fence = r.GovFence
@@ -296,8 +288,6 @@ func (c *Controller) finishScavenge() {
 	d := c.clk.Now().Sub(c.scavStart)
 	c.takeover.Observe(d)
 	if o := c.obs; o != nil {
-		o.active.Set(float64(c.active))
-		o.parked.Set(float64(len(g.parked)))
 		o.takeoverTime.Observe(d.Seconds())
 	}
 	if c.OnScavenged != nil {
@@ -346,9 +336,6 @@ func (c *Cub) staleCtl(e int32) bool {
 	}
 	if e < c.ctlEpoch {
 		c.stats.CtlStaleDrops++
-		if o := c.obs; o != nil {
-			o.ctlStaleDrops.Inc()
-		}
 		return true
 	}
 	c.noteCtlEpoch(e)
@@ -363,9 +350,6 @@ func (c *Cub) noteCtlEpoch(e int32) {
 	}
 	if c.ctlEpoch != 0 {
 		c.stats.CtlTakeovers++
-		if o := c.obs; o != nil {
-			o.ctlTakeovers.Inc()
-		}
 	}
 	c.ctlEpoch = e
 }
@@ -377,9 +361,6 @@ func (c *Cub) onCtlHeartbeat(t *msg.Heartbeat) {
 	c.ctlLastSeen = c.clk.Now()
 	if c.ctlDown {
 		c.ctlDown = false
-		if o := c.obs; o != nil {
-			o.ctlDown.Set(0)
-		}
 	}
 	c.noteCtlEpoch(t.Epoch)
 }
@@ -395,9 +376,6 @@ func (c *Cub) ctlDeadmanCheck(now sim.Time) {
 	if now.Sub(c.ctlLastSeen) > c.cfg.DeadmanTimeout {
 		c.ctlDown = true
 		c.stats.CtlDeclaredDead++
-		if o := c.obs; o != nil {
-			o.ctlDown.Set(1)
-		}
 	}
 }
 
@@ -423,14 +401,8 @@ func (c *Cub) onScavengeReq(q msg.ScavengeReq) {
 	c.ctlLastSeen = c.clk.Now()
 	if c.ctlDown {
 		c.ctlDown = false
-		if o := c.obs; o != nil {
-			o.ctlDown.Set(0)
-		}
 	}
 	c.stats.ScavengesServed++
-	if o := c.obs; o != nil {
-		o.scavServed.Inc()
-	}
 
 	pace := int64(c.cfg.MirrorPace())
 	best := make(map[msg.InstanceID]msg.ViewerState)

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"tiger/internal/clock"
-	"tiger/internal/obs"
 	"tiger/internal/sim"
 )
 
@@ -153,26 +152,7 @@ type Disk struct {
 	cancelled     int64
 	cancelledBusy int64
 	readErrs      int64
-
-	obs Obs
 }
-
-// Obs names the registry instruments one drive updates as it serves
-// reads; any nil field is simply not recorded. Direct counters (rather
-// than functions polling Stats) keep the export path race-free: the
-// drive mutates its plain counters only on its owning executor, while
-// registry instruments may be read from a scrape goroutine at any time.
-type Obs struct {
-	Reads       *obs.Counter // read operations started
-	Bytes       *obs.Counter // bytes read
-	BusySeconds *obs.Counter // cumulative service time, seconds
-	Queue       *obs.Gauge   // outstanding reads including the one in service
-	Cancelled   *obs.Counter // reads withdrawn before or during service
-	Errors      *obs.Counter // reads completed with an injected failure
-}
-
-// SetObs attaches registry instruments to the drive.
-func (d *Disk) SetObs(o Obs) { d.obs = o }
 
 // New creates a disk using the given clock and random source.
 func New(id int, params Params, clk clock.Clock, rng *rand.Rand) *Disk {
@@ -216,9 +196,6 @@ func (d *Disk) Read(size int64, z Zone, due sim.Time, done func(completed sim.Ti
 	if q > d.maxQueue {
 		d.maxQueue = q
 	}
-	if d.obs.Queue != nil {
-		d.obs.Queue.Set(float64(q))
-	}
 	if !d.busy && !d.faults.Stuck {
 		d.startNext()
 	}
@@ -238,12 +215,6 @@ func (d *Disk) Cancel(id uint64) bool {
 			heap.Remove(&d.pending, i)
 			d.recycle(p)
 			d.cancelled++
-			if d.obs.Cancelled != nil {
-				d.obs.Cancelled.Inc()
-			}
-			if d.obs.Queue != nil {
-				d.obs.Queue.Set(float64(d.QueueLen()))
-			}
 			return true
 		}
 	}
@@ -251,9 +222,6 @@ func (d *Disk) Cancel(id uint64) bool {
 		d.cur.cancelled = true
 		d.cancelled++
 		d.cancelledBusy++
-		if d.obs.Cancelled != nil {
-			d.obs.Cancelled.Inc()
-		}
 		return true
 	}
 	return false
@@ -264,16 +232,10 @@ func (d *Disk) startNext() {
 		// Controller hang: leave the queue intact and the drive idle;
 		// SetFaults restarts service when the fault clears.
 		d.busy = false
-		if d.obs.Queue != nil {
-			d.obs.Queue.Set(float64(d.QueueLen()))
-		}
 		return
 	}
 	if len(d.pending) == 0 {
 		d.busy = false
-		if d.obs.Queue != nil {
-			d.obs.Queue.Set(0)
-		}
 		return
 	}
 	d.busy = true
@@ -289,21 +251,6 @@ func (d *Disk) startNext() {
 	d.busyTotal += svc
 	if failed {
 		d.readErrs++
-	}
-	if d.obs.Reads != nil {
-		d.obs.Reads.Inc()
-	}
-	if d.obs.Bytes != nil {
-		d.obs.Bytes.Add(float64(p.size))
-	}
-	if d.obs.BusySeconds != nil {
-		d.obs.BusySeconds.Add(svc.Seconds())
-	}
-	if failed && d.obs.Errors != nil {
-		d.obs.Errors.Inc()
-	}
-	if d.obs.Queue != nil {
-		d.obs.Queue.Set(float64(d.QueueLen()))
 	}
 	d.clk.At(p.completed, p.complete)
 }
@@ -370,18 +317,18 @@ func (d *Disk) QueueLen() int {
 // reads withdrawn by the gray-failure machinery cannot inflate
 // duty-cycle math.
 type Stats struct {
-	Reads     int64
-	Bytes     int64
-	BusyTotal time.Duration
-	MaxQueue  int
+	Reads     int64         `metric:"tiger_disk_reads_total" help:"Disk read operations started."`
+	Bytes     int64         `metric:"tiger_disk_read_bytes_total" help:"Bytes read from disk."`
+	BusyTotal time.Duration `metric:"tiger_disk_busy_seconds_total" help:"Cumulative disk service time."`
+	MaxQueue  int           `metric:"tiger_disk_queue_depth_max,gauge" help:"Deepest queue of outstanding reads seen."`
 	// Cancelled counts every withdrawn read; CancelledBusy is the subset
 	// that was already in service (whose service time stays in
 	// BusyTotal, because the drive really spent it).
-	Cancelled     int64
-	CancelledBusy int64
+	Cancelled     int64 `metric:"tiger_disk_cancelled_reads_total" help:"Reads withdrawn before or during service."`
+	CancelledBusy int64 `metric:"tiger_disk_cancelled_in_service_total" help:"Reads withdrawn while already in service."`
 	// ReadErrors counts reads completed with an injected transient
 	// failure.
-	ReadErrors int64
+	ReadErrors int64 `metric:"tiger_disk_read_errors_total" help:"Reads completed with a transient failure."`
 }
 
 // Stats returns cumulative counters; callers diff snapshots to compute

@@ -116,11 +116,6 @@ type nodeStats struct {
 	ctlMsgs   int64
 	dataBytes int64
 
-	// Registry mirrors of the counters above; nil without AttachObs.
-	obsCtlBytes  *obs.Counter
-	obsCtlMsgs   *obs.Counter
-	obsDataBytes *obs.Counter
-
 	// lastArr is the FIFO high-water mark per destination: the latest
 	// arrival this node has scheduled toward each peer. Keeping it here
 	// rather than in a network-wide pair map makes the send path touch
@@ -167,7 +162,6 @@ type Network struct {
 	incarn  map[msg.NodeID]int // bumped by Crash; dooms in-flight messages
 	stats   map[msg.NodeID]*nodeStats
 	links   map[pairKey]*linkFault // directed link faults; absent = healthy
-	reg     *obs.Registry          // nil without AttachObs
 	shard   *ShardMap              // nil for a single-engine simulation
 
 	// DropControl, if non-nil, is consulted for each control message;
@@ -290,24 +284,16 @@ func (n *Network) Register(id msg.NodeID, h Handler) {
 	n.statsFor(id)
 }
 
-// AttachObs registers per-node traffic counters (labelled by node) with
-// the registry, for the switch's already-registered nodes and any that
-// appear later. The simulator's control path pays one CAS per message.
+// AttachObs exports per-node traffic counters (labelled by node): the
+// registry reads each node's Stats when it is encoded — in a sharded run
+// between RunUntil calls only, like NodeStats — for every node the switch
+// knows by then.
 func (n *Network) AttachObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	n.reg = reg
-	for id, st := range n.stats {
-		n.attachNodeObs(id, st)
-	}
-}
-
-func (n *Network) attachNodeObs(id msg.NodeID, st *nodeStats) {
-	ls := obs.Labels{"node": id.String()}
-	st.obsCtlBytes = n.reg.Counter("tiger_net_ctl_bytes_total", "Control bytes sent by the node.", ls)
-	st.obsCtlMsgs = n.reg.Counter("tiger_net_ctl_msgs_total", "Control messages sent by the node.", ls)
-	st.obsDataBytes = n.reg.Counter("tiger_net_data_bytes_total", "Block payload bytes sent by the node.", ls)
+	reg.AddCollector(func(emit obs.Emit) {
+		for id, st := range n.stats {
+			statSeries.Collect(emit, obs.Labels{"node": id.String()}.String(), st.counters())
+		}
+	})
 }
 
 // statsFor returns (creating if needed) a node's traffic record.
@@ -320,9 +306,6 @@ func (n *Network) statsFor(id msg.NodeID) *nodeStats {
 			st.jitter = jitterSeed(n.shard.Seed, id)
 		}
 		n.stats[id] = st
-		if n.reg != nil {
-			n.attachNodeObs(id, st)
-		}
 	}
 	return st
 }
@@ -507,10 +490,6 @@ func (n *Network) send(from, to msg.NodeID, m msg.Message, jitter bool) {
 	}
 	st.ctlBytes += int64(m.Size())
 	st.ctlMsgs++
-	if st.obsCtlMsgs != nil {
-		st.obsCtlBytes.Add(float64(m.Size()))
-		st.obsCtlMsgs.Inc()
-	}
 
 	// Link faults. The sender already paid for the bytes above: a cut or
 	// lossy link loses traffic in the network, it does not stop the
@@ -593,9 +572,6 @@ func (n *Network) SendBlock(from msg.NodeID, d BlockDelivery, pace time.Duration
 		return
 	}
 	st.dataBytes += d.Bytes
-	if st.obsDataBytes != nil {
-		st.obsDataBytes.Add(float64(d.Bytes))
-	}
 
 	clk := st.clk
 	now := clk.Now()
@@ -698,12 +674,20 @@ func (n *Network) nicAdjust(st *nodeStats, delta float64, now sim.Time) {
 
 // Stats is a snapshot of one node's cumulative traffic counters.
 type Stats struct {
-	CtlBytes   int64
-	CtlMsgs    int64
-	DataBytes  int64
+	CtlBytes   int64   `metric:"tiger_net_ctl_bytes_total" help:"Control bytes sent by the node."`
+	CtlMsgs    int64   `metric:"tiger_net_ctl_msgs_total" help:"Control messages sent by the node."`
+	DataBytes  int64   `metric:"tiger_net_data_bytes_total" help:"Block payload bytes sent by the node."`
 	ByteSecs   float64 // integral of send rate over time
 	PeakRate   float64 // bytes/s
 	OverloadNs int64
+}
+
+var statSeries = obs.SeriesOf(Stats{})
+
+// counters copies the plain counters, leaving the NIC occupancy integral
+// alone: folding it forward is a write, which a scrape must not make.
+func (st *nodeStats) counters() Stats {
+	return Stats{CtlBytes: st.ctlBytes, CtlMsgs: st.ctlMsgs, DataBytes: st.dataBytes}
 }
 
 // NodeStats returns cumulative counters for a node; diff snapshots to get

@@ -13,17 +13,18 @@ import (
 // histograms as cumulative _bucket series plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range r.sortedFamilies() {
+	for _, f := range r.gather() {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range r.sortedSeries(f) {
+		for i := range f.list {
+			s := &f.list[i]
 			if f.kind == kindHistogram {
 				writePromHistogram(bw, f.name, s)
 				continue
 			}
-			fmt.Fprintf(bw, "%s%s %s\n", f.name, wrapLabels(s.labels), formatValue(s.value()))
+			fmt.Fprintf(bw, "%s%s %s\n", f.name, wrapLabels(s.labels), formatValue(s.value))
 		}
 	}
 	return bw.Flush()
@@ -77,8 +78,8 @@ type Point struct {
 // Snapshot returns every series as a Point, in encode order.
 func (r *Registry) Snapshot() []Point {
 	var out []Point
-	for _, f := range r.sortedFamilies() {
-		for _, s := range r.sortedSeries(f) {
+	for _, f := range r.gather() {
+		for _, s := range f.list {
 			p := Point{Name: f.name, Type: string(f.kind), Labels: parseCanon(s.labels)}
 			if f.kind == kindHistogram {
 				counts, sum, n := s.hist.snapshot()
@@ -86,7 +87,7 @@ func (r *Registry) Snapshot() []Point {
 				p.Bounds = append([]float64(nil), s.hist.bounds...)
 				p.Counts = counts
 			} else {
-				p.Value = s.value()
+				p.Value = s.value
 			}
 			out = append(out, p)
 		}
@@ -94,7 +95,7 @@ func (r *Registry) Snapshot() []Point {
 	return out
 }
 
-// parseCanon reverses canonLabels for snapshot export. The canonical
+// parseCanon reverses Labels.String for snapshot export. The canonical
 // form is k="v"[,k="v"]... with only backslash and newline escapes.
 func parseCanon(canon string) map[string]string {
 	if canon == "" {

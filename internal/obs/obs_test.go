@@ -5,29 +5,73 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tiger/internal/sim"
 )
 
+// testStats stands in for a component's stats struct.
+type testStats struct {
+	Inserts  int64         `metric:"tiger_test_inserts_total" help:"Insertions."`
+	Busy     time.Duration `metric:"tiger_test_busy_seconds_total"`
+	Nested   inner
+	Untagged int64
+}
+
+type inner struct {
+	View int  `metric:"tiger_test_view_entries,gauge" help:"Entries."`
+	Down bool `metric:"tiger_test_down,gauge"`
+}
+
+var testSeries = SeriesOf(testStats{})
+
+// constant registers a function-backed counter that always reads v.
+func constant(r *Registry, name, help string, ls Labels, v float64) {
+	r.CounterFunc(name, help, ls, func() float64 { return v })
+}
+
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("tiger_test_total", "help", Labels{"cub": "0"})
-	c.Inc()
-	c.Add(2)
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %v, want 3", got)
+	st := testStats{Inserts: 3, Busy: 1500 * time.Millisecond, Nested: inner{View: 5, Down: true}, Untagged: 9}
+	r.AddCollector(func(emit Emit) { testSeries.Collect(emit, Labels{"cub": "0"}.String(), &st) })
+	r.GaugeFunc("tiger_test_gauge", "", nil, func() float64 { return 3 })
+	// Same name+labels keeps the first registration.
+	r.GaugeFunc("tiger_test_gauge", "", nil, func() float64 { return 4 })
+
+	read := func() map[string]Point {
+		out := make(map[string]Point)
+		for _, p := range r.Snapshot() {
+			out[p.Name] = p
+		}
+		return out
 	}
-	// Same name+labels returns the same instrument.
-	if again := r.Counter("tiger_test_total", "help", Labels{"cub": "0"}); again != c {
-		t.Fatal("re-registration returned a different counter")
+	got := read()
+	for name, want := range map[string]float64{
+		"tiger_test_inserts_total":      3,
+		"tiger_test_busy_seconds_total": 1.5,
+		"tiger_test_view_entries":       5,
+		"tiger_test_down":               1,
+		"tiger_test_gauge":              3,
+	} {
+		if p, ok := got[name]; !ok || p.Value != want {
+			t.Fatalf("%s = %+v (present %v), want %v", name, p, ok, want)
+		}
 	}
-	g := r.Gauge("tiger_test_gauge", "", nil)
-	g.Set(5)
-	g.Add(-2)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %v, want 3", got)
+	if len(got) != 5 {
+		t.Fatalf("%d series, want 5 (the untagged field must not export): %v", len(got), got)
+	}
+	if p := got["tiger_test_view_entries"]; p.Type != "gauge" || p.Labels["cub"] != "0" {
+		t.Fatalf("gauge point = %+v", p)
+	}
+	if p := got["tiger_test_inserts_total"]; p.Type != "counter" {
+		t.Fatalf("counter point = %+v", p)
+	}
+	// Nothing is mirrored: the next encode reads the struct again.
+	st.Inserts = 8
+	if p := read()["tiger_test_inserts_total"]; p.Value != 8 {
+		t.Fatalf("after the struct moved, series = %v, want 8", p.Value)
 	}
 }
 
@@ -55,9 +99,14 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestPrometheusEncoding(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("tiger_cub_inserts_total", "Slot insertions.", Labels{"cub": "1"}).Add(7)
-	r.Counter("tiger_cub_inserts_total", "Slot insertions.", Labels{"cub": "0"}).Add(3)
-	r.Gauge("tiger_view_entries", "", Labels{"cub": "0"}).Set(12)
+	constant(r, "tiger_cub_inserts_total", "Slot insertions.", Labels{"cub": "1"}, 7)
+	// A collected series joins the registered one's family, in label order.
+	d := &Desc{Name: "tiger_cub_inserts_total", Help: "Slot insertions."}
+	view := &Desc{Name: "tiger_view_entries", Gauge: true}
+	r.AddCollector(func(emit Emit) {
+		emit(d, Labels{"cub": "0"}.String(), 3)
+		emit(view, Labels{"cub": "0"}.String(), 12)
+	})
 	r.GaugeFunc("tiger_up", "", nil, func() float64 { return 1 })
 	h := r.Histogram("tiger_lat_seconds", "", nil, []float64{1, 2})
 	h.Observe(0.5)
@@ -74,6 +123,7 @@ func TestPrometheusEncoding(t *testing.T) {
 		"# TYPE tiger_cub_inserts_total counter",
 		`tiger_cub_inserts_total{cub="0"} 3`,
 		`tiger_cub_inserts_total{cub="1"} 7`,
+		"# TYPE tiger_view_entries gauge",
 		"# TYPE tiger_lat_seconds histogram",
 		`tiger_lat_seconds_bucket{le="1"} 1`,
 		`tiger_lat_seconds_bucket{le="2"} 2`,
@@ -95,7 +145,7 @@ func TestPrometheusEncoding(t *testing.T) {
 
 func TestSnapshotJSONL(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("tiger_a_total", "", Labels{"cub": "0"}).Add(4)
+	constant(r, "tiger_a_total", "", Labels{"cub": "0"}, 4)
 	r.Histogram("tiger_b_seconds", "", nil, []float64{1}).Observe(3)
 
 	var b bytes.Buffer
@@ -141,23 +191,23 @@ func TestSpanRecorder(t *testing.T) {
 }
 
 // TestConcurrentObserveEncode exercises the registry the way the rt
-// runtime does — cub executors updating instruments while the HTTP
+// runtime does — cub executors observing, and attaching, while the HTTP
 // handler encodes — and relies on `go test -race` to catch races.
 func TestConcurrentObserveEncode(t *testing.T) {
 	r := NewRegistry()
 	const workers, iters = 4, 5000
+	var n atomic.Int64
+	total := &Desc{Name: "tiger_race_total"}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("tiger_race_total", "", Labels{"cub": "7"})
-			g := r.Gauge("tiger_race_gauge", "", Labels{"cub": "7"})
+			r.AddCollector(func(emit Emit) { emit(total, "", float64(n.Load())) })
 			h := r.Histogram("tiger_race_seconds", "", nil, DefaultSlackBounds)
 			s := NewSpanRecorder(r, Labels{"cub": "7"})
 			for j := 0; j < iters; j++ {
-				c.Inc()
-				g.Set(float64(j))
+				n.Add(1)
 				h.Observe(float64(j % 13))
 				s.Observe(Stage(j%int(numStages)), sim.Time(j), 0)
 			}
@@ -173,14 +223,16 @@ func TestConcurrentObserveEncode(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := r.Counter("tiger_race_total", "", Labels{"cub": "7"}).Value(); got != workers*iters {
-		t.Fatalf("counter = %v, want %d", got, workers*iters)
+	for _, p := range r.Snapshot() {
+		if p.Name == "tiger_race_total" && p.Value != workers*iters {
+			t.Fatalf("counter = %v, want %d", p.Value, workers*iters)
+		}
 	}
 }
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("tiger_esc_total", "", Labels{"path": `a\b` + "\n" + `"q"`}).Inc()
+	constant(r, "tiger_esc_total", "", Labels{"path": `a\b` + "\n" + `"q"`}, 1)
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
 // Package obs is the unified observability layer for Tiger: a
-// dependency-free metrics registry with named, labelled instruments
-// (counters, gauges, bounded histograms), a Prometheus-text-format
-// encoder for tigerd's /metrics endpoint, a JSONL snapshot export for
-// machine-readable run artifacts, and a block-lifecycle span recorder
-// (span.go).
+// dependency-free metrics registry of named, labelled series, a
+// Prometheus-text-format encoder for tigerd's /metrics endpoint, a
+// JSONL snapshot export for machine-readable run artifacts, and a
+// block-lifecycle span recorder (span.go).
 //
-// All instruments are safe for concurrent use: the simulator drives
-// them from one goroutine, but under the rt runtime every cub's
-// executor fires in parallel with the HTTP scrape handler. Counters and
-// gauges are lock-free atomics so the protocol hot path pays one CAS
-// per event; histograms take a short mutex.
+// Counters and gauges are collected, not mirrored: a component counts
+// in its own stats struct, and a collector (Registry.AddCollector,
+// usually over a Series table built from the struct's field tags) reads
+// that struct when the registry is encoded. Only distributions are pushed:
+// bounded histograms, which take a short mutex because under the rt
+// runtime every cub's executor observes in parallel with the HTTP
+// scrape handler.
 //
 // Timestamps flowing into the registry are sim.Time values obtained
 // from an internal/clock Clock, so the same series carry virtual time
@@ -25,12 +26,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Labels attach dimensions to an instrument (for example
-// {"cub": "3", "disk": "12"}). Instruments with the same name must be
-// registered with the same label keys.
+// Labels attach dimensions to a series (for example
+// {"cub": "3", "disk": "12"}). Series with the same name must carry the
+// same label keys.
 type Labels map[string]string
 
 // kind is the Prometheus metric type of a family.
@@ -41,46 +41,6 @@ const (
 	kindGauge     kind = "gauge"
 	kindHistogram kind = "histogram"
 )
-
-// Counter is a monotonically increasing float64, lock-free.
-type Counter struct{ bits atomic.Uint64 }
-
-// Add increases the counter by v (v must be >= 0).
-func (c *Counter) Add(v float64) {
-	for {
-		old := c.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is an instantaneous float64 value, lock-free.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bound histogram in the Prometheus style:
 // observations land in the first bucket whose upper bound is >= v, the
@@ -127,25 +87,23 @@ func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
 	return counts, h.sum, h.n
 }
 
-// series is one labelled time series inside a family.
-type series struct {
-	labels string // canonical rendered label set, "" for none
-	ctr    *Counter
-	gauge  *Gauge
-	fn     func() float64 // counterFunc/gaugeFunc
-	hist   *Histogram
+// Desc names one family of collected series.
+type Desc struct {
+	Name, Help string
+	Gauge      bool // a counter otherwise
 }
 
-func (s *series) value() float64 {
-	switch {
-	case s.ctr != nil:
-		return s.ctr.Value()
-	case s.gauge != nil:
-		return s.gauge.Value()
-	case s.fn != nil:
-		return s.fn()
-	}
-	return 0
+// Emit receives one collected sample: its family, its label set in
+// canonical form (Labels.String), and its current value.
+type Emit func(d *Desc, labels string, v float64)
+
+// series is one labelled time series inside a family: a function read at
+// encode time, a histogram, or a value a collector just reported.
+type series struct {
+	labels string // canonical rendered label set, "" for none
+	fn     func() float64
+	hist   *Histogram
+	value  float64
 }
 
 // family groups all series sharing a metric name.
@@ -160,8 +118,9 @@ type family struct {
 // instrument that already exists (same name and labels) returns the
 // existing one, so attach paths are idempotent.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu         sync.Mutex
+	fams       map[string]*family
+	collectors []func(Emit)
 }
 
 // NewRegistry returns an empty registry.
@@ -169,8 +128,9 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-// canonLabels renders a label set in sorted-key order.
-func canonLabels(ls Labels) string {
+// String renders a label set in canonical form: sorted-key order,
+// k="v"[,k="v"]...
+func (ls Labels) String() string {
 	if len(ls) == 0 {
 		return ""
 	}
@@ -191,26 +151,18 @@ func canonLabels(ls Labels) string {
 	return b.String()
 }
 
-func (r *Registry) fam(name, help string, k kind) *family {
+func (r *Registry) get(name, help string, k kind, ls Labels, mk func() *series) *series {
+	key := ls.String()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: k, series: make(map[string]*series)}
 		r.fams[name] = f
-		return f
 	}
 	if f.kind != k {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind, k))
 	}
-	return f
-}
-
-func (r *Registry) get(name, help string, k kind, ls Labels, mk func() *series) *series {
-	f := r.fam(name, help, k)
-	key := canonLabels(ls)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s, ok := f.series[key]; ok {
 		return s
 	}
@@ -218,26 +170,6 @@ func (r *Registry) get(name, help string, k kind, ls Labels, mk func() *series) 
 	s.labels = key
 	f.series[key] = s
 	return s
-}
-
-// Counter returns the counter with the given name and labels, creating
-// it on first use.
-func (r *Registry) Counter(name, help string, ls Labels) *Counter {
-	s := r.get(name, help, kindCounter, ls, func() *series { return &series{ctr: &Counter{}} })
-	if s.ctr == nil {
-		panic(fmt.Sprintf("obs: %q{%s} is not a value counter", name, canonLabels(ls)))
-	}
-	return s.ctr
-}
-
-// Gauge returns the gauge with the given name and labels, creating it
-// on first use.
-func (r *Registry) Gauge(name, help string, ls Labels) *Gauge {
-	s := r.get(name, help, kindGauge, ls, func() *series { return &series{gauge: &Gauge{}} })
-	if s.gauge == nil {
-		panic(fmt.Sprintf("obs: %q{%s} is not a value gauge", name, canonLabels(ls)))
-	}
-	return s.gauge
 }
 
 // CounterFunc registers a counter whose value is read from fn at encode
@@ -250,6 +182,18 @@ func (r *Registry) CounterFunc(name, help string, ls Labels, fn func() float64) 
 // time. fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, ls Labels, fn func() float64) {
 	r.get(name, help, kindGauge, ls, func() *series { return &series{fn: fn} })
+}
+
+// AddCollector registers a collector: at every encode it is called on the
+// encoding goroutine and reports current values through emit. This is how
+// the counters and gauges a component keeps in its own stats struct reach
+// the registry without being mirrored into it — the collector reads the
+// struct (or a snapshot taken where the struct may be read) at scrape
+// time, typically through a Series table. Register each collector once.
+func (r *Registry) AddCollector(c func(Emit)) {
+	r.mu.Lock()
+	r.collectors = append(r.collectors, c)
+	r.mu.Unlock()
 }
 
 // Histogram returns the histogram with the given name, labels, and
@@ -267,33 +211,66 @@ func (r *Registry) Histogram(name, help string, ls Labels, bounds []float64) *Hi
 			counts: make([]uint64, len(bounds)+1),
 		}}
 	})
-	if s.hist == nil {
-		panic(fmt.Sprintf("obs: %q{%s} is not a histogram", name, canonLabels(ls)))
-	}
 	return s.hist
 }
 
-// sortedFamilies snapshots the family list in name order.
-func (r *Registry) sortedFamilies() []*family {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
+// gathered is one family at encode time, its series evaluated and in
+// label order.
+type gathered struct {
+	name, help string
+	kind       kind
+	list       []series
 }
 
-// sortedSeries snapshots one family's series in label order.
-func (r *Registry) sortedSeries(f *family) []*series {
+// gather evaluates every series — registered functions, histograms, and
+// whatever the collectors report — into families in name order: the one
+// view both encoders walk.
+func (r *Registry) gather() []*gathered {
 	r.mu.Lock()
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
+	byName := make(map[string]*gathered, len(r.fams))
+	var out []*gathered
+	add := func(name, help string, k kind) *gathered {
+		f := &gathered{name: name, help: help, kind: k}
+		byName[name] = f
+		out = append(out, f)
+		return f
 	}
+	for _, rf := range r.fams {
+		f := add(rf.name, rf.help, rf.kind)
+		for _, s := range rf.series {
+			f.list = append(f.list, *s)
+		}
+	}
+	collectors := r.collectors
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
+
+	// Functions and collectors run outside the lock: they read other
+	// components' state and may take those components' locks.
+	for _, f := range out {
+		for i := range f.list {
+			if fn := f.list[i].fn; fn != nil {
+				f.list[i].value = fn()
+			}
+		}
+	}
+	for _, c := range collectors {
+		c(func(d *Desc, labels string, v float64) {
+			f := byName[d.Name]
+			if f == nil {
+				k := kindCounter
+				if d.Gauge {
+					k = kindGauge
+				}
+				f = add(d.Name, d.Help, k)
+			}
+			f.list = append(f.list, series{labels: labels, value: v})
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	for _, f := range out {
+		l := f.list
+		sort.SliceStable(l, func(i, j int) bool { return l[i].labels < l[j].labels })
+	}
 	return out
 }
 

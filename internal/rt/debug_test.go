@@ -28,7 +28,7 @@ func getBody(t *testing.T, url string) (int, string) {
 
 func TestDebugServerEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Counter("tiger_test_total", "A test counter.", obs.Labels{"cub": "0"}).Add(7)
+	reg.CounterFunc("tiger_test_total", "A test counter.", obs.Labels{"cub": "0"}, func() float64 { return 7 })
 	ring := trace.NewRing(16)
 	ring.Add(trace.Event{At: 1, Node: 0, Kind: trace.Insert, Slot: 3, Instance: 9})
 

@@ -10,7 +10,6 @@ import (
 	"tiger/internal/core"
 	"tiger/internal/msg"
 	"tiger/internal/obs"
-	"tiger/internal/sim"
 	"tiger/internal/trace"
 	"tiger/internal/wire"
 )
@@ -20,6 +19,8 @@ type CubHost struct {
 	Node *Node
 	Mesh *Mesh
 	Cub  *core.Cub
+
+	sink trace.Sink // the cub's protocol events; executor-owned
 }
 
 // StartCubHost builds and starts a cub listening on listenAddr. addrs
@@ -37,12 +38,44 @@ func StartCubHost(id msg.NodeID, cfg *core.Config, listenAddr string,
 	}
 	cub = core.NewCub(id, cfg, node, mesh, mesh, rand.New(rand.NewSource(seed)))
 	mesh.SetEpoch(cub.Epoch())
+	h := &CubHost{Node: node, Mesh: mesh, Cub: cub}
+	cub.SetSink(&h.sink)
 	node.Do(cub.Start)
-	return &CubHost{Node: node, Mesh: mesh, Cub: cub}, nil
+	return h, nil
+}
+
+// scrapeTimeout bounds how long a metrics scrape waits for one node's
+// executor before serving that node's previous snapshot.
+const scrapeTimeout = 2 * time.Second
+
+// collectOn exports a node's counters and gauges: at every scrape the
+// snapshot is taken on the node's executor, which owns the plain stats
+// structs, and emitted from the scraping goroutine. If the executor does
+// not answer in time — wedged, or closed — the previous snapshot is
+// served instead, so a scrape never hangs on one node.
+func collectOn[T interface{ Collect(obs.Emit) }](reg *obs.Registry, n *Node, take func() T) {
+	var (
+		mu   sync.Mutex
+		last T
+		have bool
+	)
+	reg.AddCollector(func(emit obs.Emit) {
+		s, ok := ask(n, scrapeTimeout, take)
+		mu.Lock()
+		if ok {
+			last, have = s, true
+		} else {
+			s, ok = last, have
+		}
+		mu.Unlock()
+		if ok {
+			s.Collect(emit)
+		}
+	})
 }
 
 // AttachObs wires the host's cub and mesh to a metrics registry. The
-// cub's instruments are created on its executor, so attachment cannot
+// cub's histograms are created on its executor, so attachment cannot
 // race protocol events already in flight; the call blocks until done.
 func (h *CubHost) AttachObs(reg *obs.Registry) {
 	if reg == nil {
@@ -54,65 +87,21 @@ func (h *CubHost) AttachObs(reg *obs.Registry) {
 		close(done)
 	})
 	<-done
+	collectOn(reg, h.Node, h.Cub.Snapshot)
 	h.Mesh.AttachObs(reg)
 }
 
-// AttachTrace installs protocol-event hooks feeding the ring, replacing
-// any hooks already set. Events are stamped with the node's wall clock
-// (nanoseconds since the shared epoch), so traces from different nodes
-// of one system line up.
+// AttachTrace subscribes the ring to the cub's protocol events, beside
+// whatever else is subscribed. Events are stamped with the node's wall
+// clock (nanoseconds since the shared epoch), so traces from different
+// nodes of one system line up.
 func (h *CubHost) AttachTrace(ring *trace.Ring) {
 	if ring == nil {
 		return
 	}
 	done := make(chan struct{})
 	h.Node.Do(func() {
-		h.Cub.SetHooks(core.Hooks{
-			OnInsert: func(cubID msg.NodeID, slot int32, inst msg.InstanceID, due sim.Time) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.Insert,
-					Slot: slot, Instance: inst,
-				})
-			},
-			OnServe: func(cubID msg.NodeID, vs msg.ViewerState) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.Serve,
-					Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block,
-					Mirror: vs.Mirror,
-				})
-			},
-			OnMiss: func(cubID msg.NodeID, vs msg.ViewerState) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.Miss,
-					Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block,
-					Mirror: vs.Mirror,
-				})
-			},
-			OnHedge: func(cubID msg.NodeID, vs msg.ViewerState) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.Hedge,
-					Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block,
-				})
-			},
-			OnQuarantine: func(cubID msg.NodeID, disk int32) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.Quarantine,
-					Slot: disk,
-				})
-			},
-			OnMoveCommit: func(cubID msg.NodeID, seq int64) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.MoveCommit,
-					Slot: int32(seq),
-				})
-			},
-			OnMoveNack: func(cubID msg.NodeID, seq int64, reason uint8) {
-				ring.Add(trace.Event{
-					At: h.Node.Now(), Node: cubID, Kind: trace.MoveNack,
-					Slot: int32(seq), Block: int32(reason),
-				})
-			},
-		})
+		h.sink.Subscribe(trace.AllKinds, ring.Add)
 		close(done)
 	})
 	<-done
@@ -134,14 +123,11 @@ func (h *CubHost) AttachChainLog(l *trace.ChainLog) {
 // node executor (the view is executor-owned state). The timeout guards
 // HTTP debug handlers against a wedged node.
 func (h *CubHost) DumpView(timeout time.Duration) (string, error) {
-	ch := make(chan string, 1)
-	h.Node.Do(func() { ch <- h.Cub.DumpView() })
-	select {
-	case s := <-ch:
-		return s, nil
-	case <-time.After(timeout):
+	s, ok := ask(h.Node, timeout, h.Cub.DumpView)
+	if !ok {
 		return "", fmt.Errorf("rt: view dump timed out after %v", timeout)
 	}
+	return s, nil
 }
 
 // Rejoin runs the cold-restart reintegration protocol on the cub: wipe
@@ -208,7 +194,7 @@ func StartControllerHost(cfg *core.Config, listenAddr string,
 }
 
 // AttachObs wires the controller and its mesh to a metrics registry,
-// blocking until the instruments exist.
+// blocking until the histograms exist.
 func (h *ControllerHost) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -219,6 +205,7 @@ func (h *ControllerHost) AttachObs(reg *obs.Registry) {
 		close(done)
 	})
 	<-done
+	collectOn(reg, h.Node, h.Ctl.Snapshot)
 	h.Mesh.AttachObs(reg)
 }
 

@@ -76,6 +76,22 @@ func (n *Node) Do(fn func()) {
 	}
 }
 
+// ask runs take on n's executor and returns what it returned; ok is false
+// if no answer came within timeout or the node has stopped. This is how
+// another goroutine — an HTTP debug handler — reads executor-owned state
+// without racing it, and without hanging on a wedged node.
+func ask[T any](n *Node, timeout time.Duration, take func() T) (v T, ok bool) {
+	ch := make(chan T, 1) // buffered: a late answer must not block the executor
+	n.Do(func() { ch <- take() })
+	select {
+	case v = <-ch:
+		return v, true
+	case <-n.quit:
+	case <-time.After(timeout):
+	}
+	return v, false
+}
+
 // Close stops the executor after draining queued work.
 func (n *Node) Close() {
 	n.once.Do(func() { close(n.quit) })

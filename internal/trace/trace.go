@@ -1,7 +1,8 @@
 // Package trace is a bounded, allocation-free protocol event log for
 // post-mortem debugging of Tiger runs: which cub inserted, served, or
-// missed what, and when. The harness wires it to the protocol's
-// observation hooks; it never perturbs the protocol itself.
+// missed what, and when. The protocol emits Events into a Sink
+// (sink.go); the Ring is one subscriber. Observing never perturbs the
+// protocol itself.
 package trace
 
 import (
@@ -27,10 +28,6 @@ const (
 	Serve
 	// Miss is a send that could not be made (late read or late state).
 	Miss
-	// Deschedule is a processed stop request.
-	Deschedule
-	// Dead is a deadman declaration.
-	Dead
 	// Hedge is a hedged mirror read issued against a suspected disk.
 	Hedge
 	// Quarantine is a disk quarantined by the health monitor; Slot
@@ -61,10 +58,6 @@ func (k Kind) String() string {
 		return "serve"
 	case Miss:
 		return "miss"
-	case Deschedule:
-		return "desched"
-	case Dead:
-		return "dead"
 	case Hedge:
 		return "hedge"
 	case Quarantine:
@@ -85,15 +78,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one protocol occurrence.
+// Event is one protocol occurrence, self-contained so it travels by
+// value. Slot, Instance, Block and Mirror are what the ring exports;
+// Viewer, PlaySeq, Part and Due identify the viewer and the service for
+// the oracles and the flight recorder, on the kinds that have them.
 type Event struct {
 	At       sim.Time
-	Node     msg.NodeID
-	Kind     Kind
-	Slot     int32
 	Instance msg.InstanceID
+	Viewer   msg.ViewerID
+	Due      int64 // ns: when the service is due
+	Node     msg.NodeID
+	Slot     int32
 	Block    int32
+	PlaySeq  int32
+	Kind     Kind
 	Mirror   bool
+	Part     int8
 }
 
 // String renders the event one-per-line for dumps.
@@ -108,8 +108,8 @@ func (e Event) String() string {
 
 // Ring is a fixed-capacity event buffer keeping the most recent events.
 // It is safe for concurrent use: under the simulator everything is
-// single-threaded, but in the rt runtime every cub's executor fires
-// hooks in parallel, all appending to one shared ring. The eviction
+// single-threaded, but in the rt runtime every cub's executor emits
+// events in parallel, all appending to one shared ring. The eviction
 // count is kept in an atomic so metrics exporters can read it without
 // taking the lock.
 type Ring struct {

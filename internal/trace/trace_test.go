@@ -46,12 +46,12 @@ func TestSlotHistory(t *testing.T) {
 	r.Add(ev(1, 5, Insert))
 	r.Add(ev(2, 6, Insert))
 	r.Add(ev(3, 5, Serve))
-	r.Add(ev(4, 5, Deschedule))
+	r.Add(ev(4, 5, Park))
 	h := r.SlotHistory(5)
 	if len(h) != 3 {
 		t.Fatalf("slot history %v", h)
 	}
-	if h[0].Kind != Insert || h[1].Kind != Serve || h[2].Kind != Deschedule {
+	if h[0].Kind != Insert || h[1].Kind != Serve || h[2].Kind != Park {
 		t.Fatalf("wrong order: %v", h)
 	}
 }
@@ -65,10 +65,43 @@ func TestDumpAndStrings(t *testing.T) {
 			t.Errorf("dump lacks %q:\n%s", want, d)
 		}
 	}
-	for _, k := range []Kind{Insert, Serve, Miss, Deschedule, Dead,
-		Hedge, Quarantine, MoveCommit, MoveNack, RestripePhase, Kind(99)} {
-		if k.String() == "" {
-			t.Error("empty kind name")
+	if Kind(99).String() == "" {
+		t.Error("empty name for an unknown kind")
+	}
+}
+
+// TestKindSerialisedByName pins what makes renumbering the kinds safe:
+// every kind has its own name, and the JSONL export carries the name,
+// never the number.
+func TestKindSerialisedByName(t *testing.T) {
+	r := NewRing(32)
+	names := make(map[string]Kind)
+	for k := Insert; k <= Unservable; k++ {
+		name := k.String()
+		if prev, dup := names[name]; dup || strings.HasPrefix(name, "kind(") {
+			t.Fatalf("kind %d has no name of its own: %q (also kind %d: %v)", k, name, prev, dup)
+		}
+		names[name] = k
+		r.Add(Event{Kind: k, Slot: int32(k)})
+	}
+	var b bytes.Buffer
+	if err := r.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")[1:] // skip the header
+	if len(lines) != len(names) {
+		t.Fatalf("%d event lines for %d kinds", len(lines), len(names))
+	}
+	for _, line := range lines {
+		var je struct {
+			Kind string `json:"kind"`
+			Slot int32  `json:"slot"`
+		}
+		if err := json.Unmarshal([]byte(line), &je); err != nil {
+			t.Fatal(err)
+		}
+		if k, ok := names[je.Kind]; !ok || int32(k) != je.Slot {
+			t.Fatalf("line %s: kind %q does not name kind %d", line, je.Kind, je.Slot)
 		}
 	}
 }

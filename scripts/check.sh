@@ -18,7 +18,17 @@ fi
 go vet ./...
 go build ./...
 go test -short ./...
-go test -race ./internal/rt ./internal/core ./internal/obs ./internal/sim ./internal/netsim ./internal/chaos ./internal/disk
+go test -race ./internal/rt ./internal/core ./internal/obs ./internal/sim ./internal/netsim ./internal/chaos ./internal/disk ./internal/trace
+
+# Observability gate: the registry collects the stats structs instead of
+# mirroring them, so under rt every scrape marshals its snapshot onto the
+# node's executor — scraped in a loop against a playing viewer, ten times
+# under the race detector — and in the simulator the series must equal
+# the structs after a crash and restart. The event sink's subscribers
+# (oracle, ring, chaos harness, flight recorder) must stack in any order
+# and reach cubs born mid-restripe.
+go test -race -count=10 -run 'TestScrapeWhileServing' ./internal/rt
+go test -race -run 'TestRegistryReadsCubStats|TestSinkFanOut|TestSinkReachesRestripeBornCubs' .
 
 # Chaos gate: the short tier above already runs TestChaosSmoke (a full
 # partition-heal-refute cycle); here the full chaos scenarios and the
@@ -37,7 +47,7 @@ go test -race -run 'TestFailSlow|TestStuckDisk|TestProbes|TestCancel' ./internal
 # untraced run, at any -parallel width) and free when off (zero
 # allocations on the hot path, pinned by AllocsPerRun budgets).
 go test -race -run 'TestCausalChainLifecycle|TestCausalTraceObservationOnly|TestAttrSweepParallelEquivalence|TestFlightRecorderCapturesMisses' .
-go test -run 'TestTraceHopOffPathAllocs' ./internal/core
+go test -run 'TestTraceHopOffPathAllocs|TestEmitWithSubscriberAllocs' ./internal/core
 go test -run 'TestChainRecordAllocBudget' ./internal/trace
 
 # Grayfail bench artifact: the sweep must run end to end with causal
@@ -74,8 +84,9 @@ go test -race -run 'TestControllerFailover' .
 ./scripts/identical.sh
 
 # Warehouse-scale gate: the sharded-vs-serial byte-identical determinism
-# compare (2/4/8 shards × 2/4/8 workers) under the race detector — this
-# is the coordination code's correctness proof — then a short 200-cub
+# compare (2/4/8 shards × 2/4/8 workers, metrics export included) under
+# the race detector — this is the coordination code's correctness proof —
+# and the sharded cluster's metrics surface, then a short 200-cub
 # scalability smoke at rated load with the ns/event and allocs/event
 # budgets enforced (1.5 allocs/event: the block path allocates nothing,
 # what is left is gossip and cross-shard posts; 0.70 measured) and zero
@@ -92,7 +103,9 @@ rm -rf "$scdir"
 go test -bench=. -benchtime=1x -run='^$' ./...
 
 # Smoke: boot the single-process demo and check the observability
-# surface — /healthz answers, /metrics carries the cub counters and the
+# surface — /healthz answers, /metrics carries the cub counters (one
+# collected counter, one pulled gauge and one series that used to exist
+# only in CubStats, all snapshotted on the cubs' executors) and the
 # block-lifecycle slack series, pprof is mounted. The control port is
 # overridable so the gate doesn't collide with a developer's running
 # tigerd; tigerd derives the epoch service at control + 1000 and the
@@ -131,6 +144,8 @@ done
 
 metrics=$(curl -fsS "http://127.0.0.1:$TIGERD_DEBUG_PORT/metrics")
 echo "$metrics" | grep '^tiger_cub_inserts_total' >/dev/null
+echo "$metrics" | grep '^tiger_cub_view_entries' >/dev/null
+echo "$metrics" | grep '^tiger_cub_deschedules_dup_total' >/dev/null
 echo "$metrics" | grep '^tiger_block_deadline_slack_seconds_bucket' >/dev/null
 curl -fsS "http://127.0.0.1:$TIGERD_DEBUG_PORT/debug/pprof/cmdline" >/dev/null
 curl -fsS "http://127.0.0.1:$TIGERD_DEBUG_PORT/debug/vars" | grep '"cub0"' >/dev/null
@@ -139,3 +154,6 @@ curl -fsS "http://127.0.0.1:$TIGERD_DEBUG_PORT/debug/trace" | head -1 | grep '"h
 kill $TIGERD_PID
 trap - EXIT
 echo "check.sh: all gates passed"
+
+# Last: the size every CHANGES.md entry states its delta of.
+./scripts/loc.sh

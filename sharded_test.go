@@ -1,20 +1,15 @@
 package tiger
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// shardedDigest runs a fixed loaded scenario on an S-sharded cluster
-// with the given worker count and digests everything observable: per-cub
-// protocol counters, viewer outcomes, loss totals, per-shard event
-// counts, and the exact startup-latency sequence. A sharded simulation
-// is a pure function of (options, shard count); the worker count only
-// changes which goroutine executes a shard's window, so digests must be
-// byte-identical across worker counts.
-func shardedDigest(t *testing.T, shards, workers int) string {
-	t.Helper()
+// shardedTestOptions is the small loaded cluster of the sharded
+// determinism tests: 8 cubs x 2 disks, one-minute files.
+func shardedTestOptions(shards, workers int) Options {
 	o := DefaultOptions()
 	o.Cubs = 8
 	o.DisksPerCub = 2
@@ -26,7 +21,19 @@ func shardedDigest(t *testing.T, shards, workers int) string {
 	o.Shards = shards
 	o.ShardWorkers = workers
 	o.Seed = 11
-	c, err := New(o)
+	return o
+}
+
+// shardedDigest runs a fixed loaded scenario on an S-sharded cluster
+// with the given worker count and digests everything observable: per-cub
+// protocol counters, viewer outcomes, loss totals, per-shard event
+// counts, the exact startup-latency sequence, and the metrics export. A sharded simulation
+// is a pure function of (options, shard count); the worker count only
+// changes which goroutine executes a shard's window, so digests must be
+// byte-identical across worker counts.
+func shardedDigest(t *testing.T, shards, workers int) string {
+	t.Helper()
+	c, err := New(shardedTestOptions(shards, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,13 @@ func shardedDigest(t *testing.T, shards, workers int) string {
 	for _, p := range c.StartupPoints {
 		digest += fmt.Sprintf("%d,", p.Latency.Nanoseconds())
 	}
-	return digest
+	// The registry is part of the observable history: every cub's
+	// collected counters and its span histograms, float sums included.
+	var metrics bytes.Buffer
+	if err := c.ExportMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	return digest + ";" + metrics.String()
 }
 
 // TestShardedByteIdentical is the cluster-level half of the sharded

@@ -193,15 +193,9 @@ func failoverErr(err error) bool {
 func (c *Cluster) retryStart(attempt int, start func() (*Stream, error), started func(*Stream)) {
 	if attempt > startRetryMax {
 		c.startAbandoned++
-		if c.startAbandonedC != nil {
-			c.startAbandonedC.Inc()
-		}
 		return
 	}
 	c.startRetries++
-	if c.startRetriesC != nil {
-		c.startRetriesC.Inc()
-	}
 	base := startRetryBase << uint(attempt-1)
 	if base > startRetryCap {
 		base = startRetryCap

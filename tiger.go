@@ -22,6 +22,7 @@ package tiger
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -115,13 +116,16 @@ type Options struct {
 	// of the same options: sharding re-partitions the random streams.
 	//
 	// A sharded cluster is for scale experiments and trades away some
-	// single-threaded harness extras: per-cub registry instruments, the
-	// slot-conflict oracle, receipt-slack spans, and protocol traces are
-	// disabled or unsupported. Chaos/fault injection IS supported — the
+	// single-threaded harness extras: the slot-conflict oracle and
+	// receipt-slack spans are off, and the flight recorder is
+	// unsupported. The registry is attached as on any cluster; read it
+	// (Registry, ExportMetrics) between RunFor calls, the rule
+	// TotalCubStats already has. Chaos/fault injection IS supported — the
 	// runner applies steps and sweeps invariants between RunFor slices,
-	// when no shard goroutine is executing — but hook-based oracles that
-	// fire during the run (the chaos serve oracle) observe cubs from
-	// concurrent shard goroutines and must take their own locks.
+	// when no shard goroutine is executing — but event subscribers that
+	// fire during the run (the chaos serve oracle, the trace ring)
+	// observe cubs from concurrent shard goroutines and must take their
+	// own locks.
 	Shards int
 	// ShardWorkers bounds the goroutines executing shards; 0 means one
 	// per shard, 1 runs the sharded model serially (the determinism
@@ -190,16 +194,11 @@ type Cluster struct {
 	// park/re-admission gap, keyed by the old viewer (park.go).
 	parkedEOF map[msg.ViewerID]func(*Stream)
 
-	// cubHooks is the composed hook set every cub runs with; cubs created
-	// mid-run by an elastic restripe get the same set. It is rebuilt by
-	// publishHooks from the independent layers below, so the trace ring, a
-	// chaos harness, and the flight recorder stack instead of replacing
-	// each other.
-	cubHooks     core.Hooks
-	baseHooks    core.Hooks // built-in slot-conflict oracle
-	ringHooks    core.Hooks // EnableTrace protocol event ring
-	harnessHooks core.Hooks // chaos harness serve oracle
-	flightHooks  core.Hooks // failure flight recorder
+	// sink receives every cub's protocol events — cubs created mid-run
+	// by an elastic restripe included. The built-in slot-conflict oracle,
+	// the trace ring, a chaos harness and the flight recorder subscribe
+	// to it, so they stack instead of replacing each other.
+	sink trace.Sink
 
 	// Causal tracing state (causal.go); nil until EnableCausalTrace.
 	chains         []*trace.ChainLog // per cub, indexed like Cubs
@@ -210,7 +209,6 @@ type Cluster struct {
 
 	// Elastic-restripe phase machine (elastic.go).
 	rsPhase         string
-	rsGauge         *obs.Gauge
 	rsTarget        int
 	rsOldGen        int32
 	rsNewGen        int32
@@ -235,10 +233,8 @@ type Cluster struct {
 	ctlDown bool
 
 	// Client start-retry tallies around controller outages (stream.go).
-	startRetries    int64
-	startAbandoned  int64
-	startRetriesC   *obs.Counter
-	startAbandonedC *obs.Counter
+	startRetries   int64
+	startAbandoned int64
 
 	// cumulative viewer tallies, folded in as streams finish
 	tallyOK, tallyLost, tallyMirror int64
@@ -374,23 +370,25 @@ func New(o Options) (*Cluster, error) {
 	}
 
 	c.reg = obs.NewRegistry()
-	c.rsGauge = c.reg.Gauge("tiger_restripe_phase", "Elastic restripe phase: 0 idle, 1 copy, 2 cutover, 3 drain, 4 linger, 5 done.", nil)
-	c.startRetriesC = c.reg.Counter("tiger_client_start_retries_total", "Start-play admissions retried because the controller was down or scavenging.", nil)
-	c.startAbandonedC = c.reg.Counter("tiger_client_start_abandons_total", "Start-play requests abandoned after exhausting failover retries.", nil)
+	c.reg.GaugeFunc("tiger_restripe_phase", "Elastic restripe phase: 0 idle, 1 copy, 2 cutover, 3 drain, 4 linger, 5 done.", nil,
+		func() float64 { return restripePhaseVal(c.rsPhase) })
+	c.reg.CounterFunc("tiger_client_start_retries_total", "Start-play admissions retried because the controller was down or scavenging.", nil,
+		func() float64 { return float64(c.startRetries) })
+	c.reg.CounterFunc("tiger_client_start_abandons_total", "Start-play requests abandoned after exhausting failover retries.", nil,
+		func() float64 { return float64(c.startAbandoned) })
 	c.Controller = core.NewController(cfg, clk, net)
 	c.Controller.AttachObs(c.reg)
+	c.reg.AddCollector(func(emit obs.Emit) { c.Controller.Snapshot().Collect(emit) })
 	c.Controller.OnParked = c.onParked
 	c.Controller.OnReadmit = c.onReadmit
 	net.Register(msg.Controller, c.Controller)
+	net.AttachObs(c.reg)
 	if c.sharded == nil {
-		// Registry instruments and the slot-conflict oracle are harness
-		// state shared across every node; in a sharded run cubs execute
-		// concurrently, so cubs run bare (their plain stats structs are
-		// shard-owned and remain available).
-		net.AttachObs(c.reg)
-		c.baseHooks = core.Hooks{OnInsert: c.onInsertOracle}
+		// The slot-conflict oracle is harness state shared across every
+		// node; in a sharded run cubs execute concurrently, so it stays
+		// off there.
+		c.sink.Subscribe(trace.KindSet(trace.Insert), c.onInsertOracle)
 	}
-	c.cubHooks = composeHooks(c.baseHooks)
 	for i := 0; i < o.Cubs; i++ {
 		cclk := clock.Clock(clk)
 		crng := eng.Rand()
@@ -402,11 +400,7 @@ func New(o Options) (*Cluster, error) {
 			crng = rand.New(rand.NewSource(o.Seed + 7_368_787*int64(i+1)))
 		}
 		cub := core.NewCub(msg.NodeID(i), cfg, cclk, net, net, crng)
-		cub.SetLossLog(c.Loss)
-		cub.SetHooks(c.cubHooks)
-		if c.sharded == nil {
-			cub.AttachObs(c.reg)
-		}
+		c.adopt(cub)
 		net.Register(msg.NodeID(i), cub)
 		c.Cubs = append(c.Cubs, cub)
 	}
@@ -415,6 +409,16 @@ func New(o Options) (*Cluster, error) {
 	}
 	c.Controller.Start()
 	return c, nil
+}
+
+// adopt wires a cub — at build time, or created mid-run by an elastic
+// restripe — to what the cluster shares: the loss log, the event sink,
+// and the registry, which collects the cub's stats when it is encoded.
+func (c *Cluster) adopt(cub *core.Cub) {
+	cub.SetLossLog(c.Loss)
+	cub.SetSink(&c.sink)
+	cub.AttachObs(c.reg)
+	c.reg.AddCollector(func(emit obs.Emit) { cub.Snapshot().Collect(emit) })
 }
 
 // Sharded reports the shard count driving this cluster (1 when the
@@ -678,54 +682,20 @@ func (c *Cluster) ViewerTotals() (ok, lost, mirror int64) {
 	return
 }
 
-// TotalCubStats sums the counters of all cubs.
+// TotalCubStats sums the counters of all cubs, field by field, so a
+// counter added to core.CubStats is summed without being listed here.
+// PeakBuffered, a per-cub high-water mark, has no meaningful sum and
+// stays zero.
 func (c *Cluster) TotalCubStats() core.CubStats {
 	var t core.CubStats
+	tv := reflect.ValueOf(&t).Elem()
 	for _, cub := range c.Cubs {
-		s := cub.Stats()
-		t.BlocksSent += s.BlocksSent
-		t.PiecesSent += s.PiecesSent
-		t.ServerMisses += s.ServerMisses
-		t.StatesRecv += s.StatesRecv
-		t.StatesDup += s.StatesDup
-		t.StatesLate += s.StatesLate
-		t.Conflicts += s.Conflicts
-		t.DeschedRecv += s.DeschedRecv
-		t.DeschedDup += s.DeschedDup
-		t.Inserts += s.Inserts
-		t.MirrorsMade += s.MirrorsMade
-		t.PiecesLost += s.PiecesLost
-		t.IndexMisses += s.IndexMisses
-		t.DeadDeclared += s.DeadDeclared
-		t.DeathsRefuted += s.DeathsRefuted
-		t.RedundantRuns += s.RedundantRuns
-		t.StartsDup += s.StartsDup
-		t.Rejoins += s.Rejoins
-		t.RejoinsServed += s.RejoinsServed
-		t.ViewTransferred += s.ViewTransferred
-		t.MirrorsRetired += s.MirrorsRetired
-		t.StaleEpochDrops += s.StaleEpochDrops
-		t.HedgesIssued += s.HedgesIssued
-		t.HedgeLocalWins += s.HedgeLocalWins
-		t.HedgeMirrorWins += s.HedgeMirrorWins
-		t.DiskReadErrors += s.DiskReadErrors
-		t.DiskSuspects += s.DiskSuspects
-		t.DiskRecoveries += s.DiskRecoveries
-		t.DiskQuarantines += s.DiskQuarantines
-		t.DiskUnquarantines += s.DiskUnquarantines
-		t.MovesOut += s.MovesOut
-		t.MovesIn += s.MovesIn
-		t.MoveBytesOut += s.MoveBytesOut
-		t.MoveBytesIn += s.MoveBytesIn
-		t.MovesNacked += s.MovesNacked
-		t.StreamsParked += s.StreamsParked
-		t.StreamsResumed += s.StreamsResumed
-		t.DownAdvisories += s.DownAdvisories
-		t.CtlStaleDrops += s.CtlStaleDrops
-		t.CtlTakeovers += s.CtlTakeovers
-		t.CtlDeclaredDead += s.CtlDeclaredDead
-		t.ScavengesServed += s.ScavengesServed
+		sv := reflect.ValueOf(cub.Stats())
+		for i := 0; i < tv.NumField(); i++ {
+			tv.Field(i).SetInt(tv.Field(i).Int() + sv.Field(i).Int())
+		}
 	}
+	t.PeakBuffered = 0
 	return t
 }
 
@@ -736,8 +706,9 @@ func (c *Cluster) TotalCubStats() core.CubStats {
 // Insertions reported by a cub the network has down are skipped too: a
 // crashed machine's timers keep running until RestartCub wipes it, and
 // the queued starts it goes on "inserting" reach nobody.
-func (c *Cluster) onInsertOracle(cub msg.NodeID, slot int32, inst msg.InstanceID, due sim.Time) {
-	if _, live := c.streams[inst]; !live || c.Net.Failed(cub) {
+func (c *Cluster) onInsertOracle(e trace.Event) {
+	inst, slot := e.Instance, e.Slot
+	if _, live := c.streams[inst]; !live || c.Net.Failed(e.Node) {
 		return
 	}
 	// A slot frees for re-insertion before its stream finishes: cubs
@@ -754,7 +725,7 @@ func (c *Cluster) onInsertOracle(cub msg.NodeID, slot int32, inst msg.InstanceID
 			c.oracle.release(prev)
 		}
 	}
-	c.oracle.onInsert(cub, slot, inst, due)
+	c.oracle.onInsert(slot, inst)
 }
 
 // slotOracle is the test-side conflict detector: it tracks which
@@ -770,7 +741,7 @@ func newSlotOracle() *slotOracle {
 	return &slotOracle{slots: make(map[int32]msg.InstanceID), ends: make(map[msg.InstanceID]int32)}
 }
 
-func (o *slotOracle) onInsert(cub msg.NodeID, slot int32, inst msg.InstanceID, due sim.Time) {
+func (o *slotOracle) onInsert(slot int32, inst msg.InstanceID) {
 	if cur, busy := o.slots[slot]; busy && cur != inst {
 		o.violations++
 		return

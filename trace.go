@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tiger/internal/core"
-	"tiger/internal/msg"
-	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
 
@@ -16,9 +13,9 @@ import (
 // once, before starting load; returns the ring for inspection. Useful
 // with Cub.DumpView when investigating a run. The ring's volume and
 // eviction counters join the metrics registry, so an exported snapshot
-// records whether the trace window was exceeded. The ring is a hook
-// layer: it composes with a chaos harness and the flight recorder
-// rather than displacing them.
+// records whether the trace window was exceeded. The ring is one
+// subscriber of the cluster's event sink, beside a chaos harness and
+// the flight recorder.
 func (c *Cluster) EnableTrace(capacity int) *trace.Ring {
 	ring := trace.NewRing(capacity)
 	c.ring = ring
@@ -28,71 +25,7 @@ func (c *Cluster) EnableTrace(capacity int) *trace.Ring {
 	c.reg.CounterFunc("tiger_trace_dropped_total",
 		"Protocol trace events evicted from the bounded ring.",
 		nil, func() float64 { return float64(ring.Dropped()) })
-	c.ringHooks = core.Hooks{
-		OnInsert: func(cubID msg.NodeID, slot int32, inst msg.InstanceID, due sim.Time) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Insert,
-				Slot: slot, Instance: inst,
-			})
-		},
-		OnServe: func(cubID msg.NodeID, vs msg.ViewerState) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Serve,
-				Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block,
-				Mirror: vs.Mirror,
-			})
-		},
-		OnMiss: func(cubID msg.NodeID, vs msg.ViewerState) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Miss,
-				Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block,
-				Mirror: vs.Mirror,
-			})
-		},
-		OnHedge: func(cubID msg.NodeID, vs msg.ViewerState) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Hedge,
-				Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block,
-			})
-		},
-		OnQuarantine: func(cubID msg.NodeID, disk int32) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Quarantine,
-				Slot: disk, // slot field carries the native disk key
-			})
-		},
-		OnMoveCommit: func(cubID msg.NodeID, seq int64) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.MoveCommit,
-				Slot: int32(seq), // slot field carries the move sequence
-			})
-		},
-		OnMoveNack: func(cubID msg.NodeID, seq int64, reason uint8) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.MoveNack,
-				Slot: int32(seq), Block: int32(reason),
-			})
-		},
-		OnPark: func(cubID msg.NodeID, viewer msg.ViewerID, inst msg.InstanceID, slot int32) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Park,
-				Slot: slot, Instance: inst,
-			})
-		},
-		OnResume: func(cubID msg.NodeID, viewer msg.ViewerID, oldInst, newInst msg.InstanceID) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Resume,
-				Slot: -1, Instance: newInst,
-			})
-		},
-		OnUnservable: func(cubID msg.NodeID, disks int32) {
-			ring.Add(trace.Event{
-				At: c.Now(), Node: cubID, Kind: trace.Unservable,
-				Slot: disks, // slot field carries the new unservable count
-			})
-		},
-	}
-	c.publishHooks()
+	c.sink.Subscribe(trace.AllKinds, ring.Add)
 	return ring
 }
 
