@@ -7,16 +7,17 @@ import (
 	"tiger/internal/trace"
 )
 
-// Causal block tracing (DESIGN §14). EnableCausalTrace attaches one
-// bounded ChainLog per cub plus one at the controller; from then on
-// every admitted play is stamped traced (StartPlay.Trace = 1), the flag
-// rides in every viewer state derived from it, and each cub the block
-// passes through records typed hops — admit, insert, state, disk-queue,
-// disk-read, hedge, send/miss, receipt — stamped with sim-time and
-// remaining deadline slack. Recording is observation-only: no timers,
-// no messages, no map-order dependence, so a traced run is byte-
-// identical to an untraced one, and with tracing off the hot path pays
-// a single nil test.
+// Causal block tracing (DESIGN §9). EnableCausalTrace subscribes one
+// bounded ChainLog per cub plus one for the controller to the cluster's
+// step sink; from then on every admitted play is stamped traced
+// (StartPlay.Trace = 1), the flag rides in every viewer state derived
+// from it, and each node the block passes through reports the
+// chain-only steps too — admit, state, disk-queue, disk-read, receipt
+// beside the insert, hedge, serve and miss everyone sees — stamped with
+// sim-time and remaining deadline slack. Recording is observation-only:
+// no timers, no messages, no map-order dependence, so a traced run is
+// byte-identical to an untraced one, and with tracing off a chain-only
+// step costs one mask test.
 
 // DefaultChainBounds are the per-cub chain-log bounds EnableCausalTrace
 // uses when given non-positive values: enough chains to hold every
@@ -40,35 +41,24 @@ func (c *Cluster) EnableCausalTrace(maxChains, maxHops int) {
 		maxHops = DefaultMaxHops
 	}
 	c.chainMaxChains, c.chainMaxHops = maxChains, maxHops
-	c.ctlChain = trace.NewChainLog(maxChains, maxHops)
-	c.Controller.SetChainLog(c.ctlChain)
-	c.chains = make([]*trace.ChainLog, len(c.Cubs))
-	for i, cub := range c.Cubs {
+	// One store per node — msg.Controller is node -1, so the controller's
+	// comes first — so eviction order does not depend on how the nodes'
+	// steps interleave across shards.
+	c.chains = make([]*trace.ChainLog, 1+len(c.Cubs))
+	for i := range c.chains {
 		c.chains[i] = trace.NewChainLog(maxChains, maxHops)
-		cub.SetChainLog(c.chains[i])
 	}
+	c.sink.Subscribe(trace.ChainKinds, func(e trace.Event) { c.chains[1+e.Node].Record(e) })
 }
 
 // CausalTraceEnabled reports whether chain recording is attached.
-func (c *Cluster) CausalTraceEnabled() bool { return c.ctlChain != nil }
-
-// attachChainLog gives a cub created mid-run (elastic growth) its own
-// chain log, sized like the others. No-op when tracing is off.
-func (c *Cluster) attachChainLog(cub interface{ SetChainLog(*trace.ChainLog) }) {
-	if c.ctlChain == nil {
-		return
-	}
-	l := trace.NewChainLog(c.chainMaxChains, c.chainMaxHops)
-	c.chains = append(c.chains, l)
-	cub.SetChainLog(l)
-}
+func (c *Cluster) CausalTraceEnabled() bool { return c.chains != nil }
 
 // CausalChain merges one block's hops from the controller's and every
 // cub's logs into a single time-ordered chain. Returns nil when the
 // block was never traced (or its chains have been evicted everywhere).
 func (c *Cluster) CausalChain(inst msg.InstanceID, block int32) []trace.Hop {
 	var hops []trace.Hop
-	hops = append(hops, c.ctlChain.Chain(inst, block)...)
 	for _, l := range c.chains {
 		hops = append(hops, l.Chain(inst, block)...)
 	}
@@ -81,21 +71,17 @@ func (c *Cluster) CausalChain(inst msg.InstanceID, block int32) []trace.Hop {
 func (c *Cluster) CausalKeys() []trace.ChainKey {
 	seen := make(map[trace.ChainKey]bool)
 	var out []trace.ChainKey
-	add := func(ks []trace.ChainKey) {
-		for _, k := range ks {
+	for _, l := range c.chains {
+		for _, k := range l.Keys() {
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, k)
 			}
 		}
 	}
-	add(c.ctlChain.Keys())
-	for _, l := range c.chains {
-		add(l.Keys())
-	}
 	// The keys are distinct, so the order does not depend on the sort's
 	// stability.
-	sort.Slice(out, func(i, j int) bool { return chainKeyLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -115,18 +101,9 @@ func (c *Cluster) CausalChains() [][]trace.Hop {
 // ChainDrops sums eviction and overflow counters across every log: how
 // much causal history the bounded buffers shed.
 func (c *Cluster) ChainDrops() (chainsEvicted, hopsDropped uint64) {
-	chainsEvicted = c.ctlChain.ChainsEvicted()
-	hopsDropped = c.ctlChain.HopsDropped()
 	for _, l := range c.chains {
 		chainsEvicted += l.ChainsEvicted()
 		hopsDropped += l.HopsDropped()
 	}
 	return
-}
-
-func chainKeyLess(a, b trace.ChainKey) bool {
-	if a.Instance != b.Instance {
-		return a.Instance < b.Instance
-	}
-	return a.Block < b.Block
 }

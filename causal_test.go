@@ -35,7 +35,7 @@ func TestCausalChainLifecycle(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("no chain recorded for block 0")
 	}
-	if first[0].Kind != trace.HopAdmit {
+	if first[0].Kind != trace.Admit {
 		t.Fatalf("block 0 chain starts with %v, want admit: %v", first[0].Kind, first)
 	}
 
@@ -46,21 +46,21 @@ func TestCausalChainLifecycle(t *testing.T) {
 	if len(chains) < 10 {
 		t.Fatalf("only %d chains for a 20s stream", len(chains))
 	}
-	kinds := map[trace.HopKind]bool{}
+	kinds := map[trace.Kind]bool{}
 	for _, ch := range chains {
 		for i, h := range ch {
 			kinds[h.Kind] = true
 			if i > 0 && h.At < ch[i-1].At {
 				t.Fatalf("hops out of time order: %v", ch)
 			}
-			if h.Kind == trace.HopReceipt && i != len(ch)-1 {
+			if h.Kind == trace.Receipt && i != len(ch)-1 {
 				t.Fatalf("receipt is not the final hop: %v", ch)
 			}
 		}
 	}
-	for _, k := range []trace.HopKind{
-		trace.HopAdmit, trace.HopInsert, trace.HopState,
-		trace.HopDiskQueue, trace.HopDiskRead, trace.HopSend, trace.HopReceipt,
+	for _, k := range []trace.Kind{
+		trace.Admit, trace.Insert, trace.State,
+		trace.DiskQueue, trace.DiskRead, trace.Serve, trace.Receipt,
 	} {
 		if !kinds[k] {
 			t.Errorf("no %v hop recorded across %d chains", k, len(chains))
@@ -225,12 +225,11 @@ func TestFlightRecorderCapturesMisses(t *testing.T) {
 // took 1.5 s here.
 func TestCausalKeysMergeLargeLogs(t *testing.T) {
 	const logs, perLog = 15, 4096
-	c := &Cluster{ctlChain: trace.NewChainLog(perLog, 1)}
-	all := append([]*trace.ChainLog{c.ctlChain}, make([]*trace.ChainLog, logs-1)...)
-	for i := 1; i < logs; i++ {
+	all := make([]*trace.ChainLog, logs)
+	for i := range all {
 		all[i] = trace.NewChainLog(perLog, 1)
 	}
-	c.chains = all[1:]
+	c := &Cluster{chains: all}
 	want := map[trace.ChainKey]bool{}
 	for i, l := range all {
 		for j := 0; j < perLog; j++ {
@@ -241,7 +240,7 @@ func TestCausalKeysMergeLargeLogs(t *testing.T) {
 				n = (j+1)*logs + (i+1)%logs
 			}
 			k := trace.ChainKey{Instance: InstanceID(1 + n%977), Block: int32(n / 977)}
-			l.Record(k.Instance, k.Block, trace.Hop{})
+			l.Record(trace.Hop{Instance: k.Instance, Block: k.Block, Traced: true})
 			want[k] = true
 		}
 	}
@@ -255,7 +254,7 @@ func TestCausalKeysMergeLargeLogs(t *testing.T) {
 		if !want[k] {
 			t.Fatalf("key %v was in no log", k)
 		}
-		if i > 0 && !chainKeyLess(keys[i-1], k) {
+		if i > 0 && !keys[i-1].Less(k) {
 			t.Fatalf("keys %v, %v out of (instance, block) order at %d", keys[i-1], k, i)
 		}
 	}
@@ -263,4 +262,61 @@ func TestCausalKeysMergeLargeLogs(t *testing.T) {
 		t.Fatalf("merging %d keys took %v", len(keys), took)
 	}
 	t.Logf("%d keys merged in %v", len(keys), took)
+}
+
+// TestSubscribersAgree holds the step record's subscribers to one
+// another. On a fully traced 14-cub run with a crash (tracing on before
+// the first play, so every state is traced; chain bounds large enough
+// that nothing is shed), the span histograms and the chain logs heard
+// the same steps: per stage, the histograms' summed count equals the
+// number of chain hops of the kinds recorded under it. And the loss
+// log's server half, a third subscriber, agrees with the cubs' own
+// ServerMisses counters.
+func TestSubscribersAgree(t *testing.T) {
+	o := DefaultOptions()
+	o.Seed = 7
+	c, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableCausalTrace(1<<14, 16)
+	if err := c.RampTo(200); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(15 * time.Second)
+	c.CrashCub(5)
+	c.RunFor(15 * time.Second)
+	c.RestartCub(5)
+	c.RunFor(10 * time.Second)
+	if ev, dropped := c.ChainDrops(); ev != 0 || dropped != 0 {
+		t.Fatalf("chain logs shed %d chains, %d hops; raise the test's bounds", ev, dropped)
+	}
+
+	stageOf := map[trace.Kind]string{
+		trace.Insert: "insert", trace.State: "state", trace.DiskRead: "read",
+		trace.Serve: "send", trace.Miss: "send", trace.Receipt: "receipt",
+	}
+	hops := map[string]uint64{}
+	for _, ch := range c.CausalChains() {
+		for _, h := range ch {
+			if st, ok := stageOf[h.Kind]; ok {
+				hops[st]++
+			}
+		}
+	}
+	spans := map[string]uint64{}
+	for _, p := range c.Registry().Snapshot() {
+		if p.Name == "tiger_block_deadline_slack_seconds" {
+			spans[p.Labels["stage"]] += p.Count
+		}
+	}
+	for _, st := range []string{"insert", "state", "read", "send", "receipt"} {
+		if spans[st] == 0 || spans[st] != hops[st] {
+			t.Errorf("stage %s: span histograms counted %d, chain logs hold %d hops", st, spans[st], hops[st])
+		}
+	}
+	if missed := c.TotalCubStats().ServerMisses; missed == 0 || c.Loss.ServerMissed != missed {
+		t.Errorf("loss log heard %d server misses, the cubs counted %d (want equal, and a crash to cause some)",
+			c.Loss.ServerMissed, missed)
+	}
 }

@@ -236,7 +236,6 @@ func (c *Cluster) StartRestripe(targetCubs int) error {
 		cub := core.NewCub(msg.NodeID(i), cfg1, clk, c.Net, c.Net, c.Eng.Rand())
 		cub.Rebase(newGen)
 		c.adopt(cub)
-		c.attachChainLog(cub)
 		c.Net.Register(msg.NodeID(i), cub)
 		c.Cubs = append(c.Cubs, cub)
 		cub.Start()

@@ -82,5 +82,5 @@ func main() {
 	fmt.Printf("rejoins=%d statesTransferred=%d mirrorsRetired=%d staleEpochDrops=%d\n",
 		cs.Rejoins, cs.ViewTransferred, cs.MirrorsRetired, cs.StaleEpochDrops)
 	fmt.Printf("residual mirror load for cub 8: %d; reintegration took %v\n",
-		c.MirrorLoadFor(8), c.Cubs[8].RecoveryTimes().Mean().Round(time.Millisecond))
+		c.MirrorLoadFor(8), time.Duration(c.Cubs[8].RecoveryTimes().Mean()*float64(time.Second)).Round(time.Millisecond))
 }

@@ -629,7 +629,7 @@ func RunRecovery(o Options, streams int, crashFor time.Duration) (*RecoveryResul
 	res.ViewTransferred = cs.ViewTransferred
 	res.MirrorsRetired = cs.MirrorsRetired
 	res.StaleEpochDrops = cs.StaleEpochDrops
-	res.RejoinTime = c.Cubs[victim].RecoveryTimes().Mean()
+	res.RejoinTime = time.Duration(c.Cubs[victim].RecoveryTimes().Mean() * float64(time.Second))
 	res.Violations = c.InvariantViolations()
 	return res, nil
 }

@@ -234,7 +234,7 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 	if st.Takeovers != 1 {
 		return p, fmt.Errorf("takeovers = %d, want 1", st.Takeovers)
 	}
-	p.TakeoverSec = c.Controller.TakeoverTimes().Max().Seconds()
+	p.TakeoverSec = c.Controller.TakeoverTimes().Max()
 	bound := 2 * time.Second // one scavenge round trip, with margin
 	if deadCubs > 0 {
 		bound += c.Cfg.DeadmanTimeout // a dead cub never answers; the fold closes out

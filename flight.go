@@ -7,7 +7,7 @@ import (
 	"tiger/internal/trace"
 )
 
-// Failure flight recorder (DESIGN §14.4). When an oracle fires — a
+// Failure flight recorder (DESIGN §9). When an oracle fires — a
 // block misses its deadline, the double-service oracle trips, or a
 // chaos invariant reports a violation — the recorder captures the
 // implicated block's full causal chain plus a window of neighboring
@@ -44,7 +44,9 @@ type FlightRecorder struct {
 // EnableFlightRecorder attaches a failure flight recorder. It requires
 // causal tracing (EnableCausalTrace) for chains to be available —
 // without it dumps still fire but carry only the ring-event window.
-// maxDumps <= 0 takes a default of 32.
+// Enable it last: sink subscribers run in subscription order, and a dump
+// holds the triggering step only if the ring and the chain logs heard it
+// first. maxDumps <= 0 takes a default of 32.
 func (c *Cluster) EnableFlightRecorder(maxDumps int) *FlightRecorder {
 	if c.flight != nil {
 		return c.flight
@@ -102,8 +104,8 @@ func (fr *FlightRecorder) capture(reason string, inst msg.InstanceID, block int3
 }
 
 // violation captures a chaos-invariant violation. The invariant names
-// no specific block, so the dump carries the event window and, when
-// causal tracing is on, the chains of the most recently touched keys.
+// no specific block, so the dump carries no causal chain: only the reason
+// and the ring's most recent events.
 func (fr *FlightRecorder) violation(name string, detail string) {
 	fr.capture(fmt.Sprintf("invariant %s: %s", name, detail), 0, -1)
 }

@@ -7,6 +7,7 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/metrics"
 	"tiger/internal/msg"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -90,11 +91,11 @@ type Controller struct {
 	scavPending map[msg.NodeID]bool
 	scavParked  map[msg.InstanceID]*ParkTicket
 	scavStart   sim.Time
-	takeover    *metrics.Histogram
+	slotWait    *obs.Histogram // request-to-insertion latency
+	takeover    *obs.Histogram // restart-to-rebuilt time
 
-	stats  ControllerStats
-	obs    *ctlObs         // nil until AttachObs
-	ctrace *trace.ChainLog // nil until SetChainLog; causal hop recorder
+	stats ControllerStats
+	sink  *trace.Sink // nil until SetSink
 
 	// OnAck, if set, is called when an insertion is confirmed; harnesses
 	// use it to measure slot-assignment latency.
@@ -134,7 +135,8 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		gens:     map[int32]*Config{0: cfg},
 		genLoad:  make(map[int32]int),
 		ctlEpoch: 1,
-		takeover: metrics.NewHistogram(RecoveryBounds...),
+		slotWait: obs.NewHistogram(startWaitBounds),
+		takeover: obs.NewHistogram(RecoveryBounds),
 	}
 	c.cpu.Model = cfg.CPUModel
 	return c
@@ -174,13 +176,11 @@ func (c *Controller) DropGen(gen int32) {
 // count toward zero.
 func (c *Controller) GenLoad(gen int32) int { return c.genLoad[gen] }
 
-// SetChainLog attaches a causal-trace chain recorder. While attached,
-// every admitted play is stamped traced (StartPlay.Trace = 1), so the
-// cubs it touches record hop chains for its blocks.
-func (c *Controller) SetChainLog(l *trace.ChainLog) { c.ctrace = l }
-
-// ChainLog returns the attached chain recorder, or nil.
-func (c *Controller) ChainLog() *trace.ChainLog { return c.ctrace }
+// SetSink directs the controller's one protocol step, admit, to s. While
+// a subscriber wants it, every admitted play is stamped traced
+// (StartPlay.Trace = 1), so the cubs it touches report its blocks' steps
+// as traced.
+func (c *Controller) SetSink(s *trace.Sink) { c.sink = s }
 
 // CPUBusy returns the controller's cumulative modelled CPU time.
 func (c *Controller) CPUBusy() time.Duration { return c.cpu.Busy() }
@@ -273,18 +273,15 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 		Issued:     int64(now),
 		Ctl:        c.ctlEpoch,
 	}
-	if c.ctrace != nil {
-		sp.Trace = 1
-		// The admit hop predates the deadline — no slot, no due time yet —
-		// so its slack is recorded as zero and the attribution engine
+	if c.sink.Wants(trace.Admit) {
+		// Somebody follows admissions (a chain log): stamp the play traced.
+		// The admit step predates the deadline — no slot, no due time yet —
+		// so its slack is reported as zero and the attribution engine
 		// charges admit→insert by elapsed wait instead of slack delta.
-		c.ctrace.Record(inst, startBlock, trace.Hop{
-			At:    now,
-			Node:  msg.Controller,
-			Kind:  trace.HopAdmit,
-			Slack: 0,
-			Slot:  -1,
-			Disk:  int32(d0),
+		sp.Trace = 1
+		c.sink.Emit(trace.Event{
+			At: now, Due: int64(now), Node: msg.Controller, Kind: trace.Admit, Traced: true,
+			Instance: inst, Viewer: viewer, Block: startBlock, Slot: -1, Disk: int32(d0),
 		})
 	}
 	p := sp
@@ -469,9 +466,7 @@ func (c *Controller) onStartAck(a *msg.StartAck) {
 	}
 	c.stats.Acks++
 	waited := c.clk.Now().Sub(rec.issued)
-	if o := c.obs; o != nil {
-		o.slotWait.Observe(waited.Seconds())
-	}
+	c.slotWait.Observe(waited.Seconds())
 	if c.OnAck != nil {
 		c.OnAck(a.Instance, a.Slot, waited)
 	}

@@ -11,6 +11,7 @@ import (
 	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -278,7 +279,8 @@ type Cub struct {
 	rejoinActive  bool
 	rejoinPending map[msg.NodeID]bool
 	rejoinStart   sim.Time
-	recovery      *metrics.Histogram
+	startWait     *obs.Histogram // queue-to-insertion wait of start requests
+	recovery      *obs.Histogram // restart-to-reintegration time
 
 	fwdPending map[msg.NodeID][]msg.Message // batch under assembly
 	// fwdHeap is a min-heap of primary entry keys not yet forwarded,
@@ -303,12 +305,9 @@ type Cub struct {
 	// idle-budget pacing bookkeeping. Volatile — wiped on Restart.
 	mover moverState
 
-	cpu    metrics.CPU
-	stats  CubStats
-	loss   *metrics.LossLog
-	sink   *trace.Sink     // nil until SetSink; where protocol events go
-	obs    *cubObs         // nil until AttachObs
-	ctrace *trace.ChainLog // nil until SetChainLog; causal hop recorder
+	cpu   metrics.CPU
+	stats CubStats
+	sink  *trace.Sink // nil until SetSink; where protocol steps are reported
 
 	started bool
 }
@@ -344,7 +343,8 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		parkedTickets:  make(map[msg.InstanceID]msg.ScavengedPark),
 		epoch:          1,
 		peerEpoch:      make(map[msg.NodeID]int32),
-		recovery:       metrics.NewHistogram(RecoveryBounds...),
+		startWait:      obs.NewHistogram(startWaitBounds),
+		recovery:       obs.NewHistogram(RecoveryBounds),
 		fwdPending:     make(map[msg.NodeID][]msg.Message),
 	}
 	c.cpu.Model = cfg.CPUModel
@@ -412,8 +412,8 @@ func (c *Cub) FailedDisks() int { return len(c.failedDisks) }
 // health-quarantined — the probed subset of FailedDisks.
 func (c *Cub) QuarantinedDisks() int { return len(c.quarantined) }
 
-// RecoveryTimes returns the restart-to-reintegration duration histogram.
-func (c *Cub) RecoveryTimes() *metrics.Histogram { return c.recovery }
+// RecoveryTimes returns the restart-to-reintegration histogram (seconds).
+func (c *Cub) RecoveryTimes() *obs.Histogram { return c.recovery }
 
 // CPUBusy returns cumulative modelled CPU busy time.
 func (c *Cub) CPUBusy() time.Duration { return c.cpu.Busy() }
@@ -440,43 +440,22 @@ func (c *Cub) NativeDiskKey(idx int) int { return idx*c.nativeCubs + int(c.id) }
 // via (CubOfDisk, disk/cubs) without knowing the cub's native numbering.
 func (c *Cub) DiskByIndex(idx int) *disk.Disk { return c.disks[c.NativeDiskKey(idx)] }
 
-// SetLossLog directs server-side miss reports to a shared loss log.
-func (c *Cub) SetLossLog(l *metrics.LossLog) { c.loss = l }
-
-// SetSink directs the cub's protocol events (trace.Event, one per insert,
-// serve, miss, hedge, quarantine, move commit or nack, park, resume and
-// unservable-count change) to s. Observation only: subscribers must not
-// call back into the cub.
+// SetSink directs the cub's protocol steps to s: one trace.Event per
+// step, at the program point where it happens. Observation only:
+// subscribers must not call back into the cub.
 func (c *Cub) SetSink(s *trace.Sink) { c.sink = s }
 
-// emitService reports an event about the service vs describes. Callers
-// test c.sink.Wants first, so an event nobody subscribed to is not built.
-func (c *Cub) emitService(k trace.Kind, vs *msg.ViewerState) {
-	c.sink.Emit(trace.Event{
-		At: c.clk.Now(), Node: c.id, Kind: k,
-		Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block, Mirror: vs.Mirror,
-		Viewer: vs.Viewer, PlaySeq: vs.PlaySeq, Part: vs.Part, Due: vs.Due,
-	})
-}
-
-// SetChainLog installs a causal-trace chain log. Hops are recorded only
-// for viewer states carrying the trace flag; with a nil log (the
-// default) the recording paths reduce to one pointer test.
-func (c *Cub) SetChainLog(l *trace.ChainLog) { c.ctrace = l }
-
-// ChainLog returns the cub's causal-trace log (nil when tracing is off).
-func (c *Cub) ChainLog() *trace.ChainLog { return c.ctrace }
-
-// traceHop records one causal hop for a traced viewer state. The guard
-// makes the tracing-off path free: no time lookup, no hop construction.
-func (c *Cub) traceHop(vs *msg.ViewerState, kind trace.HopKind, disk int32) {
-	if c.ctrace == nil || vs.Trace == 0 {
+// step reports protocol step k of the service vs describes, on disk d
+// (-1 for none). A kind nobody subscribed to costs the Wants test: no
+// clock read, no event built.
+func (c *Cub) step(k trace.Kind, vs *msg.ViewerState, d int32) {
+	if !c.sink.Wants(k) {
 		return
 	}
-	now := c.clk.Now()
-	c.ctrace.Record(vs.Instance, vs.Block, trace.Hop{
-		At: now, Node: c.id, Kind: kind,
-		Slack: vs.Due - int64(now), Slot: vs.Slot, Disk: disk, Mirror: vs.Mirror,
+	c.sink.Emit(trace.Event{
+		At: c.clk.Now(), Node: c.id, Kind: k, Disk: d, Traced: vs.Trace != 0,
+		Slot: vs.Slot, Instance: vs.Instance, Block: vs.Block, Mirror: vs.Mirror,
+		Viewer: vs.Viewer, PlaySeq: vs.PlaySeq, Part: vs.Part, Due: vs.Due,
 	})
 }
 

@@ -66,7 +66,7 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 	sortEntryKeys(doomed)
 	for _, k := range doomed {
 		if e := c.entries[k]; e != nil {
-			c.traceHop(&e.vs, trace.HopDeschedule, int32(e.disk))
+			c.step(trace.Deschedule, &e.vs, int32(e.disk))
 		}
 		c.dropEntryRelease(k)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
-	"tiger/internal/obs"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -133,10 +132,7 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 	}
 	e := c.newEntry(key, vs, nd)
 	c.fwdPush(key)
-	if o := c.obs; o != nil {
-		o.spans.Observe(obs.StageState, sim.Time(vs.Due), now)
-	}
-	c.traceHop(&vs, trace.HopState, int32(nd))
+	c.step(trace.State, &vs, int32(nd))
 	c.scheduleEntry(e)
 }
 
@@ -189,7 +185,7 @@ func (c *Cub) issueRead(e *entry) {
 		c.hedgeEntry(e)
 		c.flushForwards()
 	}
-	c.traceHop(&e.vs, trace.HopDiskQueue, int32(d))
+	c.step(trace.DiskQueue, &e.vs, int32(d))
 	e.readIssued, e.readZone = c.clk.Now(), ie.zone
 	e.pins++
 	e.readID = c.disks[d].Read(ie.bytes, ie.zone, due, e.onReadDone)
@@ -227,10 +223,7 @@ func (e *entry) readDone(done sim.Time, ok bool) {
 		return
 	}
 	e.ready = true
-	if o := c.obs; o != nil {
-		o.spans.Observe(obs.StageRead, due, done)
-	}
-	c.traceHop(&e.vs, trace.HopDiskRead, int32(d))
+	c.step(trace.DiskRead, &e.vs, int32(d))
 }
 
 // sendTimerFired is the send timer's callback; see readTimerFired.
@@ -295,17 +288,11 @@ func (c *Cub) service(e *entry) {
 	} else {
 		c.stats.BlocksSent++
 	}
-	if o := c.obs; o != nil {
-		o.spans.Observe(obs.StageSend, sim.Time(e.vs.Due), c.clk.Now())
-	}
 	// The buffer frees once the paced send finishes. The entry has left
 	// the view, but its record carries the held byte count until then.
 	e.pins++
 	c.clk.After(pace, e.onSent)
-	c.traceHop(&e.vs, trace.HopSend, int32(e.disk))
-	if c.sink.Wants(trace.Serve) {
-		c.emitService(trace.Serve, &e.vs)
-	}
+	c.step(trace.Serve, &e.vs, int32(e.disk))
 }
 
 // sent fires when an entry's paced send has finished: its buffer goes
@@ -334,19 +321,7 @@ func (c *Cub) BufferedBytes() int64 { return c.bufBytes }
 
 func (c *Cub) recordMiss(vs msg.ViewerState) {
 	c.stats.ServerMisses++
-	if o := c.obs; o != nil {
-		// Record the missed send against the same deadline-slack series
-		// as successful ones, so the distribution shows the whole story:
-		// a late viewer state lands here with negative slack.
-		o.spans.Observe(obs.StageSend, sim.Time(vs.Due), c.clk.Now())
-	}
-	if c.loss != nil {
-		c.loss.RecordServerMiss(c.clk.Now())
-	}
-	c.traceHop(&vs, trace.HopMiss, -1)
-	if c.sink.Wants(trace.Miss) {
-		c.emitService(trace.Miss, &vs)
-	}
+	c.step(trace.Miss, &vs, -1)
 }
 
 // dropEntryRelease removes an entry and releases any completed read's
@@ -492,10 +467,7 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 		c.recordMiss(vs)
 	default:
 		e := c.newEntry(key, vs, npd)
-		if o := c.obs; o != nil {
-			o.spans.Observe(obs.StageState, sim.Time(vs.Due), c.clk.Now())
-		}
-		c.traceHop(&vs, trace.HopState, int32(npd))
+		c.step(trace.State, &vs, int32(npd))
 		c.scheduleEntry(e)
 	}
 	// Pass the mirror state to the next piece's cub, due one mirror pace

@@ -219,10 +219,7 @@ func (c *Cub) hedgeEntry(e *entry) {
 	}
 	e.hedged = true
 	c.stats.HedgesIssued++
-	c.traceHop(&e.vs, trace.HopHedge, int32(e.disk))
-	if c.sink.Wants(trace.Hedge) {
-		c.emitService(trace.Hedge, &e.vs)
-	}
+	c.step(trace.Hedge, &e.vs, int32(e.disk))
 	// The mirror route resolves under the entry's generation, which
 	// numbers the drive differently from the native key e.disk carries.
 	if cfg := c.cfgOf(e.vs.Slot); cfg != nil {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"tiger/internal/msg"
-	"tiger/internal/obs"
 	"tiger/internal/schedule"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
@@ -162,18 +161,8 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 		Trace:    req.sp.Trace,
 	}
 	c.stats.Inserts++
-	if o := c.obs; o != nil {
-		now := c.clk.Now()
-		o.startWait.Observe(now.Sub(req.enqueued).Seconds())
-		o.spans.Observe(obs.StageInsert, due, now)
-	}
-	c.traceHop(&vs, trace.HopInsert, int32(gd))
-	if c.sink.Wants(trace.Insert) {
-		c.sink.Emit(trace.Event{
-			At: c.clk.Now(), Node: c.id, Kind: trace.Insert,
-			Slot: slot, Instance: vs.Instance, Viewer: vs.Viewer, Due: vs.Due,
-		})
-	}
+	c.startWait.Observe(c.clk.Now().Sub(req.enqueued).Seconds())
+	c.step(trace.Insert, &vs, int32(gd))
 
 	if cfg.Layout.CubOfDisk(gd) != c.id || c.failedDisks[c.nativeDisk(cfg.Layout, gd)] {
 		// Proxy insertion for a dead predecessor's disk, or our own dead

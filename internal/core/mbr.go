@@ -98,7 +98,7 @@ type MBRCub struct {
 	pending map[int32]*mbrPending // tentative insertions by sequence
 	nextSeq int32
 	stats   MBRStats
-	ctrace  *trace.ChainLog // nil ⇒ causal tracing off
+	sink    *trace.Sink // nil until SetSink
 
 	// Data, if set, carries each block service onto the network data
 	// path (paced at the stream's bitrate over one block play time), so
@@ -140,30 +140,23 @@ func (m *MBRCub) Stats() MBRStats { return m.stats }
 // Schedule exposes this cub's view of the network schedule.
 func (m *MBRCub) Schedule() *netsched.Schedule { return m.sched }
 
-// SetChainLog attaches a causal chain log; new insertions on this cub
-// are then traced. nil detaches (tracing off, the default).
-func (m *MBRCub) SetChainLog(l *trace.ChainLog) { m.ctrace = l }
+// SetSink directs the cub's protocol steps to s. While a subscriber wants
+// the admit step (a chain log does), new insertions on this cub are
+// stamped traced.
+func (m *MBRCub) SetSink(s *trace.Sink) { m.sink = s }
 
-// ChainLog returns the attached chain log (possibly nil).
-func (m *MBRCub) ChainLog() *trace.ChainLog { return m.ctrace }
-
-// mbrHop records one causal hop for a traced entry. MBR chains are keyed
-// by (instance, block 0): the interesting latency here is the two-phase
-// insertion of §4.2, which all happens before the first block's service.
-// Slack is measured against the entry's next service instant.
-func (m *MBRCub) mbrHop(e *netsched.Entry, kind trace.HopKind) {
-	if m.ctrace == nil || e.Trace == 0 {
+// step reports protocol step k of entry e. MBR steps are keyed (instance,
+// block 0): the interesting latency here is the two-phase insertion of
+// §4.2, which all happens before the first block's service. Due is the
+// entry's next service instant.
+func (m *MBRCub) step(k trace.Kind, e *netsched.Entry) {
+	if !m.sink.Wants(k) {
 		return
 	}
 	now := m.clk.Now()
-	due := m.serviceTime(e.Start, now)
-	m.ctrace.Record(e.Instance, 0, trace.Hop{
-		At:    now,
-		Node:  m.id,
-		Kind:  kind,
-		Slack: int64(due) - int64(now),
-		Slot:  -1,
-		Disk:  -1,
+	m.sink.Emit(trace.Event{
+		At: now, Node: m.id, Kind: k, Instance: e.Instance, Viewer: e.Viewer,
+		Due: int64(m.serviceTime(e.Start, now)), Slot: -1, Disk: -1, Traced: e.Trace != 0,
 	})
 }
 
@@ -203,14 +196,14 @@ func (m *MBRCub) StartPlay(viewer msg.ViewerID, inst msg.InstanceID, bitrate int
 		Bitrate:  bitrate,
 		State:    netsched.Tentative,
 	}
-	if m.ctrace != nil {
+	if m.sink.Wants(trace.Admit) {
 		e.Trace = 1
 	}
 	if err := m.sched.Insert(e); err != nil {
 		m.stats.LocalRejects++
 		return false
 	}
-	m.mbrHop(&e, trace.HopAdmit)
+	m.step(trace.Admit, &e)
 	m.nextSeq++
 	seq := m.nextSeq
 	p := &mbrPending{entry: e, seq: seq, sendAt: m.serviceTime(start, now)}
@@ -303,7 +296,7 @@ func (m *MBRCub) onReserveReq(from msg.NodeID, r *msg.ReserveReq) {
 	}
 	ok := m.sched.Insert(e) == nil
 	if ok {
-		m.mbrHop(&e, trace.HopState) // reservation installed in the successor's view
+		m.step(trace.State, &e) // reservation installed in the successor's view
 	}
 	m.net.Send(m.id, from, &msg.ReserveResp{Instance: r.Instance, Seq: r.Seq, OK: ok})
 }
@@ -328,7 +321,7 @@ func (m *MBRCub) onReserveResp(r *msg.ReserveResp) {
 	if err := m.sched.SetState(p.entry.Instance, netsched.Committed); err == nil {
 		m.stats.Inserts++
 		p.entry.State = netsched.Committed
-		m.mbrHop(&p.entry, trace.HopInsert)
+		m.step(trace.Insert, &p.entry)
 		if m.OnCommit != nil {
 			m.OnCommit(p.entry)
 		}
@@ -362,7 +355,7 @@ func (m *MBRCub) service(inst msg.InstanceID, at sim.Time) {
 		return // descheduled meanwhile
 	}
 	m.stats.Sends++
-	m.mbrHop(&e, trace.HopSend)
+	m.step(trace.Serve, &e)
 	if m.Data != nil {
 		m.Data.SendBlock(m.id, netsim.BlockDelivery{
 			Viewer:   e.Viewer,

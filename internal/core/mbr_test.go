@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"tiger/internal/netsched"
 	"tiger/internal/netsim"
 	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 type mbrRig struct {
@@ -70,6 +72,44 @@ func TestMBRInsertCommits(t *testing.T) {
 	se, ok := r.cubs[1].Schedule().Get(100)
 	if !ok || se.State != netsched.Committed {
 		t.Fatalf("successor entry %+v ok=%v", se, ok)
+	}
+}
+
+// TestMBRStepsFormOneChain pins the multiple-bitrate cub's step reports:
+// with a chain log subscribed to the cubs' sink the insertion is stamped
+// traced, the flag rides the reservation to the successor, and the
+// two-phase insertion reads as one chain — admit, the successor's
+// reservation (state), the commit (insert), then services. With nobody
+// subscribed nothing is stamped.
+func TestMBRStepsFormOneChain(t *testing.T) {
+	r := newMBRRig(t, 3, nil)
+	r.cubs[0].StartPlay(1, 99, 2_000_000)
+	if e, _ := r.cubs[0].Schedule().Get(99); e.Trace != 0 {
+		t.Fatal("insertion stamped traced with no subscriber")
+	}
+	var sink trace.Sink
+	chain := trace.NewChainLog(4, 16)
+	sink.Subscribe(trace.ChainKinds, chain.Record)
+	for _, c := range r.cubs {
+		c.SetSink(&sink)
+	}
+	r.cubs[0].StartPlay(1, 100, 2_000_000)
+	r.eng.RunFor(4 * time.Second)
+	hops := chain.Chain(100, 0)
+	trace.SortHops(hops)
+	var kinds []trace.Kind
+	for _, h := range hops {
+		kinds = append(kinds, h.Kind)
+	}
+	want := []trace.Kind{trace.Admit, trace.State, trace.Insert, trace.Serve}
+	if len(kinds) < len(want) || !reflect.DeepEqual(kinds[:len(want)], want) {
+		t.Fatalf("chain kinds %v, want prefix %v", kinds, want)
+	}
+	if hops[1].Node != 1 || hops[0].Slack() <= 0 {
+		t.Fatalf("reservation on %v, admit slack %d: %v", hops[1].Node, hops[0].Slack(), hops)
+	}
+	if chain.Len() != 1 {
+		t.Fatalf("%d chains, want only the traced insertion's", chain.Len())
 	}
 }
 

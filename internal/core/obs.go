@@ -19,52 +19,25 @@ import (
 // safe anywhere.
 //
 // What is still pushed is what a snapshot cannot reconstruct: the
-// distributions (start wait, recovery, slot wait, takeover time) and the
-// block-lifecycle span recorder. Those stay nil until AttachObs and every
-// recording site is nil-guarded.
+// distributions. A node owns its own (start wait and recovery time on a
+// cub, slot wait and takeover time on the controller) from birth, reads
+// them itself (RecoveryTimes, TakeoverTimes), and AttachObs exports those
+// same instances. The block-lifecycle slack distributions are not the
+// node's business: they are a subscriber of its step sink
+// (obs.SpanRecorder).
 
 // startWaitBounds bucket the queue-to-insertion wait of start requests
 // (seconds). The paper's Figure 10 puts typical slot waits well under a
 // second even at high load; the tail buckets catch saturation.
 var startWaitBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
-// recoveryBounds are RecoveryBounds in seconds.
-func recoveryBounds() []float64 {
-	b := make([]float64, len(RecoveryBounds))
-	for i, d := range RecoveryBounds {
-		b[i] = d.Seconds()
-	}
-	return b
-}
-
-// cubObs bundles the instruments a cub pushes into.
-type cubObs struct {
-	startWait *obs.Histogram
-	recovery  *obs.Histogram
-	spans     *obs.SpanRecorder
-}
-
-// AttachObs registers this cub's histograms and span recorder (labelled
-// cub="N") and begins recording into them. Call it before Start, or from
-// the node's executor. The cub's counters and gauges need no attachment:
+// AttachObs exports this cub's histograms (labelled cub="N"); safe from
+// any goroutine. The cub's counters and gauges need no attachment:
 // whoever hosts the cub registers a collector over Snapshot.
 func (c *Cub) AttachObs(reg *obs.Registry) {
 	ls := obs.Labels{"cub": strconv.Itoa(int(c.id))}
-	c.obs = &cubObs{
-		startWait: reg.Histogram("tiger_cub_start_wait_seconds", "Queue-to-insertion wait of start requests.", ls, startWaitBounds),
-		recovery:  reg.Histogram("tiger_cub_recovery_seconds", "Restart-to-reintegration time.", ls, recoveryBounds()),
-		spans:     obs.NewSpanRecorder(reg, ls),
-	}
-}
-
-// Spans exposes the cub's block-lifecycle span recorder (nil when no
-// registry is attached); harnesses use it to record the client-side
-// receipt stage against the same deadline series.
-func (c *Cub) Spans() *obs.SpanRecorder {
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.spans
+	reg.AddHistogram("tiger_cub_start_wait_seconds", "Queue-to-insertion wait of start requests.", ls, c.startWait)
+	reg.AddHistogram("tiger_cub_recovery_seconds", "Restart-to-reintegration time.", ls, c.recovery)
 }
 
 // CubSnapshot is a copy of everything one cub exports as counters and
@@ -130,19 +103,11 @@ func (s CubSnapshot) Collect(emit obs.Emit) {
 	}
 }
 
-// ctlObs bundles the instruments the controller pushes into.
-type ctlObs struct {
-	slotWait     *obs.Histogram
-	takeoverTime *obs.Histogram
-}
-
-// AttachObs registers the controller's histograms with the registry; its
-// counters and gauges are collected from Snapshot like a cub's.
+// AttachObs exports the controller's histograms; its counters and gauges
+// are collected from Snapshot like a cub's.
 func (c *Controller) AttachObs(reg *obs.Registry) {
-	c.obs = &ctlObs{
-		slotWait:     reg.Histogram("tiger_ctrl_slot_wait_seconds", "Request-to-insertion latency seen by the controller.", nil, startWaitBounds),
-		takeoverTime: reg.Histogram("tiger_ctrl_takeover_seconds", "Restart-to-rebuilt duration of controller takeovers.", nil, recoveryBounds()),
-	}
+	reg.AddHistogram("tiger_ctrl_slot_wait_seconds", "Request-to-insertion latency seen by the controller.", nil, c.slotWait)
+	reg.AddHistogram("tiger_ctrl_takeover_seconds", "Restart-to-rebuilt duration of controller takeovers.", nil, c.takeover)
 }
 
 // ControllerSnapshot is a copy of everything the controller exports as

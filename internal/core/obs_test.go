@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"tiger/internal/disk"
-	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/obs"
-	"tiger/internal/trace"
 )
 
 // unexported names the stats fields that deliberately have no series,
@@ -92,42 +90,5 @@ func TestSnapshotCollect(t *testing.T) {
 		if v, ok := got[key]; !ok || v != float64(dk.Stats().Reads) {
 			t.Errorf("%s = %v (present %v), drive says %d", key, v, ok, dk.Stats().Reads)
 		}
-	}
-}
-
-// TestEmitWithSubscriberAllocs pins the sink's cost claim from both
-// sides: an event nobody subscribed to is one test (no clock read — clk
-// is nil here, so reading it would panic), and an event somebody did
-// subscribe to travels by value, with no allocation.
-func TestEmitWithSubscriberAllocs(t *testing.T) {
-	vs := msg.ViewerState{Instance: 1, Block: 2, Slot: 3, PlaySeq: 4}
-	bare := &Cub{}
-	inserts := &Cub{sink: &trace.Sink{}}
-	inserts.sink.Subscribe(trace.KindSet(trace.Insert), func(trace.Event) {})
-	for _, c := range []*Cub{bare, inserts} {
-		if a := testing.AllocsPerRun(1000, func() {
-			if c.sink.Wants(trace.Serve) {
-				c.emitService(trace.Serve, &vs)
-			}
-		}); a != 0 {
-			t.Fatalf("unwanted serve event allocates %.1f/op, want 0", a)
-		}
-	}
-
-	r := newRig(t, defaultRigOptions())
-	ring := trace.NewRing(64)
-	var seen trace.Event
-	r.subscribe(trace.AllKinds, ring.Add)
-	r.cubs[0].sink.Subscribe(trace.KindSet(trace.Serve), func(e trace.Event) { seen = e })
-	c := r.cubs[0]
-	if a := testing.AllocsPerRun(1000, func() {
-		if c.sink.Wants(trace.Serve) {
-			c.emitService(trace.Serve, &vs)
-		}
-	}); a != 0 {
-		t.Fatalf("serve event with two subscribers allocates %.1f/op, want 0", a)
-	}
-	if seen.PlaySeq != 4 || seen.Slot != 3 || seen.Kind != trace.Serve || ring.Total() == 0 {
-		t.Fatalf("subscribers saw %+v, ring total %d", seen, ring.Total())
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"tiger/internal/msg"
 	"tiger/internal/sim"
 )
@@ -39,14 +37,7 @@ import (
 // RecoveryBounds are the histogram buckets for restart-to-reintegration
 // times. Real recoveries complete within a couple of round trips; the
 // tail buckets exist to make pathological cases visible.
-var RecoveryBounds = []time.Duration{
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	500 * time.Millisecond,
-	time.Second,
-	5 * time.Second,
-	30 * time.Second,
-}
+var RecoveryBounds = []float64{0.01, 0.1, 0.5, 1, 5, 30}
 
 // Restart performs a cold restart in place: it wipes all volatile state
 // (the view, queues, liveness beliefs), bumps the liveness epoch, and
@@ -119,11 +110,7 @@ func (c *Cub) Restart() {
 func (c *Cub) finishRejoin() {
 	c.rejoinActive = false
 	c.rejoinPending = nil
-	d := c.clk.Now().Sub(c.rejoinStart)
-	c.recovery.Observe(d)
-	if o := c.obs; o != nil {
-		o.recovery.Observe(d.Seconds())
-	}
+	c.recovery.Observe(c.clk.Now().Sub(c.rejoinStart).Seconds())
 }
 
 // onRejoinRequest answers a restarted neighbour with every primary

@@ -64,8 +64,8 @@ func TestRestartReintegration(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("%d recovery samples, want 1", h.Count())
 	}
-	if h.Max() >= r.cfg.DeadmanTimeout {
-		t.Errorf("recovery took %v, fallback timer must not be the closer", h.Max())
+	if h.Max() >= r.cfg.DeadmanTimeout.Seconds() {
+		t.Errorf("recovery took %v s, fallback timer must not be the closer", h.Max())
 	}
 }
 

@@ -24,7 +24,6 @@ type rig struct {
 	cfg  *Config
 	ctl  *Controller
 	cubs []*Cub
-	loss *metrics.LossLog
 
 	// deliveries[viewer][playseq] = pieces received
 	deliveries map[msg.ViewerID]map[int32]int
@@ -93,7 +92,6 @@ func newRig(t *testing.T, o rigOptions) *rig {
 	net := netsim.New(netsim.DefaultParams(), clk, eng.Rand())
 	r := &rig{
 		t: t, eng: eng, net: net, cfg: cfg,
-		loss:       &metrics.LossLog{},
 		deliveries: make(map[msg.ViewerID]map[int32]int),
 		lastInst:   make(map[msg.ViewerID]msg.InstanceID),
 	}
@@ -101,7 +99,6 @@ func newRig(t *testing.T, o rigOptions) *rig {
 	net.Register(msg.Controller, r.ctl)
 	for i := 0; i < o.cubs; i++ {
 		cub := NewCub(msg.NodeID(i), cfg, clk, net, net, eng.Rand())
-		cub.SetLossLog(r.loss)
 		net.Register(msg.NodeID(i), cub)
 		r.cubs = append(r.cubs, cub)
 	}

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 )
 
@@ -285,11 +285,7 @@ func (c *Controller) finishScavenge() {
 	}
 	c.scavParked = nil
 
-	d := c.clk.Now().Sub(c.scavStart)
-	c.takeover.Observe(d)
-	if o := c.obs; o != nil {
-		o.takeoverTime.Observe(d.Seconds())
-	}
+	c.takeover.Observe(c.clk.Now().Sub(c.scavStart).Seconds())
 	if c.OnScavenged != nil {
 		c.OnScavenged()
 	}
@@ -303,8 +299,9 @@ func (c *Controller) finishScavenge() {
 	c.ensureGovTick()
 }
 
-// TakeoverTimes returns the histogram of restart-to-rebuilt durations.
-func (c *Controller) TakeoverTimes() *metrics.Histogram { return c.takeover }
+// TakeoverTimes returns the histogram of restart-to-rebuilt durations
+// (seconds).
+func (c *Controller) TakeoverTimes() *obs.Histogram { return c.takeover }
 
 // ResumeRestripe re-drives an elastic plan after a takeover. The wiped
 // coordinator re-issues every move as pending; sources dedup orders

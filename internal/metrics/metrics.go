@@ -1,7 +1,7 @@
 // Package metrics provides the measurement machinery for Tiger
 // experiments: a calibrated CPU-cost model (the simulator has no real
 // CPUs, but Figures 8-9 plot CPU load), cumulative counters designed to
-// be diffed over sampling windows, and small histogram/summary types for
+// be diffed over sampling windows, and an order-statistics summary for
 // startup-latency distributions (Figure 10).
 package metrics
 
@@ -162,77 +162,6 @@ func (s *Summary) CountAbove(v float64) int {
 func (s *Summary) Values() []float64 {
 	out := make([]float64, len(s.vals))
 	copy(out, s.vals)
-	return out
-}
-
-// HistogramBucket is one bucket of a Histogram snapshot. Upper is the
-// bucket's inclusive upper bound; the final bucket has Upper == 0 and
-// counts everything above the last bound.
-type HistogramBucket struct {
-	Upper time.Duration
-	Count int64
-}
-
-// Histogram is a fixed-bound duration histogram for recovery-style
-// timings, where the shape (how many restarts reintegrated within 1 s,
-// within 5 s, ...) matters more than exact order statistics.
-type Histogram struct {
-	bounds []time.Duration
-	counts []int64
-	n      int64
-	sum    time.Duration
-	max    time.Duration
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-// An implicit overflow bucket captures samples above the last bound.
-func NewHistogram(bounds ...time.Duration) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("metrics: histogram bounds must ascend")
-		}
-	}
-	return &Histogram{
-		bounds: append([]time.Duration(nil), bounds...),
-		counts: make([]int64, len(bounds)+1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
-	h.counts[i]++
-	h.n++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Mean returns the mean sample (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.n)
-}
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Buckets returns a snapshot of the bucket counts.
-func (h *Histogram) Buckets() []HistogramBucket {
-	out := make([]HistogramBucket, len(h.counts))
-	for i, c := range h.counts {
-		b := HistogramBucket{Count: c}
-		if i < len(h.bounds) {
-			b.Upper = h.bounds[i]
-		}
-		out[i] = b
-	}
 	return out
 }
 

@@ -150,56 +150,6 @@ func TestLossLog(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10*time.Millisecond, 100*time.Millisecond, time.Second)
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-	h.Observe(5 * time.Millisecond)   // bucket 0
-	h.Observe(10 * time.Millisecond)  // bucket 0 (bounds are inclusive)
-	h.Observe(50 * time.Millisecond)  // bucket 1
-	h.Observe(500 * time.Millisecond) // bucket 2
-	h.Observe(3 * time.Second)        // overflow bucket
-	if h.Count() != 5 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if h.Max() != 3*time.Second {
-		t.Fatalf("max %v", h.Max())
-	}
-	want := (5*time.Millisecond + 10*time.Millisecond + 50*time.Millisecond +
-		500*time.Millisecond + 3*time.Second) / 5
-	if h.Mean() != want {
-		t.Fatalf("mean %v, want %v", h.Mean(), want)
-	}
-	b := h.Buckets()
-	if len(b) != 4 {
-		t.Fatalf("%d buckets, want 4 (3 bounds + overflow)", len(b))
-	}
-	counts := []int64{2, 1, 1, 1}
-	for i, bk := range b {
-		if bk.Count != counts[i] {
-			t.Fatalf("bucket %d count %d, want %d", i, bk.Count, counts[i])
-		}
-	}
-	if b[3].Upper != 0 {
-		t.Fatalf("overflow bucket carries a bound: %v", b[3].Upper)
-	}
-	// Snapshots are copies.
-	b[0].Count = 99
-	if h.Buckets()[0].Count != 2 {
-		t.Fatal("Buckets exposed internal state")
-	}
-}
-
-func TestHistogramBadBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-ascending bounds accepted")
-		}
-	}()
-	NewHistogram(time.Second, time.Second)
-}
-
 func TestQuantileDoesNotReorderValues(t *testing.T) {
 	// Regression: Quantile used to sort the sample slice in place, so
 	// Values() (or anything diffing the raw samples) interleaved with
@@ -225,23 +175,6 @@ func TestQuantileDoesNotReorderValues(t *testing.T) {
 	}
 	if got := s.Values(); got[len(got)-1] != 0 {
 		t.Fatalf("insertion order lost: %v", got)
-	}
-}
-
-func TestHistogramOverflowBoundary(t *testing.T) {
-	h := NewHistogram(time.Second)
-	h.Observe(time.Second)                   // inclusive upper bound: in-range
-	h.Observe(time.Second + time.Nanosecond) // one past the bound: overflow
-	h.Observe(time.Hour)                     // deep overflow
-	b := h.Buckets()
-	if b[0].Count != 1 {
-		t.Fatalf("bound bucket %d, want 1 (upper bounds are inclusive)", b[0].Count)
-	}
-	if b[1].Count != 2 {
-		t.Fatalf("overflow bucket %d, want 2", b[1].Count)
-	}
-	if h.Max() != time.Hour {
-		t.Fatalf("max %v", h.Max())
 	}
 }
 

@@ -297,6 +297,20 @@ func getU64(b []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(b), b[8:], nil
 }
 
+// getCount reads a peer-claimed element count and refuses it unless the
+// bytes that follow can hold that many elements of at least elemSize
+// bytes each — before the caller allocates anything for them.
+func getCount(b []byte, elemSize int) (int, []byte, error) {
+	n, b, err := getU32(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > 1<<20 || int(n) > len(b)/elemSize {
+		return 0, nil, fmt.Errorf("msg: count %d exceeds the %d bytes that follow", n, len(b))
+	}
+	return int(n), b, nil
+}
+
 func (v *ViewerState) encode(b []byte) []byte {
 	b = putU64(b, uint64(v.Viewer))
 	b = putU64(b, uint64(v.Instance))
@@ -545,13 +559,9 @@ func (bt *Batch) encode(b []byte) []byte {
 }
 
 func (bt *Batch) decode(b []byte) ([]byte, error) {
-	u32, b, err := getU32(b)
+	n, b, err := getCount(b, 1) // a message is at least its type tag
 	if err != nil {
 		return nil, err
-	}
-	n := int(u32)
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("msg: unreasonable batch length %d", n)
 	}
 	bt.Msgs = make([]Message, 0, n)
 	for i := 0; i < n; i++ {

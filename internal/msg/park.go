@@ -1,7 +1,5 @@
 package msg
 
-import "fmt"
-
 // The degradation-governor protocol. When correlated failures exhaust
 // mirror coverage (a second death inside a dead cub's decluster span),
 // the controller's governor parks the fewest streams whose trajectories
@@ -39,21 +37,17 @@ func (m *CubDown) encode(b []byte) []byte {
 }
 
 func (m *CubDown) decode(b []byte) ([]byte, error) {
-	if len(b) < 4+4 {
-		return nil, errShort
+	u32, b, err := getU32(b)
+	if err != nil {
+		return nil, err
 	}
-	u32, b, _ := getU32(b)
 	m.Fence = int32(u32)
-	u32, b, _ = getU32(b)
-	n := int(u32)
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("msg: unreasonable down-cub count %d", n)
+	n, b, err := getCount(b, 4)
+	if err != nil {
+		return nil, err
 	}
 	m.Down = make([]NodeID, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return nil, errShort
-		}
+	for i := range m.Down {
 		u32, b, _ = getU32(b)
 		m.Down[i] = NodeID(int32(u32))
 	}

@@ -1,7 +1,5 @@
 package msg
 
-import "fmt"
-
 // The rejoin handshake is the anti-entropy view transfer a cold-restarted
 // cub runs against its ring neighbours. The paper's deadman protocol
 // (§2.3) only covers detecting a death and shifting the mirror load; the
@@ -123,13 +121,9 @@ func encodeStates(b []byte, states []ViewerState) []byte {
 }
 
 func decodeStates(b []byte) ([]ViewerState, []byte, error) {
-	u32, b, err := getU32(b)
+	n, b, err := getCount(b, viewerStateSize)
 	if err != nil {
 		return nil, nil, err
-	}
-	n := int(u32)
-	if n < 0 || n > 1<<20 {
-		return nil, nil, fmt.Errorf("msg: unreasonable state count %d", n)
 	}
 	states := make([]ViewerState, n)
 	for i := 0; i < n; i++ {

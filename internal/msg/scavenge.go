@@ -104,18 +104,12 @@ func (r *ScavengeReply) decode(b []byte) ([]byte, error) {
 	if r.States, b, err = decodeStates(b); err != nil {
 		return nil, err
 	}
-	if u32, b, err = getU32(b); err != nil {
+	n, b, err := getCount(b, scavengedParkSize)
+	if err != nil {
 		return nil, err
-	}
-	n := int(u32)
-	if n < 0 || n > 1<<20 {
-		return nil, errShort
 	}
 	r.Parked = make([]ScavengedPark, n)
 	for i := range r.Parked {
-		if len(b) < scavengedParkSize {
-			return nil, errShort
-		}
 		p := &r.Parked[i]
 		var u64 uint64
 		u64, b, _ = getU64(b)

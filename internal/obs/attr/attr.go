@@ -25,27 +25,27 @@ import (
 
 // Component names one slack-consuming stage, keyed by the hop that
 // closes it.
-func Component(k trace.HopKind) string {
+func Component(k trace.Kind) string {
 	switch k {
-	case trace.HopAdmit:
+	case trace.Admit:
 		return "admit"
-	case trace.HopInsert:
+	case trace.Insert:
 		return "insert-wait"
-	case trace.HopState:
+	case trace.State:
 		return "gossip"
-	case trace.HopDeschedule:
+	case trace.Deschedule:
 		return "desched"
-	case trace.HopDiskQueue:
+	case trace.DiskQueue:
 		return "disk-queue"
-	case trace.HopDiskRead:
+	case trace.DiskRead:
 		return "disk-read"
-	case trace.HopHedge:
+	case trace.Hedge:
 		return "hedge"
-	case trace.HopSend:
+	case trace.Serve:
 		return "send-wait"
-	case trace.HopMiss:
+	case trace.Miss:
 		return "miss"
-	case trace.HopReceipt:
+	case trace.Receipt:
 		return "network"
 	}
 	return "other"
@@ -113,8 +113,8 @@ type rowKey struct {
 }
 
 // diskTied reports whether a component is broken out per disk.
-func diskTied(k trace.HopKind) bool {
-	return k == trace.HopDiskQueue || k == trace.HopDiskRead || k == trace.HopHedge
+func diskTied(k trace.Kind) bool {
+	return k == trace.DiskQueue || k == trace.DiskRead || k == trace.Hedge
 }
 
 // Build folds chains (each already time-ordered, e.g. via
@@ -123,7 +123,7 @@ func Build(chains [][]trace.Hop) *Table {
 	t := &Table{}
 	comps := make(map[string]*Row)
 	disks := make(map[rowKey]*Row)
-	charge := func(k trace.HopKind, disk int32, ns int64) {
+	charge := func(k trace.Kind, disk int32, ns int64) {
 		comp := Component(k)
 		r := comps[comp]
 		if r == nil {
@@ -151,19 +151,19 @@ func Build(chains [][]trace.Hop) *Table {
 		for i := 1; i < len(ch); i++ {
 			prev, cur := ch[i-1], ch[i]
 			switch cur.Kind {
-			case trace.HopMiss:
+			case trace.Miss:
 				t.Misses++
-			case trace.HopDeschedule:
+			case trace.Deschedule:
 				t.Descheds++
-			case trace.HopReceipt:
+			case trace.Receipt:
 				t.Receipts++
 			}
 			var consumed int64
 			switch {
-			case prev.Kind == trace.HopAdmit, cur.Kind == trace.HopReceipt:
+			case prev.Kind == trace.Admit, cur.Kind == trace.Receipt:
 				consumed = int64(cur.At) - int64(prev.At)
 			default:
-				consumed = prev.Slack - cur.Slack
+				consumed = prev.Slack() - cur.Slack()
 			}
 			if consumed < 0 {
 				// Slack rose between hops: the chain interleaves branches

@@ -12,11 +12,11 @@ func TestBuildChargesSlackDeltas(t *testing.T) {
 	// disk-read(30ms, disk 3) → send(10ms): gossip 10, queue 10, read
 	// 50, send 20 (ms).
 	ch := []trace.Hop{
-		{At: 0, Kind: trace.HopInsert, Slack: 100e6},
-		{At: 10e6, Kind: trace.HopState, Slack: 90e6},
-		{At: 20e6, Kind: trace.HopDiskQueue, Slack: 80e6, Disk: 3},
-		{At: 70e6, Kind: trace.HopDiskRead, Slack: 30e6, Disk: 3},
-		{At: 90e6, Kind: trace.HopSend, Slack: 10e6, Disk: 3},
+		{At: 0, Kind: trace.Insert, Due: 100e6},
+		{At: 10e6, Kind: trace.State, Due: 10e6 + 90e6},
+		{At: 20e6, Kind: trace.DiskQueue, Due: 20e6 + 80e6, Disk: 3},
+		{At: 70e6, Kind: trace.DiskRead, Due: 70e6 + 30e6, Disk: 3},
+		{At: 90e6, Kind: trace.Serve, Due: 90e6 + 10e6, Disk: 3},
 	}
 	tab := Build([][]trace.Hop{ch})
 	if tab.Chains != 1 || tab.Hops != 5 {
@@ -57,10 +57,10 @@ func TestBuildAdmitAndReceiptUseElapsed(t *testing.T) {
 	// Admit has no deadline (slack 0) and receipt slack uses the viewer
 	// basis, so both pairs must be charged by elapsed time.
 	ch := []trace.Hop{
-		{At: 0, Kind: trace.HopAdmit, Slack: 0},
-		{At: 40e6, Kind: trace.HopInsert, Slack: 100e6},
-		{At: 50e6, Kind: trace.HopSend, Slack: 90e6},
-		{At: 58e6, Kind: trace.HopReceipt, Slack: 500e6},
+		{At: 0, Kind: trace.Admit, Due: 0},
+		{At: 40e6, Kind: trace.Insert, Due: 40e6 + 100e6},
+		{At: 50e6, Kind: trace.Serve, Due: 50e6 + 90e6},
+		{At: 58e6, Kind: trace.Receipt, Due: 58e6 + 500e6},
 	}
 	tab := Build([][]trace.Hop{ch})
 	got := map[string]int64{}
@@ -80,8 +80,8 @@ func TestBuildAdmitAndReceiptUseElapsed(t *testing.T) {
 
 func TestBuildSkipsNegativeDeltas(t *testing.T) {
 	ch := []trace.Hop{
-		{At: 0, Kind: trace.HopInsert, Slack: 50e6},
-		{At: 5e6, Kind: trace.HopState, Slack: 80e6}, // mirror branch, laxer basis
+		{At: 0, Kind: trace.Insert, Due: 50e6},
+		{At: 5e6, Kind: trace.State, Due: 5e6 + 80e6}, // mirror branch, laxer basis
 	}
 	tab := Build([][]trace.Hop{ch})
 	if tab.Reordered != 1 {
@@ -94,12 +94,12 @@ func TestBuildSkipsNegativeDeltas(t *testing.T) {
 
 func TestBuildCountsMissesAndDescheds(t *testing.T) {
 	miss := []trace.Hop{
-		{At: 0, Kind: trace.HopInsert, Slack: 10e6},
-		{At: 15e6, Kind: trace.HopMiss, Slack: -5e6},
+		{At: 0, Kind: trace.Insert, Due: 10e6},
+		{At: 15e6, Kind: trace.Miss, Due: 15e6 - 5e6},
 	}
 	desch := []trace.Hop{
-		{At: 0, Kind: trace.HopInsert, Slack: 10e6},
-		{At: 2e6, Kind: trace.HopDeschedule, Slack: 8e6},
+		{At: 0, Kind: trace.Insert, Due: 10e6},
+		{At: 2e6, Kind: trace.Deschedule, Due: 2e6 + 8e6},
 	}
 	tab := Build([][]trace.Hop{miss, desch})
 	if tab.Misses != 1 || tab.Descheds != 1 {
@@ -122,8 +122,8 @@ func TestBucketSaturation(t *testing.T) {
 
 func TestRenderShape(t *testing.T) {
 	ch := []trace.Hop{
-		{At: 0, Kind: trace.HopInsert, Slack: 100e6},
-		{At: 20e6, Kind: trace.HopDiskRead, Slack: 40e6, Disk: 1},
+		{At: 0, Kind: trace.Insert, Due: 100e6},
+		{At: 20e6, Kind: trace.DiskRead, Due: 20e6 + 40e6, Disk: 1},
 	}
 	var sb strings.Builder
 	Build([][]trace.Hop{ch}).Render(&sb)
@@ -136,10 +136,10 @@ func TestRenderShape(t *testing.T) {
 }
 
 func TestComponentNamesTotal(t *testing.T) {
-	kinds := []trace.HopKind{
-		trace.HopAdmit, trace.HopInsert, trace.HopState, trace.HopDeschedule,
-		trace.HopDiskQueue, trace.HopDiskRead, trace.HopHedge, trace.HopSend,
-		trace.HopMiss, trace.HopReceipt,
+	kinds := []trace.Kind{
+		trace.Admit, trace.Insert, trace.State, trace.Deschedule,
+		trace.DiskQueue, trace.DiskRead, trace.Hedge, trace.Serve,
+		trace.Miss, trace.Receipt,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

@@ -3,13 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
 
 // testStats stands in for a component's stats struct.
@@ -174,20 +175,88 @@ func TestSnapshotJSONL(t *testing.T) {
 func TestSpanRecorder(t *testing.T) {
 	r := NewRegistry()
 	s := NewSpanRecorder(r, Labels{"cub": "2"})
-	due := sim.Time(2 * time.Second)
-	s.Observe(StageRead, due, sim.Time(1*time.Second)) // +1 s slack
-	s.Observe(StageSend, due, sim.Time(3*time.Second)) // -1 s: missed
-	if got := s.Hist(StageRead).Count(); got != 1 {
+	s.Observe(step(trace.DiskRead, 2*time.Second, 1*time.Second)) // +1 s slack
+	s.Observe(step(trace.Miss, 2*time.Second, 3*time.Second))     // -1 s: missed
+	if got := s.Hist(trace.DiskRead).Count(); got != 1 {
 		t.Fatalf("read count = %d, want 1", got)
 	}
-	if got := s.Hist(StageRead).Sum(); got != 1 {
+	if got := s.Hist(trace.DiskRead).Sum(); got != 1 {
 		t.Fatalf("read slack sum = %v, want 1", got)
 	}
-	if got := s.Hist(StageSend).Sum(); got != -1 {
+	// A missed send lands in the same distribution as a made one.
+	if got := s.Hist(trace.Serve).Sum(); got != -1 || s.Hist(trace.Miss) != s.Hist(trace.Serve) {
 		t.Fatalf("send slack sum = %v, want -1", got)
 	}
-	var nilRec *SpanRecorder
-	nilRec.Observe(StageInsert, 0, 0) // must not panic
+	// SpanKinds is exactly the kinds that have a stage.
+	for k := trace.Kind(0); k < trace.NumKinds; k++ {
+		if wants, has := SpanKinds&trace.KindSet(k) != 0, s.Hist(k) != nil; wants != has {
+			t.Errorf("kind %v: in SpanKinds %v, has a histogram %v", k, wants, has)
+		}
+	}
+}
+
+// TestHistogramMeanMax covers what the experiments read off a histogram
+// its owner built without a registry, and that a registry exports that
+// same instance.
+func TestHistogramMeanMax(t *testing.T) {
+	h := NewHistogram([]float64{0.01, 0.1, 1})
+	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
+		t.Fatal("empty histogram not zero")
+	}
+	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 3} { // 0.01: bounds are inclusive
+		h.Observe(v)
+	}
+	if h.Count() != 5 || h.Max() != 3 {
+		t.Fatalf("count %d max %v", h.Count(), h.Max())
+	}
+	if want := (0.005 + 0.01 + 0.05 + 0.5 + 3) / 5; h.Mean() != want {
+		t.Fatalf("mean %v, want %v", h.Mean(), want)
+	}
+	counts, _, _ := h.snapshot()
+	for i, want := range []uint64{2, 1, 1, 1} {
+		if counts[i] != want {
+			t.Fatalf("bucket %d count %d, want %d", i, counts[i], want)
+		}
+	}
+	r := NewRegistry()
+	r.AddHistogram("tiger_test_seconds", "", nil, h)
+	for _, p := range r.Snapshot() {
+		if p.Name == "tiger_test_seconds" && p.Count != 5 {
+			t.Fatalf("registry exports %+v, not the owner's histogram", p)
+		}
+	}
+	neg := NewHistogram(nil)
+	neg.Observe(-2)
+	neg.Observe(-3)
+	if neg.Max() != -2 {
+		t.Fatalf("max of negatives %v, want -2", neg.Max())
+	}
+}
+
+func TestHistogramBadBoundsPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("non-ascending bounds accepted")
+		}
+	}()
+	NewHistogram([]float64{1, 1})
+}
+
+func TestHistogramOverflowBoundary(t *testing.T) {
+	h := NewHistogram([]float64{1})
+	h.Observe(1)                    // inclusive upper bound: in-range
+	h.Observe(math.Nextafter(1, 2)) // one past the bound: overflow
+	h.Observe(3600)                 // deep overflow
+	counts, _, _ := h.snapshot()
+	if counts[0] != 1 {
+		t.Fatalf("bound bucket %d, want 1 (upper bounds are inclusive)", counts[0])
+	}
+	if counts[1] != 2 {
+		t.Fatalf("overflow bucket %d, want 2", counts[1])
+	}
+	if h.Max() != 3600 {
+		t.Fatalf("max %v", h.Max())
+	}
 }
 
 // TestConcurrentObserveEncode exercises the registry the way the rt
@@ -209,7 +278,7 @@ func TestConcurrentObserveEncode(t *testing.T) {
 			for j := 0; j < iters; j++ {
 				n.Add(1)
 				h.Observe(float64(j % 13))
-				s.Observe(Stage(j%int(numStages)), sim.Time(j), 0)
+				s.Observe(step(trace.Serve, time.Duration(j), 0))
 			}
 		}()
 	}

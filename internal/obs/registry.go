@@ -45,13 +45,31 @@ const (
 // Histogram is a fixed-bound histogram in the Prometheus style:
 // observations land in the first bucket whose upper bound is >= v, the
 // encoder emits cumulative bucket counts with `le` labels plus _sum and
-// _count series. A short mutex serializes Observe against Encode.
+// _count series. A short mutex serializes Observe against Encode. It is
+// the one histogram type: a component that reads its own distribution
+// (a cub's recovery times) owns one from NewHistogram and a registry, if
+// there is one, exports that same instance (Registry.AddHistogram).
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64
 	counts []uint64 // len(bounds)+1; the last is the +Inf overflow bucket
 	sum    float64
+	max    float64
 	n      uint64
+}
+
+// NewHistogram builds a histogram with the given ascending upper bounds;
+// an implicit overflow bucket takes samples above the last.
+func NewHistogram(bounds []float64) *Histogram {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic("obs: histogram bounds must ascend")
+		}
+	}
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]uint64, len(bounds)+1),
+	}
 }
 
 // Observe records one sample.
@@ -60,8 +78,28 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
 	h.sum += v
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
 	h.n++
 	h.mu.Unlock()
+}
+
+// Max returns the largest sample observed (0 when empty).
+func (h *Histogram) Max() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.max
+}
+
+// Mean returns the mean sample (0 when empty).
+func (h *Histogram) Mean() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.n == 0 {
+		return 0
+	}
+	return h.sum / float64(h.n)
 }
 
 // Count returns the number of observations.
@@ -200,18 +238,14 @@ func (r *Registry) AddCollector(c func(Emit)) {
 // ascending upper bounds, creating it on first use. Bounds are only
 // consulted at creation; later calls reuse the existing buckets.
 func (r *Registry) Histogram(name, help string, ls Labels, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds must ascend", name))
-		}
-	}
-	s := r.get(name, help, kindHistogram, ls, func() *series {
-		return &series{hist: &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]uint64, len(bounds)+1),
-		}}
-	})
-	return s.hist
+	return r.get(name, help, kindHistogram, ls, func() *series {
+		return &series{hist: NewHistogram(bounds)}
+	}).hist
+}
+
+// AddHistogram exports a histogram its owner built with NewHistogram.
+func (r *Registry) AddHistogram(name, help string, ls Labels, h *Histogram) {
+	r.get(name, help, kindHistogram, ls, func() *series { return &series{hist: h} })
 }
 
 // gathered is one family at encode time, its series evaluated and in

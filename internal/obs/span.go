@@ -1,50 +1,29 @@
 package obs
 
 import (
-	"tiger/internal/sim"
+	"time"
+
+	"tiger/internal/trace"
 )
 
-// Stage identifies one point in the lifecycle of a scheduled block:
-// from the viewer's start request, through slot insertion under
-// ownership, the gossiped viewer state arriving at the serving cub, the
-// disk read completing, the network send beginning, to the last byte
-// reaching the client.
-type Stage int
-
-const (
-	// StageInsert is the slot insertion under ownership (§4.1.3); its
-	// deadline is the inserted service's due time.
-	StageInsert Stage = iota
-	// StageState is a viewer state installed into a cub's view; the
-	// protocol guarantees MinVStateLead of slack here (§4.1.1).
-	StageState
-	// StageRead is the disk read completing; slack below zero here is a
-	// guaranteed server-side miss.
-	StageRead
-	// StageSend is the block being handed to the network at its due time.
-	StageSend
-	// StageReceipt is the block's last byte arriving at the client,
-	// measured against the viewer's play deadline.
-	StageReceipt
-
-	numStages
-)
-
-func (s Stage) String() string {
-	switch s {
-	case StageInsert:
-		return "insert"
-	case StageState:
-		return "state"
-	case StageRead:
-		return "read"
-	case StageSend:
-		return "send"
-	case StageReceipt:
-		return "receipt"
-	}
-	return "unknown"
+// spanStage names, as `stage` label values, the points in a scheduled
+// block's lifecycle whose deadline slack is kept as a distribution: slot
+// insertion under ownership, the gossiped viewer state arriving at the
+// serving cub, the disk read completing, the send coming due (made or
+// missed — a late viewer state lands here with negative slack, so the
+// distribution shows the whole story), and the last byte reaching the
+// client.
+var spanStage = [trace.NumKinds]string{
+	trace.Insert:   "insert",
+	trace.State:    "state",
+	trace.DiskRead: "read",
+	trace.Serve:    "send",
+	trace.Miss:     "send",
+	trace.Receipt:  "receipt",
 }
+
+// SpanKinds are the steps a SpanRecorder subscribes to.
+var SpanKinds = trace.KindSet(trace.Insert, trace.State, trace.DiskRead, trace.Serve, trace.Miss, trace.Receipt)
 
 // DefaultSlackBounds bracket the deadline-slack distribution: negative
 // buckets are missed deadlines, positive ones are margin. The range
@@ -55,56 +34,42 @@ var DefaultSlackBounds = []float64{
 	0.05, 0.25, 1, 2.5, 5, 10, 30,
 }
 
-// SpanRecorder folds block-lifecycle events into per-stage
+// SpanRecorder folds one node's block-lifecycle steps into per-stage
 // deadline-slack histograms: each observation is (due - now) in
 // seconds, so the distribution directly answers "how much margin did
 // the pipeline have at each stage, and how often did it run negative".
-// Times are sim.Time from the owning node's clock, so the same recorder
-// reports virtual-time slack under the simulator and wall-clock slack
-// under the rt runtime.
+// Times are sim.Time from the reporting node's clock, so the same
+// recorder reports virtual-time slack under the simulator and wall-clock
+// slack under the rt runtime.
 type SpanRecorder struct {
-	hist [numStages]*Histogram
+	hist [trace.NumKinds]*Histogram // by kind; nil outside SpanKinds
 }
 
 // NewSpanRecorder registers the per-stage histograms under
 // tiger_block_deadline_slack_seconds with the given extra labels.
 func NewSpanRecorder(reg *Registry, ls Labels) *SpanRecorder {
 	s := &SpanRecorder{}
-	for st := Stage(0); st < numStages; st++ {
-		l := Labels{"stage": st.String()}
-		for k, v := range ls {
-			l[k] = v
+	for k, stage := range spanStage {
+		if stage == "" {
+			continue
 		}
-		s.hist[st] = reg.Histogram("tiger_block_deadline_slack_seconds",
+		l := Labels{"stage": stage}
+		for lk, v := range ls {
+			l[lk] = v
+		}
+		s.hist[k] = reg.Histogram("tiger_block_deadline_slack_seconds",
 			"Deadline slack (due minus now, seconds) of block-lifecycle stages; negative is a missed deadline.",
 			l, DefaultSlackBounds)
 	}
 	return s
 }
 
-// Observe records that stage st happened at time now for a block due at
-// due. A nil recorder is a no-op, so call sites need no guards.
-func (s *SpanRecorder) Observe(st Stage, due, now sim.Time) {
-	if s == nil {
-		return
-	}
-	s.hist[st].Observe(due.Sub(now).Seconds())
+// Observe is the sink subscriber (for SpanKinds): it records the step's
+// slack under its stage.
+func (s *SpanRecorder) Observe(e trace.Event) {
+	s.hist[e.Kind].Observe(time.Duration(e.Slack()).Seconds())
 }
 
-// ObserveSlack records a pre-computed slack in seconds, for callers
-// that measure the margin directly rather than holding (due, now) pairs
-// — the client-side receipt stage. A nil recorder is a no-op.
-func (s *SpanRecorder) ObserveSlack(st Stage, seconds float64) {
-	if s == nil {
-		return
-	}
-	s.hist[st].Observe(seconds)
-}
-
-// Hist exposes one stage's histogram (tests and pretty-printers).
-func (s *SpanRecorder) Hist(st Stage) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.hist[st]
-}
+// Hist exposes the histogram a step kind is recorded under (tests and
+// pretty-printers).
+func (s *SpanRecorder) Hist(k trace.Kind) *Histogram { return s.hist[k] }

@@ -6,7 +6,18 @@ import (
 	"time"
 
 	"tiger/internal/sim"
+	"tiger/internal/trace"
 )
+
+// step is an event of kind k that fired at now for a service due at due.
+func step(k trace.Kind, due, now time.Duration) trace.Event {
+	return trace.Event{Kind: k, Due: int64(due), At: sim.Time(now)}
+}
+
+// slackStep is an event of kind k with the given slack in seconds.
+func slackStep(k trace.Kind, seconds float64) trace.Event {
+	return step(k, time.Duration(seconds*float64(time.Second)), 0)
+}
 
 // TestSpanDoubleObserve covers re-served blocks: a deschedule and
 // re-insertion makes the same stage fire twice for one block. Both
@@ -15,13 +26,12 @@ import (
 func TestSpanDoubleObserve(t *testing.T) {
 	r := NewRegistry()
 	s := NewSpanRecorder(r, Labels{"cub": "1"})
-	due := sim.Time(4 * time.Second)
-	s.Observe(StageInsert, due, sim.Time(1*time.Second))
-	s.Observe(StageInsert, due, sim.Time(2*time.Second)) // re-inserted later
-	if got := s.Hist(StageInsert).Count(); got != 2 {
+	s.Observe(step(trace.Insert, 4*time.Second, 1*time.Second))
+	s.Observe(step(trace.Insert, 4*time.Second, 2*time.Second)) // re-inserted later
+	if got := s.Hist(trace.Insert).Count(); got != 2 {
 		t.Fatalf("double observe count = %d, want 2", got)
 	}
-	if got := s.Hist(StageInsert).Sum(); got != 5 {
+	if got := s.Hist(trace.Insert).Sum(); got != 5 {
 		t.Fatalf("double observe sum = %v, want 3+2", got)
 	}
 	var b strings.Builder
@@ -39,21 +49,20 @@ func TestSpanDoubleObserve(t *testing.T) {
 func TestSpanOutlivesStream(t *testing.T) {
 	r := NewRegistry()
 	s := NewSpanRecorder(r, nil)
-	due := sim.Time(2 * time.Second)
-	s.Observe(StageSend, due, due) // the stream's last send, zero slack
-	before := s.Hist(StageReceipt).Count()
+	s.Observe(step(trace.Serve, 2*time.Second, 2*time.Second)) // the stream's last send, zero slack
+	before := s.Hist(trace.Receipt).Count()
 
 	// The stream is gone; its final block's last byte arrives much
 	// later, deeply past the play deadline.
-	s.ObserveSlack(StageReceipt, -42.5)
-	if got := s.Hist(StageReceipt).Count(); got != before+1 {
+	s.Observe(slackStep(trace.Receipt, -42.5))
+	if got := s.Hist(trace.Receipt).Count(); got != before+1 {
 		t.Fatalf("straggler receipt not recorded: %d -> %d", before, got)
 	}
-	if got := s.Hist(StageReceipt).Sum(); got != -42.5 {
+	if got := s.Hist(trace.Receipt).Sum(); got != -42.5 {
 		t.Fatalf("straggler slack sum = %v, want -42.5", got)
 	}
 	// Earlier stages are untouched by the straggler.
-	if got := s.Hist(StageSend).Count(); got != 1 {
+	if got := s.Hist(trace.Serve).Count(); got != 1 {
 		t.Fatalf("send count perturbed: %d", got)
 	}
 }
@@ -67,11 +76,11 @@ func TestSpanBucketSaturation(t *testing.T) {
 	s := NewSpanRecorder(r, nil)
 	lo := DefaultSlackBounds[0]
 	hi := DefaultSlackBounds[len(DefaultSlackBounds)-1]
-	s.ObserveSlack(StageRead, lo*10) // far worse than any bound
-	s.ObserveSlack(StageRead, hi*10) // far more margin than any bound
-	s.ObserveSlack(StageRead, 0)     // exactly on a bound, for contrast
+	s.Observe(slackStep(trace.DiskRead, lo*10)) // far worse than any bound
+	s.Observe(slackStep(trace.DiskRead, hi*10)) // far more margin than any bound
+	s.Observe(slackStep(trace.DiskRead, 0))     // exactly on a bound, for contrast
 
-	counts, sum, n := s.Hist(StageRead).snapshot()
+	counts, sum, n := s.Hist(trace.DiskRead).snapshot()
 	if n != 3 {
 		t.Fatalf("count = %d, want 3", n)
 	}

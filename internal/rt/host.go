@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,7 +21,7 @@ type CubHost struct {
 	Mesh *Mesh
 	Cub  *core.Cub
 
-	sink trace.Sink // the cub's protocol events; executor-owned
+	sink trace.Sink // the cub's protocol steps; executor-owned
 }
 
 // StartCubHost builds and starts a cub listening on listenAddr. addrs
@@ -74,19 +75,18 @@ func collectOn[T interface{ Collect(obs.Emit) }](reg *obs.Registry, n *Node, tak
 	})
 }
 
-// AttachObs wires the host's cub and mesh to a metrics registry. The
-// cub's histograms are created on its executor, so attachment cannot
-// race protocol events already in flight; the call blocks until done.
+// AttachObs wires the host's cub and mesh to a metrics registry: the
+// cub's own histograms, its counters and gauges collected on its
+// executor, and the block-lifecycle slack histograms as a subscriber of
+// its steps. Subscribing happens on the executor, so it cannot race steps
+// already being reported; the call blocks until done.
 func (h *CubHost) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	done := make(chan struct{})
-	h.Node.Do(func() {
-		h.Cub.AttachObs(reg)
-		close(done)
-	})
-	<-done
+	h.Cub.AttachObs(reg)
+	spans := obs.NewSpanRecorder(reg, obs.Labels{"cub": strconv.Itoa(int(h.Cub.ID()))})
+	h.Node.Sync(func() { h.sink.Subscribe(obs.SpanKinds, spans.Observe) })
 	collectOn(reg, h.Node, h.Cub.Snapshot)
 	h.Mesh.AttachObs(reg)
 }
@@ -96,27 +96,17 @@ func (h *CubHost) AttachObs(reg *obs.Registry) {
 // clock (nanoseconds since the shared epoch), so traces from different
 // nodes of one system line up.
 func (h *CubHost) AttachTrace(ring *trace.Ring) {
-	if ring == nil {
-		return
+	if ring != nil {
+		h.Node.Sync(func() { h.sink.Subscribe(trace.RingKinds, ring.Add) })
 	}
-	done := make(chan struct{})
-	h.Node.Do(func() {
-		h.sink.Subscribe(trace.AllKinds, ring.Add)
-		close(done)
-	})
-	<-done
 }
 
-// AttachChainLog installs a causal chain recorder on the cub; hops for
-// traced blocks (states whose Trace flag is set) land in l. The
-// attachment is executor-marshalled and blocks until installed.
+// AttachChainLog subscribes a causal chain recorder to the cub's steps;
+// those of traced blocks (states whose Trace flag is set) land in l.
 func (h *CubHost) AttachChainLog(l *trace.ChainLog) {
-	done := make(chan struct{})
-	h.Node.Do(func() {
-		h.Cub.SetChainLog(l)
-		close(done)
-	})
-	<-done
+	if l != nil {
+		h.Node.Sync(func() { h.sink.Subscribe(trace.ChainKinds, l.Record) })
+	}
 }
 
 // DumpView renders the cub's schedule view, marshalling through the
@@ -138,13 +128,10 @@ func (h *CubHost) DumpView(timeout time.Duration) (string, error) {
 // the dead incarnation's epoch with h.Cub.SetEpoch. Blocks until the
 // handshake is initiated (not until it completes).
 func (h *CubHost) Rejoin() {
-	done := make(chan struct{})
-	h.Node.Do(func() {
+	h.Node.Sync(func() {
 		h.Cub.Restart()
 		h.Mesh.SetEpoch(h.Cub.Epoch())
-		close(done)
 	})
-	<-done
 }
 
 // Close stops the cub host.
@@ -161,6 +148,8 @@ type ControllerHost struct {
 	Node *Node
 	Mesh *Mesh
 	Ctl  *core.Controller
+
+	sink trace.Sink // the controller's admit step; executor-owned
 
 	mu        sync.Mutex
 	ackAddrs  map[msg.InstanceID]ackRoute
@@ -190,35 +179,28 @@ func StartControllerHost(cfg *core.Config, listenAddr string,
 	h.Mesh = mesh
 	h.Ctl = core.NewController(cfg, node, mesh)
 	h.Ctl.OnAck = h.onAck
+	h.Ctl.SetSink(&h.sink)
 	return h, nil
 }
 
-// AttachObs wires the controller and its mesh to a metrics registry,
-// blocking until the histograms exist.
+// AttachObs wires the controller and its mesh to a metrics registry.
 func (h *ControllerHost) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	done := make(chan struct{})
-	h.Node.Do(func() {
-		h.Ctl.AttachObs(reg)
-		close(done)
-	})
-	<-done
+	h.Ctl.AttachObs(reg)
 	collectOn(reg, h.Node, h.Ctl.Snapshot)
 	h.Mesh.AttachObs(reg)
 }
 
-// AttachChainLog installs a causal chain recorder on the controller.
-// While attached, every admitted play is stamped traced, so the cubs it
-// touches record causal hops (given their own attached logs).
+// AttachChainLog subscribes a causal chain recorder to the controller's
+// admit step. While one is attached, every admitted play is stamped
+// traced, so the cubs it touches report its blocks' steps as traced
+// (given their own attached logs).
 func (h *ControllerHost) AttachChainLog(l *trace.ChainLog) {
-	done := make(chan struct{})
-	h.Node.Do(func() {
-		h.Ctl.SetChainLog(l)
-		close(done)
-	})
-	<-done
+	if l != nil {
+		h.Node.Sync(func() { h.sink.Subscribe(trace.ChainKinds, l.Record) })
+	}
 }
 
 func (h *ControllerHost) handle(from msg.NodeID, m msg.Message) {

@@ -76,6 +76,21 @@ func (n *Node) Do(fn func()) {
 	}
 }
 
+// Sync runs fn on the executor and returns once it has run (or the node
+// has stopped): how another goroutine attaches to executor-owned state
+// without racing protocol events already in flight.
+func (n *Node) Sync(fn func()) {
+	done := make(chan struct{})
+	n.Do(func() {
+		fn()
+		close(done)
+	})
+	select {
+	case <-done:
+	case <-n.quit:
+	}
+}
+
 // ask runs take on n's executor and returns what it returned; ok is false
 // if no answer came within timeout or the node has stopped. This is how
 // another goroutine — an HTTP debug handler — reads executor-owned state

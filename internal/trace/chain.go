@@ -1,13 +1,13 @@
 // Causal block chains: while the Ring answers "what happened on this
 // cub recently", a ChainLog answers "what happened to THIS block" — the
-// typed hop sequence admit → slot-insert → ownership → disk-queue →
-// disk-read → (hedge) → send → receipt, each hop stamped with sim-time
-// and the deadline slack remaining when it fired. The protocol records
-// hops only for messages carrying the trace flag and only into a
-// non-nil log, so the off path is a single pointer test; the on path is
-// bounded: at most maxChains block chains of maxHops hops each, oldest
-// chain evicted first in strict insertion order (never map order) so
-// traced runs replay byte-identically.
+// step sequence admit → insert → state → disk-queue → disk-read →
+// (hedge) → serve → receipt, each stamped with sim-time and the deadline
+// slack remaining when it fired. A log is a sink subscriber (Record) that
+// keeps the steps of traced streams, so with no log subscribed the
+// chain-only kinds are never built; the on path is bounded: at most
+// maxChains block chains of maxHops hops each, oldest chain evicted first
+// in strict insertion order (never map order) so traced runs replay
+// byte-identically.
 package trace
 
 import (
@@ -16,74 +16,14 @@ import (
 	"sync/atomic"
 
 	"tiger/internal/msg"
-	"tiger/internal/sim"
 )
 
-// HopKind types one step of a block's causal chain.
-type HopKind uint8
+// ChainKinds are the steps a block's chain is made of.
+var ChainKinds = KindSet(Admit, Insert, State, Deschedule, DiskQueue, DiskRead, Hedge, Serve, Miss, Receipt)
 
-const (
-	// HopAdmit is the controller admitting the stream's start request.
-	HopAdmit HopKind = iota + 1
-	// HopInsert is the slot insertion under ownership (§4.1.3).
-	HopInsert
-	// HopState is the owning cub accepting the block's viewer state as
-	// it arrives down the gossip ring (§4.1.1).
-	HopState
-	// HopDeschedule is a deschedule scrubbing the block's slot (§4.1.2).
-	HopDeschedule
-	// HopDiskQueue is the read being issued to the disk queue.
-	HopDiskQueue
-	// HopDiskRead is the read completing into a buffer.
-	HopDiskRead
-	// HopHedge is a hedged mirror read issued against a suspected disk.
-	HopHedge
-	// HopSend is the block handed to the network at its due time.
-	HopSend
-	// HopMiss is the due time passing with no block to send.
-	HopMiss
-	// HopReceipt is the delivery landing at the viewer.
-	HopReceipt
-)
-
-func (k HopKind) String() string {
-	switch k {
-	case HopAdmit:
-		return "admit"
-	case HopInsert:
-		return "insert"
-	case HopState:
-		return "state"
-	case HopDeschedule:
-		return "desched"
-	case HopDiskQueue:
-		return "disk-queue"
-	case HopDiskRead:
-		return "disk-read"
-	case HopHedge:
-		return "hedge"
-	case HopSend:
-		return "send"
-	case HopMiss:
-		return "miss"
-	case HopReceipt:
-		return "receipt"
-	}
-	return "hop(?)"
-}
-
-// Hop is one causal step. Slack is the block's remaining deadline slack
-// (due − now) in nanoseconds when the hop fired; negative means the hop
-// happened after the deadline. Disk is -1 for hops not tied to a disk.
-type Hop struct {
-	At     sim.Time
-	Node   msg.NodeID
-	Kind   HopKind
-	Slack  int64
-	Slot   int32
-	Disk   int32
-	Mirror bool
-}
+// Hop is one causal step as a chain returns it: the event the sink
+// carried. Disk is -1 for hops not tied to a disk.
+type Hop = Event
 
 // JSONHop is the JSONL/report wire form of a Hop.
 type JSONHop struct {
@@ -100,7 +40,7 @@ type JSONHop struct {
 func (h Hop) JSON() JSONHop {
 	return JSONHop{
 		AtNs: int64(h.At), Node: int32(h.Node), Kind: h.Kind.String(),
-		SlackNs: h.Slack, Slot: h.Slot, Disk: h.Disk, Mirror: h.Mirror,
+		SlackNs: h.Slack(), Slot: h.Slot, Disk: h.Disk, Mirror: h.Mirror,
 	}
 }
 
@@ -108,6 +48,14 @@ func (h Hop) JSON() JSONHop {
 type ChainKey struct {
 	Instance msg.InstanceID
 	Block    int32
+}
+
+// Less orders keys by (instance, block).
+func (k ChainKey) Less(o ChainKey) bool {
+	if k.Instance != o.Instance {
+		return k.Instance < o.Instance
+	}
+	return k.Block < o.Block
 }
 
 // SortHops orders a chain merged from several cubs' logs. Sim time is
@@ -137,8 +85,7 @@ type chainSlot struct {
 }
 
 // ChainLog is a bounded per-node store of causal chains. A nil *ChainLog
-// is valid and inert: Record on it is a no-op, so call sites need no
-// separate enable flag.
+// is valid and empty, so readers need no separate enable flag.
 type ChainLog struct {
 	mu      sync.Mutex
 	index   map[ChainKey]int
@@ -166,17 +113,20 @@ func NewChainLog(maxChains, maxHops int) *ChainLog {
 	}
 }
 
-// Record appends one hop to the block's chain, creating the chain (and
-// evicting the oldest, in insertion order) as needed. Safe on a nil
-// receiver.
-func (l *ChainLog) Record(inst msg.InstanceID, block int32, h Hop) {
-	if l == nil {
-		return
-	}
-	key := ChainKey{Instance: inst, Block: block}
+// Record is the sink subscriber: it appends the step to its block's
+// chain, creating the chain (and evicting the oldest, in insertion order)
+// as needed. Only a traced step opens a chain; an untraced one is kept
+// only if its block's chain is already open — which is how the receipt,
+// whose delivery carries no trace flag, closes the chain it belongs to.
+func (l *ChainLog) Record(h Hop) {
+	key := ChainKey{Instance: h.Instance, Block: h.Block}
 	l.mu.Lock()
 	i, ok := l.index[key]
 	if !ok {
+		if !h.Traced {
+			l.mu.Unlock()
+			return
+		}
 		if len(l.slots) < cap(l.slots) {
 			l.slots = append(l.slots, chainSlot{key: key, hops: make([]Hop, 0, l.maxHops)})
 			i = len(l.slots) - 1
@@ -197,18 +147,6 @@ func (l *ChainLog) Record(inst msg.InstanceID, block int32, h Hop) {
 	}
 	l.slots[i].hops = append(l.slots[i].hops, h)
 	l.mu.Unlock()
-}
-
-// Has reports whether a chain is currently retained for the block. Safe
-// on a nil receiver.
-func (l *ChainLog) Has(inst msg.InstanceID, block int32) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.index[ChainKey{Instance: inst, Block: block}]
-	return ok
 }
 
 // Chain returns a copy of the block's hops, or nil if the chain was
@@ -237,12 +175,7 @@ func (l *ChainLog) Keys() []ChainKey {
 		out = append(out, k)
 	}
 	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Instance != out[j].Instance {
-			return out[i].Instance < out[j].Instance
-		}
-		return out[i].Block < out[j].Block
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 

@@ -10,23 +10,25 @@ import (
 	"tiger/internal/sim"
 )
 
-func hop(at int64, node msg.NodeID, k HopKind, slack int64) Hop {
-	return Hop{At: sim.Time(at), Node: node, Kind: k, Slack: slack, Slot: 3, Disk: -1}
+// hop is a traced step of block (inst, block) with the given slack.
+func hop(inst msg.InstanceID, block int32, at int64, node msg.NodeID, k Kind, slack int64) Hop {
+	return Hop{Instance: inst, Block: block, At: sim.Time(at), Node: node, Kind: k,
+		Due: at + slack, Slot: 3, Disk: -1, Traced: true}
 }
 
 func TestChainLogRecordAndChain(t *testing.T) {
 	l := NewChainLog(8, 16)
-	l.Record(7, 1, hop(10, 0, HopInsert, 4000))
-	l.Record(7, 1, hop(20, 0, HopDiskQueue, 3000))
-	l.Record(7, 1, hop(30, 0, HopSend, 1000))
-	l.Record(7, 2, hop(40, 1, HopState, 5000))
+	l.Record(hop(7, 1, 10, 0, Insert, 4000))
+	l.Record(hop(7, 1, 20, 0, DiskQueue, 3000))
+	l.Record(hop(7, 1, 30, 0, Serve, 1000))
+	l.Record(hop(7, 2, 40, 1, State, 5000))
 
 	got := l.Chain(7, 1)
-	if len(got) != 3 || got[0].Kind != HopInsert || got[2].Kind != HopSend {
+	if len(got) != 3 || got[0].Kind != Insert || got[2].Kind != Serve {
 		t.Fatalf("chain %v", got)
 	}
-	if got[1].Slack != 3000 {
-		t.Fatalf("slack %d", got[1].Slack)
+	if got[1].Slack() != 3000 {
+		t.Fatalf("slack %d", got[1].Slack())
 	}
 	if l.Len() != 2 {
 		t.Fatalf("len %d", l.Len())
@@ -35,7 +37,7 @@ func TestChainLogRecordAndChain(t *testing.T) {
 		t.Fatalf("missing chain returned %v", c)
 	}
 	// The returned chain is a copy: appending hops later must not alias.
-	l.Record(7, 1, hop(35, 0, HopReceipt, 500))
+	l.Record(hop(7, 1, 35, 0, Receipt, 500))
 	if len(got) != 3 {
 		t.Fatal("Chain result aliased the live log")
 	}
@@ -44,7 +46,7 @@ func TestChainLogRecordAndChain(t *testing.T) {
 func TestChainLogEvictsInsertionOrder(t *testing.T) {
 	l := NewChainLog(3, 4)
 	for b := int32(1); b <= 5; b++ {
-		l.Record(1, b, hop(int64(b), 0, HopInsert, 0))
+		l.Record(hop(1, b, int64(b), 0, Insert, 0))
 	}
 	// Blocks 1 and 2 are the oldest chains and must be gone; 3..5 retained.
 	if l.Chain(1, 1) != nil || l.Chain(1, 2) != nil {
@@ -67,7 +69,7 @@ func TestChainLogEvictsInsertionOrder(t *testing.T) {
 func TestChainLogHopCap(t *testing.T) {
 	l := NewChainLog(2, 3)
 	for i := int64(0); i < 10; i++ {
-		l.Record(1, 1, hop(i, 0, HopState, 0))
+		l.Record(hop(1, 1, i, 0, State, 0))
 	}
 	if got := len(l.Chain(1, 1)); got != 3 {
 		t.Fatalf("retained %d hops, want 3", got)
@@ -78,8 +80,7 @@ func TestChainLogHopCap(t *testing.T) {
 }
 
 func TestChainLogNilSafe(t *testing.T) {
-	var l *ChainLog
-	l.Record(1, 1, hop(1, 0, HopInsert, 0)) // must not panic
+	var l *ChainLog // what a reader holds while tracing is off
 	if l.Chain(1, 1) != nil || l.Keys() != nil || l.Len() != 0 ||
 		l.ChainsEvicted() != 0 || l.HopsDropped() != 0 {
 		t.Fatal("nil log not inert")
@@ -88,13 +89,13 @@ func TestChainLogNilSafe(t *testing.T) {
 
 func TestSortHopsDeterministic(t *testing.T) {
 	hops := []Hop{
-		{At: 20, Node: 2, Kind: HopSend},
-		{At: 10, Node: 1, Kind: HopState},
-		{At: 20, Node: 1, Kind: HopDiskRead},
-		{At: 10, Node: 0, Kind: HopState},
+		{At: 20, Node: 2, Kind: Serve},
+		{At: 10, Node: 1, Kind: State},
+		{At: 20, Node: 1, Kind: DiskRead},
+		{At: 10, Node: 0, Kind: State},
 	}
 	SortHops(hops)
-	want := []HopKind{HopState, HopState, HopDiskRead, HopSend}
+	want := []Kind{State, State, DiskRead, Serve}
 	for i, k := range want {
 		if hops[i].Kind != k {
 			t.Fatalf("position %d: %v, want %v (%v)", i, hops[i].Kind, k, hops)
@@ -106,7 +107,7 @@ func TestSortHopsDeterministic(t *testing.T) {
 }
 
 func TestHopJSONForm(t *testing.T) {
-	h := Hop{At: sim.Time(2e9), Node: 3, Kind: HopDiskRead, Slack: 1500, Slot: 9, Disk: 12, Mirror: true}
+	h := Hop{At: sim.Time(2e9), Node: 3, Kind: DiskRead, Due: 2e9 + 1500, Slot: 9, Disk: 12, Mirror: true}
 	b, err := json.Marshal(h.JSON())
 	if err != nil {
 		t.Fatal(err)
@@ -116,37 +117,42 @@ func TestHopJSONForm(t *testing.T) {
 			t.Errorf("json lacks %s: %s", want, b)
 		}
 	}
-	for k := HopAdmit; k <= HopReceipt; k++ {
-		if s := k.String(); s == "" || strings.Contains(s, "?") {
-			t.Errorf("missing name for hop kind %d", k)
-		}
-	}
 }
 
-// TestChainRecordAllocBudget pins the tracing cost: recording into a nil
-// log (tracing off) is free, and steady-state recording into a warm log
-// performs no allocations — all chain and hop storage is preallocated
-// and recycled through eviction.
+// TestChainRecordAllocBudget pins the tracing cost: steady-state
+// recording into a warm log performs no allocations — all chain and hop
+// storage is preallocated and recycled through eviction.
 func TestChainRecordAllocBudget(t *testing.T) {
-	var off *ChainLog
-	if a := testing.AllocsPerRun(200, func() {
-		off.Record(1, 1, Hop{Kind: HopSend})
-	}); a != 0 {
-		t.Errorf("nil-log Record allocated %.1f/op, want 0", a)
-	}
-
 	l := NewChainLog(4, 4)
 	// Warm every slot so eviction recycling is the steady state.
 	for b := int32(0); b < 8; b++ {
-		l.Record(1, b, Hop{Kind: HopInsert})
+		l.Record(Hop{Instance: 1, Block: b, Kind: Insert, Traced: true})
 	}
 	b := int32(100)
 	if a := testing.AllocsPerRun(500, func() {
-		l.Record(1, b, Hop{Kind: HopInsert}) // new chain: recycled slot
-		l.Record(1, b, Hop{Kind: HopSend})   // existing chain: append in place
+		l.Record(Hop{Instance: 1, Block: b, Kind: Insert, Traced: true}) // new chain: recycled slot
+		l.Record(Hop{Instance: 1, Block: b, Kind: Serve})                // existing chain: append in place
 		b++
 	}); a != 0 {
 		t.Errorf("steady-state Record allocated %.1f/op, want 0", a)
+	}
+}
+
+// TestChainOpensOnlyForTracedSteps pins the store's admission rule: an
+// untraced step never opens a chain (an untraced stream costs a traced
+// run nothing), but joins one a traced step opened — the receipt, whose
+// delivery carries no flag, closes its block's chain that way.
+func TestChainOpensOnlyForTracedSteps(t *testing.T) {
+	l := NewChainLog(4, 4)
+	l.Record(Hop{Instance: 1, Block: 1, Kind: Receipt})
+	l.Record(Hop{Instance: 1, Block: 1, Kind: Serve})
+	if l.Len() != 0 {
+		t.Fatalf("untraced steps opened %d chains", l.Len())
+	}
+	l.Record(Hop{Instance: 1, Block: 1, Kind: Serve, Traced: true})
+	l.Record(Hop{Instance: 1, Block: 1, Kind: Receipt})
+	if got := l.Chain(1, 1); len(got) != 2 || got[1].Kind != Receipt {
+		t.Fatalf("chain %v, want serve then receipt", got)
 	}
 }
 

@@ -15,12 +15,12 @@ func KindSet(ks ...Kind) Kinds {
 	return s
 }
 
-// Sink is where protocol events go. The protocol emits each event once,
-// into the sink of the node it runs on; every consumer — the slot
-// oracle, the trace ring, a chaos harness's serve oracle, the flight
-// recorder — is a subscriber. Nodes that share a sink (all cubs of a
-// simulated cluster, including ones created mid-run) share its
-// subscribers.
+// Sink is where protocol steps go. A node reports each step once, into
+// the sink of the node it runs on; every consumer — the span histograms,
+// the loss log, the slot oracle, the trace ring, the causal chain logs, a
+// chaos harness's serve oracle, the flight recorder — is a subscriber.
+// Nodes that share a sink (the controller and all cubs of a simulated
+// cluster, including cubs created mid-run) share its subscribers.
 //
 // Subscribers run in subscription order, synchronously, in the emitting
 // node's execution context; under a sharded simulation that is a shard

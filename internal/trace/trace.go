@@ -1,8 +1,10 @@
-// Package trace is a bounded, allocation-free protocol event log for
-// post-mortem debugging of Tiger runs: which cub inserted, served, or
-// missed what, and when. The protocol emits Events into a Sink
-// (sink.go); the Ring is one subscriber. Observing never perturbs the
-// protocol itself.
+// Package trace is the protocol's one reporting channel. A node reports
+// each step it takes — which cub inserted, read, served or missed what,
+// and when — once, as an Event into its Sink (sink.go). Everything that
+// watches a run subscribes: the bounded Ring of recent events here, the
+// per-block ChainLog (chain.go), the span histograms (internal/obs), the
+// oracles and the flight recorder. Observing never perturbs the protocol
+// itself.
 package trace
 
 import (
@@ -18,18 +20,38 @@ import (
 	"tiger/internal/sim"
 )
 
-// Kind classifies an event.
+// Kind names a protocol step. The block-path kinds come first, in the
+// order a block meets them, so a chain's same-instant steps sort into
+// causal order (SortHops).
 type Kind uint8
 
 const (
+	// Admit is the controller admitting the stream's start request.
+	Admit Kind = iota + 1
 	// Insert is a slot insertion under ownership (§4.1.3).
-	Insert Kind = iota + 1
-	// Serve is a block or mirror-piece send.
-	Serve
-	// Miss is a send that could not be made (late read or late state).
-	Miss
+	Insert
+	// State is the owning cub accepting the block's viewer state as it
+	// arrives down the gossip ring (§4.1.1); the protocol guarantees
+	// MinVStateLead of slack here.
+	State
+	// Deschedule is a deschedule scrubbing the block's slot (§4.1.2).
+	Deschedule
+	// DiskQueue is the read being issued to the disk queue.
+	DiskQueue
+	// DiskRead is the read completing into a buffer; slack below zero
+	// here is a guaranteed server-side miss.
+	DiskRead
 	// Hedge is a hedged mirror read issued against a suspected disk.
 	Hedge
+	// Serve is a block or mirror piece handed to the network at its due
+	// time.
+	Serve
+	// Miss is the due time passing with no block to send (late read or
+	// late state).
+	Miss
+	// Receipt is the block's last byte arriving at the viewer; Due is the
+	// viewer's play deadline.
+	Receipt
 	// Quarantine is a disk quarantined by the health monitor; Slot
 	// carries the disk ID.
 	Quarantine
@@ -48,40 +70,44 @@ const (
 	// Unservable is a change in a cub's count of mirror-exhausted disks;
 	// Slot carries the new count.
 	Unservable
+
+	// NumKinds sizes arrays indexed by Kind.
+	NumKinds
 )
 
+var kindNames = [NumKinds]string{
+	Admit:         "admit",
+	Insert:        "insert",
+	State:         "state",
+	Deschedule:    "desched",
+	DiskQueue:     "disk-queue",
+	DiskRead:      "disk-read",
+	Hedge:         "hedge",
+	Serve:         "serve",
+	Miss:          "miss",
+	Receipt:       "receipt",
+	Quarantine:    "quarantine",
+	MoveCommit:    "move-commit",
+	MoveNack:      "move-nack",
+	RestripePhase: "restripe-phase",
+	Park:          "park",
+	Resume:        "resume",
+	Unservable:    "unservable",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case Insert:
-		return "insert"
-	case Serve:
-		return "serve"
-	case Miss:
-		return "miss"
-	case Hedge:
-		return "hedge"
-	case Quarantine:
-		return "quarantine"
-	case MoveCommit:
-		return "move-commit"
-	case MoveNack:
-		return "move-nack"
-	case RestripePhase:
-		return "restripe-phase"
-	case Park:
-		return "park"
-	case Resume:
-		return "resume"
-	case Unservable:
-		return "unservable"
+	if k < NumKinds && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one protocol occurrence, self-contained so it travels by
-// value. Slot, Instance, Block and Mirror are what the ring exports;
-// Viewer, PlaySeq, Part and Due identify the viewer and the service for
-// the oracles and the flight recorder, on the kinds that have them.
+// Event is one protocol step, reported once where it happens and
+// self-contained so it travels by value to every subscriber. Slot,
+// Instance, Block and Mirror are what the ring exports; Viewer, PlaySeq,
+// Part and Due identify the viewer and the service for the oracles, the
+// span histograms and the flight recorder; Disk and Traced are what a
+// causal chain adds. Kinds that have no value for a field leave it zero.
 type Event struct {
 	At       sim.Time
 	Instance msg.InstanceID
@@ -91,10 +117,16 @@ type Event struct {
 	Slot     int32
 	Block    int32
 	PlaySeq  int32
+	Disk     int32 // block-path kinds: the disk involved, -1 for none
 	Kind     Kind
 	Mirror   bool
+	Traced   bool // the stream carries the causal-trace flag
 	Part     int8
 }
+
+// Slack is the deadline slack (due − now, ns) remaining when the step
+// fired; negative means it happened after the deadline.
+func (e Event) Slack() int64 { return e.Due - int64(e.At) }
 
 // String renders the event one-per-line for dumps.
 func (e Event) String() string {
@@ -105,6 +137,11 @@ func (e Event) String() string {
 	return fmt.Sprintf("%-12v %-10v %-8v slot=%d inst=%d block=%d%s",
 		e.At, e.Node, e.Kind, e.Slot, e.Instance, e.Block, m)
 }
+
+// RingKinds are the events a Ring is subscribed to: the protocol's
+// decisions, not every step on a block's way (those are ChainKinds).
+var RingKinds = KindSet(Insert, Serve, Miss, Hedge, Quarantine, MoveCommit, MoveNack,
+	RestripePhase, Park, Resume, Unservable)
 
 // Ring is a fixed-capacity event buffer keeping the most recent events.
 // It is safe for concurrent use: under the simulator everything is

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"tiger/internal/msg"
@@ -34,18 +35,34 @@ func WriteMessage(w io.Writer, m msg.Message) error {
 	return err
 }
 
+// readFrame reads one frame's body into buf (from its start, whatever it
+// held) and returns it. A buffer too small for the frame grows as the
+// bytes arrive, never to more than twice what has been read: the length
+// is the peer's claim, and a peer that claims MaxFrame and sends nothing
+// must not cost 16 MiB.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 4) // the header borrows the body's first bytes
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return buf, err
+	}
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
+	if n == 0 || n > MaxFrame {
+		return buf, fmt.Errorf("wire: bad frame length %d", n)
+	}
+	for len(buf) < n {
+		step := min(n-len(buf), max(cap(buf)-len(buf), len(buf), 4096))
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // ReadMessage reads and decodes one framed message.
 func ReadMessage(r io.Reader) (msg.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("wire: bad frame length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readFrame(r, nil)
+	if err != nil {
 		return nil, err
 	}
 	return msg.Decode(body)
@@ -101,25 +118,11 @@ func (c *Conn) Send(m msg.Message) error {
 
 // Recv reads the next message. Single-reader only.
 func (c *Conn) Recv() (msg.Message, error) {
-	if cap(c.rbuf) < 4 {
-		c.rbuf = make([]byte, 512)
-	}
-	hdr := c.rbuf[:4]
-	if _, err := io.ReadFull(c.br, hdr); err != nil {
+	var err error
+	if c.rbuf, err = readFrame(c.br, c.rbuf); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("wire: bad frame length %d", n)
-	}
-	if uint32(cap(c.rbuf)) < n {
-		c.rbuf = make([]byte, n)
-	}
-	body := c.rbuf[:n]
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		return nil, err
-	}
-	return msg.Decode(body)
+	return msg.Decode(c.rbuf)
 }
 
 // Close closes the underlying connection.

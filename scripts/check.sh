@@ -42,13 +42,25 @@ go test -race -run 'TestChaos|TestRandomOperationsInvariants' .
 go test -race -run 'TestGrayFail|TestQuarantine' .
 go test -race -run 'TestFailSlow|TestStuckDisk|TestProbes|TestCancel' ./internal/core ./internal/disk
 
-# Causal-tracing gate: tracing must be observation-only (a run with the
-# ring, chains, and flight recorder enabled stays byte-identical to the
-# untraced run, at any -parallel width) and free when off (zero
-# allocations on the hot path, pinned by AllocsPerRun budgets).
-go test -race -run 'TestCausalChainLifecycle|TestCausalTraceObservationOnly|TestAttrSweepParallelEquivalence|TestFlightRecorderCapturesMisses' .
-go test -run 'TestTraceHopOffPathAllocs|TestEmitWithSubscriberAllocs' ./internal/core
+# Step-record gate: reporting must be observation-only (a run with the
+# ring, chains, and flight recorder subscribed stays byte-identical to
+# the bare run, at any -parallel width), its subscribers must agree with
+# each other (span histograms, chain logs, loss log), and a step must
+# allocate nothing whether or not anyone subscribed (AllocsPerRun
+# budgets).
+go test -race -run 'TestCausalChainLifecycle|TestCausalTraceObservationOnly|TestAttrSweepParallelEquivalence|TestFlightRecorderCapturesMisses|TestSubscribersAgree' .
+go test -run 'TestStepOffPathAllocs|TestStepSubscribedAllocs' ./internal/core
 go test -run 'TestChainRecordAllocBudget' ./internal/trace
+
+# Wire-edge gate: the decoders must bound a peer-claimed count by the
+# bytes present before allocating for it, and ten seconds of native
+# fuzzing each on the msg decoders (no panic, encode/decode fixpoint,
+# Size() exact, no aliasing of the input) and the wire framer (buffer
+# bounded by the bytes presented) must find nothing. Crashers land in
+# testdata/fuzz and are committed with their fix.
+go test -run 'TestDecodeBoundsCountBeforeAllocating' ./internal/msg
+go test -run '^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
+go test -run '^$' -fuzz=FuzzRecv -fuzztime=10s ./internal/wire
 
 # Grayfail bench artifact: the sweep must run end to end with causal
 # tracing on and emit BENCH_grayfail.json carrying the slack

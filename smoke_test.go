@@ -3,6 +3,8 @@ package tiger
 import (
 	"testing"
 	"time"
+
+	"tiger/internal/trace"
 )
 
 // smallOptions returns a cheap configuration for fast tests: 5 cubs, one
@@ -101,10 +103,10 @@ func TestTraceCapturesProtocolEvents(t *testing.T) {
 	var slot int32 = -1
 	for _, e := range evs {
 		switch e.Kind {
-		case 1: // trace.Insert
+		case trace.Insert:
 			inserts++
 			slot = e.Slot
-		case 2: // trace.Serve
+		case trace.Serve:
 			serves++
 		}
 	}
@@ -113,7 +115,7 @@ func TestTraceCapturesProtocolEvents(t *testing.T) {
 	}
 	// The slot's history must begin with the insert and stay ordered.
 	h := ring.SlotHistory(slot)
-	if len(h) == 0 || h[0].Kind != 1 {
+	if len(h) == 0 || h[0].Kind != trace.Insert {
 		t.Fatalf("slot history does not start with the insert: %v", h)
 	}
 	for i := 1; i < len(h); i++ {

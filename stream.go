@@ -8,7 +8,6 @@ import (
 	"tiger/internal/core"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
-	"tiger/internal/obs"
 	"tiger/internal/trace"
 	"tiger/internal/viewer"
 )
@@ -95,26 +94,18 @@ func (c *Cluster) Play(file msg.FileID, startBlock int32) (*Stream, error) {
 	return s, nil
 }
 
-// timedDelivery closes the block-lifecycle span at the client, crediting
-// the serving cub's receipt stage (see the OnTimedDelivery wiring above).
+// timedDelivery reports the receipt step: the delivery's last byte
+// against the viewer's play deadline, under the serving cub's name so
+// its receipt slack is comparable with its other stages and the block's
+// causal chain closes in that cub's log (see the OnTimedDelivery wiring
+// above).
 func (c *Cluster) timedDelivery(d netsim.BlockDelivery, slack time.Duration) {
-	if i := int(d.From); i >= 0 && i < len(c.Cubs) {
-		cub := c.Cubs[i]
-		cub.Spans().ObserveSlack(obs.StageReceipt, slack.Seconds())
-		// Close the causal chain at the viewer: a receipt hop lands in
-		// the serving cub's log, but only for blocks already being
-		// traced there — untraced blocks must not allocate chains.
-		if cl := cub.ChainLog(); cl.Has(d.Instance, d.Block) {
-			cl.Record(d.Instance, d.Block, trace.Hop{
-				At:     d.LastByte,
-				Node:   d.From,
-				Kind:   trace.HopReceipt,
-				Slack:  int64(slack),
-				Slot:   -1,
-				Disk:   -1,
-				Mirror: d.Mirror,
-			})
-		}
+	if i := int(d.From); i >= 0 && i < len(c.Cubs) && c.sink.Wants(trace.Receipt) {
+		c.sink.Emit(trace.Event{
+			At: d.LastByte, Due: int64(d.LastByte) + int64(slack), Node: d.From, Kind: trace.Receipt,
+			Instance: d.Instance, Viewer: d.Viewer, Block: d.Block, PlaySeq: d.PlaySeq,
+			Mirror: d.Mirror, Part: d.Part, Slot: -1, Disk: -1,
+		})
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"time"
 
 	"tiger/internal/clock"
@@ -194,15 +195,17 @@ type Cluster struct {
 	// park/re-admission gap, keyed by the old viewer (park.go).
 	parkedEOF map[msg.ViewerID]func(*Stream)
 
-	// sink receives every cub's protocol events — cubs created mid-run
-	// by an elastic restripe included. The built-in slot-conflict oracle,
-	// the trace ring, a chaos harness and the flight recorder subscribe
-	// to it, so they stack instead of replacing each other.
-	sink trace.Sink
+	// sink receives every protocol step of the controller and of every
+	// cub — cubs created mid-run by an elastic restripe included. The
+	// span histograms, the loss log's server half, the built-in
+	// slot-conflict oracle, the trace ring, the causal chain logs, a chaos
+	// harness and the flight recorder subscribe to it, so they stack
+	// instead of replacing each other.
+	sink  trace.Sink
+	spans []*obs.SpanRecorder // per cub, indexed like Cubs
 
 	// Causal tracing state (causal.go); nil until EnableCausalTrace.
-	chains         []*trace.ChainLog // per cub, indexed like Cubs
-	ctlChain       *trace.ChainLog
+	chains         []*trace.ChainLog // the controller's, then per cub in Cubs order
 	chainMaxChains int
 	chainMaxHops   int
 	flight         *FlightRecorder // nil until EnableFlightRecorder
@@ -377,12 +380,15 @@ func New(o Options) (*Cluster, error) {
 	c.reg.CounterFunc("tiger_client_start_abandons_total", "Start-play requests abandoned after exhausting failover retries.", nil,
 		func() float64 { return float64(c.startAbandoned) })
 	c.Controller = core.NewController(cfg, clk, net)
+	c.Controller.SetSink(&c.sink)
 	c.Controller.AttachObs(c.reg)
 	c.reg.AddCollector(func(emit obs.Emit) { c.Controller.Snapshot().Collect(emit) })
 	c.Controller.OnParked = c.onParked
 	c.Controller.OnReadmit = c.onReadmit
 	net.Register(msg.Controller, c.Controller)
 	net.AttachObs(c.reg)
+	c.sink.Subscribe(obs.SpanKinds, func(e trace.Event) { c.spans[e.Node].Observe(e) })
+	c.sink.Subscribe(trace.KindSet(trace.Miss), func(e trace.Event) { c.Loss.RecordServerMiss(e.At) })
 	if c.sharded == nil {
 		// The slot-conflict oracle is harness state shared across every
 		// node; in a sharded run cubs execute concurrently, so it stays
@@ -412,12 +418,16 @@ func New(o Options) (*Cluster, error) {
 }
 
 // adopt wires a cub — at build time, or created mid-run by an elastic
-// restripe — to what the cluster shares: the loss log, the event sink,
-// and the registry, which collects the cub's stats when it is encoded.
+// restripe — to what the cluster shares: the step sink, with the cub's
+// own span histograms and (when causal tracing is on) chain log behind
+// it, and the registry, which collects the cub's stats when it is encoded.
 func (c *Cluster) adopt(cub *core.Cub) {
-	cub.SetLossLog(c.Loss)
 	cub.SetSink(&c.sink)
 	cub.AttachObs(c.reg)
+	c.spans = append(c.spans, obs.NewSpanRecorder(c.reg, obs.Labels{"cub": strconv.Itoa(int(cub.ID()))}))
+	if c.chains != nil {
+		c.chains = append(c.chains, trace.NewChainLog(c.chainMaxChains, c.chainMaxHops))
+	}
 	c.reg.AddCollector(func(emit obs.Emit) { cub.Snapshot().Collect(emit) })
 }
 

@@ -25,7 +25,7 @@ func (c *Cluster) EnableTrace(capacity int) *trace.Ring {
 	c.reg.CounterFunc("tiger_trace_dropped_total",
 		"Protocol trace events evicted from the bounded ring.",
 		nil, func() float64 { return float64(ring.Dropped()) })
-	c.sink.Subscribe(trace.AllKinds, ring.Add)
+	c.sink.Subscribe(trace.RingKinds, ring.Add)
 	return ring
 }
 
