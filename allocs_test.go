@@ -6,13 +6,11 @@ import (
 	"time"
 )
 
-// TestSteadyBlockPathAllocs pins what a delivered block costs the heap
-// in the paper's system at rated load: state accepted, read armed, disk
-// completes, block sent, viewer checks — every step runs on a record
-// its owner reuses, so what remains is the gossip itself (the two
-// forwarded viewer-state copies, batch slices, the control message in
-// flight). The bound leaves room for that and nothing per step.
-func TestSteadyBlockPathAllocs(t *testing.T) {
+// steadyWindow runs the paper's system at rated load and measures one
+// minute of it after the ramp has settled: blocks delivered, heap
+// allocations and engine events.
+func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
+	t.Helper()
 	c, err := New(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -22,18 +20,45 @@ func TestSteadyBlockPathAllocs(t *testing.T) {
 	}
 	c.RunFor(60 * time.Second)
 	ok0, _, _ := c.ViewerTotals()
+	ev0 := c.EventsProcessed()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	c.RunFor(60 * time.Second)
 	runtime.ReadMemStats(&m1)
 	ok1, _, _ := c.ViewerTotals()
-	blocks := ok1 - ok0
+	blocks = ok1 - ok0
 	if blocks < int64(c.Capacity())*50 {
 		t.Fatalf("only %d blocks delivered in the window", blocks)
 	}
-	per := float64(m1.Mallocs-m0.Mallocs) / float64(blocks)
+	return blocks, m1.Mallocs - m0.Mallocs, c.EventsProcessed() - ev0
+}
+
+// TestSteadyBlockPathAllocs pins what a delivered block costs the heap
+// in the paper's system at rated load: state accepted, read armed, disk
+// completes, block sent, viewer checks — every step runs on a record
+// its owner reuses, so what remains is the gossip itself (the one
+// forwarded viewer state both successors are sent, batch slices, the
+// control message in flight). The bound leaves room for that and
+// nothing per step.
+func TestSteadyBlockPathAllocs(t *testing.T) {
+	blocks, mallocs, _ := steadyWindow(t)
+	per := float64(mallocs) / float64(blocks)
 	t.Logf("%d blocks, %.2f allocs/block", blocks, per)
-	if per > 8 {
-		t.Fatalf("%.2f heap allocations per delivered block, budget 8", per)
+	if per > 3 {
+		t.Fatalf("%.2f heap allocations per delivered block, budget 3", per)
+	}
+}
+
+// TestSteadyEventsPerBlock pins what a delivered block costs the event
+// queue: read timer, disk completion, send timer, last byte at the
+// viewer, the viewer's deadline check, and its share of the periodic
+// work (gossip batches in flight, forward ticks, heartbeats). A buffer
+// going back to the pool and a NIC share given up are not events.
+func TestSteadyEventsPerBlock(t *testing.T) {
+	blocks, _, events := steadyWindow(t)
+	per := float64(events) / float64(blocks)
+	t.Logf("%d blocks, %.2f events/block", blocks, per)
+	if per > 5.8 {
+		t.Fatalf("%.2f engine events per delivered block, budget 5.8", per)
 	}
 }

@@ -23,26 +23,14 @@ type DataPath interface {
 	SendBlock(from msg.NodeID, d netsim.BlockDelivery, pace time.Duration)
 }
 
-// entryKey identifies one schedule entry in a cub's view: slot number
-// plus which copy (part == -1 for the primary, otherwise the mirror
-// piece index).
-type entryKey struct {
-	slot int32
-	part int8  // -1 primary, else mirror piece index
-	due  int64 // the service event's due time: a slot is visited once
-	// per block play time, and with small rings (cycle < MaxVStateLead)
-	// a cub can legitimately hold entries for two successive visits of
-	// the same slot by the same stream.
-}
-
 // entry is one record in a cub's view of the schedule: an upcoming send
 // from one of this cub's disks.
 //
 // Records belong to the cub and are reused through its free list, so the
-// steady block path allocates nothing: the four callbacks an entry arms
-// over its life (read timer, disk completion, send timer, buffer
-// release) are bound to the record once, when it is first allocated, and
-// read their arguments from it. pins counts what can still call back
+// steady block path allocates nothing: the three callbacks an entry arms
+// over its life (read timer, disk completion, send timer) are bound to
+// the record once, when it is first allocated, and read their arguments
+// from it. pins counts what can still call back
 // into the record — each armed timer until it fires or Stop reports
 // true, the outstanding disk read until it completes or Cancel reports
 // true — plus the callback currently running on it. A record returns to
@@ -51,9 +39,10 @@ type entryKey struct {
 // callback reports false, so the pin stays until that callback runs and
 // finds the entry gone.
 type entry struct {
-	c   *Cub
-	key entryKey
-	vs  msg.ViewerState
+	c    *Cub
+	key  entryKey
+	next *entry // the slot's next entry in the view's chain (entryview.go)
+	vs   msg.ViewerState
 
 	disk      int // this cub's disk that will serve it
 	live      bool
@@ -75,7 +64,6 @@ type entry struct {
 	onReadTimer func()
 	onSendTimer func()
 	onReadDone  func(done sim.Time, ok bool)
-	onSent      func()
 }
 
 // newEntry takes a record from the free list, or allocates one and
@@ -86,17 +74,15 @@ func (c *Cub) newEntry(key entryKey, vs msg.ViewerState, disk int) *entry {
 		e = c.freeEntries[n-1]
 		c.freeEntries = c.freeEntries[:n-1]
 		*e = entry{c: c, onReadTimer: e.onReadTimer, onSendTimer: e.onSendTimer,
-			onReadDone: e.onReadDone, onSent: e.onSent}
+			onReadDone: e.onReadDone}
 	} else {
 		e = &entry{c: c}
 		e.onReadTimer = e.readTimerFired
 		e.onSendTimer = e.sendTimerFired
 		e.onReadDone = e.readDone
-		e.onSent = e.sent
 	}
 	e.key, e.vs, e.disk, e.live = key, vs, disk, true
-	c.entries[key] = e
-	c.slotOcc[key.slot]++
+	c.view.put(e)
 	return e
 }
 
@@ -231,9 +217,8 @@ type Cub struct {
 	health      map[int]*diskHealth
 	quarantined map[int]bool
 
-	entries     map[entryKey]*entry
-	freeEntries []*entry      // records ready for reuse; wiped by Restart
-	slotOcc     map[int32]int // entries per slot, all parts
+	view        view     // the schedule entries this cub holds
+	freeEntries []*entry // records ready for reuse; wiped by Restart
 
 	desch map[descKey]*msg.Deschedule
 
@@ -299,7 +284,11 @@ type Cub struct {
 	fwdDueScratch    []entryKey
 	fwdTargetScratch []msg.NodeID
 
-	bufBytes int64 // block buffers currently held
+	// Block buffers held as of the last settleBuffers, and the ones out on
+	// paced sends, each due back when its send completes. Both are facts
+	// about the machine's memory, not view: Restart wipes neither.
+	bufBytes    int64
+	bufReleases clock.Releases[int64]
 
 	// Live-restripe mover state (mover.go): per-disk copy queues and the
 	// idle-budget pacing bookkeeping. Volatile — wiped on Restart.
@@ -329,8 +318,7 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		failedDisks:    make(map[int]bool),
 		health:         make(map[int]*diskHealth, len(diskNums)),
 		quarantined:    make(map[int]bool),
-		entries:        make(map[entryKey]*entry),
-		slotOcc:        make(map[int32]int),
+		view:           newView(),
 		desch:          make(map[descKey]*msg.Deschedule),
 		queue:          make(map[int32][]*startReq),
 		scanning:       make(map[int32]bool),
@@ -388,11 +376,11 @@ func (c *Cub) SetEpoch(e int32) {
 // back to owner after it restarts and rejoins.
 func (c *Cub) MirrorLoadFor(owner msg.NodeID) int {
 	n := 0
-	for k, e := range c.entries {
-		if k.part >= 0 && c.layoutOf(k.slot).CubOfDisk(int(e.vs.OrigDisk)) == owner {
+	c.view.each(func(e *entry) {
+		if e.key.part >= 0 && c.layoutOf(e.key.slot).CubOfDisk(int(e.vs.OrigDisk)) == owner {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -420,7 +408,7 @@ func (c *Cub) CPUBusy() time.Duration { return c.cpu.Busy() }
 
 // ViewSize returns the number of schedule entries currently in the cub's
 // view — the quantity the scalability argument of §4 bounds.
-func (c *Cub) ViewSize() int { return len(c.entries) }
+func (c *Cub) ViewSize() int { return c.view.len() }
 
 // QueueLen returns the number of start requests waiting for a free slot,
 // maintained as a counter so reading it is O(1) instead of a sweep over
@@ -508,15 +496,8 @@ func (c *Cub) retireDisk(d int) {
 	// more; tell the coordinator so it re-routes them to a mirror.
 	c.moverDiskRetired(d)
 	// Convert pending entries on that disk to mirror service.
-	var keys []entryKey
-	for k, e := range c.entries {
-		if k.part == -1 && e.disk == d {
-			keys = append(keys, k)
-		}
-	}
-	sortEntryKeys(keys)
-	for _, k := range keys {
-		e := c.entries[k]
+	for _, k := range c.view.sortedKeys(func(e *entry) bool { return e.key.part == -1 && e.disk == d }) {
+		e := c.view.get(k)
 		if e.vs.Due > int64(c.clk.Now()) && !e.hedged {
 			// Hedged entries already launched their mirror chain; starting
 			// another would only create duplicate gossip. The mirror route

@@ -54,15 +54,8 @@ func (c *Cub) markDead(z msg.NodeID) {
 	// that our view knows about, and adopt z's queued starts we hold
 	// redundant copies of.
 	now := c.clk.Now()
-	var keys []entryKey
-	for k := range c.entries {
-		if k.part == -1 {
-			keys = append(keys, k)
-		}
-	}
-	sortEntryKeys(keys)
-	for _, k := range keys {
-		e := c.entries[k]
+	for _, k := range c.view.sortedKeys(func(e *entry) bool { return e.key.part == -1 }) {
+		e := c.view.get(k)
 		cfg := c.cfgOf(k.slot)
 		if cfg == nil || !decider[GenOf(k.slot)] {
 			continue
@@ -158,23 +151,19 @@ func (c *Cub) refuteDeath(z msg.NodeID) {
 	c.stats.DeathsRefuted++
 	pace := int64(c.cfg.MirrorPace())
 	now := int64(c.clk.Now())
-	var keys []entryKey
-	for k, e := range c.entries {
-		if k.part >= 0 && c.layoutOf(k.slot).CubOfDisk(int(e.vs.OrigDisk)) == z {
-			keys = append(keys, k)
-		}
-	}
-	sortEntryKeys(keys)
-	handed := make(map[entryKey]bool)
+	keys := c.view.sortedKeys(func(e *entry) bool {
+		return e.key.part >= 0 && c.layoutOf(e.key.slot).CubOfDisk(int(e.vs.OrigDisk)) == z
+	})
+	handed := make(map[visit]bool)
 	for _, k := range keys {
-		e := c.entries[k]
+		e := c.view.get(k)
 		// Rebuild the primary service this piece substitutes for: piece p
 		// is due p mirror paces after the primary send it replaces.
 		pvs := e.vs
 		pvs.Mirror = false
 		pvs.Part = 0
 		pvs.Due -= int64(e.vs.Part) * pace
-		pk := entryKey{pvs.Slot, -1, pvs.Due}
+		pk := visit{pvs.Slot, pvs.Due}
 		if pvs.Due > now && !handed[pk] {
 			handed[pk] = true
 			cp := pvs

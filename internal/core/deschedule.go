@@ -57,15 +57,11 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 	// Remove any matching entries: primary and mirror pieces alike. The
 	// semantics are exactly "if this instance is in this slot, remove
 	// it", so a stale request is harmless.
-	var doomed []entryKey
-	for k, e := range c.entries {
-		if k.slot == d.Slot && e.vs.Instance == d.Instance {
-			doomed = append(doomed, k)
-		}
-	}
-	sortEntryKeys(doomed)
+	doomed := c.view.sortedKeys(func(e *entry) bool {
+		return e.key.slot == d.Slot && e.vs.Instance == d.Instance
+	})
 	for _, k := range doomed {
-		if e := c.entries[k]; e != nil {
+		if e := c.view.get(k); e != nil {
 			c.step(trace.Deschedule, &e.vs, int32(e.disk))
 		}
 		c.dropEntryRelease(k)

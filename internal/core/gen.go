@@ -161,11 +161,11 @@ func (c *Cub) DropGen(gen int32) {
 // drain monitor polls this toward zero.
 func (c *Cub) GenEntries(gen int32) int {
 	n := 0
-	for k := range c.entries {
-		if GenOf(k.slot) == gen {
+	c.view.each(func(e *entry) {
+		if GenOf(e.key.slot) == gen {
 			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -105,7 +105,7 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 	}
 	nd := c.nativeDisk(cfg.Layout, d)
 	key := entryKey{vs.Slot, -1, vs.Due}
-	if old, ok := c.entries[key]; ok {
+	if old := c.view.get(key); old != nil {
 		if old.vs.Instance == vs.Instance {
 			c.stats.StatesDup++
 		} else {
@@ -288,18 +288,9 @@ func (c *Cub) service(e *entry) {
 	} else {
 		c.stats.BlocksSent++
 	}
-	// The buffer frees once the paced send finishes. The entry has left
-	// the view, but its record carries the held byte count until then.
-	e.pins++
-	c.clk.After(pace, e.onSent)
+	// The buffer frees once the paced send finishes.
+	c.bufReleases.Add(c.clk.Now().Add(pace), e.buffered)
 	c.step(trace.Serve, &e.vs, int32(e.disk))
-}
-
-// sent fires when an entry's paced send has finished: its buffer goes
-// back to the pool.
-func (e *entry) sent() {
-	e.c.bufAdjust(-e.buffered)
-	e.unpin()
 }
 
 func maxI8(a, b int8) int8 {
@@ -310,14 +301,33 @@ func maxI8(a, b int8) int8 {
 }
 
 func (c *Cub) bufAdjust(delta int64) {
+	c.settleBuffers()
 	c.bufBytes += delta
 	if c.bufBytes > c.stats.PeakBuffered {
 		c.stats.PeakBuffered = c.bufBytes
 	}
 }
 
+// settleBuffers hands back the buffers of the sends that have completed
+// by now. A completed send is no event — nothing but the two readers
+// below and the peak can tell when it happened — so it is applied by
+// reading the clock, before the pool is next changed or read. Only an
+// addition can raise the peak, so settling ahead of each one keeps the
+// high-water mark exact; a buffer due back at the very instant another
+// is taken goes back first.
+func (c *Cub) settleBuffers() {
+	now := c.clk.Now()
+	for c.bufReleases.Due(now) {
+		_, n := c.bufReleases.Pop()
+		c.bufBytes -= n
+	}
+}
+
 // BufferedBytes returns the block buffers currently held.
-func (c *Cub) BufferedBytes() int64 { return c.bufBytes }
+func (c *Cub) BufferedBytes() int64 {
+	c.settleBuffers()
+	return c.bufBytes
+}
 
 func (c *Cub) recordMiss(vs msg.ViewerState) {
 	c.stats.ServerMisses++
@@ -331,8 +341,8 @@ func (c *Cub) recordMiss(vs msg.ViewerState) {
 // descheduled viewer's prefetch should not occupy a drive — and since a
 // cancelled read's callback never fires, the buffer is released here.
 func (c *Cub) dropEntryRelease(key entryKey) {
-	e, ok := c.entries[key]
-	if !ok {
+	e := c.view.get(key)
+	if e == nil {
 		return
 	}
 	if e.buffered > 0 {
@@ -366,12 +376,7 @@ func (c *Cub) dropEntry(e *entry) {
 		e.pins--
 	}
 	e.live = false
-	delete(c.entries, e.key)
-	if n := c.slotOcc[e.key.slot] - 1; n > 0 {
-		c.slotOcc[e.key.slot] = n
-	} else {
-		delete(c.slotOcc, e.key.slot)
-	}
+	c.view.del(e.key)
 	e.retire()
 }
 
@@ -452,7 +457,7 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 	}
 	npd := c.nativeDisk(cfg.Layout, pd)
 	key := entryKey{vs.Slot, vs.Part, vs.Due}
-	if old, ok := c.entries[key]; ok {
+	if old := c.view.get(key); old != nil {
 		if old.vs.Instance == vs.Instance {
 			c.stats.StatesDup++
 		} else {
@@ -503,8 +508,8 @@ func (c *Cub) forwardTick() {
 		due = append(due, c.fwdPop())
 	}
 	for _, k := range due {
-		e, ok := c.entries[k]
-		if !ok || e.forwarded || e.vs.Mirror {
+		e := c.view.get(k)
+		if e == nil || e.forwarded || e.vs.Mirror {
 			continue // lazily deleted: dropped or forwarded out of band
 		}
 		e.forwarded = true
@@ -515,8 +520,8 @@ func (c *Cub) forwardTick() {
 	c.clk.After(c.cfg.ForwardInterval, c.forwardTick)
 }
 
-// fwdKeyLess orders forward-heap keys (due, slot, part), matching
-// sortEntryKeys.
+// fwdKeyLess orders entry keys by (due, slot, part): the forward heap's
+// order and the view's sortedKeys order.
 func fwdKeyLess(a, b entryKey) bool {
 	if a.due != b.due {
 		return a.due < b.due
@@ -570,20 +575,6 @@ func (c *Cub) fwdPop() entryKey {
 	return top
 }
 
-// sortEntryKeys orders keys by (due, slot, part) for deterministic
-// iteration.
-func sortEntryKeys(ks []entryKey) {
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].due != ks[j].due {
-			return ks[i].due < ks[j].due
-		}
-		if ks[i].slot != ks[j].slot {
-			return ks[i].slot < ks[j].slot
-		}
-		return ks[i].part < ks[j].part
-	})
-}
-
 // forwardEntryNow queues the next-hop state derived from vs for delivery
 // to the first and second living successors.
 func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
@@ -611,6 +602,9 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 			c.acceptPrimary(next, nextDisk)
 		}
 	}
+	// Both successors are sent the same record: enqueueForward stamps it
+	// once with one epoch, a receiver copies it on arrival and the mesh
+	// writer only encodes it.
 	s1, ok1 := c.nthLivingSuccessorIn(cfg.Layout, 1)
 	if ok1 {
 		c.enqueueForward(s1, &next)
@@ -620,8 +614,7 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 	}
 	s2, ok2 := c.nthLivingSuccessorIn(cfg.Layout, 2)
 	if ok2 && s2 != s1 {
-		cp := next
-		c.enqueueForward(s2, &cp)
+		c.enqueueForward(s2, &next)
 	}
 }
 

@@ -169,15 +169,11 @@ func (c *Cub) suspectDisk(d int, h *diskHealth) {
 // future-due primary entry on drive d.
 func (c *Cub) hedgeOutstanding(d int) {
 	now := int64(c.clk.Now())
-	var keys []entryKey
-	for k, e := range c.entries {
-		if k.part == -1 && e.disk == d && !e.ready && !e.hedged && e.vs.Due > now {
-			keys = append(keys, k)
-		}
-	}
-	sortEntryKeys(keys)
+	keys := c.view.sortedKeys(func(e *entry) bool {
+		return e.key.part == -1 && e.disk == d && !e.ready && !e.hedged && e.vs.Due > now
+	})
 	for _, k := range keys {
-		c.hedgeEntry(c.entries[k])
+		c.hedgeEntry(c.view.get(k))
 	}
 	if len(keys) > 0 {
 		c.flushForwards()

@@ -125,7 +125,7 @@ func nextWindowOpen(p schedule.Params, d int, now sim.Time) sim.Time {
 // slot and the slot is empty" (§4.1.3). slot carries the generation in
 // its high bits; k is the queue being drained.
 func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
-	if c.slotOcc[slot] != 0 {
+	if c.view.occupied(slot) {
 		return
 	}
 	q := c.queue[k]
@@ -170,7 +170,7 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 		c.createMirrors(vs, gd)
 	} else {
 		c.acceptPrimary(vs, gd)
-		if e, ok := c.entries[entryKey{slot, -1, vs.Due}]; ok {
+		if e := c.view.get(entryKey{slot, -1, vs.Due}); e != nil {
 			e.forwarded = true // forwarded inline below; avoid a duplicate
 		}
 	}

@@ -72,14 +72,15 @@ var (
 )
 
 // Snapshot copies the cub's exported state. Like every Cub method it
-// must run where the cub's state may be read.
+// must run where the cub's state may be changed: bringing the buffer
+// pool up to date (settleBuffers) is a write.
 func (c *Cub) Snapshot() CubSnapshot {
 	s := CubSnapshot{
 		ID:              c.id,
 		CubStats:        c.stats,
-		ViewEntries:     len(c.entries),
+		ViewEntries:     c.view.len(),
 		QueuedStarts:    c.queueLen,
-		BufferedBytes:   c.bufBytes,
+		BufferedBytes:   c.BufferedBytes(),
 		Epoch:           c.epoch,
 		MovesPending:    c.MoverPending(),
 		UnservableDisks: c.unservable,

@@ -43,7 +43,7 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	due := r.eng.Now().Add(1200 * time.Millisecond)
 	c.Deliver(1, stateFor(1, 5, due))
 	key := entryKey{5, -1, int64(due)}
-	old := c.entries[key]
+	old := c.view.get(key)
 	if old == nil || old.pins != 2 {
 		t.Fatalf("entry not armed: %+v", old)
 	}
@@ -52,7 +52,7 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 		t.Fatalf("read not in flight: readID %d ready %v buffered %d", old.readID, old.ready, c.BufferedBytes())
 	}
 	c.Deliver(msg.Controller, &msg.Deschedule{Viewer: 1, Instance: 1, Slot: 5})
-	if c.entries[key] != nil || c.BufferedBytes() != 0 {
+	if c.view.get(key) != nil || c.BufferedBytes() != 0 {
 		t.Fatal("deschedule left the entry or its buffer")
 	}
 	if len(c.freeEntries) != 1 || c.freeEntries[0] != old || old.pins != 0 {
@@ -62,7 +62,7 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	// Another viewer is inserted into the freed slot: same key, and the
 	// same record.
 	c.Deliver(1, stateFor(2, 5, due))
-	cur := c.entries[key]
+	cur := c.view.get(key)
 	if cur != old || cur.vs.Instance != 2 || cur.ready || cur.readID != 0 {
 		t.Fatalf("record not reused cleanly: %+v", cur)
 	}
@@ -78,8 +78,8 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	if sends != 1 || st.BlocksSent != 1 || st.ServerMisses != 0 || st.IndexMisses != 0 {
 		t.Fatalf("sends %d stats %+v", sends, st)
 	}
-	if c.BufferedBytes() != 0 || c.entries[key] != nil {
-		t.Fatalf("buffered %d, entry %+v after the send", c.BufferedBytes(), c.entries[key])
+	if c.BufferedBytes() != 0 || c.view.get(key) != nil {
+		t.Fatalf("buffered %d, entry %+v after the send", c.BufferedBytes(), c.view.get(key))
 	}
 	if ds := c.DiskByIndex(0).Stats(); ds.Reads != 2 || ds.CancelledBusy != 1 {
 		t.Fatalf("disk stats %+v, want the withdrawn read and the new one", ds)
@@ -148,13 +148,13 @@ func TestEntryRecordHeldWhileStopLosesRace(t *testing.T) {
 	}
 
 	c.Deliver(1, state(1))
-	old := c.entries[key]
+	old := c.view.get(key)
 	c.Deliver(msg.Controller, &msg.Deschedule{Viewer: 1, Instance: 1, Slot: 3})
 	if old == nil || old.live || old.pins != 2 || len(c.freeEntries) != 0 {
 		t.Fatalf("entry with two callbacks still queued was recycled: %+v free %d", old, len(c.freeEntries))
 	}
 	c.Deliver(1, state(2))
-	cur := c.entries[key]
+	cur := c.view.get(key)
 	if cur == nil || cur == old {
 		t.Fatal("the new instance took over a record with callbacks outstanding")
 	}
@@ -174,8 +174,8 @@ func TestEntryRecordHeldWhileStopLosesRace(t *testing.T) {
 	if st.ServerMisses != 1 || data.blocks != 0 || st.IndexMisses != 0 {
 		t.Fatalf("stale send timer serviced the new entry: %+v, %d blocks", st, data.blocks)
 	}
-	if c.BufferedBytes() != 0 || len(c.entries) != 0 {
-		t.Fatalf("buffered %d, %d entries", c.BufferedBytes(), len(c.entries))
+	if c.BufferedBytes() != 0 || c.view.len() != 0 {
+		t.Fatalf("buffered %d, %d entries", c.BufferedBytes(), c.view.len())
 	}
 }
 
@@ -203,14 +203,18 @@ func TestIndexMissCounted(t *testing.T) {
 func TestRestartWipesRecordPool(t *testing.T) {
 	r := newRig(t, defaultRigOptions())
 	r.play(1, 0, 0)
-	r.run(5 * time.Second)
 	c := r.cubs[0]
+	// A record is pooled from the instant its send is placed until the
+	// stream's next state for this cub takes it again.
+	for i := 0; i < 100 && len(c.freeEntries) == 0; i++ {
+		r.run(50 * time.Millisecond)
+	}
 	if len(c.freeEntries) == 0 {
-		t.Fatal("no record pooled after five seconds of play")
+		t.Fatal("no record pooled in five seconds of play")
 	}
 	c.Restart()
-	if len(c.freeEntries) != 0 || len(c.entries) != 0 {
-		t.Fatalf("%d pooled, %d entries after Restart", len(c.freeEntries), len(c.entries))
+	if len(c.freeEntries) != 0 || c.view.len() != 0 {
+		t.Fatalf("%d pooled, %d entries after Restart", len(c.freeEntries), c.view.len())
 	}
 }
 

@@ -48,12 +48,7 @@ var RecoveryBounds = []float64{0.01, 0.1, 0.5, 1, 5, 30}
 func (c *Cub) Restart() {
 	// Drop every schedule entry, stopping its timers and releasing any
 	// read buffers a dead incarnation would not have kept.
-	keys := make([]entryKey, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	sortEntryKeys(keys)
-	for _, k := range keys {
+	for _, k := range c.view.sortedKeys(nil) {
 		c.dropEntryRelease(k)
 	}
 	c.freeEntries = nil // record pools are volatile state too
@@ -132,15 +127,10 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 	pace := int64(c.cfg.MirrorPace())
 	horizon := now + int64(c.cfg.MaxVStateLead) + bp
 	reply := &msg.RejoinReply{From: c.id, ForEpoch: req.Epoch}
-	sent := make(map[entryKey]bool)
+	sent := make(map[visit]bool)
 
-	keys := make([]entryKey, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	sortEntryKeys(keys)
-	for _, k := range keys {
-		e := c.entries[k]
+	for _, k := range c.view.sortedKeys(nil) {
+		e := c.view.get(k)
 		cfg := c.cfgOf(k.slot)
 		if cfg == nil {
 			continue
@@ -157,7 +147,7 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 			pvs.Part = 0
 			pvs.Due -= int64(e.vs.Part) * pace
 			pvs.Epoch = c.epoch
-			pk := entryKey{pvs.Slot, -1, pvs.Due}
+			pk := visit{pvs.Slot, pvs.Due}
 			if pvs.Due > now && !sent[pk] {
 				sent[pk] = true
 				reply.States = append(reply.States, pvs)
@@ -185,7 +175,7 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 			nvs.Due = due
 			nvs.OrigDisk = int32(d)
 			nvs.Epoch = c.epoch
-			nk := entryKey{nvs.Slot, -1, nvs.Due}
+			nk := visit{nvs.Slot, nvs.Due}
 			if due > now && c.fileHasBlock(nvs.File, nvs.Block) && !sent[nk] {
 				sent[nk] = true
 				reply.States = append(reply.States, nvs)
@@ -221,7 +211,7 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 			continue
 		}
 		key := entryKey{vs.Slot, -1, vs.Due}
-		if old, ok := c.entries[key]; ok {
+		if old := c.view.get(key); old != nil {
 			// Another neighbour transferred it first (or gossip beat the
 			// reply here). Confirm anyway so every covering cub retires.
 			if old.vs.Instance == vs.Instance {
@@ -235,7 +225,7 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 			continue
 		}
 		c.acceptPrimary(vs, d)
-		if e, ok := c.entries[key]; ok && e.vs.Instance == vs.Instance {
+		if e := c.view.get(key); e != nil && e.vs.Instance == vs.Instance {
 			c.stats.ViewTransferred++
 			owned = append(owned, vs)
 		}
@@ -267,8 +257,8 @@ func (c *Cub) onRejoinConfirm(cf *msg.RejoinConfirm) {
 		}
 		for p := 0; p < lay.Decluster; p++ {
 			key := entryKey{vs.Slot, int8(p), vs.Due + int64(p)*pace}
-			e, ok := c.entries[key]
-			if !ok || e.vs.Instance != vs.Instance || e.vs.OrigDisk != vs.OrigDisk {
+			e := c.view.get(key)
+			if e == nil || e.vs.Instance != vs.Instance || e.vs.OrigDisk != vs.OrigDisk {
 				continue
 			}
 			c.dropEntryRelease(key)

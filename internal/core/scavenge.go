@@ -403,13 +403,8 @@ func (c *Cub) onScavengeReq(q msg.ScavengeReq) {
 
 	pace := int64(c.cfg.MirrorPace())
 	best := make(map[msg.InstanceID]msg.ViewerState)
-	keys := make([]entryKey, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	sortEntryKeys(keys)
-	for _, k := range keys {
-		e := c.entries[k]
+	for _, k := range c.view.sortedKeys(nil) {
+		e := c.view.get(k)
 		if _, parked := c.parkedInst[e.vs.Instance]; parked {
 			continue // a parked stream's stragglers are not a live play
 		}

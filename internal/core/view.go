@@ -29,10 +29,10 @@ type ViewEntry struct {
 // ViewWindow returns the cub's current view, ordered by due time — the
 // slice of the hallucinated global schedule this cub can see.
 func (c *Cub) ViewWindow() []ViewEntry {
-	out := make([]ViewEntry, 0, len(c.entries))
-	for k, e := range c.entries {
+	out := make([]ViewEntry, 0, c.view.len())
+	c.view.each(func(e *entry) {
 		out = append(out, ViewEntry{
-			Slot:     k.slot,
+			Slot:     e.key.slot,
 			Viewer:   e.vs.Viewer,
 			Instance: e.vs.Instance,
 			Block:    e.vs.Block,
@@ -42,7 +42,7 @@ func (c *Cub) ViewWindow() []ViewEntry {
 			Part:     maxI8(e.vs.Part, 0),
 			Ready:    e.ready,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Due != out[j].Due {
 			return out[i].Due < out[j].Due
@@ -57,9 +57,9 @@ func (c *Cub) ViewWindow() []ViewEntry {
 // mirroring Figure 7's annotations.
 func (c *Cub) SlotView(slot int32) string {
 	var parts []string
-	for k, e := range c.entries {
-		if k.slot != slot {
-			continue
+	c.view.each(func(e *entry) {
+		if e.key.slot != slot {
+			return
 		}
 		tag := ""
 		if e.vs.Mirror {
@@ -67,7 +67,7 @@ func (c *Cub) SlotView(slot int32) string {
 		}
 		parts = append(parts, fmt.Sprintf("viewer %d (inst %d, block %d%s)",
 			e.vs.Viewer, e.vs.Instance, e.vs.Block, tag))
-	}
+	})
 	for k := range c.desch {
 		if k.slot == slot {
 			parts = append(parts, fmt.Sprintf("deschedule held (inst %d)", k.instance))
@@ -86,7 +86,7 @@ func (c *Cub) DumpView() string {
 	var b strings.Builder
 	now := c.clk.Now()
 	fmt.Fprintf(&b, "cub %v view at %v (%d entries, %d held deschedules):\n",
-		c.id, now, len(c.entries), len(c.desch))
+		c.id, now, c.view.len(), len(c.desch))
 	if hl := c.diskHealthLine(); hl != "" {
 		fmt.Fprintf(&b, "  disk health: %s\n", hl)
 	}

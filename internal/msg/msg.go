@@ -277,6 +277,7 @@ func putBool(b []byte, v bool) []byte {
 }
 
 var errShort = fmt.Errorf("msg: short buffer")
+var errNestedBatch = fmt.Errorf("msg: batch inside a batch")
 
 func getU8(b []byte) (uint8, []byte, error) {
 	if len(b) < 1 {
@@ -565,6 +566,12 @@ func (bt *Batch) decode(b []byte) ([]byte, error) {
 	}
 	bt.Msgs = make([]Message, 0, n)
 	for i := 0; i < n; i++ {
+		// No sender nests batches and a cub unwraps exactly one level;
+		// decoding one would recurse once per five input bytes, as deep
+		// as a frame is long.
+		if len(b) > 0 && Type(b[0]) == TBatch {
+			return nil, errNestedBatch
+		}
 		var m Message
 		m, b, err = Consume(b)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -85,15 +86,31 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNestedBatch: a batch inside a batch is refused. No sender builds
+// one and Cub.Deliver unwraps a single level, so accepting it bought
+// nothing — and decoding it recursed once per nesting level.
 func TestNestedBatch(t *testing.T) {
 	inner := &Batch{Msgs: []Message{&Heartbeat{From: 1}}}
 	outer := &Batch{Msgs: []Message{inner, &Heartbeat{From: 2}}}
-	got, err := Decode(Encode(outer))
-	if err != nil {
-		t.Fatal(err)
+	if got, err := Decode(Encode(outer)); err == nil {
+		t.Fatalf("nested batch decoded: %+v", got)
 	}
-	if !reflect.DeepEqual(outer, got) {
-		t.Error("nested batch mismatch")
+}
+
+// TestNestedBatchBoundedStack: a 15 MiB frame (under wire.MaxFrame) of
+// nothing but {TBatch, count=1} headers used to recurse three million
+// levels deep and end the process with "fatal error: stack overflow",
+// which no recover catches. It must be refused at the second header; the
+// lowered stack ceiling makes any deep recursion fatal here too.
+func TestNestedBatchBoundedStack(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	const levels = 3 << 20
+	frame := make([]byte, 0, 5*levels)
+	for i := 0; i < levels; i++ {
+		frame = append(frame, byte(TBatch), 1, 0, 0, 0)
+	}
+	if m, err := Decode(frame); err == nil {
+		t.Fatalf("%d nested batch headers decoded: %v", levels, m.Type())
 	}
 }
 

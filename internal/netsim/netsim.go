@@ -131,7 +131,7 @@ type nodeStats struct {
 	dataDrops int64
 
 	// net and clk are the network and the clock of the node's executor,
-	// for the block-in-flight records' callbacks. freeSends are the
+	// for the block-in-flight records' callback. freeSends are the
 	// records ready for reuse.
 	net       *Network
 	clk       clock.Clock
@@ -142,12 +142,18 @@ type nodeStats struct {
 	// sharded so concurrent senders never share a random source.
 	jitter uint64
 
-	// NIC occupancy accounting: integrate active send rate over time.
-	activeRate float64 // bytes/s currently being sent
-	lastChange sim.Time
-	byteSecs   float64 // integral of activeRate dt, in bytes
-	peakRate   float64
-	overloadNs int64 // time spent with activeRate > NICRate
+	// NIC occupancy accounting: integrate active send rate over time. A
+	// paced send gives its share back when its pace ends; nothing in the
+	// system can observe that, so it is no event: the share waits on
+	// nicReleases and settleNIC applies it, at its own instant, before the
+	// occupancy is next changed or read. Failing or crashing the node does
+	// not empty the queue — bytes already on the wire finish their pace.
+	nicReleases clock.Releases[float64]
+	activeRate  float64 // bytes/s currently being sent
+	lastChange  sim.Time
+	byteSecs    float64 // integral of activeRate dt, in bytes
+	peakRate    float64
+	overloadNs  int64 // time spent with activeRate > NICRate
 }
 
 // Network is the simulated switch.
@@ -575,11 +581,10 @@ func (n *Network) SendBlock(from msg.NodeID, d BlockDelivery, pace time.Duration
 
 	clk := st.clk
 	now := clk.Now()
-	b := st.newBlockSend()
-	b.rate = float64(d.Bytes) / pace.Seconds()
-	n.nicAdjust(st, +b.rate, now)
-	b.events = 1
-	clk.After(pace, b.paceEnd)
+	n.settleNIC(st, now)
+	rate := float64(d.Bytes) / pace.Seconds()
+	n.nicAdjust(st, +rate, now)
+	st.nicReleases.Add(now.Add(pace), rate)
 
 	d.From = from
 	d.Start = now
@@ -589,7 +594,7 @@ func (n *Network) SendBlock(from msg.NodeID, d BlockDelivery, pace time.Duration
 	if n.shard != nil {
 		if src := n.shard.ShardOf(from); src != n.shard.ViewerShard {
 			// The delivery runs on another shard's executor, where the
-			// sender's record and free list must not be touched: it
+			// sender's records and free list must not be touched: it
 			// carries its own copy of d (declared here so that only
 			// this branch pays for the heap copy).
 			posted := d
@@ -597,8 +602,8 @@ func (n *Network) SendBlock(from msg.NodeID, d BlockDelivery, pace time.Duration
 			return
 		}
 	}
+	b := st.newBlockSend()
 	b.d = d
-	b.events++
 	clk.At(d.LastByte, b.lastByte)
 }
 
@@ -608,21 +613,14 @@ func (n *Network) deliverBlock(d BlockDelivery) {
 	}
 }
 
-// blockSend is one paced block send in flight from a node: the end of
-// its NIC occupancy and, when the viewers run on the sender's executor,
-// the arrival of its last byte. Records belong to the sending node and
-// are reused through its free list; both callbacks are bound once, when
-// the record is first allocated, and read their arguments from it.
-// Neither event is ever cancelled, so the record is free again when the
-// last of them has fired.
+// blockSend is the arrival of one block's last byte at a viewer that
+// runs on the sender's executor. Records belong to the sending node and
+// are reused through its free list; the callback is bound once, when the
+// record is first allocated, and reads its argument from it. The event
+// is never cancelled, so the record is free again when it has fired.
 type blockSend struct {
-	st *nodeStats
-
-	d      BlockDelivery
-	rate   float64
-	events int8 // armed and not yet fired
-
-	paceEnd  func()
+	st       *nodeStats
+	d        BlockDelivery
 	lastByte func()
 }
 
@@ -633,24 +631,23 @@ func (st *nodeStats) newBlockSend() *blockSend {
 		return b
 	}
 	b := &blockSend{st: st}
-	b.paceEnd = b.onPaceEnd
 	b.lastByte = b.onLastByte
 	return b
 }
 
-func (b *blockSend) onPaceEnd() {
-	b.st.net.nicAdjust(b.st, -b.rate, b.st.clk.Now())
-	b.fired()
-}
-
 func (b *blockSend) onLastByte() {
 	b.st.net.deliverBlock(b.d)
-	b.fired()
+	b.st.freeSends = append(b.st.freeSends, b)
 }
 
-func (b *blockSend) fired() {
-	if b.events--; b.events == 0 {
-		b.st.freeSends = append(b.st.freeSends, b)
+// settleNIC applies the pace ends that have fallen due by now, each at
+// its own instant and in instant order, so the occupancy integral, the
+// overload time and the peak read exactly as if every one had been an
+// event. A pace that ends at the instant another send starts ends first.
+func (n *Network) settleNIC(st *nodeStats, now sim.Time) {
+	for st.nicReleases.Due(now) {
+		at, rate := st.nicReleases.Pop()
+		n.nicAdjust(st, -rate, at)
 	}
 }
 
@@ -698,7 +695,9 @@ func (n *Network) NodeStats(id msg.NodeID) Stats {
 		return Stats{}
 	}
 	// Fold in occupancy up to now so ByteSecs is current.
-	n.nicAdjust(st, 0, n.clockFor(id).Now())
+	now := n.clockFor(id).Now()
+	n.settleNIC(st, now)
+	n.nicAdjust(st, 0, now)
 	return Stats{
 		CtlBytes:   st.ctlBytes,
 		CtlMsgs:    st.ctlMsgs,

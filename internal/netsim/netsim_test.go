@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -401,7 +402,8 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 }
 
 // TestSendBlockAllocs: a paced send through to the viewer's DeliverBlock
-// reuses the sender's block-in-flight record.
+// reuses the sender's block-in-flight record and costs one event, the
+// last byte's arrival — the end of its pace is not one.
 func TestSendBlockAllocs(t *testing.T) {
 	eng, n := testNet(t, nil)
 	n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) {}))
@@ -420,6 +422,12 @@ func TestSendBlockAllocs(t *testing.T) {
 	if delivered != 3*202 {
 		t.Fatalf("%d deliveries, want %d", delivered, 3*202)
 	}
+	if ev := eng.Processed(); ev != 3*202 {
+		t.Fatalf("%d events for %d sends, want one each", ev, 3*202)
+	}
+	if st := n.NodeStats(0); st.PeakRate != 3*262144 || st.ByteSecs != 202*3*262144 {
+		t.Fatalf("NIC accounting without pace-end events: %+v", st)
+	}
 }
 
 type sinkFunc func(BlockDelivery)
@@ -427,8 +435,8 @@ type sinkFunc func(BlockDelivery)
 func (f sinkFunc) DeliverBlock(d BlockDelivery) { f(d) }
 
 // TestBlockSendRecordReuse: overlapping sends each deliver their own
-// block, and a record is back in use only after both of its events have
-// fired — the NIC occupancy it releases is the rate it was armed with.
+// block, a record is back in use only after its last byte has arrived,
+// and the NIC occupancy a send gives up is the rate it was started at.
 func TestBlockSendRecordReuse(t *testing.T) {
 	eng, n := testNet(t, func(p *Params) { p.LatencyJitter = 0 })
 	n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) {}))
@@ -456,5 +464,116 @@ func TestBlockSendRecordReuse(t *testing.T) {
 	}
 	if free := len(n.stats[0].freeSends); free != 2 {
 		t.Fatalf("%d records pooled after three rounds of two overlapping sends, want 2", free)
+	}
+}
+
+// TestLazyNICEqualsEager drives randomized paced sends — primary and
+// mirror-piece paces mixed, start instants on a grid both paces divide so
+// a pace often ends at the very instant another send starts, a crash and
+// revival in the middle — and compares every NodeStats read with an
+// eager model computed here: all rate changes of the whole run sorted by
+// instant (a pace end before a start or a read at the same instant, pace
+// ends among themselves in send order) and integrated in one sweep.
+func TestLazyNICEqualsEager(t *testing.T) {
+	const (
+		primaryPace = time.Second
+		piecePace   = 250 * time.Millisecond
+		grid        = 50 * time.Millisecond
+	)
+	for seed := int64(1); seed <= 5; seed++ {
+		eng, n := testNet(t, func(p *Params) { p.NICRate = 3e6 })
+		n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) {}))
+		n.RegisterViewer(7, sinkFunc(func(BlockDelivery) {}))
+		rng := rand.New(rand.NewSource(seed))
+
+		type change struct {
+			at      sim.Time
+			paceEnd bool
+			seq     int
+			delta   float64
+			read    int // index into reads, or -1
+		}
+		var changes []change
+		var reads []Stats
+		down := false
+		for op := 0; op < 4000; op++ {
+			eng.RunFor(time.Duration(rng.Intn(4)) * grid) // 0: same instant as the last op
+			now := eng.Now()
+			switch k := rng.Intn(20); {
+			case op == 1500:
+				n.Crash(0)
+				down = true
+			case op == 1700:
+				n.Revive(0)
+				down = false
+			case k < 3:
+				changes = append(changes, change{at: now, seq: op, read: len(reads)})
+				reads = append(reads, n.NodeStats(0))
+			default:
+				pace, bytes := primaryPace, int64(262144)
+				if k < 9 {
+					pace, bytes = piecePace, 65536
+				}
+				n.SendBlock(0, BlockDelivery{Viewer: 7, Bytes: bytes, Parts: 1}, pace)
+				if down {
+					continue // a dead node puts nothing on the wire
+				}
+				rate := float64(bytes) / pace.Seconds()
+				changes = append(changes,
+					change{at: now, seq: op, delta: +rate, read: -1},
+					change{at: now.Add(pace), paceEnd: true, seq: op, delta: -rate, read: -1})
+			}
+		}
+		eng.Run()
+		changes = append(changes, change{at: eng.Now(), seq: 1 << 30, read: len(reads)})
+		reads = append(reads, n.NodeStats(0))
+
+		sort.SliceStable(changes, func(i, j int) bool {
+			a, b := changes[i], changes[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.paceEnd != b.paceEnd {
+				return a.paceEnd
+			}
+			return a.seq < b.seq
+		})
+		var active, byteSecs, peak float64
+		var overload int64
+		var last sim.Time
+		sends, ties := 0, 0
+		for i, c := range changes {
+			if dt := c.at.Sub(last); dt > 0 {
+				byteSecs += active * dt.Seconds()
+				if active > n.params.NICRate {
+					overload += int64(dt)
+				}
+			}
+			last = c.at
+			active += c.delta
+			if active < 0 {
+				active = 0
+			}
+			if active > peak {
+				peak = active
+			}
+			if c.delta > 0 {
+				sends++
+				if i > 0 && changes[i-1].paceEnd && changes[i-1].at == c.at {
+					ties++
+				}
+			}
+			if c.read >= 0 {
+				got := reads[c.read]
+				if got.ByteSecs != byteSecs || got.PeakRate != peak || got.OverloadNs != overload {
+					t.Fatalf("seed %d, read %d at %v: got byteSecs %v peak %v overload %d, eager model %v %v %d",
+						seed, c.read, c.at, got.ByteSecs, got.PeakRate, got.OverloadNs, byteSecs, peak, overload)
+				}
+			}
+		}
+		if ties < sends/20 || overload == 0 || active != 0 {
+			t.Fatalf("seed %d exercises too little: %d of %d sends start as a pace ends, overload %d, %v B/s left active",
+				seed, ties, sends, overload, active)
+		}
 	}
 }

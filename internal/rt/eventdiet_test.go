@@ -1,0 +1,82 @@
+package rt
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"tiger/internal/core"
+	"tiger/internal/msg"
+)
+
+// TestBlockCostsThreeExecutorEvents plays blocks through a cub on a real
+// Node and counts what the executor ran: per block a read timer, a disk
+// completion and a send timer. Handing the buffer back when the paced
+// send completes is not a fourth (it was: one time.AfterFunc and one
+// executor hop per block) — the pool is brought up to date by whoever
+// next reads or changes it, here the BufferedBytes call one pace after
+// the last send, before which nothing ran on the executor at all.
+func TestBlockCostsThreeExecutorEvents(t *testing.T) {
+	cfg, err := core.BuildConfig(core.SystemSpec{Cubs: 4, DisksPerCub: 1, Decluster: 2,
+		BlockPlay: 100 * time.Millisecond, BlockSize: 32768, NumFiles: 1, FileBlocks: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MinVStateLead = 400 * time.Millisecond
+	cfg.MaxVStateLead = 900 * time.Millisecond
+	cfg.ForwardInterval = 50 * time.Millisecond
+	cfg.DescheduleHold = 300 * time.Millisecond
+	cfg.ReadAhead = 100 * time.Millisecond
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(time.Now())
+	defer n.Close()
+	data := &blockLog{}
+	c := core.NewCub(0, cfg, n, nopTransport{}, data, rand.New(rand.NewSource(1)))
+	onDisk0 := int32((cfg.Layout.NumDisks() - cfg.Files[0].StartDisk) % cfg.Layout.NumDisks())
+
+	const blocks = 8
+	syncs := uint64(0)
+	sync := func(fn func()) {
+		syncs++
+		n.Sync(fn)
+	}
+	before := n.Processed()
+	sync(func() {
+		due := n.Now().Add(200 * time.Millisecond)
+		for k := 0; k < blocks; k++ {
+			inst := msg.InstanceID(k + 1)
+			c.Deliver(1, &msg.ViewerState{Viewer: msg.ViewerID(inst), Instance: inst,
+				Block: onDisk0 + int32(k*cfg.Layout.NumDisks()), Slot: int32(2 + k),
+				Due: int64(due.Add(time.Duration(k) * 10 * time.Millisecond)), Epoch: 1, Bitrate: 2_000_000})
+		}
+	})
+	var st core.CubStats
+	for deadline := time.Now().Add(5 * time.Second); st.BlocksSent < blocks; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d blocks sent: %+v", st.BlocksSent, blocks, st)
+		}
+		time.Sleep(20 * time.Millisecond)
+		sync(func() { st = c.Stats() })
+	}
+	if got := n.Processed() - before - syncs; got != 3*blocks {
+		t.Fatalf("%d executor events for %d blocks, want 3 each (read timer, disk completion, send timer)", got, blocks)
+	}
+
+	// One pace (a block play time) after the last send its buffer is back,
+	// and no event brought it.
+	quiet := n.Processed()
+	time.Sleep(cfg.Sched.BlockPlay + 50*time.Millisecond)
+	if ran := n.Processed() - quiet; ran != 0 {
+		t.Fatalf("%d executor events after the last send", ran)
+	}
+	sync(func() {
+		if got := c.BufferedBytes(); got != 0 {
+			t.Errorf("%d bytes buffered one pace after the last send", got)
+		}
+		if st := c.Stats(); st.PeakBuffered < cfg.BlockSize || st.ServerMisses != 0 || len(data.insts) != blocks {
+			t.Errorf("peak %d, stats %+v, %d blocks on the data path", st.PeakBuffered, st, len(data.insts))
+		}
+	})
+}

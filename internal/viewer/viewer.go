@@ -209,7 +209,12 @@ func (v *Viewer) DeliverBlock(d netsim.BlockDelivery) {
 		ps.need = d.Parts
 		ps.mask |= 1 << uint(d.Part)
 	}
-	v.received[d.PlaySeq] = ps
+	if d.PlaySeq >= v.nextCheck {
+		// A sequence already judged is not recorded: only its own check
+		// deletes a record, so a piece or hedge duplicate arriving after
+		// the verdict would sit in the map until the next Begin.
+		v.received[d.PlaySeq] = ps
+	}
 	// The timeline anchors on the completion of the first block — the
 	// paper's client records "the receive time of a block to be when the
 	// last byte of the block arrives". A mirror-served first block

@@ -307,3 +307,39 @@ func TestStaleCheckAfterReplay(t *testing.T) {
 		t.Fatalf("%d check records pooled, want the stale play's and the new one's", len(v.freeChecks))
 	}
 }
+
+// TestLateDeliveriesNotKept: a mirror piece or hedge duplicate arriving
+// after its sequence was judged is counted and timed like any other
+// delivery but not recorded — nothing would ever delete the record, and
+// a crash window makes one per late piece for the rest of the play.
+func TestLateDeliveriesNotKept(t *testing.T) {
+	eng, v, _ := newViewer(t)
+	timed := 0
+	v.OnTimedDelivery = func(netsim.BlockDelivery, time.Duration) { timed++ }
+	const blocks = 40
+	v.Begin(42, 0, 0, blocks)
+	for k := int32(0); k < blocks; k++ {
+		k := k
+		at := sim.Time(time.Second) + sim.Time(k)*sim.Time(bp)
+		eng.At(at, func() { deliver(v, k, 1, 1, eng.Now()) })
+		// Two declustered pieces of the same sequence trail in after its
+		// deadline (0.5 s of slack) has passed.
+		eng.At(at.Add(800*time.Millisecond), func() {
+			deliver(v, k, 2, 4, eng.Now())
+			if unjudged := int(k + 1 - v.nextCheck); len(v.received) > unjudged {
+				t.Errorf("seq %d: %d sequences recorded, %d still unjudged", k, len(v.received), unjudged)
+			}
+		})
+	}
+	eng.Run()
+	st := v.Stats()
+	if st.BlocksOK != blocks || st.BlocksLost != 0 || st.PiecesSeen != 3*blocks || st.WrongData != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	if timed != 3*blocks {
+		t.Fatalf("%d timed deliveries, want %d", timed, 3*blocks)
+	}
+	if len(v.received) != 0 {
+		t.Fatalf("%d sequences still recorded after the last verdict", len(v.received))
+	}
+}
