@@ -46,10 +46,7 @@ func TestDecodeBoundsCountBeforeAllocating(t *testing.T) {
 // predicts the encoding's length; and the decoded message owns its
 // memory — overwriting the input buffer afterwards does not change it.
 func FuzzDecode(f *testing.F) {
-	seeds := append(sampleMessages(),
-		&Batch{Msgs: sampleMessages()},
-		&BlockData{Viewer: 1, Instance: 2, Block: 3, Parts: 1, Bytes: 1 << 18, Payload: []byte("tiger")},
-		&MoveOrder{}, &MoveData{}, &MoveCommit{}, &MoveNack{}, &ClockSync{EpochUnixNano: 7})
+	seeds := append(sampleMessages(), &Batch{Msgs: sampleLeaves()})
 	for _, m := range seeds {
 		f.Add(Encode(m))
 	}

@@ -9,20 +9,26 @@ import (
 	"testing/quick"
 )
 
-func sampleMessages() []Message {
+// sampleLeaves is one value of every kind but Batch, in Type order, every
+// field set to its own non-zero value so that two fields swapped in the
+// codec cannot cancel out.
+func sampleLeaves() []Message {
 	return []Message{
 		&ViewerState{
 			Viewer: 7, Instance: 99, Addr: [16]byte{1, 2, 3}, File: 4,
 			Block: 1234, Slot: 17, PlaySeq: 55, Due: 1234567890,
-			Bitrate: 2_000_000, Mirror: true, Part: 3, OrigDisk: 41, Epoch: 2,
+			Bitrate: 2_000_000, Mirror: true, Part: 3, OrigDisk: 41, Epoch: 2, Trace: 1,
 		},
 		&Deschedule{Viewer: 1, Instance: 2, Slot: -1, Created: 42},
 		&StartPlay{Viewer: 3, Instance: 4, Addr: [16]byte{9}, File: 5,
-			StartBlock: 6, Bitrate: 7, Primary: true, Issued: 8},
+			StartBlock: 6, Bitrate: 7, Primary: true, Issued: 8, Trace: 1, Ctl: 2},
 		&StartAck{Viewer: 9, Instance: 10, Slot: 11, By: -1},
 		&Heartbeat{From: 12, Epoch: 13, Now: 14},
-		&ReserveReq{Viewer: 15, Instance: 16, Start: 17, Bitrate: 18, Seq: 19},
+		&ReserveReq{Viewer: 15, Instance: 16, Start: 17, Bitrate: 18, Seq: 19, Trace: 1},
 		&ReserveResp{Instance: 20, Seq: 21, OK: true},
+		&BlockData{Viewer: 77, Instance: 78, File: 79, Block: 80, PlaySeq: 81,
+			Part: 1, Parts: 4, Mirror: true, Bytes: 1 << 18, Payload: []byte("tiger")},
+		&ClockSync{EpochUnixNano: 1_700_000_000_000_000_007},
 		&Hello{From: 22, Epoch: 23},
 		&RejoinRequest{From: 24, Epoch: 25},
 		&RejoinReply{From: 26, ForEpoch: 27, States: []ViewerState{
@@ -33,6 +39,12 @@ func sampleMessages() []Message {
 		&RejoinConfirm{From: 41, Epoch: 42, States: []ViewerState{
 			{Viewer: 43, Instance: 44, Slot: 45, Due: 46, OrigDisk: 47},
 		}},
+		&MoveOrder{Fence: 82, Seq: 83, File: 84, Block: 85, Part: -1, SrcIdx: 2,
+			DstCub: 86, DstIdx: 3, Alt: 1, Ctl: 87},
+		&MoveData{Fence: 88, Seq: 89, File: 90, Block: 91, Part: 2, DstIdx: 1,
+			From: 92, Epoch: 93},
+		&MoveCommit{Fence: 94, Seq: 95, From: 96, Epoch: 97},
+		&MoveNack{Fence: 98, Seq: 99, From: 100, Reason: NackDiskQuarantined},
 		&CubDown{Fence: 48, Down: []NodeID{5, 6}},
 		&Park{Viewer: 49, Instance: 50, Slot: -1, Fence: 51,
 			File: 2, ResumeBlock: 77, Bitrate: 2_000_000, Ctl: 3},
@@ -49,6 +61,13 @@ func sampleMessages() []Message {
 					Bitrate: 75, Fence: 76},
 			}},
 	}
+}
+
+// sampleMessages is one value of every kind: the leaves and a Batch of
+// several of them (a Batch may not hold a Batch).
+func sampleMessages() []Message {
+	leaves := sampleLeaves()
+	return append(leaves, &Batch{Msgs: []Message{leaves[4], leaves[0], leaves[1]}})
 }
 
 func TestRoundTripAll(t *testing.T) {
@@ -68,7 +87,7 @@ func TestRoundTripAll(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	b := &Batch{Msgs: sampleMessages()}
+	b := &Batch{Msgs: sampleLeaves()}
 	enc := Encode(b)
 	if len(enc) != b.Size() {
 		t.Errorf("batch encoded %d bytes, Size() says %d", len(enc), b.Size())
@@ -140,7 +159,7 @@ func TestConsumeSequence(t *testing.T) {
 	var buf []byte
 	msgs := sampleMessages()
 	for _, m := range msgs {
-		buf = Append(buf, m)
+		buf = AppendEncode(buf, m)
 	}
 	rest := buf
 	for i := 0; len(rest) > 0; i++ {
