@@ -16,13 +16,10 @@ import (
 	"strings"
 	"time"
 
-	"tiger/internal/clock"
 	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
 	"tiger/internal/msg"
-	"tiger/internal/restripe"
-	"tiger/internal/sim"
 )
 
 var (
@@ -34,8 +31,6 @@ var (
 	fblocks   = flag.Int("blocks", 3600, "blocks per file")
 	blockSize = flag.Int64("blocksize", 262144, "bytes per block")
 	rate      = flag.Float64("diskrate", 5.08e6, "per-disk copy rate, bytes/s")
-	simulate  = flag.Bool("simulate", false, "execute the plan on the disk models instead of only estimating")
-	throttle  = flag.Float64("throttle", 1.0, "fraction of disk bandwidth the restripe may use (rest reserved for service)")
 	live      = flag.Bool("live", false, "project the ONLINE restripe: copies trickled through idle schedule slots while serving")
 	liveLoad  = flag.Float64("load", 1.0, "stream load fraction for -live (1.0 = full planned capacity)")
 	budget    = flag.Float64("budget", 0.5, "fraction of idle disk time the live mover may consume")
@@ -106,19 +101,6 @@ func main() {
 	fmt.Printf("  busiest disk in  : %.2f GB\n", float64(maxIn)/1e9)
 	fmt.Printf("  estimated time   : %v at %.1f MB/s per disk\n",
 		plan.EstimateDuration(*rate).Round(time.Second), *rate/1e6)
-
-	if *simulate {
-		eng := sim.New(1)
-		o := restripe.DefaultOptions()
-		o.DiskRate = *rate
-		o.Throttle = *throttle
-		res, err := restripe.Execute(clock.Sim{Eng: eng}, plan, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  simulated run    : %v at %.0f%% bandwidth (busiest out disk %d, in disk %d)\n",
-			res.Duration.Round(time.Second), *throttle*100, res.BusiestOut, res.BusiestIn)
-	}
 
 	// The paper's point: the estimate is governed by per-disk volume.
 	capOld := disk.PlanCapacity(disk.DefaultParams(), old.NumDisks(), *blockSize, time.Second, *decl)

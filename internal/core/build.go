@@ -46,6 +46,9 @@ func BuildConfig(s SystemSpec) (*Config, error) {
 	if s.Bitrate <= 0 {
 		s.Bitrate = s.BlockSize * 8 * int64(time.Second) / int64(s.BlockPlay)
 	}
+	if s.NumFiles < 1 {
+		return nil, fmt.Errorf("core: spec NumFiles is %d; a system with no files can serve nothing", s.NumFiles)
+	}
 	if s.DiskParams.OuterRate == 0 {
 		s.DiskParams = disk.DefaultParams()
 	}

@@ -1,7 +1,5 @@
 package msg
 
-import "fmt"
-
 // BlockData carries one block (or declustered mirror piece) to a viewer
 // over the real-time TCP transport. The simulator models the data path
 // analytically, but tigerd sends real frames: a descriptor plus a
@@ -20,78 +18,21 @@ type BlockData struct {
 	Payload  []byte
 }
 
-func (*BlockData) Type() Type { return TBlockData }
+func (*BlockData) Type() Type  { return TBlockData }
+func (b *BlockData) Size() int { return size(b) }
 
-func (b *BlockData) Size() int {
-	return 1 + 8 + 8 + 4 + 4 + 4 + 1 + 1 + 1 + 8 + 4 + len(b.Payload)
-}
-
-func (b *BlockData) encode(buf []byte) []byte {
-	buf = putU64(buf, uint64(b.Viewer))
-	buf = putU64(buf, uint64(b.Instance))
-	buf = putU32(buf, uint32(b.File))
-	buf = putU32(buf, uint32(b.Block))
-	buf = putU32(buf, uint32(b.PlaySeq))
-	buf = putU8(buf, uint8(b.Part))
-	buf = putU8(buf, uint8(b.Parts))
-	buf = putBool(buf, b.Mirror)
-	buf = putU64(buf, uint64(b.Bytes))
-	buf = putU32(buf, uint32(len(b.Payload)))
-	return append(buf, b.Payload...)
-}
-
-func (b *BlockData) decode(buf []byte) ([]byte, error) {
-	u64, buf, err := getU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	b.Viewer = ViewerID(u64)
-	if u64, buf, err = getU64(buf); err != nil {
-		return nil, err
-	}
-	b.Instance = InstanceID(u64)
-	var u32 uint32
-	if u32, buf, err = getU32(buf); err != nil {
-		return nil, err
-	}
-	b.File = FileID(int32(u32))
-	if u32, buf, err = getU32(buf); err != nil {
-		return nil, err
-	}
-	b.Block = int32(u32)
-	if u32, buf, err = getU32(buf); err != nil {
-		return nil, err
-	}
-	b.PlaySeq = int32(u32)
-	var u8 uint8
-	if u8, buf, err = getU8(buf); err != nil {
-		return nil, err
-	}
-	b.Part = int8(u8)
-	if u8, buf, err = getU8(buf); err != nil {
-		return nil, err
-	}
-	b.Parts = int8(u8)
-	if u8, buf, err = getU8(buf); err != nil {
-		return nil, err
-	}
-	b.Mirror = u8 != 0
-	if u64, buf, err = getU64(buf); err != nil {
-		return nil, err
-	}
-	b.Bytes = int64(u64)
-	if u32, buf, err = getU32(buf); err != nil {
-		return nil, err
-	}
-	n := int(u32)
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("msg: unreasonable payload length %d", n)
-	}
-	if len(buf) < n {
-		return nil, errShort
-	}
-	b.Payload = append([]byte(nil), buf[:n]...)
-	return buf[n:], nil
+func (b *BlockData) fields(c coder) coder {
+	u64(&c, &b.Viewer)
+	u64(&c, &b.Instance)
+	u32(&c, &b.File)
+	u32(&c, &b.Block)
+	u32(&c, &b.PlaySeq)
+	u8(&c, &b.Part)
+	u8(&c, &b.Parts)
+	c.flag(&b.Mirror)
+	u64(&c, &b.Bytes)
+	c.payload(&b.Payload)
+	return c
 }
 
 // ClockSync distributes the system epoch from the controller — "the
@@ -101,19 +42,11 @@ type ClockSync struct {
 }
 
 func (*ClockSync) Type() Type { return TClockSync }
-func (*ClockSync) Size() int  { return 1 + 8 }
+func (*ClockSync) Size() int  { return fixed[TClockSync] }
 
-func (c *ClockSync) encode(buf []byte) []byte {
-	return putU64(buf, uint64(c.EpochUnixNano))
-}
-
-func (c *ClockSync) decode(buf []byte) ([]byte, error) {
-	u64, buf, err := getU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	c.EpochUnixNano = int64(u64)
-	return buf, nil
+func (k *ClockSync) fields(c coder) coder {
+	u64(&c, &k.EpochUnixNano)
+	return c
 }
 
 // Hello identifies the sender on a freshly opened transport connection
@@ -125,20 +58,10 @@ type Hello struct {
 }
 
 func (*Hello) Type() Type { return THello }
-func (*Hello) Size() int  { return 1 + 4 + 4 }
+func (*Hello) Size() int  { return fixed[THello] }
 
-func (h *Hello) encode(buf []byte) []byte {
-	buf = putU32(buf, uint32(h.From))
-	return putU32(buf, uint32(h.Epoch))
-}
-
-func (h *Hello) decode(buf []byte) ([]byte, error) {
-	if len(buf) < 4+4 {
-		return nil, errShort
-	}
-	u32, buf, _ := getU32(buf)
-	h.From = NodeID(int32(u32))
-	u32, buf, _ = getU32(buf)
-	h.Epoch = int32(u32)
-	return buf, nil
+func (h *Hello) fields(c coder) coder {
+	u32(&c, &h.From)
+	u32(&c, &h.Epoch)
+	return c
 }

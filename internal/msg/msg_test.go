@@ -225,6 +225,32 @@ func TestTypeString(t *testing.T) {
 	}
 }
 
+// TestEveryTypeInTable: adding a kind means a table row and a sample, and
+// this is what fails when either is missing.
+func TestEveryTypeInTable(t *testing.T) {
+	sampled := map[Type]bool{}
+	for _, m := range sampleMessages() {
+		sampled[m.Type()] = true
+	}
+	for k := Type(1); k < numTypes; k++ {
+		e := types[k]
+		if e.name == "" || e.new == nil {
+			t.Errorf("type %d has no row in types", k)
+			continue
+		}
+		zero := e.new()
+		if zero.Type() != k {
+			t.Errorf("%v: constructor builds a %v", k, zero.Type())
+		}
+		if !sampled[k] {
+			t.Errorf("%v: no value in sampleMessages()", k)
+		}
+		if enc := Encode(zero); fixed[k] != len(enc) || zero.Size() != len(enc) {
+			t.Errorf("%v: fixed %d, Size() %d, empty encoding is %d bytes", k, fixed[k], zero.Size(), len(enc))
+		}
+	}
+}
+
 // TestCodecAllocBudget is the allocation budget of the codec hot path:
 // encoding a ViewerState into a recycled buffer must be allocation-free,
 // and decoding one must allocate only the message value itself.

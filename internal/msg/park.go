@@ -23,35 +23,18 @@ type CubDown struct {
 	Down  []NodeID
 }
 
-func (*CubDown) Type() Type { return TCubDown }
+func (*CubDown) Type() Type  { return TCubDown }
+func (m *CubDown) Size() int { return size(m) }
 
-func (m *CubDown) Size() int { return 1 + 4 + 4 + 4*len(m.Down) }
-
-func (m *CubDown) encode(b []byte) []byte {
-	b = putU32(b, uint32(m.Fence))
-	b = putU32(b, uint32(len(m.Down)))
-	for _, z := range m.Down {
-		b = putU32(b, uint32(z))
-	}
-	return b
+func (m *CubDown) fields(c coder) coder {
+	u32(&c, &m.Fence)
+	counted(&c, &m.Down, nodeID)
+	return c
 }
 
-func (m *CubDown) decode(b []byte) ([]byte, error) {
-	u32, b, err := getU32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Fence = int32(u32)
-	n, b, err := getCount(b, 4)
-	if err != nil {
-		return nil, err
-	}
-	m.Down = make([]NodeID, n)
-	for i := range m.Down {
-		u32, b, _ = getU32(b)
-		m.Down[i] = NodeID(int32(u32))
-	}
-	return b, nil
+func nodeID(n *NodeID, c coder) coder {
+	u32(&c, n)
+	return c
 }
 
 // Park orders the cub currently serving the stream (and, like a
@@ -73,44 +56,19 @@ type Park struct {
 	Ctl         int32 // controller epoch
 }
 
-const parkSize = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4
-
 func (*Park) Type() Type { return TPark }
-func (*Park) Size() int  { return 1 + parkSize }
+func (*Park) Size() int  { return fixed[TPark] }
 
-func (m *Park) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Viewer))
-	b = putU64(b, uint64(m.Instance))
-	b = putU32(b, uint32(m.Slot))
-	b = putU32(b, uint32(m.Fence))
-	b = putU32(b, uint32(m.File))
-	b = putU32(b, uint32(m.ResumeBlock))
-	b = putU32(b, uint32(m.Bitrate))
-	b = putU32(b, uint32(m.Ctl))
-	return b
-}
-
-func (m *Park) decode(b []byte) ([]byte, error) {
-	if len(b) < parkSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Viewer = ViewerID(u64)
-	u64, b, _ = getU64(b)
-	m.Instance = InstanceID(u64)
-	u32, b, _ := getU32(b)
-	m.Slot = int32(u32)
-	u32, b, _ = getU32(b)
-	m.Fence = int32(u32)
-	u32, b, _ = getU32(b)
-	m.File = FileID(int32(u32))
-	u32, b, _ = getU32(b)
-	m.ResumeBlock = int32(u32)
-	u32, b, _ = getU32(b)
-	m.Bitrate = int32(u32)
-	u32, b, _ = getU32(b)
-	m.Ctl = int32(u32)
-	return b, nil
+func (m *Park) fields(c coder) coder {
+	u64(&c, &m.Viewer)
+	u64(&c, &m.Instance)
+	u32(&c, &m.Slot)
+	u32(&c, &m.Fence)
+	u32(&c, &m.File)
+	u32(&c, &m.ResumeBlock)
+	u32(&c, &m.Bitrate)
+	u32(&c, &m.Ctl)
+	return c
 }
 
 // ParkAck confirms a Park. By identifies the acking cub; the governor
@@ -121,29 +79,14 @@ type ParkAck struct {
 	By       NodeID
 }
 
-const parkAckSize = 8 + 4 + 4
-
 func (*ParkAck) Type() Type { return TParkAck }
-func (*ParkAck) Size() int  { return 1 + parkAckSize }
+func (*ParkAck) Size() int  { return fixed[TParkAck] }
 
-func (m *ParkAck) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Instance))
-	b = putU32(b, uint32(m.Fence))
-	b = putU32(b, uint32(m.By))
-	return b
-}
-
-func (m *ParkAck) decode(b []byte) ([]byte, error) {
-	if len(b) < parkAckSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Instance = InstanceID(u64)
-	u32, b, _ := getU32(b)
-	m.Fence = int32(u32)
-	u32, b, _ = getU32(b)
-	m.By = NodeID(int32(u32))
-	return b, nil
+func (m *ParkAck) fields(c coder) coder {
+	u64(&c, &m.Instance)
+	u32(&c, &m.Fence)
+	u32(&c, &m.By)
+	return c
 }
 
 // Resume tells the new primary (and successor) that a parked viewer is
@@ -158,33 +101,14 @@ type Resume struct {
 	Ctl         int32 // controller epoch
 }
 
-const resumeSize = 8 + 8 + 8 + 4 + 4
-
 func (*Resume) Type() Type { return TResume }
-func (*Resume) Size() int  { return 1 + resumeSize }
+func (*Resume) Size() int  { return fixed[TResume] }
 
-func (m *Resume) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Viewer))
-	b = putU64(b, uint64(m.OldInstance))
-	b = putU64(b, uint64(m.NewInstance))
-	b = putU32(b, uint32(m.Fence))
-	b = putU32(b, uint32(m.Ctl))
-	return b
-}
-
-func (m *Resume) decode(b []byte) ([]byte, error) {
-	if len(b) < resumeSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Viewer = ViewerID(u64)
-	u64, b, _ = getU64(b)
-	m.OldInstance = InstanceID(u64)
-	u64, b, _ = getU64(b)
-	m.NewInstance = InstanceID(u64)
-	u32, b, _ := getU32(b)
-	m.Fence = int32(u32)
-	u32, b, _ = getU32(b)
-	m.Ctl = int32(u32)
-	return b, nil
+func (m *Resume) fields(c coder) coder {
+	u64(&c, &m.Viewer)
+	u64(&c, &m.OldInstance)
+	u64(&c, &m.NewInstance)
+	u32(&c, &m.Fence)
+	u32(&c, &m.Ctl)
+	return c
 }

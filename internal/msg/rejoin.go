@@ -18,26 +18,13 @@ type RejoinRequest struct {
 	Epoch int32
 }
 
-const rejoinRequestSize = 4 + 4
-
 func (*RejoinRequest) Type() Type { return TRejoinRequest }
-func (*RejoinRequest) Size() int  { return 1 + rejoinRequestSize }
+func (*RejoinRequest) Size() int  { return fixed[TRejoinRequest] }
 
-func (r *RejoinRequest) encode(b []byte) []byte {
-	b = putU32(b, uint32(r.From))
-	b = putU32(b, uint32(r.Epoch))
-	return b
-}
-
-func (r *RejoinRequest) decode(b []byte) ([]byte, error) {
-	if len(b) < rejoinRequestSize {
-		return nil, errShort
-	}
-	u32, b, _ := getU32(b)
-	r.From = NodeID(int32(u32))
-	u32, b, _ = getU32(b)
-	r.Epoch = int32(u32)
-	return b, nil
+func (r *RejoinRequest) fields(c coder) coder {
+	u32(&c, &r.From)
+	u32(&c, &r.Epoch)
+	return c
 }
 
 // RejoinReply carries the primary viewer states a neighbour reconstructed
@@ -51,30 +38,14 @@ type RejoinReply struct {
 	States   []ViewerState
 }
 
-func (*RejoinReply) Type() Type { return TRejoinReply }
+func (*RejoinReply) Type() Type  { return TRejoinReply }
+func (r *RejoinReply) Size() int { return size(r) }
 
-func (r *RejoinReply) Size() int {
-	return 1 + 4 + 4 + 4 + len(r.States)*viewerStateSize
-}
-
-func (r *RejoinReply) encode(b []byte) []byte {
-	b = putU32(b, uint32(r.From))
-	b = putU32(b, uint32(r.ForEpoch))
-	b = encodeStates(b, r.States)
-	return b
-}
-
-func (r *RejoinReply) decode(b []byte) ([]byte, error) {
-	if len(b) < 4+4+4 {
-		return nil, errShort
-	}
-	u32, b, _ := getU32(b)
-	r.From = NodeID(int32(u32))
-	u32, b, _ = getU32(b)
-	r.ForEpoch = int32(u32)
-	var err error
-	r.States, b, err = decodeStates(b)
-	return b, err
+func (r *RejoinReply) fields(c coder) coder {
+	u32(&c, &r.From)
+	u32(&c, &r.ForEpoch)
+	counted(&c, &r.States, (*ViewerState).fields)
+	return c
 }
 
 // RejoinConfirm tells a covering cub which transferred states the
@@ -86,50 +57,12 @@ type RejoinConfirm struct {
 	States []ViewerState
 }
 
-func (*RejoinConfirm) Type() Type { return TRejoinConfirm }
+func (*RejoinConfirm) Type() Type  { return TRejoinConfirm }
+func (r *RejoinConfirm) Size() int { return size(r) }
 
-func (c *RejoinConfirm) Size() int {
-	return 1 + 4 + 4 + 4 + len(c.States)*viewerStateSize
-}
-
-func (c *RejoinConfirm) encode(b []byte) []byte {
-	b = putU32(b, uint32(c.From))
-	b = putU32(b, uint32(c.Epoch))
-	b = encodeStates(b, c.States)
-	return b
-}
-
-func (c *RejoinConfirm) decode(b []byte) ([]byte, error) {
-	if len(b) < 4+4+4 {
-		return nil, errShort
-	}
-	u32, b, _ := getU32(b)
-	c.From = NodeID(int32(u32))
-	u32, b, _ = getU32(b)
-	c.Epoch = int32(u32)
-	var err error
-	c.States, b, err = decodeStates(b)
-	return b, err
-}
-
-func encodeStates(b []byte, states []ViewerState) []byte {
-	b = putU32(b, uint32(len(states)))
-	for i := range states {
-		b = states[i].encode(b)
-	}
-	return b
-}
-
-func decodeStates(b []byte) ([]ViewerState, []byte, error) {
-	n, b, err := getCount(b, viewerStateSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	states := make([]ViewerState, n)
-	for i := 0; i < n; i++ {
-		if b, err = states[i].decode(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	return states, b, nil
+func (r *RejoinConfirm) fields(c coder) coder {
+	u32(&c, &r.From)
+	u32(&c, &r.Epoch)
+	counted(&c, &r.States, (*ViewerState).fields)
+	return c
 }

@@ -36,50 +36,21 @@ type MoveOrder struct {
 	Ctl    int32 // controller epoch; fences orders from a dead incarnation
 }
 
-const moveOrderSize = 8 + 4 + 4 + 4 + 1 + 1 + 4 + 1 + 1 + 4
-
 func (*MoveOrder) Type() Type { return TMoveOrder }
-func (*MoveOrder) Size() int  { return 1 + moveOrderSize }
+func (*MoveOrder) Size() int  { return fixed[TMoveOrder] }
 
-func (m *MoveOrder) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Fence))
-	b = putU32(b, uint32(m.Seq))
-	b = putU32(b, uint32(m.File))
-	b = putU32(b, uint32(m.Block))
-	b = putU8(b, uint8(m.Part))
-	b = putU8(b, uint8(m.SrcIdx))
-	b = putU32(b, uint32(m.DstCub))
-	b = putU8(b, uint8(m.DstIdx))
-	b = putU8(b, m.Alt)
-	b = putU32(b, uint32(m.Ctl))
-	return b
-}
-
-func (m *MoveOrder) decode(b []byte) ([]byte, error) {
-	if len(b) < moveOrderSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Fence = int64(u64)
-	u32, b, _ := getU32(b)
-	m.Seq = int32(u32)
-	u32, b, _ = getU32(b)
-	m.File = FileID(int32(u32))
-	u32, b, _ = getU32(b)
-	m.Block = int32(u32)
-	u8, b, _ := getU8(b)
-	m.Part = int8(u8)
-	u8, b, _ = getU8(b)
-	m.SrcIdx = int8(u8)
-	u32, b, _ = getU32(b)
-	m.DstCub = NodeID(int32(u32))
-	u8, b, _ = getU8(b)
-	m.DstIdx = int8(u8)
-	u8, b, _ = getU8(b)
-	m.Alt = u8
-	u32, b, _ = getU32(b)
-	m.Ctl = int32(u32)
-	return b, nil
+func (m *MoveOrder) fields(c coder) coder {
+	u64(&c, &m.Fence)
+	u32(&c, &m.Seq)
+	u32(&c, &m.File)
+	u32(&c, &m.Block)
+	u8(&c, &m.Part)
+	u8(&c, &m.SrcIdx)
+	u32(&c, &m.DstCub)
+	u8(&c, &m.DstIdx)
+	u8(&c, &m.Alt)
+	u32(&c, &m.Ctl)
+	return c
 }
 
 // MoveData is the fenced block handoff from source to destination cub.
@@ -98,44 +69,19 @@ type MoveData struct {
 	Epoch  int32 // source cub's liveness epoch (fencing)
 }
 
-const moveDataSize = 8 + 4 + 4 + 4 + 1 + 1 + 4 + 4
-
 func (*MoveData) Type() Type { return TMoveData }
-func (*MoveData) Size() int  { return 1 + moveDataSize }
+func (*MoveData) Size() int  { return fixed[TMoveData] }
 
-func (m *MoveData) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Fence))
-	b = putU32(b, uint32(m.Seq))
-	b = putU32(b, uint32(m.File))
-	b = putU32(b, uint32(m.Block))
-	b = putU8(b, uint8(m.Part))
-	b = putU8(b, uint8(m.DstIdx))
-	b = putU32(b, uint32(m.From))
-	b = putU32(b, uint32(m.Epoch))
-	return b
-}
-
-func (m *MoveData) decode(b []byte) ([]byte, error) {
-	if len(b) < moveDataSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Fence = int64(u64)
-	u32, b, _ := getU32(b)
-	m.Seq = int32(u32)
-	u32, b, _ = getU32(b)
-	m.File = FileID(int32(u32))
-	u32, b, _ = getU32(b)
-	m.Block = int32(u32)
-	u8, b, _ := getU8(b)
-	m.Part = int8(u8)
-	u8, b, _ = getU8(b)
-	m.DstIdx = int8(u8)
-	u32, b, _ = getU32(b)
-	m.From = NodeID(int32(u32))
-	u32, b, _ = getU32(b)
-	m.Epoch = int32(u32)
-	return b, nil
+func (m *MoveData) fields(c coder) coder {
+	u64(&c, &m.Fence)
+	u32(&c, &m.Seq)
+	u32(&c, &m.File)
+	u32(&c, &m.Block)
+	u8(&c, &m.Part)
+	u8(&c, &m.DstIdx)
+	u32(&c, &m.From)
+	u32(&c, &m.Epoch)
+	return c
 }
 
 // MoveCommit tells the coordinator the destination has the block on
@@ -148,32 +94,15 @@ type MoveCommit struct {
 	Epoch int32
 }
 
-const moveCommitSize = 8 + 4 + 4 + 4
-
 func (*MoveCommit) Type() Type { return TMoveCommit }
-func (*MoveCommit) Size() int  { return 1 + moveCommitSize }
+func (*MoveCommit) Size() int  { return fixed[TMoveCommit] }
 
-func (m *MoveCommit) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Fence))
-	b = putU32(b, uint32(m.Seq))
-	b = putU32(b, uint32(m.From))
-	b = putU32(b, uint32(m.Epoch))
-	return b
-}
-
-func (m *MoveCommit) decode(b []byte) ([]byte, error) {
-	if len(b) < moveCommitSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Fence = int64(u64)
-	u32, b, _ := getU32(b)
-	m.Seq = int32(u32)
-	u32, b, _ = getU32(b)
-	m.From = NodeID(int32(u32))
-	u32, b, _ = getU32(b)
-	m.Epoch = int32(u32)
-	return b, nil
+func (m *MoveCommit) fields(c coder) coder {
+	u64(&c, &m.Fence)
+	u32(&c, &m.Seq)
+	u32(&c, &m.From)
+	u32(&c, &m.Epoch)
+	return c
 }
 
 // Reason codes for MoveNack.
@@ -192,30 +121,13 @@ type MoveNack struct {
 	Reason uint8
 }
 
-const moveNackSize = 8 + 4 + 4 + 1
-
 func (*MoveNack) Type() Type { return TMoveNack }
-func (*MoveNack) Size() int  { return 1 + moveNackSize }
+func (*MoveNack) Size() int  { return fixed[TMoveNack] }
 
-func (m *MoveNack) encode(b []byte) []byte {
-	b = putU64(b, uint64(m.Fence))
-	b = putU32(b, uint32(m.Seq))
-	b = putU32(b, uint32(m.From))
-	b = putU8(b, m.Reason)
-	return b
-}
-
-func (m *MoveNack) decode(b []byte) ([]byte, error) {
-	if len(b) < moveNackSize {
-		return nil, errShort
-	}
-	u64, b, _ := getU64(b)
-	m.Fence = int64(u64)
-	u32, b, _ := getU32(b)
-	m.Seq = int32(u32)
-	u32, b, _ = getU32(b)
-	m.From = NodeID(int32(u32))
-	u8, b, _ := getU8(b)
-	m.Reason = u8
-	return b, nil
+func (m *MoveNack) fields(c coder) coder {
+	u64(&c, &m.Fence)
+	u32(&c, &m.Seq)
+	u32(&c, &m.From)
+	u8(&c, &m.Reason)
+	return c
 }

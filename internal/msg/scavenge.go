@@ -20,22 +20,12 @@ type ScavengeReq struct {
 	Epoch int32 // the new controller epoch
 }
 
-const scavengeReqSize = 4
-
 func (*ScavengeReq) Type() Type { return TScavengeReq }
-func (*ScavengeReq) Size() int  { return 1 + scavengeReqSize }
+func (*ScavengeReq) Size() int  { return fixed[TScavengeReq] }
 
-func (s *ScavengeReq) encode(b []byte) []byte {
-	return putU32(b, uint32(s.Epoch))
-}
-
-func (s *ScavengeReq) decode(b []byte) ([]byte, error) {
-	if len(b) < scavengeReqSize {
-		return nil, errShort
-	}
-	u32, b, _ := getU32(b)
-	s.Epoch = int32(u32)
-	return b, nil
+func (s *ScavengeReq) fields(c coder) coder {
+	u32(&c, &s.Epoch)
+	return c
 }
 
 // ScavengedPark is one parked stream's re-admission ticket as retained
@@ -52,7 +42,15 @@ type ScavengedPark struct {
 	Fence       int32 // governor fence the park was issued under
 }
 
-const scavengedParkSize = 8 + 8 + 4 + 4 + 4 + 4
+func (p *ScavengedPark) fields(c coder) coder {
+	u64(&c, &p.Viewer)
+	u64(&c, &p.Instance)
+	u32(&c, &p.File)
+	u32(&c, &p.ResumeBlock)
+	u32(&c, &p.Bitrate)
+	u32(&c, &p.Fence)
+	return c
+}
 
 // ScavengeReply is one cub's inventory: a representative viewer state
 // per play instance in its window (the furthest-progress state it
@@ -66,64 +64,14 @@ type ScavengeReply struct {
 	Parked   []ScavengedPark
 }
 
-func (*ScavengeReply) Type() Type { return TScavengeReply }
+func (*ScavengeReply) Type() Type  { return TScavengeReply }
+func (r *ScavengeReply) Size() int { return size(r) }
 
-func (r *ScavengeReply) Size() int {
-	return 1 + 4 + 4 + 4 + 4 + len(r.States)*viewerStateSize + 4 + len(r.Parked)*scavengedParkSize
-}
-
-func (r *ScavengeReply) encode(b []byte) []byte {
-	b = putU32(b, uint32(r.From))
-	b = putU32(b, uint32(r.ForEpoch))
-	b = putU32(b, uint32(r.GovFence))
-	b = encodeStates(b, r.States)
-	b = putU32(b, uint32(len(r.Parked)))
-	for i := range r.Parked {
-		p := &r.Parked[i]
-		b = putU64(b, uint64(p.Viewer))
-		b = putU64(b, uint64(p.Instance))
-		b = putU32(b, uint32(p.File))
-		b = putU32(b, uint32(p.ResumeBlock))
-		b = putU32(b, uint32(p.Bitrate))
-		b = putU32(b, uint32(p.Fence))
-	}
-	return b
-}
-
-func (r *ScavengeReply) decode(b []byte) ([]byte, error) {
-	if len(b) < 4+4+4+4 {
-		return nil, errShort
-	}
-	u32, b, _ := getU32(b)
-	r.From = NodeID(int32(u32))
-	u32, b, _ = getU32(b)
-	r.ForEpoch = int32(u32)
-	u32, b, _ = getU32(b)
-	r.GovFence = int32(u32)
-	var err error
-	if r.States, b, err = decodeStates(b); err != nil {
-		return nil, err
-	}
-	n, b, err := getCount(b, scavengedParkSize)
-	if err != nil {
-		return nil, err
-	}
-	r.Parked = make([]ScavengedPark, n)
-	for i := range r.Parked {
-		p := &r.Parked[i]
-		var u64 uint64
-		u64, b, _ = getU64(b)
-		p.Viewer = ViewerID(u64)
-		u64, b, _ = getU64(b)
-		p.Instance = InstanceID(u64)
-		u32, b, _ = getU32(b)
-		p.File = FileID(int32(u32))
-		u32, b, _ = getU32(b)
-		p.ResumeBlock = int32(u32)
-		u32, b, _ = getU32(b)
-		p.Bitrate = int32(u32)
-		u32, b, _ = getU32(b)
-		p.Fence = int32(u32)
-	}
-	return b, nil
+func (r *ScavengeReply) fields(c coder) coder {
+	u32(&c, &r.From)
+	u32(&c, &r.ForEpoch)
+	u32(&c, &r.GovFence)
+	counted(&c, &r.States, (*ViewerState).fields)
+	counted(&c, &r.Parked, (*ScavengedPark).fields)
+	return c
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +69,14 @@ func TestConfigRejectsBadShape(t *testing.T) {
 	s.Decluster = 5 // exceeds disk count
 	if _, err := s.Config(); err == nil {
 		t.Error("bad shape accepted")
+	}
+	// A deployment with no files boots a server that can serve nothing.
+	for _, n := range []int{0, -4} {
+		s = Default(3)
+		s.NumFiles = n
+		if _, err := s.Config(); err == nil || !strings.Contains(err.Error(), "NumFiles") {
+			t.Errorf("num_files %d: err %v, want a refusal naming NumFiles", n, err)
+		}
 	}
 }
 

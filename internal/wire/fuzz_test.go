@@ -2,21 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
 	"tiger/internal/msg"
 )
-
-// streamConn is a net.Conn whose read side is a fixed byte stream.
-type streamConn struct {
-	discardConn
-	r *bytes.Reader
-}
-
-func (c streamConn) Read(b []byte) (int, error) { return c.r.Read(b) }
-
-var _ net.Conn = streamConn{}
 
 // FuzzRecv feeds Conn.Recv an arbitrary byte stream until it errors. The
 // framer must not panic, and its buffer must stay within twice the bytes
@@ -25,19 +14,20 @@ var _ net.Conn = streamConn{}
 // that broke the second half: a bare header claiming MaxFrame.
 func FuzzRecv(f *testing.F) {
 	var stream bytes.Buffer
+	sender := NewConn(bufConn{buf: &stream})
 	for _, m := range []msg.Message{
 		&msg.Heartbeat{From: 3, Epoch: 9, Now: 42},
 		&msg.ViewerState{Viewer: 1, Instance: 2, Slot: 3, Due: 4},
 		&msg.Batch{Msgs: []msg.Message{&msg.Deschedule{Viewer: 5, Instance: 6, Slot: 7}}},
 		&msg.BlockData{Block: 1, Bytes: 64, Payload: bytes.Repeat([]byte{'A'}, 64)},
 	} {
-		if err := WriteMessage(&stream, m); err != nil {
+		if err := sender.Send(m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bytes.Clone(stream.Bytes())) // one frame, then two, …
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		c := NewConn(streamConn{r: bytes.NewReader(in)})
+		c := recvFrom(in)
 		for {
 			if _, err := c.Recv(); err != nil {
 				break

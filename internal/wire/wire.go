@@ -20,21 +20,6 @@ import (
 // low enough to fail fast on stream corruption.
 const MaxFrame = 16 << 20
 
-// WriteMessage frames and writes one message.
-func WriteMessage(w io.Writer, m msg.Message) error {
-	body := msg.Encode(m)
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // readFrame reads one frame's body into buf (from its start, whatever it
 // held) and returns it. A buffer too small for the frame grows as the
 // bytes arrive, never to more than twice what has been read: the length
@@ -57,15 +42,6 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// ReadMessage reads and decodes one framed message.
-func ReadMessage(r io.Reader) (msg.Message, error) {
-	body, err := readFrame(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return msg.Decode(body)
 }
 
 // Conn is a framed, write-locked connection. Reads are not locked; run

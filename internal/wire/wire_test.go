@@ -10,20 +10,34 @@ import (
 	"tiger/internal/msg"
 )
 
+// bufConn is a net.Conn over a byte buffer: what Send writes, Recv reads
+// back. Conn calls nothing but Read and Write on it.
+type bufConn struct {
+	net.Conn
+	buf *bytes.Buffer
+}
+
+func (c bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
+func (c bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// recvFrom returns a Conn whose peer sent exactly stream.
+func recvFrom(stream []byte) *Conn { return NewConn(bufConn{buf: bytes.NewBuffer(stream)}) }
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	conn := NewConn(bufConn{buf: &buf})
 	msgs := []msg.Message{
 		&msg.Heartbeat{From: 3, Epoch: 9, Now: 42},
 		&msg.ViewerState{Viewer: 1, Instance: 2, Slot: 3, Due: 4},
 		&msg.Batch{Msgs: []msg.Message{&msg.Deschedule{Viewer: 5, Instance: 6, Slot: 7}}},
 	}
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := conn.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := ReadMessage(&buf)
+		got, err := conn.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,26 +47,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadMessageErrors: what Conn.Recv refuses in a frame.
 func TestReadMessageErrors(t *testing.T) {
 	// Truncated header.
-	if _, err := ReadMessage(bytes.NewReader([]byte{1, 0})); err == nil {
+	if _, err := recvFrom([]byte{1, 0}).Recv(); err == nil {
 		t.Error("truncated header accepted")
 	}
 	// Zero-length frame.
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
+	if _, err := recvFrom([]byte{0, 0, 0, 0}).Recv(); err == nil {
 		t.Error("zero-length frame accepted")
 	}
 	// Oversized frame length.
-	if _, err := ReadMessage(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0x7F})); err == nil {
+	if _, err := recvFrom([]byte{0xFF, 0xFF, 0xFF, 0x7F}).Recv(); err == nil {
 		t.Error("oversized frame accepted")
 	}
 	// Truncated body.
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &msg.Heartbeat{From: 1}); err != nil {
+	if err := NewConn(bufConn{buf: &buf}).Send(&msg.Heartbeat{From: 1}); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if _, err := ReadMessage(bytes.NewReader(b[:len(b)-2])); err == nil {
+	if _, err := recvFrom(b[:len(b)-2]).Recv(); err == nil {
 		t.Error("truncated body accepted")
 	}
 }

@@ -62,15 +62,23 @@ go test -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock' .
 go test -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap' ./internal/core
 go test -run 'TestLazyNICEqualsEager' ./internal/netsim
 
-# Wire-edge gate: the decoders must bound a peer-claimed count by the
-# bytes present before allocating for it, and ten seconds of native
-# fuzzing each on the msg decoders (no panic, encode/decode fixpoint,
-# Size() exact, no aliasing of the input) and the wire framer (buffer
-# bounded by the bytes presented) must find nothing. Crashers land in
-# testdata/fuzz and are committed with their fix.
-go test -run 'TestDecodeBoundsCountBeforeAllocating' ./internal/msg
+# Wire-edge gate. The decoders bound a peer-claimed count by the bytes
+# present before allocating for it. Every kind's encoding equals its
+# line in internal/msg/testdata/golden.txt — the bytes the codec wrote
+# before each layout became one field walk, kept because a round trip
+# cannot see a field moved in both directions at once; the file is
+# regenerated only by a PR that says "wire format change". Every Type
+# has its table row and its sample. Then ten seconds of native fuzzing
+# each must find nothing: the msg decoders (no panic, encode/decode
+# fixpoint, Size() exact, no aliasing of the input), the wire framer
+# (buffer bounded by the bytes presented) and the cluster spec (JSON to
+# Config never panics; what it accepts validates and has a file to
+# serve). Crashers land in testdata/fuzz and are committed with their
+# fix.
+go test -run 'TestDecodeBoundsCountBeforeAllocating|TestWireGolden|TestEveryTypeInTable' ./internal/msg
 go test -run '^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 go test -run '^$' -fuzz=FuzzRecv -fuzztime=10s ./internal/wire
+go test -run '^$' -fuzz=FuzzSpecConfig -fuzztime=10s ./internal/spec
 
 # Grayfail bench artifact: the sweep must run end to end with causal
 # tracing on and emit BENCH_grayfail.json carrying the slack
