@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// steadyWindow runs the paper's system at rated load and measures one
-// minute of it after the ramp has settled: blocks delivered, heap
-// allocations and engine events.
-func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
+// steadyCluster brings the paper's system to rated load and lets the
+// ramp settle for a minute.
+func steadyCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c, err := New(DefaultOptions())
 	if err != nil {
@@ -19,6 +18,14 @@ func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
 		t.Fatal(err)
 	}
 	c.RunFor(60 * time.Second)
+	return c
+}
+
+// steadyWindow measures one minute of the paper's system at rated load:
+// blocks delivered, heap allocations and engine events.
+func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
+	t.Helper()
+	c := steadyCluster(t)
 	ok0, _, _ := c.ViewerTotals()
 	ev0 := c.EventsProcessed()
 	var m0, m1 runtime.MemStats
@@ -60,5 +67,28 @@ func TestSteadyEventsPerBlock(t *testing.T) {
 	t.Logf("%d blocks, %.2f events/block", blocks, per)
 	if per > 5.8 {
 		t.Fatalf("%.2f engine events per delivered block, budget 5.8", per)
+	}
+}
+
+// TestSteadyPendingEvents pins how long the event queue is at rated
+// load, which is what every push and pop pays for: a cub arms one timer
+// per drive for the next read or send its walk of that drive's schedule
+// comes to, not two per view entry, so what is pending is a deadline
+// check and a last-byte delivery per stream (~600 each), the 56 drive
+// timers, the reads in service and the periodic ticks — 1 365 at 14
+// cubs, where arming every entry's read and send kept 12 250.
+func TestSteadyPendingEvents(t *testing.T) {
+	c := steadyCluster(t)
+	entries := 0
+	for _, cub := range c.Cubs {
+		entries += cub.ViewSize()
+	}
+	pending := c.Eng.Pending()
+	t.Logf("%d events pending for %d view entries", pending, entries)
+	if pending > 1500 {
+		t.Fatalf("%d events pending at rated load, budget 1500", pending)
+	}
+	if entries < 5000 {
+		t.Fatalf("%d view entries: the load is not the rated one", entries)
 	}
 }

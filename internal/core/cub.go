@@ -27,32 +27,32 @@ type DataPath interface {
 // from one of this cub's disks.
 //
 // Records belong to the cub and are reused through its free list, so the
-// steady block path allocates nothing: the three callbacks an entry arms
-// over its life (read timer, disk completion, send timer) are bound to
-// the record once, when it is first allocated, and read their arguments
-// from it. pins counts what can still call back
-// into the record — each armed timer until it fires or Stop reports
-// true, the outstanding disk read until it completes or Cancel reports
-// true — plus the callback currently running on it. A record returns to
-// the free list only once it has left the view and pins is zero. Under
-// the real-time runtime a Stop that loses the race to an already queued
-// callback reports false, so the pin stays until that callback runs and
-// finds the entry gone.
+// steady block path allocates nothing: the disk completion, the one
+// callback that names an entry, is bound to the record once, when it is
+// first allocated, and reads its arguments from it. pins counts what can
+// still call back into the record — the outstanding disk read until it
+// completes or Cancel reports true, and the completion currently running
+// on it. A record returns to the free list only once it has left the
+// view and pins is zero. No timer holds an entry: reads and sends fall
+// due on the drive's walk (walk.go), which finds them through its list,
+// and a dropped entry is on no list.
 type entry struct {
 	c    *Cub
 	key  entryKey
 	next *entry // the slot's next entry in the view's chain (entryview.go)
 	vs   msg.ViewerState
 
-	disk      int // this cub's disk that will serve it
-	live      bool
-	ready     bool
-	forwarded bool
-	hedged    bool   // a mirror chain was launched to cover a suspected disk
-	readID    uint64 // outstanding disk read, cancellable; 0 when none
-	buffered  int64  // bytes of buffer pool held for this entry's read
-	readTimer clock.Timer
-	sendTimer clock.Timer
+	duePrev, dueNext *entry   // the drive's walk, in due order
+	readAt           sim.Time // when the walk is to start the read
+
+	disk        int // this cub's disk that will serve it
+	live        bool
+	ready       bool
+	forwarded   bool
+	hedged      bool   // a mirror chain was launched to cover a suspected disk
+	readStarted bool   // the walk's read cursor has passed it
+	readID      uint64 // outstanding disk read, cancellable; 0 when none
+	buffered    int64  // bytes of buffer pool held for this entry's read
 
 	// The outstanding read's issue time and zone, for its completion
 	// (its size is buffered).
@@ -61,24 +61,19 @@ type entry struct {
 
 	pins int
 
-	onReadTimer func()
-	onSendTimer func()
-	onReadDone  func(done sim.Time, ok bool)
+	onReadDone func(done sim.Time, ok bool)
 }
 
 // newEntry takes a record from the free list, or allocates one and
-// binds its callbacks, and installs it in the view under key.
+// binds its callback, and installs it in the view under key.
 func (c *Cub) newEntry(key entryKey, vs msg.ViewerState, disk int) *entry {
 	var e *entry
 	if n := len(c.freeEntries); n > 0 {
 		e = c.freeEntries[n-1]
 		c.freeEntries = c.freeEntries[:n-1]
-		*e = entry{c: c, onReadTimer: e.onReadTimer, onSendTimer: e.onSendTimer,
-			onReadDone: e.onReadDone}
+		*e = entry{c: c, onReadDone: e.onReadDone}
 	} else {
 		e = &entry{c: c}
-		e.onReadTimer = e.readTimerFired
-		e.onSendTimer = e.sendTimerFired
 		e.onReadDone = e.readDone
 	}
 	e.key, e.vs, e.disk, e.live = key, vs, disk, true
@@ -218,6 +213,7 @@ type Cub struct {
 	quarantined map[int]bool
 
 	view        view     // the schedule entries this cub holds
+	walks       []walk   // the same entries per drive, in due order (walk.go)
 	freeEntries []*entry // records ready for reuse; wiped by Restart
 
 	desch map[descKey]*msg.Deschedule
@@ -268,20 +264,13 @@ type Cub struct {
 	recovery      *obs.Histogram // restart-to-reintegration time
 
 	fwdPending map[msg.NodeID][]msg.Message // batch under assembly
-	// fwdHeap is a min-heap of primary entry keys not yet forwarded,
-	// ordered (due, slot, part) — the same order the old full-view scan
-	// produced — so forwardTick pops only the entries inside the forward
-	// horizon instead of sweeping the whole view. Entries dropped or
-	// forwarded out of band are deleted lazily: a popped key whose entry
-	// is gone or already forwarded is skipped.
-	fwdHeap []entryKey
 	// Scratch slices recycled across the periodic forwarding path, so
-	// the per-tick collect/sort and per-flush target ordering allocate
+	// the per-tick collect and per-flush target ordering allocate
 	// nothing in steady state. The queued message slices themselves are
 	// NOT recycled: a dispatched Batch travels the transport (in flight
 	// in the simulator, or queued on a mesh writer) after flushForwards
 	// returns, so reusing them would corrupt in-flight batches.
-	fwdDueScratch    []entryKey
+	fwdScratch       []*entry
 	fwdTargetScratch []msg.NodeID
 
 	// Block buffers held as of the last settleBuffers, and the ones out on
@@ -339,6 +328,11 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 	for _, d := range diskNums {
 		c.disks[d] = disk.New(d, cfg.DiskParams, clk, rng)
 		c.health[d] = &diskHealth{}
+	}
+	c.walks = make([]walk, len(diskNums))
+	for i := range c.walks {
+		w := &c.walks[i]
+		w.c, w.armedFor, w.onTimer = c, never, w.fire
 	}
 	c.resetMover()
 	// The birth configuration is generation 0 (Rebase relabels it for

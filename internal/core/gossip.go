@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -131,33 +131,13 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 		return
 	}
 	e := c.newEntry(key, vs, nd)
-	c.fwdPush(key)
 	c.step(trace.State, &vs, int32(nd))
 	c.scheduleEntry(e)
 }
 
-// scheduleEntry arms the disk read and network send for an entry.
-func (c *Cub) scheduleEntry(e *entry) {
-	now := c.clk.Now()
-	readAt := sim.Time(e.vs.Due) - sim.Time(c.cfg.ReadAhead)
-	if readAt < now {
-		readAt = now
-	}
-	e.pins += 2
-	e.readTimer = c.clk.At(readAt, e.onReadTimer)
-	e.sendTimer = c.clk.At(sim.Time(e.vs.Due), e.onSendTimer)
-}
-
-// readTimerFired is the read timer's callback. The timer's pin is held
-// until the callback is done with the record. An entry that has left
-// the view has its timers stopped; only a real-time Stop that lost the
-// race to the executor queue gets here with the entry gone.
-func (e *entry) readTimerFired() {
-	defer e.unpin()
-	if e.live {
-		e.c.issueRead(e)
-	}
-}
+// scheduleEntry puts an entry on its drive's walk, which starts its
+// disk read and makes its network send when they fall due.
+func (c *Cub) scheduleEntry(e *entry) { c.walkOf(e).insert(e) }
 
 func (c *Cub) issueRead(e *entry) {
 	c.cpu.ChargeDiskOp()
@@ -226,15 +206,7 @@ func (e *entry) readDone(done sim.Time, ok bool) {
 	c.step(trace.DiskRead, &e.vs, int32(d))
 }
 
-// sendTimerFired is the send timer's callback; see readTimerFired.
-func (e *entry) sendTimerFired() {
-	defer e.unpin()
-	if e.live {
-		e.c.service(e)
-	}
-}
-
-// service fires at an entry's due time: send the block if its read
+// service runs at an entry's due time: send the block if its read
 // completed, otherwise report a missed block (§5's server-side loss
 // path).
 func (c *Cub) service(e *entry) {
@@ -366,15 +338,11 @@ func (c *Cub) cancelRead(e *entry) {
 	}
 }
 
-// dropEntry takes an entry out of the view and stops its timers. The
-// record is recycled once nothing can call back into it (entry.pins).
+// dropEntry takes an entry out of the view and off its drive's walk.
+// The record is recycled once nothing can call back into it
+// (entry.pins).
 func (c *Cub) dropEntry(e *entry) {
-	if e.readTimer.Stop() {
-		e.pins--
-	}
-	if e.sendTimer.Stop() {
-		e.pins--
-	}
+	c.walkOf(e).unlink(e)
 	e.live = false
 	c.view.del(e.key)
 	e.retire()
@@ -492,36 +460,34 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 // second successor, the next-hop viewer state of every entry whose
 // successor service has come within MaxVStateLead.
 //
-// The candidates come off fwdHeap, which pops in exactly the (due, slot,
-// part) order the old sort-the-whole-view scan produced, so batch
-// composition is unchanged — but the tick now costs O(popped), the
-// number of entries crossing the forward horizon, instead of O(view).
-// Eligible keys are drained to a scratch slice before any forwarding so
-// next-hop entries a forward installs on this same cub (proxy insertion,
+// The candidates are what each drive's walk holds between its forward
+// cursor and the horizon, so the tick costs the number of entries
+// crossing the horizon, not the view, and a batch is composed in (drive,
+// due) order. They are collected before any forwarding so next-hop
+// entries a forward installs on this same cub (proxy insertion,
 // single-cub rings) wait for the next tick, as they always have.
 func (c *Cub) forwardTick() {
-	now := c.clk.Now()
-	horizon := int64(now) + int64(c.cfg.MaxVStateLead)
-	bp := int64(c.cfg.Sched.BlockPlay)
-	due := c.fwdDueScratch[:0]
-	for len(c.fwdHeap) > 0 && c.fwdHeap[0].due+bp <= horizon {
-		due = append(due, c.fwdPop())
+	// An entry is forwarded once its successor's service, one block play
+	// time after its own, is inside the horizon.
+	limit := int64(c.clk.Now()) + int64(c.cfg.MaxVStateLead) - int64(c.cfg.Sched.BlockPlay)
+	due := c.fwdScratch[:0]
+	for i := range c.walks {
+		due = c.walks[i].crossing(limit, due)
 	}
-	for _, k := range due {
-		e := c.view.get(k)
-		if e == nil || e.forwarded || e.vs.Mirror {
-			continue // lazily deleted: dropped or forwarded out of band
+	for _, e := range due {
+		if !e.live || e.forwarded || e.vs.Mirror {
+			continue // dropped by an earlier forward, or forwarded out of band
 		}
 		e.forwarded = true
 		c.forwardEntryNow(e.vs)
 	}
-	c.fwdDueScratch = due // keep the grown backing array for the next tick
+	c.fwdScratch = due // keep the grown backing array for the next tick
 	c.flushForwards()
 	c.clk.After(c.cfg.ForwardInterval, c.forwardTick)
 }
 
-// fwdKeyLess orders entry keys by (due, slot, part): the forward heap's
-// order and the view's sortedKeys order.
+// fwdKeyLess orders entry keys by (due, slot, part): the view's
+// sortedKeys order.
 func fwdKeyLess(a, b entryKey) bool {
 	if a.due != b.due {
 		return a.due < b.due
@@ -530,49 +496,6 @@ func fwdKeyLess(a, b entryKey) bool {
 		return a.slot < b.slot
 	}
 	return a.part < b.part
-}
-
-// fwdPush adds a not-yet-forwarded primary entry key to the forward
-// heap.
-func (c *Cub) fwdPush(k entryKey) {
-	h := append(c.fwdHeap, k)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !fwdKeyLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	c.fwdHeap = h
-}
-
-// fwdPop removes and returns the least key on the forward heap.
-func (c *Cub) fwdPop() entryKey {
-	h := c.fwdHeap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && fwdKeyLess(h[l], h[s]) {
-			s = l
-		}
-		if r < n && fwdKeyLess(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	c.fwdHeap = h
-	return top
 }
 
 // forwardEntryNow queues the next-hop state derived from vs for delivery
@@ -639,7 +562,7 @@ func (c *Cub) flushForwards() {
 	for to := range c.fwdPending {
 		targets = append(targets, to)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	slices.Sort(targets)
 	c.fwdTargetScratch = targets
 	for _, to := range targets {
 		msgs := c.fwdPending[to]

@@ -6,15 +6,18 @@ import (
 	"time"
 
 	"tiger/internal/clock"
+	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/sim"
 )
 
 // The tests in this file pin the lifecycle of a cub's entry records
-// (DESIGN §10): a record returns to the free list only once it has left
-// the view and nothing can call back into it, and whatever does call
-// back late finds the entry gone and touches nothing.
+// (DESIGN §10): a record returns to the free list once it has left the
+// view and nothing can call back into it. Only a disk completion names
+// an entry; the timer that starts reads and makes sends belongs to the
+// drive's walk and finds entries through its list, so one that comes
+// late — or twice, after a Stop that lost its race — finds nothing due.
 
 // stateFor builds a primary viewer state for cub 0's first disk of a
 // rig, due at the given instant.
@@ -23,11 +26,13 @@ func stateFor(inst msg.InstanceID, slot int32, due sim.Time) *msg.ViewerState {
 		Block: 0, Slot: slot, Due: int64(due), OrigDisk: 0, Epoch: 1, Bitrate: 2_000_000}
 }
 
-// TestEntryRecordReusedAfterDeschedule deschedules an entry whose read
-// is on the platter and lets another instance take over its record,
-// slot and due time. The withdrawn read still occupies the drive; its
-// completion must not mark the new entry ready, free its buffer, or
-// feed it to the send path.
+// TestEntryRecordReusedAfterDeschedule: a descheduled entry is recycled
+// at once, whether its read had not been started (nothing names the
+// record) or is on the platter (the drive suppresses a withdrawn read's
+// completion). In the second case another instance takes over the
+// record, slot and due time while the withdrawn read still occupies the
+// drive; its completion must not mark the new entry ready, free its
+// buffer, or feed it to the send path.
 func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	r := newRig(t, defaultRigOptions())
 	c := r.cubs[0]
@@ -41,13 +46,24 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 		}
 	}))
 	due := r.eng.Now().Add(1200 * time.Millisecond)
-	c.Deliver(1, stateFor(1, 5, due))
 	key := entryKey{5, -1, int64(due)}
-	old := c.view.get(key)
-	if old == nil || old.pins != 2 {
-		t.Fatalf("entry not armed: %+v", old)
+	w := &c.walks[0]
+	c.Deliver(1, stateFor(3, 5, due))
+	first := c.view.get(key)
+	if first == nil || first.pins != 0 || w.head != first || w.armedFor != due.Add(-r.cfg.ReadAhead) {
+		t.Fatalf("entry not on the walk: %+v, armed for %v", first, w.armedFor)
 	}
-	r.run(210 * time.Millisecond) // read timer fired at due-1s; the read is in service
+	c.Deliver(msg.Controller, &msg.Deschedule{Viewer: 3, Instance: 3, Slot: 5})
+	if len(c.freeEntries) != 1 || c.freeEntries[0] != first || w.head != nil || w.read != nil || w.fwd != nil {
+		t.Fatalf("unread entry not recycled at once: free %d, walk %+v", len(c.freeEntries), w)
+	}
+
+	c.Deliver(1, stateFor(1, 5, due))
+	old := c.view.get(key)
+	if old != first || old.pins != 0 {
+		t.Fatalf("record not reused: %+v", old)
+	}
+	r.run(210 * time.Millisecond) // the walk reached its read at due-1s; the read is in service
 	if old.readID == 0 || old.ready || c.BufferedBytes() != r.cfg.BlockSize {
 		t.Fatalf("read not in flight: readID %d ready %v buffered %d", old.readID, old.ready, c.BufferedBytes())
 	}
@@ -66,8 +82,8 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	if cur != old || cur.vs.Instance != 2 || cur.ready || cur.readID != 0 {
 		t.Fatalf("record not reused cleanly: %+v", cur)
 	}
-	// Its read timer is due now (due-1s has passed) and the read queues
-	// behind the withdrawn one, whose completion comes first.
+	// Its read is due now (due-1s has passed) and queues behind the
+	// withdrawn one, whose completion comes first.
 	r.run(40 * time.Millisecond)
 	if cur.ready || cur.readID == 0 || c.BufferedBytes() != r.cfg.BlockSize {
 		t.Fatalf("the withdrawn read's completion touched the new entry: ready %v readID %d buffered %d",
@@ -86,17 +102,61 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	}
 }
 
+// TestEntryRecordHeldWhileCompletionRuns: an entry dropped from inside
+// its own read's completion — the failed read is the health monitor's
+// last straw, and the quarantine retires every entry on the drive — is
+// recycled when the completion has run, not before. The drive's other
+// entry, which nothing is running on, goes first although it is dropped
+// second.
+func TestEntryRecordHeldWhileCompletionRuns(t *testing.T) {
+	r := newRig(t, defaultRigOptions())
+	c := r.cubs[0]
+	now := r.eng.Now()
+	a, b := stateFor(1, 5, now.Add(1200*time.Millisecond)), stateFor(2, 6, now.Add(2200*time.Millisecond))
+	b.Block = int32(r.cfg.Layout.NumDisks()) // file 0's next block on disk 0
+	c.Deliver(1, a)
+	c.Deliver(1, b)
+	ea, eb := c.view.get(entryKey{5, -1, a.Due}), c.view.get(entryKey{6, -1, b.Due})
+	if ea == nil || eb == nil {
+		t.Fatal("states not accepted")
+	}
+	c.DiskByIndex(0).SetFaults(disk.Faults{ErrProb: 1})
+	h := c.health[0]
+	h.state, h.badStreak = DiskSuspected, r.cfg.Health.QuarantineAfter-1
+	r.run(400 * time.Millisecond) // a's read starts at 200 ms and fails
+	if c.QuarantinedDisks() != 1 || c.view.len() != 0 {
+		t.Fatalf("%d drives quarantined, %d entries left", c.QuarantinedDisks(), c.view.len())
+	}
+	if len(c.freeEntries) != 2 || c.freeEntries[0] != eb || c.freeEntries[1] != ea || ea.pins != 0 {
+		t.Fatalf("free list %v (a %p, b %p), pins %d: want b, then a once its completion returned",
+			c.freeEntries, ea, eb, ea.pins)
+	}
+	if w := &c.walks[0]; w.head != nil || w.tail != nil || w.read != nil || w.fwd != nil {
+		t.Fatalf("walk of a retired drive not empty: %+v", w)
+	}
+	if c.BufferedBytes() != 0 {
+		t.Fatalf("%d bytes still buffered", c.BufferedBytes())
+	}
+}
+
 type sinkFunc func(netsim.BlockDelivery)
 
 func (f sinkFunc) DeliverBlock(d netsim.BlockDelivery) { f(d) }
 
 // lostRaceClock is a clock whose every Stop loses the race the real-time
 // runtime allows: the callback is "already queued on the executor", so
-// Stop reports false and the callback still runs — when the test says.
+// Stop reports false and the callback still runs, once its instant has
+// come and the test says so.
 type lostRaceClock struct {
 	now    sim.Time
-	queued []func()
+	queued []lateCall
+	armed  int // At and After calls so far
 	fired  clock.Timer
+}
+
+type lateCall struct {
+	at sim.Time
+	fn func()
 }
 
 func newLostRaceClock() *lostRaceClock {
@@ -107,16 +167,23 @@ func newLostRaceClock() *lostRaceClock {
 
 func (k *lostRaceClock) Now() sim.Time { return k.now }
 func (k *lostRaceClock) At(t sim.Time, fn func()) clock.Timer {
-	k.queued = append(k.queued, fn)
+	k.armed++
+	k.queued = append(k.queued, lateCall{t, fn})
 	return k.fired
 }
 func (k *lostRaceClock) After(d time.Duration, fn func()) clock.Timer { return k.At(k.now.Add(d), fn) }
 
-func (k *lostRaceClock) runQueued() {
-	q := k.queued
-	k.queued = nil
-	for _, fn := range q {
-		fn()
+// runTo moves the clock to t and runs what has come due, in the order
+// it was armed, including what those callbacks arm for t or before.
+func (k *lostRaceClock) runTo(t sim.Time) {
+	k.now = t
+	for i := 0; i < len(k.queued); i++ {
+		if k.queued[i].at <= t {
+			fn := k.queued[i].fn
+			k.queued = append(k.queued[:i], k.queued[i+1:]...)
+			fn()
+			i = -1
+		}
 	}
 }
 
@@ -128,54 +195,80 @@ type countingData struct{ blocks int }
 
 func (d *countingData) SendBlock(msg.NodeID, netsim.BlockDelivery, time.Duration) { d.blocks++ }
 
-// TestEntryRecordHeldWhileStopLosesRace: when Stop reports false for a
-// timer that has not run, the record stays out of the free list until
-// that callback has come and gone, and the callback — which finds the
-// same key occupied by another instance's entry — touches nothing.
+// TestEntryRecordHeldWhileStopLosesRace: no timer holds an entry, so a
+// Stop that reports false for a callback still to run holds no record
+// back — and the callback, when it runs beside the timer that replaced
+// it, starts no read twice, leaks no buffer and leaves one timer armed
+// behind it, not two.
 func TestEntryRecordHeldWhileStopLosesRace(t *testing.T) {
 	cfg := indexTestConfig(t, 4, 1, 2, 2, 100)
 	clk := newLostRaceClock()
 	data := &countingData{}
 	c := NewCub(0, cfg, clk, nopTransport{}, data, rand.New(rand.NewSource(1)))
-	due := clk.now.Add(1500 * time.Millisecond)
-	key := entryKey{3, -1, int64(due)}
-	// BuildConfig places files at random: pick file 0's block on disk 0.
+	w := &c.walks[0]
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
+	// BuildConfig places files at random: pick file 0's blocks on disk 0.
 	onDisk0 := int32((cfg.Layout.NumDisks() - cfg.Files[0].StartDisk) % cfg.Layout.NumDisks())
-	state := func(inst msg.InstanceID) *msg.ViewerState {
-		vs := stateFor(inst, 3, due)
-		vs.Block = onDisk0
+	state := func(inst msg.InstanceID, slot int32, due sim.Time, stripe int32) *msg.ViewerState {
+		vs := stateFor(inst, slot, due)
+		vs.Block = onDisk0 + stripe*int32(cfg.Layout.NumDisks())
 		return vs
 	}
 
-	c.Deliver(1, state(1))
+	// The walk's timer is armed for the entry's read, a second before its
+	// send. A deschedule stops nothing and recycles the record at once;
+	// the next instance takes it over with the timer still set.
+	c.Deliver(1, state(1, 3, ms(1500), 0))
+	key := entryKey{3, -1, int64(ms(1500))}
 	old := c.view.get(key)
 	c.Deliver(msg.Controller, &msg.Deschedule{Viewer: 1, Instance: 1, Slot: 3})
-	if old == nil || old.live || old.pins != 2 || len(c.freeEntries) != 0 {
-		t.Fatalf("entry with two callbacks still queued was recycled: %+v free %d", old, len(c.freeEntries))
+	if old == nil || old.live || len(c.freeEntries) != 1 || c.freeEntries[0] != old {
+		t.Fatalf("descheduled entry not recycled: %+v free %d", old, len(c.freeEntries))
 	}
-	c.Deliver(1, state(2))
-	cur := c.view.get(key)
-	if cur == nil || cur == old {
-		t.Fatal("the new instance took over a record with callbacks outstanding")
+	c.Deliver(1, state(2, 3, ms(1500), 0))
+	if cur := c.view.get(key); cur != old || clk.armed != 2 || w.armedFor != ms(500) {
+		t.Fatalf("record reused %v, %d callbacks armed (want the walk's and the deschedule hold), for %v",
+			cur == old, clk.armed, w.armedFor)
 	}
 
-	// Everything queued so far runs: the old entry's two stale timers
-	// first, then the new entry's read timer (its read goes to the
-	// drive) and send timer (too early: the read cannot have completed,
-	// so the send is a miss — what matters is that it is the only one).
-	clk.runQueued()
-	if old.pins != 0 || len(c.freeEntries) == 0 || c.freeEntries[0] != old {
-		t.Fatalf("stale callbacks ran but the record was not recycled: pins %d free %d", old.pins, len(c.freeEntries))
+	// An entry due earlier re-arms the walk: the Stop loses, and the
+	// callback set for 500 ms will run beside the one set for 300 ms.
+	c.Deliver(1, state(3, 4, ms(1300), 1))
+	if clk.armed != 3 || w.armedFor != ms(300) {
+		t.Fatalf("%d callbacks armed, for %v: want a second walk timer, for the earlier read", clk.armed, w.armedFor)
 	}
+	reads := func() int64 { return c.DiskByIndex(0).Stats().Reads }
+	clk.runTo(ms(300)) // the live callback: the earlier entry's read, re-armed for 500 ms
+	if got := reads(); got != 1 || w.armedFor != ms(500) {
+		t.Fatalf("%d reads issued, armed for %v", got, w.armedFor)
+	}
+	// At 500 ms the stale callback runs first. Its instant has come, so
+	// it does the work — the other read — and re-arms for the first
+	// send; the callback it could not stop finds that instant still
+	// ahead and touches nothing.
+	clk.runTo(ms(500))
+	if got := reads(); got != 2 || w.armedFor != ms(1300) || c.BufferedBytes() != 2*cfg.BlockSize {
+		t.Fatalf("%d reads issued, armed for %v, %d bytes buffered: a stale callback read twice",
+			got, w.armedFor, c.BufferedBytes())
+	}
+	clk.runTo(ms(1300))
+	clk.runTo(ms(1500))
 	st := c.Stats()
-	if ds := c.DiskByIndex(0).Stats(); ds.Reads != 1 {
-		t.Fatalf("%d reads started: a stale read timer issued one for the new entry", ds.Reads)
+	if data.blocks != 2 || st.BlocksSent != 2 || st.ServerMisses != 0 || st.IndexMisses != 0 {
+		t.Fatalf("%d blocks on the data path, stats %+v", data.blocks, st)
 	}
-	if st.ServerMisses != 1 || data.blocks != 0 || st.IndexMisses != 0 {
-		t.Fatalf("stale send timer serviced the new entry: %+v, %d blocks", st, data.blocks)
+	clk.runTo(ms(2500)) // both sends' pace has run out
+	if c.BufferedBytes() != 0 || c.view.len() != 0 || w.armedFor != never {
+		t.Fatalf("buffered %d, %d entries, armed for %v", c.BufferedBytes(), c.view.len(), w.armedFor)
 	}
-	if c.BufferedBytes() != 0 || c.view.len() != 0 {
-		t.Fatalf("buffered %d, %d entries", c.BufferedBytes(), c.view.len())
+	// Two reads and two sends each took a callback and armed the next
+	// (the last found nothing to arm), one insertion re-armed, and the
+	// callback that could not be stopped armed nothing of its own: five
+	// walk timers beside the two disk completions and the deschedule
+	// hold. A second chain would have armed one more for every instant
+	// after it began.
+	if want := 5 + 2 + 1; clk.armed != want {
+		t.Fatalf("%d callbacks armed, want %d", clk.armed, want)
 	}
 }
 

@@ -46,8 +46,8 @@ var RecoveryBounds = []float64{0.01, 0.1, 0.5, 1, 5, 30}
 // belong to the freshly booted process; in the simulator and the rt
 // runtime the cub object is reused, so Restart must leave them armed.
 func (c *Cub) Restart() {
-	// Drop every schedule entry, stopping its timers and releasing any
-	// read buffers a dead incarnation would not have kept.
+	// Drop every schedule entry, which empties the drives' walks, and
+	// release any read buffers a dead incarnation would not have kept.
 	for _, k := range c.view.sortedKeys(nil) {
 		c.dropEntryRelease(k)
 	}
@@ -55,7 +55,6 @@ func (c *Cub) Restart() {
 	c.desch = make(map[descKey]*msg.Deschedule)
 	c.queue = make(map[int32][]*startReq)
 	c.queueLen = 0
-	c.fwdHeap = c.fwdHeap[:0]
 	c.redundantStart = make(map[msg.InstanceID]*startReq)
 	c.cancelledStart = make(map[msg.InstanceID]sim.Time)
 	c.enqueuedStart = make(map[msg.InstanceID]sim.Time)

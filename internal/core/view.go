@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -154,6 +155,6 @@ func (c *Cub) HeldDeschedules() []int32 {
 	for k := range c.desch {
 		out = append(out, k.slot)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -12,14 +12,18 @@ import (
 // that hears the hook overwrites the slot's real occupant and then flags
 // that slot once per cycle for the rest of the run.
 func TestSlotOracleIgnoresDeadCub(t *testing.T) {
-	seeds := []int64{2, 3, 4}
+	seeds := []int64{2, 3, 5}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		// Well clear of the ramp; TestSlotOracleHearsRestartConflict is
-		// what an earlier crash can meet.
+		// Three runs the restart race of
+		// TestSlotOracleHearsRestartConflict leaves alone (EXPERIMENTS.md,
+		// PR 24 scan: at this offset seeds 1 and 4 meet it).
 		c := churnCrashRestart(t, seed, 270*time.Second)
+		if n := c.TotalCubStats().Conflicts; n != 0 {
+			t.Fatalf("seed %d: the cubs counted %d conflicting states: this run meets the restart race now, pin a clean one", seed, n)
+		}
 		if v := c.InvariantViolations(); v != 0 {
 			t.Errorf("seed %d: oracle flagged %d slot conflicts around a crash and restart", seed, v)
 		}
@@ -27,14 +31,16 @@ func TestSlotOracleIgnoresDeadCub(t *testing.T) {
 }
 
 // TestSlotOracleHearsRestartConflict pins the other side: ignoring the
-// dead cub must not deafen the oracle to live ones. A crash one minute
-// after the ramp at seed 3 (90 s at seeds 1 and 6 too) meets a genuine
-// and still unfixed race (ROADMAP item 5): seconds after the restart the
-// covering successor and the restarted cub insert different viewers into
-// one slot at the same instant, the cubs count Conflicts, and twice the
-// usual blocks are lost. The oracle has to report it.
+// dead cub must not deafen the oracle to live ones. A crash 90 s after
+// the ramp at seed 3 (and at seed 4; 270 s at seeds 1 and 4 too) meets a
+// genuine and still unfixed race (ROADMAP item 2): seconds after the
+// restart the covering successor and the restarted cub insert different
+// viewers into one slot at the same instant, the cubs count Conflicts,
+// and half as many blocks again are lost. The oracle has to report it.
+// Which runs meet the race moves with every change to same-instant
+// event order; the witness is re-pinned from a scan when it does.
 func TestSlotOracleHearsRestartConflict(t *testing.T) {
-	c := churnCrashRestart(t, 3, 60*time.Second)
+	c := churnCrashRestart(t, 3, 90*time.Second)
 	conflicts := c.TotalCubStats().Conflicts
 	if conflicts == 0 {
 		t.Skip("the restart double insertion no longer shows at this seed: pin another witness, or delete this test along with the ROADMAP note")
