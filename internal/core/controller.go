@@ -78,21 +78,19 @@ type Controller struct {
 	// Degradation-governor state (governor.go).
 	gov governorState
 
-	// Controller-failover state (scavenge.go). ctlEpoch is this
-	// incarnation's epoch, stamped into every controller-originated order
-	// so cubs can fence a dead incarnation's in-flight traffic; down
-	// makes a crashed incarnation inert in place; the scav* fields track
-	// an in-progress takeover scavenge.
-	ctlEpoch    int32
-	down        bool
-	started     bool
-	hbTimer     clock.Timer
-	scavenging  bool
-	scavPending map[msg.NodeID]bool
-	scavParked  map[msg.InstanceID]*ParkTicket
-	scavStart   sim.Time
-	slotWait    *obs.Histogram // request-to-insertion latency
-	takeover    *obs.Histogram // restart-to-rebuilt time
+	// Controller-failover state (scavenge.go). The scavenge round's token
+	// is this incarnation's epoch, stamped into every controller-originated
+	// order so cubs can fence a dead incarnation's in-flight traffic; the
+	// round is open while a takeover scavenge folds cub inventories into
+	// scavParked, the parked tickets by the highest fence reported. down
+	// makes a crashed incarnation inert in place.
+	scav       round
+	scavParked marks[msg.InstanceID, msg.ScavengedPark]
+	down       bool
+	started    bool
+	hbTimer    clock.Timer
+	slotWait   *obs.Histogram // request-to-insertion latency
+	takeover   *obs.Histogram // restart-to-rebuilt time
 
 	stats ControllerStats
 	sink  *trace.Sink // nil until SetSink
@@ -134,7 +132,7 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		plays:    make(map[msg.InstanceID]*playRecord),
 		gens:     map[int32]*Config{0: cfg},
 		genLoad:  make(map[int32]int),
-		ctlEpoch: 1,
+		scav:     round{token: 1},
 		slotWait: obs.NewHistogram(startWaitBounds),
 		takeover: obs.NewHistogram(RecoveryBounds),
 	}
@@ -157,6 +155,15 @@ func (c *Controller) SetActiveGen(gen int32) {
 		panic(fmt.Sprintf("controller: SetActiveGen(%d) before InstallGen", gen))
 	}
 	c.activeGen = gen
+}
+
+// genCfg returns generation g's Config, or the birth configuration once
+// g has been dropped.
+func (c *Controller) genCfg(g int32) *Config {
+	if cfg := c.gens[g]; cfg != nil {
+		return cfg
+	}
+	return c.cfg
 }
 
 // ActiveGen returns the generation new plays are admitted under.
@@ -207,7 +214,7 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 	if c.down {
 		return 0, ErrControllerDown
 	}
-	if c.scavenging {
+	if c.scav.open {
 		// Admitting before the fold completes risks double-admitting an
 		// instance a cub is about to report; callers retry after the
 		// scavenge window (one RTT, bounded by the deadman closeout).
@@ -271,7 +278,7 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 		StartBlock: startBlock,
 		Bitrate:    bitrate,
 		Issued:     int64(now),
-		Ctl:        c.ctlEpoch,
+		Ctl:        c.Epoch(),
 	}
 	if c.sink.Wants(trace.Admit) {
 		// Somebody follows admissions (a chain log): stamp the play traced.
@@ -308,27 +315,21 @@ func (c *Controller) StopPlay(inst msg.InstanceID) {
 		return
 	}
 	c.stats.Stops++
-	d := msg.Deschedule{
-		Viewer:   rec.viewer,
-		Instance: inst,
-		Slot:     rec.slot, // -1 when still queued: cancels the start
-		Created:  int64(c.clk.Now()),
+	target := rec.primary
+	if rec.state != PlayQueued {
+		target = c.genCfg(rec.gen).Layout.CubOfDisk(c.servingDisk(rec.slot))
 	}
-	rcfg := c.gens[rec.gen]
-	if rcfg == nil {
-		rcfg = c.cfg
-	}
-	var target msg.NodeID
-	if rec.state == PlayQueued {
-		target = rec.primary
-	} else {
-		target = rcfg.Layout.CubOfDisk(c.servingDisk(rec.slot))
-	}
-	d1 := d
-	c.net.Send(msg.Controller, target, &d1)
-	d2 := d
-	c.net.Send(msg.Controller, rcfg.Layout.Successor(target), &d2)
+	c.deschedule(rec, inst, rec.slot, target) // slot -1 while queued: cancels the start
 	c.finish(inst, rec)
+}
+
+// deschedule sends the idempotent removal of rec's instance inst from
+// slot to cub and, for redundancy, to its successor (§4.1.2).
+func (c *Controller) deschedule(rec *playRecord, inst msg.InstanceID, slot int32, cub msg.NodeID) {
+	d := msg.Deschedule{Viewer: rec.viewer, Instance: inst, Slot: slot, Created: int64(c.clk.Now())}
+	d1 := d
+	c.net.Send(msg.Controller, cub, &d1)
+	c.net.Send(msg.Controller, c.genCfg(rec.gen).Layout.Successor(cub), &d)
 }
 
 // NotifyEOF records that a viewer reached end of file; the stream left
@@ -377,10 +378,7 @@ func (c *Controller) finish(inst msg.InstanceID, rec *playRecord) {
 // distinct multiple of blockPlay each, so the minimum is taken by the
 // disk that cancels y0's whole-blockPlay part — no scan over NumDisks.
 func (c *Controller) servingDisk(slot int32) int {
-	cfg := c.gens[GenOf(slot)]
-	if cfg == nil {
-		cfg = c.cfg
-	}
+	cfg := c.genCfg(GenOf(slot))
 	raw := RawSlot(slot)
 	now := c.clk.Now()
 	p := cfg.Sched
@@ -405,7 +403,8 @@ func (c *Controller) pendingAndActive() int {
 
 // Deliver implements netsim.Handler for messages addressed to the
 // controller: start acknowledgements from cubs, and the commit/nack
-// halves of the live-restripe move protocol.
+// halves of the live-restripe move protocol. What passes the fence
+// (fence.go) is dispatched.
 func (c *Controller) Deliver(from msg.NodeID, m msg.Message) {
 	c.cpu.ChargeCtlMsg()
 	if c.down {
@@ -413,6 +412,9 @@ func (c *Controller) Deliver(from msg.NodeID, m msg.Message) {
 		// StartAck racing the crash, a late commit — is lost exactly as a
 		// dead process would lose it, and the takeover scavenge rebuilds
 		// the state from the cubs instead.
+		return
+	}
+	if !c.admit(from, m) {
 		return
 	}
 	switch t := m.(type) {
@@ -439,20 +441,7 @@ func (c *Controller) onStartAck(a *msg.StartAck) {
 		// queue-cancel deschedule missed. Kill the slot properly now —
 		// deschedules are idempotent, so this is safe even if the cancel
 		// did land (§4.1.2).
-		d := msg.Deschedule{
-			Viewer:   rec.viewer,
-			Instance: a.Instance,
-			Slot:     a.Slot,
-			Created:  int64(c.clk.Now()),
-		}
-		rcfg := c.gens[rec.gen]
-		if rcfg == nil {
-			rcfg = c.cfg
-		}
-		d1 := d
-		c.net.Send(msg.Controller, a.By, &d1)
-		d2 := d
-		c.net.Send(msg.Controller, rcfg.Layout.Successor(a.By), &d2)
+		c.deschedule(rec, a.Instance, a.Slot, a.By)
 		return
 	}
 	if rec.state != PlayQueued {

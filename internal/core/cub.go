@@ -216,52 +216,41 @@ type Cub struct {
 	walks       []walk   // the same entries per drive, in due order (walk.go)
 	freeEntries []*entry // records ready for reuse; wiped by Restart
 
-	desch map[descKey]*msg.Deschedule
+	desch tombstones[descKey, struct{}] // held deschedule records (§4.1.2)
 
 	queue          map[int32][]*startReq // pending starts per genDiskKey
 	queueLen       int                   // total queued starts, all genDiskKeys
 	scanning       map[int32]bool        // ownership scan active per genDiskKey
 	redundantStart map[msg.InstanceID]*startReq
-	cancelledStart map[msg.InstanceID]sim.Time // acks seen; GC'd lazily
-	enqueuedStart  map[msg.InstanceID]sim.Time // dedup of start enqueues; GC'd lazily
+	cancelledStart tombstones[msg.InstanceID, struct{}] // acks and cancels seen
+	enqueuedStart  tombstones[msg.InstanceID, struct{}] // dedup of start enqueues
 
 	lastSeen     map[msg.NodeID]sim.Time
 	believedDead map[msg.NodeID]bool
 	monitored    []msg.NodeID
 
-	// Degradation-governor state (park.go): tombstones for parked
-	// instances (so stale gossip dies on arrival), the high-water fence
-	// of controller CubDown advisories, and the current count of
-	// mirror-exhausted disks derived from believedDead.
-	parkedInst map[msg.InstanceID]sim.Time
-	govFence   int32
-	unservable int
+	// Degradation-governor state (park.go).
+	parkedInst tombstones[msg.InstanceID, struct{}] // so stale gossip dies on arrival
+	govMark    mark                                 // of the controller's CubDown advisories
+	unservable int                                  // mirror-exhausted disks, from believedDead
 
-	// Controller-failover state (scavenge.go): the high-water mark of
-	// controller epochs seen (fences a dead incarnation's in-flight
-	// orders), the retained re-admission tickets of parked streams (the
-	// scavengeable half of the governor's state), and the deadman for
-	// the controller itself — armed only once a controller heartbeat
-	// has been seen.
-	ctlEpoch      int32
-	parkedTickets map[msg.InstanceID]msg.ScavengedPark
+	// Controller-failover state (scavenge.go): the controller epoch's
+	// mark, the re-admission tickets of parked streams (the scavengeable
+	// half of the governor's state), and the deadman for the controller,
+	// armed by its first heartbeat.
+	ctl           mark
+	parkedTickets tombstones[msg.InstanceID, msg.ScavengedPark]
 	ctlLastSeen   sim.Time
 	ctlDown       bool
 
-	// Liveness epoch (§2.3's deadman protocol extended with restart
-	// fencing): bumped on every cold restart, stamped into heartbeats and
-	// forwarded viewer states, so receivers can discard traffic produced
-	// by a pre-restart incarnation. peerEpoch is the per-peer high-water
-	// mark of epochs seen.
-	epoch     int32
-	peerEpoch map[msg.NodeID]int32
-
-	// Rejoin handshake bookkeeping (rejoin.go).
-	rejoinActive  bool
-	rejoinPending map[msg.NodeID]bool
-	rejoinStart   sim.Time
-	startWait     *obs.Histogram // queue-to-insertion wait of start requests
-	recovery      *obs.Histogram // restart-to-reintegration time
+	// Liveness (§2.3's deadman protocol extended with restart fencing).
+	// The rejoin round's token is the cub's liveness epoch, bumped on
+	// every cold restart and stamped into heartbeats and forwarded viewer
+	// states; peers is the mark of each peer's.
+	rejoin    round
+	peers     marks[msg.NodeID, struct{}]
+	startWait *obs.Histogram // queue-to-insertion wait of start requests
+	recovery  *obs.Histogram // restart-to-reintegration time
 
 	fwdPending map[msg.NodeID][]msg.Message // batch under assembly
 	// Scratch slices recycled across the periodic forwarding path, so
@@ -295,34 +284,39 @@ type Cub struct {
 func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data DataPath, rng *rand.Rand) *Cub {
 	diskNums := cfg.Layout.DisksOfCub(id)
 	c := &Cub{
-		id:             id,
-		cfg:            cfg,
-		clk:            clk,
-		net:            net,
-		data:           data,
-		rng:            rng,
-		disks:          make(map[int]*disk.Disk, len(diskNums)),
-		nativeCubs:     cfg.Layout.Cubs,
-		planes:         make(map[int32]*genPlane, 2),
-		failedDisks:    make(map[int]bool),
-		health:         make(map[int]*diskHealth, len(diskNums)),
-		quarantined:    make(map[int]bool),
-		view:           newView(),
-		desch:          make(map[descKey]*msg.Deschedule),
+		id:          id,
+		cfg:         cfg,
+		clk:         clk,
+		net:         net,
+		data:        data,
+		rng:         rng,
+		disks:       make(map[int]*disk.Disk, len(diskNums)),
+		nativeCubs:  cfg.Layout.Cubs,
+		planes:      make(map[int32]*genPlane, 2),
+		failedDisks: make(map[int]bool),
+		health:      make(map[int]*diskHealth, len(diskNums)),
+		quarantined: make(map[int]bool),
+		view:        newView(),
+		// Hold a deschedule record until no viewer state for its slot
+		// could still arrive.
+		desch:          newTombstones[descKey, struct{}](clk, cfg.MaxVStateLead+cfg.DescheduleHold+cfg.Sched.BlockPlay),
 		queue:          make(map[int32][]*startReq),
 		scanning:       make(map[int32]bool),
 		redundantStart: make(map[msg.InstanceID]*startReq),
-		cancelledStart: make(map[msg.InstanceID]sim.Time),
-		enqueuedStart:  make(map[msg.InstanceID]sim.Time),
+		cancelledStart: newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
+		enqueuedStart:  newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
 		lastSeen:       make(map[msg.NodeID]sim.Time),
 		believedDead:   make(map[msg.NodeID]bool),
-		parkedInst:     make(map[msg.InstanceID]sim.Time),
-		parkedTickets:  make(map[msg.InstanceID]msg.ScavengedPark),
-		epoch:          1,
-		peerEpoch:      make(map[msg.NodeID]int32),
-		startWait:      obs.NewHistogram(startWaitBounds),
-		recovery:       obs.NewHistogram(RecoveryBounds),
-		fwdPending:     make(map[msg.NodeID][]msg.Message),
+		// A resume clears the park tombstone early; the minute bounds the
+		// set when the stream never comes back — by then every state of
+		// the parked stream has aged past the late-state cutoff anyway.
+		parkedInst:    newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
+		parkedTickets: newTombstones[msg.InstanceID, msg.ScavengedPark](clk, parkedTicketTTL),
+		rejoin:        round{token: 1},
+		peers:         make(marks[msg.NodeID, struct{}]),
+		startWait:     obs.NewHistogram(startWaitBounds),
+		recovery:      obs.NewHistogram(RecoveryBounds),
+		fwdPending:    make(map[msg.NodeID][]msg.Message),
 	}
 	c.cpu.Model = cfg.CPUModel
 	for _, d := range diskNums {
@@ -354,16 +348,12 @@ func (c *Cub) Stats() CubStats { return c.stats }
 // Epoch returns the cub's current liveness epoch. Epochs start at 1 and
 // bump on every Restart, so any message stamped with an older epoch is
 // provably from a dead incarnation.
-func (c *Cub) Epoch() int32 { return c.epoch }
+func (c *Cub) Epoch() int32 { return int32(c.rejoin.token) }
 
 // SetEpoch installs a persisted epoch; call before Start when bringing a
 // cub process back with state recovered from stable storage (the rt
 // runtime uses it so a re-launched tigerd resumes past its old epoch).
-func (c *Cub) SetEpoch(e int32) {
-	if e > c.epoch {
-		c.epoch = e
-	}
-}
+func (c *Cub) SetEpoch(e int32) { c.rejoin.token = max(c.rejoin.token, int64(e)) }
 
 // MirrorLoadFor returns the number of mirror entries this cub currently
 // holds covering services on owner's disks — the load that should drain
@@ -573,48 +563,29 @@ func (c *Cub) Deliver(from msg.NodeID, m msg.Message) {
 	}
 }
 
+// deliverOne admits m through its fence (fence.go) and dispatches it.
 func (c *Cub) deliverOne(from msg.NodeID, m msg.Message) {
+	if c.admit(from, m) {
+		c.dispatch(m)
+	}
+}
+
+func (c *Cub) dispatch(m msg.Message) {
 	switch t := m.(type) {
 	case *msg.ViewerState:
-		prior := c.peerEpoch[from]
-		if c.staleEpoch(from, t.Epoch) {
-			return
-		}
-		// Gossip is proof of life too: a viewer state arriving directly
-		// from a peer we believe dead refutes the death (deadman.go) just
-		// like a heartbeat would — during a partial partition the gossip
-		// path can heal before the next heartbeat arrives.
-		if c.believedDead[from] {
-			c.proofOfLife(from, t.Epoch, prior)
-		}
 		c.onViewerState(*t)
 	case *msg.Deschedule:
 		c.onDeschedule(*t)
 	case *msg.StartPlay:
-		if c.staleCtl(t.Ctl) {
-			return
-		}
 		c.onStartPlay(*t)
 	case *msg.StartAck:
 		c.onStartAck(*t)
 	case *msg.Heartbeat:
 		if t.From == msg.Controller {
-			c.onCtlHeartbeat(t)
-			return
+			c.ctlAlive()
+		} else {
+			c.lastSeen[t.From] = c.clk.Now()
 		}
-		prior := c.peerEpoch[from]
-		if c.staleEpoch(from, t.Epoch) {
-			return
-		}
-		c.lastSeen[t.From] = c.clk.Now()
-		if c.believedDead[t.From] {
-			c.proofOfLife(t.From, t.Epoch, prior)
-		}
-	case *msg.Hello:
-		// Transport-level peer identification. Its epoch announcement is
-		// how the rt mesh learns about a restarted incarnation from the
-		// first frame of a fresh connection.
-		c.noteEpoch(t.From, t.Epoch)
 	case *msg.RejoinRequest:
 		c.onRejoinRequest(*t)
 	case *msg.RejoinReply:
@@ -622,65 +593,19 @@ func (c *Cub) deliverOne(from msg.NodeID, m msg.Message) {
 	case *msg.RejoinConfirm:
 		c.onRejoinConfirm(t)
 	case *msg.MoveOrder:
-		// Orders come from the controller, which the peer epoch fence
-		// skips — the controller-epoch fence is what guards them.
-		if c.staleCtl(t.Ctl) {
-			return
-		}
 		c.onMoveOrder(*t)
 	case *msg.CubDown:
-		// Advisory from the controller's governor (epoch-exempt).
 		c.onCubDown(t)
 	case *msg.Park:
-		if c.staleCtl(t.Ctl) {
-			return
-		}
 		c.onPark(*t)
 	case *msg.Resume:
-		if c.staleCtl(t.Ctl) {
-			return
-		}
 		c.onResume(*t)
 	case *msg.ScavengeReq:
 		c.onScavengeReq(*t)
 	case *msg.MoveData:
-		prior := c.peerEpoch[from]
-		if c.staleEpoch(from, t.Epoch) {
-			return
-		}
-		if c.believedDead[from] {
-			c.proofOfLife(from, t.Epoch, prior)
-		}
 		c.onMoveData(*t)
 	default:
-		// ReserveReq/Resp belong to the multiple-bitrate node (mbr.go).
-	}
-}
-
-// staleEpoch implements the receive-side epoch fence: a message from a
-// peer carrying an epoch below the highest we have seen from that peer
-// was produced by a pre-restart incarnation (for example, replayed by a
-// TCP reconnect racing the new connection) and must not touch the view.
-func (c *Cub) staleEpoch(from msg.NodeID, e int32) bool {
-	if from == msg.Controller || from == c.id {
-		return false
-	}
-	if e < c.peerEpoch[from] {
-		c.stats.StaleEpochDrops++
-		return true
-	}
-	if e > c.peerEpoch[from] {
-		c.peerEpoch[from] = e
-	}
-	return false
-}
-
-// noteEpoch raises the high-water epoch mark for a peer.
-func (c *Cub) noteEpoch(from msg.NodeID, e int32) {
-	if from == msg.Controller || from == c.id {
-		return
-	}
-	if e > c.peerEpoch[from] {
-		c.peerEpoch[from] = e
+		// A Hello is all fence: its epoch is how the rt mesh learns of a
+		// restarted incarnation. ReserveReq/Resp are mbr.go's.
 	}
 }

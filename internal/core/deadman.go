@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"tiger/internal/msg"
 )
 
@@ -14,7 +12,7 @@ import (
 
 func (c *Cub) heartbeatTick() {
 	now := c.clk.Now()
-	hb := &msg.Heartbeat{From: c.id, Epoch: c.epoch, Now: int64(now)}
+	hb := &msg.Heartbeat{From: c.id, Epoch: c.Epoch(), Now: int64(now)}
 	for _, n := range c.monitored {
 		c.net.Send(c.id, n, hb)
 	}
@@ -83,20 +81,12 @@ func (c *Cub) markDead(z msg.NodeID) {
 	}
 	// Promote redundant start requests targeting z's disks, in instance
 	// order for determinism.
-	var insts []msg.InstanceID
-	for inst, req := range c.redundantStart {
+	for _, inst := range keysInOrder(c.redundantStart) {
+		req := c.redundantStart[inst]
 		g := GenOf(req.dkey)
-		p := c.planes[g]
-		if p == nil || !decider[g] {
+		if p := c.planes[g]; p == nil || !decider[g] || p.cfg.Layout.CubOfDisk(int(RawSlot(req.dkey))) != z {
 			continue
 		}
-		if p.cfg.Layout.CubOfDisk(int(RawSlot(req.dkey))) == z {
-			insts = append(insts, inst)
-		}
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		req := c.redundantStart[inst]
 		delete(c.redundantStart, inst)
 		c.enqueueStart(req)
 		c.stats.RedundantRuns++
@@ -149,20 +139,13 @@ func (c *Cub) proofOfLife(z msg.NodeID, e, prior int32) {
 func (c *Cub) refuteDeath(z msg.NodeID) {
 	c.markAlive(z)
 	c.stats.DeathsRefuted++
-	pace := int64(c.cfg.MirrorPace())
 	now := int64(c.clk.Now())
 	keys := c.view.sortedKeys(func(e *entry) bool {
 		return e.key.part >= 0 && c.layoutOf(e.key.slot).CubOfDisk(int(e.vs.OrigDisk)) == z
 	})
 	handed := make(map[visit]bool)
 	for _, k := range keys {
-		e := c.view.get(k)
-		// Rebuild the primary service this piece substitutes for: piece p
-		// is due p mirror paces after the primary send it replaces.
-		pvs := e.vs
-		pvs.Mirror = false
-		pvs.Part = 0
-		pvs.Due -= int64(e.vs.Part) * pace
+		pvs := c.primaryOf(c.view.get(k).vs)
 		pk := visit{pvs.Slot, pvs.Due}
 		if pvs.Due > now && !handed[pk] {
 			handed[pk] = true
@@ -175,4 +158,12 @@ func (c *Cub) refuteDeath(z msg.NodeID) {
 	if len(keys) > 0 {
 		c.flushForwards()
 	}
+}
+
+// primaryOf rebuilds the primary service a mirror piece substitutes for:
+// piece p is due p mirror paces after the primary send it replaces.
+func (c *Cub) primaryOf(piece msg.ViewerState) msg.ViewerState {
+	piece.Due -= int64(piece.Part) * int64(c.cfg.MirrorPace())
+	piece.Mirror, piece.Part = false, 0
+	return piece
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"tiger/internal/msg"
 	"tiger/internal/trace"
 )
@@ -20,8 +18,7 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 		// queued start request. Scrub it from our queues and redundant
 		// copies and leave a tombstone so a late promotion cannot
 		// resurrect it.
-		c.cancelledStart[d.Instance] = c.clk.Now()
-		c.clk.After(time.Minute, func() { delete(c.cancelledStart, d.Instance) })
+		c.cancelledStart.add(d.Instance, struct{}{})
 		delete(c.redundantStart, d.Instance)
 		for disk, q := range c.queue {
 			for i, req := range q {
@@ -35,24 +32,12 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 		return
 	}
 	key := descKey{d.Slot, d.Instance}
-	if _, seen := c.desch[key]; seen {
+	if c.desch.has(key) {
 		c.stats.DeschedDup++
 		return
 	}
 	now := c.clk.Now()
-	rec := d
-	c.desch[key] = &rec
-	// Hold the record until no viewer state for this slot could still
-	// arrive, then forget it.
-	hold := c.cfg.MaxVStateLead + c.cfg.DescheduleHold + c.cfg.Sched.BlockPlay
-	c.clk.After(hold, func() {
-		// Only forget the record we installed: a Restart may have wiped
-		// the map and a newer record for the same key may exist by the
-		// time this stale timer fires.
-		if c.desch[key] == &rec {
-			delete(c.desch, key)
-		}
-	})
+	c.desch.add(key, struct{}{})
 
 	// Remove any matching entries: primary and mirror pieces alike. The
 	// semantics are exactly "if this instance is in this slot, remove

@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // entryKey identifies one schedule entry in a cub's view: slot number
 // plus which copy (part == -1 for the primary, otherwise the mirror
@@ -105,5 +109,16 @@ func (v *view) sortedKeys(pred func(*entry) bool) []entryKey {
 		}
 	})
 	sort.Slice(ks, func(i, j int) bool { return fwdKeyLess(ks[i], ks[j]) })
+	return ks
+}
+
+// keysInOrder returns m's keys sorted: the order in which anything that
+// acts on several entries of a map visits them.
+func keysInOrder[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
 	return ks
 }

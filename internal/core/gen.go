@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"tiger/internal/layout"
 	"tiger/internal/msg"
@@ -201,14 +200,9 @@ func (c *Cub) Rebase(gen int32) {
 // fresh lastSeen so installation cannot instantly declare them dead; a
 // retiring cub ends with an empty set and harmlessly idle heartbeats.
 func (c *Cub) refreshMonitored() {
-	gens := make([]int32, 0, len(c.planes))
-	for g := range c.planes {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	seen := map[msg.NodeID]bool{c.id: true}
 	var mon []msg.NodeID
-	for _, g := range gens {
+	for _, g := range keysInOrder(c.planes) {
 		cfg := c.planes[g].cfg
 		if !c.participatesIn(cfg) {
 			continue

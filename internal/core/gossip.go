@@ -27,10 +27,10 @@ func (c *Cub) onViewerState(vs msg.ViewerState) {
 		c.stats.StatesLate++
 		return
 	}
-	if _, killed := c.desch[descKey{vs.Slot, vs.Instance}]; killed {
+	if c.desch.has(descKey{vs.Slot, vs.Instance}) {
 		return
 	}
-	if _, parked := c.parkedInst[vs.Instance]; parked {
+	if c.parkedInst.has(vs.Instance) {
 		// The governor parked this stream; states still gossiping around
 		// the ring die here instead of resurrecting it (park.go).
 		return
@@ -544,10 +544,10 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 func (c *Cub) enqueueForward(to msg.NodeID, m msg.Message) {
 	// Every outgoing viewer state is stamped with the sender's current
 	// liveness epoch here, the single choke point all gossip flows
-	// through; receivers fence on it (staleEpoch) so a restarted cub's
+	// through; receivers fence on it (peerLive) so a restarted cub's
 	// pre-crash gossip cannot be mistaken for fresh state.
 	if vs, ok := m.(*msg.ViewerState); ok {
-		vs.Epoch = c.epoch
+		vs.Epoch = c.Epoch()
 	}
 	c.fwdPending[to] = append(c.fwdPending[to], m)
 }

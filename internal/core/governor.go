@@ -43,7 +43,7 @@ type GovernorStats struct {
 }
 
 type governorState struct {
-	fence      int32
+	fence      mark                // the current degradation episode
 	down       map[msg.NodeID]bool // cubs the governor was told are down
 	unservable map[int]bool        // disks unservable under the active layout
 	// stateLost marks disks of cubs that died together with their ring
@@ -76,7 +76,7 @@ func (g *governorState) init() {
 // GovernorStats returns the governor's accounting snapshot.
 func (c *Controller) GovernorStats() GovernorStats {
 	s := c.gov.stats
-	s.Fence = c.gov.fence
+	s.Fence = int32(c.gov.fence)
 	s.Parked = len(c.gov.parked)
 	s.QueueLen = len(c.gov.queue)
 	s.Unservable = len(c.gov.unservable)
@@ -106,21 +106,11 @@ func (c *Controller) NoteCubsDown(down []msg.NodeID) {
 		return
 	}
 	g.fence++
-	g.stats.Fence = g.fence
 
-	acfg := c.gens[c.activeGen]
-	adv := make([]msg.NodeID, 0, len(g.down))
-	for z := range g.down {
-		adv = append(adv, z)
-	}
-	sort.Slice(adv, func(i, j int) bool { return adv[i] < adv[j] })
-	for i := 0; i < acfg.Layout.Cubs; i++ {
-		z := msg.NodeID(i)
-		if g.down[z] {
-			continue
-		}
-		c.net.Send(msg.Controller, z, &msg.CubDown{Fence: g.fence, Down: adv})
-	}
+	adv := keysInOrder(g.down)
+	c.toLiveCubs(c.gens[c.activeGen].Layout.Cubs, func() msg.Message {
+		return &msg.CubDown{Fence: int32(g.fence), Down: adv}
+	})
 
 	c.recomputeUnservable()
 	c.parkSweep(true)
@@ -244,7 +234,7 @@ func (c *Controller) parkOne(inst msg.InstanceID) {
 		File:        rec.file,
 		ResumeBlock: rec.startBlock,
 		Bitrate:     rec.bitrate,
-		Fence:       g.fence,
+		Fence:       int32(g.fence),
 	}
 	if c.OnParked != nil {
 		if file, rb, ok := c.OnParked(rec.viewer, inst); ok {
@@ -252,10 +242,7 @@ func (c *Controller) parkOne(inst msg.InstanceID) {
 			t.ResumeBlock = rb
 		}
 	}
-	rcfg := c.gens[rec.gen]
-	if rcfg == nil {
-		rcfg = c.cfg
-	}
+	rcfg := c.genCfg(rec.gen)
 	slot := rec.slot
 	if rec.state == PlayQueued {
 		slot = -1
@@ -270,16 +257,10 @@ func (c *Controller) parkOne(inst msg.InstanceID) {
 	// order carries the full re-admission ticket: every live cub retains
 	// it until the matching Resume, so a controller takeover can
 	// scavenge the parked set (scavenge.go).
-	p := msg.Park{Viewer: rec.viewer, Instance: inst, Slot: slot, Fence: g.fence,
-		File: t.File, ResumeBlock: t.ResumeBlock, Bitrate: t.Bitrate, Ctl: c.ctlEpoch}
-	for i := 0; i < rcfg.Layout.Cubs; i++ {
-		z := msg.NodeID(i)
-		if g.down[z] {
-			continue
-		}
-		pi := p
-		c.net.Send(msg.Controller, z, &pi)
-	}
+	c.toLiveCubs(rcfg.Layout.Cubs, func() msg.Message {
+		return &msg.Park{Viewer: rec.viewer, Instance: inst, Slot: slot, Fence: int32(g.fence),
+			File: t.File, ResumeBlock: t.ResumeBlock, Bitrate: t.Bitrate, Ctl: c.Epoch()}
+	})
 	g.parked[inst] = t
 	g.queue = append(g.queue, t)
 	g.stats.Parks++
@@ -351,24 +332,15 @@ func (c *Controller) drainParked() {
 		g.stats.Resumes++
 		if newInst != 0 {
 			if rec := c.plays[newInst]; rec != nil {
-				rcfg := c.gens[rec.gen]
-				if rcfg == nil {
-					rcfg = c.cfg
-				}
+				rcfg := c.genCfg(rec.gen)
 				// The resume notice is broadcast to every live cub, matching
 				// the Park broadcast: each cub that retained the ticket must
 				// clear it, or a later controller takeover would scavenge the
 				// stale ticket and resume the stream a second time.
-				r := msg.Resume{Viewer: t.Viewer, OldInstance: t.OldInstance,
-					NewInstance: newInst, Fence: g.fence, Ctl: c.ctlEpoch}
-				for i := 0; i < rcfg.Layout.Cubs; i++ {
-					z := msg.NodeID(i)
-					if g.down[z] {
-						continue
-					}
-					ri := r
-					c.net.Send(msg.Controller, z, &ri)
-				}
+				c.toLiveCubs(rcfg.Layout.Cubs, func() msg.Message {
+					return &msg.Resume{Viewer: t.Viewer, OldInstance: t.OldInstance,
+						NewInstance: newInst, Fence: int32(g.fence), Ctl: c.Epoch()}
+				})
 			}
 		}
 	}
@@ -380,6 +352,16 @@ func (c *Controller) drainParked() {
 			tick = c.cfg.Sched.BlockPlay
 		}
 		c.clk.After(tick, c.drainParked)
+	}
+}
+
+// toLiveCubs sends a message m builds to each of the first n cubs the
+// governor was not told are down.
+func (c *Controller) toLiveCubs(n int, m func() msg.Message) {
+	for i := 0; i < n; i++ {
+		if z := msg.NodeID(i); !c.gov.down[z] {
+			c.net.Send(msg.Controller, z, m())
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func (c *Cub) onStartPlay(sp msg.StartPlay) {
 	d := ap.cfg.Layout.PrimaryDisk(f, int(sp.StartBlock))
 	req := &startReq{sp: sp, dkey: genDiskKey(c.activeGen, d), enqueued: c.clk.Now()}
 	if !sp.Primary {
-		if _, done := c.cancelledStart[sp.Instance]; done {
+		if c.cancelledStart.has(sp.Instance) {
 			return
 		}
 		// If the primary target is already known dead and we are its
@@ -54,12 +54,11 @@ func (c *Cub) enqueueStart(req *startReq) {
 	// promotion) must not enqueue the same instance twice — two inserts
 	// of one instance into two slots would be a real double-schedule.
 	inst := req.sp.Instance
-	if _, dup := c.enqueuedStart[inst]; dup {
+	if c.enqueuedStart.has(inst) {
 		c.stats.StartsDup++
 		return
 	}
-	c.enqueuedStart[inst] = c.clk.Now()
-	c.clk.After(time.Minute, func() { delete(c.enqueuedStart, inst) })
+	c.enqueuedStart.add(inst, struct{}{})
 	c.queue[req.dkey] = append(c.queue[req.dkey], req)
 	c.queueLen++
 	c.ensureScan(req.dkey)
@@ -67,9 +66,7 @@ func (c *Cub) enqueueStart(req *startReq) {
 
 func (c *Cub) onStartAck(a msg.StartAck) {
 	delete(c.redundantStart, a.Instance)
-	c.cancelledStart[a.Instance] = c.clk.Now()
-	// Lazy GC of the tombstone.
-	c.clk.After(time.Minute, func() { delete(c.cancelledStart, a.Instance) })
+	c.cancelledStart.add(a.Instance, struct{}{})
 }
 
 // ensureScan starts the ownership scan loop for a (generation, disk)
@@ -134,7 +131,7 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 		head := q[0]
 		q = q[1:]
 		c.queueLen--
-		if _, cancelled := c.cancelledStart[head.sp.Instance]; cancelled {
+		if c.cancelledStart.has(head.sp.Instance) {
 			continue
 		}
 		req = head

@@ -138,8 +138,8 @@ func (c *Cub) localDiskOfIdx(idx int8) int {
 }
 
 // onMoveOrder is the source side of a move: read the block copy and
-// ship it to the destination. Orders come from the controller (which the
-// epoch fence skips); a duplicate of an order already queued or in
+// ship it to the destination. Orders come from the controller (fenced by
+// its epoch, fence.go); a duplicate of an order already queued or in
 // service is dropped, but a re-sent order for work this cub lost in a
 // restart is accepted as fresh — the destination's dedup makes the
 // at-least-once stream safe.
@@ -162,7 +162,7 @@ func (c *Cub) onMoveOrder(t msg.MoveOrder) {
 }
 
 // onMoveData is the destination side: land the copy on the target drive
-// and ack the coordinator. Already-fenced by the caller (deliverOne); a
+// and ack the coordinator. Already fenced by its row of the fence table; a
 // duplicate of a committed move just re-sends the commit, because the
 // original ack may have been lost to a crash or partition.
 func (c *Cub) onMoveData(t msg.MoveData) {
@@ -245,7 +245,7 @@ func (c *Cub) finishMove(d int, j *mvJob, start, done sim.Time, ok bool) {
 				Part:   j.order.Part,
 				DstIdx: j.order.DstIdx,
 				From:   c.id,
-				Epoch:  c.epoch,
+				Epoch:  c.Epoch(),
 			}
 			if j.order.DstCub == c.id {
 				// Self-move (a disk-index change on the same cub): land it
@@ -320,7 +320,7 @@ func (c *Cub) sendMoveCommit(t msg.MoveData) {
 		Fence: t.Fence,
 		Seq:   t.Seq,
 		From:  c.id,
-		Epoch: c.epoch,
+		Epoch: c.Epoch(),
 	})
 	if c.sink.Wants(trace.MoveCommit) {
 		// Slot carries the move sequence.

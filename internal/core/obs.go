@@ -81,7 +81,7 @@ func (c *Cub) Snapshot() CubSnapshot {
 		ViewEntries:     c.view.len(),
 		QueuedStarts:    c.queueLen,
 		BufferedBytes:   c.BufferedBytes(),
-		Epoch:           c.epoch,
+		Epoch:           c.Epoch(),
 		MovesPending:    c.MoverPending(),
 		UnservableDisks: c.unservable,
 		CtlDown:         c.ctlDown,
@@ -131,7 +131,7 @@ func (c *Controller) Snapshot() ControllerSnapshot {
 		Governor:        c.GovernorStats(),
 		Restripe:        c.RestripeStats(),
 		Active:          c.active,
-		Epoch:           c.ctlEpoch,
+		Epoch:           c.Epoch(),
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"tiger/internal/msg"
 	"tiger/internal/trace"
 )
@@ -20,12 +18,9 @@ import (
 // cub monitors are applied — those are the only ones its takeover
 // decisions depend on, and they are the only ones whose recovery
 // (heartbeat, rejoin, gossip proof of life) reaches this cub to clear
-// the belief again.
+// the belief again. Its fence has dropped advisories from an earlier
+// degradation episode.
 func (c *Cub) onCubDown(m *msg.CubDown) {
-	if m.Fence < c.govFence {
-		return // stale advisory from an earlier degradation episode
-	}
-	c.govFence = m.Fence
 	c.stats.DownAdvisories++
 	for _, z := range m.Down {
 		if z == c.id || c.believedDead[z] || !c.isMonitored(z) {
@@ -51,26 +46,21 @@ func (c *Cub) isMonitored(z msg.NodeID) bool {
 // after the deschedule record ages out. The ack always goes back: the
 // controller dedups by instance.
 func (c *Cub) onPark(p msg.Park) {
-	if _, seen := c.parkedInst[p.Instance]; !seen {
-		c.parkedInst[p.Instance] = c.clk.Now()
-		// A resume clears the tombstone early; the GC bounds the map when
-		// the stream never comes back. By then every state of the parked
-		// stream has aged past the late-state cutoff anyway.
-		c.clk.After(time.Minute, func() { delete(c.parkedInst, p.Instance) })
+	if !c.parkedInst.has(p.Instance) {
+		c.parkedInst.add(p.Instance, struct{}{})
 		// Retain the re-admission ticket until the matching Resume: the
 		// tickets held across the ring are what a controller takeover
 		// scavenges to rebuild the parked set (scavenge.go). Retention is
 		// much longer than the tombstone — it must survive a controller
-		// outage — with a backstop GC for streams never resumed.
-		c.parkedTickets[p.Instance] = msg.ScavengedPark{
+		// outage — with a backstop for streams never resumed.
+		c.parkedTickets.add(p.Instance, msg.ScavengedPark{
 			Viewer:      p.Viewer,
 			Instance:    p.Instance,
 			File:        p.File,
 			ResumeBlock: p.ResumeBlock,
 			Bitrate:     p.Bitrate,
 			Fence:       p.Fence,
-		}
-		c.clk.After(parkedTicketTTL, func() { delete(c.parkedTickets, p.Instance) })
+		})
 		c.stats.StreamsParked++
 		c.onDeschedule(msg.Deschedule{
 			Viewer:   p.Viewer,
@@ -92,8 +82,8 @@ func (c *Cub) onPark(p msg.Park) {
 // re-admits the stream under a fresh instance. The new instance arrives
 // through the ordinary StartPlay path; this is only bookkeeping.
 func (c *Cub) onResume(r msg.Resume) {
-	delete(c.parkedInst, r.OldInstance)
-	delete(c.parkedTickets, r.OldInstance)
+	delete(c.parkedInst.m, r.OldInstance)
+	delete(c.parkedTickets.m, r.OldInstance)
 	c.stats.StreamsResumed++
 	if c.sink.Wants(trace.Resume) {
 		c.sink.Emit(trace.Event{

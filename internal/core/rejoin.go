@@ -1,9 +1,6 @@
 package core
 
-import (
-	"tiger/internal/msg"
-	"tiger/internal/sim"
-)
+import "tiger/internal/msg"
 
 // This file implements the crash–restart–reintegration protocol. The
 // paper's deadman machinery (§2.3) covers the outbound half of a failure
@@ -19,8 +16,8 @@ import (
 //  1. Epoch fencing. Every cub carries a liveness epoch, bumped on each
 //     cold restart and stamped into its heartbeats and forwarded viewer
 //     states. Receivers keep a per-peer high-water mark and discard
-//     anything older (Cub.staleEpoch), so pre-crash traffic replayed by
-//     transport reconnects is inert.
+//     anything older (the peerLive fence, fence.go), so pre-crash traffic
+//     replayed by transport reconnects is inert.
 //
 //  2. View transfer. The restarted cub sends RejoinRequest to every
 //     monitored ring neighbour. Each neighbour answers with the primary
@@ -52,14 +49,14 @@ func (c *Cub) Restart() {
 		c.dropEntryRelease(k)
 	}
 	c.freeEntries = nil // record pools are volatile state too
-	c.desch = make(map[descKey]*msg.Deschedule)
+	c.desch.reset()
 	c.queue = make(map[int32][]*startReq)
 	c.queueLen = 0
 	c.redundantStart = make(map[msg.InstanceID]*startReq)
-	c.cancelledStart = make(map[msg.InstanceID]sim.Time)
-	c.enqueuedStart = make(map[msg.InstanceID]sim.Time)
+	c.cancelledStart.reset()
+	c.enqueuedStart.reset()
 	c.believedDead = make(map[msg.NodeID]bool)
-	c.peerEpoch = make(map[msg.NodeID]int32)
+	c.peers = make(marks[msg.NodeID, struct{}])
 	c.fwdPending = make(map[msg.NodeID][]msg.Message)
 	// The mover's copy queues are volatile too: in-flight restripe copies
 	// die with the incarnation, and the coordinator's resend timer
@@ -76,35 +73,24 @@ func (c *Cub) Restart() {
 
 	// New incarnation: everything stamped with the old epoch is now
 	// provably stale.
-	c.epoch++
+	ep := c.rejoin.token + 1
 	c.stats.Rejoins++
 
 	// Announce the new incarnation immediately — neighbours clear their
 	// believedDead entry and stop generating new mirror load for us —
-	// and ask each of them for the states landing in our window.
-	hb := &msg.Heartbeat{From: c.id, Epoch: c.epoch, Now: int64(now)}
-	c.rejoinActive = true
-	c.rejoinStart = now
-	c.rejoinPending = make(map[msg.NodeID]bool, len(c.monitored))
-	for _, n := range c.monitored {
+	// and ask each of them for the states landing in our window. A
+	// neighbour that is itself dead never answers; the closeout ends the
+	// handshake after a deadman timeout so the recovery clock still stops.
+	hb := &msg.Heartbeat{From: c.id, Epoch: int32(ep), Now: int64(now)}
+	c.rejoin.begin(c.clk, ep, c.monitored, func(n msg.NodeID) {
 		c.net.Send(c.id, n, hb)
-		c.rejoinPending[n] = true
-		c.net.Send(c.id, n, &msg.RejoinRequest{From: c.id, Epoch: c.epoch})
-	}
-	// A neighbour that is itself dead never answers; close the handshake
-	// after a deadman timeout so the recovery clock still stops.
-	ep := c.epoch
-	c.clk.After(c.cfg.DeadmanTimeout, func() {
-		if c.rejoinActive && c.epoch == ep {
-			c.finishRejoin()
-		}
-	})
+		c.net.Send(c.id, n, &msg.RejoinRequest{From: c.id, Epoch: int32(ep)})
+	}, c.cfg.DeadmanTimeout, c.finishRejoin)
 }
 
 func (c *Cub) finishRejoin() {
-	c.rejoinActive = false
-	c.rejoinPending = nil
-	c.recovery.Observe(c.clk.Now().Sub(c.rejoinStart).Seconds())
+	c.rejoin.close()
+	c.recovery.Observe(c.clk.Now().Sub(c.rejoin.began).Seconds())
 }
 
 // onRejoinRequest answers a restarted neighbour with every primary
@@ -113,8 +99,8 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 	if req.From == c.id {
 		return
 	}
-	// The request is the first proof of life of the new incarnation.
-	c.noteEpoch(req.From, req.Epoch)
+	// The request is the first proof of life of the new incarnation; its
+	// fence has raised the epoch mark.
 	c.lastSeen[req.From] = c.clk.Now()
 	if c.believedDead[req.From] {
 		c.markAlive(req.From)
@@ -123,10 +109,16 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 
 	now := int64(c.clk.Now())
 	bp := int64(c.cfg.Sched.BlockPlay)
-	pace := int64(c.cfg.MirrorPace())
 	horizon := now + int64(c.cfg.MaxVStateLead) + bp
 	reply := &msg.RejoinReply{From: c.id, ForEpoch: req.Epoch}
 	sent := make(map[visit]bool)
+	add := func(vs msg.ViewerState) {
+		if k := (visit{vs.Slot, vs.Due}); vs.Due > now && !sent[k] {
+			sent[k] = true
+			vs.Epoch = c.Epoch()
+			reply.States = append(reply.States, vs)
+		}
+	}
 
 	for _, k := range c.view.sortedKeys(nil) {
 		e := c.view.get(k)
@@ -136,21 +128,11 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 		}
 		if k.part >= 0 {
 			// A mirror piece covering one of the requester's disks:
-			// rebuild the primary state it derives from. Piece p is due
-			// p mirror paces after the primary service it replaces.
+			// rebuild the primary state it derives from.
 			if cfg.Layout.CubOfDisk(int(e.vs.OrigDisk)) != req.From {
 				continue
 			}
-			pvs := e.vs
-			pvs.Mirror = false
-			pvs.Part = 0
-			pvs.Due -= int64(e.vs.Part) * pace
-			pvs.Epoch = c.epoch
-			pk := visit{pvs.Slot, pvs.Due}
-			if pvs.Due > now && !sent[pk] {
-				sent[pk] = true
-				reply.States = append(reply.States, pvs)
-			}
+			add(c.primaryOf(e.vs))
 			continue
 		}
 		// A primary entry we already forwarded: while the requester was
@@ -173,11 +155,8 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 			nvs.PlaySeq += int32(j)
 			nvs.Due = due
 			nvs.OrigDisk = int32(d)
-			nvs.Epoch = c.epoch
-			nk := visit{nvs.Slot, nvs.Due}
-			if due > now && c.fileHasBlock(nvs.File, nvs.Block) && !sent[nk] {
-				sent[nk] = true
-				reply.States = append(reply.States, nvs)
+			if c.fileHasBlock(nvs.File, nvs.Block) {
+				add(nvs)
 			}
 		}
 	}
@@ -188,12 +167,9 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 
 // onRejoinReply installs the transferred states that belong to us and
 // confirms ownership back to the sender so it can retire its mirrors.
+// Its fence has dropped answers to a previous incarnation's request; an
+// answer to this one is installed even after the handshake closed out.
 func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
-	if rep.ForEpoch != c.epoch {
-		// Answer to a previous incarnation's request.
-		c.stats.StaleEpochDrops++
-		return
-	}
 	c.lastSeen[rep.From] = c.clk.Now()
 	now := int64(c.clk.Now())
 	var owned []msg.ViewerState
@@ -206,7 +182,7 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 		if cfg.Layout.CubOfDisk(d) != c.id || !c.fileHasBlock(vs.File, vs.Block) {
 			continue
 		}
-		if _, killed := c.desch[descKey{vs.Slot, vs.Instance}]; killed {
+		if c.desch.has(descKey{vs.Slot, vs.Instance}) {
 			continue
 		}
 		key := entryKey{vs.Slot, -1, vs.Due}
@@ -234,20 +210,16 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 	// any mirror chains acceptPrimary started.
 	c.flushForwards()
 	if len(owned) > 0 {
-		c.net.Send(c.id, rep.From, &msg.RejoinConfirm{From: c.id, Epoch: c.epoch, States: owned})
+		c.net.Send(c.id, rep.From, &msg.RejoinConfirm{From: c.id, Epoch: c.Epoch(), States: owned})
 	}
-	if c.rejoinActive {
-		delete(c.rejoinPending, rep.From)
-		if len(c.rejoinPending) == 0 {
-			c.finishRejoin()
-		}
+	if c.rejoin.heard(rep.From) {
+		c.finishRejoin()
 	}
 }
 
 // onRejoinConfirm retires the mirror entries covering services the
 // restarted primary has confirmed it owns again (mirror-load handback).
 func (c *Cub) onRejoinConfirm(cf *msg.RejoinConfirm) {
-	c.noteEpoch(cf.From, cf.Epoch)
 	pace := int64(c.cfg.MirrorPace())
 	for _, vs := range cf.States {
 		lay := c.layoutOf(vs.Slot)

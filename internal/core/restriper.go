@@ -49,10 +49,11 @@ type rsMove struct {
 	lastSent sim.Time
 }
 
-// restriperState is the controller's live-restripe bookkeeping.
+// restriperState is the controller's live-restripe bookkeeping. The run
+// is a round whose token is the restripe fence, open while moves remain;
+// its commits and nacks must answer it (Controller.admit).
 type restriperState struct {
-	active    bool
-	fence     int64
+	run       round
 	oldGen    int32
 	moves     []*rsMove
 	committed int
@@ -79,7 +80,7 @@ type RestripeStats struct {
 // RestripeStats reports the coordinator's current progress.
 func (c *Controller) RestripeStats() RestripeStats {
 	s := RestripeStats{
-		Active:    c.rs.active,
+		Active:    c.rs.run.open,
 		Total:     len(c.rs.moves),
 		Committed: c.rs.committed,
 		Rerouted:  c.rs.rerouted,
@@ -102,8 +103,8 @@ func (c *Controller) RestripeStats() RestripeStats {
 // in every move message. The plan must already be installed as a new
 // generation at every cub (InstallGen) so destinations can land copies.
 func (c *Controller) StartRestripe(fence int64, oldGen int32, plan *layout.ElasticPlan) error {
-	if c.rs.active {
-		return fmt.Errorf("controller: restripe already active (fence %d)", c.rs.fence)
+	if c.rs.run.open {
+		return fmt.Errorf("controller: restripe already active (fence %d)", c.rs.run.token)
 	}
 	if _, ok := c.gens[oldGen]; !ok {
 		return fmt.Errorf("controller: restripe from uninstalled generation %d", oldGen)
@@ -125,8 +126,7 @@ func (c *Controller) StartRestripe(fence int64, oldGen int32, plan *layout.Elast
 		}
 	}
 	c.rs = restriperState{
-		active:      true,
-		fence:       fence,
+		run:         round{token: fence, open: true},
 		oldGen:      oldGen,
 		moves:       moves,
 		outstanding: make(map[msg.NodeID]int),
@@ -143,7 +143,7 @@ func (c *Controller) StartRestripe(fence int64, oldGen int32, plan *layout.Elast
 // up to each source's window, re-send in-flight orders past the resend
 // timeout, and re-arm.
 func (c *Controller) dispatchMoves() {
-	if !c.rs.active || c.down {
+	if !c.rs.run.open || c.down {
 		return
 	}
 	now := c.clk.Now()
@@ -168,25 +168,33 @@ func (c *Controller) dispatchMoves() {
 func (c *Controller) sendOrder(m *rsMove, now sim.Time) {
 	m.lastSent = now
 	o := m.order
-	o.Ctl = c.ctlEpoch
+	o.Ctl = c.Epoch()
 	c.net.Send(msg.Controller, m.src, &o)
+}
+
+// settle returns move seq of the current run as its source answers it,
+// or nil for no such move or one already committed (a duplicate). An
+// in-flight move gives its dispatch window slot back.
+func (s *restriperState) settle(seq int32) *rsMove {
+	if seq < 0 || int(seq) >= len(s.moves) || s.moves[seq].state == rsCommitted {
+		return nil
+	}
+	m := s.moves[seq]
+	if m.state == rsInflight {
+		if n := s.outstanding[m.src]; n > 0 {
+			s.outstanding[m.src] = n - 1
+		}
+	}
+	return m
 }
 
 // onMoveCommit marks one move durable at its destination. From here on
 // the block's new-generation home is authoritative; duplicates (a
 // destination re-acking after a lost commit) are ignored.
 func (c *Controller) onMoveCommit(t *msg.MoveCommit) {
-	if !c.rs.active || t.Fence != c.rs.fence || int(t.Seq) >= len(c.rs.moves) {
+	m := c.rs.settle(t.Seq)
+	if m == nil {
 		return
-	}
-	m := c.rs.moves[t.Seq]
-	if m.state == rsCommitted {
-		return
-	}
-	if m.state == rsInflight {
-		if n := c.rs.outstanding[m.src]; n > 0 {
-			c.rs.outstanding[m.src] = n - 1
-		}
 	}
 	m.state = rsCommitted
 	c.rs.committed++
@@ -199,19 +207,11 @@ func (c *Controller) onMoveCommit(t *msg.MoveCommit) {
 // next redundant copy of the block under the old generation becomes the
 // source, and the move returns to the dispatch queue.
 func (c *Controller) onMoveNack(t *msg.MoveNack) {
-	if !c.rs.active || t.Fence != c.rs.fence || int(t.Seq) >= len(c.rs.moves) {
-		return
-	}
-	m := c.rs.moves[t.Seq]
-	if m.state == rsCommitted {
+	m := c.rs.settle(t.Seq)
+	if m == nil {
 		return
 	}
 	c.rs.nacks++
-	if m.state == rsInflight {
-		if n := c.rs.outstanding[m.src]; n > 0 {
-			c.rs.outstanding[m.src] = n - 1
-		}
-	}
 	m.order.Alt++
 	src, idx := c.moveSource(m.order)
 	m.src = src
@@ -226,10 +226,7 @@ func (c *Controller) onMoveNack(t *msg.MoveNack) {
 // pieces). A quarantined source heals and eventually serves, so the
 // cycle always terminates the run.
 func (c *Controller) moveSource(o msg.MoveOrder) (msg.NodeID, int8) {
-	ocfg := c.gens[c.rs.oldGen]
-	if ocfg == nil {
-		ocfg = c.cfg
-	}
+	ocfg := c.genCfg(c.rs.oldGen)
 	lay := ocfg.Layout
 	f, ok := ocfg.Files[o.File]
 	if !ok {
@@ -255,18 +252,12 @@ func (c *Controller) moveSource(o msg.MoveOrder) (msg.NodeID, int8) {
 		cands = append(cands, holder{cub, idx})
 	}
 	b := int(o.Block)
-	if o.Part < 0 || int(o.Part) >= lay.Decluster {
-		// Planned source was the primary copy.
-		add(lay.PrimaryDisk(f, b))
-		for p := 0; p < lay.Decluster; p++ {
-			add(lay.SecondaryDisk(f, b, p))
-		}
-	} else {
-		add(lay.SecondaryDisk(f, b, int(o.Part)))
-		add(lay.PrimaryDisk(f, b))
-		for p := 0; p < lay.Decluster; p++ {
-			add(lay.SecondaryDisk(f, b, p))
-		}
+	if o.Part >= 0 && int(o.Part) < lay.Decluster {
+		add(lay.SecondaryDisk(f, b, int(o.Part))) // the planned piece
+	}
+	add(lay.PrimaryDisk(f, b))
+	for p := 0; p < lay.Decluster; p++ {
+		add(lay.SecondaryDisk(f, b, p))
 	}
 	h := cands[int(o.Alt)%len(cands)]
 	return h.cub, h.idx
@@ -276,7 +267,7 @@ func (c *Controller) moveSource(o msg.MoveOrder) (msg.NodeID, int8) {
 // layer decides what happens next (cutover, drain, generation drop);
 // the coordinator only certifies that every block has landed.
 func (c *Controller) finishRestripe() {
-	c.rs.active = false
+	c.rs.run.close()
 	c.rs.tick.Stop()
 	if c.OnRestripeDone != nil {
 		c.OnRestripeDone()

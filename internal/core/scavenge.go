@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"tiger/internal/layout"
@@ -22,7 +21,7 @@ import (
 //     Resume, MoveOrder) carries the incarnation's epoch. A takeover
 //     bumps the epoch and announces it in the ScavengeReq broadcast, so
 //     each cub raises its high-water mark and the dead incarnation's
-//     in-flight orders die on arrival (Cub.staleCtl).
+//     in-flight orders die on arrival (the ctlOrder fence, fence.go).
 //
 //  2. Scavenging. Each cub answers with its inventory: one
 //     representative (furthest-progress) viewer state per play instance
@@ -54,14 +53,14 @@ var ErrScavenging = errors.New("controller: takeover scavenge in progress")
 // Epoch returns the controller incarnation's epoch. It starts at 1 and
 // bumps on every Restart, so any order stamped with an older epoch is
 // provably from a dead incarnation.
-func (c *Controller) Epoch() int32 { return c.ctlEpoch }
+func (c *Controller) Epoch() int32 { return int32(c.scav.token) }
 
 // Down reports whether the controller incarnation is crashed.
 func (c *Controller) Down() bool { return c.down }
 
 // Scavenging reports whether a takeover scavenge is still folding cub
 // inventories; admission is refused while it is.
-func (c *Controller) Scavenging() bool { return c.scavenging }
+func (c *Controller) Scavenging() bool { return c.scav.open }
 
 // Start begins the controller's periodic heartbeat broadcast, which is
 // what lets cubs run a deadman for the controller itself. Idempotent;
@@ -81,9 +80,7 @@ func (c *Controller) Start() {
 func (c *Controller) allCubs() int {
 	n := 0
 	for _, g := range c.gens {
-		if g.Layout.Cubs > n {
-			n = g.Layout.Cubs
-		}
+		n = max(n, g.Layout.Cubs)
 	}
 	return n
 }
@@ -93,7 +90,7 @@ func (c *Controller) hbTick() {
 		return
 	}
 	now := c.clk.Now()
-	hb := &msg.Heartbeat{From: msg.Controller, Epoch: c.ctlEpoch, Now: int64(now)}
+	hb := &msg.Heartbeat{From: msg.Controller, Epoch: c.Epoch(), Now: int64(now)}
 	// Steady (jitter-free) delivery when the transport offers it: the
 	// heartbeat is periodic background traffic, and drawing per-send
 	// jitter from the simulation's shared randomness stream would
@@ -120,9 +117,7 @@ func (c *Controller) Crash() {
 	c.down = true
 	c.hbTimer.Stop()
 	c.rs.tick.Stop()
-	c.scavenging = false
-	c.scavPending = nil
-	c.scavParked = nil
+	c.scav.close()
 }
 
 // Restart brings up a new controller incarnation: bump the epoch, wipe
@@ -138,7 +133,6 @@ func (c *Controller) Restart() {
 		c.Crash()
 	}
 	c.down = false
-	c.ctlEpoch++
 	c.stats.Takeovers++
 	c.plays = make(map[msg.InstanceID]*playRecord)
 	c.active = 0
@@ -146,45 +140,29 @@ func (c *Controller) Restart() {
 	c.rs = restriperState{}
 	c.gov = governorState{}
 
-	now := c.clk.Now()
-	c.scavenging = true
-	c.scavStart = now
-	c.scavParked = make(map[msg.InstanceID]*ParkTicket)
-	c.scavPending = make(map[msg.NodeID]bool)
-	for i := 0; i < c.allCubs(); i++ {
-		z := msg.NodeID(i)
-		c.scavPending[z] = true
-		c.net.Send(msg.Controller, z, &msg.ScavengeReq{Epoch: c.ctlEpoch})
+	c.scavParked = make(marks[msg.InstanceID, msg.ScavengedPark])
+	cubs := make([]msg.NodeID, c.allCubs())
+	for i := range cubs {
+		cubs[i] = msg.NodeID(i)
 	}
-	// A cub that is itself dead never answers; close the fold after a
-	// deadman timeout so the takeover clock always stops.
-	ep := c.ctlEpoch
-	c.clk.After(c.cfg.DeadmanTimeout, func() {
-		if c.scavenging && c.ctlEpoch == ep {
-			c.finishScavenge()
-		}
-	})
+	// A cub that is itself dead never answers; the closeout ends the fold
+	// after a deadman timeout so the takeover clock always stops.
+	c.scav.begin(c.clk, c.scav.token+1, cubs, func(z msg.NodeID) {
+		c.net.Send(msg.Controller, z, &msg.ScavengeReq{Epoch: c.Epoch()})
+	}, c.cfg.DeadmanTimeout, c.finishScavenge)
 	c.started = true
 	c.hbTick()
-	if len(c.scavPending) == 0 {
+	if len(c.scav.pending) == 0 {
 		c.finishScavenge()
 	}
 }
 
-// onScavengeReply folds one cub's inventory into the rebuilt state.
+// onScavengeReply folds one cub's inventory into the rebuilt state. Its
+// fence (Controller.admit) has dropped answers to a previous
+// incarnation's request and duplicates.
 func (c *Controller) onScavengeReply(r *msg.ScavengeReply) {
-	if !c.scavenging || r.ForEpoch != c.ctlEpoch {
-		return // an answer to a previous incarnation's request
-	}
-	if !c.scavPending[r.From] {
-		return // duplicate
-	}
-	delete(c.scavPending, r.From)
 	c.stats.ScavengeReplies++
-	if r.GovFence > c.gov.fence {
-		c.gov.fence = r.GovFence
-		c.gov.stats.Fence = r.GovFence
-	}
+	c.gov.fence.admit(r.GovFence)
 	for i := range r.States {
 		vs := &r.States[i]
 		if vs.Instance > c.nextInstance {
@@ -232,29 +210,19 @@ func (c *Controller) onScavengeReply(r *msg.ScavengeReply) {
 		if p.Instance > c.nextInstance {
 			c.nextInstance = p.Instance
 		}
-		if t := c.scavParked[p.Instance]; t == nil || p.Fence > t.Fence {
-			c.scavParked[p.Instance] = &ParkTicket{
-				Viewer:      p.Viewer,
-				OldInstance: p.Instance,
-				File:        p.File,
-				ResumeBlock: p.ResumeBlock,
-				Bitrate:     p.Bitrate,
-				Fence:       p.Fence,
-			}
-		}
+		// Every cub holding a ticket got it from the one Park broadcast
+		// for its instance and fence, so which copy of an equal fence is
+		// kept does not matter.
+		c.scavParked.admit(p.Instance, p.Fence, *p)
 	}
-	if len(c.scavPending) == 0 {
+	if c.scav.heard(r.From) {
 		c.finishScavenge()
 	}
 }
 
 // finishScavenge installs the folded state and re-opens admission.
 func (c *Controller) finishScavenge() {
-	if !c.scavenging {
-		return
-	}
-	c.scavenging = false
-	c.scavPending = nil
+	c.scav.close()
 
 	// Install recovered park tickets — except those whose viewer already
 	// has a live play: the dead incarnation resumed that stream and
@@ -268,16 +236,13 @@ func (c *Controller) finishScavenge() {
 			liveViewer[rec.viewer] = true
 		}
 	}
-	insts := make([]msg.InstanceID, 0, len(c.scavParked))
-	for inst := range c.scavParked {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		t := c.scavParked[inst]
-		if liveViewer[t.Viewer] {
+	for _, inst := range keysInOrder(c.scavParked) {
+		p := c.scavParked[inst].v
+		if liveViewer[p.Viewer] {
 			continue
 		}
+		t := &ParkTicket{Viewer: p.Viewer, OldInstance: p.Instance, File: p.File,
+			ResumeBlock: p.ResumeBlock, Bitrate: p.Bitrate, Fence: p.Fence}
 		g.parked[inst] = t
 		g.queue = append(g.queue, t)
 		g.stats.Parks++
@@ -285,7 +250,7 @@ func (c *Controller) finishScavenge() {
 	}
 	c.scavParked = nil
 
-	c.takeover.Observe(c.clk.Now().Sub(c.scavStart).Seconds())
+	c.takeover.Observe(c.clk.Now().Sub(c.scav.began).Seconds())
 	if c.OnScavenged != nil {
 		c.OnScavenged()
 	}
@@ -309,7 +274,7 @@ func (c *Controller) TakeoverTimes() *obs.Histogram { return c.takeover }
 // at-least-once order stream meets the cubs' (fence,seq) dedup), so the
 // run converges without re-copying committed work.
 func (c *Controller) ResumeRestripe(fence int64, oldGen int32, plan *layout.ElasticPlan) error {
-	if c.rs.active {
+	if c.rs.run.open {
 		return nil
 	}
 	return c.StartRestripe(fence, oldGen, plan)
@@ -323,43 +288,13 @@ func (c *Controller) ResumeRestripe(fence int64, oldGen int32, plan *layout.Elas
 // but finite, so a stream abandoned forever does not pin the map.
 const parkedTicketTTL = 10 * time.Minute
 
-// staleCtl implements the receive-side controller-epoch fence: an order
-// stamped below the highest controller epoch this cub has seen was
-// issued by a dead incarnation and must not touch the schedule. Epoch 0
-// marks an unstamped order (direct-injection tests) and passes.
-func (c *Cub) staleCtl(e int32) bool {
-	if e == 0 {
-		return false
-	}
-	if e < c.ctlEpoch {
-		c.stats.CtlStaleDrops++
-		return true
-	}
-	c.noteCtlEpoch(e)
-	return false
-}
-
-// noteCtlEpoch raises the controller-epoch high-water mark. A bump past
-// an epoch we already knew is a takeover observed.
-func (c *Cub) noteCtlEpoch(e int32) {
-	if e <= c.ctlEpoch {
-		return
-	}
-	if c.ctlEpoch != 0 {
-		c.stats.CtlTakeovers++
-	}
-	c.ctlEpoch = e
-}
-
-// onCtlHeartbeat feeds the cub's deadman for the controller. The cub
-// keeps serving either way — the schedule needs no controller to run —
-// so a controller death only flips an observability flag here.
-func (c *Cub) onCtlHeartbeat(t *msg.Heartbeat) {
+// ctlAlive feeds the cub's deadman for the controller: a heartbeat or a
+// scavenge request is its proof of life. The cub keeps serving either
+// way — the schedule needs no controller to run — so a controller death
+// only flips an observability flag here.
+func (c *Cub) ctlAlive() {
 	c.ctlLastSeen = c.clk.Now()
-	if c.ctlDown {
-		c.ctlDown = false
-	}
-	c.noteCtlEpoch(t.Epoch)
+	c.ctlDown = false
 }
 
 // ctlDeadmanCheck runs from heartbeatTick: a controller that has
@@ -381,99 +316,60 @@ func (c *Cub) ctlDeadmanCheck(now sim.Time) {
 func (c *Cub) ControllerDown() bool { return c.ctlDown }
 
 // CtlEpoch returns the highest controller epoch this cub has seen.
-func (c *Cub) CtlEpoch() int32 { return c.ctlEpoch }
+func (c *Cub) CtlEpoch() int32 { return int32(c.ctl) }
 
 // ParkedTickets returns how many parked-stream re-admission tickets
 // this cub currently retains.
-func (c *Cub) ParkedTickets() int { return len(c.parkedTickets) }
+func (c *Cub) ParkedTickets() int { return len(c.parkedTickets.m) }
 
 // onScavengeReq answers a new controller incarnation with this cub's
 // inventory: one representative viewer state per play instance in its
 // window, queued starts it holds, and its parked-stream tickets. The
-// request doubles as the fence announcement — the epoch high-water mark
-// rises before the reply leaves, so nothing the dead incarnation still
-// has in flight can slip in behind the fold.
+// request doubles as the fence announcement — its row of the fence table
+// raises the epoch high-water mark before the reply leaves, so nothing
+// the dead incarnation still has in flight can slip in behind the fold.
 func (c *Cub) onScavengeReq(q msg.ScavengeReq) {
-	c.noteCtlEpoch(q.Epoch)
-	c.ctlLastSeen = c.clk.Now()
-	if c.ctlDown {
-		c.ctlDown = false
-	}
+	c.ctlAlive()
 	c.stats.ScavengesServed++
 
-	pace := int64(c.cfg.MirrorPace())
-	best := make(map[msg.InstanceID]msg.ViewerState)
+	// The furthest state per play, its block the token.
+	best := make(marks[msg.InstanceID, msg.ViewerState])
 	for _, k := range c.view.sortedKeys(nil) {
 		e := c.view.get(k)
-		if _, parked := c.parkedInst[e.vs.Instance]; parked {
+		if c.parkedInst.has(e.vs.Instance) {
 			continue // a parked stream's stragglers are not a live play
 		}
 		vs := e.vs
 		if k.part >= 0 {
-			// A mirror piece: rebuild the primary service it substitutes
-			// for, exactly as the rejoin reply does — the play is live even
-			// if every primary state sits on dead cubs.
-			vs.Mirror = false
-			vs.Part = 0
-			vs.Due -= int64(e.vs.Part) * pace
+			// The play is live even if every primary state sits on dead
+			// cubs.
+			vs = c.primaryOf(e.vs)
 		}
-		if b, ok := best[vs.Instance]; !ok || vs.Block > b.Block {
-			best[vs.Instance] = vs
-		}
+		best.admit(vs.Instance, vs.Block, vs)
 	}
 	// Starts still waiting for a slot — queued under a (gen, disk) key
 	// or held as a redundant copy for a neighbour. Reported with Due 0
 	// (no schedule position yet) and the gen-tagged primary disk in
-	// Slot; a real state for the same instance wins the fold.
+	// Slot; at token 0 a real state for the same instance wins the fold.
 	addQueued := func(req *startReq) {
-		if _, ok := best[req.sp.Instance]; ok {
-			return
-		}
-		best[req.sp.Instance] = msg.ViewerState{
-			Viewer:   req.sp.Viewer,
-			Instance: req.sp.Instance,
-			File:     req.sp.File,
-			Block:    req.sp.StartBlock,
-			Slot:     req.dkey,
-			Due:      0,
-			Bitrate:  req.sp.Bitrate,
-		}
+		best.admit(req.sp.Instance, 0, msg.ViewerState{Viewer: req.sp.Viewer, Instance: req.sp.Instance,
+			File: req.sp.File, Block: req.sp.StartBlock, Slot: req.dkey, Bitrate: req.sp.Bitrate})
 	}
-	dkeys := make([]int32, 0, len(c.queue))
-	for k := range c.queue {
-		dkeys = append(dkeys, k)
-	}
-	sort.Slice(dkeys, func(i, j int) bool { return dkeys[i] < dkeys[j] })
-	for _, k := range dkeys {
+	for _, k := range keysInOrder(c.queue) {
 		for _, req := range c.queue[k] {
 			addQueued(req)
 		}
 	}
-	rinsts := make([]msg.InstanceID, 0, len(c.redundantStart))
-	for inst := range c.redundantStart {
-		rinsts = append(rinsts, inst)
-	}
-	sort.Slice(rinsts, func(i, j int) bool { return rinsts[i] < rinsts[j] })
-	for _, inst := range rinsts {
+	for _, inst := range keysInOrder(c.redundantStart) {
 		addQueued(c.redundantStart[inst])
 	}
 
-	reply := &msg.ScavengeReply{From: c.id, ForEpoch: q.Epoch, GovFence: c.govFence}
-	insts := make([]msg.InstanceID, 0, len(best))
-	for inst := range best {
-		insts = append(insts, inst)
+	reply := &msg.ScavengeReply{From: c.id, ForEpoch: q.Epoch, GovFence: int32(c.govMark)}
+	for _, inst := range keysInOrder(best) {
+		reply.States = append(reply.States, best[inst].v)
 	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		reply.States = append(reply.States, best[inst])
-	}
-	pinsts := make([]msg.InstanceID, 0, len(c.parkedTickets))
-	for inst := range c.parkedTickets {
-		pinsts = append(pinsts, inst)
-	}
-	sort.Slice(pinsts, func(i, j int) bool { return pinsts[i] < pinsts[j] })
-	for _, inst := range pinsts {
-		reply.Parked = append(reply.Parked, c.parkedTickets[inst])
+	for _, inst := range keysInOrder(c.parkedTickets.m) {
+		reply.Parked = append(reply.Parked, c.parkedTickets.m[inst])
 	}
 	c.net.Send(c.id, msg.Controller, reply)
 }

@@ -69,7 +69,7 @@ func (c *Cub) SlotView(slot int32) string {
 		parts = append(parts, fmt.Sprintf("viewer %d (inst %d, block %d%s)",
 			e.vs.Viewer, e.vs.Instance, e.vs.Block, tag))
 	})
-	for k := range c.desch {
+	for k := range c.desch.m {
 		if k.slot == slot {
 			parts = append(parts, fmt.Sprintf("deschedule held (inst %d)", k.instance))
 		}
@@ -87,7 +87,7 @@ func (c *Cub) DumpView() string {
 	var b strings.Builder
 	now := c.clk.Now()
 	fmt.Fprintf(&b, "cub %v view at %v (%d entries, %d held deschedules):\n",
-		c.id, now, c.view.len(), len(c.desch))
+		c.id, now, c.view.len(), len(c.desch.m))
 	if hl := c.diskHealthLine(); hl != "" {
 		fmt.Fprintf(&b, "  disk health: %s\n", hl)
 	}
@@ -129,13 +129,8 @@ func (c *Cub) moverLine() string {
 // — suspected, quarantined, or permanently failed — for DumpView and the
 // /debug/vars surface. Empty when every drive is fine.
 func (c *Cub) diskHealthLine() string {
-	var nums []int
-	for d := range c.disks {
-		nums = append(nums, d)
-	}
-	sort.Ints(nums)
 	var parts []string
-	for _, d := range nums {
+	for _, d := range keysInOrder(c.disks) {
 		st := c.DiskHealth(d)
 		switch {
 		case c.quarantined[d]:
@@ -151,8 +146,8 @@ func (c *Cub) diskHealthLine() string {
 
 // HeldDeschedules returns the slots with live deschedule records.
 func (c *Cub) HeldDeschedules() []int32 {
-	out := make([]int32, 0, len(c.desch))
-	for k := range c.desch {
+	out := make([]int32, 0, len(c.desch.m))
+	for k := range c.desch.m {
 		out = append(out, k.slot)
 	}
 	slices.Sort(out)

@@ -64,6 +64,19 @@ go test -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendi
 go test -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel' ./internal/core
 go test -run 'TestLazyNICEqualsEager' ./internal/netsim
 
+# Fencing gate (internal/core/fence.go). The protocol's token schemes
+# are one high-water mark, checked from one table with a row per message
+# kind: the mark must agree with a plain high-water model on random
+# streams of zero, equal, lower and higher tokens, and a kind added
+# without a row fails.
+# A rejoin installs a current-epoch reply after its closeout while a
+# scavenge drops a second reply from one cub (the rounds' one
+# asymmetry), and a restart's wipe of a tombstone set spends the timers
+# armed before it, so a start re-delivered after a restart stays a
+# duplicate for its full minute. FuzzCubDeliver runs with the wire-edge
+# fuzz targets below.
+go test -race -run 'TestFenceAgainstModel|TestFenceTableCoversEveryType|TestRoundLateReply|TestTombstoneOutlivesRestart' ./internal/core
+
 # Wire-edge gate. The decoders bound a peer-claimed count by the bytes
 # present before allocating for it. Every kind's encoding equals its
 # line in internal/msg/testdata/golden.txt — the bytes the codec wrote
@@ -73,14 +86,17 @@ go test -run 'TestLazyNICEqualsEager' ./internal/netsim
 # has its table row and its sample. Then ten seconds of native fuzzing
 # each must find nothing: the msg decoders (no panic, encode/decode
 # fixpoint, Size() exact, no aliasing of the input), the wire framer
-# (buffer bounded by the bytes presented) and the cluster spec (JSON to
+# (buffer bounded by the bytes presented), the cluster spec (JSON to
 # Config never panics; what it accepts validates and has a file to
-# serve). Crashers land in testdata/fuzz and are committed with their
-# fix.
+# serve) and a cub's delivery (any bytes that decode, from any sender,
+# never panic a cub serving a stream, and what the fence table refuses
+# leaves its view, queues and tombstones as they were). Crashers land in
+# testdata/fuzz and are committed with their fix.
 go test -run 'TestDecodeBoundsCountBeforeAllocating|TestWireGolden|TestEveryTypeInTable' ./internal/msg
 go test -run '^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 go test -run '^$' -fuzz=FuzzRecv -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz=FuzzSpecConfig -fuzztime=10s ./internal/spec
+go test -run '^$' -fuzz=FuzzCubDeliver -fuzztime=10s ./internal/core
 
 # Grayfail bench artifact: the sweep must run end to end with causal
 # tracing on and emit BENCH_grayfail.json carrying the slack
