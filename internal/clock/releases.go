@@ -8,8 +8,9 @@ import "tiger/internal/sim"
 // the owner queues it with Add and applies it by reading the clock —
 // before the quantity is next changed or read it pops what is Due(now),
 // each release with its own instant, in instant order (equal instants in
-// the order they were added). The owner's executor is the
-// only thing that touches the queue. The zero value is empty.
+// the order they were added). One owner touches the queue at a time: its
+// executor, or whoever holds the lock that guards it. The zero value is
+// empty.
 type Releases[T any] struct {
 	q    []release[T]
 	head int // q[:head] has been applied
@@ -39,6 +40,17 @@ func (r *Releases[T]) Add(at sim.Time, amt T) {
 // Due reports whether the earliest release falls at or before now.
 func (r *Releases[T]) Due(now sim.Time) bool {
 	return r.head < len(r.q) && r.q[r.head].at <= now
+}
+
+// Len reports how many releases are queued.
+func (r *Releases[T]) Len() int { return len(r.q) - r.head }
+
+// Next reports the earliest queued instant; ok is false if none is queued.
+func (r *Releases[T]) Next() (at sim.Time, ok bool) {
+	if r.head == len(r.q) {
+		return 0, false
+	}
+	return r.q[r.head].at, true
 }
 
 // Pop removes and returns the earliest release, with its instant.

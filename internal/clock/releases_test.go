@@ -11,6 +11,7 @@ import (
 // TestReleasesOrder: whatever order amounts are added in, Pop yields
 // them by instant, equal instants in the order they were added, and
 // nothing before its time — against a stable sort of the same items.
+// Len counts what is queued and Next names the instant Pop returns next.
 func TestReleasesOrder(t *testing.T) {
 	type item struct {
 		at  sim.Time
@@ -18,7 +19,19 @@ func TestReleasesOrder(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	var r Releases[int]
+	if _, ok := r.Next(); ok || r.Len() != 0 {
+		t.Fatal("the zero queue is not empty")
+	}
 	var want, got []item
+	pop := func() item {
+		next, ok := r.Next()
+		before := r.Len()
+		at, seq := r.Pop()
+		if !ok || next != at || r.Len() != before-1 {
+			t.Fatalf("Next %d (%v) and Len %d before popping %d, Len %d after", next, ok, before, at, r.Len())
+		}
+		return item{at, seq}
+	}
 	now := sim.Time(0)
 	for seq := 0; seq < 5000; seq++ {
 		// Mostly one pace, so appends arrive sorted; a third of the adds
@@ -29,23 +42,31 @@ func TestReleasesOrder(t *testing.T) {
 		}
 		r.Add(now+pace, seq)
 		want = append(want, item{now + pace, seq})
+		if r.Len() != len(want)-len(got) {
+			t.Fatalf("Len %d with %d added and %d popped", r.Len(), len(want), len(got))
+		}
 		now += sim.Time(rng.Intn(3)) // 0: the next add ties this instant
 		if rng.Intn(4) == 0 {
 			for r.Due(now) {
-				at, seq := r.Pop()
-				if at > now {
-					t.Fatalf("release due at %d handed out at %d", at, now)
+				it := pop()
+				if it.at > now {
+					t.Fatalf("release due at %d handed out at %d", it.at, now)
 				}
-				got = append(got, item{at, seq})
+				got = append(got, it)
 			}
-			if len(r.q)-r.head > 64 {
-				t.Fatalf("%d items kept for a handful outstanding", len(r.q)-r.head)
+			if next, ok := r.Next(); ok && next <= now {
+				t.Fatalf("next release at %d is due at %d but Due says no", next, now)
+			}
+			if r.Len() > 64 {
+				t.Fatalf("%d items kept for a handful outstanding", r.Len())
 			}
 		}
 	}
 	for r.Due(now + 8) {
-		at, seq := r.Pop()
-		got = append(got, item{at, seq})
+		got = append(got, pop())
+	}
+	if _, ok := r.Next(); ok || r.Len() != 0 {
+		t.Fatalf("%d left after draining", r.Len())
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 	if len(got) != len(want) {

@@ -158,7 +158,7 @@ type ControllerHost struct {
 
 // ackRoute remembers where (and for whom) a pending start's ack goes.
 type ackRoute struct {
-	addr   string
+	addr   [16]byte
 	viewer msg.ViewerID
 }
 
@@ -219,7 +219,7 @@ func (h *ControllerHost) handleClient(m msg.Message) {
 			return // the client times out; admission refusals are silent here
 		}
 		h.mu.Lock()
-		h.ackAddrs[inst] = ackRoute{addr: DecodeAddr(t.Addr), viewer: t.Viewer}
+		h.ackAddrs[inst] = ackRoute{addr: t.Addr, viewer: t.Viewer}
 		h.mu.Unlock()
 	case *msg.Deschedule:
 		h.Ctl.StopPlay(t.Instance)
@@ -236,10 +236,10 @@ func (h *ControllerHost) onAck(inst msg.InstanceID, slot int32, waited time.Dura
 	rt := h.ackAddrs[inst]
 	delete(h.ackAddrs, inst)
 	h.mu.Unlock()
-	if rt.addr == "" {
+	if rt.addr == ([16]byte{}) {
 		return
 	}
-	h.Mesh.viewerPeer(rt.addr).send(&msg.StartAck{Viewer: rt.viewer, Instance: inst, Slot: slot}, h.Mesh)
+	h.Mesh.sendViewer(rt.addr, h.Node.Now(), &msg.StartAck{Viewer: rt.viewer, Instance: inst, Slot: slot})
 }
 
 // Close stops the controller host.

@@ -9,9 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tiger/internal/clock"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/obs"
+	"tiger/internal/sim"
 	"tiger/internal/wire"
 )
 
@@ -45,11 +47,22 @@ const (
 	backoffCap  = 5 * time.Second
 )
 
-// peer is one outbound connection with an async send queue, so protocol
-// code never blocks on TCP backpressure.
+// maxQueued bounds the frames waiting for one peer. A frame past it is
+// dropped and counted in QueueDrops rather than held for a peer that does
+// not drain.
+const maxQueued = 4096
+
+// peer is one outbound connection and the frames waiting for it, each
+// queued at the instant it may leave: control traffic at once, a block one
+// pace after its send timer ran. Its writer goroutine writes whatever has
+// fallen due and flushes once per wake, so protocol code never blocks on
+// TCP backpressure and a paced block costs the executor nothing after
+// SendBlock returns. Equal instants leave in the order they were queued,
+// which keeps control traffic FIFO per peer (§4.1.3).
 type peer struct {
-	ch   chan msg.Message
-	quit chan struct{}
+	mu   sync.Mutex
+	q    clock.Releases[msg.Message] // guarded by mu
+	wake chan struct{}               // one slot: a frame was queued at the head
 }
 
 // MeshStats are cumulative transport counters for one mesh.
@@ -79,9 +92,10 @@ type Mesh struct {
 	mu      sync.Mutex
 	addrs   map[msg.NodeID]string
 	peers   map[msg.NodeID]*peer
-	viewers map[string]*peer
+	viewers map[[16]byte]*peer
 	inbound map[*wire.Conn]struct{}
 	closed  bool
+	quit    chan struct{} // closed by Close: every peer writer exits
 
 	// Logf, if set, receives transport diagnostics.
 	Logf func(format string, args ...any)
@@ -105,8 +119,9 @@ func NewMesh(self msg.NodeID, node *Node, listenAddr string, addrs map[msg.NodeI
 		handler: handler,
 		addrs:   make(map[msg.NodeID]string, len(addrs)),
 		peers:   make(map[msg.NodeID]*peer),
-		viewers: make(map[string]*peer),
+		viewers: make(map[[16]byte]*peer),
 		inbound: make(map[*wire.Conn]struct{}),
+		quit:    make(chan struct{}),
 	}
 	for id, a := range addrs {
 		m.addrs[id] = a
@@ -217,13 +232,18 @@ func (m *Mesh) serveConn(c *wire.Conn) {
 	}
 }
 
-// Send implements core.Transport. The from argument must be this mesh's
-// own node (each machine has its own mesh).
+// Send implements core.Transport: mm leaves for its node now, after
+// whatever is already queued there. The from argument must be this mesh's
+// own node (each machine has its own mesh). A closed mesh sends nothing.
 func (m *Mesh) Send(from, to msg.NodeID, mm msg.Message) {
 	if from != m.self {
 		panic(fmt.Sprintf("rt: node %v sending as %v", m.self, from))
 	}
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
 	p, ok := m.peers[to]
 	if !ok {
 		addr, known := m.addrs[to]
@@ -236,41 +256,89 @@ func (m *Mesh) Send(from, to msg.NodeID, mm msg.Message) {
 		m.peers[to] = p
 	}
 	m.mu.Unlock()
-	p.send(mm, m)
+	p.queue(m, m.node.Now(), mm)
 }
 
-// newPeer spawns the writer goroutine for one outbound connection; it
-// (re)dials lazily and drops messages while the peer is unreachable,
-// exactly like the simulated network drops traffic to failed nodes.
+// sendViewer queues mm to leave for the viewer listening at addr at
+// instant at, starting that address's writer on first use. A closed mesh
+// sends nothing.
+func (m *Mesh) sendViewer(addr [16]byte, at sim.Time, mm msg.Message) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	p, ok := m.viewers[addr]
+	if !ok {
+		p = m.newPeer(DecodeAddr(addr))
+		m.viewers[addr] = p
+	}
+	m.mu.Unlock()
+	p.queue(m, at, mm)
+}
+
+// queue adds mm to leave at instant at, or drops it if maxQueued frames
+// are already waiting. The writer is woken only when mm is now the first
+// frame due; otherwise it is already asleep until an earlier one.
+func (p *peer) queue(m *Mesh, at sim.Time, mm msg.Message) {
+	p.mu.Lock()
+	if p.q.Len() >= maxQueued {
+		p.mu.Unlock()
+		m.queueDrops.Add(1)
+		m.logf("rt: outbound queue full; dropping %v", mm.Type())
+		return
+	}
+	p.q.Add(at, mm)
+	next, _ := p.q.Next()
+	p.mu.Unlock()
+	if next == at {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// newPeer spawns the writer goroutine for one outbound connection. Each
+// wake it takes every frame that has fallen due, writes them and flushes
+// once, then sleeps on one timer until the next frame is due, an earlier
+// one is queued, or the mesh closes. It (re)dials lazily and drops frames
+// while the peer is unreachable, exactly like the simulated network drops
+// traffic to failed nodes.
 //
 // Redial is rate limited: after a failed dial the writer enters a
 // backoff window (exponential with jitter, capped at backoffCap) during
-// which messages are dropped without dialing. Without this, every
-// message to a dead peer eats a fresh dialTimeout, stalling the queue so
-// badly that heartbeats back up for the whole outage.
+// which frames are dropped without dialing. Without this, every frame to
+// a dead peer eats a fresh dialTimeout, stalling the queue so badly that
+// heartbeats back up for the whole outage.
 func (m *Mesh) newPeer(addr string) *peer {
-	p := &peer{ch: make(chan msg.Message, 4096), quit: make(chan struct{})}
+	p := &peer{wake: make(chan struct{}, 1)}
 	go func() {
 		var conn *wire.Conn
 		everConnected := false
 		backoff := backoffBase
 		var nextDial time.Time
+		var due []msg.Message
+		timer := time.NewTimer(time.Hour)
+		timer.Stop()
 		defer func() {
+			timer.Stop()
 			if conn != nil {
 				conn.Close()
 			}
 		}()
 		for {
-			var mm msg.Message
-			select {
-			case mm = <-p.ch:
-			case <-p.quit:
-				return
+			p.mu.Lock()
+			for now := m.node.Now(); p.q.Due(now); {
+				_, mm := p.q.Pop()
+				due = append(due, mm)
 			}
-			for attempt := 0; attempt < 2; attempt++ {
+			next, armed := p.q.Next()
+			p.mu.Unlock()
+			for attempt := 0; attempt < 2 && len(due) > 0; attempt++ {
 				if conn == nil {
 					if time.Now().Before(nextDial) {
-						m.backoffDrops.Add(1)
+						m.backoffDrops.Add(int64(len(due)))
 						break // half-open: no dial until the window passes
 					}
 					m.dials.Add(1)
@@ -283,7 +351,7 @@ func (m *Mesh) newPeer(addr string) *peer {
 						if backoff > backoffCap {
 							backoff = backoffCap
 						}
-						break // drop the message; peer presumed down
+						break // drop the frames; peer presumed down
 					}
 					conn = wire.NewConn(c)
 					if err := conn.Send(&msg.Hello{From: m.self, Epoch: m.epoch.Load()}); err != nil {
@@ -298,16 +366,41 @@ func (m *Mesh) newPeer(addr string) *peer {
 					backoff = backoffBase
 					nextDial = time.Time{}
 				}
-				if err := conn.Send(mm); err != nil {
+				if err := writeFlush(conn, due); err != nil {
 					conn.Close()
 					conn = nil
 					continue // one redial attempt
 				}
 				break
 			}
+			clear(due) // written or dropped; let the collector have them
+			due = due[:0]
+			if armed {
+				timer.Reset(time.Duration(next - m.node.Now()))
+			}
+			select {
+			case <-p.wake:
+			case <-timer.C:
+				armed = false
+			case <-m.quit:
+				return
+			}
+			if armed && !timer.Stop() {
+				<-timer.C
+			}
 		}
 	}()
 	return p
+}
+
+// writeFlush writes frames and flushes them to the socket once.
+func writeFlush(c *wire.Conn, frames []msg.Message) error {
+	for _, mm := range frames {
+		if err := c.Write(mm); err != nil {
+			return err
+		}
+	}
+	return c.Flush()
 }
 
 // jitter draws uniformly from [d/2, d), desynchronizing redial storms
@@ -320,65 +413,38 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(half + rand.Int63n(half))
 }
 
-func (p *peer) send(mm msg.Message, m *Mesh) {
-	select {
-	case p.ch <- mm:
-	default:
-		m.queueDrops.Add(1)
-		m.logf("rt: outbound queue full; dropping %v", mm.Type())
-	}
-}
-
-// SendBlock implements core.DataPath: pace the send in real time, then
-// deliver a BlockData frame (descriptor plus truncated test pattern) to
-// the viewer's address.
+// SendBlock implements core.DataPath: a BlockData frame (descriptor plus
+// truncated test pattern) is queued to leave for the viewer's address one
+// pace from now. Nothing more runs on the executor for it; the viewer
+// peer's writer sends it when it falls due.
 func (m *Mesh) SendBlock(from msg.NodeID, d netsim.BlockDelivery, pace time.Duration) {
-	addr := DecodeAddr(d.Addr)
-	if addr == "" {
+	if d.Addr == ([16]byte{}) {
 		return
 	}
-	payload := testPattern(d.Bytes)
-	m.node.After(pace, func() {
-		bd := &msg.BlockData{
-			Viewer:   d.Viewer,
-			Instance: d.Instance,
-			File:     d.File,
-			Block:    d.Block,
-			PlaySeq:  d.PlaySeq,
-			Part:     d.Part,
-			Parts:    d.Parts,
-			Mirror:   d.Mirror,
-			Bytes:    d.Bytes,
-			Payload:  payload,
-		}
-		m.viewerPeer(addr).send(bd, m)
+	m.sendViewer(d.Addr, m.node.Now().Add(pace), &msg.BlockData{
+		Viewer:   d.Viewer,
+		Instance: d.Instance,
+		File:     d.File,
+		Block:    d.Block,
+		PlaySeq:  d.PlaySeq,
+		Part:     d.Part,
+		Parts:    d.Parts,
+		Mirror:   d.Mirror,
+		Bytes:    d.Bytes,
+		Payload:  testPattern[:min(d.Bytes, int64(len(testPattern)))],
 	})
 }
 
-func (m *Mesh) viewerPeer(addr string) *peer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.viewers[addr]; ok {
-		return p
-	}
-	p := m.newPeer(addr)
-	m.viewers[addr] = p
-	return p
-}
-
-// testPattern returns a deterministic stand-in for video payload,
-// truncated so demo traffic stays light.
-func testPattern(blockBytes int64) []byte {
-	n := blockBytes
-	if n > 1024 {
-		n = 1024
-	}
-	b := make([]byte, n)
+// testPattern is a deterministic stand-in for video payload, truncated so
+// demo traffic stays light. Every frame shares it read-only: the encoder
+// copies it into the frame and decoders copy what they keep.
+var testPattern = func() []byte {
+	b := make([]byte, 1024)
 	for i := range b {
 		b[i] = byte(i)
 	}
 	return b
-}
+}()
 
 // Close shuts the mesh down: the listener, all peer writers, and every
 // accepted inbound connection (so peers observe the death promptly
@@ -390,13 +456,7 @@ func (m *Mesh) Close() {
 		return
 	}
 	m.closed = true
-	peers := make([]*peer, 0, len(m.peers)+len(m.viewers))
-	for _, p := range m.peers {
-		peers = append(peers, p)
-	}
-	for _, p := range m.viewers {
-		peers = append(peers, p)
-	}
+	close(m.quit)
 	inbound := make([]*wire.Conn, 0, len(m.inbound))
 	for c := range m.inbound {
 		inbound = append(inbound, c)
@@ -404,9 +464,6 @@ func (m *Mesh) Close() {
 	m.mu.Unlock()
 
 	m.ln.Close()
-	for _, p := range peers {
-		close(p.quit)
-	}
 	for _, c := range inbound {
 		c.Close()
 	}

@@ -74,6 +74,17 @@ func NewConn(c net.Conn) *Conn {
 
 // Send frames, writes, and flushes one message. Safe for concurrent use.
 func (c *Conn) Send(m msg.Message) error {
+	if err := c.Write(m); err != nil {
+		return err
+	}
+	return c.Flush()
+}
+
+// Write frames one message into the connection's buffer without flushing
+// it, so a writer with several frames ready pays for one Flush. The buffer
+// writes through to the socket by itself only when a frame does not fit.
+// Safe for concurrent use.
+func (c *Conn) Write(m msg.Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// The frame header lives in the scratch buffer's first four bytes, so
@@ -86,9 +97,14 @@ func (c *Conn) Send(m msg.Message) error {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", body)
 	}
 	binary.LittleEndian.PutUint32(c.wbuf[:4], uint32(body))
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		return err
-	}
+	_, err := c.bw.Write(c.wbuf)
+	return err
+}
+
+// Flush writes whatever Write has buffered to the socket.
+func (c *Conn) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.bw.Flush()
 }
 

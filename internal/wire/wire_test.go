@@ -168,6 +168,54 @@ func TestSendAllocBudget(t *testing.T) {
 	}
 }
 
+// countingConn records each Write that reaches the socket.
+type countingConn struct {
+	net.Conn
+	buf    bytes.Buffer
+	writes int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.buf.Write(p)
+}
+
+// TestWriteFlushCoalesces: frames written without a flush stay in the
+// connection's buffer and reach the socket in the one write Flush makes,
+// and they read back as the same frames, in order.
+func TestWriteFlushCoalesces(t *testing.T) {
+	sock := &countingConn{}
+	conn := NewConn(sock)
+	const n = 16
+	for i := 0; i < n; i++ {
+		if err := conn.Write(&msg.Heartbeat{From: 1, Epoch: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sock.writes != 0 {
+		t.Fatalf("%d socket writes before the flush", sock.writes)
+	}
+	if err := conn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sock.writes != 1 {
+		t.Fatalf("%d frames reached the socket in %d writes, want 1", n, sock.writes)
+	}
+	rx := recvFrom(sock.buf.Bytes())
+	for i := 0; i < n; i++ {
+		m, err := rx.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hb, ok := m.(*msg.Heartbeat); !ok || hb.Epoch != int32(i) {
+			t.Fatalf("frame %d read back as %+v", i, m)
+		}
+	}
+	if _, err := rx.Recv(); err == nil {
+		t.Fatal("a frame more than was written")
+	}
+}
+
 // TestRecvBufferReuse checks that recycling the read scratch buffer can
 // never corrupt an earlier decoded message: decoders must copy anything
 // they keep out of the frame body.

@@ -59,10 +59,17 @@ go test -run 'TestChainRecordAllocBudget' ./internal/trace
 # buffer and NIC releases applied by reading the clock against eager
 # models (ties, mixed paces, a crash and restart), the slot-chained view
 # against a map, a drive's walk (one list, three cursors, one timer)
-# against a stable sort by due time.
+# against a stable sort by due time. Under rt a block costs its cub's
+# executor 3 events (read timer, disk completion, send timer) and
+# SendBlock at most 1 allocation (the BlockData): the pace is waited out
+# by the viewer peer's writer, whose one due-ordered queue lets paced
+# blocks leave in due order and control traffic FIFO, holds at most 4 096
+# frames, and is written with one flush per wake.
 go test -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
 go test -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel' ./internal/core
 go test -run 'TestLazyNICEqualsEager' ./internal/netsim
+go test -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
+go test -run 'TestWriteFlushCoalesces' ./internal/wire
 
 # Fencing gate (internal/core/fence.go). The protocol's token schemes
 # are one high-water mark, checked from one table with a row per message
