@@ -2,6 +2,7 @@ package tiger
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tiger/internal/core"
@@ -717,29 +718,36 @@ func RunFlashCrowd(o Options, viewers int, watch time.Duration) (*FlashCrowdResu
 
 	// Measure disk balance during playback: striping must spread the
 	// single-title load over every disk.
-	type snap struct{ busy time.Duration }
-	before := map[int]snap{}
-	for _, cub := range c.Cubs {
-		for id, d := range cub.Disks() {
-			before[id] = snap{d.Stats().BusyTotal}
+	busy := func() map[int]time.Duration {
+		m := map[int]time.Duration{}
+		for _, cub := range c.Cubs {
+			for id, d := range cub.Disks() {
+				m[id] = d.Stats().BusyTotal
+			}
 		}
+		return m
 	}
+	before := busy()
 	beforeAt := c.Now()
 	c.RunFor(watch)
 	wall := c.Now().Sub(beforeAt)
+	after := busy()
+	// Sum in disk order: a float sum in map order differs in its last
+	// digits from run to run.
+	ids := make([]int, 0, len(after))
+	for id := range after {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	var sum, max float64
-	n := 0
-	for _, cub := range c.Cubs {
-		for id, d := range cub.Disks() {
-			duty := metrics.Load(before[id].busy, d.Stats().BusyTotal, wall)
-			sum += duty
-			if duty > max {
-				max = duty
-			}
-			n++
+	for _, id := range ids {
+		duty := metrics.Load(before[id], after[id], wall)
+		sum += duty
+		if duty > max {
+			max = duty
 		}
 	}
-	res.MeanDiskDuty = sum / float64(n)
+	res.MeanDiskDuty = sum / float64(len(ids))
 	res.MaxDiskDuty = max
 	res.BlocksOK, res.BlocksLost, _ = c.ViewerTotals()
 	return res, nil

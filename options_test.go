@@ -92,6 +92,34 @@ func TestSamplerWindows(t *testing.T) {
 	}
 }
 
+// TestSamplerSumIsDeterministic closes one window on many copies of a
+// sampler: each copy must report the same bits. Summed over the disks in
+// map order, the mean duty differs in its last digits between copies.
+func TestSamplerSumIsDeterministic(t *testing.T) {
+	o := DefaultOptions()
+	o.ClientDropProb = 0
+	c, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RampTo(300); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * time.Second)
+	copies := make([]Sampler, 32)
+	s := NewSampler(c)
+	for i := range copies {
+		copies[i] = *s
+	}
+	c.RunFor(10 * time.Second)
+	want := copies[0].Sample()
+	for i := range copies[1:] {
+		if got := copies[1+i].Sample(); got != want {
+			t.Fatalf("copy %d sampled %+v, copy 0 %+v", 1+i, got, want)
+		}
+	}
+}
+
 func TestViewerMachineGrouping(t *testing.T) {
 	o := smallOptions()
 	o.ViewersPerMachine = 3

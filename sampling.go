@@ -1,6 +1,7 @@
 package tiger
 
 import (
+	"slices"
 	"time"
 
 	"tiger/internal/clock"
@@ -116,12 +117,19 @@ func (s *Sampler) Sample() LoadSample {
 	}
 	var mirrorSum float64
 	mirrorN := 0
-	for id, busy := range cur.diskBusy {
+	// Sum in disk order: a float sum in map order differs in its last
+	// digits from run to run.
+	ids := make([]int, 0, len(cur.diskBusy))
+	for id := range cur.diskBusy {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		cub := c.Cfg.Layout.CubOfDisk(id)
 		if c.Net.Failed(cub) {
 			continue
 		}
-		load := metrics.Load(prev.diskBusy[id], busy, wall)
+		load := metrics.Load(prev.diskBusy[id], cur.diskBusy[id], wall)
 		diskSum += load
 		diskN++
 		if mirrorDisks[id] {
