@@ -1,8 +1,6 @@
 package tiger
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -139,34 +137,6 @@ func TestCausalTraceObservationOnly(t *testing.T) {
 		}
 		t.Fatalf("tracing perturbed the run at byte %d:\n off: ...%s\n on:  ...%s",
 			i, off[lo:min(i+40, len(off))], on[lo:min(i+40, len(on))])
-	}
-}
-
-// TestAttrSweepParallelEquivalence asserts traced sweeps stay
-// byte-identical at any -parallel width: attribution tables and flight
-// dumps included.
-func TestAttrSweepParallelEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run")
-	}
-	run := func(width int) []byte {
-		var b []byte
-		withParallelism(t, width, func() {
-			pts, err := RunGrayFailSweepAttr(grayOptions(), 24, []float64{2}, 15*time.Second, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mErr error
-			b, mErr = json.Marshal(pts)
-			if mErr != nil {
-				t.Fatal(mErr)
-			}
-		})
-		return b
-	}
-	seq, par := run(1), run(2)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("traced sweep diverged across parallel widths:\n%s\n%s", seq, par)
 	}
 }
 

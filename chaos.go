@@ -15,8 +15,7 @@ import (
 
 // This file adapts a Cluster to the chaos scenario engine
 // (internal/chaos): the System shim the runner drives, the standard
-// invariant set checked every tick, and the partition-duration sweep
-// behind `tigerbench -exp chaos`.
+// invariant set checked every tick, and one scenario run under it.
 
 // chaosSystem adapts *Cluster to chaos.System.
 type chaosSystem struct{ c *Cluster }
@@ -257,6 +256,32 @@ func (h *ChaosHarness) Invariants() []chaos.Invariant {
 	}
 }
 
+// Runner wires a chaos runner for sc to the harness's cluster: its
+// invariant set, and the flight recorder's dump the moment an invariant
+// fires, while the implicated chains are still in the bounded buffers.
+//
+// When sc leaves Settle zero, Runner derives it from the cluster's
+// protocol timings rather than chaos.DefaultSettle: a covering cub that
+// never believed the victim dead has no death to refute, so its mirror
+// pieces drain only by being served — the last one was created just
+// before refutation from a state up to MaxVStateLead (plus a few block
+// plays of mirror-creation walk-back) ahead of the clock. The quiet-state
+// invariants must not engage before that horizon passes.
+func (h *ChaosHarness) Runner(sc chaos.Scenario) (*chaos.Runner, error) {
+	c := h.c
+	if sc.Settle == 0 {
+		sc.Settle = c.Cfg.DeadmanTimeout + c.Cfg.MaxVStateLead + 5*c.Cfg.Sched.BlockPlay
+	}
+	r, err := chaos.NewRunner(chaosSystem{c}, sc, h.Invariants())
+	if err != nil {
+		return nil, err
+	}
+	if fr := c.flight; fr != nil {
+		r.OnViolation = func(v chaos.Violation) { fr.violation(v.Invariant, v.Err) }
+	}
+	return r, nil
+}
+
 // ChaosOutcome is the result of one scenario run: the runner's report
 // plus the cluster's delivery and protocol-counter deltas over the run.
 type ChaosOutcome struct {
@@ -288,32 +313,16 @@ type ChaosOutcome struct {
 }
 
 // RunChaos drives this cluster through one scenario under the standard
-// invariant set. The cluster keeps running streams throughout; ramp load
-// before calling. Recovery is measured from the scenario's last step
-// (normally the final heal) to the first tick at which the system has
-// converged.
-//
-// When the scenario leaves Settle zero, RunChaos derives it from this
-// cluster's protocol timings rather than chaos.DefaultSettle: a covering
-// cub that never believed the victim dead has no death to refute, so its
-// mirror pieces drain only by being served — the last one was created
-// just before refutation from a state up to MaxVStateLead (plus a few
-// block plays of mirror-creation walk-back) ahead of the clock. The
-// quiet-state invariants must not engage before that horizon passes.
+// invariant set (ChaosHarness.Runner). The cluster keeps running streams
+// throughout; ramp load before calling. Recovery is measured from the
+// scenario's last step (normally the final heal) to the first tick at
+// which the system has converged.
 func (c *Cluster) RunChaos(sc chaos.Scenario) (*ChaosOutcome, error) {
-	if sc.Settle == 0 {
-		sc.Settle = c.Cfg.DeadmanTimeout + c.Cfg.MaxVStateLead + 5*c.Cfg.Sched.BlockPlay
-	}
 	h := NewChaosHarness(c)
 	defer h.Close()
-	r, err := chaos.NewRunner(chaosSystem{c}, sc, h.Invariants())
+	r, err := h.Runner(sc)
 	if err != nil {
 		return nil, err
-	}
-	if fr := c.flight; fr != nil {
-		// Dump causal context the moment an invariant fires, while the
-		// implicated chains are still in the bounded buffers.
-		r.OnViolation = func(v chaos.Violation) { fr.violation(v.Invariant, v.Err) }
 	}
 
 	var lastStep time.Duration
@@ -382,78 +391,4 @@ func PartitionScenario(victim, width, numCubs int, cut, tail time.Duration, seed
 		Duration: lead + cut + tail,
 		Steps:    steps,
 	}
-}
-
-// ChaosPoint is one row of the partition-duration sweep.
-type ChaosPoint struct {
-	PartitionSec   float64
-	Streams        int
-	Converged      bool
-	RecoverySec    float64 // last heal to convergence
-	BlocksOK       int64
-	BlocksLost     int64
-	MirrorBlocks   int64
-	DeathsRefuted  int64
-	MirrorsRetired int64
-	Rejoins        int64 // must stay 0: refutation heals without restart
-	Violations     int
-}
-
-// RunChaosSweep measures split-brain healing across partition durations:
-// for each cut length it builds a fresh cluster, ramps it to streams
-// (half capacity when zero), cuts cub 5 off from both its successors for
-// that long, heals, and records recovery time and delivery loss. The
-// paper restarts a machine to recover from false death; the refutation
-// path makes recovery a heartbeat interval instead, independent of how
-// long the partition lasted.
-func RunChaosSweep(o Options, streams int, cuts []time.Duration) ([]ChaosPoint, error) {
-	o.ClientDropProb = 0
-	out := make([]ChaosPoint, len(cuts))
-	err := forEachPoint(len(cuts), func(i int) error {
-		c, err := New(o)
-		if err != nil {
-			return err
-		}
-		target := streams
-		if target <= 0 || target > c.Capacity() {
-			target = c.Capacity() / 2
-		}
-		if err := c.RampTo(target); err != nil {
-			return err
-		}
-		c.RunFor(10 * time.Second)
-
-		// Cut the victim off from every cub that holds its mirror pieces —
-		// the next Decluster ring successors. They all monitor its
-		// heartbeats, so on heal every piece holder refutes and retires
-		// immediately instead of draining residual entries by serving them.
-		const victim = 5
-		width := 2
-		if o.Decluster > width {
-			width = o.Decluster
-		}
-		sc := PartitionScenario(victim, width, len(c.Cubs), cuts[i], 30*time.Second, o.Seed)
-		res, err := c.RunChaos(sc)
-		if err != nil {
-			return err
-		}
-		out[i] = ChaosPoint{
-			PartitionSec:   cuts[i].Seconds(),
-			Streams:        c.Active(),
-			Converged:      res.Converged,
-			RecoverySec:    res.Recovery.Seconds(),
-			BlocksOK:       res.BlocksOK,
-			BlocksLost:     res.BlocksLost,
-			MirrorBlocks:   res.MirrorBlocks,
-			DeathsRefuted:  res.DeathsRefuted,
-			MirrorsRetired: res.MirrorsRetired,
-			Rejoins:        res.Rejoins,
-			Violations:     len(res.Report.Violations),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

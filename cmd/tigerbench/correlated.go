@@ -1,16 +1,17 @@
-package tiger
+package main
 
 import (
 	"fmt"
 	"time"
 
+	"tiger"
 	"tiger/internal/msg"
 )
 
-// Correlated-failure survival experiment (`tigerbench -exp correlated`).
-// Declustered mirroring survives any single cub loss; this sweep measures
-// what happens beyond that guarantee. Each arm loads a fresh cluster to
-// 100% of rated capacity with the degradation governor enabled, kills a
+// Correlated-failure survival experiment (`-exp correlated`). Declustered
+// mirroring survives any single cub loss; this sweep measures what
+// happens beyond that guarantee. Each arm loads a fresh cluster to 100%
+// of rated capacity with the degradation governor enabled, kills a
 // chosen cub set simultaneously, holds the outage, restarts, and gates:
 //
 //   - zero client-visible block loss — survivors are mirror-served and
@@ -27,8 +28,8 @@ import (
 // domain (rack loss: three interior cubs exhausted, twelve disks), and
 // the adjacent pair again on a 200-cub sharded cluster.
 
-// CorrelatedPoint is one arm's outcome.
-type CorrelatedPoint struct {
+// correlatedPoint is one arm's outcome.
+type correlatedPoint struct {
 	Arm        string
 	Cubs       int
 	Shards     int
@@ -63,90 +64,41 @@ type corrArm struct {
 	outage time.Duration
 }
 
-func correlatedArms() []corrArm {
-	return []corrArm{
+// runCorrelated runs the correlated-failure sweep's arms that names
+// selects (all when empty) and enforces their gates.
+func runCorrelated(o tiger.Options, names []string) ([]correlatedPoint, error) {
+	var arms []arm[correlatedPoint]
+	for _, a := range []corrArm{
 		{name: "single", cubs: 14, domain: -1, down: []int{5}, outage: 6 * time.Second},
 		{name: "scattered-pair", cubs: 14, domain: -1, down: []int{2, 9}, outage: 6 * time.Second},
 		{name: "adjacent-pair", cubs: 14, domain: -1, down: []int{5, 6}, outage: 6 * time.Second},
 		{name: "whole-domain", cubs: 14, domain: 1, outage: 6 * time.Second},
 		{name: "adjacent-pair-200", cubs: 200, domain: -1, down: []int{99, 100}, outage: 6 * time.Second},
+	} {
+		arms = append(arms, arm[correlatedPoint]{a.name, func(o tiger.Options) (correlatedPoint, error) {
+			return runCorrelatedArm(o, a)
+		}})
 	}
+	return runArms(o, arms, names)
 }
 
-// CorrelatedArms lists the sweep's arm names in run order, for the
-// bench binary's arm-selection flag.
-var CorrelatedArms = func() []string {
-	var names []string
-	for _, a := range correlatedArms() {
-		names = append(names, a.name)
-	}
-	return names
-}()
-
-// RunCorrelated runs the correlated-failure sweep — the named arms, or
-// all of them when names is empty — and enforces its gates; any gate
-// failure is returned as an error naming the arm.
-func RunCorrelated(o Options, names []string) ([]CorrelatedPoint, error) {
-	arms := correlatedArms()
-	if len(names) > 0 {
-		want := make(map[string]bool, len(names))
-		for _, n := range names {
-			want[n] = true
-		}
-		kept := arms[:0]
-		for _, a := range arms {
-			if want[a.name] {
-				kept = append(kept, a)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("no correlated arms match %v (have %v)", names, CorrelatedArms)
-		}
-		arms = kept
-	}
-	out := make([]CorrelatedPoint, len(arms))
-	err := forEachPoint(len(arms), func(i int) error {
-		p, err := runCorrelatedArm(o, arms[i])
-		out[i] = p
-		if err != nil {
-			return fmt.Errorf("arm %s: %w", arms[i].name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-func runCorrelatedArm(o Options, a corrArm) (CorrelatedPoint, error) {
-	oo := o
-	oo.Cubs = a.cubs
+func runCorrelatedArm(o tiger.Options, a corrArm) (correlatedPoint, error) {
+	oo := faultOnly(o, a.cubs)
 	oo.DomainSize = 4
 	oo.Governor.Enable = true
-	// Zero the stochastic loss sources that are not the failure's fault
-	// (same normalization as the scale sweep): client drops, ramp
-	// stagger, and the drives' slow-outlier blip tail.
-	oo.ClientDropProb = 0
-	oo.RampSpacing = 0
-	oo.DiskParams.BlipProb = 0
-	if disks := a.cubs * oo.DisksPerCub; oo.NumFiles < disks {
-		oo.NumFiles = disks
-	}
-	oo.Shards = scaleShards(a.cubs)
 
-	c, err := New(oo)
+	c, err := tiger.New(oo)
 	if err != nil {
-		return CorrelatedPoint{}, err
+		return correlatedPoint{}, err
 	}
-	p := CorrelatedPoint{
+	p := correlatedPoint{
 		Arm:        a.name,
 		Cubs:       a.cubs,
 		Shards:     c.Shards(),
 		DomainSize: oo.DomainSize,
 		OutageSec:  a.outage.Seconds(),
 	}
-	h := NewChaosHarness(c)
+	h := tiger.NewChaosHarness(c)
 	defer h.Close()
 
 	if err := c.RampTo(c.Capacity()); err != nil {
@@ -154,9 +106,7 @@ func runCorrelatedArm(o Options, a corrArm) (CorrelatedPoint, error) {
 	}
 	c.RunFor(60 * time.Second) // let the flash-ramp insertions land; reach steady state
 
-	ok0, lost0, mir0 := c.ViewerTotals()
-	miss0 := c.TotalCubStats().ServerMisses
-	viol0 := c.InvariantViolations()
+	w := snapshot(c)
 	p.Streams = c.Active()
 
 	// The unservable set the layout predicts for the full down set, and
@@ -231,36 +181,12 @@ func runCorrelatedArm(o Options, a corrArm) (CorrelatedPoint, error) {
 			c.RestartCub(i)
 		}
 	}
-	restartAt := c.Now()
 
 	// Run until the governor has drained its queue and the cluster is
 	// back to a clean steady state (no death beliefs, mirror load
-	// retired), stepping so the drain time has sub-second resolution.
-	// The quiet condition must hold for a sustained run of samples:
-	// convergence can flicker while residual mirror entries from the
-	// crash-window hedges fall due, and a single clean sample mid-drain
-	// must not stop the clock.
-	const step = 500 * time.Millisecond
-	const quietNeed = 6 // 3s of consecutive quiet samples
-	const drainCap = 3 * time.Minute
-	quiet := 0
-	for c.Now().Sub(restartAt) < drainCap {
-		gs := c.Controller.GovernorStats()
-		if gs.Parked == 0 && gs.QueueLen == 0 && gs.Unservable == 0 && h.Converged() {
-			quiet++
-			if quiet >= quietNeed {
-				break
-			}
-		} else {
-			quiet = 0
-		}
-		c.RunFor(step)
-	}
-	p.DrainSec = c.Now().Sub(restartAt).Seconds() - float64(quiet-1)*step.Seconds()
-	if quiet < quietNeed {
-		p.DrainSec = c.Now().Sub(restartAt).Seconds()
-	}
-	// A settle tail: re-admitted streams must play cleanly too.
+	// retired), then a settle tail: re-admitted streams must play
+	// cleanly too.
+	p.DrainSec = drain(c, h, 0)
 	c.RunFor(15 * time.Second)
 
 	gs := c.Controller.GovernorStats()
@@ -269,13 +195,11 @@ func runCorrelatedArm(o Options, a corrArm) (CorrelatedPoint, error) {
 	p.ParkAcks = gs.Acks
 	p.ParkedEnd = gs.Parked
 	p.QueueEnd = gs.QueueLen
-	ok1, lost1, mir1 := c.ViewerTotals()
-	p.BlocksOK = ok1 - ok0
-	p.BlocksLost = lost1 - lost0
-	p.MirrorBlocks = mir1 - mir0
-	p.ServerMisses = c.TotalCubStats().ServerMisses - miss0
+	d := w.delta(c)
+	p.BlocksOK, p.BlocksLost, p.MirrorBlocks = d.ok, d.lost, d.mirror
+	p.ServerMisses = d.cubs.ServerMisses
 	p.DoubleServes = h.DoubleServes()
-	p.Violations = c.InvariantViolations() - viol0
+	p.Violations = d.violations
 	p.Converged = h.Converged()
 
 	// Gates. When the decluster span is breached the governor parks every
@@ -294,8 +218,8 @@ func runCorrelatedArm(o Options, a corrArm) (CorrelatedPoint, error) {
 	if p.Unservable == 0 {
 		lossCap = int64(2 * oo.DisksPerCub * len(down))
 	}
-	if p.BlocksLost > lossCap {
-		return p, fmt.Errorf("%d blocks lost (cap %d: survivors mirror-served, endangered streams parked in time, only in-flight sends may die)", p.BlocksLost, lossCap)
+	if err := zeroColumns(p.BlocksLost, lossCap, p.DoubleServes, p.Violations); err != nil {
+		return p, err
 	}
 	if p.Unservable == 0 && p.Parks != 0 {
 		return p, fmt.Errorf("%d parks with full mirror coverage (must be 0)", p.Parks)
@@ -309,14 +233,30 @@ func runCorrelatedArm(o Options, a corrArm) (CorrelatedPoint, error) {
 	if p.Resumes != p.Parks {
 		return p, fmt.Errorf("%d resumes for %d parks (each parked stream must resume exactly once)", p.Resumes, p.Parks)
 	}
-	if p.DoubleServes != 0 {
-		return p, fmt.Errorf("%d double services", p.DoubleServes)
-	}
-	if p.Violations != 0 {
-		return p, fmt.Errorf("%d invariant violations", p.Violations)
-	}
 	if !p.Converged {
 		return p, fmt.Errorf("cluster did not converge within %v of the restart", drainCap)
 	}
 	return p, nil
+}
+
+// correlated prints and gates the correlated-failure sweep.
+func correlated(o tiger.Options) error {
+	header("Correlated failures: domains, mirror exhaustion, graceful degradation",
+		"beyond single-failure coverage: survivors lose nothing, endangered streams park and resume")
+	pts, err := runCorrelated(o, splitArms(*armsFlag))
+	fmt.Printf("%18s %5s %7s %8s %7s %6s %6s %7s %5s %7s %8s %6s\n",
+		"arm", "cubs", "shards", "streams", "unserv", "parks", "bound", "resumes", "lost",
+		"doubles", "drain_s", "conv")
+	for _, p := range pts {
+		if p.Cubs == 0 {
+			continue // arm aborted before setup (its error is reported below)
+		}
+		fmt.Printf("%18s %5d %7d %8d %7d %6d %6d %7d %5d %7d %8.1f %6v\n",
+			p.Arm, p.Cubs, p.Shards, p.Streams, p.Unservable, p.Parks, p.ParkBound,
+			p.Resumes, p.BlocksLost, p.DoubleServes, p.DrainSec, p.Converged)
+	}
+	if err != nil {
+		return err
+	}
+	return writeJSON("correlated", pts)
 }

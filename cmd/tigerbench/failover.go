@@ -1,20 +1,20 @@
-package tiger
+package main
 
 import (
 	"fmt"
 	"time"
 
-	"tiger/internal/msg"
+	"tiger"
 )
 
-// Controller-failover experiment (`tigerbench -exp failover`). The
-// controller is the last centralized piece of Tiger; DESIGN §17 makes
-// its death survivable by fencing the dead incarnation with an epoch
-// and rebuilding the new incarnation's state from a scavenge of the
-// cubs — who, holding the distributed schedule, never stopped serving.
-// Each arm loads a fresh cluster, crashes the controller in a chosen
-// regime (idle serving, mid-restripe, streams parked by the governor),
-// holds the outage, restarts, and gates:
+// Controller-failover experiment (`-exp failover`). The controller is
+// the last centralized piece of Tiger; DESIGN §17 makes its death
+// survivable by fencing the dead incarnation with an epoch and
+// rebuilding the new incarnation's state from a scavenge of the cubs —
+// who, holding the distributed schedule, never stopped serving. Each arm
+// loads a fresh cluster, crashes the controller in a chosen regime (idle
+// serving, mid-restripe, streams parked by the governor), holds the
+// outage, restarts, and gates:
 //
 //   - streams active at crash time lose zero blocks and are never
 //     double-served: deliveries ride the distributed schedule and the
@@ -25,8 +25,8 @@ import (
 //     it; the parked arm rebuilds the parked set from cub tickets and
 //     resumes each stream exactly once after the cubs rejoin.
 
-// FailoverPoint is one arm's outcome.
-type FailoverPoint struct {
+// failoverPoint is one arm's outcome.
+type failoverPoint struct {
 	Arm       string
 	Cubs      int
 	Streams   int     // active streams at controller-crash time
@@ -79,97 +79,47 @@ type failArm struct {
 	retries int // retrying admissions injected during the outage
 }
 
-func failoverArms() []failArm {
-	return []failArm{
+// runFailover runs the controller-failover sweep's arms that names
+// selects (all when empty) and enforces their gates.
+func runFailover(o tiger.Options, names []string) ([]failoverPoint, error) {
+	var arms []arm[failoverPoint]
+	for _, a := range []failArm{
 		{name: "idle-light-3s", mode: "idle", load: 0.5, outage: 3 * time.Second, retries: 4},
 		{name: "idle-full-3s", mode: "idle", load: 1.0, outage: 3 * time.Second},
 		{name: "idle-full-12s", mode: "idle", load: 1.0, outage: 12 * time.Second},
 		{name: "mid-restripe", mode: "restripe", load: 1.0, outage: 5 * time.Second},
 		{name: "parked", mode: "parked", load: 1.0, outage: 5 * time.Second},
+	} {
+		arms = append(arms, arm[failoverPoint]{a.name, func(o tiger.Options) (failoverPoint, error) {
+			return runFailoverArm(o, a)
+		}})
 	}
+	return runArms(o, arms, names)
 }
 
-// FailoverArms lists the sweep's arm names in run order, for the bench
-// binary's arm-selection flag.
-var FailoverArms = func() []string {
-	var names []string
-	for _, a := range failoverArms() {
-		names = append(names, a.name)
-	}
-	return names
-}()
-
-// RunFailover runs the controller-failover sweep — the named arms, or
-// all of them when names is empty — and enforces its gates; any gate
-// failure is returned as an error naming the arm.
-func RunFailover(o Options, names []string) ([]FailoverPoint, error) {
-	arms := failoverArms()
-	if len(names) > 0 {
-		want := make(map[string]bool, len(names))
-		for _, n := range names {
-			want[n] = true
-		}
-		kept := arms[:0]
-		for _, a := range arms {
-			if want[a.name] {
-				kept = append(kept, a)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("no failover arms match %v (have %v)", names, FailoverArms)
-		}
-		arms = kept
-	}
-	out := make([]FailoverPoint, len(arms))
-	err := forEachPoint(len(arms), func(i int) error {
-		p, err := runFailoverArm(o, arms[i])
-		out[i] = p
-		if err != nil {
-			return fmt.Errorf("arm %s: %w", arms[i].name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
-	oo := o
-	// Zero the stochastic loss sources that are not the failure's fault
-	// (same normalization as the correlated sweep): client drops, ramp
-	// stagger, and the drives' slow-outlier blip tail.
-	oo.ClientDropProb = 0
-	oo.RampSpacing = 0
-	oo.DiskParams.BlipProb = 0
+func runFailoverArm(o tiger.Options, a failArm) (failoverPoint, error) {
+	oo := faultOnly(o, o.Cubs)
 	switch a.mode {
 	case "restripe":
 		// Short files so the old generation drains on experiment
-		// timescales, exactly as the elastic sweep runs — including its
-		// ramp stagger: a zero-spacing flash ramp phase-locks every
-		// stream's EOF, and the synchronized replay storm against the
-		// drain-phase schedule is a different experiment.
-		oo.NumFiles = 12
-		oo.FileBlocks = 100
-		oo.AdmitLimit = 1.0
-		oo.RampSpacing = 50 * time.Millisecond
+		// timescales, exactly as the elastic sweep runs.
+		oo = shortFiles(oo)
 	case "parked":
 		oo.DomainSize = 4
 		oo.Governor.Enable = true
 	}
 
-	c, err := New(oo)
+	c, err := tiger.New(oo)
 	if err != nil {
-		return FailoverPoint{}, err
+		return failoverPoint{}, err
 	}
-	p := FailoverPoint{
+	p := failoverPoint{
 		Arm:       a.name,
 		Cubs:      oo.Cubs,
 		LoadFrac:  a.load,
 		OutageSec: a.outage.Seconds(),
 	}
-	h := NewChaosHarness(c)
+	h := tiger.NewChaosHarness(c)
 	defer h.Close()
 
 	target := int(a.load * float64(c.Capacity()))
@@ -178,9 +128,7 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 	}
 	c.RunFor(60 * time.Second) // let the flash-ramp insertions land; reach steady state
 
-	ok0, lost0, mir0 := c.ViewerTotals()
-	viol0 := c.InvariantViolations()
-	cs0 := c.TotalCubStats()
+	w := snapshot(c)
 	retries0, abandons0 := c.StartRetryStats()
 	active0 := c.Active() // pre-incident population, before any preamble parks streams
 
@@ -193,7 +141,7 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 			return p, err
 		}
 		c.RunFor(5 * time.Second)
-		if ph := c.RestripePhase(); ph != RestripeCopy {
+		if ph := c.RestripePhase(); ph != tiger.RestripeCopy {
 			return p, fmt.Errorf("restripe already past copy (%q); crash window missed", ph)
 		}
 	case "parked":
@@ -217,7 +165,7 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 	// client backoff must carry them across the takeover.
 	admitted := 0
 	for i := 0; i < a.retries; i++ {
-		if err := c.PlayRetrying(msg.FileID(i%oo.NumFiles), 0, func(*Stream) { admitted++ }); err != nil {
+		if err := c.PlayRetrying(tiger.FileID(i%oo.NumFiles), 0, func(*tiger.Stream) { admitted++ }); err != nil {
 			return p, fmt.Errorf("retrying start returned a hard error: %w", err)
 		}
 	}
@@ -257,13 +205,13 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 		if !c.Controller.RestripeStats().Active {
 			return p, fmt.Errorf("takeover did not re-arm the interrupted restripe")
 		}
-		for lim := 0; c.RestripePhase() != RestripeDone && lim < 600; lim++ {
+		for lim := 0; c.RestripePhase() != tiger.RestripeDone && lim < 600; lim++ {
 			c.RunFor(time.Second)
 		}
 		p.FinalPhase = c.RestripePhase()
 		in := c.RestripeInfo()
 		p.Moves, p.Committed = in.Moves, in.Coord.Committed
-		if p.FinalPhase != RestripeDone {
+		if p.FinalPhase != tiger.RestripeDone {
 			return p, fmt.Errorf("restripe never completed after the takeover (phase %q)", p.FinalPhase)
 		}
 		if p.Committed != p.Moves {
@@ -285,35 +233,12 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 		c.RestartCub(5)
 		c.RunFor(5 * time.Second)
 		c.RestartCub(6)
-		rejoinAt := c.Now()
-		// Drain: parked streams resume, death beliefs clear, mirror load
-		// retires. Quiet must hold for a sustained run of samples, as in
-		// the correlated sweep.
-		const step = 500 * time.Millisecond
-		const quietNeed = 6
-		const drainCap = 3 * time.Minute
-		quiet := 0
-		for c.Now().Sub(rejoinAt) < drainCap {
-			gs := c.Controller.GovernorStats()
-			// Quiet means the whole pre-incident population is active
-			// again, not just that the ticket queue is empty: re-admitted
-			// streams trickle through slot insertion for a while after
-			// their resume at full load.
-			if gs.Parked == 0 && gs.QueueLen == 0 && gs.Unservable == 0 &&
-				c.Active() >= active0 && h.Converged() {
-				quiet++
-				if quiet >= quietNeed {
-					break
-				}
-			} else {
-				quiet = 0
-			}
-			c.RunFor(step)
-		}
-		p.DrainSec = c.Now().Sub(rejoinAt).Seconds()
-		if quiet >= quietNeed {
-			p.DrainSec -= float64(quiet-1) * step.Seconds()
-		}
+		// Drain until parked streams resume, death beliefs clear and
+		// mirror load retires — and the whole pre-incident population
+		// plays again, not just an empty ticket queue: re-admitted streams
+		// trickle through slot insertion for a while after their resume
+		// at full load.
+		p.DrainSec = drain(c, h, active0)
 		c.RunFor(15 * time.Second)
 		gs := c.Controller.GovernorStats()
 		p.Parks, p.Resumes = gs.Parks, gs.Resumes
@@ -331,20 +256,17 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 		}
 	}
 
-	cs1 := c.TotalCubStats()
-	p.ScavengesServed = cs1.ScavengesServed - cs0.ScavengesServed
-	p.CtlDeclaredDead = cs1.CtlDeclaredDead - cs0.CtlDeclaredDead
-	p.CtlStaleDrops = cs1.CtlStaleDrops - cs0.CtlStaleDrops
+	d := w.delta(c)
+	p.ScavengesServed = d.cubs.ScavengesServed
+	p.CtlDeclaredDead = d.cubs.CtlDeclaredDead
+	p.CtlStaleDrops = d.cubs.CtlStaleDrops
 	retries1, abandons1 := c.StartRetryStats()
 	p.StartRetries = retries1 - retries0
 	p.StartAbandons = abandons1 - abandons0
 	p.RetryAdmitted = admitted
-	ok1, lost1, mir1 := c.ViewerTotals()
-	p.BlocksOK = ok1 - ok0
-	p.BlocksLost = lost1 - lost0
-	p.MirrorBlocks = mir1 - mir0
+	p.BlocksOK, p.BlocksLost, p.MirrorBlocks = d.ok, d.lost, d.mirror
 	p.DoubleServes = h.DoubleServes()
-	p.Violations = c.InvariantViolations() - viol0
+	p.Violations = d.violations
 	p.ActiveAfter = c.Active()
 	p.Converged = h.Converged()
 
@@ -353,14 +275,8 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 	// arm — where two cubs died and the decluster span is breached — may
 	// lose nothing (the governor parks endangered streams before any
 	// deadline passes, and parked streams resume at their watermark).
-	if p.BlocksLost != 0 {
-		return p, fmt.Errorf("%d blocks lost across the controller outage (must be 0)", p.BlocksLost)
-	}
-	if p.DoubleServes != 0 {
-		return p, fmt.Errorf("%d double services", p.DoubleServes)
-	}
-	if p.Violations != 0 {
-		return p, fmt.Errorf("%d invariant violations", p.Violations)
+	if err := zeroColumns(p.BlocksLost, 0, p.DoubleServes, p.Violations); err != nil {
+		return p, err
 	}
 	if p.Epoch != 2 {
 		return p, fmt.Errorf("controller epoch = %d after one takeover, want 2", p.Epoch)
@@ -406,4 +322,28 @@ func runFailoverArm(o Options, a failArm) (FailoverPoint, error) {
 		return p, fmt.Errorf("cluster did not converge after the incident")
 	}
 	return p, nil
+}
+
+// failover prints and gates the controller-failover sweep.
+func failover(o tiger.Options) error {
+	header("Controller failover: epoch-fenced takeover, scavenged rebuild",
+		"the cubs are the schedule; admitted streams play through the outage untouched")
+	pts, err := runFailover(o, splitArms(*armsFlag))
+	fmt.Printf("%15s %5s %8s %8s %9s %6s %6s %6s %8s %5s %8s %5s %7s %6s\n",
+		"arm", "load", "streams", "outage", "takeover", "scav", "plays", "parks",
+		"retries", "lost", "doubles", "viol", "active", "conv")
+	for _, p := range pts {
+		if p.Cubs == 0 {
+			continue // arm aborted before setup (its error is reported below)
+		}
+		fmt.Printf("%15s %5.2f %8d %7.0fs %8.2fs %6d %6d %6d %8d %5d %8d %5d %7d %6v\n",
+			p.Arm, p.LoadFrac, p.Streams, p.OutageSec, p.TakeoverSec,
+			p.ScavengesServed, p.ScavengedPlays, p.ScavengedParks,
+			p.StartRetries, p.BlocksLost, p.DoubleServes, p.Violations,
+			p.ActiveAfter, p.Converged)
+	}
+	if err != nil {
+		return err
+	}
+	return writeJSON("failover", pts)
 }

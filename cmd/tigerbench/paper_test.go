@@ -1,14 +1,16 @@
-package tiger
+package main
 
 import (
 	"testing"
 	"time"
+
+	"tiger"
 )
 
 // quickOptions is the paper configuration with client drops disabled for
 // deterministic assertions.
-func quickOptions() Options {
-	o := DefaultOptions()
+func quickOptions() tiger.Options {
+	o := tiger.DefaultOptions()
 	o.ClientDropProb = 0
 	return o
 }
@@ -17,7 +19,7 @@ func TestRunFigure8Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	res, err := RunFigure8(quickOptions(), QuickRamp())
+	res, err := runLoadCurve(quickOptions(), -1, quickRamp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestRunFigure9Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	res, err := RunFigure9(quickOptions(), QuickRamp())
+	res, err := runLoadCurve(quickOptions(), 5, quickRamp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +87,9 @@ func TestRunFigure10Quick(t *testing.T) {
 		t.Skip("experiment run")
 	}
 	o := quickOptions()
-	ramp := QuickRamp()
+	ramp := quickRamp()
 	ramp.Step = 60 // finer steps give more high-load start samples
-	res, err := RunFigure10(o, ramp)
+	res, err := runFigure10(o, ramp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestRunReconfigQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	res, err := RunReconfig(quickOptions())
+	res, err := runReconfig(quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestRunScalabilityQuick(t *testing.T) {
 		t.Skip("experiment run")
 	}
 	o := quickOptions()
-	pts, err := RunScalability(o, []int{7, 14, 28}, 15*time.Second)
+	pts, err := runScalability(o, []int{7, 14, 28}, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,98 +156,12 @@ func TestRunScalabilityQuick(t *testing.T) {
 	}
 }
 
-func TestRunAblationForwardingQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run")
-	}
-	res, err := RunAblationForwarding(quickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("lost: double=%d single=%d; ctl B/s: double=%.0f single=%.0f",
-		res.DoubleLost, res.SingleLost, res.DoubleCtl, res.SingleCtl)
-	if res.SingleLost <= res.DoubleLost {
-		t.Errorf("single forwarding should lose more blocks on failure")
-	}
-	if res.SingleCtl >= res.DoubleCtl {
-		t.Errorf("single forwarding should send less control traffic")
-	}
-}
-
-func TestRunAblationDeclusterQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run")
-	}
-	pts, err := RunAblationDecluster(quickOptions(), []int{2, 4, 8}, 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		t.Logf("dc=%d capacity=%d reserve=%.2f span=%d mirrorDuty=%.2f lost=%d",
-			p.Decluster, p.Capacity, p.ReservedFraction, p.VulnerableSpan, p.MirrorDiskLoad, p.BlocksLost)
-	}
-	// §2.3's trade-off: capacity rises and reserve falls with the
-	// decluster factor, at the cost of a wider vulnerability span.
-	if !(pts[0].Capacity < pts[1].Capacity && pts[1].Capacity < pts[2].Capacity) {
-		t.Error("capacity not increasing with decluster factor")
-	}
-	if !(pts[0].ReservedFraction > pts[1].ReservedFraction) {
-		t.Error("reserve not decreasing")
-	}
-	if !(pts[0].VulnerableSpan < pts[2].VulnerableSpan) {
-		t.Error("vulnerability span not widening")
-	}
-}
-
-func TestRunAblationLeadQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run")
-	}
-	pairs := [][2]time.Duration{
-		{1 * time.Second, 2 * time.Second},
-		{4 * time.Second, 9 * time.Second},
-		{8 * time.Second, 18 * time.Second},
-	}
-	pts, err := RunAblationLead(quickOptions(), pairs, 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		t.Logf("lead %v..%v: %.0f msgs/s %.1f KB/s view=%d lost=%d",
-			p.MinLead, p.MaxLead, p.CtlMsgsPerSec, p.CtlBps/1e3, p.MaxViewEntries, p.BlocksLost)
-	}
-	// A wider lead gap lets cubs batch more states per message.
-	if pts[2].CtlMsgsPerSec > pts[0].CtlMsgsPerSec {
-		t.Error("wider lead gap should not need more messages")
-	}
-	// A longer max lead holds more entries per view.
-	if pts[2].MaxViewEntries <= pts[0].MaxViewEntries {
-		t.Error("view size should grow with the max lead")
-	}
-}
-
-func TestRunAblationFragmentationQuick(t *testing.T) {
-	pts, err := RunAblationFragmentation(14, 100_000_000,
-		[]time.Duration{0, 250 * time.Millisecond}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		t.Logf("quantum=%v admitted=%d util=%.2f frag=%.2f",
-			p.Quantum, p.Admitted, p.Utilization, p.Fragmentation)
-	}
-	if pts[1].Admitted < pts[0].Admitted {
-		t.Errorf("quantized starts admitted fewer streams: %d vs %d",
-			pts[1].Admitted, pts[0].Admitted)
-	}
-}
-
 func TestRunFlashCrowdQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
 	o := quickOptions()
-	res, err := RunFlashCrowd(o, 150, 2*time.Minute)
+	res, err := runFlashCrowd(o, 150, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +192,25 @@ func TestRunFlashCrowdQuick(t *testing.T) {
 	}
 }
 
+// TestRunFlashCrowdHundred is the §2.2 scenario at a hundred viewers:
+// every one asks for the same title, and Tiger spaces the starts to keep
+// the schedule conflict-free without losing a block.
+func TestRunFlashCrowdHundred(t *testing.T) {
+	res, err := runFlashCrowd(quickOptions(), 100, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted != res.Viewers || res.LastStart <= 5*time.Second || res.BlocksLost != 0 {
+		t.Fatalf("admitted %d of %d, last start %v, %d blocks lost; want all, past 5s, none",
+			res.Admitted, res.Viewers, res.LastStart, res.BlocksLost)
+	}
+}
+
 func TestRunRecoveryQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	res, err := RunRecovery(quickOptions(), 120, 15*time.Second)
+	res, err := runRecovery(quickOptions(), 120, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

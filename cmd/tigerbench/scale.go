@@ -1,19 +1,22 @@
-package tiger
+package main
 
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
+	"tiger"
 	"tiger/internal/disk"
 )
 
-// ScaleCapacityPoint is one cluster size in the warehouse-scale sweep:
+// scaleCapacityPoint is one cluster size in the warehouse-scale sweep:
 // measured capacity and loss at rated load, the Viennot-style resource
 // bounds the rated capacity is compared against, and the simulator-cost
 // budgets (ns/event, allocs/event, heap/cub) that pin the O(window)
 // claim at that scale.
-type ScaleCapacityPoint struct {
+type scaleCapacityPoint struct {
 	Cubs   int
 	Disks  int
 	Shards int // simulation shards used for this point (1 = serial)
@@ -49,30 +52,14 @@ type ScaleCapacityPoint struct {
 	WallSeconds     float64 // wall-clock time for settle+hold
 }
 
-// scaleShards picks the shard count for a cluster size: serial for
-// small clusters (where coordinator windows cost more than they save),
-// growing with size up to eight shards. A pure function of the cub
-// count so the committed artifact does not depend on the host machine;
-// worker count never changes results (byte-identical guarantee).
-func scaleShards(cubs int) int {
-	s := cubs / 32
-	if s < 1 {
-		s = 1
-	}
-	if s > 8 {
-		s = 8
-	}
-	return s
-}
-
-// RunScaleCapacity sweeps cluster sizes, running each at its full rated
+// runScaleCapacity sweeps cluster sizes, running each at its full rated
 // capacity and measuring loss and simulator cost over a hold window.
 // Points run sequentially (one large cluster wants the whole machine;
 // the parallelism is inside each point, via sharding). settle is run
 // after the ramp before measurement begins; hold is the measured
 // window.
-func RunScaleCapacity(o Options, cubCounts []int, settle, hold time.Duration) ([]ScaleCapacityPoint, error) {
-	pts := make([]ScaleCapacityPoint, 0, len(cubCounts))
+func runScaleCapacity(o tiger.Options, cubCounts []int, settle, hold time.Duration) ([]scaleCapacityPoint, error) {
+	pts := make([]scaleCapacityPoint, 0, len(cubCounts))
 	for _, n := range cubCounts {
 		p, err := runScalePoint(o, n, settle, hold)
 		if err != nil {
@@ -83,31 +70,14 @@ func RunScaleCapacity(o Options, cubCounts []int, settle, hold time.Duration) ([
 	return pts, nil
 }
 
-func runScalePoint(o Options, cubs int, settle, hold time.Duration) (ScaleCapacityPoint, error) {
-	oo := o
-	oo.Cubs = cubs
+func runScalePoint(o tiger.Options, cubs int, settle, hold time.Duration) (scaleCapacityPoint, error) {
+	oo := faultOnly(o, cubs)
 	disks := cubs * oo.DisksPerCub
-	// Spread file start disks across the whole array and kill the two
-	// stochastic loss sources that are not Tiger's fault: client-side
-	// drops and ramp stagger (we want the steady state, not the ramp).
-	if oo.NumFiles < disks {
-		oo.NumFiles = disks
-	}
-	oo.ClientDropProb = 0
-	oo.RampSpacing = 0
-	// Likewise disable drive blips (the ~2e-6 slow-outlier tail that
-	// reproduces the paper's §5 late blocks). They are a fault-model
-	// feature exercised by the failure experiments; here they would add
-	// an O(reads) noise floor of misses unrelated to scale, hiding the
-	// systematic losses (backlog, late state) this sweep gates on.
-	oo.DiskParams.BlipProb = 0
-	oo.Shards = scaleShards(cubs)
-
-	c, err := New(oo)
+	c, err := tiger.New(oo)
 	if err != nil {
-		return ScaleCapacityPoint{}, err
+		return scaleCapacityPoint{}, err
 	}
-	p := ScaleCapacityPoint{
+	p := scaleCapacityPoint{
 		Cubs:   cubs,
 		Disks:  disks,
 		Shards: c.Shards(),
@@ -117,10 +87,7 @@ func runScalePoint(o Options, cubs int, settle, hold time.Duration) (ScaleCapaci
 	unmirrored := disk.PlanCapacity(oo.DiskParams, disks, oo.BlockSize, oo.BlockPlay, 0)
 	p.BoundDisk = unmirrored.Streams
 	p.BoundNet = int(float64(cubs) * oo.NetParams.NICRate * 8 / float64(oo.StreamBitrate))
-	p.Bound = p.BoundDisk
-	if p.BoundNet < p.Bound {
-		p.Bound = p.BoundNet
-	}
+	p.Bound = min(p.BoundDisk, p.BoundNet)
 	if p.Bound > 0 {
 		p.CapacityFrac = float64(p.Rated) / float64(p.Bound)
 	}
@@ -130,8 +97,7 @@ func runScalePoint(o Options, cubs int, settle, hold time.Duration) (ScaleCapaci
 	}
 	c.RunFor(settle)
 
-	ok0, lost0, _ := c.ViewerTotals()
-	miss0 := c.TotalCubStats().ServerMisses
+	w := snapshot(c)
 	ev0 := c.EventsProcessed()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -142,10 +108,10 @@ func runScalePoint(o Options, cubs int, settle, hold time.Duration) (ScaleCapaci
 	wall := time.Since(w0)
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
-	ok1, lost1, _ := c.ViewerTotals()
-	p.BlocksOK = ok1 - ok0
-	p.BlocksLost = lost1 - lost0
-	p.ServerMisses = c.TotalCubStats().ServerMisses - miss0
+	d := w.delta(c)
+	p.BlocksOK = d.ok
+	p.BlocksLost = d.lost
+	p.ServerMisses = d.cubs.ServerMisses
 	p.Achieved = c.Active()
 	p.Events = c.EventsProcessed() - ev0
 	if p.Events > 0 {
@@ -166,4 +132,71 @@ func runScalePoint(o Options, cubs int, settle, hold time.Duration) (ScaleCapaci
 	// the GC above collects the very footprint being measured.
 	runtime.KeepAlive(c)
 	return p, nil
+}
+
+// scalability is the warehouse-scale sweep: each cluster size runs at
+// its full rated capacity on a sharded simulation, and the table
+// compares that rated capacity against the resource bounds (Viennot et
+// al.: no scheme can beat raw disk or NIC bandwidth) while pinning the
+// simulator's per-event cost and per-cub memory footprint.
+func scalability(o tiger.Options) error {
+	header("Warehouse scale: rated capacity vs resource bounds (Viennot et al.)",
+		"capacity tracks d/(d+1) of the disk bound; ns/event and heap/cub stay flat to 1000 cubs")
+	var cubCounts []int
+	for _, s := range strings.Split(*scaleCubsFlag, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n <= 0 {
+			return fmt.Errorf("bad -scalecubs entry %q", s)
+		}
+		cubCounts = append(cubCounts, n)
+	}
+	pts, err := runScaleCapacity(o, cubCounts, *scaleSettle, *scaleHold)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%6s %6s %7s %8s %9s %6s %9s %6s %7s %9s %9s %6s\n",
+		"cubs", "disks", "shards", "rated", "bound", "frac", "streams", "lost", "misses",
+		"ns/event", "allocs/ev", "KiB/cub")
+	for _, p := range pts {
+		fmt.Printf("%6d %6d %7d %8d %9d %6.3f %9d %6d %7d %9.1f %9.3f %6d\n",
+			p.Cubs, p.Disks, p.Shards, p.Rated, p.Bound, p.CapacityFrac,
+			p.Achieved, p.BlocksLost, p.ServerMisses,
+			p.NsPerEvent, p.AllocsPerEvent, p.HeapBytesPerCub/1024)
+	}
+	last := pts[len(pts)-1]
+	fmt.Printf("memory footprint at %d cubs: %d KiB live heap per cub, max view %d entries (O(window), not O(slots)=%d)\n",
+		last.Cubs, last.HeapBytesPerCub/1024, last.MaxViewEntries, last.Rated)
+
+	// The sweep is also the acceptance gate: rated load must be lossless,
+	// and the per-event budgets (when set) must hold at every size.
+	for _, p := range pts {
+		if p.BlocksLost != 0 || p.ServerMisses != 0 {
+			return fmt.Errorf("%d cubs: %d blocks lost, %d server misses at rated load",
+				p.Cubs, p.BlocksLost, p.ServerMisses)
+		}
+		if *nsEvBudget > 0 && p.NsPerEvent > *nsEvBudget {
+			return fmt.Errorf("%d cubs: %.1f ns/event exceeds budget %.1f", p.Cubs, p.NsPerEvent, *nsEvBudget)
+		}
+		if *allocsBudget > 0 && p.AllocsPerEvent > *allocsBudget {
+			return fmt.Errorf("%d cubs: %.3f allocs/event exceeds budget %.3f", p.Cubs, p.AllocsPerEvent, *allocsBudget)
+		}
+	}
+
+	var rows [][]string
+	for _, p := range pts {
+		rows = append(rows, []string{
+			strconv.Itoa(p.Cubs), strconv.Itoa(p.Disks), strconv.Itoa(p.Shards),
+			strconv.Itoa(p.Rated), strconv.Itoa(p.Bound), f1(p.CapacityFrac),
+			strconv.Itoa(p.Achieved), strconv.FormatInt(p.BlocksLost, 10),
+			f1(p.NsPerEvent), f1(p.AllocsPerEvent),
+			strconv.FormatUint(p.HeapBytesPerCub, 10), strconv.Itoa(p.MaxViewEntries),
+		})
+	}
+	if err := writeCSV("scalability",
+		[]string{"cubs", "disks", "shards", "rated", "bound", "capacity_frac",
+			"streams", "blocks_lost", "ns_per_event", "allocs_per_event",
+			"heap_bytes_per_cub", "view_entries"}, rows); err != nil {
+		return err
+	}
+	return writeJSON("scale", pts)
 }

@@ -26,14 +26,14 @@ func score(o tiger.Options) error {
 	}
 
 	// Capacity plan.
-	capa := tiger.CapacityTable(o)
+	capa := capacityTable(o)
 	add("system capacity", "602 streams, ~10.75/disk",
 		fmt.Sprintf("%d streams, %.3f/disk", capa.Streams, capa.StreamsPerDisk),
 		capa.Streams == 602)
 
 	// Figures 8 and 9.
-	ramp := tiger.QuickRamp()
-	f8, err := tiger.RunFigure8(o, ramp)
+	ramp := quickRamp()
+	f8, err := runLoadCurve(o, -1, ramp)
 	if err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func score(o tiger.Options) error {
 
 	o9 := o
 	o9.Seed = o.Seed + 99
-	f9, err := tiger.RunFigure9(o9, ramp)
+	f9, err := runLoadCurve(o9, 5, ramp)
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func score(o tiger.Options) error {
 		f9.MirrorBlocks > 0 && f9.BlocksLost*5000 < f9.BlocksOK)
 
 	// Figure 10.
-	f10, err := tiger.RunFigure10(o, ramp)
+	f10, err := runFigure10(o, ramp)
 	if err != nil {
 		return err
 	}
@@ -83,7 +83,7 @@ func score(o tiger.Options) error {
 		f10.MeanAt95 > f10.Floor)
 
 	// Reconfiguration.
-	rc, err := tiger.RunReconfig(o)
+	rc, err := runReconfig(o)
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func score(o tiger.Options) error {
 		rc.LostBlocks > 0 && rc.LossSpan < 15*time.Second && rc.MirrorCatch > 0)
 
 	// Scalability.
-	sc, err := tiger.RunScalability(o, []int{7, 28}, 10*time.Second)
+	sc, err := runScalability(o, []int{7, 28}, 10*time.Second)
 	if err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func score(o tiger.Options) error {
 		sc[1].MaxViewEntries < 3*sc[0].MaxViewEntries)
 
 	// Flash crowd.
-	fc, err := tiger.RunFlashCrowd(o, 150, time.Minute)
+	fc, err := runFlashCrowd(o, 150, time.Minute)
 	if err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func score(o tiger.Options) error {
 		fc.Admitted == fc.Viewers && fc.AdmitRate < 12 && fc.MaxDiskDuty < 0.8 && fc.BlocksLost == 0)
 
 	// Forwarding ablation.
-	fw, err := tiger.RunAblationForwarding(o)
+	fw, err := runAblationForwarding(o)
 	if err != nil {
 		return err
 	}

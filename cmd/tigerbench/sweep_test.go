@@ -1,6 +1,8 @@
-package tiger
+package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,9 +14,9 @@ import (
 // previous setting afterwards.
 func withParallelism(t *testing.T, n int, fn func()) {
 	t.Helper()
-	prev := SweepParallelism()
-	SetSweepParallelism(n)
-	defer SetSweepParallelism(prev)
+	prev := *parallel
+	*parallel = n
+	defer func() { *parallel = prev }()
 	fn()
 }
 
@@ -67,23 +69,23 @@ func TestForEachPointOrderAndErrors(t *testing.T) {
 	})
 }
 
-// TestSweepParallelEquivalence asserts the tentpole's determinism claim:
+// TestSweepParallelEquivalence asserts the fan-out's determinism claim:
 // fanning sweep points out over workers yields byte-identical results to
 // the sequential run, because each point is a pure function of its
 // options.
 func TestSweepParallelEquivalence(t *testing.T) {
 	quanta := []time.Duration{0, 50 * time.Millisecond, 250 * time.Millisecond}
-	var seq, par []FragmentationPoint
+	var seq, par []fragmentationPoint
 	withParallelism(t, 1, func() {
 		var err error
-		seq, err = RunAblationFragmentation(14, 100_000_000, quanta, 7)
+		seq, err = runAblationFragmentation(14, 100_000_000, quanta, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	withParallelism(t, len(quanta), func() {
 		var err error
-		par, err = RunAblationFragmentation(14, 100_000_000, quanta, 7)
+		par, err = runAblationFragmentation(14, 100_000_000, quanta, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,22 +99,50 @@ func TestSweepParallelEquivalence(t *testing.T) {
 	}
 	o := quickOptions()
 	cubs := []int{7, 14}
-	var seqS, parS []ScalePoint
+	var seqS, parS []scalePoint
 	withParallelism(t, 1, func() {
 		var err error
-		seqS, err = RunScalability(o, cubs, 10*time.Second)
+		seqS, err = runScalability(o, cubs, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	withParallelism(t, len(cubs), func() {
 		var err error
-		parS, err = RunScalability(o, cubs, 10*time.Second)
+		parS, err = runScalability(o, cubs, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if !reflect.DeepEqual(seqS, parS) {
 		t.Fatalf("scalability sweep diverged:\nseq %+v\npar %+v", seqS, parS)
+	}
+}
+
+// TestAttrSweepParallelEquivalence asserts traced sweeps stay
+// byte-identical at any -parallel width: attribution tables and flight
+// dumps included.
+func TestAttrSweepParallelEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run")
+	}
+	run := func(width int) []byte {
+		var b []byte
+		withParallelism(t, width, func() {
+			pts, err := runGrayFailSweep(grayOptions(), 24, []float64{2}, 15*time.Second, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mErr error
+			b, mErr = json.Marshal(pts)
+			if mErr != nil {
+				t.Fatal(mErr)
+			}
+		})
+		return b
+	}
+	seq, par := run(1), run(2)
+	if !bytes.Equal(seq, par) {
+		t.Fatalf("traced sweep diverged across parallel widths:\n%s\n%s", seq, par)
 	}
 }

@@ -55,22 +55,3 @@ func ExampleCluster_FailCub() {
 	// mirror-assembled blocks: true
 	// stream still alive: true
 }
-
-// ExampleRunFlashCrowd measures the §2.2 scenario: every viewer asks
-// for the same title, and Tiger spaces the starts to keep the schedule
-// conflict-free.
-func ExampleRunFlashCrowd() {
-	o := tiger.DefaultOptions()
-	o.ClientDropProb = 0
-	res, err := tiger.RunFlashCrowd(o, 100, time.Minute)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("admitted: %d of %d\n", res.Admitted, res.Viewers)
-	fmt.Printf("spacing enforced: %v\n", res.LastStart > 5*time.Second)
-	fmt.Printf("losses: %d\n", res.BlocksLost)
-	// Output:
-	// admitted: 100 of 100
-	// spacing enforced: true
-	// losses: 0
-}

@@ -8,6 +8,21 @@
 set -eux
 cd "$(dirname "$0")/.."
 
+# gotest is go test for the gates below, and fails when a -run pattern
+# matched no test in one of the packages: go test reports such a package
+# "ok ... [no tests to run]", so a gate whose tests moved would pass by
+# checking nothing.
+gotest() {
+    status=0
+    out=$(go test "$@" 2>&1) || status=$?
+    printf '%s\n' "$out"
+    [ "$status" -eq 0 ] || return "$status"
+    if printf '%s\n' "$out" | grep -q 'no tests to run\|no test files'; then
+        echo "check.sh: go test $* ran no test in some package" >&2
+        return 1
+    fi
+}
+
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on:" >&2
@@ -27,30 +42,31 @@ go test -race ./internal/rt ./internal/core ./internal/obs ./internal/sim ./inte
 # the structs after a crash and restart. The event sink's subscribers
 # (oracle, ring, chaos harness, flight recorder) must stack in any order
 # and reach cubs born mid-restripe.
-go test -race -count=10 -run 'TestScrapeWhileServing' ./internal/rt
-go test -race -run 'TestRegistryReadsCubStats|TestSinkFanOut|TestSinkReachesRestripeBornCubs' .
+gotest -race -count=10 -run 'TestScrapeWhileServing' ./internal/rt
+gotest -race -run 'TestRegistryReadsCubStats|TestSinkFanOut|TestSinkReachesRestripeBornCubs' .
 
 # Chaos gate: the short tier above already runs TestChaosSmoke (a full
 # partition-heal-refute cycle); here the full chaos scenarios and the
 # random-operations monkey test run under the race detector.
-go test -race -run 'TestChaos|TestRandomOperationsInvariants' .
+gotest -race -run 'TestChaos|TestRandomOperationsInvariants' .
 
-# Gray-failure gate: the fail-slow acceptance sweep, the quarantine
-# interaction tests (rejoin, split-brain), and the disk fault/hedging
-# unit tier, all under the race detector. The short tier above already
-# ran TestGrayFailChaosSmoke.
-go test -race -run 'TestGrayFail|TestQuarantine' .
-go test -race -run 'TestFailSlow|TestStuckDisk|TestProbes|TestCancel' ./internal/core ./internal/disk
+# Gray-failure gate: the fail-slow acceptance sweep (tigerbench's), the
+# quarantine interaction tests (rejoin, split-brain) and the chaos smoke,
+# and the disk fault/hedging unit tier, all under the race detector.
+gotest -race -run 'TestGrayFail' ./cmd/tigerbench
+gotest -race -run 'TestQuarantine|TestGrayFailChaosSmoke' .
+gotest -race -run 'TestFailSlow|TestStuckDisk|TestProbes|TestCancel' ./internal/core ./internal/disk
 
 # Step-record gate: reporting must be observation-only (a run with the
 # ring, chains, and flight recorder subscribed stays byte-identical to
-# the bare run, at any -parallel width), its subscribers must agree with
-# each other (span histograms, chain logs, loss log), and a step must
-# allocate nothing whether or not anyone subscribed (AllocsPerRun
-# budgets).
-go test -race -run 'TestCausalChainLifecycle|TestCausalTraceObservationOnly|TestAttrSweepParallelEquivalence|TestFlightRecorderCapturesMisses|TestSubscribersAgree' .
-go test -run 'TestStepOffPathAllocs|TestStepSubscribedAllocs' ./internal/core
-go test -run 'TestChainRecordAllocBudget' ./internal/trace
+# the bare run, and a traced tigerbench sweep at any -parallel width),
+# its subscribers must agree with each other (span histograms, chain
+# logs, loss log), and a step must allocate nothing whether or not
+# anyone subscribed (AllocsPerRun budgets).
+gotest -race -run 'TestCausalChainLifecycle|TestCausalTraceObservationOnly|TestFlightRecorderCapturesMisses|TestSubscribersAgree' .
+gotest -race -run 'TestAttrSweepParallelEquivalence' ./cmd/tigerbench
+gotest -run 'TestStepOffPathAllocs|TestStepSubscribedAllocs' ./internal/core
+gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 
 # Event-diet gate: what a delivered block costs at the paper's rated
 # load stays inside its budgets (3 heap allocations, 5.8 engine events,
@@ -65,11 +81,11 @@ go test -run 'TestChainRecordAllocBudget' ./internal/trace
 # by the viewer peer's writer, whose one due-ordered queue lets paced
 # blocks leave in due order and control traffic FIFO, holds at most 4 096
 # frames, and is written with one flush per wake.
-go test -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
-go test -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel' ./internal/core
-go test -run 'TestLazyNICEqualsEager' ./internal/netsim
-go test -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
-go test -run 'TestWriteFlushCoalesces' ./internal/wire
+gotest -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
+gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel' ./internal/core
+gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
+gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
+gotest -run 'TestWriteFlushCoalesces' ./internal/wire
 
 # Fencing gate (internal/core/fence.go). The protocol's token schemes
 # are one high-water mark, checked from one table with a row per message
@@ -82,7 +98,7 @@ go test -run 'TestWriteFlushCoalesces' ./internal/wire
 # armed before it, so a start re-delivered after a restart stays a
 # duplicate for its full minute. FuzzCubDeliver runs with the wire-edge
 # fuzz targets below.
-go test -race -run 'TestFenceAgainstModel|TestFenceTableCoversEveryType|TestRoundLateReply|TestTombstoneOutlivesRestart' ./internal/core
+gotest -race -run 'TestFenceAgainstModel|TestFenceTableCoversEveryType|TestRoundLateReply|TestTombstoneOutlivesRestart' ./internal/core
 
 # Wire-edge gate. The decoders bound a peer-claimed count by the bytes
 # present before allocating for it. Every kind's encoding equals its
@@ -99,7 +115,7 @@ go test -race -run 'TestFenceAgainstModel|TestFenceTableCoversEveryType|TestRoun
 # never panic a cub serving a stream, and what the fence table refuses
 # leaves its view, queues and tombstones as they were). Crashers land in
 # testdata/fuzz and are committed with their fix.
-go test -run 'TestDecodeBoundsCountBeforeAllocating|TestWireGolden|TestEveryTypeInTable' ./internal/msg
+gotest -run 'TestDecodeBoundsCountBeforeAllocating|TestWireGolden|TestEveryTypeInTable' ./internal/msg
 go test -run '^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 go test -run '^$' -fuzz=FuzzRecv -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz=FuzzSpecConfig -fuzztime=10s ./internal/spec
@@ -117,19 +133,19 @@ rm -rf "$graydir"
 # Elastic gate: the restripe interplay regressions (crash-rejoin mid-copy,
 # split-brain against the lingering retiring cub, quarantine re-route)
 # under the race detector.
-go test -race -run 'TestElasticInterplay' .
+gotest -race -run 'TestElasticInterplay' .
 
 # Correlated-failure gate: the governor regressions (mass-crash rejoin
 # in both restart orders, scattered pair parks nothing, domain kill,
 # sharded chaos smoke) under the race detector.
-go test -race -run 'TestMassCrashRejoin|TestGovernor|TestCrashDomain|TestChaosSmokeSharded' .
+gotest -race -run 'TestMassCrashRejoin|TestGovernor|TestCrashDomain|TestChaosSmokeSharded' .
 
 # Controller-failover gate: the takeover regressions under the race
 # detector (crash-controller chaos smoke: zero loss on crash-time
 # streams, no double admissions, a scavenge served by every cub; the
 # client start-retry backoff; the parked and mid-restripe takeovers;
 # byte determinism).
-go test -race -run 'TestControllerFailover' .
+gotest -race -run 'TestControllerFailover' .
 
 # Byte-identity gate (make identical): every arm of the failover,
 # elastic and correlated sweeps regenerated and compared byte for byte
@@ -147,7 +163,7 @@ go test -race -run 'TestControllerFailover' .
 # what is left is gossip and cross-shard posts — about 4.1 allocations
 # over 5.7 events on six shards, 0.72 measured) and zero loss required
 # (the experiment fails itself on any lost block).
-go test -race -run 'TestSharded' .
+gotest -race -run 'TestSharded' .
 scdir=$(mktemp -d)
 go run ./cmd/tigerbench -exp scalability -scalecubs 200 -scalesettle 5s -scalehold 15s \
     -nsevent-budget 6000 -allocs-budget 1.0 -out "$scdir" >/dev/null
