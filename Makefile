@@ -11,16 +11,16 @@ test:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Byte-identity gate: regenerate BENCH_failover.json, BENCH_elastic.json
-# and BENCH_correlated.json in full into a temp dir and cmp each against
-# the committed file (~75 s). check.sh runs it too.
+# Byte-identity gate: regenerate BENCH_failover.json, BENCH_elastic.json,
+# BENCH_correlated.json and BENCH_chaos.json in full into a temp dir and
+# cmp each against the committed file (~75 s). check.sh runs it too.
 identical:
 	./scripts/identical.sh
 
-# Regenerate the same three sweeps (controller failover, online elastic
-# restripe, correlated failures) over the committed artifacts, at the
-# seeds identical.sh lists: the re-baseline of a change that moves
-# behaviour.
+# Regenerate the same four sweeps (controller failover, online elastic
+# restripe, correlated failures, partition duration) over the committed
+# artifacts, at the seeds identical.sh lists: the re-baseline of a change
+# that moves behaviour.
 regen:
 	./scripts/identical.sh -w
 

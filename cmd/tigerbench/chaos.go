@@ -26,10 +26,10 @@ type chaosPoint struct {
 // runChaosSweep measures split-brain healing across partition durations:
 // for each cut length it builds a fresh cluster, ramps it to half
 // capacity, cuts cub 5 off from both its successors for that long,
-// heals, and records recovery time and delivery loss. The paper
-// restarts a machine to recover from false death; the refutation path
-// makes recovery a heartbeat interval instead, independent of how long
-// the partition lasted.
+// heals, and records recovery time and delivery loss. Each point is
+// gated on its zero columns: no block lost, no invariant violated (a
+// double service is one), and no rejoin — the paper restarts a machine
+// to recover from false death, the refutation path heals without one.
 func runChaosSweep(o tiger.Options, cuts []time.Duration) ([]chaosPoint, error) {
 	o.ClientDropProb = 0
 	out := make([]chaosPoint, len(cuts))
@@ -67,20 +67,23 @@ func runChaosSweep(o tiger.Options, cuts []time.Duration) ([]chaosPoint, error) 
 			Rejoins:        res.Rejoins,
 			Violations:     len(res.Report.Violations),
 		}
+		if err := zeroColumns(res.BlocksLost, 0, 0, out[i].Violations); err != nil {
+			return fmt.Errorf("cut %v: %w", cuts[i], err)
+		}
+		if res.Rejoins != 0 {
+			return fmt.Errorf("cut %v: %d rejoins (refutation must heal without a restart)", cuts[i], res.Rejoins)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// chaosSweep is the partition-duration sweep: cut a cub off from both
-// of its ring successors (the cubs that monitor it and hold its mirror
-// pieces) for increasing durations, heal, and measure how long the
-// split-brain takes to clear. The paper's only recovery from false
-// death is a machine restart; the refutation path makes recovery a
-// heartbeat interval regardless of how long the partition lasted.
+// chaosSweep prints and gates the partition-duration sweep: cut a cub
+// off from both of its ring successors (the cubs that monitor it and
+// hold its mirror pieces) for increasing durations, heal, and measure
+// how long the split-brain takes to clear. The paper's only recovery
+// from false death is a machine restart; the refutation path retires the
+// false death without one.
 func chaosSweep(o tiger.Options) error {
 	header("Chaos: partition-duration sweep (split-brain healing)",
 		"false deaths are refuted on proof of life -- no restart, zero conflicts, bounded loss")
@@ -89,12 +92,12 @@ func chaosSweep(o tiger.Options) error {
 		30 * time.Second, 60 * time.Second,
 	}
 	pts, err := runChaosSweep(o, cuts)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%10s %8s %10s %9s %8s %8s %9s %8s %10s\n",
 		"cut", "streams", "recovery", "refuted", "retired", "rejoins", "lost", "mirror", "violations")
 	for _, p := range pts {
+		if p.Streams == 0 {
+			continue // point aborted before setup (its error is reported below)
+		}
 		rec := "never"
 		if p.Converged {
 			rec = fmt.Sprintf("%.1fs", p.RecoverySec)
@@ -102,6 +105,9 @@ func chaosSweep(o tiger.Options) error {
 		fmt.Printf("%9.0fs %8d %10s %9d %8d %8d %9d %8d %10d\n",
 			p.PartitionSec, p.Streams, rec, p.DeathsRefuted, p.MirrorsRetired,
 			p.Rejoins, p.BlocksLost, p.MirrorBlocks, p.Violations)
+	}
+	if err != nil {
+		return err
 	}
 	var rows [][]string
 	for _, p := range pts {

@@ -7,7 +7,7 @@
 # stream, shows up here; so does any violated zero column (lost blocks,
 # double serves, oracle flags), since the sweeps gate on them and the
 # committed files carry zeros. About 75 s: failover 4 s, elastic 12 s,
-# correlated 58 s.
+# correlated 58 s, chaos 1 s.
 #
 # With -w (make regen) the regenerated files replace the committed ones
 # and the sweeps' tables are printed: how a change that moves behaviour
@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 mode=${1:-}
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-for exp in failover elastic correlated; do
+for exp in failover elastic correlated chaos; do
     seed=1
     if [ "$exp" = elastic ]; then
         # Pinned: at most seeds some elastic arm meets the hedge storm of
@@ -39,4 +39,4 @@ for exp in failover elastic correlated; do
         fi
     fi
 done
-[ "$mode" = -w ] || echo "identical.sh: failover, elastic, correlated regenerate byte-identical"
+[ "$mode" = -w ] || echo "identical.sh: failover, elastic, correlated, chaos regenerate byte-identical"
