@@ -17,63 +17,19 @@ import (
 // (internal/chaos): the System shim the runner drives, the standard
 // invariant set checked every tick, and one scenario run under it.
 
-// chaosSystem adapts *Cluster to chaos.System.
-type chaosSystem struct{ c *Cluster }
+// chaosSystem adapts *Cluster to chaos.System: the cluster's own
+// methods, plus those that name a drive by cub-local index, which keeps
+// schedules valid across layout changes — including mid-run restripes
+// that renumber every disk.
+type chaosSystem struct{ *Cluster }
 
-func (s chaosSystem) NumCubs() int           { return len(s.c.Cubs) }
-func (s chaosSystem) Net() *netsim.Network   { return s.c.Net }
-func (s chaosSystem) CrashCub(i int)         { s.c.CrashCub(i) }
-func (s chaosSystem) RestartCub(i int)       { s.c.RestartCub(i) }
-func (s chaosSystem) FailCub(i int)          { s.c.FailCub(i) }
-func (s chaosSystem) ReviveCub(i int)        { s.c.ReviveCub(i) }
-func (s chaosSystem) RunFor(d time.Duration) { s.c.RunFor(d) }
-func (s chaosSystem) Now() sim.Time          { return s.c.Now() }
-
-// FailDisk kills the cub's disk-th local drive (0..DisksPerCub-1);
-// chaos scenarios name disks cub-locally so schedules stay valid across
-// layout changes — including mid-run restripes that renumber every disk.
-func (s chaosSystem) FailDisk(cub, disk int) {
-	c := s.c.Cubs[cub]
-	c.FailDisk(c.NativeDiskKey(disk))
+func (s chaosSystem) NumCubs() int                 { return len(s.Cubs) }
+func (s chaosSystem) Net() *netsim.Network         { return s.Cluster.Net }
+func (s chaosSystem) Disk(cub, idx int) *disk.Disk { return s.Cubs[cub].DiskByIndex(idx) }
+func (s chaosSystem) FailDisk(cub, idx int) {
+	c := s.Cubs[cub]
+	c.FailDisk(c.NativeDiskKey(idx))
 }
-
-// diskFaults mutates the fault state of the cub's idx-th local drive.
-func (s chaosSystem) diskFaults(cub, idx int, mut func(*disk.Faults)) {
-	dk := s.c.Cubs[cub].DiskByIndex(idx)
-	f := dk.Faults()
-	mut(&f)
-	dk.SetFaults(f)
-}
-
-func (s chaosSystem) SlowDisk(cub, idx int, factor float64) {
-	s.diskFaults(cub, idx, func(f *disk.Faults) { f.SlowFactor = factor })
-}
-func (s chaosSystem) ErrorDisk(cub, idx int, prob float64) {
-	s.diskFaults(cub, idx, func(f *disk.Faults) { f.ErrProb = prob })
-}
-func (s chaosSystem) StickDisk(cub, idx int) {
-	s.diskFaults(cub, idx, func(f *disk.Faults) { f.Stuck = true })
-}
-func (s chaosSystem) HealDisk(cub, idx int) {
-	s.diskFaults(cub, idx, func(f *disk.Faults) { *f = disk.Faults{} })
-}
-
-// StartRestripe and RestripePhase make the cluster an
-// chaos.ElasticSystem, unlocking the restripe step kinds.
-func (s chaosSystem) StartRestripe(targetCubs int) error { return s.c.StartRestripe(targetCubs) }
-func (s chaosSystem) RestripePhase() string              { return s.c.RestripePhase() }
-
-// CrashDomain and RestartDomain make the cluster a chaos.DomainSystem,
-// unlocking the domain step kinds.
-func (s chaosSystem) CrashDomain(d int) ([]int, error)   { return s.c.CrashDomain(d) }
-func (s chaosSystem) RestartDomain(d int) ([]int, error) { return s.c.RestartDomain(d) }
-
-// CrashController and friends make the cluster a chaos.ControllerSystem,
-// unlocking the controller-failover step kinds.
-func (s chaosSystem) CrashController()     { s.c.CrashController() }
-func (s chaosSystem) RestartController()   { s.c.RestartController() }
-func (s chaosSystem) ControllerDown() bool { return s.c.ControllerDown() }
-func (s chaosSystem) ParkedStreams() int   { return s.c.ParkedStreams() }
 
 // serveKey identifies one block or mirror-piece service. Exactly one cub
 // may perform each: the slot owner for primaries, the covering disk's

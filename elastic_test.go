@@ -4,8 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"tiger/internal/disk"
 	"tiger/internal/msg"
 )
+
+// SlowDisk and HealDisk set the gray-fault state of cub's idx-th local
+// drive the way a chaos disk-slow or disk-heal step does.
+func (s chaosSystem) SlowDisk(cub, idx int, factor float64) {
+	dk := s.Disk(cub, idx)
+	f := dk.Faults()
+	f.SlowFactor = factor
+	dk.SetFaults(f)
+}
+
+func (s chaosSystem) HealDisk(cub, idx int) { s.Disk(cub, idx).SetFaults(disk.Faults{}) }
 
 // Small, fast shape for the interplay tests: 6 cubs x 2 disks,
 // decluster 2, short files so the old generation drains by EOF in

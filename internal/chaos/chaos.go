@@ -12,115 +12,54 @@
 // exists for the failures that are harder to stage by hand — partitions
 // that make a live cub look dead, asymmetric link loss, duplicated
 // gossip — and turns each into a reusable, reproducible schedule.
+//
+// Every step kind is one row of one table (kinds): what its operands
+// name, the check its parameters must pass, and what applying it does.
+// Validate and the runner are lookups in that table; a kind without a
+// row is refused.
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"tiger/internal/disk"
+	"tiger/internal/msg"
 	"tiger/internal/netsim"
 )
 
-// Kind names one fault or repair action.
+// Kind names one fault or repair action. A and B are cub indices, Disk a
+// cub-local drive index; each kind's row in kinds says which it reads.
 type Kind string
 
 const (
-	// CrashCub kills cub A and dooms its in-flight traffic; pair with
-	// RestartCub for the full crash–restart cycle.
-	CrashCub Kind = "crash"
-	// RestartCub cold-restarts cub A (rejoin handshake, epoch bump).
-	RestartCub Kind = "restart"
-	// FailCub silently disconnects cub A (a network blip: state intact).
-	FailCub Kind = "fail"
-	// ReviveCub ends a FailCub blip.
-	ReviveCub Kind = "revive"
-	// FailDisk kills disk Disk on cub A; declustered mirrors take over.
-	FailDisk Kind = "disk-fail"
-	// CutLink severs the A↔B control link in both directions.
-	CutLink Kind = "cut"
-	// CutOneWay severs only the A→B direction (asymmetric partition).
-	CutOneWay Kind = "cut-oneway"
-	// HealLink restores A↔B (cut and flakiness, both directions).
-	HealLink Kind = "heal"
-	// HealOneWay restores only the A→B direction.
-	HealOneWay Kind = "heal-oneway"
-	// FlakyLink degrades A↔B with Flaky (drop/dup/extra-delay) params;
-	// zero params heal the flakiness.
-	FlakyLink Kind = "flaky"
-	// FlakyOneWay degrades only the A→B direction.
-	FlakyOneWay Kind = "flaky-oneway"
-	// Isolate cuts cub A off from every other cub and the controller —
-	// the canonical split-brain partition.
-	Isolate Kind = "isolate"
-	// Rejoin heals every link of cub A cut by Isolate (or otherwise).
-	Rejoin Kind = "rejoin"
-	// HealAll clears every link fault on the switch.
-	HealAll Kind = "heal-all"
-	// DropData sets the block-delivery drop probability for sends from
-	// cub A (A == All for every cub) to Prob; Prob 0 heals it.
-	DropData Kind = "drop-data"
-	// SlowDisk degrades disk Disk on cub A to Factor× its nominal
-	// service time — the gray fail-slow fault the health monitor hunts.
-	SlowDisk Kind = "disk-slow"
-	// ErrorDisk gives disk Disk on cub A a transient read-failure
-	// probability of Prob.
-	ErrorDisk Kind = "disk-error"
-	// StickDisk wedges disk Disk's queue on cub A: reads are accepted
-	// but none completes until a DiskHeal.
-	StickDisk Kind = "disk-stick"
-	// HealDisk clears every gray fault (slow/error/stuck) on disk Disk
-	// of cub A; the health monitor's probes then un-quarantine it.
-	HealDisk Kind = "disk-heal"
-	// RestripeStart begins an online elastic restripe of the array to A
-	// cubs (grow or shrink). Requires a System that also implements
-	// ElasticSystem; later steps may name cubs up to the largest target
-	// any earlier restripe-start introduced.
-	RestripeStart Kind = "restripe-start"
-	// CrashDuringRestripe crashes cub A like CrashCub, but asserts a
-	// restripe is in progress at apply time — applying it to an idle
-	// system records a restripe-precondition violation (the schedule's
-	// timing no longer tests what it claims to). Pair with RestartCub.
-	CrashDuringRestripe Kind = "crash-during-restripe"
-	// PartitionMidMove isolates cub A like Isolate, asserting a restripe
-	// is in progress. Pair with Rejoin.
-	PartitionMidMove Kind = "partition-mid-move"
-	// DiskSlowDuringRestripe degrades disk Disk on cub A to Factor× like
-	// SlowDisk, asserting a restripe is in progress — the move scheduler
-	// must re-route the disk's pending copies when the health monitor
-	// quarantines it. Pair with HealDisk.
-	DiskSlowDuringRestripe Kind = "disk-slow-during-restripe"
-	// CrashMany crashes cubs A..A+B-1 simultaneously (no virtual time
-	// between the kills) — the correlated failure a shared power strip
-	// produces. Pair with RestartMany, or individual RestartCub steps.
-	CrashMany Kind = "crash-many"
-	// RestartMany cold-restarts cubs A..A+B-1 together.
-	RestartMany Kind = "restart-many"
-	// CrashDomain crashes every cub of failure domain A atomically.
-	// Requires a System that also implements DomainSystem; the domain
-	// index is range-checked at apply time (the runner cannot see the
-	// layout at validation time).
-	CrashDomain Kind = "crash-domain"
-	// RestartDomain restarts every cub of failure domain A.
-	RestartDomain Kind = "restart-domain"
-	// CrashController kills the controller: admitted streams keep
-	// playing off the distributed schedule, new admissions retry.
-	// Requires a System that also implements ControllerSystem. Pair with
-	// RestartController.
-	CrashController Kind = "crash-controller"
-	// RestartController brings up the next controller incarnation, which
-	// fences the dead one by epoch and rebuilds its state by scavenging
-	// the cubs' schedules.
-	RestartController Kind = "restart-controller"
-	// CrashControllerDuringRestripe crashes the controller like
-	// CrashController, asserting an elastic restripe is in copy phase at
-	// apply time — the takeover must re-arm the interrupted move plan.
-	CrashControllerDuringRestripe Kind = "crash-controller-during-restripe"
-	// CrashControllerWhileParked crashes the controller while the
-	// governor holds parked streams, asserting ParkedStreams() > 0 at
-	// apply time — the takeover must scavenge the park tickets and
-	// resume each stream exactly once.
-	CrashControllerWhileParked Kind = "crash-controller-while-parked"
+	CrashCub    Kind = "crash"        // kill cub A, dooming its in-flight traffic
+	RestartCub  Kind = "restart"      // cold-restart cub A (rejoin handshake, epoch bump)
+	FailCub     Kind = "fail"         // silently disconnect cub A (a network blip: state intact)
+	ReviveCub   Kind = "revive"       // end a FailCub blip
+	FailDisk    Kind = "disk-fail"    // kill disk Disk on cub A; declustered mirrors take over
+	CutLink     Kind = "cut"          // sever the A↔B control link in both directions
+	CutOneWay   Kind = "cut-oneway"   // sever only A→B (asymmetric partition)
+	HealLink    Kind = "heal"         // restore A↔B (cut and flakiness, both directions)
+	HealOneWay  Kind = "heal-oneway"  // restore only A→B
+	FlakyLink   Kind = "flaky"        // degrade A↔B with Flaky params; zero params heal it
+	FlakyOneWay Kind = "flaky-oneway" // degrade only A→B
+	Isolate     Kind = "isolate"      // cut cub A off from every cub and the controller: split brain
+	Rejoin      Kind = "rejoin"       // heal every link of cub A
+	HealAll     Kind = "heal-all"     // clear every link fault on the switch
+	DropData    Kind = "drop-data"    // drop block deliveries from cub A (or All) with Prob; 0 heals
+	SlowDisk    Kind = "disk-slow"    // gray fail-slow: disk Disk on cub A at Factor× service time
+	ErrorDisk   Kind = "disk-error"   // reads of disk Disk on cub A fail with Prob
+	StickDisk   Kind = "disk-stick"   // wedge disk Disk's queue on cub A until a HealDisk
+	HealDisk    Kind = "disk-heal"    // clear every gray fault of disk Disk on cub A
+
+	RestripeStart     Kind = "restripe-start"     // restripe online to A cubs; later steps may name cubs up to A
+	CrashDomain       Kind = "crash-domain"       // crash every cub of failure domain A (A checked at apply time)
+	RestartDomain     Kind = "restart-domain"     // restart every cub of failure domain A
+	CrashController   Kind = "crash-controller"   // kill the controller; admitted streams play on, admissions retry
+	RestartController Kind = "restart-controller" // next controller incarnation: epoch-fenced, state scavenged from the cubs
 )
 
 // All, as Step.A for DropData, applies the probability to every cub.
@@ -130,13 +69,169 @@ const All = -1
 // start of the run; A and B are cub indices (B unused for single-node
 // kinds).
 type Step struct {
-	At     time.Duration
-	Kind   Kind
-	A, B   int
-	Disk   int                // FailDisk / SlowDisk / ErrorDisk / StickDisk / HealDisk
-	Flaky  netsim.FlakyParams // FlakyLink / FlakyOneWay only
-	Prob   float64            // DropData / ErrorDisk
-	Factor float64            // SlowDisk only: service-time multiplier, ≥ 1
+	At      time.Duration
+	Kind    Kind
+	A, B    int
+	Disk    int                // FailDisk and the gray disk kinds
+	Flaky   netsim.FlakyParams // FlakyLink / FlakyOneWay only
+	Prob    float64            // DropData / ErrorDisk
+	Factor  float64            // SlowDisk only: service-time multiplier, ≥ 1
+	Require Guard              // a precondition checked when the step applies; "" for none
+}
+
+// Guard names a precondition a step asserts at apply time. A step whose
+// guard does not hold still acts, but the run records a violation: its
+// timing no longer tests the interplay the schedule was written for.
+type Guard string
+
+const (
+	Restriping Guard = "restriping" // an elastic restripe is in progress
+	CopyPhase  Guard = "copy-phase" // the restripe is copying (the takeover re-arms only this phase)
+	Parked     Guard = "parked"     // the governor holds parked streams
+)
+
+// guards holds each Guard's invariant name and test; holds also says
+// what it saw, for the violation.
+var guards = map[Guard]struct {
+	invariant string
+	holds     func(System) (bool, string)
+}{
+	Restriping: {"restripe-precondition", func(s System) (bool, string) {
+		p := s.RestripePhase()
+		return restripeInProgress(p), fmt.Sprintf("restripe phase %q", p)
+	}},
+	CopyPhase: {"restripe-precondition", func(s System) (bool, string) {
+		p := s.RestripePhase()
+		return p == "copy", fmt.Sprintf("restripe phase %q", p)
+	}},
+	Parked: {"controller-precondition", func(s System) (bool, string) {
+		n := s.ParkedStreams()
+		return n > 0, fmt.Sprintf("%d parked streams", n)
+	}},
+}
+
+// restripeInProgress interprets a System's restripe phase: "idle" and
+// "done" mean no restripe is in progress.
+func restripeInProgress(phase string) bool {
+	return phase != "" && phase != "idle" && phase != "done"
+}
+
+// operand is what a kind's Step.A and Step.B name, and so how Validate
+// bounds them.
+type operand int
+
+const (
+	none     operand = iota // the switch or the controller
+	cub                     // A: a cub
+	cubOrAll                // A: a cub, or All
+	link                    // A and B: two distinct cubs
+	domain                  // A: a failure domain, range-checked at apply time
+	cubCount                // A: an array size ≥ 2, raising the cub bound for later steps
+)
+
+// row is everything the engine knows about one step kind.
+type row struct {
+	names operand
+	check func(Step) error // parameter check; nil when the kind has none
+	apply func(*Runner, Step)
+}
+
+// kinds is the one table of step kinds.
+var kinds = map[Kind]row{
+	CrashCub:   {cub, nil, onCub(System.CrashCub, true)},
+	RestartCub: {cub, nil, onCub(System.RestartCub, false)},
+	FailCub:    {cub, nil, onCub(System.FailCub, true)},
+	ReviveCub:  {cub, nil, onCub(System.ReviveCub, false)},
+	FailDisk:   {cub, nil, func(r *Runner, st Step) { r.Sys.FailDisk(st.A, st.Disk) }},
+
+	CutLink:    {link, nil, onLink((*netsim.Network).Cut)},
+	CutOneWay:  {link, nil, onLink((*netsim.Network).CutOneWay)},
+	HealLink:   {link, nil, onLink((*netsim.Network).Heal)},
+	HealOneWay: {link, nil, onLink((*netsim.Network).HealOneWay)},
+	FlakyLink: {link, nil, func(r *Runner, st Step) {
+		r.Sys.Net().SetFlaky(msg.NodeID(st.A), msg.NodeID(st.B), st.Flaky)
+	}},
+	FlakyOneWay: {link, nil, func(r *Runner, st Step) {
+		r.Sys.Net().SetFlakyOneWay(msg.NodeID(st.A), msg.NodeID(st.B), st.Flaky)
+	}},
+	Isolate: {cub, nil, func(r *Runner, st Step) { r.allLinks(st.A, (*netsim.Network).Cut) }},
+	Rejoin:  {cub, nil, func(r *Runner, st Step) { r.allLinks(st.A, (*netsim.Network).Heal) }},
+	HealAll: {none, nil, func(r *Runner, _ Step) { r.Sys.Net().HealAllLinks() }},
+	DropData: {cubOrAll, func(st Step) error {
+		if st.Prob < 0 || st.Prob > 1 {
+			return fmt.Errorf("drop probability %v", st.Prob)
+		}
+		return nil
+	}, func(r *Runner, st Step) { r.setDropProb(st.A, st.Prob) }},
+
+	SlowDisk: {cub, func(st Step) error {
+		if st.Factor < 1 {
+			return fmt.Errorf("slow factor %v below 1 (use %s to heal)", st.Factor, HealDisk)
+		}
+		return nil
+	}, grayFault(func(f *disk.Faults, st Step) { f.SlowFactor = st.Factor })},
+	ErrorDisk: {cub, func(st Step) error {
+		if st.Prob <= 0 || st.Prob > 1 {
+			return fmt.Errorf("error probability %v outside (0,1] (use %s to heal)", st.Prob, HealDisk)
+		}
+		return nil
+	}, grayFault(func(f *disk.Faults, st Step) { f.ErrProb = st.Prob })},
+	StickDisk: {cub, nil, grayFault(func(f *disk.Faults, _ Step) { f.Stuck = true })},
+	HealDisk:  {cub, nil, grayFault(func(f *disk.Faults, _ Step) { *f = disk.Faults{} })},
+
+	RestripeStart: {cubCount, nil, func(r *Runner, st Step) {
+		if err := r.Sys.StartRestripe(st.A); err != nil {
+			r.violate("restripe-precondition", "restripe to %d cubs refused: %v", st.A, err)
+		}
+	}},
+	CrashDomain:       {domain, nil, onDomain("crash", System.CrashDomain, true)},
+	RestartDomain:     {domain, nil, onDomain("restart", System.RestartDomain, false)},
+	CrashController:   {none, nil, func(r *Runner, _ Step) { r.Sys.CrashController() }},
+	RestartController: {none, nil, func(r *Runner, _ Step) { r.Sys.RestartController() }},
+}
+
+// onCub applies a cub operation to cub A and marks it down or up.
+func onCub(op func(System, int), down bool) func(*Runner, Step) {
+	return func(r *Runner, st Step) {
+		op(r.Sys, st.A)
+		r.setDown(st.A, down)
+	}
+}
+
+// onDomain applies a domain operation to domain A and marks its members
+// down or up; a refusal is a domain-precondition violation.
+func onDomain(verb string, op func(System, int) ([]int, error), down bool) func(*Runner, Step) {
+	return func(r *Runner, st Step) {
+		members, err := op(r.Sys, st.A)
+		if err != nil {
+			r.violate("domain-precondition", "%s of domain %d refused: %v", verb, st.A, err)
+		}
+		for _, c := range members {
+			r.setDown(c, down)
+		}
+	}
+}
+
+// onLink applies a link operation to A→B (both directions for the
+// symmetric ones).
+func onLink(op func(*netsim.Network, msg.NodeID, msg.NodeID)) func(*Runner, Step) {
+	return func(r *Runner, st Step) { op(r.Sys.Net(), msg.NodeID(st.A), msg.NodeID(st.B)) }
+}
+
+// grayFault edits the gray-fault state of disk Disk on cub A. The disk
+// counts as an outstanding fault until its state is healthy again.
+func grayFault(edit func(*disk.Faults, Step)) func(*Runner, Step) {
+	return func(r *Runner, st Step) {
+		dk := r.Sys.Disk(st.A, st.Disk)
+		f := dk.Faults()
+		edit(&f, st)
+		dk.SetFaults(f)
+		if k := [2]int{st.A, st.Disk}; f == (disk.Faults{}) {
+			delete(r.grayDisks, k)
+		} else {
+			r.grayDisks[k] = true
+		}
+	}
 }
 
 // Scenario is a named, seeded fault schedule.
@@ -158,129 +253,85 @@ type Scenario struct {
 	Steps []Step
 }
 
-// DefaultTick is the invariant-check interval when Scenario.Tick is zero:
-// ten checks per simulated second catches transient double occupancy
-// without dominating run time.
-const DefaultTick = 100 * time.Millisecond
+const (
+	// DefaultTick is the invariant-check interval when Scenario.Tick is
+	// zero: ten checks per simulated second catches transient double
+	// occupancy without dominating run time.
+	DefaultTick = 100 * time.Millisecond
+	// DefaultSettle is the post-heal grace period when Scenario.Settle is
+	// zero. It must cover a deadman timeout plus a couple of forward
+	// intervals so refutation and mirror retirement can complete before
+	// the quiet invariants start failing runs.
+	DefaultSettle = 5 * time.Second
+)
 
-// DefaultSettle is the post-heal grace period when Scenario.Settle is
-// zero. It must cover a deadman timeout plus a couple of forward
-// intervals so refutation and mirror retirement can complete before the
-// quiet invariants start failing runs.
-const DefaultSettle = 5 * time.Second
-
-func (s Scenario) tick() time.Duration {
-	if s.Tick > 0 {
-		return s.Tick
+// orDefault returns d when it is positive and def otherwise.
+func orDefault(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
-	return DefaultTick
+	return def
 }
 
-func (s Scenario) settle() time.Duration {
-	if s.Settle > 0 {
-		return s.Settle
-	}
-	return DefaultSettle
-}
-
-// needsPeer reports whether the kind uses Step.B.
-func (k Kind) needsPeer() bool {
-	switch k {
-	case CutLink, CutOneWay, HealLink, HealOneWay, FlakyLink, FlakyOneWay:
-		return true
-	}
-	return false
-}
-
-// Validate checks the scenario against a cluster of numCubs cubs. A
-// restripe-start step raises the cub-index bound for every later step:
-// a grow to N cubs makes cubs numCubs..N-1 real targets (and a shrink
-// never lowers the bound — retired cubs still exist to be crashed or
-// partitioned, which is exactly what the linger window defends).
+// Validate checks the scenario against a cluster of numCubs cubs, in
+// schedule order. A restripe-start step raises the cub-index bound for
+// every later step: a grow to N cubs makes cubs numCubs..N-1 real
+// targets (and a shrink never lowers the bound — retired cubs still
+// exist to be crashed or partitioned, which is exactly what the linger
+// window defends).
 func (s Scenario) Validate(numCubs int) error {
 	if s.Duration <= 0 {
 		return fmt.Errorf("chaos: scenario %q has no duration", s.Name)
 	}
-	for i, st := range s.Steps {
-		if st.At < 0 || st.At > s.Duration {
-			return fmt.Errorf("chaos: step %d (%s) at %v outside run of %v", i, st.Kind, st.At, s.Duration)
-		}
-		switch st.Kind {
-		case CrashCub, RestartCub, FailCub, ReviveCub, FailDisk, CutLink, CutOneWay,
-			HealLink, HealOneWay, FlakyLink, FlakyOneWay, Isolate, Rejoin, HealAll, DropData,
-			SlowDisk, ErrorDisk, StickDisk, HealDisk,
-			RestripeStart, CrashDuringRestripe, PartitionMidMove, DiskSlowDuringRestripe,
-			CrashMany, RestartMany, CrashDomain, RestartDomain,
-			CrashController, RestartController, CrashControllerDuringRestripe, CrashControllerWhileParked:
-		default:
-			return fmt.Errorf("chaos: step %d has unknown kind %q", i, st.Kind)
-		}
-		if (st.Kind == CrashMany || st.Kind == RestartMany) && st.B < 1 {
-			return fmt.Errorf("chaos: step %d (%s) covers %d cubs", i, st.Kind, st.B)
-		}
-		if (st.Kind == CrashDomain || st.Kind == RestartDomain) && st.A < 0 {
-			return fmt.Errorf("chaos: step %d (%s) names domain %d", i, st.Kind, st.A)
-		}
-		if st.Kind == HealAll {
-			continue
-		}
-		if st.Kind == RestripeStart {
-			if st.A < 2 {
-				return fmt.Errorf("chaos: step %d (%s) targets %d cubs", i, st.Kind, st.A)
-			}
-			continue
-		}
-		if st.Kind.needsPeer() {
-			if st.B < 0 {
-				return fmt.Errorf("chaos: step %d (%s) names peer cub %d", i, st.Kind, st.B)
-			}
-			if st.B == st.A {
-				return fmt.Errorf("chaos: step %d (%s) links cub %d to itself", i, st.Kind, st.A)
-			}
-		}
-		if st.Kind == DropData && (st.Prob < 0 || st.Prob > 1) {
-			return fmt.Errorf("chaos: step %d has drop probability %v", i, st.Prob)
-		}
-		if (st.Kind == SlowDisk || st.Kind == DiskSlowDuringRestripe) && st.Factor < 1 {
-			return fmt.Errorf("chaos: step %d has slow factor %v below 1 (use %s to heal)", i, st.Factor, HealDisk)
-		}
-		if st.Kind == ErrorDisk && (st.Prob <= 0 || st.Prob > 1) {
-			return fmt.Errorf("chaos: step %d has error probability %v outside (0,1] (use %s to heal)", i, st.Prob, HealDisk)
-		}
-	}
-	// Cub-index bounds in schedule order, tracking the widening effect of
-	// restripe-start steps.
 	bound := numCubs
 	for _, st := range s.sortedSteps() {
-		switch st.Kind {
-		case HealAll, CrashController, RestartController,
-			CrashControllerDuringRestripe, CrashControllerWhileParked:
-			// No cub named: the target is the switch or the controller.
-			continue
-		case RestripeStart:
-			if st.A > bound {
-				bound = st.A
-			}
-			continue
-		case CrashDomain, RestartDomain:
-			// Domain membership depends on the layout, which validation
-			// cannot see; a bad index surfaces as an apply-time violation.
-			continue
-		case CrashMany, RestartMany:
-			if st.A < 0 || st.A+st.B > bound {
-				return fmt.Errorf("chaos: step %s at %v covers cubs [%d,%d) of %d",
-					st.Kind, st.At, st.A, st.A+st.B, bound)
-			}
-			continue
+		if err := st.validate(s.Duration, &bound); err != nil {
+			return fmt.Errorf("chaos: step %s at %v: %w", st.Kind, st.At, err)
 		}
-		if st.A < 0 || st.A >= bound {
-			if !(st.Kind == DropData && st.A == All) {
-				return fmt.Errorf("chaos: step %s at %v names cub %d of %d", st.Kind, st.At, st.A, bound)
-			}
+	}
+	return nil
+}
+
+// validate checks one step against its row, widening *bound for a
+// restripe-start.
+func (st Step) validate(dur time.Duration, bound *int) error {
+	if st.At < 0 || st.At > dur {
+		return fmt.Errorf("outside run of %v", dur)
+	}
+	row, ok := kinds[st.Kind]
+	if !ok {
+		return errors.New("unknown kind")
+	}
+	if _, ok := guards[st.Require]; st.Require != "" && !ok {
+		return fmt.Errorf("unknown precondition %q", st.Require)
+	}
+	if row.check != nil {
+		if err := row.check(st); err != nil {
+			return err
 		}
-		if st.Kind.needsPeer() && st.B >= bound {
-			return fmt.Errorf("chaos: step %s at %v names peer cub %d of %d", st.Kind, st.At, st.B, bound)
+	}
+	isCub := func(c int) bool { return c >= 0 && c < *bound }
+	switch row.names {
+	case cub, cubOrAll:
+		if !isCub(st.A) && !(row.names == cubOrAll && st.A == All) {
+			return fmt.Errorf("names cub %d of %d", st.A, *bound)
 		}
+	case link:
+		if !isCub(st.A) || !isCub(st.B) {
+			return fmt.Errorf("names link %d-%d of %d cubs", st.A, st.B, *bound)
+		}
+		if st.A == st.B {
+			return fmt.Errorf("links cub %d to itself", st.A)
+		}
+	case domain:
+		if st.A < 0 {
+			return fmt.Errorf("names domain %d", st.A)
+		}
+	case cubCount:
+		if st.A < 2 {
+			return fmt.Errorf("targets %d cubs", st.A)
+		}
+		*bound = max(*bound, st.A)
 	}
 	return nil
 }
@@ -362,24 +413,38 @@ func DiskHeal(cub, disk int) Step { return Step{Kind: HealDisk, A: cub, Disk: di
 // to targetCubs.
 func Restripe(targetCubs int) Step { return Step{Kind: RestripeStart, A: targetCubs} }
 
-// CrashMidRestripe returns a CrashDuringRestripe step.
-func CrashMidRestripe(cub int) Step { return Step{Kind: CrashDuringRestripe, A: cub} }
+// CrashMidRestripe returns a CrashCub step that requires a restripe in
+// progress. Pair with Restart.
+func CrashMidRestripe(cub int) Step { return Step{Kind: CrashCub, A: cub, Require: Restriping} }
 
-// IsolateMidRestripe returns a PartitionMidMove step.
-func IsolateMidRestripe(cub int) Step { return Step{Kind: PartitionMidMove, A: cub} }
+// IsolateMidRestripe returns an Isolate step that requires a restripe in
+// progress. Pair with RejoinCub.
+func IsolateMidRestripe(cub int) Step { return Step{Kind: Isolate, A: cub, Require: Restriping} }
 
-// DiskSlowMidRestripe returns a DiskSlowDuringRestripe step.
+// DiskSlowMidRestripe returns a SlowDisk step that requires a restripe in
+// progress: the move scheduler must re-route the disk's pending copies
+// when the health monitor quarantines it. Pair with DiskHeal.
 func DiskSlowMidRestripe(cub, disk int, factor float64) Step {
-	return Step{Kind: DiskSlowDuringRestripe, A: cub, Disk: disk, Factor: factor}
+	return Step{Kind: SlowDisk, A: cub, Disk: disk, Factor: factor, Require: Restriping}
 }
 
-// MultiCrash returns a CrashMany step killing cubs first..first+count-1
-// at the same instant.
-func MultiCrash(first, count int) Step { return Step{Kind: CrashMany, A: first, B: count} }
+// MultiCrash returns CrashCub steps for cubs first..first+count-1 at one
+// instant, which the runner applies with no virtual time between them —
+// the correlated failure a shared power strip produces.
+func MultiCrash(first, count int) []Step { return each(CrashCub, first, count) }
 
-// MultiRestart returns a RestartMany step restarting cubs
-// first..first+count-1 together.
-func MultiRestart(first, count int) Step { return Step{Kind: RestartMany, A: first, B: count} }
+// MultiRestart returns RestartCub steps for cubs first..first+count-1 at
+// one instant.
+func MultiRestart(first, count int) []Step { return each(RestartCub, first, count) }
+
+// each returns k steps for cubs first..first+count-1.
+func each(k Kind, first, count int) []Step {
+	out := make([]Step, count)
+	for i := range out {
+		out[i] = Step{Kind: k, A: first + i}
+	}
+	return out
+}
 
 // DomainCrash returns a CrashDomain step killing failure domain d.
 func DomainCrash(d int) Step { return Step{Kind: CrashDomain, A: d} }
@@ -393,19 +458,23 @@ func CtlCrash() Step { return Step{Kind: CrashController} }
 // CtlRestart returns a RestartController step (epoch bump + scavenge).
 func CtlRestart() Step { return Step{Kind: RestartController} }
 
-// CtlCrashMidRestripe returns a CrashControllerDuringRestripe step.
-func CtlCrashMidRestripe() Step { return Step{Kind: CrashControllerDuringRestripe} }
+// CtlCrashMidRestripe returns a CrashController step that requires an
+// elastic restripe in its copy phase: the takeover must re-arm the
+// interrupted move plan.
+func CtlCrashMidRestripe() Step { return Step{Kind: CrashController, Require: CopyPhase} }
 
-// CtlCrashWhileParked returns a CrashControllerWhileParked step.
-func CtlCrashWhileParked() Step { return Step{Kind: CrashControllerWhileParked} }
+// CtlCrashWhileParked returns a CrashController step that requires
+// parked streams: the takeover must scavenge the park tickets and resume
+// each stream exactly once.
+func CtlCrashWhileParked() Step { return Step{Kind: CrashController, Require: Parked} }
 
 // Cascade expands to count single-cub crash steps for cubs
 // first..first+count-1, the k-th firing at at + k·gap — the rolling
 // correlated failure of a rack losing cooling rather than power.
 func Cascade(at time.Duration, first, count int, gap time.Duration) []Step {
-	out := make([]Step, 0, count)
-	for k := 0; k < count; k++ {
-		out = append(out, Step{At: at + time.Duration(k)*gap, Kind: CrashCub, A: first + k})
+	out := each(CrashCub, first, count)
+	for k := range out {
+		out[k].At = at + time.Duration(k)*gap
 	}
 	return out
 }

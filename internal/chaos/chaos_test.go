@@ -1,22 +1,28 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"tiger/internal/clock"
+	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/sim"
 )
 
 // fakeSystem wraps a real engine + network with recording cub controls.
+// It refuses every restripe (its phase stays idle), maps failure domain
+// d to cubs {2d, 2d+1}, and has no parked streams.
 type fakeSystem struct {
-	eng   *sim.Engine
-	net   *netsim.Network
-	cubs  int
-	calls []string
+	eng     *sim.Engine
+	net     *netsim.Network
+	cubs    int
+	calls   []string
+	disks   map[[2]int]*disk.Disk
+	ctlDown bool
 }
 
 func newFakeSystem(t *testing.T, cubs int) *fakeSystem {
@@ -26,7 +32,7 @@ func newFakeSystem(t *testing.T, cubs int) *fakeSystem {
 	for i := 0; i < cubs; i++ {
 		net.Register(msg.NodeID(i), netsim.HandlerFunc(func(msg.NodeID, msg.Message) {}))
 	}
-	return &fakeSystem{eng: eng, net: net, cubs: cubs}
+	return &fakeSystem{eng: eng, net: net, cubs: cubs, disks: make(map[[2]int]*disk.Disk)}
 }
 
 func (f *fakeSystem) record(s string)        { f.calls = append(f.calls, s) }
@@ -37,16 +43,38 @@ func (f *fakeSystem) RestartCub(i int)       { f.record("restart"); f.net.Revive
 func (f *fakeSystem) FailCub(i int)          { f.record("fail"); f.net.Fail(msg.NodeID(i)) }
 func (f *fakeSystem) ReviveCub(i int)        { f.record("revive"); f.net.Revive(msg.NodeID(i)) }
 func (f *fakeSystem) FailDisk(cub, disk int) { f.record("disk") }
-func (f *fakeSystem) SlowDisk(cub, disk int, factor float64) {
-	f.record(fmt.Sprintf("slow %d/%d x%g", cub, disk, factor))
+func (f *fakeSystem) RunFor(d time.Duration) { f.eng.RunFor(d) }
+func (f *fakeSystem) Now() sim.Time          { return f.eng.Now() }
+
+func (f *fakeSystem) Disk(cub, idx int) *disk.Disk {
+	f.record(fmt.Sprintf("disk %d/%d", cub, idx))
+	k := [2]int{cub, idx}
+	if f.disks[k] == nil {
+		f.disks[k] = disk.New(len(f.disks), disk.DefaultParams(), clock.Sim{Eng: f.eng}, f.eng.Rand())
+	}
+	return f.disks[k]
 }
-func (f *fakeSystem) ErrorDisk(cub, disk int, prob float64) {
-	f.record(fmt.Sprintf("err %d/%d p%g", cub, disk, prob))
+
+func (f *fakeSystem) StartRestripe(int) error { return errors.New("no elastic restripe") }
+func (f *fakeSystem) RestripePhase() string   { return "idle" }
+
+func (f *fakeSystem) domain(d int, op func(int)) ([]int, error) {
+	if d >= f.cubs/2 {
+		return nil, fmt.Errorf("no domain %d", d)
+	}
+	members := []int{2 * d, 2*d + 1}
+	for _, c := range members {
+		op(c)
+	}
+	return members, nil
 }
-func (f *fakeSystem) StickDisk(cub, disk int) { f.record(fmt.Sprintf("stick %d/%d", cub, disk)) }
-func (f *fakeSystem) HealDisk(cub, disk int)  { f.record(fmt.Sprintf("healdisk %d/%d", cub, disk)) }
-func (f *fakeSystem) RunFor(d time.Duration)  { f.eng.RunFor(d) }
-func (f *fakeSystem) Now() sim.Time           { return f.eng.Now() }
+func (f *fakeSystem) CrashDomain(d int) ([]int, error)   { return f.domain(d, f.CrashCub) }
+func (f *fakeSystem) RestartDomain(d int) ([]int, error) { return f.domain(d, f.RestartCub) }
+
+func (f *fakeSystem) CrashController()     { f.record("crash-controller"); f.ctlDown = true }
+func (f *fakeSystem) RestartController()   { f.record("restart-controller"); f.ctlDown = false }
+func (f *fakeSystem) ControllerDown() bool { return f.ctlDown }
+func (f *fakeSystem) ParkedStreams() int   { return 0 }
 
 func TestValidateRejectsBadSteps(t *testing.T) {
 	cases := []Scenario{
@@ -258,22 +286,29 @@ func TestGrayDiskStepsApplyAndGateQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 	var firstQuiet sim.Time
+	var mid [2]disk.Faults
 	r.OnTick = func(now sim.Time, quiet bool) {
 		if quiet && firstQuiet == 0 {
 			firstQuiet = now
+		}
+		if now == sim.Time(500*time.Millisecond) {
+			mid = [2]disk.Faults{sys.disks[[2]int{1, 0}].Faults(), sys.disks[[2]int{2, 1}].Faults()}
 		}
 	}
 	rep, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"slow 1/0 x3", "stick 2/1", "healdisk 1/0", "healdisk 2/1"}
-	if len(sys.calls) != len(want) {
+	want := []string{"disk 1/0", "disk 2/1", "disk 1/0", "disk 2/1"}
+	if fmt.Sprint(sys.calls) != fmt.Sprint(want) {
 		t.Fatalf("calls %v, want %v", sys.calls, want)
 	}
-	for i := range want {
-		if sys.calls[i] != want[i] {
-			t.Fatalf("calls %v, want %v", sys.calls, want)
+	if mid != [2]disk.Faults{{SlowFactor: 3}, {Stuck: true}} {
+		t.Fatalf("faults before the heals %+v", mid)
+	}
+	for k, dk := range sys.disks {
+		if dk.Faults() != (disk.Faults{}) {
+			t.Fatalf("disk %v still faulted after its heal: %+v", k, dk.Faults())
 		}
 	}
 	// Gray faults gate quiet: it cannot engage until the last heal + settle.
@@ -394,9 +429,9 @@ func TestValidateRestripeWidening(t *testing.T) {
 }
 
 func TestRestripePreconditionViolations(t *testing.T) {
-	// On a system that does not support elastic restriping, every
-	// restripe-gated step still applies its generic fault but records a
-	// restripe-precondition violation.
+	// On a system that refuses the restripe, the start records a
+	// restripe-precondition violation, and so does a step guarded on a
+	// restripe in progress; the guarded step still applies its fault.
 	sys := newFakeSystem(t, 4)
 	sc := Scenario{
 		Name:     "no-elastic",

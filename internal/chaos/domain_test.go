@@ -1,39 +1,10 @@
 package chaos
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
-
-// fakeDomainSystem extends fakeSystem with the DomainSystem hooks,
-// mapping domain d to the two cubs {2d, 2d+1}.
-type fakeDomainSystem struct {
-	*fakeSystem
-}
-
-func (f *fakeDomainSystem) members(d int) []int { return []int{2 * d, 2*d + 1} }
-
-func (f *fakeDomainSystem) CrashDomain(d int) ([]int, error) {
-	if d >= f.cubs/2 {
-		return nil, fmt.Errorf("no domain %d", d)
-	}
-	for _, c := range f.members(d) {
-		f.CrashCub(c)
-	}
-	return f.members(d), nil
-}
-
-func (f *fakeDomainSystem) RestartDomain(d int) ([]int, error) {
-	if d >= f.cubs/2 {
-		return nil, fmt.Errorf("no domain %d", d)
-	}
-	for _, c := range f.members(d) {
-		f.RestartCub(c)
-	}
-	return f.members(d), nil
-}
 
 func TestCascadeExpansion(t *testing.T) {
 	steps := Cascade(2*time.Second, 5, 3, 500*time.Millisecond)
@@ -59,10 +30,10 @@ func TestMultiCrashRestartRoundTrip(t *testing.T) {
 		Name:     "multi",
 		Duration: 2 * time.Second,
 		Settle:   100 * time.Millisecond,
-		Steps: []Step{
-			{At: 100 * time.Millisecond, Kind: CrashMany, A: 2, B: 3},
-			{At: 900 * time.Millisecond, Kind: RestartMany, A: 2, B: 3},
-		},
+		Steps: Concat(
+			At(100*time.Millisecond, MultiCrash(2, 3)...),
+			At(900*time.Millisecond, MultiRestart(2, 3)...),
+		),
 	}
 	r, err := NewRunner(sys, sc, nil)
 	if err != nil {
@@ -92,9 +63,7 @@ func TestOutstandingNamesUnrestoredFaults(t *testing.T) {
 		Name:     "leak",
 		Duration: 1 * time.Second,
 		Settle:   100 * time.Millisecond,
-		Steps: []Step{
-			{At: 100 * time.Millisecond, Kind: CrashMany, A: 4, B: 2},
-		},
+		Steps:    At(100*time.Millisecond, MultiCrash(4, 2)...),
 	}
 	r, err := NewRunner(sys, sc, nil)
 	if err != nil {
@@ -115,7 +84,7 @@ func TestOutstandingNamesUnrestoredFaults(t *testing.T) {
 }
 
 func TestDomainStepsUseDomainSystem(t *testing.T) {
-	sys := &fakeDomainSystem{newFakeSystem(t, 6)}
+	sys := newFakeSystem(t, 6)
 	sc := Scenario{
 		Name:     "domain",
 		Duration: 2 * time.Second,
@@ -145,39 +114,10 @@ func TestDomainStepsUseDomainSystem(t *testing.T) {
 	}
 }
 
-func TestDomainStepsRequireDomainSystem(t *testing.T) {
-	sys := newFakeSystem(t, 6) // plain System: no domain hooks
-	sc := Scenario{
-		Name:     "nodomain",
-		Duration: 1 * time.Second,
-		Settle:   100 * time.Millisecond,
-		Steps:    At(100*time.Millisecond, DomainCrash(0)),
-	}
-	r, err := NewRunner(sys, sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if v.Invariant == "domain-precondition" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no domain-precondition violation recorded: %v", rep.Violations)
-	}
-}
-
 func TestValidateRejectsBadMultiSteps(t *testing.T) {
 	bad := []Scenario{
-		{Name: "zero-count", Duration: time.Second,
-			Steps: []Step{{Kind: CrashMany, A: 0, B: 0}}},
-		{Name: "overflow", Duration: time.Second,
-			Steps: []Step{{Kind: CrashMany, A: 4, B: 4}}},
+		{Name: "negative-first", Duration: time.Second, Steps: MultiCrash(-1, 2)},
+		{Name: "overflow", Duration: time.Second, Steps: MultiCrash(4, 4)},
 		{Name: "negative-domain", Duration: time.Second,
 			Steps: []Step{{Kind: CrashDomain, A: -1}}},
 	}

@@ -6,67 +6,42 @@ import (
 	"sort"
 	"time"
 
+	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/sim"
 )
 
-// System is the slice of a cluster the runner drives. The root tiger
-// package adapts *tiger.Cluster to it; tests substitute fakes.
+// System is the cluster the runner drives. The root tiger package
+// adapts *tiger.Cluster to it; tests substitute fakes.
 type System interface {
 	NumCubs() int
 	Net() *netsim.Network
+	RunFor(d time.Duration)
+	Now() sim.Time
+
 	CrashCub(i int)
 	RestartCub(i int)
 	FailCub(i int)
 	ReviveCub(i int)
 	FailDisk(cub, disk int)
-	// Gray disk faults (PR 5): degrade a disk without killing it, so the
-	// health monitor has something to detect. HealDisk clears all three.
-	SlowDisk(cub, disk int, factor float64)
-	ErrorDisk(cub, disk int, prob float64)
-	StickDisk(cub, disk int)
-	HealDisk(cub, disk int)
-	RunFor(d time.Duration)
-	Now() sim.Time
-}
+	// Disk returns cub's idx-th local drive; gray faults are edits of its
+	// Faults.
+	Disk(cub, idx int) *disk.Disk
 
-// ElasticSystem is the optional extension a System implements when it
-// supports online elastic restriping. The restripe step kinds require
-// it; applying them to a plain System records a restripe-precondition
-// violation instead of acting.
-type ElasticSystem interface {
 	// StartRestripe begins an online restripe to targetCubs cubs.
 	StartRestripe(targetCubs int) error
 	// RestripePhase reports the current phase; "idle" and "done" mean no
 	// restripe is in progress.
 	RestripePhase() string
-}
 
-// restripeInProgress interprets an ElasticSystem phase string.
-func restripeInProgress(phase string) bool {
-	return phase != "" && phase != "idle" && phase != "done"
-}
-
-// DomainSystem is the optional extension a System implements when its
-// layout groups cubs into failure domains. The CrashDomain and
-// RestartDomain step kinds require it; the methods return the member
-// cub indices actually affected so the runner can track them as down.
-type DomainSystem interface {
+	// CrashDomain and RestartDomain return the member cubs they acted on.
 	CrashDomain(d int) ([]int, error)
 	RestartDomain(d int) ([]int, error)
-}
 
-// ControllerSystem is the optional extension a System implements when
-// its controller can be crashed and restarted (epoch-fenced takeover
-// that rebuilds state by scavenging the cubs). The controller step
-// kinds require it.
-type ControllerSystem interface {
 	CrashController()
 	RestartController()
 	ControllerDown() bool
-	// ParkedStreams reports the governor's parked-stream count, the
-	// precondition CrashControllerWhileParked asserts.
 	ParkedStreams() int
 }
 
@@ -94,11 +69,9 @@ type Report struct {
 	QuietAtEnd bool // no fault outstanding when the run finished
 	// Outstanding names every fault still active at the end of the run,
 	// one entry per fault ("cub 3 down", "gray fault on cub 1 disk 2",
-	// ...). Empty exactly when QuietAtEnd — a scenario that leaks a fault
-	// now says which one instead of a bare false.
+	// ...); empty exactly when QuietAtEnd.
 	Outstanding []string
 	Violations  []Violation
-	FaultStats  netsim.FaultStats // cumulative link/data interventions
 }
 
 // Ok reports whether the run completed with no invariant violations.
@@ -129,11 +102,10 @@ type Runner struct {
 
 	rng       *rand.Rand      // scenario-seeded; data-drop coin flips only
 	dropProb  map[int]float64 // cub index (or All) → drop probability
-	downCubs  map[int]bool    // FailCub/CrashCub without a matching repair
-	sickCubs  map[int]bool    // cubs with a failed disk: never fully quiet
+	downCubs  map[int]bool    // crashed or failed cubs without a matching repair
 	grayDisks map[[2]int]bool // {cub, disk} with a gray fault not yet healed
-	ctlDown   bool            // CrashController without a RestartController
 	lastCure  sim.Time        // when the last outstanding fault cleared
+	rep       *Report         // the run in progress
 }
 
 // NewRunner builds a runner; it validates the scenario against the
@@ -150,7 +122,6 @@ func NewRunner(sys System, sc Scenario, invs []Invariant) (*Runner, error) {
 		rng:        rand.New(rand.NewSource(sc.Seed)),
 		dropProb:   make(map[int]float64),
 		downCubs:   make(map[int]bool),
-		sickCubs:   make(map[int]bool),
 		grayDisks:  make(map[[2]int]bool),
 	}, nil
 }
@@ -180,241 +151,61 @@ func (r *Runner) setDropProb(cub int, p float64) {
 	}
 }
 
-// addViolation appends to the report and notifies OnViolation.
-func (r *Runner) addViolation(rep *Report, v Violation) {
-	rep.Violations = append(rep.Violations, v)
+// violate records a violation of invariant now and notifies OnViolation.
+func (r *Runner) violate(invariant, format string, a ...any) {
+	v := Violation{At: r.Sys.Now(), Invariant: invariant, Err: fmt.Sprintf(format, a...)}
+	r.rep.Violations = append(r.rep.Violations, v)
 	if r.OnViolation != nil {
 		r.OnViolation(v)
 	}
 }
 
-// requireRestripe records a restripe-precondition violation when the
-// system is not mid-restripe at apply time: the step still acts (the
-// fault is generic), but the run is flagged because its timing no longer
-// exercises the interplay the schedule was written to test.
-func (r *Runner) requireRestripe(rep *Report, st Step) {
-	es, ok := r.Sys.(ElasticSystem)
-	if !ok {
-		r.addViolation(rep, Violation{
-			At: r.Sys.Now(), Invariant: "restripe-precondition",
-			Err: fmt.Sprintf("step %s requires an elastic system", st.Kind),
-		})
-		return
-	}
-	if p := es.RestripePhase(); !restripeInProgress(p) {
-		r.addViolation(rep, Violation{
-			At: r.Sys.Now(), Invariant: "restripe-precondition",
-			Err: fmt.Sprintf("step %s at %v fired with restripe phase %q", st.Kind, st.At, p),
-		})
+func (r *Runner) setDown(cub int, down bool) {
+	if down {
+		r.downCubs[cub] = true
+	} else {
+		delete(r.downCubs, cub)
 	}
 }
 
-// isolate cuts cub a off from every other cub and the controller.
-func (r *Runner) isolate(a msg.NodeID) {
+// allLinks applies op to every link of cub a: to each other cub and to
+// the controller.
+func (r *Runner) allLinks(a int, op func(*netsim.Network, msg.NodeID, msg.NodeID)) {
 	net := r.Sys.Net()
 	for i := 0; i < r.Sys.NumCubs(); i++ {
-		if msg.NodeID(i) != a {
-			net.Cut(a, msg.NodeID(i))
+		if i != a {
+			op(net, msg.NodeID(a), msg.NodeID(i))
 		}
 	}
-	net.Cut(a, msg.Controller)
+	op(net, msg.NodeID(a), msg.Controller)
 }
 
-// apply executes one step now. rep collects precondition violations
-// from the restripe-gated kinds.
-func (r *Runner) apply(rep *Report, st Step) {
-	net := r.Sys.Net()
-	a, b := msg.NodeID(st.A), msg.NodeID(st.B)
-	switch st.Kind {
-	case CrashCub:
-		r.Sys.CrashCub(st.A)
-		r.downCubs[st.A] = true
-	case RestartCub:
-		r.Sys.RestartCub(st.A)
-		delete(r.downCubs, st.A)
-	case FailCub:
-		r.Sys.FailCub(st.A)
-		r.downCubs[st.A] = true
-	case ReviveCub:
-		r.Sys.ReviveCub(st.A)
-		delete(r.downCubs, st.A)
-	case FailDisk:
-		r.Sys.FailDisk(st.A, st.Disk)
-		r.sickCubs[st.A] = true
-	case CutLink:
-		net.Cut(a, b)
-	case CutOneWay:
-		net.CutOneWay(a, b)
-	case HealLink:
-		net.Heal(a, b)
-	case HealOneWay:
-		net.HealOneWay(a, b)
-	case FlakyLink:
-		net.SetFlaky(a, b, st.Flaky)
-	case FlakyOneWay:
-		net.SetFlakyOneWay(a, b, st.Flaky)
-	case Isolate:
-		r.isolate(a)
-	case Rejoin:
-		for i := 0; i < r.Sys.NumCubs(); i++ {
-			if i != st.A {
-				net.Heal(a, msg.NodeID(i))
-			}
-		}
-		net.Heal(a, msg.Controller)
-	case HealAll:
-		net.HealAllLinks()
-	case DropData:
-		r.setDropProb(st.A, st.Prob)
-	case SlowDisk:
-		r.Sys.SlowDisk(st.A, st.Disk, st.Factor)
-		r.grayDisks[[2]int{st.A, st.Disk}] = true
-	case ErrorDisk:
-		r.Sys.ErrorDisk(st.A, st.Disk, st.Prob)
-		r.grayDisks[[2]int{st.A, st.Disk}] = true
-	case StickDisk:
-		r.Sys.StickDisk(st.A, st.Disk)
-		r.grayDisks[[2]int{st.A, st.Disk}] = true
-	case HealDisk:
-		r.Sys.HealDisk(st.A, st.Disk)
-		delete(r.grayDisks, [2]int{st.A, st.Disk})
-	case RestripeStart:
-		es, ok := r.Sys.(ElasticSystem)
-		if !ok {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "restripe-precondition",
-				Err: fmt.Sprintf("step %s requires an elastic system", st.Kind),
-			})
-			break
-		}
-		if err := es.StartRestripe(st.A); err != nil {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "restripe-precondition",
-				Err: fmt.Sprintf("restripe to %d cubs refused: %v", st.A, err),
-			})
-		}
-	case CrashDuringRestripe:
-		r.requireRestripe(rep, st)
-		r.Sys.CrashCub(st.A)
-		r.downCubs[st.A] = true
-	case PartitionMidMove:
-		r.requireRestripe(rep, st)
-		r.isolate(a)
-	case DiskSlowDuringRestripe:
-		r.requireRestripe(rep, st)
-		r.Sys.SlowDisk(st.A, st.Disk, st.Factor)
-		r.grayDisks[[2]int{st.A, st.Disk}] = true
-	case CrashMany:
-		for k := 0; k < st.B; k++ {
-			r.Sys.CrashCub(st.A + k)
-			r.downCubs[st.A+k] = true
-		}
-	case RestartMany:
-		for k := 0; k < st.B; k++ {
-			r.Sys.RestartCub(st.A + k)
-			delete(r.downCubs, st.A+k)
-		}
-	case CrashDomain:
-		ds, ok := r.Sys.(DomainSystem)
-		if !ok {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "domain-precondition",
-				Err: fmt.Sprintf("step %s requires a domain-aware system", st.Kind),
-			})
-			break
-		}
-		members, err := ds.CrashDomain(st.A)
-		if err != nil {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "domain-precondition",
-				Err: fmt.Sprintf("crash of domain %d refused: %v", st.A, err),
-			})
-			break
-		}
-		for _, c := range members {
-			r.downCubs[c] = true
-		}
-	case RestartDomain:
-		ds, ok := r.Sys.(DomainSystem)
-		if !ok {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "domain-precondition",
-				Err: fmt.Sprintf("step %s requires a domain-aware system", st.Kind),
-			})
-			break
-		}
-		members, err := ds.RestartDomain(st.A)
-		if err != nil {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "domain-precondition",
-				Err: fmt.Sprintf("restart of domain %d refused: %v", st.A, err),
-			})
-			break
-		}
-		for _, c := range members {
-			delete(r.downCubs, c)
-		}
-	case CrashController, RestartController, CrashControllerDuringRestripe, CrashControllerWhileParked:
-		cs, ok := r.Sys.(ControllerSystem)
-		if !ok {
-			r.addViolation(rep, Violation{
-				At: r.Sys.Now(), Invariant: "controller-precondition",
-				Err: fmt.Sprintf("step %s requires a controller-aware system", st.Kind),
-			})
-			break
-		}
-		switch st.Kind {
-		case RestartController:
-			cs.RestartController()
-			r.ctlDown = false
-		case CrashControllerDuringRestripe:
-			r.requireRestripe(rep, st)
-			cs.CrashController()
-			r.ctlDown = true
-		case CrashControllerWhileParked:
-			if cs.ParkedStreams() == 0 {
-				r.addViolation(rep, Violation{
-					At: r.Sys.Now(), Invariant: "controller-precondition",
-					Err: fmt.Sprintf("step %s at %v fired with no parked streams", st.Kind, st.At),
-				})
-			}
-			cs.CrashController()
-			r.ctlDown = true
-		default: // CrashController
-			cs.CrashController()
-			r.ctlDown = true
+// apply executes one step now: its guard, if it has one, then its row.
+func (r *Runner) apply(st Step) {
+	if g, ok := guards[st.Require]; ok {
+		if held, saw := g.holds(r.Sys); !held {
+			r.violate(g.invariant, "step %s at %v requires %s, saw %s", st.Kind, st.At, st.Require, saw)
 		}
 	}
+	kinds[st.Kind].apply(r, st)
 	r.lastCure = r.Sys.Now()
 }
 
-// faultOutstanding reports whether any injected fault is still active.
-// Disk failures are excluded: they are permanent by design (the paper
-// has no disk revive) and the system is expected to reach a new steady
-// state around them; invariants that care consult the system directly.
-// Gray disk faults DO count — unlike FailDisk they are healable, and a
-// scenario is not quiet until its slow/flaky/stuck disks are healed.
-// An in-progress elastic restripe also counts: the system is between
+// outstanding names every active fault, one string per fault in
+// deterministic order, for Report.Outstanding and the quiet gate. Disk
+// failures are excluded: they are permanent by design (the paper has no
+// disk revive) and the system is expected to reach a new steady state
+// around them; invariants that care consult the system directly. Gray
+// disk faults do count — unlike FailDisk they are healable, and a
+// scenario is not quiet until its slow/flaky/stuck disks are healed. An
+// in-progress elastic restripe also counts: the system is between
 // steady states until the old generation is dropped.
-func (r *Runner) faultOutstanding() bool {
-	if len(r.downCubs) > 0 || len(r.dropProb) > 0 || len(r.grayDisks) > 0 ||
-		r.ctlDown || r.Sys.Net().FaultedLinks() > 0 {
-		return true
-	}
-	if es, ok := r.Sys.(ElasticSystem); ok && restripeInProgress(es.RestripePhase()) {
-		return true
-	}
-	return false
-}
-
-// outstanding enumerates the active faults faultOutstanding counts, one
-// string per fault in deterministic order, for Report.Outstanding.
 func (r *Runner) outstanding() []string {
 	var out []string
 	for _, c := range sortedInts(r.downCubs) {
 		out = append(out, fmt.Sprintf("cub %d down", c))
 	}
-	if r.ctlDown {
+	if r.Sys.ControllerDown() {
 		out = append(out, "controller down")
 	}
 	for _, c := range sortedInts(r.dropProb) {
@@ -437,10 +228,8 @@ func (r *Runner) outstanding() []string {
 	if n := r.Sys.Net().FaultedLinks(); n > 0 {
 		out = append(out, fmt.Sprintf("%d faulted links", n))
 	}
-	if es, ok := r.Sys.(ElasticSystem); ok {
-		if p := es.RestripePhase(); restripeInProgress(p) {
-			out = append(out, fmt.Sprintf("restripe in phase %q", p))
-		}
+	if p := r.Sys.RestripePhase(); restripeInProgress(p) {
+		out = append(out, fmt.Sprintf("restripe in phase %q", p))
 	}
 	return out
 }
@@ -460,22 +249,22 @@ func sortedInts[V any](m map[int]V) []int {
 // Faults can clear between scheduled steps (a restripe finishing, links
 // healing), so the clock restarts at every tick that still sees one.
 func (r *Runner) quiet(now sim.Time) bool {
-	if r.faultOutstanding() {
+	if len(r.outstanding()) > 0 {
 		r.lastCure = now
 		return false
 	}
-	return now.Sub(r.lastCure) >= r.Scenario.settle()
+	return now.Sub(r.lastCure) >= orDefault(r.Scenario.Settle, DefaultSettle)
 }
 
-func (r *Runner) sweep(rep *Report, now sim.Time) {
+func (r *Runner) sweep(now sim.Time) {
 	q := r.quiet(now)
-	rep.Ticks++
+	r.rep.Ticks++
 	if q {
-		rep.QuietTicks++
+		r.rep.QuietTicks++
 	}
 	for _, inv := range r.Invariants {
 		if err := inv.Check(q); err != nil {
-			r.addViolation(rep, Violation{At: now, Invariant: inv.Name, Err: err.Error()})
+			r.violate(inv.Name, "%v", err)
 		}
 	}
 	if r.OnTick != nil {
@@ -490,11 +279,12 @@ func (r *Runner) sweep(rep *Report, now sim.Time) {
 func (r *Runner) Run() (*Report, error) {
 	sc := r.Scenario
 	steps := sc.sortedSteps()
-	tick := sc.tick()
+	tick := orDefault(sc.Tick, DefaultTick)
 	start := r.Sys.Now()
 	end := start.Add(sc.Duration)
 	nextTick := start.Add(tick)
 	rep := &Report{Scenario: sc.Name}
+	r.rep = rep
 	r.lastCure = start
 
 	i := 0
@@ -515,11 +305,11 @@ func (r *Runner) Run() (*Report, error) {
 		}
 		now = r.Sys.Now()
 		for i < len(steps) && start.Add(steps[i].At) <= now {
-			r.apply(rep, steps[i])
+			r.apply(steps[i])
 			i++
 		}
 		if now >= nextTick {
-			r.sweep(rep, now)
+			r.sweep(now)
 			lastSweep = now
 			nextTick = nextTick.Add(tick)
 		}
@@ -528,11 +318,10 @@ func (r *Runner) Run() (*Report, error) {
 		}
 	}
 	if r.Sys.Now() != lastSweep {
-		r.sweep(rep, r.Sys.Now())
+		r.sweep(r.Sys.Now())
 	}
 	rep.Outstanding = r.outstanding()
 	rep.QuietAtEnd = len(rep.Outstanding) == 0
-	rep.FaultStats = r.Sys.Net().FaultStats()
 	// Leave the network clean for whatever runs next.
 	if len(r.dropProb) > 0 {
 		r.dropProb = make(map[int]float64)

@@ -586,40 +586,13 @@ func (c *Cluster) diskModel(d int) *disk.Disk {
 // FailDiskSlow makes global disk d a fail-slow drive: every read takes
 // factor× its nominal service time, without any hard error. This is the
 // gray failure the health monitor (suspect → hedge → quarantine) exists
-// for; HealDisk restores the drive. Mirrors CrashCub/RestartCub for use
-// from tests and the chaos engine.
+// for. Chaos scenarios name drives cub-locally instead (chaos.DiskSlow,
+// chaos.DiskHeal).
 func (c *Cluster) FailDiskSlow(d int, factor float64) {
 	dk := c.diskModel(d)
 	f := dk.Faults()
 	f.SlowFactor = factor
 	dk.SetFaults(f)
-}
-
-// FailDiskErrors gives global disk d a transient read-failure
-// probability; reads complete on time but report failure with
-// probability prob. HealDisk restores the drive.
-func (c *Cluster) FailDiskErrors(d int, prob float64) {
-	dk := c.diskModel(d)
-	f := dk.Faults()
-	f.ErrProb = prob
-	dk.SetFaults(f)
-}
-
-// StickDisk wedges global disk d's queue: reads are accepted but none
-// completes — the silent-hang gray failure. HealDisk unsticks it and
-// restarts the queue.
-func (c *Cluster) StickDisk(d int) {
-	dk := c.diskModel(d)
-	f := dk.Faults()
-	f.Stuck = true
-	dk.SetFaults(f)
-}
-
-// HealDisk clears every gray fault (slow, flaky, stuck) on global disk
-// d. A quarantined drive is then un-quarantined by the owning cub's
-// periodic probes, not immediately.
-func (c *Cluster) HealDisk(d int) {
-	c.diskModel(d).SetFaults(disk.Faults{})
 }
 
 // DiskHealth reports the owning cub's health-monitor state for global
