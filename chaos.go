@@ -25,11 +25,8 @@ type chaosSystem struct{ *Cluster }
 
 func (s chaosSystem) NumCubs() int                 { return len(s.Cubs) }
 func (s chaosSystem) Net() *netsim.Network         { return s.Cluster.Net }
-func (s chaosSystem) Disk(cub, idx int) *disk.Disk { return s.Cubs[cub].DiskByIndex(idx) }
-func (s chaosSystem) FailDisk(cub, idx int) {
-	c := s.Cubs[cub]
-	c.FailDisk(c.NativeDiskKey(idx))
-}
+func (s chaosSystem) Disk(cub, idx int) *disk.Disk { return s.Cubs[cub].Disk(idx) }
+func (s chaosSystem) FailDisk(cub, idx int)        { s.Cubs[cub].FailDisk(idx) }
 
 // serveKey identifies one block or mirror-piece service. Exactly one cub
 // may perform each: the slot owner for primaries, the covering disk's

@@ -106,14 +106,14 @@ func placedCopies(cfg *Config) map[int]map[[3]int]disk.Zone {
 
 // checkIndexAgainstLayout asserts hit or miss, as the enumeration has
 // it, for every (file, block, part) — each one step past its range too —
-// on an index that answers for disk d of cfg.
-func checkIndexAgainstLayout(t *testing.T, cfg *Config, di *diskIndex, d int, placed map[int]map[[3]int]disk.Zone) {
+// in cfg's index of disk d.
+func checkIndexAgainstLayout(t *testing.T, cfg *Config, d int, placed map[int]map[[3]int]disk.Zone) {
 	t.Helper()
 	hits := 0
 	for _, f := range cfg.Files {
 		for b := -1; b <= f.Blocks; b++ {
 			for part := -2; part <= cfg.Layout.Decluster; part++ {
-				e, err := di.lookup(f.ID, int32(b), int8(part))
+				e, err := cfg.lookup(d, f.ID, int32(b), int8(part))
 				zone, want := placed[d][[3]int{int(f.ID), b, part}]
 				if want != (err == nil) {
 					t.Fatalf("disk %d file %d block %d part %d: placed here %v, lookup error %v",
@@ -159,16 +159,11 @@ func TestIndexCoversExactlyLocalCopies(t *testing.T) {
 	}
 	short := shapes["3x1 decluster 2"]
 	short.Files[7] = layout.File{ID: 7, StartDisk: 2, Blocks: 2, BlockSize: 262144}
-	for name, cfg := range shapes {
+	for _, cfg := range shapes {
 		placed := placedCopies(cfg)
 		for cub := msg.NodeID(0); int(cub) < cfg.Layout.Cubs; cub++ {
-			disks := cfg.Layout.DisksOfCub(cub)
-			idx := buildIndexes(cfg, disks)
-			if len(idx) != len(disks) {
-				t.Fatalf("%s: cub %v: %d indexes for %d disks", name, cub, len(idx), len(disks))
-			}
-			for _, d := range disks {
-				checkIndexAgainstLayout(t, cfg, idx[d], d, placed)
+			for _, d := range cfg.Layout.DisksOfCub(cub) {
+				checkIndexAgainstLayout(t, cfg, d, placed)
 			}
 		}
 	}
@@ -176,8 +171,8 @@ func TestIndexCoversExactlyLocalCopies(t *testing.T) {
 
 // TestIndexUnderInstalledGeneration: a generation installed on a running
 // cub numbers its drives differently from the cub's native numbering.
-// The plane's index is keyed by the native number and must answer for
-// the generation's.
+// A drive's lookup under the plane is by the generation's number of it,
+// which the cub derives from the native one.
 func TestIndexUnderInstalledGeneration(t *testing.T) {
 	old := indexTestConfig(t, 14, 4, 4, 3, 150)
 	grown := indexTestConfig(t, 16, 4, 4, 3, 150)
@@ -189,14 +184,13 @@ func TestIndexUnderInstalledGeneration(t *testing.T) {
 		c := NewCub(id, old, clk, net, net, eng.Rand())
 		c.InstallGen(1, grown)
 		p := c.planes[1]
-		if len(p.index) != old.Layout.DisksPerCub {
-			t.Fatalf("cub %v: generation 1 indexes %d drives", id, len(p.index))
+		if p != grown {
+			t.Fatalf("cub %v: generation 1 plane is not the installed config", id)
 		}
 		for i, nd := range old.Layout.DisksOfCub(id) {
 			gd := grown.Layout.DisksOfCub(id)[i]
-			di := p.index[nd]
-			if di == nil {
-				t.Fatalf("cub %v: no generation-1 index for native drive %d", id, nd)
+			if got := c.genLocalDisk(p.Layout, nd); got != gd {
+				t.Fatalf("cub %v: native drive %d is generation-1 disk %d, want %d", id, nd, got, gd)
 			}
 			if gd != nd {
 				// The ownership check is what tells the numberings
@@ -204,19 +198,18 @@ func TestIndexUnderInstalledGeneration(t *testing.T) {
 				// claim another disk's blocks.
 				f := grown.Files[0]
 				b := (nd - f.StartDisk + grown.Layout.NumDisks()) % grown.Layout.NumDisks()
-				if _, err := di.lookup(f.ID, int32(b), -1); err == nil {
+				if _, err := p.lookup(gd, f.ID, int32(b), -1); err == nil {
 					t.Fatalf("cub %v drive %d (generation disk %d) answered for disk %d's block", id, nd, gd, nd)
 				}
 			}
-			checkIndexAgainstLayout(t, grown, di, gd, placed)
+			checkIndexAgainstLayout(t, p, gd, placed)
 		}
 	}
 }
 
 func TestIndexLookupMiss(t *testing.T) {
 	cfg := validConfig(t)
-	idx := buildIndexes(cfg, []int{0})
-	if _, err := idx[0].lookup(99, 0, -1); err == nil {
+	if _, err := cfg.lookup(0, 99, 0, -1); err == nil {
 		t.Fatal("missing file looked up successfully")
 	}
 }
@@ -239,12 +232,11 @@ func TestIndexScalesWithContentNotSystem(t *testing.T) {
 		cfg := &Config{Layout: lay, Sched: sp, BlockSize: 4,
 			DiskParams: disk.DefaultParams(), Files: files}
 		cfg.DefaultTimings()
-		di := buildIndexes(cfg, []int{0})[0]
 		copies := 0
 		for _, f := range cfg.Files {
 			for b := 0; b < f.Blocks; b++ {
 				for part := -1; part < lay.Decluster; part++ {
-					if _, err := di.lookup(f.ID, int32(b), int8(part)); err == nil {
+					if _, err := cfg.lookup(0, f.ID, int32(b), int8(part)); err == nil {
 						copies++
 					}
 				}

@@ -45,7 +45,7 @@ type entry struct {
 	duePrev, dueNext *entry   // the drive's walk, in due order
 	readAt           sim.Time // when the walk is to start the read
 
-	disk        int // this cub's disk that will serve it
+	disk        int // native number of the drive that will serve it (driveOf)
 	live        bool
 	ready       bool
 	forwarded   bool
@@ -97,6 +97,44 @@ func (e *entry) retire() {
 		e.c.freeEntries = append(e.c.freeEntries, e)
 	}
 }
+
+// drive is everything a cub keeps for one of its spindles. Drives are
+// named by cub-local index, c.drives[idx]: disks are numbered cub-minor
+// (§2.2), so the index is the one name of a drive that every striping
+// generation shares, and the one move messages carry.
+type drive struct {
+	dk     *disk.Disk
+	native int // disk number under the cub's birth generation
+
+	failed      bool // out of service: FailDisk or a quarantine
+	quarantined bool // retired by the health monitor, which probes it
+	health      diskHealth
+	walk        walk // the drive's entries in due order (walk.go)
+
+	// The mover (mover.go): the FIFO of copy jobs, the copy in service
+	// or pacing after it (nil while idle), and the duty-cycle sample its
+	// pacing gap is measured from.
+	moves      []*mvJob
+	copying    *mvJob
+	lastBusy   time.Duration
+	lastSample sim.Time
+	sampled    bool
+}
+
+// driveAt resolves a cub-local drive index, nil when it names none: move
+// messages carry the index from the network.
+func (c *Cub) driveAt(idx int) *drive {
+	if idx < 0 || idx >= len(c.drives) {
+		return nil
+	}
+	return &c.drives[idx]
+}
+
+// driveOf returns the drive serving an entry.
+func (c *Cub) driveOf(e *entry) *drive { return &c.drives[e.disk/c.nativeCubs] }
+
+// driveOfDisk returns this cub's drive that lay numbers gd.
+func (c *Cub) driveOfDisk(lay layout.Config, gd int) *drive { return &c.drives[gd/lay.Cubs] }
 
 // descKey identifies a held deschedule record (§4.1.2).
 type descKey struct {
@@ -193,27 +231,17 @@ type Cub struct {
 	data DataPath
 	rng  *rand.Rand
 
-	disks       map[int]*disk.Disk
-	failedDisks map[int]bool // this cub's own dead drives
+	// The local drives, by cub-local index (drive).
+	drives []drive
 
-	// Striping generations (gen.go): one plane per installed generation,
-	// each holding that generation's Config and this cub's content index
-	// under its placement. nativeCubs is the cub count of the generation
-	// this cub was created under — the basis of its physical (native)
-	// disk numbering.
-	planes     map[int32]*genPlane
+	// Striping generations (gen.go): the Config of every installed
+	// generation. nativeCubs is the cub count of the generation this cub
+	// was created under — the basis of its drives' native disk numbers.
+	planes     map[int32]*Config
 	activeGen  int32
 	nativeCubs int
 
-	// Gray-failure monitor (health.go): per-local-disk detector state,
-	// and the subset of failedDisks that were retired by the health
-	// machine rather than an operator — only those are probed for
-	// un-quarantine.
-	health      map[int]*diskHealth
-	quarantined map[int]bool
-
 	view        view     // the schedule entries this cub holds
-	walks       []walk   // the same entries per drive, in due order (walk.go)
 	freeEntries []*entry // records ready for reuse; wiped by Restart
 
 	desch tombstones[descKey, struct{}] // held deschedule records (§4.1.2)
@@ -268,8 +296,9 @@ type Cub struct {
 	bufBytes    int64
 	bufReleases clock.Releases[int64]
 
-	// Live-restripe mover state (mover.go): per-disk copy queues and the
-	// idle-budget pacing bookkeeping. Volatile — wiped on Restart.
+	// Live-restripe mover state (mover.go) that is not per drive: the
+	// source orders queued or in service, and the landed moves. Volatile
+	// — wiped on Restart.
 	mover moverState
 
 	cpu   metrics.CPU
@@ -284,19 +313,18 @@ type Cub struct {
 func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data DataPath, rng *rand.Rand) *Cub {
 	diskNums := cfg.Layout.DisksOfCub(id)
 	c := &Cub{
-		id:          id,
-		cfg:         cfg,
-		clk:         clk,
-		net:         net,
-		data:        data,
-		rng:         rng,
-		disks:       make(map[int]*disk.Disk, len(diskNums)),
-		nativeCubs:  cfg.Layout.Cubs,
-		planes:      make(map[int32]*genPlane, 2),
-		failedDisks: make(map[int]bool),
-		health:      make(map[int]*diskHealth, len(diskNums)),
-		quarantined: make(map[int]bool),
-		view:        newView(),
+		id:         id,
+		cfg:        cfg,
+		clk:        clk,
+		net:        net,
+		data:       data,
+		rng:        rng,
+		drives:     make([]drive, len(diskNums)),
+		nativeCubs: cfg.Layout.Cubs,
+		// The birth configuration is generation 0 (Rebase relabels it for
+		// cubs joining an already-restriped system).
+		planes: map[int32]*Config{0: cfg},
+		view:   newView(),
 		// Hold a deschedule record until no viewer state for its slot
 		// could still arrive.
 		desch:          newTombstones[descKey, struct{}](clk, cfg.MaxVStateLead+cfg.DescheduleHold+cfg.Sched.BlockPlay),
@@ -319,20 +347,13 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		fwdPending:    make(map[msg.NodeID][]msg.Message),
 	}
 	c.cpu.Model = cfg.CPUModel
-	for _, d := range diskNums {
-		c.disks[d] = disk.New(d, cfg.DiskParams, clk, rng)
-		c.health[d] = &diskHealth{}
-	}
-	c.walks = make([]walk, len(diskNums))
-	for i := range c.walks {
-		w := &c.walks[i]
+	for i, d := range diskNums {
+		dr := &c.drives[i]
+		dr.dk, dr.native = disk.New(d, cfg.DiskParams, clk, rng), d
+		w := &dr.walk
 		w.c, w.armedFor, w.onTimer = c, never, w.fire
 	}
-	c.resetMover()
-	// The birth configuration is generation 0 (Rebase relabels it for
-	// cubs joining an already-restriped system). Its disk numbering is
-	// the cub's native numbering, so the index keys pass through.
-	c.planes[0] = &genPlane{gen: 0, cfg: cfg, index: buildIndexes(cfg, diskNums)}
+	c.mover = moverState{queued: make(map[mvKey]bool), done: make(map[mvKey]bool)}
 	// Monitor liveness of the cubs we must make decisions about: up to
 	// max(2, decluster+1) hops in each ring direction, per generation.
 	c.refreshMonitored()
@@ -378,11 +399,27 @@ func (c *Cub) BelievedDead() int { return len(c.believedDead) }
 
 // FailedDisks returns how many of this cub's own drives are marked
 // failed (permanently dead or health-quarantined).
-func (c *Cub) FailedDisks() int { return len(c.failedDisks) }
+func (c *Cub) FailedDisks() int {
+	n := 0
+	for i := range c.drives {
+		if c.drives[i].failed {
+			n++
+		}
+	}
+	return n
+}
 
 // QuarantinedDisks returns how many of this cub's drives are currently
 // health-quarantined — the probed subset of FailedDisks.
-func (c *Cub) QuarantinedDisks() int { return len(c.quarantined) }
+func (c *Cub) QuarantinedDisks() int {
+	n := 0
+	for i := range c.drives {
+		if c.drives[i].quarantined {
+			n++
+		}
+	}
+	return n
+}
 
 // RecoveryTimes returns the restart-to-reintegration histogram (seconds).
 func (c *Cub) RecoveryTimes() *obs.Histogram { return c.recovery }
@@ -401,16 +438,18 @@ func (c *Cub) QueueLen() int { return c.queueLen }
 
 // Disks exposes the cub's drive models for metrics collection, keyed by
 // native disk number (the numbering of the cub's birth generation).
-func (c *Cub) Disks() map[int]*disk.Disk { return c.disks }
+func (c *Cub) Disks() map[int]*disk.Disk {
+	m := make(map[int]*disk.Disk, len(c.drives))
+	for i := range c.drives {
+		m[c.drives[i].native] = c.drives[i].dk
+	}
+	return m
+}
 
-// NativeDiskKey converts a cub-local drive index — invariant across
-// striping generations — into the native disk number keying Disks().
-func (c *Cub) NativeDiskKey(idx int) int { return idx*c.nativeCubs + int(c.id) }
-
-// DiskByIndex returns the cub's idx-th local drive. Callers holding a
-// global disk number under any generation's layout can reach the drive
-// via (CubOfDisk, disk/cubs) without knowing the cub's native numbering.
-func (c *Cub) DiskByIndex(idx int) *disk.Disk { return c.disks[c.NativeDiskKey(idx)] }
+// Disk returns the cub's idx-th local drive. Callers holding a global
+// disk number under any generation's layout reach the drive via
+// (CubOfDisk, disk/cubs) without knowing the cub's native numbering.
+func (c *Cub) Disk(idx int) *disk.Disk { return c.drives[idx].dk }
 
 // SetSink directs the cub's protocol steps to s: one trace.Event per
 // step, at the program point where it happens. Observation only:
@@ -446,48 +485,47 @@ func (c *Cub) Start() {
 	c.forwardTick()
 }
 
-// FailDisk marks one of this cub's own drives as permanently dead. The
+// FailDisk marks this cub's idx-th drive as permanently dead. The
 // cub itself keeps running and converts schedule entries for that disk
 // into mirror viewer states ("the decision to send this data is made by
 // the cub succeeding the failed component" — for a lone disk, its own
 // cub is the first living component that can decide). Unlike a health
 // quarantine, a FailDisk is never probed: the drive stays retired until
 // operator action replaces it.
-func (c *Cub) FailDisk(d int) {
-	if _, mine := c.disks[d]; !mine {
-		panic(fmt.Sprintf("cub %v: disk %d is not local", c.id, d))
+func (c *Cub) FailDisk(idx int) {
+	dr := c.driveAt(idx)
+	if dr == nil {
+		panic(fmt.Sprintf("cub %v: no local drive %d", c.id, idx))
 	}
 	// A permanent failure overrides any health quarantine: stop probing,
 	// and keep the state machine pinned at quarantined so the health
 	// gauge reflects a drive that is out of service.
-	if h := c.health[d]; h != nil {
-		h.probeTimer.Stop()
-		delete(c.quarantined, d)
-		h.state = DiskQuarantined
-	}
-	c.retireDisk(d)
+	dr.health.probeTimer.Stop()
+	dr.quarantined = false
+	dr.health.state = DiskQuarantined
+	c.retireDisk(dr)
 }
 
-// retireDisk converts every pending schedule entry on local drive d to
-// mirror service and marks the drive failed. Shared by the permanent
-// FailDisk path and the health monitor's quarantine; idempotent.
-func (c *Cub) retireDisk(d int) {
-	if c.failedDisks[d] {
+// retireDisk converts every pending schedule entry on drive dr to mirror
+// service and marks the drive failed. Shared by the permanent FailDisk
+// path and the health monitor's quarantine; idempotent.
+func (c *Cub) retireDisk(dr *drive) {
+	if dr.failed {
 		return
 	}
-	c.failedDisks[d] = true
+	dr.failed = true
 	// Any restripe copies pending on the drive cannot be produced any
 	// more; tell the coordinator so it re-routes them to a mirror.
-	c.moverDiskRetired(d)
+	c.moverDiskRetired(dr)
 	// Convert pending entries on that disk to mirror service.
-	for _, k := range c.view.sortedKeys(func(e *entry) bool { return e.key.part == -1 && e.disk == d }) {
+	for _, k := range c.view.sortedKeys(func(e *entry) bool { return e.key.part == -1 && e.disk == dr.native }) {
 		e := c.view.get(k)
 		if e.vs.Due > int64(c.clk.Now()) && !e.hedged {
 			// Hedged entries already launched their mirror chain; starting
 			// another would only create duplicate gossip. The mirror route
 			// is resolved under the entry's own generation.
 			if cfg := c.cfgOf(k.slot); cfg != nil {
-				c.createMirrors(e.vs, c.genLocalDisk(cfg.Layout, d))
+				c.createMirrors(e.vs, c.genLocalDisk(cfg.Layout, dr.native))
 			}
 		}
 		c.dropEntryRelease(k)

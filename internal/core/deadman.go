@@ -38,8 +38,8 @@ func (c *Cub) markDead(z msg.NodeID) {
 	// during a restripe); compute the verdict per generation.
 	decider := make(map[int32]bool, len(c.planes))
 	any := false
-	for g, p := range c.planes {
-		if int(z) < p.cfg.Layout.Cubs && c.firstLivingSuccessorOfIn(p.cfg.Layout, z) {
+	for g, cfg := range c.planes {
+		if int(z) < cfg.Layout.Cubs && c.firstLivingSuccessorOfIn(cfg.Layout, z) {
 			decider[g] = true
 			any = true
 		}
@@ -84,7 +84,7 @@ func (c *Cub) markDead(z msg.NodeID) {
 	for _, inst := range keysInOrder(c.redundantStart) {
 		req := c.redundantStart[inst]
 		g := GenOf(req.dkey)
-		if p := c.planes[g]; p == nil || !decider[g] || p.cfg.Layout.CubOfDisk(int(RawSlot(req.dkey))) != z {
+		if cfg := c.planes[g]; cfg == nil || !decider[g] || cfg.Layout.CubOfDisk(int(RawSlot(req.dkey))) != z {
 			continue
 		}
 		delete(c.redundantStart, inst)

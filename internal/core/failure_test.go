@@ -186,12 +186,7 @@ func TestSingleDiskFailure(t *testing.T) {
 	r.play(1, 0, 0)
 	r.run(10 * time.Second)
 	// Fail one disk of cub 2.
-	var failDisk int
-	for d := range r.cubs[2].Disks() {
-		failDisk = d
-		break
-	}
-	r.cubs[2].FailDisk(failDisk)
+	r.cubs[2].FailDisk(1)
 	r.run(40 * time.Second)
 	got := r.got(1)
 	if got < 45 {

@@ -230,6 +230,11 @@ func FuzzCubDeliver(f *testing.F) {
 		&msg.RejoinConfirm{From: 3, Epoch: 1, States: []msg.ViewerState{vs}},
 		&msg.MoveOrder{Fence: 1, SrcIdx: 0, DstCub: 3, Ctl: 1},
 		&msg.MoveData{Fence: 1, DstIdx: 0, From: 3, Epoch: 1},
+		// Drive indexes just outside the rig's one drive per cub.
+		&msg.MoveOrder{Fence: 1, SrcIdx: -1, DstCub: 3, Ctl: 1},
+		&msg.MoveOrder{Fence: 1, SrcIdx: 1, DstCub: 3, DstIdx: 1, Ctl: 1},
+		&msg.MoveData{Fence: 1, DstIdx: -1, From: 3, Epoch: 1},
+		&msg.MoveData{Fence: 1, DstIdx: 1, From: 3, Epoch: 1},
 		&msg.CubDown{Fence: 1, Down: []msg.NodeID{1, 3}},
 		&msg.Park{Viewer: 1, Instance: 1, Slot: 0, Fence: 1, Ctl: 1},
 		&msg.Resume{OldInstance: 1, NewInstance: 2, Ctl: 1},

@@ -14,21 +14,21 @@ import (
 // resizes the slot ring — but streams admitted under the old shape must
 // keep playing while streams admitted under the new shape ramp up. Each
 // cub therefore carries one *plane* per installed generation: the
-// generation's Config (layout, schedule geometry, file placement) plus
-// the content index of this cub's drives under that generation's
-// numbering. Which plane governs a message is encoded in the slot
-// number itself: the top bits of ViewerState.Slot carry the generation,
-// the low bits the raw slot. Slot ownership, ring forwarding, mirror
-// declustering, and deschedule chasing all resolve against the plane of
-// the entry they touch, so the two schedules interleave on the same
-// spindles without ever sharing a slot — new slots "appear" as the new
-// generation's ring and drain away with the old one's.
+// generation's Config (layout, schedule geometry, file placement), whose
+// lookup is the content index of this cub's drives under that
+// generation's numbering. Which plane governs a message is encoded in
+// the slot number itself: the top bits of ViewerState.Slot carry the
+// generation, the low bits the raw slot. Slot ownership, ring
+// forwarding, mirror declustering, and deschedule chasing all resolve
+// against the plane of the entry they touch, so the two schedules
+// interleave on the same spindles without ever sharing a slot — new
+// slots "appear" as the new generation's ring and drain away with the
+// old one's.
 //
-// Physical drives keep their *native* numbering — the disk numbers of
-// the generation the cub was created under — as the keys of the disk,
-// index, health, and failure maps. A generation-local disk number
-// converts to native via the cub-local disk index, which is invariant
-// across generations.
+// A cub names its physical drives by cub-local index, which every
+// generation shares: its disk gd under a layout is drive gd/Cubs. An
+// entry records its drive's *native* number — its disk number under the
+// generation the cub was created under — for traces and dumps.
 
 // genShift is where the generation field starts inside a slot number.
 // 24 bits of raw slot is ~16M slots, far above any schedule; 7 bits of
@@ -61,24 +61,10 @@ func genBase(g int32) int32 { return g << genShift }
 // used to key the start-insertion queues.
 func genDiskKey(g int32, gd int) int32 { return genBase(g) | int32(gd) }
 
-// genPlane is one generation's view of the world on one cub.
-type genPlane struct {
-	gen int32
-	cfg *Config
-	// index maps native local disk number -> content index under this
-	// generation's placement. nil when this cub is not a participant of
-	// the generation (a retiring cub holds the plane only to fence).
-	index map[int]*diskIndex
-}
-
+// participatesIn reports whether this cub is on cfg's ring: a retiring
+// cub holds a generation's plane only to fence.
 func (c *Cub) participatesIn(cfg *Config) bool {
 	return int(c.id) < cfg.Layout.Cubs
-}
-
-// nativeDisk converts a generation-local disk number owned by this cub
-// into the native numbering that keys c.disks.
-func (c *Cub) nativeDisk(lay layout.Config, gd int) int {
-	return (gd/lay.Cubs)*c.nativeCubs + int(c.id)
 }
 
 // genLocalDisk converts one of this cub's native disk numbers into the
@@ -87,41 +73,22 @@ func (c *Cub) genLocalDisk(lay layout.Config, nd int) int {
 	return (nd/c.nativeCubs)*lay.Cubs + int(c.id)
 }
 
-func (c *Cub) planeOf(slot int32) *genPlane { return c.planes[GenOf(slot)] }
-
 // cfgOf returns the Config governing a slot, or nil when the slot's
 // generation is not installed — uninstalled generations fence exactly
 // like stale epochs: their traffic must not touch the view.
-func (c *Cub) cfgOf(slot int32) *Config {
-	if p := c.planes[GenOf(slot)]; p != nil {
-		return p.cfg
-	}
-	return nil
-}
-
-func (c *Cub) activePlane() *genPlane { return c.planes[c.activeGen] }
+func (c *Cub) cfgOf(slot int32) *Config { return c.planes[GenOf(slot)] }
 
 // ActiveGen returns the generation new insertions go to.
 func (c *Cub) ActiveGen() int32 { return c.activeGen }
 
-// InstallGen makes a generation's configuration known to the cub,
-// building the content index of its drives under the new placement.
+// InstallGen makes a generation's configuration known to the cub.
 // Idempotent; must be called on every cub before any slot of that
 // generation can circulate.
 func (c *Cub) InstallGen(gen int32, cfg *Config) {
 	if _, ok := c.planes[gen]; ok {
 		return
 	}
-	p := &genPlane{gen: gen, cfg: cfg}
-	if c.participatesIn(cfg) {
-		genDisks := cfg.Layout.DisksOfCub(c.id)
-		built := buildIndexes(cfg, genDisks)
-		p.index = make(map[int]*diskIndex, len(built))
-		for gd, di := range built {
-			p.index[c.nativeDisk(cfg.Layout, gd)] = di
-		}
-	}
-	c.planes[gen] = p
+	c.planes[gen] = cfg
 	c.refreshMonitored()
 }
 
@@ -187,10 +154,8 @@ func (c *Cub) Rebase(gen int32) {
 	if gen == 0 || len(c.planes) != 1 || c.planes[0] == nil {
 		return
 	}
-	p := c.planes[0]
-	p.gen = gen
+	c.planes[gen] = c.planes[0]
 	delete(c.planes, 0)
-	c.planes[gen] = p
 	c.activeGen = gen
 }
 
@@ -203,7 +168,7 @@ func (c *Cub) refreshMonitored() {
 	seen := map[msg.NodeID]bool{c.id: true}
 	var mon []msg.NodeID
 	for _, g := range keysInOrder(c.planes) {
-		cfg := c.planes[g].cfg
+		cfg := c.planes[g]
 		if !c.participatesIn(cfg) {
 			continue
 		}
@@ -261,8 +226,8 @@ func (c *Cub) schedTimeOfSlot(slot int32) sim.Time {
 	raw := RawSlot(slot)
 	var best sim.Time
 	first := true
-	for nd := range c.disks {
-		gd := c.genLocalDisk(cfg.Layout, nd)
+	for i := range c.drives {
+		gd := c.genLocalDisk(cfg.Layout, c.drives[i].native)
 		t := cfg.Sched.ServiceTime(gd, raw, now)
 		if first || t < best {
 			best = t

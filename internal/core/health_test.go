@@ -22,7 +22,7 @@ func healthRig(t *testing.T, mutate func(*Config), n int) *rig {
 	return r
 }
 
-func (r *rig) victimDisk() *disk.Disk { return r.cubs[0].disks[0] }
+func (r *rig) victimDisk() *disk.Disk { return r.cubs[0].Disk(0) }
 
 // A drive serving every read far too slowly must walk the full state
 // machine — suspected, hedged, quarantined through the fail-stop retire

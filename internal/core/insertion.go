@@ -19,15 +19,15 @@ import (
 // --- start-play handling (§4.1.3) ---
 
 func (c *Cub) onStartPlay(sp msg.StartPlay) {
-	ap := c.activePlane()
-	if ap == nil || ap.index == nil {
+	ap := c.planes[c.activeGen]
+	if ap == nil || !c.participatesIn(ap) {
 		return // not a participant of the admitting generation
 	}
-	f, ok := ap.cfg.Files[sp.File]
+	f, ok := ap.Files[sp.File]
 	if !ok || !c.fileHasBlock(sp.File, sp.StartBlock) {
 		return // unknown content; the controller validated, so ignore
 	}
-	d := ap.cfg.Layout.PrimaryDisk(f, int(sp.StartBlock))
+	d := ap.Layout.PrimaryDisk(f, int(sp.StartBlock))
 	req := &startReq{sp: sp, dkey: genDiskKey(c.activeGen, d), enqueued: c.clk.Now()}
 	if !sp.Primary {
 		if c.cancelledStart.has(sp.Instance) {
@@ -36,8 +36,8 @@ func (c *Cub) onStartPlay(sp msg.StartPlay) {
 		// If the primary target is already known dead and we are its
 		// acting successor, take the request immediately; otherwise hold
 		// the redundant copy in case it dies before inserting (§4.1.3).
-		tc := ap.cfg.Layout.CubOfDisk(d)
-		if c.believedDead[tc] && c.firstLivingSuccessorOfIn(ap.cfg.Layout, tc) {
+		tc := ap.Layout.CubOfDisk(d)
+		if c.believedDead[tc] && c.firstLivingSuccessorOfIn(ap.Layout, tc) {
 			c.enqueueStart(req)
 			c.stats.RedundantRuns++
 			return
@@ -86,8 +86,8 @@ func (c *Cub) scanTick(k int32) {
 		c.scanning[k] = false
 		return
 	}
-	p := c.planes[GenOf(k)]
-	if p == nil {
+	cfg := c.planes[GenOf(k)]
+	if cfg == nil {
 		// The generation was dropped with starts still queued (it drained
 		// under protest); they can never insert.
 		c.queueLen -= len(c.queue[k])
@@ -97,12 +97,12 @@ func (c *Cub) scanTick(k int32) {
 	}
 	gd := int(RawSlot(k))
 	now := c.clk.Now()
-	slot, due, ok := p.cfg.Sched.SlotUnderOwnership(gd, now)
+	slot, due, ok := cfg.Sched.SlotUnderOwnership(gd, now)
 	if ok {
-		c.tryInsert(k, genBase(p.gen)|slot, due)
+		c.tryInsert(k, genBase(GenOf(k))|slot, due)
 	}
 	// Wake at the next window opening.
-	next := nextWindowOpen(p.cfg.Sched, gd, now)
+	next := nextWindowOpen(cfg.Sched, gd, now)
 	c.clk.At(next, func() { c.scanTick(k) })
 }
 
@@ -141,7 +141,7 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 	if req == nil {
 		return
 	}
-	cfg := c.planes[GenOf(k)].cfg
+	cfg := c.planes[GenOf(k)]
 	gd := int(RawSlot(k))
 
 	vs := msg.ViewerState{
@@ -161,7 +161,7 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 	c.startWait.Observe(c.clk.Now().Sub(req.enqueued).Seconds())
 	c.step(trace.Insert, &vs, int32(gd))
 
-	if cfg.Layout.CubOfDisk(gd) != c.id || c.failedDisks[c.nativeDisk(cfg.Layout, gd)] {
+	if cfg.Layout.CubOfDisk(gd) != c.id || c.driveOfDisk(cfg.Layout, gd).failed {
 		// Proxy insertion for a dead predecessor's disk, or our own dead
 		// drive: the first block is served from its mirrors.
 		c.createMirrors(vs, gd)

@@ -85,10 +85,11 @@ func (c *Cub) Snapshot() CubSnapshot {
 		MovesPending:    c.MoverPending(),
 		UnservableDisks: c.unservable,
 		CtlDown:         c.ctlDown,
-		Disks:           make([]DiskSnapshot, 0, len(c.disks)),
+		Disks:           make([]DiskSnapshot, len(c.drives)),
 	}
-	for d, dk := range c.disks {
-		s.Disks = append(s.Disks, DiskSnapshot{Disk: d, Stats: dk.Stats(), Queue: dk.QueueLen(), Health: c.DiskHealth(d)})
+	for i := range c.drives {
+		dr := &c.drives[i]
+		s.Disks[i] = DiskSnapshot{Disk: dr.native, Stats: dr.dk.Stats(), Queue: dr.dk.QueueLen(), Health: dr.health.state}
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,6 +90,21 @@ func TestSnapshotCollect(t *testing.T) {
 		key := `tiger_disk_reads_total{cub="0",disk="` + strconv.Itoa(d) + `"}`
 		if v, ok := got[key]; !ok || v != float64(dk.Stats().Reads) {
 			t.Errorf("%s = %v (present %v), drive says %d", key, v, ok, dk.Stats().Reads)
+		}
+	}
+}
+
+// TestSnapshotListsDrivesInOrder: /debug/vars and tigerctl stats print a
+// snapshot's drives as it lists them, so it lists them in disk order,
+// every time.
+func TestSnapshotListsDrivesInOrder(t *testing.T) {
+	o := defaultRigOptions()
+	o.cubs, o.disksPerCub = 4, 4
+	c := newRig(t, o).cubs[1]
+	for i := 0; i < 20; i++ {
+		ds := c.Snapshot().Disks
+		if len(ds) != o.disksPerCub || !slices.IsSortedFunc(ds, func(a, b DiskSnapshot) int { return a.Disk - b.Disk }) {
+			t.Fatalf("snapshot %d lists drives %v", i, ds)
 		}
 	}
 }

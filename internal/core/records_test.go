@@ -47,7 +47,7 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	}))
 	due := r.eng.Now().Add(1200 * time.Millisecond)
 	key := entryKey{5, -1, int64(due)}
-	w := &c.walks[0]
+	w := &c.drives[0].walk
 	c.Deliver(1, stateFor(3, 5, due))
 	first := c.view.get(key)
 	if first == nil || first.pins != 0 || w.head != first || w.armedFor != due.Add(-r.cfg.ReadAhead) {
@@ -97,7 +97,7 @@ func TestEntryRecordReusedAfterDeschedule(t *testing.T) {
 	if c.BufferedBytes() != 0 || c.view.get(key) != nil {
 		t.Fatalf("buffered %d, entry %+v after the send", c.BufferedBytes(), c.view.get(key))
 	}
-	if ds := c.DiskByIndex(0).Stats(); ds.Reads != 2 || ds.CancelledBusy != 1 {
+	if ds := c.Disk(0).Stats(); ds.Reads != 2 || ds.CancelledBusy != 1 {
 		t.Fatalf("disk stats %+v, want the withdrawn read and the new one", ds)
 	}
 }
@@ -120,8 +120,8 @@ func TestEntryRecordHeldWhileCompletionRuns(t *testing.T) {
 	if ea == nil || eb == nil {
 		t.Fatal("states not accepted")
 	}
-	c.DiskByIndex(0).SetFaults(disk.Faults{ErrProb: 1})
-	h := c.health[0]
+	c.Disk(0).SetFaults(disk.Faults{ErrProb: 1})
+	h := &c.drives[0].health
 	h.state, h.badStreak = DiskSuspected, r.cfg.Health.QuarantineAfter-1
 	r.run(400 * time.Millisecond) // a's read starts at 200 ms and fails
 	if c.QuarantinedDisks() != 1 || c.view.len() != 0 {
@@ -131,7 +131,7 @@ func TestEntryRecordHeldWhileCompletionRuns(t *testing.T) {
 		t.Fatalf("free list %v (a %p, b %p), pins %d: want b, then a once its completion returned",
 			c.freeEntries, ea, eb, ea.pins)
 	}
-	if w := &c.walks[0]; w.head != nil || w.tail != nil || w.read != nil || w.fwd != nil {
+	if w := &c.drives[0].walk; w.head != nil || w.tail != nil || w.read != nil || w.fwd != nil {
 		t.Fatalf("walk of a retired drive not empty: %+v", w)
 	}
 	if c.BufferedBytes() != 0 {
@@ -205,7 +205,7 @@ func TestEntryRecordHeldWhileStopLosesRace(t *testing.T) {
 	clk := newLostRaceClock()
 	data := &countingData{}
 	c := NewCub(0, cfg, clk, nopTransport{}, data, rand.New(rand.NewSource(1)))
-	w := &c.walks[0]
+	w := &c.drives[0].walk
 	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
 	// BuildConfig places files at random: pick file 0's blocks on disk 0.
 	onDisk0 := int32((cfg.Layout.NumDisks() - cfg.Files[0].StartDisk) % cfg.Layout.NumDisks())
@@ -237,7 +237,7 @@ func TestEntryRecordHeldWhileStopLosesRace(t *testing.T) {
 	if clk.armed != 3 || w.armedFor != ms(300) {
 		t.Fatalf("%d callbacks armed, for %v: want a second walk timer, for the earlier read", clk.armed, w.armedFor)
 	}
-	reads := func() int64 { return c.DiskByIndex(0).Stats().Reads }
+	reads := func() int64 { return c.Disk(0).Stats().Reads }
 	clk.runTo(ms(300)) // the live callback: the earlier entry's read, re-armed for 500 ms
 	if got := reads(); got != 1 || w.armedFor != ms(500) {
 		t.Fatalf("%d reads issued, armed for %v", got, w.armedFor)
@@ -286,7 +286,7 @@ func TestIndexMissCounted(t *testing.T) {
 	if st := c.Stats(); st.IndexMisses != 1 || st.BlocksSent != 0 || st.ServerMisses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if ds := c.DiskByIndex(0).Stats(); ds.Reads != 0 {
+	if ds := c.Disk(0).Stats(); ds.Reads != 0 {
 		t.Fatalf("%d reads for a block that is not on the disk", ds.Reads)
 	}
 }

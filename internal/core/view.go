@@ -130,15 +130,15 @@ func (c *Cub) moverLine() string {
 // /debug/vars surface. Empty when every drive is fine.
 func (c *Cub) diskHealthLine() string {
 	var parts []string
-	for _, d := range keysInOrder(c.disks) {
-		st := c.DiskHealth(d)
+	for i := range c.drives {
+		dr := &c.drives[i]
 		switch {
-		case c.quarantined[d]:
-			parts = append(parts, fmt.Sprintf("disk %d quarantined", d))
-		case c.failedDisks[d]:
-			parts = append(parts, fmt.Sprintf("disk %d failed", d))
-		case st != DiskHealthy:
-			parts = append(parts, fmt.Sprintf("disk %d %s", d, st))
+		case dr.quarantined:
+			parts = append(parts, fmt.Sprintf("disk %d quarantined", dr.native))
+		case dr.failed:
+			parts = append(parts, fmt.Sprintf("disk %d failed", dr.native))
+		case dr.health.state != DiskHealthy:
+			parts = append(parts, fmt.Sprintf("disk %d %s", dr.native, dr.health.state))
 		}
 	}
 	return strings.Join(parts, ", ")

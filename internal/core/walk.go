@@ -40,8 +40,6 @@ type walk struct {
 
 const never = sim.Time(math.MaxInt64)
 
-func (c *Cub) walkOf(e *entry) *walk { return &c.walks[e.disk/c.nativeCubs] }
-
 // insert links e into the list by due time, and re-arms the timer if e
 // falls due before the instant it is set for. An entry accepted inside
 // its read-ahead window (a late insertion, a mirror piece, a rejoin

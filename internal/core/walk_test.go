@@ -122,7 +122,7 @@ func TestWalkAgainstSortedModel(t *testing.T) {
 	}
 	check := func(step int) {
 		for d := range order {
-			w := &c.walks[d]
+			w := &c.drives[d].walk
 			var prev *entry
 			i, beforeRead, beforeFwd := 0, w.unread() != nil, w.fwd != nil
 			for e := w.head; e != nil; prev, e = e, e.dueNext {
@@ -155,7 +155,7 @@ func TestWalkAgainstSortedModel(t *testing.T) {
 	dropped := map[string]int{}
 	for step := 0; step < 6000; step++ {
 		d, now := rng.Intn(2), eng.Now()
-		w := &c.walks[d]
+		w := &c.drives[d].walk
 		switch op := rng.Intn(20); {
 		case op < 8:
 			var due sim.Time
@@ -216,8 +216,8 @@ func TestWalkAgainstSortedModel(t *testing.T) {
 	// Left alone the walks run dry, and leave nothing behind.
 	eng.RunFor(time.Minute)
 	check(-1)
-	for d := range c.walks {
-		if w := &c.walks[d]; w.head != nil || w.read != nil || w.fwd != nil || w.armedFor != never {
+	for d := range c.drives {
+		if w := &c.drives[d].walk; w.head != nil || w.read != nil || w.fwd != nil || w.armedFor != never {
 			t.Fatalf("drive %d: walk not empty at the end: %+v", d, w)
 		}
 	}

@@ -82,7 +82,7 @@ func TestStaleTimerAfterLostStop(t *testing.T) {
 		if len(data.insts) != 1 || data.insts[0] != 2 || st.BlocksSent != 1 || st.ServerMisses != 0 {
 			t.Errorf("blocks sent for %v, stats %+v", data.insts, st)
 		}
-		if ds := c.DiskByIndex(0).Stats(); ds.Reads != 1 || ds.Cancelled != 0 {
+		if ds := c.Disk(0).Stats(); ds.Reads != 1 || ds.Cancelled != 0 {
 			t.Errorf("disk stats %+v: want the new entry's one read", ds)
 		}
 		if c.BufferedBytes() != 0 || c.ViewSize() != 0 || st.IndexMisses != 0 {
@@ -156,7 +156,7 @@ func TestLostStopStartsNoSecondChain(t *testing.T) {
 		if int64(len(data.insts)) != st.BlocksSent || st.BlocksSent+st.ServerMisses != blocks {
 			t.Errorf("%d blocks on the data path, stats %+v", len(data.insts), st)
 		}
-		if ds := c.DiskByIndex(0).Stats(); ds.Reads > blocks {
+		if ds := c.Disk(0).Stats(); ds.Reads > blocks {
 			t.Errorf("disk stats %+v: a block was read twice", ds)
 		}
 		if c.BufferedBytes() != 0 || c.ViewSize() != 0 {

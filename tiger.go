@@ -580,7 +580,7 @@ func (c *Cluster) Unservable() []int {
 // that renumbered every disk.
 func (c *Cluster) diskModel(d int) *disk.Disk {
 	lay := c.Cfg.Layout
-	return c.Cubs[int(lay.CubOfDisk(d))].DiskByIndex(d / lay.Cubs)
+	return c.Cubs[int(lay.CubOfDisk(d))].Disk(d / lay.Cubs)
 }
 
 // FailDiskSlow makes global disk d a fail-slow drive: every read takes
@@ -599,8 +599,7 @@ func (c *Cluster) FailDiskSlow(d int, factor float64) {
 // disk d under the current layout.
 func (c *Cluster) DiskHealth(d int) core.DiskHealthState {
 	lay := c.Cfg.Layout
-	cub := c.Cubs[int(lay.CubOfDisk(d))]
-	return cub.DiskHealth(cub.NativeDiskKey(d / lay.Cubs))
+	return c.Cubs[int(lay.CubOfDisk(d))].DiskHealth(d / lay.Cubs)
 }
 
 // MirrorLoadFor returns the number of mirror-piece schedule entries the
