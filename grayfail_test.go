@@ -29,10 +29,11 @@ func grayVictim(c *Cluster) int {
 	return c.Cfg.Layout.DisksOfCub(msg.NodeID(len(c.Cubs) - 1))[0]
 }
 
-// Quarantine must compose with the PR 1 restart path: a cub that
-// crashes and rejoins while holding a quarantined drive must come back
-// with the quarantine intact — the rejoin handshake must not resurrect
-// the sick drive or double-retire it.
+// Quarantine must compose with the restart path. A restart wipes the
+// quarantine, as it wipes every health verdict of the dead incarnation;
+// a cub that crashes and rejoins while its drive is still sick must
+// quarantine it again through the new incarnation's monitor, and the
+// rejoin handshake must not double-retire it.
 func TestQuarantineSurvivesRejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
@@ -66,8 +67,8 @@ func TestQuarantineSurvivesRejoin(t *testing.T) {
 	if n := cs1.Rejoins - cs0.Rejoins; n != 1 {
 		t.Fatalf("%d rejoins across restart", n)
 	}
-	// The fault is still live, so probes keep failing: the quarantine
-	// must hold across the crash–rejoin cycle.
+	// The fault is still live, so the new incarnation's reads are slow
+	// too: the drive is quarantined again after the crash–rejoin cycle.
 	if st := c.DiskHealth(victim); st != core.DiskQuarantined {
 		t.Fatalf("disk %d %s after rejoin, want still quarantined", victim, st)
 	}
