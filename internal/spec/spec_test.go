@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tiger/internal/core"
 	"tiger/internal/msg"
 )
 
@@ -61,6 +62,29 @@ func TestConfigExpansion(t *testing.T) {
 	}
 	if cfg.MinVStateLead != 2*time.Second || cfg.MaxVStateLead != 4*time.Second {
 		t.Fatalf("overrides lost: %v/%v", cfg.MinVStateLead, cfg.MaxVStateLead)
+	}
+}
+
+// TestDefaultConfigMatchesBuildConfig pins the spec's expansion to
+// core.BuildConfig: the default loopback spec is BuildConfig's system at
+// 250 ms blocks, with every protocol timing scaled to the block play as
+// tigerd sets them.
+func TestDefaultConfigMatchesBuildConfig(t *testing.T) {
+	got, err := Default(4).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := 250 * time.Millisecond
+	want, err := core.BuildConfig(core.SystemSpec{Cubs: 4, DisksPerCub: 1, Decluster: 2,
+		BlockPlay: bp, BlockSize: 65536, NumFiles: 4, FileBlocks: 2400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.MinVStateLead, want.MaxVStateLead = 4*bp, 9*bp
+	want.ForwardInterval, want.DescheduleHold, want.ReadAhead = bp/2, 3*bp, bp
+	want.HeartbeatInterval, want.DeadmanTimeout = bp/2, 5*bp/2
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("spec config differs from BuildConfig's:\n got %+v\nwant %+v", *got, *want)
 	}
 }
 
