@@ -1,6 +1,7 @@
 package tiger
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -135,6 +136,32 @@ func TestElasticInterplayCrashRejoin(t *testing.T) {
 	assertElasticClean(t, c, h, lost0, o.Cubs+2)
 	if got := len(c.Cubs); got != o.Cubs+2 {
 		t.Fatalf("cluster has %d cubs, want %d", got, o.Cubs+2)
+	}
+}
+
+// TestRestripeKeepsFailureDomains grows a 14-cub array racked four to a
+// domain to 16 cubs: the new shape keeps the racks, so a domain crash
+// after the restripe still takes down its four members.
+func TestRestripeKeepsFailureDomains(t *testing.T) {
+	o := DefaultOptions()
+	o.DomainSize = 4
+	o.NumFiles, o.FileBlocks = 4, 60
+	c, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StartRestripe(16); err != nil {
+		t.Fatal(err)
+	}
+	if !waitPhase(c, RestripeDone, 6*time.Minute) {
+		t.Fatalf("restripe never finished (phase %q)", c.RestripePhase())
+	}
+	members, err := c.CrashDomain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 5, 6, 7}; !reflect.DeepEqual(members, want) {
+		t.Fatalf("domain 1 after the restripe crashed cubs %v, want %v", members, want)
 	}
 }
 
