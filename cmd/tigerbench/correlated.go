@@ -135,8 +135,7 @@ func runCorrelatedArm(o tiger.Options, a corrArm) (correlatedPoint, error) {
 	p.Down = down
 	{
 		nd := c.Cfg.Layout.NumDisks()
-		look := c.Cfg.Governor.GuardBlocks + c.Cfg.Governor.Horizon
-		lookState := int(c.Cfg.MaxVStateLead/c.Cfg.Sched.BlockPlay) + c.Cfg.Governor.GuardBlocks
+		look, lookState := c.Cfg.ParkWindows()
 		outBlocks := int(a.outage / c.Cfg.Sched.BlockPlay)
 		endangered := make(map[int]bool)
 		for _, u := range unservable {

@@ -17,7 +17,6 @@ import (
 
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/schedule"
 )
@@ -80,12 +79,11 @@ type Config struct {
 	SingleForward bool
 
 	DiskParams disk.Params
-	CPUModel   metrics.CPUModel
 
-	// Health tunes the per-disk gray-failure monitor (DESIGN §12).
+	// Health switches the per-disk gray-failure monitor (DESIGN §12).
 	Health HealthParams
 
-	// Governor tunes the correlated-failure degradation governor
+	// Governor switches the correlated-failure degradation governor
 	// (governor.go). Off unless Governor.Enable is set: parking is a
 	// policy choice layered on the protocol, and the fault experiments
 	// that predate it measure raw mirror behaviour.
@@ -94,130 +92,52 @@ type Config struct {
 	Files map[msg.FileID]layout.File
 }
 
-// GovernorParams tune the degradation governor: when correlated
+// GovernorParams switch the degradation governor: when correlated
 // failures exhaust mirror coverage, the controller parks the fewest
 // streams whose play trajectories cross the unservable disks so every
-// surviving stream keeps a clean schedule. Zero fields take
-// DefaultTimings' defaults.
+// surviving stream keeps a clean schedule (governor.go, which holds its
+// park window and pacing constants).
 type GovernorParams struct {
 	// Enable turns the governor on. Without it, correlated failures
 	// degrade every stream crossing the dead span (the paper's
 	// behaviour).
 	Enable bool
-
-	// GuardBlocks widens the park test around a stream's current disk:
-	// a stream is parked when any disk within [-1, GuardBlocks+Horizon]
-	// block-times of its position is unservable. The -1 end covers a
-	// send already in flight; GuardBlocks covers reads already issued.
-	GuardBlocks int
-
-	// Horizon is how many additional block-times ahead the rolling
-	// sweep looks, so a stream is parked at least Horizon block plays
-	// before its first unservable deadline.
-	Horizon int
-
-	// Tick is the rolling sweep cadence while any disk is unservable;
-	// 0 means one block play time.
-	Tick time.Duration
-
-	// ResumeDelay is how long after the unservable set empties the
-	// governor waits before draining the re-admission queue — long
-	// enough for the restarted cub's rejoin handshake to finish.
-	ResumeDelay time.Duration
 }
 
-// HealthParams tune the per-disk gray-failure monitor: the EWMA slack
+// HealthParams switch the per-disk gray-failure monitor: the EWMA slack
 // detector, the healthy → suspected → quarantined state machine, and the
-// un-quarantine probe loop. Zero fields take DefaultTimings' defaults;
+// un-quarantine probe loop (health.go, which holds their constants).
 // Disable turns the whole monitor off (the unmitigated ablation arm of
 // the grayfail sweep).
 type HealthParams struct {
 	Disable bool
-
-	// SlackAlpha is the EWMA weight of the newest completion sample, for
-	// both the normalized-slack and the issue-to-completion latency
-	// estimators.
-	SlackAlpha float64
-
-	// SuspectSlack and HealthySlack are normalized-slack EWMA thresholds
-	// in units of the zoned worst-case service time: below SuspectSlack a
-	// healthy disk becomes suspected; back above HealthySlack (with a
-	// clean streak) a suspected disk recovers. A healthy fully loaded
-	// disk sits far above both (slack ≈ ReadAhead / worst-case service),
-	// so the hysteresis band only engages on genuine degradation.
-	SuspectSlack float64
-	HealthySlack float64
-
-	// SuspectAfter / QuarantineAfter are the consecutive bad-event
-	// streaks (late completion, failed read, or deadline miss) that force
-	// healthy → suspected and suspected → quarantined regardless of the
-	// EWMA — the only signal path a stuck drive ever produces.
-	SuspectAfter    int
-	QuarantineAfter int
-
-	// ProbeInterval is the cadence of single-block probe reads against a
-	// quarantined drive; ProbeGood consecutive probes completing within
-	// 1.5× the worst-case service budget un-quarantine it, at an
-	// unchanged epoch.
-	ProbeInterval time.Duration
-	ProbeGood     int
 }
 
-// DefaultTimings fills in the paper's typical protocol constants.
+// DefaultTimings fills in the protocol timings left zero, scaled to the
+// block play time. At the paper's one-second blocks they are its typical
+// constants: vstate leads of 4 and 9 s, a 500 ms forwarding batch, a 3 s
+// deschedule hold, 1 s of read-ahead, and the deadman's 500 ms heartbeat
+// and 2.5 s timeout.
 func (c *Config) DefaultTimings() {
-	if c.MinVStateLead == 0 {
-		c.MinVStateLead = 4 * time.Second
-	}
-	if c.MaxVStateLead == 0 {
-		c.MaxVStateLead = 9 * time.Second
-	}
-	if c.ForwardInterval == 0 {
-		c.ForwardInterval = 500 * time.Millisecond
-	}
-	if c.DescheduleHold == 0 {
-		c.DescheduleHold = 3 * time.Second
-	}
-	if c.ReadAhead == 0 {
-		// One second of read-ahead: the cubs' 20 MB buffer caches bound
-		// how far ahead of the schedule the disks can usefully run, and
-		// deeper prefetch only delays late-read detection (§3.1).
-		c.ReadAhead = time.Second
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if c.DeadmanTimeout == 0 {
-		c.DeadmanTimeout = 2500 * time.Millisecond
-	}
-	if c.Health.SlackAlpha == 0 {
-		c.Health.SlackAlpha = 0.2
-	}
-	if c.Health.SuspectSlack == 0 {
-		c.Health.SuspectSlack = 3
-	}
-	if c.Health.HealthySlack == 0 {
-		c.Health.HealthySlack = 6
-	}
-	if c.Health.SuspectAfter == 0 {
-		c.Health.SuspectAfter = 3
-	}
-	if c.Health.QuarantineAfter == 0 {
-		c.Health.QuarantineAfter = 8
-	}
-	if c.Health.ProbeInterval == 0 {
-		c.Health.ProbeInterval = 5 * time.Second
-	}
-	if c.Health.ProbeGood == 0 {
-		c.Health.ProbeGood = 3
-	}
-	if c.Governor.GuardBlocks == 0 {
-		c.Governor.GuardBlocks = 1
-	}
-	if c.Governor.Horizon == 0 {
-		c.Governor.Horizon = 2
-	}
-	if c.Governor.ResumeDelay == 0 {
-		c.Governor.ResumeDelay = c.DeadmanTimeout
+	bp := c.Sched.BlockPlay
+	for _, t := range []struct {
+		d   *time.Duration
+		def time.Duration
+	}{
+		{&c.MinVStateLead, 4 * bp},
+		{&c.MaxVStateLead, 9 * bp},
+		{&c.ForwardInterval, bp / 2},
+		{&c.DescheduleHold, 3 * bp},
+		// One block play of read-ahead: the cubs' 20 MB buffer caches
+		// bound how far ahead of the schedule the disks can usefully
+		// run, and deeper prefetch only delays late-read detection (§3.1).
+		{&c.ReadAhead, bp},
+		{&c.HeartbeatInterval, bp / 2},
+		{&c.DeadmanTimeout, 5 * bp / 2},
+	} {
+		if *t.d == 0 {
+			*t.d = t.def
+		}
 	}
 }
 
@@ -258,31 +178,6 @@ func (c *Config) Validate() error {
 	}
 	if c.DeadmanTimeout < 2*c.HeartbeatInterval {
 		return fmt.Errorf("core: deadman timeout %v under two heartbeat intervals", c.DeadmanTimeout)
-	}
-	if c.Governor.Enable {
-		g := c.Governor
-		if g.GuardBlocks < 0 || g.Horizon < 0 {
-			return fmt.Errorf("core: governor guard/horizon must be non-negative: %+v", g)
-		}
-		if g.Tick < 0 || g.ResumeDelay < 0 {
-			return fmt.Errorf("core: governor tick/resume delay must be non-negative: %+v", g)
-		}
-	}
-	if !c.Health.Disable {
-		h := c.Health
-		if h.SlackAlpha <= 0 || h.SlackAlpha > 1 {
-			return fmt.Errorf("core: health slack alpha %v outside (0,1]", h.SlackAlpha)
-		}
-		if h.SuspectSlack >= h.HealthySlack {
-			return fmt.Errorf("core: health suspect slack %v must be below healthy slack %v (hysteresis)",
-				h.SuspectSlack, h.HealthySlack)
-		}
-		if h.SuspectAfter <= 0 || h.QuarantineAfter <= 0 || h.ProbeGood <= 0 {
-			return fmt.Errorf("core: health streak/probe counts must be positive: %+v", h)
-		}
-		if h.ProbeInterval <= 0 {
-			return fmt.Errorf("core: health probe interval %v must be positive", h.ProbeInterval)
-		}
 	}
 	for id, f := range c.Files {
 		if f.ID != id {

@@ -7,7 +7,6 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/schedule"
@@ -23,7 +22,7 @@ func validConfig(t *testing.T) *Config {
 	}
 	cfg := &Config{
 		Layout: lay, Sched: sp, BlockSize: 262144,
-		DiskParams: disk.DefaultParams(), CPUModel: metrics.DefaultCPUModel(),
+		DiskParams: disk.DefaultParams(),
 		Files: map[msg.FileID]layout.File{
 			1: {ID: 1, StartDisk: 0, Blocks: 100, BlockSize: 262144},
 		},
@@ -39,6 +38,32 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultTimingsScaleWithBlockPlay: the protocol timings are one
+// table of block-play multiples. At one-second blocks it gives the
+// paper's constants, at 250 ms the table tigerd and the cluster spec
+// run, at 100 ms the real-time tests' leads, batch, hold and
+// read-ahead. Each row lists min and max lead, forward interval,
+// deschedule hold, read-ahead, heartbeat and deadman timeout.
+func TestDefaultTimingsScaleWithBlockPlay(t *testing.T) {
+	ms := time.Millisecond
+	for bp, want := range map[time.Duration][7]time.Duration{
+		time.Second: {4000 * ms, 9000 * ms, 500 * ms, 3000 * ms, 1000 * ms, 500 * ms, 2500 * ms},
+		250 * ms:    {1000 * ms, 2250 * ms, 125 * ms, 750 * ms, 250 * ms, 125 * ms, 625 * ms},
+		100 * ms:    {400 * ms, 900 * ms, 50 * ms, 300 * ms, 100 * ms, 50 * ms, 250 * ms},
+	} {
+		c, err := BuildConfig(SystemSpec{Cubs: 4, DisksPerCub: 1, Decluster: 2,
+			BlockPlay: bp, BlockSize: 32768, NumFiles: 1, FileBlocks: 10})
+		if err != nil {
+			t.Fatalf("%v blocks: %v", bp, err)
+		}
+		got := [7]time.Duration{c.MinVStateLead, c.MaxVStateLead, c.ForwardInterval,
+			c.DescheduleHold, c.ReadAhead, c.HeartbeatInterval, c.DeadmanTimeout}
+		if got != want {
+			t.Errorf("%v blocks: timings %v, want %v", bp, got, want)
+		}
 	}
 }
 

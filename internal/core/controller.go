@@ -136,7 +136,7 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		slotWait: obs.NewHistogram(startWaitBounds),
 		takeover: obs.NewHistogram(RecoveryBounds),
 	}
-	c.cpu.Model = cfg.CPUModel
+	c.cpu.Model = metrics.DefaultCPUModel()
 	return c
 }
 

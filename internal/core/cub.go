@@ -346,7 +346,7 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		recovery:      obs.NewHistogram(RecoveryBounds),
 		fwdPending:    make(map[msg.NodeID][]msg.Message),
 	}
-	c.cpu.Model = cfg.CPUModel
+	c.cpu.Model = metrics.DefaultCPUModel()
 	for i, d := range diskNums {
 		dr := &c.drives[i]
 		dr.dk, dr.native = disk.New(d, cfg.DiskParams, clk, rng), d

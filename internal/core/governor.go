@@ -19,6 +19,29 @@ import (
 // at the controller — capacity policy is the one job the paper actually
 // gives it — and is off unless Config.Governor.Enable is set.
 
+// The governor's park window: a stream at play position p is parked
+// when any disk in [p-1, p+guardBlocks+horizon] is unservable. The -1
+// end covers a send already in flight; guardBlocks covers reads already
+// issued; horizon is how many block plays further ahead the rolling
+// sweep looks, so a stream is parked at least horizon block plays
+// before its first unservable deadline. The sweep re-runs, and a
+// re-admission drain continues, one block play apart; a refused or
+// resumed drain waits one deadman timeout, long enough for the
+// restarted cub's rejoin handshake to finish.
+const (
+	guardBlocks = 1
+	horizon     = 2
+)
+
+// ParkWindows returns how many block plays past a stream's position the
+// governor's park sweep looks: look for unservable disks, and lookState
+// at the crash instant for disks whose in-flight viewer states died with
+// a forwarding pair (in-hand states run up to MaxVStateLead ahead of
+// their due times). Both windows start one block play behind.
+func (c *Config) ParkWindows() (look, lookState int) {
+	return guardBlocks + horizon, int(c.MaxVStateLead/c.Sched.BlockPlay) + guardBlocks
+}
+
 // ParkTicket is the re-admission record of one parked stream.
 type ParkTicket struct {
 	Viewer      msg.ViewerID
@@ -118,8 +141,8 @@ func (c *Controller) NoteCubsDown(down []msg.NodeID) {
 }
 
 // NoteCubUp tells the governor a previously-down cub restarted. When
-// the unservable set empties, the re-admission queue drains after
-// ResumeDelay — long enough for the rejoin handshake to finish.
+// the unservable set empties, the re-admission queue drains after one
+// deadman timeout — long enough for the rejoin handshake to finish.
 func (c *Controller) NoteCubUp(z msg.NodeID) {
 	if !c.cfg.Governor.Enable {
 		return
@@ -132,7 +155,7 @@ func (c *Controller) NoteCubUp(z msg.NodeID) {
 	c.recomputeUnservable()
 	if len(g.unservable) == 0 && len(g.queue) > 0 && !g.draining {
 		g.draining = true
-		c.clk.After(c.cfg.Governor.ResumeDelay, c.drainParked)
+		c.clk.After(c.cfg.DeadmanTimeout, c.drainParked)
 	}
 }
 
@@ -177,11 +200,7 @@ func (c *Controller) parkSweep(initial bool) {
 	}
 	acfg := c.gens[c.activeGen]
 	n := acfg.Sched.NumDisks
-	look := c.cfg.Governor.GuardBlocks + c.cfg.Governor.Horizon
-	// In-hand states run up to MaxVStateLead ahead of their due times,
-	// so that is how far ahead of a state-lost disk a stream's position
-	// can be while its next block there is already gone.
-	lookState := int(c.cfg.MaxVStateLead/c.cfg.Sched.BlockPlay) + c.cfg.Governor.GuardBlocks
+	look, lookState := c.cfg.ParkWindows()
 	var cands []msg.InstanceID
 	for inst, rec := range c.plays {
 		if rec.state == PlayDone || rec.gen != c.activeGen {
@@ -276,11 +295,7 @@ func (c *Controller) ensureGovTick() {
 		return
 	}
 	g.ticking = true
-	tick := c.cfg.Governor.Tick
-	if tick == 0 {
-		tick = c.cfg.Sched.BlockPlay
-	}
-	c.clk.After(tick, c.govTick)
+	c.clk.After(c.cfg.Sched.BlockPlay, c.govTick)
 }
 
 func (c *Controller) govTick() {
@@ -323,7 +338,7 @@ func (c *Controller) drainParked() {
 			// Admission refused — capacity is back but the schedule is
 			// still shuffling. Retry the whole remainder later.
 			g.draining = true
-			c.clk.After(c.cfg.Governor.ResumeDelay, c.drainParked)
+			c.clk.After(c.cfg.DeadmanTimeout, c.drainParked)
 			return
 		}
 		g.queue = g.queue[1:]
@@ -347,11 +362,7 @@ func (c *Controller) drainParked() {
 	if len(g.queue) > 0 {
 		// More to re-admit: continue one block play from now.
 		g.draining = true
-		tick := c.cfg.Governor.Tick
-		if tick == 0 {
-			tick = c.cfg.Sched.BlockPlay
-		}
-		c.clk.After(tick, c.drainParked)
+		c.clk.After(c.cfg.Sched.BlockPlay, c.drainParked)
 	}
 }
 

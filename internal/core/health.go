@@ -17,12 +17,12 @@ import (
 // watches every local read completion and runs a three-state machine per
 // drive:
 //
-//	healthy ──(slack EWMA < SuspectSlack, or SuspectAfter consecutive
+//	healthy ──(slack EWMA < suspectSlack, or suspectAfter consecutive
 //	           bad events)──▶ suspected
-//	suspected ──(clean streak and slack EWMA > HealthySlack)──▶ healthy
-//	suspected ──(slack EWMA < 0, or QuarantineAfter consecutive bad
+//	suspected ──(clean streak and slack EWMA > healthySlack)──▶ healthy
+//	suspected ──(slack EWMA < 0, or quarantineAfter consecutive bad
 //	           events)──▶ quarantined
-//	quarantined ──(ProbeGood consecutive in-budget probe reads)──▶ healthy
+//	quarantined ──(probeGood consecutive in-budget probe reads)──▶ healthy
 //
 // A *bad event* is a read that completed late or failed, or a scheduled
 // send that fired with its read still outstanding — the deadline-miss
@@ -40,10 +40,40 @@ import (
 // Quarantine reuses the fail-stop retire path (retireDisk): the drive is
 // declared dead, its entries convert to mirror chains, and incoming
 // states route straight to mirrors. Unlike FailDisk it is not
-// permanent: the drive is probed every ProbeInterval with one
-// block-sized read, and ProbeGood consecutive probes inside the budget
+// permanent: the drive is probed every probeInterval with one
+// block-sized read, and probeGood consecutive probes inside the budget
 // clear the quarantine at an unchanged epoch — no restart, no rejoin
 // handshake, the cub never stopped being alive.
+
+// The monitor's constants.
+const (
+	// slackAlpha is the EWMA weight of the newest completion sample, for
+	// both the normalized-slack and the issue-to-completion latency
+	// estimators.
+	slackAlpha = 0.2
+
+	// suspectSlack and healthySlack are normalized-slack EWMA thresholds
+	// in units of the zoned worst-case service time: below suspectSlack a
+	// healthy disk becomes suspected; back above healthySlack (with a
+	// clean streak) a suspected disk recovers. A healthy fully loaded
+	// disk sits far above both (slack ≈ ReadAhead / worst-case service),
+	// so the hysteresis band only engages on genuine degradation.
+	suspectSlack = 3.0
+	healthySlack = 6.0
+
+	// suspectAfter and quarantineAfter are the consecutive bad-event
+	// streaks (late completion, failed read, or deadline miss) that force
+	// healthy → suspected and suspected → quarantined regardless of the
+	// EWMA — the only signal path a stuck drive ever produces.
+	suspectAfter    = 3
+	quarantineAfter = 8
+
+	// probeInterval is the cadence of single-block probe reads against a
+	// quarantined drive; probeGood consecutive probes completing within
+	// probeBudget un-quarantine it, at an unchanged epoch.
+	probeInterval = 5 * time.Second
+	probeGood     = 3
+)
 
 // DiskHealthState is the monitor's verdict on one drive.
 type DiskHealthState int32
@@ -97,7 +127,6 @@ func (c *Cub) noteRead(dr *drive, issued, due, done sim.Time, size int64, zone d
 	if h.state == DiskQuarantined {
 		return // quarantined drives are judged by their probes alone
 	}
-	hp := &c.cfg.Health
 	lat := done.Sub(issued)
 	worst := c.cfg.DiskParams.WorstServiceTime(size, zone)
 	slack := float64(due.Sub(done)) / float64(worst)
@@ -106,8 +135,8 @@ func (c *Cub) noteRead(dr *drive, issued, due, done sim.Time, size int64, zone d
 		h.slackEwma = slack
 		h.seeded = true
 	} else {
-		h.lat = time.Duration(float64(h.lat)*(1-hp.SlackAlpha) + float64(lat)*hp.SlackAlpha)
-		h.slackEwma = h.slackEwma*(1-hp.SlackAlpha) + slack*hp.SlackAlpha
+		h.lat = time.Duration(float64(h.lat)*(1-slackAlpha) + float64(lat)*slackAlpha)
+		h.slackEwma = h.slackEwma*(1-slackAlpha) + slack*slackAlpha
 	}
 	if !ok || done > due {
 		h.badStreak++
@@ -130,17 +159,17 @@ func (c *Cub) noteDeadlineMiss(dr *drive) {
 
 // evalHealth applies the state machine after the estimators moved.
 func (c *Cub) evalHealth(dr *drive) {
-	hp, h := &c.cfg.Health, &dr.health
+	h := &dr.health
 	switch h.state {
 	case DiskHealthy:
-		if h.badStreak >= hp.SuspectAfter || (h.seeded && h.slackEwma < hp.SuspectSlack) {
+		if h.badStreak >= suspectAfter || (h.seeded && h.slackEwma < suspectSlack) {
 			c.suspectDisk(dr)
 		}
 	case DiskSuspected:
 		switch {
-		case h.badStreak >= hp.QuarantineAfter || (h.seeded && h.slackEwma < 0):
+		case h.badStreak >= quarantineAfter || (h.seeded && h.slackEwma < 0):
 			c.quarantineDisk(dr)
-		case h.badStreak == 0 && h.seeded && h.slackEwma > hp.HealthySlack:
+		case h.badStreak == 0 && h.seeded && h.slackEwma > healthySlack:
 			h.state = DiskHealthy
 			c.stats.DiskRecoveries++
 		}
@@ -233,7 +262,7 @@ func (c *Cub) quarantineDisk(dr *drive) {
 }
 
 func (c *Cub) armProbe(dr *drive) {
-	dr.health.probeTimer = c.clk.After(c.cfg.Health.ProbeInterval, func() { c.probeDisk(dr) })
+	dr.health.probeTimer = c.clk.After(probeInterval, func() { c.probeDisk(dr) })
 }
 
 // probeBudget is the pass/fail bound for one probe read: 1.5× the
@@ -264,7 +293,7 @@ func (c *Cub) probeDisk(dr *drive) {
 		}
 		if ok && done.Sub(start) <= budget {
 			h.probeGood++
-			if h.probeGood >= c.cfg.Health.ProbeGood {
+			if h.probeGood >= probeGood {
 				c.unquarantineDisk(dr)
 			}
 		} else {

@@ -80,13 +80,11 @@ func TestStuckDiskQuarantinedByMisses(t *testing.T) {
 	}
 }
 
-// Once the fault clears, ProbeGood consecutive in-budget probes must
-// return the drive to service at an unchanged epoch.
+// Once the fault clears, probeGood consecutive in-budget probes, one
+// every probeInterval, must return the drive to service at an
+// unchanged epoch.
 func TestProbesUnquarantineHealedDisk(t *testing.T) {
-	r := healthRig(t, func(cfg *Config) {
-		cfg.Health.ProbeInterval = 2 * time.Second
-		cfg.Health.ProbeGood = 2
-	}, 6)
+	r := healthRig(t, nil, 6)
 	cub := r.cubs[0]
 	epoch := cub.Epoch()
 
@@ -97,7 +95,7 @@ func TestProbesUnquarantineHealedDisk(t *testing.T) {
 	}
 
 	r.victimDisk().SetFaults(disk.Faults{})
-	r.run(10 * time.Second)
+	r.run(probeGood*probeInterval + 5*time.Second)
 	if st := cub.DiskHealth(0); st != DiskHealthy {
 		t.Fatalf("disk 0 %s after heal + probes, want healthy", st)
 	}

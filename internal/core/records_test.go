@@ -122,7 +122,7 @@ func TestEntryRecordHeldWhileCompletionRuns(t *testing.T) {
 	}
 	c.Disk(0).SetFaults(disk.Faults{ErrProb: 1})
 	h := &c.drives[0].health
-	h.state, h.badStreak = DiskSuspected, r.cfg.Health.QuarantineAfter-1
+	h.state, h.badStreak = DiskSuspected, quarantineAfter-1
 	r.run(400 * time.Millisecond) // a's read starts at 200 ms and fails
 	if c.QuarantinedDisks() != 1 || c.view.len() != 0 {
 		t.Fatalf("%d drives quarantined, %d entries left", c.QuarantinedDisks(), c.view.len())

@@ -7,7 +7,6 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/schedule"
@@ -77,7 +76,7 @@ func newRig(t *testing.T, o rigOptions) *rig {
 	}
 	cfg := &Config{
 		Layout: lay, Sched: sp, BlockSize: blockSize,
-		DiskParams: dp, CPUModel: metrics.DefaultCPUModel(), Files: files,
+		DiskParams: dp, Files: files,
 	}
 	cfg.DefaultTimings()
 	if o.mutate != nil {

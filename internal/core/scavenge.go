@@ -259,7 +259,7 @@ func (c *Controller) finishScavenge() {
 	// ordinary NoteCubUp path drains once coverage returns.
 	if len(g.unservable) == 0 && len(g.queue) > 0 && !g.draining {
 		g.draining = true
-		c.clk.After(c.cfg.Governor.ResumeDelay, c.drainParked)
+		c.clk.After(c.cfg.DeadmanTimeout, c.drainParked)
 	}
 	c.ensureGovTick()
 }

@@ -159,12 +159,8 @@ func rtSystemFull(t *testing.T, cubs int) (*ControllerHost, []*CubHost, *core.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Real-time scale-down: leads shrink with the block play time.
-	cfg.MinVStateLead = 400 * time.Millisecond
-	cfg.MaxVStateLead = 900 * time.Millisecond
-	cfg.ForwardInterval = 50 * time.Millisecond
-	cfg.DescheduleHold = 300 * time.Millisecond
-	cfg.ReadAhead = 100 * time.Millisecond
+	// Real-time scale-down: the leads shrink with the block play time by
+	// default; the deadman runs a 100 ms heartbeat and a 500 ms timeout.
 	cfg.HeartbeatInterval = 100 * time.Millisecond
 	cfg.DeadmanTimeout = 500 * time.Millisecond
 	if err := cfg.Validate(); err != nil {

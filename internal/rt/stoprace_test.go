@@ -31,11 +31,10 @@ func stopRaceConfig(t *testing.T) *core.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MinVStateLead = 400 * time.Millisecond
-	cfg.MaxVStateLead = 900 * time.Millisecond
-	cfg.ForwardInterval = 50 * time.Millisecond
-	cfg.DescheduleHold = 300 * time.Millisecond
-	cfg.ReadAhead = 100 * time.Millisecond
+	// The leads, batch, hold and read-ahead scale with the block play;
+	// the deadman keeps its one-second-block timings.
+	cfg.HeartbeatInterval = 500 * time.Millisecond
+	cfg.DeadmanTimeout = 2500 * time.Millisecond
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

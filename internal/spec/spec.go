@@ -31,7 +31,8 @@ type ClusterSpec struct {
 	FileBlocks  int   `json:"file_blocks"`
 	FileSeed    int64 `json:"file_seed"`
 
-	// Protocol timings, in milliseconds; zero takes scaled defaults.
+	// Protocol timings, in milliseconds; zero takes core's defaults,
+	// scaled to the block play time.
 	MinVStateLeadMs int `json:"min_vstate_lead_ms,omitempty"`
 	MaxVStateLeadMs int `json:"max_vstate_lead_ms,omitempty"`
 	ForwardMs       int `json:"forward_interval_ms,omitempty"`
@@ -87,8 +88,11 @@ func (s ClusterSpec) Save(path string) error {
 func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 
 // Config expands the spec into a validated core.Config. Unset protocol
-// timings scale with the block play time, like the tigerd defaults.
+// timings take core's defaults, which scale with the block play time.
 func (s ClusterSpec) Config() (*core.Config, error) {
+	if s.BlockPlayMs <= 0 {
+		return nil, fmt.Errorf("spec: block_play_ms is %d; it must be positive", s.BlockPlayMs)
+	}
 	cfg, err := core.BuildConfig(core.SystemSpec{
 		Cubs:        s.Cubs,
 		DisksPerCub: s.DisksPerCub,
@@ -103,21 +107,22 @@ func (s ClusterSpec) Config() (*core.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	bp := ms(s.BlockPlayMs)
-	set := func(dst *time.Duration, v int, def time.Duration) {
-		if v > 0 {
-			*dst = ms(v)
-		} else {
-			*dst = def
+	for _, o := range []struct {
+		d  *time.Duration
+		ms int
+	}{
+		{&cfg.MinVStateLead, s.MinVStateLeadMs},
+		{&cfg.MaxVStateLead, s.MaxVStateLeadMs},
+		{&cfg.ForwardInterval, s.ForwardMs},
+		{&cfg.DescheduleHold, s.DeschedHoldMs},
+		{&cfg.ReadAhead, s.ReadAheadMs},
+		{&cfg.HeartbeatInterval, s.HeartbeatMs},
+		{&cfg.DeadmanTimeout, s.DeadmanMs},
+	} {
+		if o.ms > 0 {
+			*o.d = ms(o.ms)
 		}
 	}
-	set(&cfg.MinVStateLead, s.MinVStateLeadMs, 4*bp)
-	set(&cfg.MaxVStateLead, s.MaxVStateLeadMs, 9*bp)
-	set(&cfg.ForwardInterval, s.ForwardMs, bp/2)
-	set(&cfg.DescheduleHold, s.DeschedHoldMs, 3*bp)
-	set(&cfg.ReadAhead, s.ReadAheadMs, bp)
-	set(&cfg.HeartbeatInterval, s.HeartbeatMs, bp/2)
-	set(&cfg.DeadmanTimeout, s.DeadmanMs, 5*bp/2)
 	return cfg, cfg.Validate()
 }
 

@@ -12,6 +12,10 @@ import (
 	"tiger/internal/viewer"
 )
 
+// viewerSlack is how far ahead of its play deadline a viewer wants each
+// block: the client's buffering.
+const viewerSlack = 500 * time.Millisecond
+
 // Stream is one viewer's play of one file.
 type Stream struct {
 	Viewer   *viewer.Viewer
@@ -37,7 +41,7 @@ func (c *Cluster) Play(file msg.FileID, startBlock int32) (*Stream, error) {
 	}
 	c.nextViewer++
 	vid := c.nextViewer
-	v := viewer.New(vid, clockOf(c), c.Cfg.Sched.BlockPlay, c.Opt.ViewerSlack,
+	v := viewer.New(vid, clockOf(c), c.Cfg.Sched.BlockPlay, viewerSlack,
 		c.machineFor(vid), c.Loss)
 	c.Net.RegisterViewer(vid, v)
 

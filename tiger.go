@@ -35,7 +35,6 @@ import (
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/obs"
-	"tiger/internal/schedule"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 	"tiger/internal/viewer"
@@ -63,34 +62,28 @@ type Options struct {
 	// Models.
 	DiskParams disk.Params
 	NetParams  netsim.Params
-	CPUModel   metrics.CPUModel
 
-	// Protocol timings; zero fields take the paper's defaults.
-	MinVStateLead     time.Duration
-	MaxVStateLead     time.Duration
-	ForwardInterval   time.Duration
-	DescheduleHold    time.Duration
-	ReadAhead         time.Duration
-	HeartbeatInterval time.Duration
-	DeadmanTimeout    time.Duration
-	AdmitLimit        float64
-	SingleForward     bool // ablation: forward viewer states once, not twice
+	// Protocol settings. Zero leads take core's defaults (4 and 9 block
+	// plays), as every other protocol timing does.
+	MinVStateLead time.Duration
+	MaxVStateLead time.Duration
+	AdmitLimit    float64
+	SingleForward bool // ablation: forward viewer states once, not twice
 
-	// Health configures the gray-failure monitor (fail-slow detection,
-	// hedged mirror reads, quarantine); zero fields take the defaults,
-	// Health.Disable turns the monitor off for baselines.
+	// Health switches the gray-failure monitor (fail-slow detection,
+	// hedged mirror reads, quarantine); Health.Disable turns it off for
+	// baselines.
 	Health core.HealthParams
 
-	// Governor configures the graceful-degradation governor: on capacity
+	// Governor switches the graceful-degradation governor: on capacity
 	// loss beyond mirror coverage it parks the fewest streams needed so
 	// the survivors see zero deadline misses, and re-admits them when a
 	// rejoin restores coverage. Off unless Governor.Enable is set.
 	Governor core.GovernorParams
 
-	// Client model.
-	ViewersPerMachine int
-	ClientDropProb    float64
-	ViewerSlack       time.Duration
+	// ClientDropProb is the chance a client machine drops a block it
+	// received.
+	ClientDropProb float64
 
 	// RampSpacing staggers RampTo start requests, like the paper's
 	// staggered client starts; zero issues them all at once.
@@ -141,22 +134,19 @@ type Options struct {
 // second of video), decluster factor four — a 602-stream system (§5).
 func DefaultOptions() Options {
 	return Options{
-		Cubs:              14,
-		DisksPerCub:       4,
-		Decluster:         4,
-		BlockPlay:         time.Second,
-		StreamBitrate:     2_000_000,
-		BlockSize:         262144, // 0.25 Mbyte: a 2 Mbit/s-second plus the single-bitrate system's internal fragmentation (§2.2)
-		NumFiles:          64,
-		FileBlocks:        3600,
-		DiskParams:        disk.DefaultParams(),
-		NetParams:         netsim.DefaultParams(),
-		CPUModel:          metrics.DefaultCPUModel(),
-		ViewersPerMachine: 20,
-		ClientDropProb:    0.000004,
-		ViewerSlack:       500 * time.Millisecond,
-		RampSpacing:       200 * time.Millisecond,
-		Seed:              1,
+		Cubs:           14,
+		DisksPerCub:    4,
+		Decluster:      4,
+		BlockPlay:      time.Second,
+		StreamBitrate:  2_000_000,
+		BlockSize:      262144, // 0.25 Mbyte: a 2 Mbit/s-second plus the single-bitrate system's internal fragmentation (§2.2)
+		NumFiles:       64,
+		FileBlocks:     3600,
+		DiskParams:     disk.DefaultParams(),
+		NetParams:      netsim.DefaultParams(),
+		ClientDropProb: 0.000004,
+		RampSpacing:    200 * time.Millisecond,
+		Seed:           1,
 	}
 }
 
@@ -181,10 +171,9 @@ type Cluster struct {
 	StartupLatency *metrics.Summary
 	StartupPoints  []StartupPoint
 
-	capacity disk.Capacity
-	rng      *rand.Rand
-	reg      *obs.Registry
-	ring     *trace.Ring // nil until EnableTrace
+	rng  *rand.Rand
+	reg  *obs.Registry
+	ring *trace.Ring // nil until EnableTrace
 
 	machines   []*viewer.Machine
 	streams    map[msg.InstanceID]*Stream
@@ -216,7 +205,6 @@ type Cluster struct {
 	rsOldGen        int32
 	rsNewGen        int32
 	rsCfg1          *core.Config
-	rsCap1          disk.Capacity
 	rsMoves         int
 	rsBytes         int64
 	rsCopyStart     sim.Time
@@ -250,34 +238,33 @@ type StartupPoint struct {
 	Latency time.Duration
 }
 
-// New builds a cluster.
+// New builds a cluster: the Config core.BuildConfig derives from the
+// options' shape, with file placement seeded by Options.Seed and the
+// options' protocol settings applied over it.
 func New(o Options) (*Cluster, error) {
-	if o.Cubs <= 0 || o.DisksPerCub <= 0 {
-		return nil, fmt.Errorf("tiger: need cubs and disks, have %d/%d", o.Cubs, o.DisksPerCub)
-	}
-	if o.BlockSize == 0 {
-		if o.StreamBitrate <= 0 || o.BlockPlay <= 0 {
-			return nil, fmt.Errorf("tiger: need a bitrate and block play time to derive the block size")
-		}
-		o.BlockSize = o.StreamBitrate * int64(o.BlockPlay) / int64(8*time.Second)
-	}
-	if o.StreamBitrate == 0 {
-		o.StreamBitrate = o.BlockSize * 8 * int64(time.Second) / int64(o.BlockPlay)
-	}
-
-	lay := layout.Config{Cubs: o.Cubs, DisksPerCub: o.DisksPerCub, Decluster: o.Decluster,
-		DomainSize: o.DomainSize}
-	if err := lay.Validate(); err != nil {
-		return nil, err
-	}
-	capa := disk.PlanCapacity(o.DiskParams, lay.NumDisks(), o.BlockSize, o.BlockPlay, o.Decluster)
-	if capa.Streams < 1 {
-		return nil, fmt.Errorf("tiger: configuration has no stream capacity")
-	}
-	sp, err := schedule.NewParams(o.BlockPlay, lay.NumDisks(), capa.Streams)
+	cfg, err := core.BuildConfig(core.SystemSpec{
+		Cubs: o.Cubs, DisksPerCub: o.DisksPerCub, Decluster: o.Decluster, DomainSize: o.DomainSize,
+		BlockPlay: o.BlockPlay, BlockSize: o.BlockSize, Bitrate: o.StreamBitrate,
+		NumFiles: o.NumFiles, FileBlocks: o.FileBlocks, FileSeed: o.Seed,
+		DiskParams: o.DiskParams,
+	})
 	if err != nil {
 		return nil, err
 	}
+	if o.MinVStateLead != 0 {
+		cfg.MinVStateLead = o.MinVStateLead
+	}
+	if o.MaxVStateLead != 0 {
+		cfg.MaxVStateLead = o.MaxVStateLead
+	}
+	cfg.AdmitLimit, cfg.SingleForward = o.AdmitLimit, o.SingleForward
+	cfg.Health, cfg.Governor = o.Health, o.Governor
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	// The options keep the derived geometry: every file has the
+	// system's one block size and bitrate.
+	o.BlockSize, o.StreamBitrate = cfg.BlockSize, cfg.Files[0].Bitrate
 
 	shards := o.Shards
 	if shards < 1 {
@@ -296,43 +283,6 @@ func New(o Options) (*Cluster, error) {
 	eng := engines[0]
 	clk := clock.Sim{Eng: eng}
 
-	files := make(map[msg.FileID]layout.File, o.NumFiles)
-	frng := rand.New(rand.NewSource(o.Seed + 1))
-	for i := 0; i < o.NumFiles; i++ {
-		id := msg.FileID(i)
-		files[id] = layout.File{
-			ID:        id,
-			StartDisk: frng.Intn(lay.NumDisks()),
-			Blocks:    o.FileBlocks,
-			Bitrate:   o.StreamBitrate,
-			BlockSize: o.BlockSize,
-		}
-	}
-
-	cfg := &core.Config{
-		Layout:            lay,
-		Sched:             sp,
-		BlockSize:         o.BlockSize,
-		MinVStateLead:     o.MinVStateLead,
-		MaxVStateLead:     o.MaxVStateLead,
-		ForwardInterval:   o.ForwardInterval,
-		DescheduleHold:    o.DescheduleHold,
-		ReadAhead:         o.ReadAhead,
-		HeartbeatInterval: o.HeartbeatInterval,
-		DeadmanTimeout:    o.DeadmanTimeout,
-		AdmitLimit:        o.AdmitLimit,
-		SingleForward:     o.SingleForward,
-		Health:            o.Health,
-		Governor:          o.Governor,
-		DiskParams:        o.DiskParams,
-		CPUModel:          o.CPUModel,
-		Files:             files,
-	}
-	cfg.DefaultTimings()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
 	net := netsim.New(o.NetParams, clk, eng.Rand())
 	c := &Cluster{
 		Opt:            o,
@@ -342,7 +292,6 @@ func New(o Options) (*Cluster, error) {
 		engines:        engines,
 		Loss:           &metrics.LossLog{},
 		StartupLatency: &metrics.Summary{},
-		capacity:       capa,
 		rng:            rand.New(rand.NewSource(o.Seed + 2)),
 		streams:        make(map[msg.InstanceID]*Stream),
 		oracle:         newSlotOracle(),
@@ -457,10 +406,10 @@ func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
 // Capacity returns the planned whole-system stream capacity (602 in the
 // default configuration).
-func (c *Cluster) Capacity() int { return c.capacity.Streams }
+func (c *Cluster) Capacity() int { return c.Cfg.Capacity().Streams }
 
 // CapacityPlan exposes the full capacity computation.
-func (c *Cluster) CapacityPlan() disk.Capacity { return c.capacity }
+func (c *Cluster) CapacityPlan() disk.Capacity { return c.Cfg.Capacity() }
 
 // Now returns the current virtual time.
 func (c *Cluster) Now() sim.Time { return c.Eng.Now() }
@@ -617,18 +566,15 @@ func (c *Cluster) MirrorLoadFor(i int) int {
 	return n
 }
 
+// viewersPerMachine is how many viewers share one simulated client
+// machine.
+const viewersPerMachine = 20
+
 // machineFor places viewers onto simulated client machines.
 func (c *Cluster) machineFor(v msg.ViewerID) *viewer.Machine {
-	per := c.Opt.ViewersPerMachine
-	if per <= 0 {
-		per = 20
-	}
-	idx := int(v) / per
+	idx := int(v) / viewersPerMachine
 	for len(c.machines) <= idx {
-		cap := per - 2 // a little under-provisioned at full packing
-		if cap < 1 {
-			cap = 1
-		}
+		cap := viewersPerMachine - 2 // a little under-provisioned at full packing
 		c.machines = append(c.machines, viewer.NewMachine(cap, c.Opt.ClientDropProb, c.rng))
 	}
 	return c.machines[idx]
