@@ -59,30 +59,6 @@ var (
 	chainCap  = flag.Int("chains", 4096, "causal block chains retained for /debug/trace/{stream} (0 disables causal tracing)")
 )
 
-// newChainLog builds the process's causal chain store, or nil when
-// causal tracing is disabled.
-func newChainLog() *trace.ChainLog {
-	if *chainCap <= 0 {
-		return nil
-	}
-	return trace.NewChainLog(*chainCap, 64)
-}
-
-// chainEndpoints adapts a process-wide chain log to the debug server's
-// chain lookups. All of this process's nodes share one log, so a lookup
-// is a read plus a deterministic time sort.
-func chainEndpoints(l *trace.ChainLog) (func(msg.InstanceID, int32) []trace.Hop, func() []trace.ChainKey) {
-	if l == nil {
-		return nil, nil
-	}
-	chains := func(inst msg.InstanceID, block int32) []trace.Hop {
-		hops := l.Chain(inst, block)
-		trace.SortHops(hops)
-		return hops
-	}
-	return chains, l.Keys
-}
-
 func main() {
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
@@ -142,7 +118,7 @@ func main() {
 }
 
 func buildConfig() (*core.Config, error) {
-	cfg, err := core.BuildConfig(core.SystemSpec{
+	return core.BuildConfig(core.SystemSpec{
 		Cubs:        *cubs,
 		DisksPerCub: *disks,
 		Decluster:   *decluster,
@@ -151,19 +127,6 @@ func buildConfig() (*core.Config, error) {
 		NumFiles:    *files,
 		FileBlocks:  *blocks,
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Scale protocol timings with the demo block play time.
-	bp := *blockPlay
-	cfg.MinVStateLead = 4 * bp
-	cfg.MaxVStateLead = 9 * bp
-	cfg.ForwardInterval = bp / 2
-	cfg.DescheduleHold = 3 * bp
-	cfg.ReadAhead = bp
-	cfg.HeartbeatInterval = bp / 2
-	cfg.DeadmanTimeout = 5 * bp / 2
-	return cfg, cfg.Validate()
 }
 
 // specAddrs holds addresses loaded from -config; -addrs supplements it.
@@ -230,9 +193,14 @@ func debugAddr(controlAddr string) string {
 	}
 }
 
-// newObs builds the process's registry and trace ring and cross-registers
-// the ring's counters so a /metrics scrape shows trace volume and loss.
-func newObs() (*obs.Registry, *trace.Ring) {
+// observe wires a process's nodes to its observability surface, the
+// same way for every node mix: one registry (carrying the trace ring's
+// volume and loss counters), one trace ring, one causal chain log (nil
+// when -chains is 0), and the debug server over them at the address
+// -debug resolves against controlAddr. ctl is nil in a cub process and
+// hosts empty in a controller process. The server is nil when -debug is
+// off.
+func observe(ctl *rt.ControllerHost, hosts []*rt.CubHost, controlAddr string, info map[string]string) *rt.DebugServer {
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(*traceCap)
 	reg.CounterFunc("tiger_trace_events_total",
@@ -241,14 +209,39 @@ func newObs() (*obs.Registry, *trace.Ring) {
 	reg.CounterFunc("tiger_trace_dropped_total",
 		"Protocol trace events evicted from the bounded debug ring.",
 		nil, func() float64 { return float64(ring.Dropped()) })
-	return reg, ring
-}
-
-func startDebug(addr string, cfg rt.DebugConfig) *rt.DebugServer {
+	dc := rt.DebugConfig{Registry: reg, Trace: ring, Info: info}
+	var chain *trace.ChainLog
+	if *chainCap > 0 {
+		// All of this process's nodes share one log, so a chain lookup
+		// is a read plus a deterministic time sort.
+		chain = trace.NewChainLog(*chainCap, 64)
+		dc.Chains = func(inst msg.InstanceID, block int32) []trace.Hop {
+			hops := chain.Chain(inst, block)
+			trace.SortHops(hops)
+			return hops
+		}
+		dc.ChainKeys = chain.Keys
+	}
+	if ctl != nil {
+		ctl.AttachObs(reg)
+		ctl.AttachChainLog(chain)
+	}
+	if len(hosts) > 0 {
+		dc.Views = make(map[string]func(time.Duration) (string, error), len(hosts))
+		dc.Events = make(map[string]func() uint64, len(hosts))
+	}
+	for _, h := range hosts {
+		h.AttachObs(reg)
+		h.AttachTrace(ring)
+		h.AttachChainLog(chain)
+		dc.Views[h.Cub.ID().String()] = h.DumpView
+		dc.Events[h.Cub.ID().String()] = h.Node.Processed
+	}
+	addr := debugAddr(controlAddr)
 	if addr == "" {
 		return nil
 	}
-	d, err := rt.StartDebug(addr, cfg)
+	d, err := rt.StartDebug(addr, dc)
 	if err != nil {
 		log.Fatalf("debug listener: %v", err)
 	}
@@ -284,34 +277,12 @@ func runAll(cfg *core.Config) {
 		defer h.Close()
 		hosts = append(hosts, h)
 	}
-	reg, ring := newObs()
-	ctl.AttachObs(reg)
-	chain := newChainLog()
-	ctl.AttachChainLog(chain)
-	views := make(map[string]func(time.Duration) (string, error), len(hosts))
-	events := make(map[string]func() uint64, len(hosts))
-	for _, h := range hosts {
-		h.AttachObs(reg)
-		h.AttachTrace(ring)
-		h.AttachChainLog(chain)
-		views[h.Cub.ID().String()] = h.DumpView
-		events[h.Cub.ID().String()] = h.Node.Processed
-	}
-	chains, chainKeys := chainEndpoints(chain)
-	if d := startDebug(debugAddr(*listen), rt.DebugConfig{
-		Registry:  reg,
-		Trace:     ring,
-		Chains:    chains,
-		ChainKeys: chainKeys,
-		Views:     views,
-		Events:    events,
-		Info:      map[string]string{"node": "all", "controller": addrs[msg.Controller]},
-	}); d != nil {
+	if d := observe(ctl, hosts, *listen, map[string]string{"node": "all", "controller": addrs[msg.Controller]}); d != nil {
 		defer d.Close()
 	}
 	cap := cfg.Capacity()
 	log.Printf("tiger system up: %d cubs x %d disks, %d files, capacity %d streams (%.2f/disk)",
-		*cubs, *disks, *files, cap.Streams, cap.StreamsPerDisk)
+		cfg.Layout.Cubs, cfg.Layout.DisksPerCub, len(cfg.Files), cap.Streams, cap.StreamsPerDisk)
 	log.Printf("controller at %s (epoch service %s); cubs at %s..%s",
 		addrs[msg.Controller], epAddr, addrs[0], addrs[msg.NodeID(*cubs-1)])
 	log.Printf("start a stream: tigerctl -controller %s -play 0", addrs[msg.Controller])
@@ -342,18 +313,7 @@ func runController(cfg *core.Config, listenAddr string, addrs map[msg.NodeID]str
 	if _, err := ctl.ServeEpoch(epAddr); err != nil {
 		log.Fatal(err)
 	}
-	reg, ring := newObs()
-	ctl.AttachObs(reg)
-	chain := newChainLog()
-	ctl.AttachChainLog(chain)
-	chains, chainKeys := chainEndpoints(chain)
-	if d := startDebug(debugAddr(listenAddr), rt.DebugConfig{
-		Registry:  reg,
-		Trace:     ring,
-		Chains:    chains,
-		ChainKeys: chainKeys,
-		Info:      map[string]string{"node": "controller", "listen": listenAddr},
-	}); d != nil {
+	if d := observe(ctl, nil, listenAddr, map[string]string{"node": "controller", "listen": listenAddr}); d != nil {
 		defer d.Close()
 	}
 	log.Printf("controller on %s (epoch %d, epoch service %s)", listenAddr, ep.UnixNano(), epAddr)
@@ -383,21 +343,7 @@ func runCub(cfg *core.Config, id msg.NodeID, addrs map[msg.NodeID]string) {
 		log.Fatal(err)
 	}
 	defer h.Close()
-	reg, ring := newObs()
-	h.AttachObs(reg)
-	h.AttachTrace(ring)
-	chain := newChainLog()
-	h.AttachChainLog(chain)
-	chains, chainKeys := chainEndpoints(chain)
-	if d := startDebug(debugAddr(listenAddr), rt.DebugConfig{
-		Registry:  reg,
-		Trace:     ring,
-		Chains:    chains,
-		ChainKeys: chainKeys,
-		Views:     map[string]func(time.Duration) (string, error){id.String(): h.DumpView},
-		Events:    map[string]func() uint64{id.String(): h.Node.Processed},
-		Info:      map[string]string{"node": id.String(), "listen": listenAddr},
-	}); d != nil {
+	if d := observe(nil, []*rt.CubHost{h}, listenAddr, map[string]string{"node": id.String(), "listen": listenAddr}); d != nil {
 		defer d.Close()
 	}
 	log.Printf("%v on %s", id, listenAddr)
