@@ -11,10 +11,10 @@
 //
 //	tigerctl stats -debug 127.0.0.1:9000
 //
-// The restripe subcommand summarises elastic-restripe progress from the
-// same endpoint: phase, committed/rerouted moves, and mover totals:
+// The parked subcommand summarises the degradation governor from the
+// same endpoint:
 //
-//	tigerctl restripe -debug 127.0.0.1:9000
+//	tigerctl parked -debug 127.0.0.1:9000
 //
 // The why subcommand answers "why was this block late": it fetches the
 // causal hop chain of a traced block from the debug endpoint and prints
@@ -87,10 +87,6 @@ type viewerState struct {
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "stats" {
 		runStats(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "restripe" {
-		runRestripe(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "why" {
@@ -225,69 +221,65 @@ func main() {
 	}
 }
 
-// runRestripe scrapes a tigerd debug endpoint's /metrics and prints the
-// elastic-restripe status: the phase gauge, coordinator progress, and
-// the mover counters summed over every cub.
-func runRestripe(args []string) {
-	fs := flag.NewFlagSet("restripe", flag.ExitOnError)
-	addr := fs.String("debug", "127.0.0.1:9000", "tigerd debug address (control port + 2000 by default)")
-	fs.Parse(args)
+// sample is one series of a /metrics scrape: its name, its label block
+// ("" or {k="v",...}) and its value.
+type sample struct {
+	name, labels string
+	value        float64
+}
 
-	resp, err := http.Get("http://" + *addr + "/metrics")
+// label returns the value of label key in the sample's label block, or
+// "" when it has none.
+func (s sample) label(key string) string {
+	_, rest, ok := strings.Cut(s.labels, key+`="`)
+	if !ok {
+		return ""
+	}
+	v, _, _ := strings.Cut(rest, `"`)
+	return v
+}
+
+// getMetrics fetches a tigerd debug endpoint's /metrics, exiting on
+// failure.
+func getMetrics(addr string) io.ReadCloser {
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
-		log.Fatalf("scrape %s: %v", *addr, err)
+		log.Fatalf("scrape %s: %v", addr, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("scrape %s: %s", *addr, resp.Status)
+		log.Fatalf("scrape %s: %s", addr, resp.Status)
 	}
+	return resp.Body
+}
 
-	// Sum each restripe-relevant series over its labels (the per-cub
-	// mover counters carry a cub label; the controller's do not).
-	sums := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
+// scrape returns every sample of a tigerd debug endpoint's /metrics, in
+// exposition order, skipping comments and unparsable lines.
+func scrape(addr string) []sample {
+	body := getMetrics(addr)
+	defer body.Close()
+	var out []sample
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
 		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
+		if sp < 0 || strings.HasPrefix(line, "#") {
 			continue
 		}
-		series, value := line[:sp], line[sp+1:]
-		name := series
-		if b := strings.IndexByte(name, '{'); b >= 0 {
-			name = name[:b]
-		}
-		if !strings.HasPrefix(name, "tiger_restripe_") && !strings.HasPrefix(name, "tiger_cub_move") {
-			continue
-		}
-		v, err := strconv.ParseFloat(value, 64)
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
 		if err != nil {
 			continue
 		}
-		sums[name] += v
+		s := sample{name: line[:sp], value: v}
+		if b := strings.IndexByte(s.name, '{'); b >= 0 {
+			s.name, s.labels = s.name[:b], s.name[b:]
+		}
+		out = append(out, s)
 	}
 	if err := sc.Err(); err != nil {
 		log.Fatalf("reading scrape: %v", err)
 	}
-
-	phases := []string{"idle", "copy", "cutover", "drain", "linger", "done"}
-	phase := "idle"
-	if p := int(sums["tiger_restripe_phase"]); p >= 0 && p < len(phases) {
-		phase = phases[p]
-	}
-	fmt.Printf("phase      : %s\n", phase)
-	fmt.Printf("committed  : %.0f moves\n", sums["tiger_restripe_commits_total"])
-	fmt.Printf("rerouted   : %.0f moves\n", sums["tiger_restripe_reroutes_total"])
-	fmt.Printf("pending    : %.0f copy jobs queued at cubs\n", sums["tiger_cub_moves_pending"])
-	fmt.Printf("moved out  : %.0f blocks (%.1f MB)\n",
-		sums["tiger_cub_moves_out_total"], sums["tiger_cub_move_bytes_out_total"]/1e6)
-	fmt.Printf("moved in   : %.0f blocks (%.1f MB)\n",
-		sums["tiger_cub_moves_in_total"], sums["tiger_cub_move_bytes_in_total"]/1e6)
-	fmt.Printf("nacked     : %.0f move orders\n", sums["tiger_cub_moves_nacked_total"])
+	return out
 }
 
 // whyChain is one line of the /debug/trace/{instance} ndjson body.
@@ -395,9 +387,6 @@ func printWhyChain(ch whyChain) {
 	}
 }
 
-// runStats scrapes a tigerd debug endpoint's /metrics and prints a
-// readable summary (or the raw exposition text with -raw). Histogram
-// series are folded to their _count and _sum lines.
 // runParked summarises the degradation governor's state from a tigerd
 // debug endpoint: how many streams are parked, how many disks the
 // governor computes mirror-exhausted, lifetime park/resume totals, and
@@ -407,50 +396,18 @@ func runParked(args []string) {
 	addr := fs.String("debug", "127.0.0.1:9000", "tigerd debug address (control port + 2000 by default)")
 	fs.Parse(args)
 
-	resp, err := http.Get("http://" + *addr + "/metrics")
-	if err != nil {
-		log.Fatalf("scrape %s: %v", *addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("scrape %s: %s", *addr, resp.Status)
-	}
-
 	sums := map[string]float64{}
 	type cubRow struct{ parks, resumes, unservable float64 }
 	perCub := map[int]*cubRow{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		series, value := line[:sp], line[sp+1:]
-		name, cub := series, -1
-		if b := strings.IndexByte(name, '{'); b >= 0 {
-			if i := strings.Index(name[b:], `cub="`); i >= 0 {
-				if e := strings.IndexByte(name[b+i+5:], '"'); e >= 0 {
-					cub, _ = strconv.Atoi(name[b+i+5 : b+i+5+e])
-				}
-			}
-			name = name[:b]
-		}
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			continue
-		}
-		switch name {
+	for _, s := range scrape(*addr) {
+		switch s.name {
 		case "tiger_governor_parked_streams", "tiger_governor_unservable_disks",
 			"tiger_governor_parks_total", "tiger_governor_resumes_total":
-			sums[name] += v
+			sums[s.name] += s.value
 			continue
 		}
-		if cub < 0 {
+		cub, err := strconv.Atoi(s.label("cub"))
+		if err != nil {
 			continue
 		}
 		r := perCub[cub]
@@ -458,19 +415,15 @@ func runParked(args []string) {
 			r = &cubRow{}
 			perCub[cub] = r
 		}
-		switch name {
+		switch s.name {
 		case "tiger_cub_parks_total":
-			r.parks = v
+			r.parks = s.value
 		case "tiger_cub_resumes_total":
-			r.resumes = v
+			r.resumes = s.value
 		case "tiger_cub_unservable_disks":
-			r.unservable = v
+			r.unservable = s.value
 		}
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatalf("reading scrape: %v", err)
-	}
-
 	fmt.Printf("parked      : %.0f streams awaiting re-admission\n", sums["tiger_governor_parked_streams"])
 	fmt.Printf("unservable  : %.0f disks with no live copy\n", sums["tiger_governor_unservable_disks"])
 	fmt.Printf("parks       : %.0f streams shed (lifetime)\n", sums["tiger_governor_parks_total"])
@@ -493,6 +446,9 @@ func runParked(args []string) {
 	}
 }
 
+// runStats scrapes a tigerd debug endpoint's /metrics and prints a
+// readable summary (or the raw exposition text with -raw). Histogram
+// series are folded to their _count and _sum lines.
 func runStats(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	addr := fs.String("debug", "127.0.0.1:9000", "tigerd debug address (control port + 2000 by default)")
@@ -500,56 +456,25 @@ func runStats(args []string) {
 	prefix := fs.String("prefix", "", "only print series whose name has this prefix")
 	fs.Parse(args)
 
-	resp, err := http.Get("http://" + *addr + "/metrics")
-	if err != nil {
-		log.Fatalf("scrape %s: %v", *addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("scrape %s: %s", *addr, resp.Status)
-	}
 	if *raw {
-		io.Copy(os.Stdout, resp.Body)
+		body := getMetrics(*addr)
+		defer body.Close()
+		io.Copy(os.Stdout, body)
 		return
 	}
-
-	type row struct{ series, value string }
-	var rows []row
+	var rows []sample
 	width := 0
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		series, value := line[:sp], line[sp+1:]
-		name := series
-		if b := strings.IndexByte(name, '{'); b >= 0 {
-			name = name[:b]
-		}
-		if strings.HasSuffix(name, "_bucket") {
+	for _, s := range scrape(*addr) {
+		if strings.HasSuffix(s.name, "_bucket") {
 			continue // keep the summary readable; -raw has the buckets
 		}
-		if *prefix != "" && !strings.HasPrefix(name, *prefix) {
+		if *prefix != "" && !strings.HasPrefix(s.name, *prefix) {
 			continue
 		}
-		if v, err := strconv.ParseFloat(value, 64); err == nil {
-			value = strconv.FormatFloat(v, 'g', 6, 64)
-		}
-		rows = append(rows, row{series, value})
-		if len(series) > width {
-			width = len(series)
-		}
+		rows = append(rows, s)
+		width = max(width, len(s.name)+len(s.labels))
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatalf("reading scrape: %v", err)
-	}
-	for _, r := range rows {
-		fmt.Printf("%-*s %s\n", width, r.series, r.value)
+	for _, s := range rows {
+		fmt.Printf("%-*s %s\n", width, s.name+s.labels, strconv.FormatFloat(s.value, 'g', 6, 64))
 	}
 }
