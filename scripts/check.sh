@@ -96,6 +96,16 @@ gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
 gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
 gotest -run 'TestWriteFlushCoalesces' ./internal/wire
 
+# Config gate: core.BuildConfig is the one place a Config is derived
+# from a shape. tiger.New and the cluster spec must equal it, the
+# protocol timings must scale with the block play (the paper's
+# constants at 1 s, tigerd's table at 250 ms, the real-time tests' at
+# 100 ms), and a restripe's new generation must keep the failure
+# domains.
+gotest -run 'TestNewMatchesBuildConfig|TestRestripeKeepsFailureDomains' .
+gotest -run 'TestDefaultConfigMatchesBuildConfig' ./internal/spec
+gotest -run 'TestDefaultTimingsScaleWithBlockPlay' ./internal/core
+
 # Fencing gate (internal/core/fence.go). The protocol's token schemes
 # are one high-water mark, checked from one table with a row per message
 # kind: the mark must agree with a plain high-water model on random
