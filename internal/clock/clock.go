@@ -5,6 +5,7 @@
 package clock
 
 import (
+	"sync"
 	"time"
 
 	"tiger/internal/sim"
@@ -12,28 +13,32 @@ import (
 
 // Timer is a handle to a pending callback. It is a small value, not an
 // interface, so arming a timer through a Clock allocates nothing: it
-// wraps the simulator's generation-stamped sim.Timer or, under the
-// real-time runtime, the *time.Timer behind the callback. The zero Timer
-// is unarmed and Stop on it reports false, so a timer field needs no nil
-// check.
+// wraps a generation-stamped sim.Timer, in both runtimes, since the
+// real-time executor keeps its timers in a sim.Engine of its own. There
+// the queue is shared with whoever arms from another goroutine, and mu
+// is the lock that guards it; under the simulator mu is nil. The zero
+// Timer is unarmed and Stop on it reports false, so a timer field needs
+// no nil check.
 type Timer struct {
-	sim  sim.Timer
-	real *time.Timer
+	sim sim.Timer
+	mu  *sync.Mutex
 }
 
-// Real wraps the wall-clock timer behind a real-time callback.
-func Real(t *time.Timer) Timer { return Timer{real: t} }
+// Locked wraps a timer of a queue that mu guards.
+func Locked(t sim.Timer, mu *sync.Mutex) Timer { return Timer{sim: t, mu: mu} }
 
-// Stop cancels the timer, reporting whether it was still pending. Under
-// the simulator false means the callback has run (or the timer was
-// stopped before). Under the real-time runtime false can also mean the
-// callback is already queued on the node's executor and will still run:
-// whoever owns the state the callback reads must not reuse it until then.
+// Stop cancels the timer, reporting whether it was still pending: false
+// means the callback has run, or has been taken to run, or the timer was
+// stopped before. Called on the executor that runs the callback, Stop is
+// exact in both runtimes: a callback it reports false for will not run.
 func (t Timer) Stop() bool {
-	if t.real != nil {
-		return t.real.Stop()
+	if t.mu == nil {
+		return t.sim.Stop()
 	}
-	return t.sim.Stop()
+	t.mu.Lock()
+	ok := t.sim.Stop()
+	t.mu.Unlock()
+	return ok
 }
 
 // Clock provides the current instant and deferred callbacks. Callbacks

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,5 +66,58 @@ func TestSimClockAllocs(t *testing.T) {
 	}
 	if fired != 1002 {
 		t.Fatalf("fired %d callbacks, want 1002", fired)
+	}
+}
+
+// TestLockedStop: a timer of a queue shared under a lock, as the
+// real-time executor's is, is stopped under that lock from any
+// goroutine, and exactly: every callback either runs or its Stop
+// reports true, never both and never neither.
+func TestLockedStop(t *testing.T) {
+	var mu sync.Mutex
+	eng := sim.New(1)
+	var ran atomic.Int64
+	fn := func() { ran.Add(1) }
+	const arms, goroutines = 500, 4
+	var stopped atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < arms; i++ {
+				mu.Lock()
+				tm := Locked(eng.At(eng.Now(), fn), &mu)
+				mu.Unlock()
+				if tm.Stop() {
+					stopped.Add(1)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		for {
+			mu.Lock()
+			if _, ok := eng.Next(); !ok {
+				mu.Unlock()
+				break
+			}
+			f := eng.Take()
+			mu.Unlock()
+			f()
+		}
+	}
+	if got := ran.Load() + stopped.Load(); got != arms*goroutines {
+		t.Fatalf("%d ran and %d stopped of %d armed", ran.Load(), stopped.Load(), arms*goroutines)
 	}
 }

@@ -22,7 +22,7 @@ import (
 func TestLazyBufferReleaseEqualsEager(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		cfg := indexTestConfig(t, 6, 1, 4, 2, 100)
-		clk := newLostRaceClock()
+		clk := &lostRaceClock{}
 		data := &countingData{}
 		c := NewCub(0, cfg, clk, nopTransport{}, data, rand.New(rand.NewSource(seed)))
 		rng := rand.New(rand.NewSource(seed))

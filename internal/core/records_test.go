@@ -143,15 +143,14 @@ type sinkFunc func(netsim.BlockDelivery)
 
 func (f sinkFunc) DeliverBlock(d netsim.BlockDelivery) { f(d) }
 
-// lostRaceClock is a clock whose every Stop loses the race the real-time
-// runtime allows: the callback is "already queued on the executor", so
-// Stop reports false and the callback still runs, once its instant has
-// come and the test says so.
+// lostRaceClock is a clock whose every Stop loses the race: the callback
+// is "already on its way", so Stop reports false and the callback still
+// runs, once its instant has come and the test says so. Neither runtime
+// loses a Stop; the walk is written for a Clock that can.
 type lostRaceClock struct {
 	now    sim.Time
 	queued []lateCall
 	armed  int // At and After calls so far
-	fired  clock.Timer
 }
 
 type lateCall struct {
@@ -159,17 +158,11 @@ type lateCall struct {
 	fn func()
 }
 
-func newLostRaceClock() *lostRaceClock {
-	tm := time.NewTimer(time.Hour)
-	tm.Stop()
-	return &lostRaceClock{fired: clock.Real(tm)}
-}
-
 func (k *lostRaceClock) Now() sim.Time { return k.now }
 func (k *lostRaceClock) At(t sim.Time, fn func()) clock.Timer {
 	k.armed++
 	k.queued = append(k.queued, lateCall{t, fn})
-	return k.fired
+	return clock.Timer{}
 }
 func (k *lostRaceClock) After(d time.Duration, fn func()) clock.Timer { return k.At(k.now.Add(d), fn) }
 
@@ -202,7 +195,7 @@ func (d *countingData) SendBlock(msg.NodeID, netsim.BlockDelivery, time.Duration
 // behind it, not two.
 func TestEntryRecordHeldWhileStopLosesRace(t *testing.T) {
 	cfg := indexTestConfig(t, 4, 1, 2, 2, 100)
-	clk := newLostRaceClock()
+	clk := &lostRaceClock{}
 	data := &countingData{}
 	c := NewCub(0, cfg, clk, nopTransport{}, data, rand.New(rand.NewSource(1)))
 	w := &c.drives[0].walk

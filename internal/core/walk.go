@@ -27,12 +27,12 @@ type walk struct {
 	read, fwd  *entry
 
 	// armedFor is the instant timer is set for, never when none is. It is
-	// what tells the one live callback from a stale one: under the
-	// real-time runtime a Stop that loses the race to a callback already
-	// queued reports false and that callback still runs, after the walk
-	// has been re-armed for a later instant. It must find nothing due and
-	// leave the live timer alone, or two timer chains run from then on and
-	// every later instant is walked twice.
+	// what tells the one live callback from a stale one. Stop is exact
+	// under both runtimes, so none is stale there; the guard stays for a
+	// Clock whose Stop can lose to a callback already on its way, which
+	// still runs after the walk has been re-armed for a later instant. It
+	// must find nothing due and leave the live timer alone, or two timer
+	// chains run from then on and every later instant is walked twice.
 	timer    clock.Timer
 	armedFor sim.Time
 	onTimer  func() // w.fire, bound once

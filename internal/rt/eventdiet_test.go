@@ -14,7 +14,7 @@ import (
 // TestBlockCostsThreeExecutorEvents plays blocks through a cub on a real
 // Node and counts what the executor ran: per block a read timer, a disk
 // completion and a send timer. Handing the buffer back when the paced
-// send completes is not a fourth (it was: one time.AfterFunc and one
+// send completes is not a fourth (it was: a wall-clock timer and one
 // executor hop per block) — the pool is brought up to date by whoever
 // next reads or changes it, here the BufferedBytes call one pace after
 // the last send, before which nothing ran on the executor at all.
@@ -105,7 +105,7 @@ func (l *sendLog) SendBlock(from msg.NodeID, d netsim.BlockDelivery, pace time.D
 // TestMeshBlockCostsThreeExecutorEvents is TestBlockCostsThreeExecutorEvents
 // with the cub's data path a real Mesh to a viewer on 127.0.0.1: pacing
 // the send and handing it to the connection's writer is not a fourth
-// executor event (it was: one time.AfterFunc and one executor hop per
+// executor event (it was: a wall-clock timer and one executor hop per
 // block), and no block leaves before its pace has passed.
 func TestMeshBlockCostsThreeExecutorEvents(t *testing.T) {
 	cfg := stopRaceConfig(t)

@@ -41,15 +41,15 @@ func stopRaceConfig(t *testing.T) *core.Config {
 	return cfg
 }
 
-// TestStaleTimerAfterLostStop drives a cub on a real Node through the
-// race a wall-clock timer allows and the simulator does not: the timer
-// set for an entry's read has fired and its callback is queued on the
-// executor when a deschedule takes the entry away and another instance
-// is inserted into the same slot before the queued callback runs. The
-// callback serves whatever the drive's walk holds by then: the new
-// instance's read, once. One that was bound to the old entry and looked
-// it up again by slot and due time issued the new entry's read a second
-// time.
+// TestStaleTimerAfterLostStop drives a cub on a real Node through what
+// was once a race: the instant of the timer set for an entry's read
+// passes while the executor is busy, and a deschedule takes the entry
+// away and another instance is inserted into the same slot before the
+// timer runs. The executor runs a timer only once it takes it from its
+// queue, so the callback serves whatever the drive's walk holds by then:
+// the new instance's read, once. A callback bound to the old entry that
+// looked it up again by slot and due time issued the new entry's read a
+// second time.
 func TestStaleTimerAfterLostStop(t *testing.T) {
 	cfg := stopRaceConfig(t)
 	n := NewNode(time.Now())
@@ -60,8 +60,7 @@ func TestStaleTimerAfterLostStop(t *testing.T) {
 
 	n.Do(func() {
 		// Due inside the read-ahead: the walk's timer is armed for now,
-		// and fires into the executor queue while this callback still
-		// holds the executor.
+		// and falls due while this callback still holds the executor.
 		due := int64(n.Now().Add(90 * time.Millisecond))
 		state := func(inst msg.InstanceID) *msg.ViewerState {
 			return &msg.ViewerState{Viewer: msg.ViewerID(inst), Instance: inst, Block: onDisk0,
@@ -96,9 +95,9 @@ func TestStaleTimerAfterLostStop(t *testing.T) {
 }
 
 // deafClock is a Node whose timers cannot be stopped: Stop reports false
-// and the callback still runs, so every Stop loses the race that a real
-// one loses only when the timer fires between the walk reading the
-// clock and stopping it.
+// and the callback still runs, so every Stop loses the race to a
+// callback already on its way. The Node's own Stop is exact; the walk's
+// guard is written for a Clock whose Stop is not.
 type deafClock struct{ *Node }
 
 func (d deafClock) At(t sim.Time, fn func()) clock.Timer {

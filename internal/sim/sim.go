@@ -191,6 +191,29 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Next reports the instant of the earliest scheduled event; ok is false
+// if none is scheduled.
+func (e *Engine) Next() (t Time, ok bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
+// Take is Step for a caller that runs the callback itself: it removes
+// the earliest event, advances the clock to it, counts it and returns
+// its callback. The queue must not be empty. The real-time runtime uses
+// the engine as a timer queue and runs what it takes outside its lock.
+func (e *Engine) Take() func() {
+	n := e.heap[0]
+	e.heapRemove(0)
+	fn := e.pool[n.slot].fn
+	e.release(n.slot)
+	e.now = n.at
+	e.processed++
+	return fn
+}
+
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	e.enter()

@@ -292,6 +292,56 @@ func TestStopInterleavedOrdering(t *testing.T) {
 	}
 }
 
+// TestTakeMatchesStep: popping with Next and Take, and running what Take
+// returns, visits the events Step would, in its order, with the same
+// clock and count, and spends the handle of what it took.
+func TestTakeMatchesStep(t *testing.T) {
+	schedule := func(e *Engine, got *[]int) []Timer {
+		rng := rand.New(rand.NewSource(7))
+		var timers []Timer
+		for i := 0; i < 200; i++ {
+			i := i
+			timers = append(timers, e.At(Time(rng.Intn(50)), func() { *got = append(*got, i) }))
+		}
+		for i := 0; i < len(timers); i += 5 {
+			timers[i].Stop()
+		}
+		return timers
+	}
+	var stepped, taken []int
+	ref, e := New(1), New(1)
+	schedule(ref, &stepped)
+	timers := schedule(e, &taken)
+	if _, ok := New(1).Next(); ok {
+		t.Fatal("Next on an empty engine reported an event")
+	}
+	for {
+		at, ok := e.Next()
+		if !ok {
+			break
+		}
+		ref.Step()
+		e.Take()()
+		if e.Now() != at || e.Now() != ref.Now() || e.Processed() != ref.Processed() {
+			t.Fatalf("Take to %v (Next said %v, %d processed); Step to %v (%d)",
+				e.Now(), at, e.Processed(), ref.Now(), ref.Processed())
+		}
+	}
+	if ref.Pending() != 0 || len(taken) != len(stepped) {
+		t.Fatalf("Take ran %d events, Step %d (%d left)", len(taken), len(stepped), ref.Pending())
+	}
+	for i := range stepped {
+		if taken[i] != stepped[i] {
+			t.Fatalf("order diverged at %d: Take %d, Step %d", i, taken[i], stepped[i])
+		}
+	}
+	for i, tm := range timers {
+		if tm.Stop() {
+			t.Fatalf("timer %d still stoppable after it was taken", i)
+		}
+	}
+}
+
 var nop = func() {}
 
 // TestAfterAllocs is the allocation budget of the steady scheduling path:

@@ -2,8 +2,9 @@
 # check.sh — the repository's full verification gate:
 #   formatting, vet, build everything, the fast test tier, the race
 #   detector on the packages with real concurrency (the TCP runtime, the
-#   protocol core under its executors, and the event engine that parallel
-#   sweeps instantiate per worker), a single-shot benchmark smoke pass,
+#   timer handle it stops under its queue's lock, the protocol core under
+#   its executors, and the event engine that parallel sweeps instantiate
+#   per worker), a single-shot benchmark smoke pass,
 #   and a tigerd smoke test of the debug/metrics endpoints.
 set -eux
 cd "$(dirname "$0")/.."
@@ -33,7 +34,7 @@ fi
 go vet ./...
 go build ./...
 go test -short ./...
-go test -race ./internal/rt ./internal/core ./internal/obs ./internal/sim ./internal/netsim ./internal/chaos ./internal/disk ./internal/trace
+go test -race ./internal/rt ./internal/clock ./internal/core ./internal/obs ./internal/sim ./internal/netsim ./internal/chaos ./internal/disk ./internal/trace
 
 # Observability gate: the registry collects the stats structs instead of
 # mirroring them, so under rt every scrape marshals its snapshot onto the
@@ -85,7 +86,9 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # models (ties, mixed paces, a crash and restart), the slot-chained view
 # against a map, a drive's walk (one list, three cursors, one timer)
 # against a stable sort by due time. Under rt a block costs its cub's
-# executor 3 events (read timer, disk completion, send timer) and
+# executor 3 events (read timer, disk completion, send timer), arming
+# or stopping a timer on a Node allocates nothing (the executor keeps
+# its timers in a queue of its own under one wall-clock timer), and
 # SendBlock at most 1 allocation (the BlockData): the pace is waited out
 # by the viewer peer's writer, whose one due-ordered queue lets paced
 # blocks leave in due order and control traffic FIFO, holds at most 4 096
@@ -93,7 +96,7 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 gotest -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
 gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel' ./internal/core
 gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
-gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
+gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestNodeTimerAllocs|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
 gotest -run 'TestWriteFlushCoalesces' ./internal/wire
 
 # Config gate: core.BuildConfig is the one place a Config is derived
