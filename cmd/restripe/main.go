@@ -1,6 +1,7 @@
 // Command restripe plans a Tiger configuration change (§2.2): adding or
 // removing cubs or disks requires re-laying-out every file, and this
-// tool computes the move plan and estimates its duration. It
+// tool prints the move plan the live restripe drives (a move for every
+// block or piece whose spindle changes) and estimates its duration. It
 // demonstrates the paper's claim that restripe time depends on the size
 // and speed of individual cubs and disks, not on system size, because
 // all moves proceed in parallel through the switched network.
@@ -11,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -50,13 +53,20 @@ func parseShape(s string) (cubs, disks int, err error) {
 
 func main() {
 	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plans the restripe the flags describe and prints the report to w.
+func run(w io.Writer) error {
 	fc, fd, err := parseShape(*fromFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tc, td, err := parseShape(*toFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	toDecl := *declTo
 	if toDecl == 0 {
@@ -75,37 +85,33 @@ func main() {
 		}
 	}
 
-	plan, err := layout.PlanRestripe(old, new, files)
+	plan, err := layout.PlanElastic(old, new, files)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var maxOut, maxIn int64
 	for _, b := range plan.BytesOut {
-		if b > maxOut {
-			maxOut = b
-		}
+		maxOut = max(maxOut, b)
 	}
 	for _, b := range plan.BytesIn {
-		if b > maxIn {
-			maxIn = b
-		}
+		maxIn = max(maxIn, b)
 	}
 	totalContent := int64(*nfiles) * int64(*fblocks) * *blockSize
 
-	fmt.Printf("restripe %s (dc %d) -> %s (dc %d)\n", *fromFlag, *decl, *toFlag, toDecl)
-	fmt.Printf("  content          : %d files, %.1f GB primary\n", *nfiles, float64(totalContent)/1e9)
-	fmt.Printf("  moves            : %d (%.1f GB including mirror pieces)\n",
-		len(plan.Moves), float64(plan.TotalBytes())/1e9)
-	fmt.Printf("  busiest disk out : %.2f GB\n", float64(maxOut)/1e9)
-	fmt.Printf("  busiest disk in  : %.2f GB\n", float64(maxIn)/1e9)
-	fmt.Printf("  estimated time   : %v at %.1f MB/s per disk\n",
-		plan.EstimateDuration(*rate).Round(time.Second), *rate/1e6)
+	fmt.Fprintf(w, "restripe %s (dc %d) -> %s (dc %d)\n", *fromFlag, *decl, *toFlag, toDecl)
+	fmt.Fprintf(w, "  content          : %d files, %.1f GB primary\n", *nfiles, float64(totalContent)/1e9)
+	fmt.Fprintf(w, "  moves            : %d (%.1f GB including mirror pieces)\n",
+		len(plan.Moves), float64(plan.BytesTotal)/1e9)
+	fmt.Fprintf(w, "  busiest disk out : %.2f GB\n", float64(maxOut)/1e9)
+	fmt.Fprintf(w, "  busiest disk in  : %.2f GB\n", float64(maxIn)/1e9)
+	fmt.Fprintf(w, "  estimated time   : %v at %.1f MB/s per disk (busiest disk's out + in)\n",
+		plan.Estimate(*rate).Round(time.Second), *rate/1e6)
 
 	// The paper's point: the estimate is governed by per-disk volume.
 	capOld := disk.PlanCapacity(disk.DefaultParams(), old.NumDisks(), *blockSize, time.Second, *decl)
 	capNew := disk.PlanCapacity(disk.DefaultParams(), new.NumDisks(), *blockSize, time.Second, toDecl)
-	fmt.Printf("  capacity change  : %d -> %d streams\n", capOld.Streams, capNew.Streams)
+	fmt.Fprintf(w, "  capacity change  : %d -> %d streams\n", capOld.Streams, capNew.Streams)
 
 	if *live {
 		// The online restripe never takes the system down: the core
@@ -119,9 +125,10 @@ func main() {
 			duty = 1
 		}
 		perDisk := float64(len(plan.Moves)) / float64(old.NumDisks())
-		fmt.Printf("  live restripe    : at %.0f%% load (disk duty %.0f%%), %.1f copies/s per drive (%.2f MB/s)\n",
+		fmt.Fprintf(w, "  live restripe    : at %.0f%% load (disk duty %.0f%%), %.1f copies/s per drive (%.2f MB/s)\n",
 			*liveLoad*100, duty*100, cps, bps/1e6)
-		fmt.Printf("  live copy time   : ~%v for ~%.0f moves per source drive\n",
+		fmt.Fprintf(w, "  live copy time   : ~%v for ~%.0f moves per source drive\n",
 			(time.Duration(perDisk / cps * float64(time.Second))).Round(time.Second), perDisk)
 	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"tiger"
 	"tiger/internal/chaos"
+	"tiger/internal/core"
 	"tiger/internal/sim"
 )
 
@@ -171,7 +172,7 @@ func runElasticArm(o tiger.Options, dir string, a elasticArm, enableAttr bool) (
 	sample := func() {
 		pt.Ramp = append(pt.Ramp, elasticSample{
 			T:      c.Now().Sub(t0).Seconds(),
-			Phase:  c.RestripePhase(),
+			Phase:  c.RestripePhase().String(),
 			Active: c.Active(),
 		})
 	}
@@ -191,7 +192,7 @@ func runElasticArm(o tiger.Options, dir string, a elasticArm, enableAttr bool) (
 	// The scenario duration bounds the fault schedule, not the
 	// restripe: drive the cluster until the phase machine reports
 	// done (or give up and record where it stuck).
-	for lim := 0; c.RestripePhase() != tiger.RestripeDone && lim < 300; lim++ {
+	for lim := 0; c.RestripePhase() != core.RestripeDone && lim < 300; lim++ {
 		c.RunFor(time.Second)
 	}
 
@@ -234,7 +235,7 @@ func runElasticArm(o tiger.Options, dir string, a elasticArm, enableAttr bool) (
 	pt.BlocksOK, pt.BlocksLost, pt.MirrorBlocks = d.ok, d.lost, d.mirror
 	pt.DoubleServes = h.DoubleServes()
 	pt.Violations = len(rep.Violations)
-	pt.FinalPhase = c.RestripePhase()
+	pt.FinalPhase = c.RestripePhase().String()
 	pt.collect(c)
 	return pt, zeroColumns(pt.BlocksLost, 0, pt.DoubleServes, pt.Violations)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tiger"
+	"tiger/internal/core"
 )
 
 // Controller-failover experiment (`-exp failover`). The controller is
@@ -141,7 +142,7 @@ func runFailoverArm(o tiger.Options, a failArm) (failoverPoint, error) {
 			return p, err
 		}
 		c.RunFor(5 * time.Second)
-		if ph := c.RestripePhase(); ph != tiger.RestripeCopy {
+		if ph := c.RestripePhase(); ph != core.RestripeCopy {
 			return p, fmt.Errorf("restripe already past copy (%q); crash window missed", ph)
 		}
 	case "parked":
@@ -205,13 +206,13 @@ func runFailoverArm(o tiger.Options, a failArm) (failoverPoint, error) {
 		if !c.Controller.RestripeStats().Active {
 			return p, fmt.Errorf("takeover did not re-arm the interrupted restripe")
 		}
-		for lim := 0; c.RestripePhase() != tiger.RestripeDone && lim < 600; lim++ {
+		for lim := 0; c.RestripePhase() != core.RestripeDone && lim < 600; lim++ {
 			c.RunFor(time.Second)
 		}
-		p.FinalPhase = c.RestripePhase()
+		p.FinalPhase = c.RestripePhase().String()
 		in := c.RestripeInfo()
 		p.Moves, p.Committed = in.Moves, in.Coord.Committed
-		if p.FinalPhase != tiger.RestripeDone {
+		if c.RestripePhase() != core.RestripeDone {
 			return p, fmt.Errorf("restripe never completed after the takeover (phase %q)", p.FinalPhase)
 		}
 		if p.Committed != p.Moves {

@@ -14,18 +14,20 @@ import (
 
 // This file drives an online elastic restripe (DESIGN §13): growing or
 // shrinking the cub array while every admitted stream keeps playing. The
-// cluster layer owns the phase machine; the hard mechanics live below it
-// — the move protocol and pacing in internal/core's mover, the dispatch
-// and re-route logic in its restriper, and the dual-generation schedule
-// planes in gen.go that let two slot rings coexist on the same spindles.
+// cluster layer owns the phase machine — one record (RestripeInfo) and
+// one step (advance), a switch on the phase whose cases wait on the
+// guards below; the hard mechanics live below it — the move protocol
+// and pacing in internal/core's mover, the dispatch and re-route logic
+// in its restriper, and the dual-generation schedule planes in gen.go
+// that let two slot rings coexist on the same spindles.
 //
 // Phases:
 //
 //	idle ──StartRestripe──▶ copy ──all moves committed──▶ cutover
-//	     (background block moves      (admissions quiesced ~1 s, then
+//	     (background block moves      (admissions quiesced 1 s, then
 //	      through idle disk slots)     the active generation flips
 //	                                   everywhere in one instant)
-//	cutover ──▶ drain ──old generation empty──▶ linger ──▶ done
+//	cutover ──pause──▶ drain ──old gen empty──▶ linger ──timer──▶ done
 //	            (old-ring streams play            (grace window: late
 //	             to EOF; new admissions            old-generation traffic
 //	             land on the new ring)             still fenced, retiring
@@ -39,16 +41,6 @@ import (
 // admitted under the new generation), and the joint admission rule in
 // the controller keeps the two rings' summed per-disk stream load within
 // the single-ring budget throughout.
-
-// Restripe phase names, as reported by Cluster.RestripePhase.
-const (
-	RestripeIdle    = "idle"
-	RestripeCopy    = "copy"
-	RestripeCutover = "cutover"
-	RestripeDrain   = "drain"
-	RestripeLinger  = "linger"
-	RestripeDone    = "done"
-)
 
 const (
 	// restripeCutoverPause quiesces viewer replays around the generation
@@ -69,28 +61,12 @@ const (
 	replayRetry = 2 * time.Second
 )
 
-// restripePhaseVal maps a phase to its tiger_restripe_phase gauge value.
-func restripePhaseVal(phase string) float64 {
-	switch phase {
-	case RestripeCopy:
-		return 1
-	case RestripeCutover:
-		return 2
-	case RestripeDrain:
-		return 3
-	case RestripeLinger:
-		return 4
-	case RestripeDone:
-		return 5
-	default:
-		return 0
-	}
-}
-
-// RestripeInfo is a snapshot of restripe progress for experiments and
-// the observability surfaces.
+// RestripeInfo is the cluster's one record of its elastic restripe: the
+// phase, what the run is, and the instant each phase was reached (zero
+// until then). Cluster.RestripeInfo returns a copy with the
+// coordinator's and the cubs' progress filled in.
 type RestripeInfo struct {
-	Phase      string
+	Phase      core.RestripePhase
 	TargetCubs int
 	Moves      int // planned moves
 	Bytes      int64
@@ -98,7 +74,6 @@ type RestripeInfo struct {
 	Pending    int                // copy jobs queued at cubs
 	Inflight   int                // copy reads/writes in service at cubs
 
-	// Phase transition times (zero until reached).
 	CopyStart sim.Time
 	CopyDone  sim.Time
 	DrainDone sim.Time
@@ -106,41 +81,19 @@ type RestripeInfo struct {
 
 	// Replays deferred by the cutover quiesce and re-issued after it.
 	DeferredReplays int
+
+	oldGen, newGen int32
+	next           *core.Config // the new shape, installed as newGen
 }
 
 // RestripePhase reports the current phase of the elastic restripe
-// machinery ("idle" when none has run).
-func (c *Cluster) RestripePhase() string {
-	if c.rsPhase == "" {
-		return RestripeIdle
-	}
-	return c.rsPhase
-}
-
-// restripeActive reports whether a restripe is in progress (any phase
-// between StartRestripe and done).
-func (c *Cluster) restripeActive() bool {
-	switch c.rsPhase {
-	case RestripeCopy, RestripeCutover, RestripeDrain, RestripeLinger:
-		return true
-	}
-	return false
-}
+// machinery (idle when none has run).
+func (c *Cluster) RestripePhase() core.RestripePhase { return c.rs.Phase }
 
 // RestripeInfo returns a snapshot of restripe progress.
 func (c *Cluster) RestripeInfo() RestripeInfo {
-	in := RestripeInfo{
-		Phase:           c.RestripePhase(),
-		TargetCubs:      c.rsTarget,
-		Moves:           c.rsMoves,
-		Bytes:           c.rsBytes,
-		Coord:           c.Controller.RestripeStats(),
-		CopyStart:       c.rsCopyStart,
-		CopyDone:        c.rsCopyDone,
-		DrainDone:       c.rsDrainDone,
-		Finished:        c.rsFinished,
-		DeferredReplays: c.rsDeferredTotal,
-	}
+	in := c.rs
+	in.Coord = c.Controller.RestripeStats()
 	for _, cub := range c.Cubs {
 		in.Pending += cub.MoverPending()
 		in.Inflight += cub.MoverInflight()
@@ -148,12 +101,11 @@ func (c *Cluster) RestripeInfo() RestripeInfo {
 	return in
 }
 
-func (c *Cluster) setRestripePhase(phase string) {
-	c.rsPhase = phase
+func (c *Cluster) setRestripePhase(p core.RestripePhase) {
+	c.rs.Phase = p
 	if c.sink.Wants(trace.RestripePhase) {
 		c.sink.Emit(trace.Event{
-			At: c.Now(), Node: msg.Controller, Kind: trace.RestripePhase,
-			Slot: int32(restripePhaseVal(phase)),
+			At: c.Now(), Node: msg.Controller, Kind: trace.RestripePhase, Slot: int32(p),
 		})
 	}
 }
@@ -161,13 +113,18 @@ func (c *Cluster) setRestripePhase(phase string) {
 // StartRestripe begins an online elastic restripe to targetCubs cubs,
 // serving every admitted stream throughout. It returns immediately; the
 // restripe proceeds in virtual time through the copy, cutover, drain and
-// linger phases, and RestripePhase reports "done" when the new shape is
+// linger phases, and RestripePhase reports done when the new shape is
 // fully in charge. Growing creates and starts the new cubs; shrinking
 // retires the surplus cubs in place (they stay registered, fencing any
-// late traffic for the retired generation, but serve nothing).
+// late traffic for the retired generation, but serve nothing). A
+// sharded cluster refuses: the new cubs and the generation flip would
+// run on shard 0's engine while netsim delivers to them on their own.
 func (c *Cluster) StartRestripe(targetCubs int) error {
-	if c.restripeActive() {
-		return fmt.Errorf("tiger: restripe already active (phase %s)", c.rsPhase)
+	if c.Shards() > 1 {
+		return fmt.Errorf("tiger: a cluster on %d shards cannot restripe", c.Shards())
+	}
+	if c.rs.Phase.Active() {
+		return fmt.Errorf("tiger: restripe already active (phase %s)", c.rs.Phase)
 	}
 	cur := c.Cfg.Layout.Cubs
 	if targetCubs == cur {
@@ -214,106 +171,102 @@ func (c *Cluster) StartRestripe(targetCubs int) error {
 		cub.Start()
 	}
 
-	c.rsTarget = targetCubs
-	c.rsOldGen, c.rsNewGen = oldGen, newGen
-	c.rsCfg1 = cfg1
-	c.rsMoves, c.rsBytes = len(plan.Moves), plan.BytesTotal
-	c.rsPlan = plan
-	c.rsCopyStart = c.Now()
-	c.rsCopyDone, c.rsDrainDone, c.rsFinished = 0, 0, 0
-	c.setRestripePhase(RestripeCopy)
-
-	c.Controller.OnRestripeDone = c.restripeCutover
+	c.rs = RestripeInfo{TargetCubs: targetCubs, Moves: len(plan.Moves), Bytes: plan.BytesTotal,
+		CopyStart: c.Now(), oldGen: oldGen, newGen: newGen, next: cfg1}
+	c.setRestripePhase(core.RestripeCopy)
 	if err := c.Controller.StartRestripe(int64(newGen), oldGen, plan); err != nil {
-		c.setRestripePhase(RestripeIdle)
+		c.setRestripePhase(core.RestripeIdle)
 		return err
 	}
 	return nil
 }
 
-// restripeCutover runs when the coordinator certifies that every planned
-// move has committed at its destination: quiesce admissions briefly so
-// in-flight old-generation start round trips settle, then flip the
-// active generation on the controller and every cub in one engine
-// callback — no message can interleave with the flip, so no insertion
-// ever straddles the two rings.
-func (c *Cluster) restripeCutover() {
-	if c.rsPhase != RestripeCopy {
-		return
-	}
-	c.rsCopyDone = c.Now()
-	c.rsPlan = nil // every move committed; nothing left to re-arm after a takeover
-	c.setRestripePhase(RestripeCutover)
-	c.rsPauseReplay = true
-	clockOf(c).After(restripeCutoverPause, func() {
-		c.Controller.SetActiveGen(c.rsNewGen)
-		for _, cub := range c.Cubs {
-			cub.SetActiveGen(c.rsNewGen)
+// advance takes the restripe one phase forward once the current phase's
+// guard holds. It is driven from the coordinator's completion callback
+// (copy), the cutover pause, the drain poll (at entry, then every
+// restripeDrainPoll) and the linger timer.
+func (c *Cluster) advance() {
+	rs, now, clk := &c.rs, c.Now(), clockOf(c)
+	switch rs.Phase {
+	case core.RestripeCopy:
+		// Every planned move committed at its destination: quiesce
+		// admissions so in-flight old-generation start round trips settle.
+		if st := c.Controller.RestripeStats(); st.Active || st.Committed != st.Total {
+			return
 		}
-		c.rsPauseReplay = false
-		deferred := c.rsDeferred
-		c.rsDeferred = 0
-		for i := 0; i < deferred; i++ {
+		rs.CopyDone = now
+		c.setRestripePhase(core.RestripeCutover)
+		clk.After(restripeCutoverPause, c.advance)
+	case core.RestripeCutover:
+		// Pause elapsed: flip the active generation on the controller and
+		// every cub in one engine callback — no message can interleave
+		// with the flip, so no insertion ever straddles the two rings —
+		// then re-issue the replays the pause held.
+		if now < rs.CopyDone.Add(restripeCutoverPause) {
+			return
+		}
+		c.Controller.SetActiveGen(rs.newGen)
+		for _, cub := range c.Cubs {
+			cub.SetActiveGen(rs.newGen)
+		}
+		c.setRestripePhase(core.RestripeDrain)
+		for i := 0; i < rs.DeferredReplays; i++ {
 			c.replay(nil)
 		}
-		c.setRestripePhase(RestripeDrain)
-		c.restripePollDrain()
-	})
-}
-
-// restripePollDrain watches the old generation empty out: every stream
-// admitted under it played to EOF (controller load zero), every cub's
-// view holds no old-ring entries, and no start sits queued against an
-// old-ring disk.
-func (c *Cluster) restripePollDrain() {
-	if c.rsPhase != RestripeDrain {
-		return
-	}
-	if c.restripeDrained() {
-		c.rsDrainDone = c.Now()
-		c.setRestripePhase(RestripeLinger)
-		lin := c.Opt.RestripeLinger
-		if lin <= 0 {
-			if c.rsTarget < len(c.Cubs) {
-				lin = restripeLingerShrink
-			} else {
-				lin = restripeLingerGrow
-			}
+		c.advance()
+	case core.RestripeDrain:
+		// The old generation is empty: every stream admitted under it
+		// played to EOF (controller load zero), every cub's view holds no
+		// old-ring entries, and no start sits queued against an old-ring
+		// disk.
+		if !c.oldGenEmpty() {
+			clk.After(restripeDrainPoll, c.advance)
+			return
 		}
-		clockOf(c).After(lin, c.restripeFinish)
-		return
+		rs.DrainDone = now
+		c.setRestripePhase(core.RestripeLinger)
+		clk.After(c.restripeLinger(), c.advance)
+	case core.RestripeLinger:
+		// Linger elapsed: drop the drained generation everywhere and take
+		// the new shape as the cluster's own. From here late
+		// old-generation traffic is refused outright (cfgOf returns nil
+		// at every cub), which is what makes narrowing safe: a retired
+		// slot cannot be resurrected. Retired cubs stay registered with
+		// empty monitored sets; the new generation's deadman ring no
+		// longer includes them.
+		if now < rs.DrainDone.Add(c.restripeLinger()) {
+			return
+		}
+		c.Controller.DropGen(rs.oldGen)
+		for _, cub := range c.Cubs {
+			cub.DropGen(rs.oldGen)
+		}
+		c.Cfg = rs.next
+		c.Opt.Cubs = rs.next.Layout.Cubs
+		rs.Finished = now
+		c.setRestripePhase(core.RestripeDone)
 	}
-	clockOf(c).After(restripeDrainPoll, c.restripePollDrain)
 }
 
-func (c *Cluster) restripeDrained() bool {
-	if c.Controller.GenLoad(c.rsOldGen) != 0 {
+func (c *Cluster) oldGenEmpty() bool {
+	if c.Controller.GenLoad(c.rs.oldGen) != 0 {
 		return false
 	}
 	for _, cub := range c.Cubs {
-		if cub.GenEntries(c.rsOldGen) != 0 || cub.GenQueued(c.rsOldGen) != 0 {
+		if cub.GenEntries(c.rs.oldGen) != 0 || cub.GenQueued(c.rs.oldGen) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// restripeFinish drops the drained generation everywhere and installs
-// the new shape as the cluster's notion of itself. From here late
-// old-generation traffic is refused outright (cfgOf returns nil at
-// every cub), which is what makes narrowing safe: a retired slot cannot
-// be resurrected. Retired cubs stay registered with empty monitored
-// sets; the deadman ring of the new generation no longer includes them.
-func (c *Cluster) restripeFinish() {
-	if c.rsPhase != RestripeLinger {
-		return
+// restripeLinger is how long the drained old generation is held.
+func (c *Cluster) restripeLinger() time.Duration {
+	switch {
+	case c.Opt.RestripeLinger > 0:
+		return c.Opt.RestripeLinger
+	case c.rs.TargetCubs < len(c.Cubs):
+		return restripeLingerShrink
 	}
-	c.Controller.DropGen(c.rsOldGen)
-	for _, cub := range c.Cubs {
-		cub.DropGen(c.rsOldGen)
-	}
-	c.Cfg = c.rsCfg1
-	c.Opt.Cubs = c.rsCfg1.Layout.Cubs
-	c.rsFinished = c.Now()
-	c.setRestripePhase(RestripeDone)
+	return restripeLingerGrow
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 )
@@ -38,7 +39,7 @@ func elasticTestOptions() Options {
 
 // waitPhase drives the cluster until the restripe reports phase, up to
 // max virtual time. Returns whether the phase was reached.
-func waitPhase(c *Cluster, phase string, max time.Duration) bool {
+func waitPhase(c *Cluster, phase core.RestripePhase, max time.Duration) bool {
 	deadline := c.Now().Add(max)
 	for c.RestripePhase() != phase {
 		if c.Now() >= deadline {
@@ -76,7 +77,7 @@ func healCub(c *Cluster, victim int) {
 // oracle violations, restripe done, capacity at the new shape.
 func assertElasticClean(t *testing.T, c *Cluster, h *ChaosHarness, lost0 int64, wantCubs int) {
 	t.Helper()
-	if p := c.RestripePhase(); p != RestripeDone {
+	if p := c.RestripePhase(); p != core.RestripeDone {
 		t.Fatalf("restripe stuck in phase %q", p)
 	}
 	in := c.RestripeInfo()
@@ -122,14 +123,14 @@ func TestElasticInterplayCrashRejoin(t *testing.T) {
 	}
 	newest := o.Cubs + 1
 	c.RunFor(3 * time.Second)
-	if p := c.RestripePhase(); p != RestripeCopy {
+	if p := c.RestripePhase(); p != core.RestripeCopy {
 		t.Fatalf("expected copy phase, got %q", p)
 	}
 	c.CrashCub(newest)
 	c.RunFor(5 * time.Second)
 	c.RestartCub(newest)
 
-	if !waitPhase(c, RestripeDone, 6*time.Minute) {
+	if !waitPhase(c, core.RestripeDone, 6*time.Minute) {
 		t.Fatalf("restripe never finished (phase %q, %+v)", c.RestripePhase(), c.RestripeInfo().Coord)
 	}
 	c.RunFor(10 * time.Second)
@@ -153,7 +154,7 @@ func TestRestripeKeepsFailureDomains(t *testing.T) {
 	if err := c.StartRestripe(16); err != nil {
 		t.Fatal(err)
 	}
-	if !waitPhase(c, RestripeDone, 6*time.Minute) {
+	if !waitPhase(c, core.RestripeDone, 6*time.Minute) {
 		t.Fatalf("restripe never finished (phase %q)", c.RestripePhase())
 	}
 	members, err := c.CrashDomain(1)
@@ -188,18 +189,18 @@ func TestElasticInterplayPartitionLinger(t *testing.T) {
 	if err := c.StartRestripe(o.Cubs - 2); err != nil {
 		t.Fatal(err)
 	}
-	if !waitPhase(c, RestripeLinger, 6*time.Minute) {
+	if !waitPhase(c, core.RestripeLinger, 6*time.Minute) {
 		t.Fatalf("never reached linger (phase %q)", c.RestripePhase())
 	}
 	retiring := o.Cubs - 1
-	if n := c.Cubs[retiring].GenEntries(c.rsOldGen); n != 0 {
+	if n := c.Cubs[retiring].GenEntries(c.rs.oldGen); n != 0 {
 		t.Fatalf("retiring cub still holds %d old-generation entries in linger", n)
 	}
 	isolateCub(c, retiring)
 	c.RunFor(10 * time.Second)
 	healCub(c, retiring)
 
-	if !waitPhase(c, RestripeDone, 2*time.Minute) {
+	if !waitPhase(c, core.RestripeDone, 2*time.Minute) {
 		t.Fatalf("restripe never finished (phase %q)", c.RestripePhase())
 	}
 	// Let refutation and mirror retirement settle, then demand full
@@ -243,7 +244,7 @@ func TestElasticInterplayQuarantine(t *testing.T) {
 	// re-routing (bounded: the copy phase itself is the ceiling).
 	deadline := c.Now().Add(4 * time.Minute)
 	for c.Controller.RestripeStats().Rerouted == 0 && c.Now() < deadline {
-		if c.RestripePhase() != RestripeCopy {
+		if c.RestripePhase() != core.RestripeCopy {
 			break
 		}
 		c.RunFor(time.Second)
@@ -251,7 +252,7 @@ func TestElasticInterplayQuarantine(t *testing.T) {
 	rerouted := c.Controller.RestripeStats().Rerouted
 	sys.HealDisk(1, 0)
 
-	if !waitPhase(c, RestripeDone, 6*time.Minute) {
+	if !waitPhase(c, core.RestripeDone, 6*time.Minute) {
 		t.Fatalf("restripe never finished (phase %q, %+v)", c.RestripePhase(), c.RestripeInfo().Coord)
 	}
 	c.RunFor(20 * time.Second)

@@ -8,9 +8,10 @@ import (
 
 // This file is the harness surface for controller failover (DESIGN §17):
 // crashing the controller, restarting a new incarnation that scavenges
-// the distributed schedule, and the bookkeeping the takeover needs from
-// the harness — replaying the down set the dead incarnation knew about
-// and re-arming an interrupted restripe.
+// the distributed schedule, and the one piece of bookkeeping the
+// takeover needs from the harness: replaying the down set the dead
+// incarnation knew about. An interrupted restripe needs none — the
+// controller keeps its run across the restart and re-arms it itself.
 
 // CrashController kills the controller mid-flight: it stops sending and
 // receiving, and everything the dead incarnation had in flight is
@@ -30,9 +31,9 @@ func (c *Cluster) CrashController() {
 // the epoch (fencing everything the dead incarnation still had in
 // flight), then rebuild the plays map, per-generation load, and parked
 // set by scavenging the cubs' distributed schedule. The harness supplies
-// the two pieces of state that never lived in the schedule: the set of
+// the one piece of state that never lived in the schedule: the set of
 // cubs currently down (a real deployment's rack controller would re-
-// advise these) and the elastic plan of an interrupted restripe.
+// advise these).
 func (c *Cluster) RestartController() {
 	if !c.ctlDown {
 		return
@@ -50,15 +51,6 @@ func (c *Cluster) RestartController() {
 		}
 		if len(down) > 0 {
 			c.Controller.NoteCubsDown(down)
-		}
-		// Re-arm an interrupted restripe: committed moves re-ack as
-		// duplicates at the cubs, so re-dispatching the whole plan
-		// converges on exactly the uncopied remainder.
-		if c.rsPhase == RestripeCopy && c.rsPlan != nil {
-			c.Controller.OnRestripeDone = c.restripeCutover
-			if err := c.Controller.ResumeRestripe(int64(c.rsNewGen), c.rsOldGen, c.rsPlan); err != nil {
-				panic(fmt.Sprintf("tiger: restripe resume after takeover: %v", err))
-			}
 		}
 		if c.flight != nil {
 			c.flight.capture(fmt.Sprintf("controller-takeover epoch %d", c.Controller.Epoch()), 0, -1)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"tiger/internal/chaos"
+	"tiger/internal/core"
+	"tiger/internal/msg"
 )
 
 // Controller-failover acceptance tests (DESIGN §17): the controller
@@ -229,7 +231,7 @@ func TestControllerFailoverDuringRestripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunFor(2 * time.Second)
-	if p := c.RestripePhase(); p != RestripeCopy {
+	if p := c.RestripePhase(); p != core.RestripeCopy {
 		t.Fatalf("restripe already past copy (%q); crash window missed", p)
 	}
 	c.CrashController()
@@ -244,12 +246,75 @@ func TestControllerFailoverDuringRestripe(t *testing.T) {
 		t.Fatal("takeover did not re-arm the interrupted restripe")
 	}
 
-	if !waitPhase(c, RestripeDone, 10*time.Minute) {
+	if !waitPhase(c, core.RestripeDone, 10*time.Minute) {
 		t.Fatalf("restripe never completed after the takeover (phase %q)", c.RestripePhase())
 	}
 	assertElasticClean(t, c, h, lost0, 8)
 	if got := c.Controller.Epoch(); got != 2 {
 		t.Errorf("controller epoch = %d, want 2", got)
+	}
+}
+
+// TestControllerFailoverDuringCutoverPause crashes and restarts the
+// controller inside the cutover pause. Every move has committed, so the
+// copy is over: the new incarnation re-arms nothing and sends no move
+// order, and the restripe still flips, drains and finishes.
+func TestControllerFailoverDuringCutoverPause(t *testing.T) {
+	o := elasticTestOptions()
+	o.Seed = 15
+	c, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewChaosHarness(c)
+	defer h.Close()
+	if err := c.RampTo(16); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	_, lost0, _ := c.ViewerTotals()
+
+	if err := c.StartRestripe(8); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := c.Now().Add(6 * time.Minute); c.RestripePhase() != core.RestripeCutover; {
+		if c.Now() >= deadline || c.RestripePhase() != core.RestripeCopy {
+			t.Fatalf("never caught the cutover pause (phase %q)", c.RestripePhase())
+		}
+		c.RunFor(100 * time.Millisecond)
+	}
+	c.CrashController()
+	c.RunFor(100 * time.Millisecond)
+	orders := 0
+	c.Net.DropControl = func(_, _ msg.NodeID, m msg.Message) bool {
+		if _, ok := m.(*msg.MoveOrder); ok {
+			orders++
+		}
+		return false
+	}
+	c.RestartController()
+	c.RunFor(300 * time.Millisecond)
+	if p := c.RestripePhase(); p != core.RestripeCutover {
+		t.Fatalf("the takeover finished outside the cutover pause (phase %q)", p)
+	}
+
+	if !waitPhase(c, core.RestripeDone, 10*time.Minute) {
+		t.Fatalf("restripe never completed after the takeover (phase %q)", c.RestripePhase())
+	}
+	if orders != 0 {
+		t.Errorf("the new incarnation sent %d move orders after the copy had finished", orders)
+	}
+	if st := c.Controller.RestripeStats(); st.Active || st.Total != 0 {
+		t.Errorf("the takeover re-armed the finished copy: %+v", st)
+	}
+	if got := c.Cfg.Layout.Cubs; got != 8 {
+		t.Errorf("layout has %d cubs, want 8", got)
+	}
+	if _, lost, _ := c.ViewerTotals(); lost != lost0 {
+		t.Errorf("lost %d blocks across the takeover", lost-lost0)
+	}
+	if d, v := h.DoubleServes(), c.InvariantViolations(); d != 0 || v != 0 {
+		t.Errorf("%d double services, %d slot conflicts", d, v)
 	}
 }
 

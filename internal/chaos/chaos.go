@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -98,22 +99,16 @@ var guards = map[Guard]struct {
 }{
 	Restriping: {"restripe-precondition", func(s System) (bool, string) {
 		p := s.RestripePhase()
-		return restripeInProgress(p), fmt.Sprintf("restripe phase %q", p)
+		return p.Active(), fmt.Sprintf("restripe phase %q", p)
 	}},
 	CopyPhase: {"restripe-precondition", func(s System) (bool, string) {
 		p := s.RestripePhase()
-		return p == "copy", fmt.Sprintf("restripe phase %q", p)
+		return p == core.RestripeCopy, fmt.Sprintf("restripe phase %q", p)
 	}},
 	Parked: {"controller-precondition", func(s System) (bool, string) {
 		n := s.ParkedStreams()
 		return n > 0, fmt.Sprintf("%d parked streams", n)
 	}},
-}
-
-// restripeInProgress interprets a System's restripe phase: "idle" and
-// "done" mean no restripe is in progress.
-func restripeInProgress(phase string) bool {
-	return phase != "" && phase != "idle" && phase != "done"
 }
 
 // operand is what a kind's Step.A and Step.B name, and so how Validate

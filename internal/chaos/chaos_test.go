@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tiger/internal/clock"
+	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -55,8 +56,8 @@ func (f *fakeSystem) Disk(cub, idx int) *disk.Disk {
 	return f.disks[k]
 }
 
-func (f *fakeSystem) StartRestripe(int) error { return errors.New("no elastic restripe") }
-func (f *fakeSystem) RestripePhase() string   { return "idle" }
+func (f *fakeSystem) StartRestripe(int) error           { return errors.New("no elastic restripe") }
+func (f *fakeSystem) RestripePhase() core.RestripePhase { return core.RestripeIdle }
 
 func (f *fakeSystem) domain(d int, op func(int)) ([]int, error) {
 	if d >= f.cubs/2 {

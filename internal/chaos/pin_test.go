@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tiger/internal/clock"
+	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -22,7 +23,7 @@ type pinFake struct {
 	eng     *sim.Engine
 	net     *netsim.Network
 	cubs    int
-	phase   string
+	phase   core.RestripePhase
 	parked  int
 	ctlDown bool
 	disks   map[[2]int]*disk.Disk
@@ -38,7 +39,7 @@ func newPinFake(cubs int) *pinFake {
 	for i := 0; i < cubs; i++ {
 		net.Register(msg.NodeID(i), netsim.HandlerFunc(func(msg.NodeID, msg.Message) {}))
 	}
-	return &pinFake{eng: eng, net: net, cubs: cubs, phase: "idle",
+	return &pinFake{eng: eng, net: net, cubs: cubs, phase: core.RestripeIdle,
 		disks: make(map[[2]int]*disk.Disk), seen: make(map[[2]int]disk.Faults)}
 }
 
@@ -94,13 +95,13 @@ func (f *pinFake) ReviveCub(i int)        { f.record("revive %d", i) }
 func (f *pinFake) FailDisk(cub, disk int) { f.record("fail-disk %d/%d", cub, disk) }
 func (f *pinFake) StartRestripe(target int) error {
 	f.record("restripe %d", target)
-	if restripeInProgress(f.phase) {
+	if f.phase.Active() {
 		return fmt.Errorf("restripe in phase %q", f.phase)
 	}
-	f.phase = "copy"
+	f.phase = core.RestripeCopy
 	return nil
 }
-func (f *pinFake) RestripePhase() string { return f.phase }
+func (f *pinFake) RestripePhase() core.RestripePhase { return f.phase }
 
 // domain d is cubs {2d, 2d+1}.
 func (f *pinFake) domain(verb string, d int) ([]int, error) {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -31,9 +32,8 @@ type System interface {
 
 	// StartRestripe begins an online restripe to targetCubs cubs.
 	StartRestripe(targetCubs int) error
-	// RestripePhase reports the current phase; "idle" and "done" mean no
-	// restripe is in progress.
-	RestripePhase() string
+	// RestripePhase reports the elastic restripe's current phase.
+	RestripePhase() core.RestripePhase
 
 	// CrashDomain and RestartDomain return the member cubs they acted on.
 	CrashDomain(d int) ([]int, error)
@@ -228,7 +228,7 @@ func (r *Runner) outstanding() []string {
 	if n := r.Sys.Net().FaultedLinks(); n > 0 {
 		out = append(out, fmt.Sprintf("%d faulted links", n))
 	}
-	if p := r.Sys.RestripePhase(); restripeInProgress(p) {
+	if p := r.Sys.RestripePhase(); p.Active() {
 		out = append(out, fmt.Sprintf("restripe in phase %q", p))
 	}
 	return out

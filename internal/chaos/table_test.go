@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tiger/internal/core"
 	"tiger/internal/netsim"
 )
 
@@ -46,15 +47,15 @@ func TestKindTableCoversEveryConstructor(t *testing.T) {
 // a restripe-precondition violation (and still crashes the controller).
 func TestCtlCrashMidRestripeRequiresCopyPhase(t *testing.T) {
 	for _, tc := range []struct {
-		phase   string
+		phase   core.RestripePhase
 		violate []string
 	}{
-		{"copy", nil},
-		{"drain", []string{"restripe-precondition"}},
+		{core.RestripeCopy, nil},
+		{core.RestripeDrain, []string{"restripe-precondition"}},
 	} {
 		f := newPinFake(4)
 		f.phase = tc.phase
-		sc := Scenario{Name: "ctl-" + tc.phase, Duration: time.Second,
+		sc := Scenario{Name: "ctl-" + tc.phase.String(), Duration: time.Second,
 			Steps: At(100*time.Millisecond, CtlCrashMidRestripe())}
 		r, err := NewRunner(f, sc, nil)
 		if err != nil {

@@ -118,8 +118,8 @@ type Controller struct {
 	// OnScavenged, if set, is called when a takeover scavenge completes:
 	// the rebuilt state is installed and the harness may replay
 	// environmental knowledge the dead incarnation held that cubs do not
-	// (the out-of-band down-cub notifications, an in-flight restripe
-	// plan).
+	// (the out-of-band down-cub notifications). An interrupted restripe
+	// copy is re-armed right after it returns.
 	OnScavenged func()
 }
 

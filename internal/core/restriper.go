@@ -49,12 +49,46 @@ type rsMove struct {
 	lastSent sim.Time
 }
 
-// restriperState is the controller's live-restripe bookkeeping. The run
-// is a round whose token is the restripe fence, open while moves remain;
-// its commits and nacks must answer it (Controller.admit).
+// RestripePhase is where an elastic restripe stands (DESIGN §13). The
+// cluster layer steps the phases; the coordinator below runs the copy.
+// Its number is the tiger_restripe_phase gauge and the Slot of a
+// trace.RestripePhase event; String gives the names reports print.
+type RestripePhase uint8
+
+const (
+	RestripeIdle    RestripePhase = iota // no restripe has run
+	RestripeCopy                         // moves copy through idle disk slots
+	RestripeCutover                      // admissions quiesce before the generation flip
+	RestripeDrain                        // old-generation streams play to EOF
+	RestripeLinger                       // the drained generation is held, still fenced
+	RestripeDone                         // the new shape is in charge
+)
+
+var restripePhaseNames = [...]string{"idle", "copy", "cutover", "drain", "linger", "done"}
+
+func (p RestripePhase) String() string { return restripePhaseNames[p] }
+
+// Active reports whether p lies between a restripe's start and its end.
+func (p RestripePhase) Active() bool { return p != RestripeIdle && p != RestripeDone }
+
+// restripeRun is a restripe as StartRestripe was asked for it: the fence
+// that names it in every move message, the generation its sources live
+// under, and its plan.
+type restripeRun struct {
+	fence  int64
+	oldGen int32
+	plan   *layout.ElasticPlan
+}
+
+// restriperState is the controller's live-restripe bookkeeping. The
+// restripeRun is configuration, like the installed generations: Restart
+// keeps it, and the takeover re-arms an interrupted copy from it, until
+// finishRestripe clears its plan. The rest is volatile. The run is a
+// round whose token is the fence, open while moves remain; its commits
+// and nacks must answer it (Controller.admit).
 type restriperState struct {
+	restripeRun
 	run       round
-	oldGen    int32
 	moves     []*rsMove
 	committed int
 	rerouted  int64
@@ -109,34 +143,45 @@ func (c *Controller) StartRestripe(fence int64, oldGen int32, plan *layout.Elast
 	if _, ok := c.gens[oldGen]; !ok {
 		return fmt.Errorf("controller: restripe from uninstalled generation %d", oldGen)
 	}
-	moves := make([]*rsMove, len(plan.Moves))
-	for i, pm := range plan.Moves {
+	c.rs.restripeRun = restripeRun{fence: fence, oldGen: oldGen, plan: plan}
+	c.armRestripe()
+	return nil
+}
+
+// armRestripe opens the recorded run with every move pending. After a
+// takeover that re-drives the whole plan: sources dedup orders already
+// queued and destinations re-ack moves already durable (the
+// at-least-once order stream meets the cubs' (fence,seq) dedup), so the
+// run converges without re-copying committed work.
+func (c *Controller) armRestripe() {
+	r := c.rs.restripeRun
+	moves := make([]*rsMove, len(r.plan.Moves))
+	for i, pm := range r.plan.Moves {
 		moves[i] = &rsMove{
 			order: msg.MoveOrder{
-				Fence:  fence,
+				Fence:  r.fence,
 				Seq:    int32(i),
 				File:   pm.File,
 				Block:  pm.Block,
 				Part:   pm.Part,
-				SrcIdx: pm.FromIdx,
-				DstCub: pm.ToCub,
-				DstIdx: pm.ToIdx,
+				SrcIdx: pm.From.Idx,
+				DstCub: pm.To.Cub,
+				DstIdx: pm.To.Idx,
 			},
-			src: pm.FromCub,
+			src: pm.From.Cub,
 		}
 	}
 	c.rs = restriperState{
-		run:         round{token: fence, open: true},
-		oldGen:      oldGen,
+		restripeRun: r,
+		run:         round{token: r.fence, open: true},
 		moves:       moves,
 		outstanding: make(map[msg.NodeID]int),
 	}
 	if len(moves) == 0 {
 		c.finishRestripe()
-		return nil
+		return
 	}
 	c.dispatchMoves()
-	return nil
 }
 
 // dispatchMoves is the coordinator's periodic pump: send pending orders
@@ -263,12 +308,14 @@ func (c *Controller) moveSource(o msg.MoveOrder) (msg.NodeID, int8) {
 	return h.cub, h.idx
 }
 
-// finishRestripe stops the pump and reports completion. The cluster
-// layer decides what happens next (cutover, drain, generation drop);
-// the coordinator only certifies that every block has landed.
+// finishRestripe stops the pump, forgets the plan (nothing is left for
+// a takeover to re-arm) and reports completion. The cluster layer
+// decides what happens next (cutover, drain, generation drop); the
+// coordinator only certifies that every block has landed.
 func (c *Controller) finishRestripe() {
 	c.rs.run.close()
 	c.rs.tick.Stop()
+	c.rs.plan = nil
 	if c.OnRestripeDone != nil {
 		c.OnRestripeDone()
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"tiger/internal/layout"
 	"tiger/internal/msg"
 	"tiger/internal/obs"
 	"tiger/internal/sim"
@@ -122,12 +121,13 @@ func (c *Controller) Crash() {
 
 // Restart brings up a new controller incarnation: bump the epoch, wipe
 // every piece of volatile state, and broadcast a ScavengeReq so the
-// cubs' inventories rebuild it. Installed generations and the active
-// generation survive — they are configuration, known to every cub, not
-// view. nextInstance is also kept: a production controller salts the
-// instance space with its epoch so a new incarnation can never re-issue
-// a live ID; the in-place restart models that by keeping the counter,
-// and the fold still raises it past anything a cub reports.
+// cubs' inventories rebuild it. Installed generations, the active
+// generation and an unfinished restripe run survive — they are
+// configuration, not view. nextInstance is also kept: a production
+// controller salts the instance space with its epoch so a new
+// incarnation can never re-issue a live ID; the in-place restart models
+// that by keeping the counter, and the fold still raises it past
+// anything a cub reports.
 func (c *Controller) Restart() {
 	if !c.down {
 		c.Crash()
@@ -137,7 +137,7 @@ func (c *Controller) Restart() {
 	c.plays = make(map[msg.InstanceID]*playRecord)
 	c.active = 0
 	c.genLoad = make(map[int32]int)
-	c.rs = restriperState{}
+	c.rs = restriperState{restripeRun: c.rs.restripeRun}
 	c.gov = governorState{}
 
 	c.scavParked = make(marks[msg.InstanceID, msg.ScavengedPark])
@@ -254,6 +254,9 @@ func (c *Controller) finishScavenge() {
 	if c.OnScavenged != nil {
 		c.OnScavenged()
 	}
+	if c.rs.plan != nil {
+		c.armRestripe() // the dead incarnation's copy was interrupted
+	}
 	// If capacity is whole and recovered tickets are waiting, drain them;
 	// when the replayed down-set re-armed the governor instead, the
 	// ordinary NoteCubUp path drains once coverage returns.
@@ -267,18 +270,6 @@ func (c *Controller) finishScavenge() {
 // TakeoverTimes returns the histogram of restart-to-rebuilt durations
 // (seconds).
 func (c *Controller) TakeoverTimes() *obs.Histogram { return c.takeover }
-
-// ResumeRestripe re-drives an elastic plan after a takeover. The wiped
-// coordinator re-issues every move as pending; sources dedup orders
-// already queued, destinations re-ack moves already durable (the
-// at-least-once order stream meets the cubs' (fence,seq) dedup), so the
-// run converges without re-copying committed work.
-func (c *Controller) ResumeRestripe(fence int64, oldGen int32, plan *layout.ElasticPlan) error {
-	if c.rs.run.open {
-		return nil
-	}
-	return c.StartRestripe(fence, oldGen, plan)
-}
 
 // --- cub side ---
 

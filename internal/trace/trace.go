@@ -60,7 +60,7 @@ const (
 	// MoveNack is a refused move order (Slot carries the nack reason).
 	MoveNack
 	// RestripePhase is a restripe phase transition; Slot carries the
-	// numeric phase (idle=0 … done=5).
+	// new phase (core.RestripePhase).
 	RestripePhase
 	// Park is a stream removed by the degradation governor to protect
 	// the survivors after a correlated failure.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tiger/internal/core"
 	"tiger/internal/obs"
 	"tiger/internal/trace"
 )
@@ -252,7 +253,7 @@ func TestSinkReachesRestripeBornCubs(t *testing.T) {
 	if err := c.StartRestripe(16); err != nil {
 		t.Fatal(err)
 	}
-	if !waitPhase(c, RestripeDone, 10*time.Minute) {
+	if !waitPhase(c, core.RestripeDone, 10*time.Minute) {
 		t.Fatalf("restripe never finished (phase %q)", c.RestripePhase())
 	}
 	c.RunFor(30 * time.Second)

@@ -153,9 +153,15 @@ grep -q '"attribution"' "$graydir/BENCH_grayfail.json"
 rm -rf "$graydir"
 
 # Elastic gate: the restripe interplay regressions (crash-rejoin mid-copy,
-# split-brain against the lingering retiring cub, quarantine re-route)
-# under the race detector.
-gotest -race -run 'TestElasticInterplay' .
+# split-brain against the lingering retiring cub, quarantine re-route),
+# a sharded cluster's refusal to restripe and a controller takeover in
+# the cutover pause (nothing re-armed) under the race detector; the one
+# planner (a move exactly when a spindle changes, per-spindle bytes,
+# the busiest-spindle estimate), and cmd/restripe's 14x4 -> 28x4 report
+# pinned at 1 007 960 moves.
+gotest -race -run 'TestElasticInterplay|TestStartRestripeRefusesSharded|TestControllerFailoverDuringCutoverPause' .
+gotest -race -run 'TestPlanElastic|TestRestripe|TestEstimate' ./internal/layout
+gotest -run 'TestGrowToDoubleCountsSpindleMoves' ./cmd/restripe
 
 # Correlated-failure gate: the governor regressions (mass-crash rejoin
 # in both restart orders, scattered pair parks nothing, domain kill,

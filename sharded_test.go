@@ -141,3 +141,28 @@ func TestShardedServes(t *testing.T) {
 		t.Fatal("EventsProcessed() = 0")
 	}
 }
+
+// TestStartRestripeRefusesSharded: a restripe would build the new cubs
+// on shard 0's engine and flip every cub's generation from it, while
+// netsim delivers to cub i on shard i mod S — a data race under
+// concurrent workers. A sharded cluster refuses, and keeps serving.
+func TestStartRestripeRefusesSharded(t *testing.T) {
+	c, err := New(shardedTestOptions(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RampTo(c.Capacity() / 4); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	if err := c.StartRestripe(10); err == nil {
+		t.Fatal("a sharded cluster started a restripe")
+	}
+	if p := c.RestripePhase(); p.Active() || len(c.Cubs) != 8 {
+		t.Fatalf("after the refusal: phase %q, %d cubs", p, len(c.Cubs))
+	}
+	c.RunFor(10 * time.Second)
+	if _, lost, _ := c.ViewerTotals(); lost != 0 {
+		t.Fatalf("%d blocks lost after the refused restripe", lost)
+	}
+}

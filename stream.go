@@ -238,11 +238,10 @@ func (c *Cluster) StartRetryStats() (retries, abandoned int64) {
 }
 
 func (c *Cluster) replay(old *Stream) {
-	if c.rsPauseReplay {
+	if c.rs.Phase == core.RestripeCutover {
 		// Restripe cutover quiesce: hold the replay and re-issue it the
 		// moment the generation flip completes (elastic.go).
-		c.rsDeferred++
-		c.rsDeferredTotal++
+		c.rs.DeferredReplays++
 		return
 	}
 	s, err := c.PlayRandom()
@@ -253,7 +252,7 @@ func (c *Cluster) replay(old *Stream) {
 			c.retryStart(1, c.PlayRandom, func(s *Stream) { s.OnEOF = c.replay })
 			return
 		}
-		if c.restripeActive() {
+		if c.rs.Phase.Active() {
 			// The joint admission limit refuses new plays while streams
 			// admitted under the old generation still hold slot budget.
 			// That budget frees continuously as they reach EOF, so keep

@@ -30,7 +30,6 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/core"
 	"tiger/internal/disk"
-	"tiger/internal/layout"
 	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -111,8 +110,8 @@ type Options struct {
 	//
 	// A sharded cluster is for scale experiments and trades away some
 	// single-threaded harness extras: the slot-conflict oracle and
-	// receipt-slack spans are off, and the flight recorder is
-	// unsupported. The registry is attached as on any cluster; read it
+	// receipt-slack spans are off, and the flight recorder and the
+	// elastic restripe are unsupported. The registry is attached as on any cluster; read it
 	// (Registry, ExportMetrics) between RunFor calls, the rule
 	// TotalCubStats already has. Chaos/fault injection IS supported — the
 	// runner applies steps and sweeps invariants between RunFor slices,
@@ -199,25 +198,8 @@ type Cluster struct {
 	chainMaxHops   int
 	flight         *FlightRecorder // nil until EnableFlightRecorder
 
-	// Elastic-restripe phase machine (elastic.go).
-	rsPhase         string
-	rsTarget        int
-	rsOldGen        int32
-	rsNewGen        int32
-	rsCfg1          *core.Config
-	rsMoves         int
-	rsBytes         int64
-	rsCopyStart     sim.Time
-	rsCopyDone      sim.Time
-	rsDrainDone     sim.Time
-	rsFinished      sim.Time
-	rsPauseReplay   bool
-	rsDeferred      int
-	rsDeferredTotal int
-	// rsPlan retains the in-flight elastic plan so a controller takeover
-	// during the copy phase can re-arm the coordinator (failover.go); set
-	// by StartRestripe, cleared when the copy completes.
-	rsPlan *layout.ElasticPlan
+	// rs is the elastic restripe's record (elastic.go).
+	rs RestripeInfo
 
 	// ctlDown mirrors the controller's crashed state for the harness and
 	// the chaos runner; stream admission retries while it is set.
@@ -323,7 +305,7 @@ func New(o Options) (*Cluster, error) {
 
 	c.reg = obs.NewRegistry()
 	c.reg.GaugeFunc("tiger_restripe_phase", "Elastic restripe phase: 0 idle, 1 copy, 2 cutover, 3 drain, 4 linger, 5 done.", nil,
-		func() float64 { return restripePhaseVal(c.rsPhase) })
+		func() float64 { return float64(c.rs.Phase) })
 	c.reg.CounterFunc("tiger_client_start_retries_total", "Start-play admissions retried because the controller was down or scavenging.", nil,
 		func() float64 { return float64(c.startRetries) })
 	c.reg.CounterFunc("tiger_client_start_abandons_total", "Start-play requests abandoned after exhausting failover retries.", nil,
@@ -332,6 +314,7 @@ func New(o Options) (*Cluster, error) {
 	c.Controller.SetSink(&c.sink)
 	c.Controller.AttachObs(c.reg)
 	c.reg.AddCollector(func(emit obs.Emit) { c.Controller.Snapshot().Collect(emit) })
+	c.Controller.OnRestripeDone = c.advance
 	c.Controller.OnParked = c.onParked
 	c.Controller.OnReadmit = c.onReadmit
 	net.Register(msg.Controller, c.Controller)
@@ -380,7 +363,7 @@ func (c *Cluster) adopt(cub *core.Cub) {
 	c.reg.AddCollector(func(emit obs.Emit) { cub.Snapshot().Collect(emit) })
 }
 
-// Sharded reports the shard count driving this cluster (1 when the
+// Shards reports the shard count driving this cluster (1 when the
 // simulation is single-engine).
 func (c *Cluster) Shards() int {
 	if c.sharded == nil {
