@@ -44,15 +44,15 @@ func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
 // in the paper's system at rated load: state accepted, read armed, disk
 // completes, block sent, viewer checks — every step runs on a record
 // its owner reuses, so what remains is the gossip itself (the one
-// forwarded viewer state both successors are sent, batch slices, the
-// control message in flight). The bound leaves room for that and
-// nothing per step.
+// forwarded viewer state both successors are sent, a batch's slice, made
+// at its predecessor's size, the control message in flight). 1.96 is
+// measured; the bound is that plus 10 %.
 func TestSteadyBlockPathAllocs(t *testing.T) {
 	blocks, mallocs, _ := steadyWindow(t)
 	per := float64(mallocs) / float64(blocks)
 	t.Logf("%d blocks, %.2f allocs/block", blocks, per)
-	if per > 3 {
-		t.Fatalf("%.2f heap allocations per delivered block, budget 3", per)
+	if per > 2.16 {
+		t.Fatalf("%.2f heap allocations per delivered block, budget 2.16", per)
 	}
 }
 

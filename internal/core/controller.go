@@ -404,7 +404,8 @@ func (c *Controller) pendingAndActive() int {
 // Deliver implements netsim.Handler for messages addressed to the
 // controller: start acknowledgements from cubs, and the commit/nack
 // halves of the live-restripe move protocol. What passes the fence
-// (fence.go) is dispatched.
+// (fence.go) is dispatched. m is valid only during the call, as for
+// Cub.Deliver; none of the kinds kept here is one a msg.Pool reuses.
 func (c *Controller) Deliver(from msg.NodeID, m msg.Message) {
 	c.cpu.ChargeCtlMsg()
 	if c.down {

@@ -280,13 +280,14 @@ type Cub struct {
 	startWait *obs.Histogram // queue-to-insertion wait of start requests
 	recovery  *obs.Histogram // restart-to-reintegration time
 
-	fwdPending map[msg.NodeID][]msg.Message // batch under assembly
+	fwdPending map[msg.NodeID][]msg.Message // batch under assembly, per target ever sent to
+	fwdQueued  bool                         // fwdPending holds a message
 	// Scratch slices recycled across the periodic forwarding path, so
 	// the per-tick collect and per-flush target ordering allocate
-	// nothing in steady state. The queued message slices themselves are
-	// NOT recycled: a dispatched Batch travels the transport (in flight
-	// in the simulator, or queued on a mesh writer) after flushForwards
-	// returns, so reusing them would corrupt in-flight batches.
+	// nothing in steady state. A queued message slice is recycled only
+	// when it went out as one message: a dispatched Batch travels the
+	// transport (in flight in the simulator, or queued on a mesh writer)
+	// after flushForwards returns, so reusing its slice would corrupt it.
 	fwdScratch       []*entry
 	fwdTargetScratch []msg.NodeID
 
@@ -588,7 +589,10 @@ func (c *Cub) firstLivingSuccessorOfIn(lay layout.Config, z msg.NodeID) bool {
 // --- message handling ---
 
 // Deliver implements netsim.Handler: the single entry point for all
-// control messages.
+// control messages. m is valid only during the call — under rt it is a
+// record the mesh decodes a later frame into (msg.Pool) — so dispatch
+// copies every pooled kind by value and step emits by value; only the
+// kinds a pool never reuses are kept by pointer.
 func (c *Cub) Deliver(from msg.NodeID, m msg.Message) {
 	c.cpu.ChargeCtlMsg()
 	switch t := m.(type) {

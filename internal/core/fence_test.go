@@ -71,7 +71,7 @@ func TestFenceAgainstModel(t *testing.T) {
 // fails here.
 func TestFenceTableCoversEveryType(t *testing.T) {
 	for k := msg.Type(1); !strings.HasPrefix(k.String(), "Type("); k++ {
-		m, _, err := msg.Consume(append([]byte{byte(k)}, make([]byte, 1024)...)) // the kind's zero value
+		m, _, err := msg.Consume(append([]byte{byte(k)}, make([]byte, 1024)...), nil) // the kind's zero value
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}

@@ -554,14 +554,16 @@ func (c *Cub) enqueueForward(to msg.NodeID, m msg.Message) {
 		vs.Epoch = c.Epoch()
 	}
 	c.fwdPending[to] = append(c.fwdPending[to], m)
+	c.fwdQueued = true
 }
 
 // flushForwards sends all queued per-target batches, in target order
 // for run-to-run determinism.
 func (c *Cub) flushForwards() {
-	if len(c.fwdPending) == 0 {
+	if !c.fwdQueued {
 		return
 	}
+	c.fwdQueued = false
 	targets := c.fwdTargetScratch[:0]
 	for to := range c.fwdPending {
 		targets = append(targets, to)
@@ -573,10 +575,15 @@ func (c *Cub) flushForwards() {
 		if len(msgs) == 0 {
 			continue
 		}
-		delete(c.fwdPending, to)
+		// A lone message leaves its slice for the next enqueue. A Batch,
+		// still in flight when this returns, takes its slice away, and
+		// the next is made at its size rather than grown from nothing.
 		if len(msgs) == 1 {
 			c.net.Send(c.id, to, msgs[0])
+			clear(msgs)
+			c.fwdPending[to] = msgs[:0]
 		} else {
+			c.fwdPending[to] = make([]msg.Message, 0, len(msgs))
 			c.net.Send(c.id, to, &msg.Batch{Msgs: msgs})
 		}
 		c.stats.GossipBatches++

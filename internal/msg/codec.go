@@ -14,11 +14,17 @@ import (
 // The coder travels by value (fields takes one and returns it; the
 // helpers take the address of that local): a *coder handed through the
 // Message interface escapes and costs an allocation per message.
+//
+// Decoding writes every field of the record it is given, so a record
+// recycled through a Pool comes out equal to a fresh one; what the
+// record already holds only lends its capacity (a payload's bytes, a
+// batch's slice).
 type coder struct {
 	mode uint8  // sizing, encoding or decoding
 	n    int    // sizing: bytes so far
 	b    []byte // encoding: the output so far; decoding: what is left to read
 	err  error  // decoding: the first failure; every later field is skipped
+	pool *Pool  // decoding: where a batch's elements come from (nil: fresh)
 }
 
 const (
@@ -145,11 +151,14 @@ func counted[T any](c *coder, s *[]T, each func(*T, coder) coder) {
 }
 
 // payload is a count followed by that many bytes; decoding copies them
-// out of the frame (nil when there are none).
+// out of the frame into the record's own capacity (nil when there are
+// none, as in a fresh record).
 func (c *coder) payload(p *[]byte) {
 	n := c.count(len(*p), 1, maxPayload)
 	if c.mode == decoding {
-		*p = append([]byte(nil), c.take(n)...)
+		if *p = append((*p)[:0], c.take(n)...); n == 0 {
+			*p = nil
+		}
 		return
 	}
 	c.raw(*p)
@@ -164,7 +173,7 @@ func (c *coder) message(m *Message) {
 		c.b = AppendEncode(c.b, *m)
 	default:
 		if c.err == nil {
-			*m, c.b, c.err = Consume(c.b)
+			*m, c.b, c.err = Consume(c.b, c.pool)
 		}
 	}
 }

@@ -314,7 +314,11 @@ func (b *Batch) Size() int { return size(b) }
 func (b *Batch) fields(c coder) coder {
 	n := c.count(len(b.Msgs), 1, maxCount) // a message is at least its type tag
 	if c.mode == decoding {
-		b.Msgs = make([]Message, n)
+		// A recycled batch keeps its slice; Pool.Release emptied it.
+		if b.Msgs == nil || cap(b.Msgs) < n {
+			b.Msgs = make([]Message, n)
+		}
+		b.Msgs = b.Msgs[:n]
 	}
 	for i := range b.Msgs {
 		// No sender nests batches and a cub unwraps exactly one level;
@@ -346,9 +350,10 @@ func Encode(m Message) []byte {
 	return AppendEncode(make([]byte, 0, m.Size()), m)
 }
 
-// Consume decodes one message from the front of b, returning the message
+// Consume decodes one message from the front of b into a record taken
+// from p (see Pool; a nil p gives fresh records), returning the message
 // and the remaining bytes.
-func Consume(b []byte) (Message, []byte, error) {
+func Consume(b []byte, p *Pool) (Message, []byte, error) {
 	if len(b) < 1 {
 		return nil, nil, errShort
 	}
@@ -356,17 +361,21 @@ func Consume(b []byte) (Message, []byte, error) {
 	if t >= numTypes || types[t].new == nil {
 		return nil, nil, fmt.Errorf("msg: unknown message type %d", t)
 	}
-	m := types[t].new()
-	c := m.fields(coder{mode: decoding, b: b[1:]})
+	m := p.Get(t)
+	c := m.fields(coder{mode: decoding, b: b[1:], pool: p})
 	if c.err != nil {
 		return nil, nil, c.err
 	}
 	return m, c.b, nil
 }
 
-// Decode decodes exactly one message from b, failing on trailing bytes.
-func Decode(b []byte) (Message, error) {
-	m, rest, err := Consume(b)
+// Decode decodes exactly one message from b into a fresh record, failing
+// on trailing bytes.
+func Decode(b []byte) (Message, error) { return (*Pool)(nil).Decode(b) }
+
+// Decode is Decode into records taken from p.
+func (p *Pool) Decode(b []byte) (Message, error) {
+	m, rest, err := Consume(b, p)
 	if err != nil {
 		return nil, err
 	}

@@ -163,7 +163,7 @@ func TestConsumeSequence(t *testing.T) {
 	}
 	rest := buf
 	for i := 0; len(rest) > 0; i++ {
-		m, r, err := Consume(rest)
+		m, r, err := Consume(rest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,6 +153,7 @@ type ControllerHost struct {
 
 	mu        sync.Mutex
 	ackAddrs  map[msg.InstanceID]ackRoute
+	epochSrvs []*server // ServeEpoch's, closed by Close
 	epochUnix int64
 }
 
@@ -242,8 +243,15 @@ func (h *ControllerHost) onAck(inst msg.InstanceID, slot int32, waited time.Dura
 	h.Mesh.sendViewer(rt.addr, h.Node.Now(), &msg.StartAck{Viewer: rt.viewer, Instance: inst, Slot: slot})
 }
 
-// Close stops the controller host.
+// Close stops the controller host and its epoch service.
 func (h *ControllerHost) Close() {
+	h.mu.Lock()
+	srvs := h.epochSrvs
+	h.epochSrvs = nil
+	h.mu.Unlock()
+	for _, s := range srvs {
+		s.close()
+	}
 	h.Mesh.Close()
 	h.Node.Close()
 }
@@ -279,40 +287,35 @@ func FetchEpoch(controllerAddr string) (time.Time, error) {
 // ServeEpoch answers FetchEpoch requests. The controller host runs this
 // on its own mesh by intercepting inline ClockSync frames; because the
 // generic mesh has no reply channel, the controller instead runs a tiny
-// dedicated responder on a second listener.
+// dedicated responder on a second listener, which Close closes.
 func (h *ControllerHost) ServeEpoch(listenAddr string) (string, error) {
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return "", err
-	}
-	go func() {
+	s, err := serve(listenAddr, func(c *wire.Conn) {
 		for {
-			c, err := ln.Accept()
+			m, err := c.Recv()
 			if err != nil {
 				return
 			}
-			go func() {
-				conn := wire.NewConn(c)
-				defer conn.Close()
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					if _, ok := m.(*msg.ClockSync); ok {
-						conn.Send(&msg.ClockSync{EpochUnixNano: h.epochUnix})
-					}
-				}
-			}()
+			if _, ok := m.(*msg.ClockSync); ok {
+				c.Send(&msg.ClockSync{EpochUnixNano: h.epochUnix})
+			}
 		}
-	}()
-	return ln.Addr().String(), nil
+	})
+	if err != nil {
+		return "", err
+	}
+	h.mu.Lock()
+	h.epochSrvs = append(h.epochSrvs, s)
+	h.mu.Unlock()
+	return s.ln.Addr().String(), nil
 }
 
 // ViewerClient receives StartAck and BlockData frames for one or more
 // viewers, standing in for the paper's measurement client application.
+// OnBlock's BlockData is valid only during the call: each connection
+// decodes its blocks into one reused record. OnAck's StartAck is the
+// callee's to keep.
 type ViewerClient struct {
-	ln net.Listener
+	srv *server
 
 	mu      sync.Mutex
 	OnBlock func(*msg.BlockData)
@@ -321,53 +324,45 @@ type ViewerClient struct {
 
 // NewViewerClient listens on listenAddr for data and ack frames.
 func NewViewerClient(listenAddr string) (*ViewerClient, error) {
-	ln, err := net.Listen("tcp", listenAddr)
+	v := &ViewerClient{}
+	s, err := serve(listenAddr, v.serveConn)
 	if err != nil {
 		return nil, err
 	}
-	v := &ViewerClient{ln: ln}
-	go v.acceptLoop()
+	v.srv = s
 	return v, nil
 }
 
 // Addr returns the client's listen address, to be passed in
 // StartPlay.Addr.
-func (v *ViewerClient) Addr() string { return v.ln.Addr().String() }
+func (v *ViewerClient) Addr() string { return v.srv.ln.Addr().String() }
 
 // EncodedAddr returns the 16-byte form of Addr.
 func (v *ViewerClient) EncodedAddr() ([16]byte, error) { return EncodeAddr(v.Addr()) }
 
-func (v *ViewerClient) acceptLoop() {
+func (v *ViewerClient) serveConn(c *wire.Conn) {
+	var pool msg.Pool
 	for {
-		c, err := v.ln.Accept()
+		m, err := c.RecvPooled(&pool)
 		if err != nil {
 			return
 		}
-		go func() {
-			conn := wire.NewConn(c)
-			defer conn.Close()
-			for {
-				m, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				v.mu.Lock()
-				onBlock, onAck := v.OnBlock, v.OnAck
-				v.mu.Unlock()
-				switch t := m.(type) {
-				case *msg.BlockData:
-					if onBlock != nil {
-						onBlock(t)
-					}
-				case *msg.StartAck:
-					if onAck != nil {
-						onAck(t)
-					}
-				case *msg.Hello:
-					// connection preamble; ignore
-				}
+		v.mu.Lock()
+		onBlock, onAck := v.OnBlock, v.OnAck
+		v.mu.Unlock()
+		switch t := m.(type) {
+		case *msg.BlockData:
+			if onBlock != nil {
+				onBlock(t)
 			}
-		}()
+		case *msg.StartAck:
+			if onAck != nil {
+				onAck(t)
+			}
+		case *msg.Hello:
+			// connection preamble; ignore
+		}
+		pool.Release(m)
 	}
 }
 
@@ -379,8 +374,9 @@ func (v *ViewerClient) SetHandlers(onBlock func(*msg.BlockData), onAck func(*msg
 	v.mu.Unlock()
 }
 
-// Close stops the listener.
-func (v *ViewerClient) Close() { v.ln.Close() }
+// Close stops the listener and every accepted connection. Neither
+// handler runs after it returns.
+func (v *ViewerClient) Close() { v.srv.close() }
 
 // ControlClient is a control-plane connection to the controller.
 type ControlClient struct {

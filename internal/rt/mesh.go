@@ -79,8 +79,13 @@ type MeshStats struct {
 type Mesh struct {
 	self    msg.NodeID
 	node    *Node
-	ln      net.Listener
+	srv     *server
 	handler func(from msg.NodeID, m msg.Message)
+
+	// sends holds the BlockData records SendBlock fills, handed back by
+	// the viewer writers once written or dropped. It is never decoded
+	// into: a record's Payload aliases testPattern.
+	sends msg.Pool
 
 	// epoch is stamped into the Hello of every outbound connection, so
 	// peers learn about a restarted incarnation from its first frame.
@@ -93,7 +98,6 @@ type Mesh struct {
 	addrs   map[msg.NodeID]string
 	peers   map[msg.NodeID]*peer
 	viewers map[[16]byte]*peer
-	inbound map[*wire.Conn]struct{}
 	closed  bool
 	quit    chan struct{} // closed by Close: every peer writer exits
 
@@ -105,28 +109,29 @@ type Mesh struct {
 // connections. addrs maps every node (cubs and controller) to its
 // listen address; the mesh takes a snapshot, so nodes started later must
 // be announced with SetAddr. handler is invoked on the node executor for
-// each inbound message.
+// each inbound message, in the order each connection carried them. The
+// message is valid only during the call: the mesh decodes the next
+// frames into the same records (msg.Pool), so a handler that keeps one
+// keeps a copy.
 func NewMesh(self msg.NodeID, node *Node, listenAddr string, addrs map[msg.NodeID]string,
 	handler func(from msg.NodeID, m msg.Message)) (*Mesh, error) {
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, err
-	}
 	m := &Mesh{
 		self:    self,
 		node:    node,
-		ln:      ln,
 		handler: handler,
 		addrs:   make(map[msg.NodeID]string, len(addrs)),
 		peers:   make(map[msg.NodeID]*peer),
 		viewers: make(map[[16]byte]*peer),
-		inbound: make(map[*wire.Conn]struct{}),
 		quit:    make(chan struct{}),
 	}
 	for id, a := range addrs {
 		m.addrs[id] = a
 	}
-	go m.acceptLoop()
+	srv, err := serve(listenAddr, m.serveConn)
+	if err != nil {
+		return nil, err
+	}
+	m.srv = srv
 	return m, nil
 }
 
@@ -140,7 +145,7 @@ func (m *Mesh) SetAddr(id msg.NodeID, addr string) {
 }
 
 // Addr returns the actual listen address (useful with ":0").
-func (m *Mesh) Addr() string { return m.ln.Addr().String() }
+func (m *Mesh) Addr() string { return m.srv.ln.Addr().String() }
 
 // SetEpoch sets the liveness epoch announced in outbound Hellos. Call it
 // whenever the local cub's epoch changes (cold restart).
@@ -185,50 +190,155 @@ func (m *Mesh) logf(format string, args ...any) {
 	}
 }
 
-func (m *Mesh) acceptLoop() {
-	for {
-		c, err := m.ln.Accept()
-		if err != nil {
-			return // listener closed
+// server accepts TCP connections and serves each on a goroutine of its
+// own. close closes the listener and every open connection, then waits
+// for every serve to return: nothing the server started runs after it.
+type server struct {
+	ln     net.Listener
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[*wire.Conn]struct{} // open, guarded by mu
+	closed bool                    // guarded by mu
+}
+
+func serve(listenAddr string, fn func(*wire.Conn)) (*server, error) {
+	ln, err := net.Listen("tcp", listenAddr)
+	if err != nil {
+		return nil, err
+	}
+	s := &server{ln: ln, conns: make(map[*wire.Conn]struct{})}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			c := wire.NewConn(nc)
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				c.Close()
+				return
+			}
+			s.conns[c] = struct{}{}
+			s.wg.Add(1)
+			s.mu.Unlock()
+			go func() {
+				defer s.wg.Done()
+				fn(c)
+				s.mu.Lock()
+				delete(s.conns, c)
+				s.mu.Unlock()
+				c.Close()
+			}()
 		}
-		go m.serveConn(wire.NewConn(c))
+	}()
+	return s, nil
+}
+
+func (s *server) close() {
+	s.mu.Lock()
+	s.closed = true
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	s.ln.Close()
+	s.wg.Wait()
+}
+
+// inbox holds the frames one inbound connection has read and its node's
+// executor has not yet handled, decoded into records of the connection's
+// pool. The reader hands the executor one drain per run of frames — a
+// Do only when the inbox goes from empty to non-empty, with a function
+// bound once per connection — so a frame costs no closure and never
+// more than one executor event. A drain handles the frames in order
+// (§4.1.3's per-connection FIFO), then releases their records.
+type inbox struct {
+	m     *Mesh
+	from  msg.NodeID
+	pool  msg.Pool
+	drain func() // in.run, bound once
+
+	mu    sync.Mutex
+	q     []msg.Message // read, waiting for a drain
+	spare []msg.Message // the other buffer: a drain's frames, or free
+	held  int           // records read and not yet released
+	room  chan struct{} // one slot: a drain released records
+}
+
+// push queues mm for the executor and, while maxQueued records are
+// held, stops the reader until a drain releases some. It reports false
+// once the node or the mesh has stopped.
+func (in *inbox) push(mm msg.Message) bool {
+	in.mu.Lock()
+	in.q = append(in.q, mm)
+	in.held++
+	first, full := len(in.q) == 1, in.held >= maxQueued
+	in.mu.Unlock()
+	if first {
+		in.m.node.Do(in.drain)
+	}
+	for full {
+		select {
+		case <-in.room:
+		case <-in.m.node.quit:
+			return false
+		case <-in.m.quit:
+			return false
+		}
+		in.mu.Lock()
+		full = in.held >= maxQueued
+		in.mu.Unlock()
+	}
+	return true
+}
+
+// run is the drain, on the executor: every queued frame to the handler,
+// then every record back to the pool.
+func (in *inbox) run() {
+	in.mu.Lock()
+	frames := in.q
+	in.q = in.spare[:0]
+	in.mu.Unlock()
+	for _, mm := range frames {
+		in.m.handler(in.from, mm)
+	}
+	for i, mm := range frames {
+		in.pool.Release(mm)
+		frames[i] = nil
+	}
+	in.mu.Lock()
+	in.spare = frames[:0]
+	in.held -= len(frames)
+	in.mu.Unlock()
+	select {
+	case in.room <- struct{}{}:
+	default:
 	}
 }
 
 func (m *Mesh) serveConn(c *wire.Conn) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		c.Close()
-		return
-	}
-	m.inbound[c] = struct{}{}
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.inbound, c)
-		m.mu.Unlock()
-		c.Close()
-	}()
-	first, err := c.Recv()
+	in := &inbox{m: m, room: make(chan struct{}, 1)}
+	in.drain = in.run
+	mm, err := c.RecvPooled(&in.pool)
 	if err != nil {
 		return
 	}
-	hello, ok := first.(*msg.Hello)
+	hello, ok := mm.(*msg.Hello)
 	if !ok {
-		m.logf("rt: first frame from %v was %v, not Hello", c.RemoteAddr(), first.Type())
+		m.logf("rt: first frame from %v was %v, not Hello", c.RemoteAddr(), mm.Type())
 		return
 	}
-	from := hello.From
+	in.from = hello.From
 	// Deliver the Hello itself: its epoch announcement is how the local
 	// cub learns a peer restarted before any fenced traffic arrives.
-	m.node.Do(func() { m.handler(from, hello) })
-	for {
-		mm, err := c.Recv()
-		if err != nil {
+	for in.push(mm) {
+		if mm, err = c.RecvPooled(&in.pool); err != nil {
 			return
 		}
-		m.node.Do(func() { m.handler(from, mm) })
 	}
 }
 
@@ -266,6 +376,7 @@ func (m *Mesh) sendViewer(addr [16]byte, at sim.Time, mm msg.Message) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
+		m.recycle(mm)
 		return
 	}
 	p, ok := m.viewers[addr]
@@ -277,6 +388,14 @@ func (m *Mesh) sendViewer(addr [16]byte, at sim.Time, mm msg.Message) {
 	p.queue(m, at, mm)
 }
 
+// recycle hands a BlockData frame that has been written, or dropped,
+// back to SendBlock.
+func (m *Mesh) recycle(mm msg.Message) {
+	if b, ok := mm.(*msg.BlockData); ok {
+		m.sends.Release(b)
+	}
+}
+
 // queue adds mm to leave at instant at, or drops it if maxQueued frames
 // are already waiting. The writer is woken only when mm is now the first
 // frame due; otherwise it is already asleep until an earlier one.
@@ -286,6 +405,7 @@ func (p *peer) queue(m *Mesh, at sim.Time, mm msg.Message) {
 		p.mu.Unlock()
 		m.queueDrops.Add(1)
 		m.logf("rt: outbound queue full; dropping %v", mm.Type())
+		m.recycle(mm)
 		return
 	}
 	p.q.Add(at, mm)
@@ -373,7 +493,10 @@ func (m *Mesh) newPeer(addr string) *peer {
 				}
 				break
 			}
-			clear(due) // written or dropped; let the collector have them
+			for _, mm := range due { // written or dropped
+				m.recycle(mm)
+			}
+			clear(due)
 			due = due[:0]
 			if armed {
 				timer.Reset(time.Duration(next - m.node.Now()))
@@ -416,12 +539,13 @@ func jitter(d time.Duration) time.Duration {
 // SendBlock implements core.DataPath: a BlockData frame (descriptor plus
 // truncated test pattern) is queued to leave for the viewer's address one
 // pace from now. Nothing more runs on the executor for it; the viewer
-// peer's writer sends it when it falls due.
+// peer's writer sends it when it falls due, and hands its record back.
 func (m *Mesh) SendBlock(from msg.NodeID, d netsim.BlockDelivery, pace time.Duration) {
 	if d.Addr == ([16]byte{}) {
 		return
 	}
-	m.sendViewer(d.Addr, m.node.Now().Add(pace), &msg.BlockData{
+	b := m.sends.Get(msg.TBlockData).(*msg.BlockData)
+	*b = msg.BlockData{
 		Viewer:   d.Viewer,
 		Instance: d.Instance,
 		File:     d.File,
@@ -432,7 +556,8 @@ func (m *Mesh) SendBlock(from msg.NodeID, d netsim.BlockDelivery, pace time.Dura
 		Mirror:   d.Mirror,
 		Bytes:    d.Bytes,
 		Payload:  testPattern[:min(d.Bytes, int64(len(testPattern)))],
-	})
+	}
+	m.sendViewer(d.Addr, m.node.Now().Add(pace), b)
 }
 
 // testPattern is a deterministic stand-in for video payload, truncated so
@@ -448,7 +573,8 @@ var testPattern = func() []byte {
 
 // Close shuts the mesh down: the listener, all peer writers, and every
 // accepted inbound connection (so peers observe the death promptly
-// instead of writing into a half-dead socket).
+// instead of writing into a half-dead socket), whose readers have
+// returned when it does.
 func (m *Mesh) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -457,14 +583,6 @@ func (m *Mesh) Close() {
 	}
 	m.closed = true
 	close(m.quit)
-	inbound := make([]*wire.Conn, 0, len(m.inbound))
-	for c := range m.inbound {
-		inbound = append(inbound, c)
-	}
 	m.mu.Unlock()
-
-	m.ln.Close()
-	for _, c := range inbound {
-		c.Close()
-	}
+	m.srv.close()
 }

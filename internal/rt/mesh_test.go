@@ -56,7 +56,7 @@ func TestPacedSendsLeaveInDueOrder(t *testing.T) {
 	cfg := stopRaceConfig(t)
 	play, piece := cfg.Sched.BlockPlay, cfg.MirrorPace()
 	ctl := make(chan msg.Message, 16)
-	cub := testMesh(t, 1, nil, func(_ msg.NodeID, m msg.Message) { ctl <- m })
+	cub := testMesh(t, 1, nil, func(_ msg.NodeID, m msg.Message) { ctl <- keep(m) })
 	mesh := testMesh(t, 0, map[msg.NodeID]string{1: cub.Addr()}, nil)
 	got := make(chan int32, 16)
 	addr := testViewer(t, func(b *msg.BlockData) { got <- b.Block })
@@ -121,9 +121,10 @@ func TestPeerQueueBound(t *testing.T) {
 	}
 }
 
-// TestMeshSendBlockAllocs: on a warmed peer, SendBlock allocates the
-// BlockData and nothing else — no timer, no closure, no address string
-// and no payload of its own.
+// TestMeshSendBlockAllocs: on a warmed peer whose frames have not left,
+// SendBlock allocates the BlockData (the writer hands it back once it
+// has: TestMeshBlockPathAllocs) and nothing else — no timer, no closure,
+// no address string and no payload of its own.
 func TestMeshSendBlockAllocs(t *testing.T) {
 	m := testMesh(t, 0, nil, nil)
 	d := netsim.BlockDelivery{Addr: nowhere, Bytes: 16 << 10}

@@ -67,6 +67,16 @@ func TestNodeClock(t *testing.T) {
 	}
 }
 
+// keep copies a delivered message: a mesh handler's message is valid
+// only during the call.
+func keep(m msg.Message) msg.Message {
+	c, err := msg.Decode(msg.Encode(m))
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func TestMeshRoundTrip(t *testing.T) {
 	epoch := time.Now()
 	nodeA := NewNode(epoch)
@@ -82,7 +92,7 @@ func TestMeshRoundTrip(t *testing.T) {
 			if from != 0 {
 				t.Errorf("from = %v", from)
 			}
-			got <- m
+			got <- keep(m)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +397,7 @@ func TestMeshBackoffAndReconnect(t *testing.T) {
 	addrs := map[msg.NodeID]string{}
 	gotB := make(chan msg.Message, 256)
 	meshB, err := NewMesh(1, nodeB, "127.0.0.1:0", addrs,
-		func(from msg.NodeID, m msg.Message) { gotB <- m })
+		func(from msg.NodeID, m msg.Message) { gotB <- keep(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +462,7 @@ func TestMeshBackoffAndReconnect(t *testing.T) {
 	defer nodeB2.Close()
 	gotB2 := make(chan msg.Message, 256)
 	meshB2, err := NewMesh(1, nodeB2, bAddr, addrs,
-		func(from msg.NodeID, m msg.Message) { gotB2 <- m })
+		func(from msg.NodeID, m msg.Message) { gotB2 <- keep(m) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,13 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 // Conn is a framed, write-locked connection. Reads are not locked; run
 // them from a single reader goroutine.
 //
-// Both directions reuse per-connection scratch buffers, so steady-state
-// sends and receives allocate nothing beyond the decoded message values:
-// the write path encodes into wbuf under the write lock, and the read
-// path reads frame bodies into rbuf, which is safe to recycle because
-// the msg codec never retains the input buffer (every decoder copies
-// what it keeps).
+// Both directions reuse per-connection scratch buffers: the write path
+// encodes into wbuf under the write lock, and the read path reads frame
+// bodies into rbuf, which is safe to recycle because the msg codec never
+// retains the input buffer (every decoder copies what it keeps). Steady
+// sends allocate nothing; so do steady receives through RecvPooled whose
+// caller releases each record once handled, while Recv allocates the
+// decoded message.
 type Conn struct {
 	c    net.Conn
 	br   *bufio.Reader
@@ -108,13 +109,17 @@ func (c *Conn) Flush() error {
 	return c.bw.Flush()
 }
 
-// Recv reads the next message. Single-reader only.
-func (c *Conn) Recv() (msg.Message, error) {
+// Recv reads the next message into a fresh record. Single-reader only.
+func (c *Conn) Recv() (msg.Message, error) { return c.RecvPooled(nil) }
+
+// RecvPooled reads the next message into a record taken from p (see
+// msg.Pool). Single-reader only.
+func (c *Conn) RecvPooled(p *msg.Pool) (msg.Message, error) {
 	var err error
 	if c.rbuf, err = readFrame(c.br, c.rbuf); err != nil {
 		return nil, err
 	}
-	return msg.Decode(c.rbuf)
+	return p.Decode(c.rbuf)
 }
 
 // Close closes the underlying connection.
