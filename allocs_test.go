@@ -45,14 +45,15 @@ func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
 // completes, block sent, viewer checks — every step runs on a record
 // its owner reuses, so what remains is the gossip itself (the one
 // forwarded viewer state both successors are sent, a batch's slice, made
-// at its predecessor's size, the control message in flight). 1.96 is
-// measured; the bound is that plus 10 %.
+// at its predecessor's size, the control message in flight); the
+// periodic ticks re-arm with callbacks bound once. 1.86 is measured; the
+// bound is that plus 10 %.
 func TestSteadyBlockPathAllocs(t *testing.T) {
 	blocks, mallocs, _ := steadyWindow(t)
 	per := float64(mallocs) / float64(blocks)
 	t.Logf("%d blocks, %.2f allocs/block", blocks, per)
-	if per > 2.16 {
-		t.Fatalf("%.2f heap allocations per delivered block, budget 2.16", per)
+	if per > 2.05 {
+		t.Fatalf("%.2f heap allocations per delivered block, budget 2.05", per)
 	}
 }
 

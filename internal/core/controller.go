@@ -89,6 +89,7 @@ type Controller struct {
 	down       bool
 	started    bool
 	hbTimer    clock.Timer
+	onHB       func()         // c.hbTick, bound once
 	slotWait   *obs.Histogram // request-to-insertion latency
 	takeover   *obs.Histogram // restart-to-rebuilt time
 
@@ -137,6 +138,7 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		takeover: obs.NewHistogram(RecoveryBounds),
 	}
 	c.cpu.Model = metrics.DefaultCPUModel()
+	c.onHB = c.hbTick
 	return c
 }
 

@@ -307,6 +307,9 @@ type Cub struct {
 	sink  *trace.Sink // nil until SetSink; where protocol steps are reported
 
 	started bool
+	// c.forwardTick and c.heartbeatTick, bound once: a method value made
+	// at every re-arm would be an allocation per tick.
+	onForward, onHeartbeat func()
 }
 
 // NewCub constructs a cub. The caller wires the same Transport/DataPath
@@ -348,6 +351,7 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		fwdPending:    make(map[msg.NodeID][]msg.Message),
 	}
 	c.cpu.Model = metrics.DefaultCPUModel()
+	c.onForward, c.onHeartbeat = c.forwardTick, c.heartbeatTick
 	for i, d := range diskNums {
 		dr := &c.drives[i]
 		dr.dk, dr.native = disk.New(d, cfg.DiskParams, clk, rng), d

@@ -26,7 +26,7 @@ func (c *Cub) heartbeatTick() {
 		}
 	}
 	c.ctlDeadmanCheck(now)
-	c.clk.After(c.cfg.HeartbeatInterval, c.heartbeatTick)
+	c.clk.After(c.cfg.HeartbeatInterval, c.onHeartbeat)
 }
 
 func (c *Cub) markDead(z msg.NodeID) {

@@ -487,7 +487,7 @@ func (c *Cub) forwardTick() {
 	}
 	c.fwdScratch = due // keep the grown backing array for the next tick
 	c.flushForwards()
-	c.clk.After(c.cfg.ForwardInterval, c.forwardTick)
+	c.clk.After(c.cfg.ForwardInterval, c.onForward)
 }
 
 // fwdKeyLess orders entry keys by (due, slot, part): the view's

@@ -102,7 +102,7 @@ func (c *Controller) hbTick() {
 	for i := 0; i < c.allCubs(); i++ {
 		send(msg.Controller, msg.NodeID(i), hb)
 	}
-	c.hbTimer = c.clk.After(c.cfg.HeartbeatInterval, c.hbTick)
+	c.hbTimer = c.clk.After(c.cfg.HeartbeatInterval, c.onHB)
 }
 
 // Crash makes the incarnation inert in place: timers stop, deliveries

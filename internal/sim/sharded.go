@@ -205,11 +205,8 @@ func (s *Sharded) nextEvent() (Time, bool) {
 	var best Time
 	ok := false
 	for _, e := range s.engines {
-		if len(e.heap) == 0 {
-			continue
-		}
-		if !ok || e.heap[0].at < best {
-			best, ok = e.heap[0].at, true
+		if at, queued := e.Next(); queued && (!ok || at < best) {
+			best, ok = at, true
 		}
 	}
 	return best, ok

@@ -79,30 +79,35 @@ gotest -run 'TestStepOffPathAllocs|TestStepSubscribedAllocs' ./internal/core
 gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 
 # Event-diet gate: what a delivered block costs at the paper's rated
-# load stays inside its budgets (2.16 heap allocations, 5.8 engine
-# events, 1 500 events pending; 1.96, 5.70 and 1 365 measured), and the
+# load stays inside its budgets (2.05 heap allocations, 5.8 engine
+# events, 1 500 events pending; 1.86, 5.70 and 1 365 measured), and the
 # mechanisms that bought the cuts stay equal to their plain references —
-# buffer and NIC releases applied by reading the clock against eager
-# models (ties, mixed paces, a crash and restart), the slot-chained view
-# against a map, a drive's walk (one list, three cursors, one timer)
-# against a stable sort by due time. Under rt a block costs its cub's
-# executor 3 events (read timer, disk completion, send timer), arming
-# or stopping a timer on a Node allocates nothing (the executor keeps
-# its timers in a queue of its own under one wall-clock timer), and
-# SendBlock at most 1 allocation (the BlockData): the pace is waited out
-# by the viewer peer's writer, whose one due-ordered queue lets paced
-# blocks leave in due order and control traffic FIFO, holds at most 4 096
-# frames, and is written with one flush per wake. The writer hands each
-# BlockData back to SendBlock and a viewer client decodes into one
-# record, so a block from SendBlock to OnBlock allocates nothing (0.1
-# budget), and a mesh decodes the per-block kinds into pooled records it
-# hands its executor in one drain per run of frames (0.05 a frame); a
-# record stays the handler's until it returns, and a closed viewer
-# client or controller host serves nothing more — all under the race
-# detector, beside the pooled decoder's differential fuzz seeds.
+# the engine's queue (a timing wheel of 1 024 buckets of 2^20 ns, each
+# sorted once when opened, in front of a 4-ary heap for the far events)
+# against a sorted slice, the sharded engine at any worker count against
+# itself serial, buffer and NIC releases applied by reading the clock
+# against eager models (ties, mixed paces, a crash and restart), the
+# slot-chained view against a map, a drive's walk (one list, three
+# cursors, one timer) against a stable sort by due time. Under rt a
+# block costs its cub's executor 3 events (read timer, disk completion,
+# send timer), arming or stopping a timer on a Node allocates nothing
+# (the executor keeps its timers in a queue of its own under one
+# wall-clock timer), and SendBlock at most 1 allocation (the BlockData):
+# the pace is waited out by the viewer peer's writer, whose one
+# due-ordered queue lets paced blocks leave in due order and control
+# traffic FIFO, holds at most 4 096 frames, and is written with one
+# flush per wake. The writer hands each BlockData back to SendBlock and
+# a viewer client decodes into one record, so a block from SendBlock to
+# OnBlock allocates nothing (0.1 budget), and a mesh decodes the
+# per-block kinds into pooled records it hands its executor in one drain
+# per run of frames (0.05 a frame); a record stays the handler's until
+# it returns, and a closed viewer client or controller host serves
+# nothing more — all under the race detector, beside the pooled
+# decoder's differential fuzz seeds.
 gotest -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
 gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel' ./internal/core
 gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
+gotest -run 'TestQueueAgainstSortedModel|TestSortNodes|TestShardedDeterministicAcrossWorkers' ./internal/sim
 gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestNodeTimerAllocs|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
 gotest -run 'TestWriteFlushCoalesces' ./internal/wire
 gotest -race -run 'TestMeshRecvAllocs|TestViewerClientBlockAllocs|TestMeshBlockPathAllocs|TestRecordHeldUntilHandlerReturns|TestViewerClientSilentAfterClose|TestControllerCloseStopsEpochService' ./internal/rt
