@@ -160,9 +160,9 @@ func main() {
 	}
 
 	// The registry: run order is "-exp all" order. The slow multi-minute
-	// sweeps (baseline re-runs fig8 + loss; scalability reaches 1000
-	// cubs; elastic, correlated and failover hold full-capacity clusters
-	// through whole fault cycles) run only when named.
+	// sweeps (scalability reaches 1000 cubs; elastic, correlated and
+	// failover hold full-capacity clusters through whole fault cycles)
+	// run only when named.
 	exps := []experiment{
 		{"capacity", "§5 capacity plan: block service time, streams per disk, rated streams", true, func() error { return capacity(o) }},
 		{"fig8", "load curve with no cubs failed (Figure 8)", true, func() error { return loadCurve(o, -1, ramp) }},
@@ -182,7 +182,6 @@ func main() {
 		{"score", "deadline-slack score across the standard scenarios", true, func() error { return score(o) }},
 		{"observe", "observability capture: metrics snapshot + protocol event trace", true, func() error { return observe(o) }},
 		{"ablate-frag", "ablation A4: network-schedule start quantization", true, func() error { return ablateFrag() }},
-		{"baseline", "committed performance envelope: fig8 headline + loss + engine cost", false, func() error { return baseline(o, ramp, lossHold) }},
 		{"scalability", "warehouse scale: rated capacity vs resource bounds, 14 to 1000 cubs", false, func() error { return scalability(o) }},
 		{"correlated", "correlated failures: domains, mirror exhaustion, degradation governor", false, func() error { return correlated(o) }},
 	}

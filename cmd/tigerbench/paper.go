@@ -11,7 +11,6 @@ import (
 	"tiger/internal/disk"
 	"tiger/internal/metrics"
 	"tiger/internal/msg"
-	"tiger/internal/sim"
 )
 
 // The paper's evaluation (§5): Figures 8-10, the in-text loss-rate and
@@ -645,85 +644,4 @@ func flash(o tiger.Options) error {
 		res.MeanDiskDuty*100, res.MaxDiskDuty*100)
 	fmt.Printf("  blocks           : %d delivered, %d lost\n", res.BlocksOK, res.BlocksLost)
 	return writeJSON("flash", res)
-}
-
-// baselineResult is the committed performance envelope of a revision:
-// the Figure 8 full-load headline factors, both §5 loss-rate scenarios,
-// and the raw event-engine cost. Regenerate with
-// `tigerbench -exp baseline -out .` and diff against BENCH_seed.json.
-type baselineResult struct {
-	Seed           int64
-	Capacity       int
-	FullLoadCubCPU float64
-	FullLoadCtrl   float64
-	FullLoadCtlBps float64
-	BlocksOK       int64
-	BlocksLost     int64
-	Violations     int
-	Loss           []lossRateResult
-	EngineEvents   int
-	EngineNsPerEv  float64
-}
-
-// engineNsPerEvent measures the raw sim-engine overhead with a
-// self-perpetuating cascade (the shape of BenchmarkEventCascade), in
-// wall-clock nanoseconds per event.
-func engineNsPerEvent(events int) float64 {
-	e := sim.New(1)
-	n := 0
-	var step func()
-	step = func() {
-		n++
-		if n < events {
-			e.After(time.Microsecond, step)
-		}
-	}
-	start := time.Now()
-	e.After(0, step)
-	e.Run()
-	return float64(time.Since(start).Nanoseconds()) / float64(events)
-}
-
-// baseline captures the headline metrics committed as BENCH_seed.json.
-func baseline(o tiger.Options, ramp rampSpec, hold time.Duration) error {
-	header("Baseline capture: Figure 8 headline + loss rates + engine cost",
-		"the numbers future revisions are diffed against")
-	fig8, err := runLoadCurve(o, -1, ramp)
-	if err != nil {
-		return err
-	}
-	loss, err := runLossRates(o, hold, false)
-	if err != nil {
-		return err
-	}
-	res := baselineResult{
-		Seed:         o.Seed,
-		Capacity:     fig8.Capacity,
-		BlocksOK:     fig8.BlocksOK,
-		BlocksLost:   fig8.BlocksLost,
-		Violations:   fig8.Violations,
-		Loss:         loss,
-		EngineEvents: 2_000_000,
-	}
-	last := fig8.Samples[len(fig8.Samples)-1]
-	res.FullLoadCubCPU = last.CubCPU
-	res.FullLoadCtrl = last.CtrlCPU
-	res.FullLoadCtlBps = last.CtlTrafficBps
-	engineNsPerEvent(res.EngineEvents / 10) // warm up
-	res.EngineNsPerEv = engineNsPerEvent(res.EngineEvents)
-	fmt.Printf("  capacity       : %d streams\n", res.Capacity)
-	fmt.Printf("  full load      : cub CPU %.1f%%, ctrl %.2f%%, ctl %.1f KB/s\n",
-		res.FullLoadCubCPU*100, res.FullLoadCtrl*100, res.FullLoadCtlBps/1e3)
-	fmt.Printf("  blocks         : %d ok, %d lost, %d conflicts\n",
-		res.BlocksOK, res.BlocksLost, res.Violations)
-	for _, r := range res.Loss {
-		rate := "lossless"
-		if r.LossRate > 0 {
-			rate = fmt.Sprintf("1 in %.0f", r.LossRate)
-		}
-		fmt.Printf("  loss           : %-28s %s\n", r.Name, rate)
-	}
-	fmt.Printf("  engine         : %.1f ns/event over %d events\n",
-		res.EngineNsPerEv, res.EngineEvents)
-	return writeJSON("seed", res)
 }

@@ -106,10 +106,8 @@ type drive struct {
 	dk     *disk.Disk
 	native int // disk number under the cub's birth generation
 
-	failed      bool // out of service: FailDisk or a quarantine
-	quarantined bool // retired by the health monitor, which probes it
-	health      diskHealth
-	walk        walk // the drive's entries in due order (walk.go)
+	health diskHealth // also whether it is in service (health.go)
+	walk   walk       // the drive's entries in due order (walk.go)
 
 	// The mover (mover.go): the FIFO of copy jobs, the copy in service
 	// or pacing after it (nil while idle), and the duty-cycle sample its
@@ -402,24 +400,19 @@ func (c *Cub) BelievesDead(z msg.NodeID) bool { return c.believedDead[z] }
 // heal.
 func (c *Cub) BelievedDead() int { return len(c.believedDead) }
 
-// FailedDisks returns how many of this cub's own drives are marked
-// failed (permanently dead or health-quarantined).
-func (c *Cub) FailedDisks() int {
-	n := 0
-	for i := range c.drives {
-		if c.drives[i].failed {
-			n++
-		}
-	}
-	return n
-}
+// FailedDisks returns how many of this cub's own drives are out of
+// service (permanently failed or health-quarantined).
+func (c *Cub) FailedDisks() int { return c.countDrives(DiskQuarantined, DiskFailed) }
 
 // QuarantinedDisks returns how many of this cub's drives are currently
 // health-quarantined — the probed subset of FailedDisks.
-func (c *Cub) QuarantinedDisks() int {
+func (c *Cub) QuarantinedDisks() int { return c.countDrives(DiskQuarantined, DiskQuarantined) }
+
+// countDrives counts the drives whose state lies in [lo, hi].
+func (c *Cub) countDrives(lo, hi DiskHealthState) int {
 	n := 0
 	for i := range c.drives {
-		if c.drives[i].quarantined {
+		if s := c.drives[i].health.state; lo <= s && s <= hi {
 			n++
 		}
 	}
@@ -502,23 +495,15 @@ func (c *Cub) FailDisk(idx int) {
 	if dr == nil {
 		panic(fmt.Sprintf("cub %v: no local drive %d", c.id, idx))
 	}
-	// A permanent failure overrides any health quarantine: stop probing,
-	// and keep the state machine pinned at quarantined so the health
-	// gauge reflects a drive that is out of service.
-	dr.health.probeTimer.Stop()
-	dr.quarantined = false
-	dr.health.state = DiskQuarantined
-	c.retireDisk(dr)
+	c.transition(dr, DiskFailed)
 }
 
-// retireDisk converts every pending schedule entry on drive dr to mirror
-// service and marks the drive failed. Shared by the permanent FailDisk
-// path and the health monitor's quarantine; idempotent.
+// retireDisk converts every pending schedule entry on drive dr, which
+// has just left service, to mirror service. Shared by the permanent
+// FailDisk path and the health monitor's quarantine; the drive's new
+// state is already set, and picks the reason pending copies are nacked
+// with.
 func (c *Cub) retireDisk(dr *drive) {
-	if dr.failed {
-		return
-	}
-	dr.failed = true
 	// Any restripe copies pending on the drive cannot be produced any
 	// more; tell the coordinator so it re-routes them to a mirror.
 	c.moverDiskRetired(dr)

@@ -58,21 +58,15 @@ func (c *Cub) markDead(z msg.NodeID) {
 		if cfg == nil || !decider[GenOf(k.slot)] {
 			continue
 		}
-		bp := int64(cfg.Sched.BlockPlay)
 		// Walk back through the services that precede ours in the
 		// stream while they land on disks of cubs we believe dead.
-		vs := e.vs
-		d := int(e.vs.OrigDisk) // generation-local target disk
 		for j := 1; j < cfg.Layout.Cubs; j++ {
-			pd := (d - j + cfg.Sched.NumDisks) % cfg.Sched.NumDisks
+			pvs := hop(cfg, e.vs, -j)
+			pd := int(pvs.OrigDisk) // generation-local
 			pc := cfg.Layout.CubOfDisk(pd)
 			if !c.believedDead[pc] || !c.firstLivingSuccessorOfIn(cfg.Layout, pc) {
 				break
 			}
-			pvs := vs
-			pvs.Block = vs.Block - int32(j)
-			pvs.PlaySeq = vs.PlaySeq - int32(j)
-			pvs.Due = vs.Due - int64(j)*bp
 			if pvs.Block < 0 || pvs.Due <= int64(now) {
 				break
 			}

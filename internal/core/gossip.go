@@ -57,36 +57,39 @@ func (c *Cub) onViewerState(vs msg.ViewerState) {
 	// Create mirror states for any services on the way to us whose cub
 	// we believe dead and whose first living successor we are; this is
 	// both the adjacent-failure case and the bridged-gap case (§2.3).
-	bp := int64(cfg.Sched.BlockPlay)
 	for j := 0; j < hops; j++ {
 		d := (target + j) % cfg.Sched.NumDisks
 		cd := cfg.Layout.CubOfDisk(d)
 		if c.believedDead[cd] && c.firstLivingSuccessorOfIn(cfg.Layout, cd) {
-			mvs := vs
-			mvs.Block += int32(j)
-			mvs.PlaySeq += int32(j)
-			mvs.Due += int64(j) * bp
-			if c.fileHasBlock(mvs.File, mvs.Block) && mvs.Due > int64(now) {
+			if mvs := hop(cfg, vs, j); c.fileHasBlock(mvs.File, mvs.Block) && mvs.Due > int64(now) {
 				c.createMirrors(mvs, d)
 			}
 		}
 	}
 
 	// Advance the state to our own disk's service of this stream.
-	mine := vs
-	mine.Block += int32(hops)
-	mine.PlaySeq += int32(hops)
-	mine.Due += int64(hops) * bp
-	myDisk := (target + hops) % cfg.Sched.NumDisks
+	mine := hop(cfg, vs, hops)
+	myDisk := int(mine.OrigDisk)
 	if cfg.Layout.CubOfDisk(myDisk) != c.id {
 		panic(fmt.Sprintf("cub %v: disk arithmetic broken for target %d hops %d", c.id, target, hops))
 	}
-	mine.OrigDisk = int32(myDisk)
 	if !c.fileHasBlock(mine.File, mine.Block) {
 		return // the stream ends before it reaches us
 	}
 	c.acceptPrimary(mine, myDisk)
 	c.flushForwards()
+}
+
+// hop returns vs moved j services along its stream, back for j < 0: the
+// block and play sequence j on, due j block plays later, on the disk j
+// places after its own in cfg's generation.
+func hop(cfg *Config, vs msg.ViewerState, j int) msg.ViewerState {
+	n := cfg.Sched.NumDisks
+	vs.Block += int32(j)
+	vs.PlaySeq += int32(j)
+	vs.Due += int64(j) * int64(cfg.Sched.BlockPlay)
+	vs.OrigDisk = int32(((int(vs.OrigDisk)+j)%n + n) % n)
+	return vs
 }
 
 func (c *Cub) fileHasBlock(f msg.FileID, b int32) bool {
@@ -124,7 +127,7 @@ func (c *Cub) acceptPrimary(vs msg.ViewerState, d int) {
 		c.forwardEntryNow(vs)
 		return
 	}
-	if dr.failed {
+	if dr.out() {
 		// Our own drive is dead: we are the deciding component; serve
 		// the block from its declustered mirrors instead.
 		c.createMirrors(vs, d)
@@ -438,7 +441,7 @@ func (c *Cub) acceptMirror(vs msg.ViewerState) {
 		return // the original acceptance already forwarded the chain
 	}
 	switch {
-	case dr.failed:
+	case dr.out():
 		c.stats.PiecesLost++
 	case vs.Due <= int64(c.clk.Now()):
 		c.recordMiss(vs)
@@ -509,12 +512,8 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 	if cfg == nil {
 		return // generation dropped; its streams are all gone
 	}
-	next := vs
-	next.Block++
-	next.PlaySeq++
-	next.Due += int64(cfg.Sched.BlockPlay)
-	nextDisk := (int(vs.OrigDisk) + 1) % cfg.Sched.NumDisks
-	next.OrigDisk = int32(nextDisk)
+	next := hop(cfg, vs, 1)
+	nextDisk := int(next.OrigDisk)
 	if !c.fileHasBlock(next.File, next.Block) {
 		return // end of file: the viewer leaves the schedule (§4.1.2)
 	}
@@ -522,7 +521,7 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 		// The next service is on one of our own disks. This happens when
 		// we proxy-inserted for a dead predecessor's disk (the stream's
 		// next block is ours to send) and in single-cub systems.
-		if c.driveOfDisk(cfg.Layout, nextDisk).failed {
+		if c.driveOfDisk(cfg.Layout, nextDisk).out() {
 			c.createMirrors(next, nextDisk)
 			c.forwardEntryNow(next)
 		} else {

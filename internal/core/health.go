@@ -14,8 +14,8 @@ import (
 // restart rejoin — cannot see a drive that still answers, only slowly or
 // unreliably; yet such a drive silently drops every stream it serves,
 // because loss in Tiger is driven entirely by *late* reads. The monitor
-// watches every local read completion and runs a three-state machine per
-// drive:
+// watches every local read completion and keeps one state per drive,
+// which is also the only record of whether the drive is in service:
 //
 //	healthy ──(slack EWMA < suspectSlack, or suspectAfter consecutive
 //	           bad events)──▶ suspected
@@ -23,6 +23,13 @@ import (
 //	suspected ──(slack EWMA < 0, or quarantineAfter consecutive bad
 //	           events)──▶ quarantined
 //	quarantined ──(probeGood consecutive in-budget probe reads)──▶ healthy
+//	any state ──(FailDisk)──▶ failed
+//	any state but failed ──(Restart)──▶ healthy
+//
+// Quarantined and failed drives are out of service. Every edge but
+// Restart's goes through transition, which bumps the edge's counter and
+// runs the new state's entry action; Restart is a reboot, not a verdict,
+// and resets the monitor without counting.
 //
 // A *bad event* is a read that completed late or failed, or a scheduled
 // send that fired with its read still outstanding — the deadline-miss
@@ -75,25 +82,20 @@ const (
 	probeGood     = 3
 )
 
-// DiskHealthState is the monitor's verdict on one drive.
+// DiskHealthState is the monitor's verdict on one drive. The states from
+// DiskQuarantined on are out of service.
 type DiskHealthState int32
 
 const (
-	DiskHealthy DiskHealthState = iota
-	DiskSuspected
-	DiskQuarantined
+	DiskHealthy     DiskHealthState = iota
+	DiskSuspected                   // reads are hedged
+	DiskQuarantined                 // retired and probed
+	DiskFailed                      // retired by FailDisk, never probed
 )
 
-func (s DiskHealthState) String() string {
-	switch s {
-	case DiskHealthy:
-		return "healthy"
-	case DiskSuspected:
-		return "suspected"
-	default:
-		return "quarantined"
-	}
-}
+var diskStateNames = [...]string{"healthy", "suspected", "quarantined", "failed"}
+
+func (s DiskHealthState) String() string { return diskStateNames[s] }
 
 // diskHealth is the monitor state for one local drive.
 type diskHealth struct {
@@ -102,8 +104,8 @@ type diskHealth struct {
 	// slackEwma tracks (due − completion) of recent reads, normalized by
 	// the zoned worst-case service time; lat tracks raw issue-to-
 	// completion latency for the hedge predictor. seeded is false until
-	// the first sample (and again after an un-quarantine, so stale
-	// pre-fault estimates cannot linger).
+	// the first sample (and again after a quarantine, so stale pre-fault
+	// estimates cannot linger).
 	slackEwma float64
 	lat       time.Duration
 	seeded    bool
@@ -113,20 +115,22 @@ type diskHealth struct {
 	probeTimer clock.Timer
 }
 
+// out reports whether the drive is out of service: quarantined or failed.
+func (dr *drive) out() bool { return dr.health.state >= DiskQuarantined }
+
 // DiskHealth reports the monitor's state for the cub's idx-th drive.
 func (c *Cub) DiskHealth(idx int) DiskHealthState { return c.drives[idx].health.state }
 
 // noteRead feeds one local read completion to the monitor. issued/due/
 // done are the read's issue time, service deadline, and completion time;
-// ok is false for a (transiently) failed read.
+// ok is false for a (transiently) failed read. A disabled monitor takes
+// no samples, so its drives never leave healthy but by FailDisk; an
+// out-of-service drive is judged by its probes alone.
 func (c *Cub) noteRead(dr *drive, issued, due, done sim.Time, size int64, zone disk.Zone, ok bool) {
-	if c.cfg.Health.Disable {
+	if c.cfg.Health.Disable || dr.out() {
 		return
 	}
 	h := &dr.health
-	if h.state == DiskQuarantined {
-		return // quarantined drives are judged by their probes alone
-	}
 	lat := done.Sub(issued)
 	worst := c.cfg.DiskParams.WorstServiceTime(size, zone)
 	slack := float64(due.Sub(done)) / float64(worst)
@@ -150,39 +154,77 @@ func (c *Cub) noteRead(dr *drive, issued, due, done sim.Time, size int64, zone d
 // on drive dr. For a stuck drive these misses are the only signal the
 // monitor ever receives, so they must advance the state machine alone.
 func (c *Cub) noteDeadlineMiss(dr *drive) {
-	if c.cfg.Health.Disable || dr.health.state == DiskQuarantined {
+	if c.cfg.Health.Disable || dr.out() {
 		return
 	}
 	dr.health.badStreak++
 	c.evalHealth(dr)
 }
 
-// evalHealth applies the state machine after the estimators moved.
+// evalHealth holds the monitor's guards: after the estimators moved, it
+// picks the edge they call for, if any.
 func (c *Cub) evalHealth(dr *drive) {
 	h := &dr.health
 	switch h.state {
 	case DiskHealthy:
 		if h.badStreak >= suspectAfter || (h.seeded && h.slackEwma < suspectSlack) {
-			c.suspectDisk(dr)
+			c.transition(dr, DiskSuspected)
 		}
 	case DiskSuspected:
 		switch {
 		case h.badStreak >= quarantineAfter || (h.seeded && h.slackEwma < 0):
-			c.quarantineDisk(dr)
+			c.transition(dr, DiskQuarantined)
 		case h.badStreak == 0 && h.seeded && h.slackEwma > healthySlack:
-			h.state = DiskHealthy
-			c.stats.DiskRecoveries++
+			c.transition(dr, DiskHealthy)
 		}
 	}
 }
 
-func (c *Cub) suspectDisk(dr *drive) {
-	dr.health.state = DiskSuspected
-	c.stats.DiskSuspects++
-	// The backlog that triggered suspicion is exactly the set of reads
-	// that will miss: hedge every outstanding not-yet-due primary on the
-	// drive immediately rather than waiting for each to be re-judged.
-	c.hedgeOutstanding(dr)
+// transition moves drive dr to state to: the edge's counter, then the
+// state's entry action. It is the one place a drive changes state but
+// for Restart's reset.
+func (c *Cub) transition(dr *drive, to DiskHealthState) {
+	h := &dr.health
+	from := h.state
+	h.state = to
+	switch to {
+	case DiskHealthy:
+		if from == DiskQuarantined {
+			c.stats.DiskUnquarantines++
+		} else {
+			c.stats.DiskRecoveries++
+		}
+		// Out of quarantine, the drive is back in service at an
+		// unchanged epoch: the cub never died, so there is nothing to
+		// fence — new viewer states simply start landing on it again,
+		// and the residual mirror load drains as its entries fall due.
+		// Its estimators were reset on the way in.
+		h.probeTimer.Stop()
+		h.probeGood = 0
+	case DiskSuspected:
+		c.stats.DiskSuspects++
+		// The backlog that triggered suspicion is exactly the set of
+		// reads that will miss: hedge every outstanding not-yet-due
+		// primary on the drive now rather than re-judging each.
+		c.hedgeOutstanding(dr)
+	case DiskQuarantined:
+		c.stats.DiskQuarantines++
+		// Judged by its probes alone from here: the estimators restart
+		// from nothing when the drive returns.
+		*h = diskHealth{state: to}
+		if c.sink.Wants(trace.Quarantine) {
+			// Slot carries the native disk number.
+			c.sink.Emit(trace.Event{At: c.clk.Now(), Node: c.id, Kind: trace.Quarantine, Slot: int32(dr.native)})
+		}
+		c.retireDisk(dr) // only a suspected drive is quarantined
+		c.armProbe(dr)
+	case DiskFailed:
+		// A permanent failure overrides any quarantine: no more probes.
+		h.probeTimer.Stop()
+		if from < DiskQuarantined {
+			c.retireDisk(dr)
+		}
+	}
 }
 
 // hedgeOutstanding launches mirror chains for every unhedged, not-ready,
@@ -206,9 +248,6 @@ func (c *Cub) hedgeOutstanding(dr *drive) {
 // would miss the due time, or when the drive is mid-streak (its
 // estimators cannot be trusted while every read is failing).
 func (c *Cub) shouldHedge(dr *drive, size int64, zone disk.Zone, due sim.Time) bool {
-	if c.cfg.Health.Disable {
-		return false
-	}
 	h := &dr.health
 	if h.state != DiskSuspected {
 		return false
@@ -243,24 +282,6 @@ func (c *Cub) hedgeEntry(e *entry) {
 	}
 }
 
-// quarantineDisk retires a drive through the same conversion the
-// fail-stop path uses, and starts the un-quarantine probe loop.
-func (c *Cub) quarantineDisk(dr *drive) {
-	h := &dr.health
-	h.state = DiskQuarantined
-	h.badStreak = 0
-	h.probeGood = 0
-	h.seeded = false
-	c.stats.DiskQuarantines++
-	if c.sink.Wants(trace.Quarantine) {
-		// Slot carries the native disk number.
-		c.sink.Emit(trace.Event{At: c.clk.Now(), Node: c.id, Kind: trace.Quarantine, Slot: int32(dr.native)})
-	}
-	dr.quarantined = true
-	c.retireDisk(dr)
-	c.armProbe(dr)
-}
-
 func (c *Cub) armProbe(dr *drive) {
 	dr.health.probeTimer = c.clk.After(probeInterval, func() { c.probeDisk(dr) })
 }
@@ -274,46 +295,28 @@ func probeBudget(p disk.Params, blockSize int64) time.Duration {
 }
 
 // probeDisk issues one block-sized read against a quarantined drive and
-// re-arms the next probe. The probe bypasses the block buffer pool — it
-// carries no payload anywhere — and a wedged drive simply never answers,
-// which resets nothing: the quarantine holds until real completions
-// return.
+// re-arms the next probe; every way out of quarantine stops the timer.
+// The probe bypasses the block buffer pool — it carries no payload
+// anywhere — and a wedged drive simply never answers, which resets
+// nothing: the quarantine holds until real completions return.
 func (c *Cub) probeDisk(dr *drive) {
-	if !dr.quarantined {
-		return
-	}
 	h := &dr.health
 	start := c.clk.Now()
 	budget := probeBudget(c.cfg.DiskParams, c.cfg.BlockSize)
 	c.cpu.ChargeDiskOp()
 	c.stats.DiskProbes++
 	dr.dk.Read(c.cfg.BlockSize, disk.Outer, start.Add(budget), func(done sim.Time, ok bool) {
-		if !dr.quarantined {
-			return
+		if h.state != DiskQuarantined {
+			return // failed or restarted while the probe was out
 		}
 		if ok && done.Sub(start) <= budget {
 			h.probeGood++
 			if h.probeGood >= probeGood {
-				c.unquarantineDisk(dr)
+				c.transition(dr, DiskHealthy)
 			}
 		} else {
 			h.probeGood = 0
 		}
 	})
 	c.armProbe(dr)
-}
-
-// unquarantineDisk returns a probed-healthy drive to service at an
-// unchanged epoch: the cub never died, so there is nothing to fence —
-// new viewer states simply start landing on the drive again, and the
-// residual mirror load drains as its entries fall due.
-func (c *Cub) unquarantineDisk(dr *drive) {
-	dr.quarantined, dr.failed = false, false
-	h := &dr.health
-	h.probeTimer.Stop()
-	h.state = DiskHealthy
-	h.badStreak = 0
-	h.probeGood = 0
-	h.seeded = false
-	c.stats.DiskUnquarantines++
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
 	"tiger/internal/disk"
 	"tiger/internal/msg"
+	"tiger/internal/obs"
 )
 
 // healthRig builds a rig and starts n viewers spread over the files, so
@@ -125,5 +127,172 @@ func TestTransientWobbleRecoversWithoutQuarantine(t *testing.T) {
 	}
 	if s := cub.Stats(); s.DiskQuarantines != 0 {
 		t.Fatalf("wobble caused %d quarantines", s.DiskQuarantines)
+	}
+}
+
+// edgeCounts are the monitor's per-edge counters: healthy→suspected,
+// suspected→healthy, suspected→quarantined, quarantined→healthy.
+type edgeCounts [4]int64
+
+func edgesOf(c *Cub) edgeCounts {
+	s := c.Stats()
+	return edgeCounts{s.DiskSuspects, s.DiskRecoveries, s.DiskQuarantines, s.DiskUnquarantines}
+}
+
+// checkDrive asserts drive 0 of c reads as state want everywhere: the
+// monitor, the out-of-service counts, the health gauge and the edge
+// counters.
+func checkDrive(t *testing.T, c *Cub, want DiskHealthState, edges edgeCounts) {
+	t.Helper()
+	if st := c.DiskHealth(0); st != want {
+		t.Fatalf("drive 0 %s, want %s", st, want)
+	}
+	failed, quarantined := 0, 0
+	if want >= DiskQuarantined {
+		failed = 1
+	}
+	if want == DiskQuarantined {
+		quarantined = 1
+	}
+	if c.FailedDisks() != failed || c.QuarantinedDisks() != quarantined {
+		t.Fatalf("%s: FailedDisks %d, QuarantinedDisks %d, want %d, %d",
+			want, c.FailedDisks(), c.QuarantinedDisks(), failed, quarantined)
+	}
+	key := `tiger_disk_health_state{cub="` + strconv.Itoa(int(c.id)) + `",disk="` + strconv.Itoa(c.drives[0].native) + `"}`
+	gauge := -1.0
+	c.Snapshot().Collect(func(d *obs.Desc, labels string, v float64) {
+		if d.Name+"{"+labels+"}" == key {
+			gauge = v
+		}
+	})
+	if gauge != float64(want) {
+		t.Fatalf("%s = %v, want %d (%s)", key, gauge, want, want)
+	}
+	if got := edgesOf(c); got != edges {
+		t.Fatalf("%s: edge counters %v, want %v", want, got, edges)
+	}
+}
+
+// misses feeds drive 0 of c n deadline misses: the stuck-drive signal.
+func misses(c *Cub, n int) {
+	for i := 0; i < n; i++ {
+		c.noteDeadlineMiss(&c.drives[0])
+	}
+}
+
+// cleanRead feeds drive 0 of c one read that completed now, ten
+// worst-case service times ahead of its deadline.
+func cleanRead(c *Cub) {
+	now := c.clk.Now()
+	due := now.Add(10 * c.cfg.DiskParams.WorstServiceTime(c.cfg.BlockSize, disk.Outer))
+	c.noteRead(&c.drives[0], now, due, now, c.cfg.BlockSize, disk.Outer, true)
+}
+
+// TestDriveStateTransitions walks every edge of the per-drive state
+// machine (health.go) through the monitor's own entry points, FailDisk
+// and Restart, and checks that each state reads the same on every
+// surface.
+func TestDriveStateTransitions(t *testing.T) {
+	// Each state's way in from a fresh drive, with the edge counters it
+	// leaves behind.
+	enter := []struct {
+		state DiskHealthState
+		in    func(*Cub)
+		edges edgeCounts
+	}{
+		{DiskHealthy, func(*Cub) {}, edgeCounts{}},
+		{DiskSuspected, func(c *Cub) { misses(c, suspectAfter) }, edgeCounts{1, 0, 0, 0}},
+		{DiskQuarantined, func(c *Cub) { misses(c, quarantineAfter) }, edgeCounts{1, 0, 1, 0}},
+		{DiskFailed, func(c *Cub) { c.FailDisk(0) }, edgeCounts{}},
+	}
+
+	t.Run("monitor", func(t *testing.T) {
+		r := newRig(t, defaultRigOptions())
+		c := r.cubs[0]
+		checkDrive(t, c, DiskHealthy, edgeCounts{})
+		misses(c, suspectAfter-1)
+		checkDrive(t, c, DiskHealthy, edgeCounts{})
+		misses(c, 1)
+		checkDrive(t, c, DiskSuspected, edgeCounts{1, 0, 0, 0})
+		cleanRead(c)
+		checkDrive(t, c, DiskHealthy, edgeCounts{1, 1, 0, 0})
+		misses(c, quarantineAfter-1)
+		checkDrive(t, c, DiskSuspected, edgeCounts{2, 1, 0, 0})
+		misses(c, 1)
+		checkDrive(t, c, DiskQuarantined, edgeCounts{2, 1, 1, 0})
+		// Out of service, the drive takes no samples: only probes judge it.
+		misses(c, quarantineAfter)
+		cleanRead(c)
+		checkDrive(t, c, DiskQuarantined, edgeCounts{2, 1, 1, 0})
+		r.run(probeGood*probeInterval + time.Second)
+		checkDrive(t, c, DiskHealthy, edgeCounts{2, 1, 1, 1})
+		if h := &c.drives[0].health; h.seeded || h.badStreak != 0 || h.probeGood != 0 {
+			t.Fatalf("estimators not reset on leaving quarantine: %+v", *h)
+		}
+		if p := c.Stats().DiskProbes; p != probeGood {
+			t.Fatalf("%d probes, want %d", p, probeGood)
+		}
+		r.run(3 * probeInterval)
+		if p := c.Stats().DiskProbes; p != probeGood {
+			t.Fatalf("probing went on after the quarantine cleared: %d probes", p)
+		}
+	})
+
+	t.Run("disabled", func(t *testing.T) {
+		o := defaultRigOptions()
+		o.mutate = func(cfg *Config) { cfg.Health.Disable = true }
+		c := newRig(t, o).cubs[0]
+		misses(c, quarantineAfter)
+		checkDrive(t, c, DiskHealthy, edgeCounts{})
+		c.FailDisk(0)
+		checkDrive(t, c, DiskFailed, edgeCounts{})
+	})
+
+	for _, from := range enter {
+		t.Run(from.state.String()+"_to_failed", func(t *testing.T) {
+			r := newRig(t, defaultRigOptions())
+			c := r.cubs[0]
+			from.in(c)
+			checkDrive(t, c, from.state, from.edges)
+			if from.state == DiskQuarantined {
+				// Catch a probe read in flight, one short of clearing the
+				// quarantine.
+				r.run(probeInterval)
+				if c.Stats().DiskProbes != 1 || c.Disk(0).QueueLen() != 1 {
+					t.Fatalf("%d probes, %d reads queued: want one probe in flight",
+						c.Stats().DiskProbes, c.Disk(0).QueueLen())
+				}
+				c.drives[0].health.probeGood = probeGood - 1
+			}
+			probes := c.Stats().DiskProbes
+			c.FailDisk(0)
+			checkDrive(t, c, DiskFailed, from.edges)
+			// The probe that was out completes, and no other is issued.
+			r.run(probeGood*probeInterval + time.Second)
+			checkDrive(t, c, DiskFailed, from.edges)
+			if p := c.Stats().DiskProbes; p != probes {
+				t.Fatalf("a failed drive was probed: %d probes, had %d", p, probes)
+			}
+		})
+	}
+
+	for _, from := range enter {
+		t.Run("restart_"+from.state.String(), func(t *testing.T) {
+			r := newRig(t, defaultRigOptions())
+			c := r.cubs[0]
+			from.in(c)
+			c.Restart()
+			want := DiskHealthy
+			if from.state == DiskFailed {
+				want = DiskFailed
+			}
+			checkDrive(t, c, want, from.edges)
+			probes := c.Stats().DiskProbes
+			r.run(probeGood*probeInterval + time.Second)
+			checkDrive(t, c, want, from.edges)
+			if p := c.Stats().DiskProbes; p != probes {
+				t.Fatalf("probing went on across the restart: %d probes, had %d", p, probes)
+			}
+		})
 	}
 }

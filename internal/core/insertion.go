@@ -161,7 +161,7 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 	c.startWait.Observe(c.clk.Now().Sub(req.enqueued).Seconds())
 	c.step(trace.Insert, &vs, int32(gd))
 
-	if cfg.Layout.CubOfDisk(gd) != c.id || c.driveOfDisk(cfg.Layout, gd).failed {
+	if cfg.Layout.CubOfDisk(gd) != c.id || c.driveOfDisk(cfg.Layout, gd).out() {
 		// Proxy insertion for a dead predecessor's disk, or our own dead
 		// drive: the first block is served from its mirrors.
 		c.createMirrors(vs, gd)

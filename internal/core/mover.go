@@ -124,7 +124,7 @@ func (c *Cub) onMoveOrder(t msg.MoveOrder) {
 	if dr == nil {
 		return // malformed or stale order; the resend timer will retry
 	}
-	if dr.failed {
+	if dr.out() {
 		c.nackMove(t, dr)
 		return
 	}
@@ -148,7 +148,7 @@ func (c *Cub) onMoveData(t msg.MoveData) {
 		return
 	}
 	dr := c.driveAt(int(t.DstIdx))
-	if dr == nil || dr.failed {
+	if dr == nil || dr.out() {
 		// Not a drive of ours, or one that cannot land the copy now: drop
 		// it. The coordinator's resend re-delivers once the drive is
 		// probed healthy again.
@@ -177,7 +177,7 @@ func (c *Cub) enqueueMove(dr *drive, j *mvJob) {
 // startNextMove pops the drive's FIFO and issues the copy with a
 // far-future deadline so every stream read wins the EDF queue.
 func (c *Cub) startNextMove(dr *drive) {
-	if len(dr.moves) == 0 || dr.failed {
+	if len(dr.moves) == 0 || dr.out() {
 		// Drained, or retired while jobs were waiting (moverDiskRetired
 		// handles the queue): nothing to start.
 		dr.copying = nil
@@ -201,7 +201,7 @@ func (c *Cub) finishMove(dr *drive, j *mvJob, start, done sim.Time, ok bool) {
 	if j.out {
 		k := j.key()
 		delete(c.mover.queued, k)
-		if !ok || dr.failed {
+		if !ok || dr.out() {
 			c.nackMoveReason(j.order, msg.NackReadError)
 		} else {
 			c.stats.MovesOut++
@@ -226,7 +226,7 @@ func (c *Cub) finishMove(dr *drive, j *mvJob, start, done sim.Time, ok bool) {
 		}
 	} else {
 		k := j.key()
-		if !ok || dr.failed {
+		if !ok || dr.out() {
 			// Write failed; leave the move uncommitted, the coordinator
 			// resends.
 		} else if !c.mover.done[k] {
@@ -299,7 +299,7 @@ func (c *Cub) sendMoveCommit(t msg.MoveData) {
 // with the reason matched to how it left.
 func (c *Cub) nackMove(t msg.MoveOrder, dr *drive) {
 	reason := msg.NackDiskFailed
-	if dr.quarantined {
+	if dr.health.state == DiskQuarantined {
 		reason = msg.NackDiskQuarantined
 	}
 	c.nackMoveReason(t, reason)

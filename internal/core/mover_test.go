@@ -91,7 +91,7 @@ func TestMoverRetiredSourceNacks(t *testing.T) {
 		reason uint8
 	}{
 		{"failed", func(c *Cub) { c.FailDisk(0) }, msg.NackDiskFailed},
-		{"quarantined", func(c *Cub) { c.quarantineDisk(&c.drives[0]) }, msg.NackDiskQuarantined},
+		{"quarantined", func(c *Cub) { c.transition(&c.drives[0], DiskQuarantined) }, msg.NackDiskQuarantined},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, acks := moverRig(t)

@@ -62,7 +62,7 @@ type DiskSnapshot struct {
 	Disk int
 	disk.Stats
 	Queue  int             `metric:"tiger_disk_queue_depth,gauge" help:"Outstanding reads including the one in service."`
-	Health DiskHealthState `metric:"tiger_disk_health_state,gauge" help:"Gray-failure monitor state: 0 healthy, 1 suspected, 2 quarantined."`
+	Health DiskHealthState `metric:"tiger_disk_health_state,gauge" help:"Gray-failure monitor state: 0 healthy, 1 suspected, 2 quarantined, 3 failed."`
 }
 
 var (

@@ -79,12 +79,9 @@ func (c *Cub) Restart() {
 		// inserts into slots whose states flow around it (double
 		// service). A reboot clears soft state, and a genuinely sick
 		// drive is re-detected within a few reads. A permanent FailDisk
-		// is no quarantine and survives, its gauge pinned.
-		dr.health.probeTimer.Stop()
-		if dr.quarantined {
-			dr.failed, dr.quarantined = false, false
-		}
-		if !dr.failed {
+		// is no verdict and survives.
+		if dr.health.state != DiskFailed {
+			dr.health.probeTimer.Stop()
 			dr.health = diskHealth{}
 		}
 	}
@@ -130,8 +127,7 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 	c.stats.RejoinsServed++
 
 	now := int64(c.clk.Now())
-	bp := int64(c.cfg.Sched.BlockPlay)
-	horizon := now + int64(c.cfg.MaxVStateLead) + bp
+	horizon := now + int64(c.cfg.MaxVStateLead+c.cfg.Sched.BlockPlay)
 	reply := &msg.RejoinReply{From: c.id, ForEpoch: req.Epoch}
 	sent := make(map[visit]bool)
 	add := func(vs msg.ViewerState) {
@@ -164,20 +160,11 @@ func (c *Cub) onRejoinRequest(req msg.RejoinRequest) {
 			continue // the forward loop will reach the requester normally
 		}
 		for j := 1; ; j++ {
-			due := e.vs.Due + int64(j)*bp
-			if due > horizon {
+			nvs := hop(cfg, e.vs, j)
+			if nvs.Due > horizon {
 				break
 			}
-			d := (int(e.vs.OrigDisk) + j) % cfg.Sched.NumDisks
-			if cfg.Layout.CubOfDisk(d) != req.From {
-				continue
-			}
-			nvs := e.vs
-			nvs.Block += int32(j)
-			nvs.PlaySeq += int32(j)
-			nvs.Due = due
-			nvs.OrigDisk = int32(d)
-			if c.fileHasBlock(nvs.File, nvs.Block) {
+			if cfg.Layout.CubOfDisk(int(nvs.OrigDisk)) == req.From && c.fileHasBlock(nvs.File, nvs.Block) {
 				add(nvs)
 			}
 		}
@@ -216,7 +203,7 @@ func (c *Cub) onRejoinReply(rep *msg.RejoinReply) {
 			}
 			continue
 		}
-		if vs.Due <= now || c.driveOfDisk(cfg.Layout, d).failed {
+		if vs.Due <= now || c.driveOfDisk(cfg.Layout, d).out() {
 			// Too late to serve, or on one of our dead drives: leave the
 			// mirrors covering it.
 			continue

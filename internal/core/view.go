@@ -131,13 +131,7 @@ func (c *Cub) moverLine() string {
 func (c *Cub) diskHealthLine() string {
 	var parts []string
 	for i := range c.drives {
-		dr := &c.drives[i]
-		switch {
-		case dr.quarantined:
-			parts = append(parts, fmt.Sprintf("disk %d quarantined", dr.native))
-		case dr.failed:
-			parts = append(parts, fmt.Sprintf("disk %d failed", dr.native))
-		case dr.health.state != DiskHealthy:
+		if dr := &c.drives[i]; dr.health.state != DiskHealthy {
 			parts = append(parts, fmt.Sprintf("disk %d %s", dr.native, dr.health.state))
 		}
 	}

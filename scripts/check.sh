@@ -58,13 +58,14 @@ gotest -race -run 'TestKindTableCoversEveryConstructor|TestEveryConstructorPinne
 
 # Gray-failure gate: the fail-slow acceptance sweep (tigerbench's), the
 # quarantine interaction tests (rejoin, split-brain) and the chaos smoke,
-# the disk fault/hedging unit tier, and what a cub keeps per drive: the
-# mover's order and data handling, one copy per drive across a restart,
-# and snapshots listing drives in disk order, all under the race
-# detector.
+# the disk fault/hedging unit tier, every edge of the one per-drive state
+# table (TestDriveStateTransitions: monitor, FailDisk, Restart), and what
+# a cub keeps per drive: the mover's order and data handling, one copy
+# per drive across a restart, and snapshots listing drives in disk
+# order, all under the race detector.
 gotest -race -run 'TestGrayFail' ./cmd/tigerbench
 gotest -race -run 'TestQuarantine|TestGrayFailChaosSmoke' .
-gotest -race -run 'TestFailSlow|TestStuckDisk|TestProbes|TestCancel' ./internal/core ./internal/disk
+gotest -race -run 'TestFailSlow|TestStuckDisk|TestProbes|TestCancel|TestDriveStateTransitions' ./internal/core ./internal/disk
 gotest -race -run 'TestMover|TestSnapshotListsDrivesInOrder' ./internal/core
 
 # Step-record gate: reporting must be observation-only (a run with the
