@@ -98,11 +98,7 @@ func (h *ChaosHarness) onServe(e trace.Event) {
 		h.doubles++
 		h.lastDouble = fmt.Sprintf("instance %d playseq %d (mirror=%v part %d) served by cub %v and cub %v",
 			e.Instance, e.PlaySeq, e.Mirror, e.Part, prev.by, cub)
-		// The flight recorder walks serial-engine state (clock, causal
-		// chains, the trace ring); under a sharded engine the event
-		// arrives on a shard goroutine, so only the count and detail
-		// string are recorded there.
-		if fr := h.c.flight; fr != nil && h.c.sharded == nil {
+		if fr := h.c.flight; fr != nil {
 			fr.doubleServe(e, h.lastDouble)
 		}
 		return

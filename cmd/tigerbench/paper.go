@@ -324,66 +324,6 @@ func runScalability(o tiger.Options, cubCounts []int, settle time.Duration) ([]s
 	return out, nil
 }
 
-// recoveryResult measures a crash–restart–reintegration cycle: the
-// covering load the ring accumulated while the cub was down, how long
-// the rejoin handshake took, and how long the handed-back mirror load
-// took to drain to zero.
-type recoveryResult struct {
-	Streams             int
-	MirrorLoadAtRestart int           // mirror entries covering the victim at restart
-	DrainTime           time.Duration // restart until zero residual mirror load
-	Drained             bool          // false if the cap was hit first
-	ViewTransferred     int64
-	MirrorsRetired      int64
-	StaleEpochDrops     int64
-	RejoinTime          time.Duration // handshake duration (recovery histogram mean)
-	Violations          int
-}
-
-// runRecovery loads the system to the given stream count (half capacity
-// when zero), crashes a cub for crashFor, cold-restarts it, and measures
-// the reintegration.
-func runRecovery(o tiger.Options, streams int, crashFor time.Duration) (*recoveryResult, error) {
-	o.ClientDropProb = 0
-	c, err := tiger.New(o)
-	if err != nil {
-		return nil, err
-	}
-	if streams <= 0 || streams > c.Capacity() {
-		streams = c.Capacity() / 2
-	}
-	if err := c.RampTo(streams); err != nil {
-		return nil, err
-	}
-	c.RunFor(30 * time.Second)
-
-	const victim = 5
-	c.CrashCub(victim)
-	c.RunFor(crashFor)
-	res := &recoveryResult{
-		Streams:             c.Active(),
-		MirrorLoadAtRestart: c.MirrorLoadFor(victim),
-	}
-
-	c.RestartCub(victim)
-	restartAt := c.Now()
-	const step = 500 * time.Millisecond
-	const drainCap = 2 * time.Minute
-	for c.MirrorLoadFor(victim) > 0 && c.Now().Sub(restartAt) < drainCap {
-		c.RunFor(step)
-	}
-	res.Drained = c.MirrorLoadFor(victim) == 0
-	res.DrainTime = c.Now().Sub(restartAt)
-
-	cs := c.TotalCubStats()
-	res.ViewTransferred = cs.ViewTransferred
-	res.MirrorsRetired = cs.MirrorsRetired
-	res.StaleEpochDrops = cs.StaleEpochDrops
-	res.RejoinTime = time.Duration(c.Cubs[victim].RecoveryTimes().Mean() * float64(time.Second))
-	res.Violations = c.InvariantViolations()
-	return res, nil
-}
-
 // capacityTable returns the planning numbers the paper quotes for its
 // hardware (56 disks, 0.25 MB blocks): ~10.75 streams/disk, 602 total.
 func capacityTable(o tiger.Options) disk.Capacity {

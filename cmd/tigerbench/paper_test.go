@@ -205,31 +205,3 @@ func TestRunFlashCrowdHundred(t *testing.T) {
 			res.Admitted, res.Viewers, res.LastStart, res.BlocksLost)
 	}
 }
-
-func TestRunRecoveryQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run")
-	}
-	res, err := runRecovery(quickOptions(), 120, 15*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recovery: mirrorLoad=%d drain=%v rejoin=%v transferred=%d retired=%d",
-		res.MirrorLoadAtRestart, res.DrainTime, res.RejoinTime,
-		res.ViewTransferred, res.MirrorsRetired)
-	if res.MirrorLoadAtRestart == 0 {
-		t.Error("no covering load accumulated during the crash")
-	}
-	if !res.Drained {
-		t.Errorf("mirror load never drained (%v cap)", res.DrainTime)
-	}
-	if res.ViewTransferred == 0 || res.MirrorsRetired == 0 {
-		t.Error("reintegration did not transfer or retire anything")
-	}
-	if res.RejoinTime <= 0 || res.RejoinTime > 5*time.Second {
-		t.Errorf("implausible rejoin time %v", res.RejoinTime)
-	}
-	if res.Violations != 0 {
-		t.Errorf("slot conflicts: %d", res.Violations)
-	}
-}

@@ -71,35 +71,31 @@ func main() {
 		return
 	}
 
-	var cfg *core.Config
-	var err error
+	sp := spec.ClusterSpec{Cubs: *cubs, DisksPerCub: *disks, Decluster: *decluster,
+		BlockPlayMs: int(*blockPlay / time.Millisecond), BlockSize: *blockSize,
+		NumFiles: *files, FileBlocks: *blocks}
 	if *configFlag != "" {
-		sp, lerr := spec.Load(*configFlag)
-		if lerr != nil {
-			log.Fatal(lerr)
+		var err error
+		if sp, err = spec.Load(*configFlag); err != nil {
+			log.Fatal(err)
 		}
 		if missing := sp.MissingAddrs(); len(missing) > 0 && *nodeFlag != "all" {
 			log.Fatalf("spec %s lacks addresses for %v", *configFlag, missing)
 		}
-		cfg, err = sp.Config()
-		if err != nil {
-			log.Fatal(err)
+	}
+	cfg, err := sp.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	*cubs = sp.Cubs
+	if len(sp.Addrs) > 0 {
+		addrs, aerr := sp.NodeAddrs()
+		if aerr != nil {
+			log.Fatal(aerr)
 		}
-		*cubs = sp.Cubs
-		if len(sp.Addrs) > 0 {
-			addrs, aerr := sp.NodeAddrs()
-			if aerr != nil {
-				log.Fatal(aerr)
-			}
-			specAddrs = addrs
-			if a, ok := addrs[msg.Controller]; ok {
-				*listen = a
-			}
-		}
-	} else {
-		cfg, err = buildConfig()
-		if err != nil {
-			log.Fatal(err)
+		specAddrs = addrs
+		if a, ok := addrs[msg.Controller]; ok {
+			*listen = a
 		}
 	}
 
@@ -115,18 +111,6 @@ func main() {
 		}
 		runCub(cfg, msg.NodeID(id), parseAddrs())
 	}
-}
-
-func buildConfig() (*core.Config, error) {
-	return core.BuildConfig(core.SystemSpec{
-		Cubs:        *cubs,
-		DisksPerCub: *disks,
-		Decluster:   *decluster,
-		BlockPlay:   *blockPlay,
-		BlockSize:   *blockSize,
-		NumFiles:    *files,
-		FileBlocks:  *blocks,
-	})
 }
 
 // specAddrs holds addresses loaded from -config; -addrs supplements it.

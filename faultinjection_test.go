@@ -190,7 +190,8 @@ func TestCrashRestartReintegration(t *testing.T) {
 
 	c.CrashCub(victim)
 	c.RunFor(10 * time.Second) // deadman fires; mirrors take over
-	if ml := c.MirrorLoadFor(victim); ml == 0 {
+	mirrorLoad := c.MirrorLoadFor(victim)
+	if mirrorLoad == 0 {
 		t.Fatal("no mirror load built up while the victim was down")
 	}
 	sentAtCrash := c.Cubs[victim].Stats().BlocksSent
@@ -206,11 +207,17 @@ func TestCrashRestartReintegration(t *testing.T) {
 
 	vst := c.Cubs[victim].Stats()
 	cs := c.TotalCubStats()
-	t.Logf("rejoins=%d served=%d transferred=%d retired=%d staleDrops=%d replayed=%d",
-		vst.Rejoins, cs.RejoinsServed, vst.ViewTransferred, cs.MirrorsRetired,
-		cs.StaleEpochDrops, len(recorded))
+	rejoin := c.Cubs[victim].RecoveryTimes()
+	rejoinTime := time.Duration(rejoin.Max() * float64(time.Second))
+	t.Logf("mirrorLoadAtRestart=%d rejoin=%v transferred=%d retired=%d residual=%d staleDrops=%d replayed=%d conflicts=%d",
+		mirrorLoad, rejoinTime, vst.ViewTransferred, cs.MirrorsRetired, c.MirrorLoadFor(victim),
+		cs.StaleEpochDrops, len(recorded), c.InvariantViolations())
 	if vst.Rejoins != 1 {
 		t.Errorf("victim recorded %d rejoins, want 1", vst.Rejoins)
+	}
+	if n := rejoin.Count(); n != 1 || rejoinTime <= 0 || rejoinTime > c.Cfg.DeadmanTimeout {
+		t.Errorf("victim's rejoin handshake: %d samples, longest %v; want one in (0, %v]",
+			n, rejoinTime, c.Cfg.DeadmanTimeout)
 	}
 	if e := c.Cubs[victim].Epoch(); e != 2 {
 		t.Errorf("victim epoch %d after one restart, want 2", e)

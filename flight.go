@@ -46,9 +46,11 @@ type FlightRecorder struct {
 // without it dumps still fire but carry only the ring-event window.
 // Enable it last: sink subscribers run in subscription order, and a dump
 // holds the triggering step only if the ring and the chain logs heard it
-// first. maxDumps <= 0 takes a default of 32.
+// first. maxDumps <= 0 takes a default of 32. A sharded cluster gets no
+// recorder (nil): its triggers fire on shard goroutines, and a dump
+// reads serial-engine state (the clock, the chains, the ring).
 func (c *Cluster) EnableFlightRecorder(maxDumps int) *FlightRecorder {
-	if c.flight != nil {
+	if c.flight != nil || c.Shards() > 1 {
 		return c.flight
 	}
 	if maxDumps <= 0 {

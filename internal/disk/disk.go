@@ -1,8 +1,8 @@
 // Package disk models the drives in a Tiger cub: zoned transfer rates
 // (fast outer tracks for primary data, slow inner tracks for declustered
-// secondaries, §2.3), a FIFO service queue, stochastic service-time
-// jitter, and the rare slow outliers ("blips") that produce the paper's
-// occasional late blocks (§5).
+// secondaries, §2.3), an earliest-deadline service queue, stochastic
+// service-time jitter, and the rare slow outliers ("blips") that produce
+// the paper's occasional late blocks (§5).
 //
 // The model exposes both the nominal behaviour used during simulation and
 // the worst-case per-operation budgets used for capacity planning: Tiger
@@ -63,10 +63,6 @@ type Params struct {
 	BlipProb float64
 	BlipMin  time.Duration
 	BlipMax  time.Duration
-
-	// Discipline orders outstanding reads; the default EDF models the
-	// paper's schedule-ordered disk service.
-	Discipline QueueDiscipline
 }
 
 // DefaultParams returns a model of the paper's IBM Ultrastar-class drive.
@@ -181,16 +177,12 @@ func (d *Disk) Faults() Faults { return d.faults }
 // Read enqueues a read of size bytes from zone z, needed by due. done is
 // invoked at the virtual time the read completes, with ok=false when the
 // drive reported a (injected) transient failure; it is never invoked for
-// a read withdrawn by Cancel. Under EDF the queue is served in due
-// order; under FIFO in arrival order. The returned id names the read for
-// Cancel.
+// a read withdrawn by Cancel. The queue is served in due order. The
+// returned id names the read for Cancel.
 func (d *Disk) Read(size int64, z Zone, due sim.Time, done func(completed sim.Time, ok bool)) uint64 {
 	d.seq++
 	p := d.newPending()
 	p.size, p.zone, p.due, p.seq, p.done = size, z, due, d.seq, done
-	if d.params.Discipline == FIFO {
-		p.due = 0 // degenerate key: seq (arrival order) decides
-	}
 	heap.Push(&d.pending, p)
 	q := d.QueueLen()
 	if q > d.maxQueue {

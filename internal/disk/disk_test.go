@@ -88,18 +88,6 @@ func TestEDFPrefersEarliestDue(t *testing.T) {
 	}
 }
 
-func TestFIFOIgnoresDue(t *testing.T) {
-	eng, d := testDisk(t, func(p *Params) { p.Discipline = FIFO })
-	var order []string
-	d.Read(262144, Outer, 0, func(sim.Time, bool) { order = append(order, "head") })
-	d.Read(262144, Outer, sim.Time(time.Hour), func(sim.Time, bool) { order = append(order, "far") })
-	d.Read(262144, Outer, sim.Time(time.Second), func(sim.Time, bool) { order = append(order, "near") })
-	eng.Run()
-	if len(order) != 3 || order[1] != "far" || order[2] != "near" {
-		t.Fatalf("FIFO order %v", order)
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	eng, d := testDisk(t, func(p *Params) { p.JitterFrac = 0.1 })
 	mean := d.Params().MeanServiceTime(262144, Outer)

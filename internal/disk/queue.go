@@ -6,27 +6,6 @@ import (
 	"tiger/internal/sim"
 )
 
-// QueueDiscipline selects how a drive orders outstanding reads.
-type QueueDiscipline int
-
-const (
-	// EDF serves the read with the earliest due time first. This models
-	// the paper's disk schedule: reads happen in schedule order, so a
-	// freshly inserted viewer's first block (smallest lead) is not stuck
-	// behind prefetches for far-future sends (§3.1).
-	EDF QueueDiscipline = iota
-	// FIFO serves reads in arrival order; kept as an ablation of the
-	// schedule-ordered service.
-	FIFO
-)
-
-func (q QueueDiscipline) String() string {
-	if q == FIFO {
-		return "fifo"
-	}
-	return "edf"
-}
-
 // pending is one outstanding read. The drive owns the records: Read takes
 // one from the drive's free list and it goes back when the read leaves
 // the drive — withdrawn from the queue by Cancel, or at its completion
@@ -50,8 +29,10 @@ type pending struct {
 	complete func()
 }
 
-// pendingHeap orders by (due, seq); with FIFO the cub pushes monotonically
-// increasing seq as the primary key by passing due=0.
+// pendingHeap orders by (due, seq): earliest deadline first, the
+// schedule order of the paper's disk operation (§3.1), so a freshly
+// inserted viewer's first block (smallest lead) is not stuck behind
+// prefetches for far-future sends. Equal deadlines go in arrival order.
 type pendingHeap []*pending
 
 func (h pendingHeap) Len() int { return len(h) }

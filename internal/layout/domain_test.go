@@ -84,24 +84,3 @@ func TestUnservableGeometry(t *testing.T) {
 		t.Fatalf("seam pair: unservable cubs %v, want [13]", got)
 	}
 }
-
-func TestUnservableSpansFoldWrap(t *testing.T) {
-	c := Config{Cubs: 8, DisksPerCub: 1, Decluster: 2}
-	// Cubs 7 and 0 dead: cub 7 exhausted (span {0,1} contains 0), cub 0
-	// covered (span {1,2} alive). One unservable disk at the seam.
-	spans := c.UnservableSpans(deadSet(7, 0))
-	if !reflect.DeepEqual(spans, []DiskSpan{{Start: 7, Len: 1}}) {
-		t.Fatalf("seam spans %v, want [{7 1}]", spans)
-	}
-	// Three adjacent deaths: 3, 4 exhausted, 5 covered; one run of two.
-	spans = c.UnservableSpans(deadSet(3, 4, 5))
-	if !reflect.DeepEqual(spans, []DiskSpan{{Start: 3, Len: 2}}) {
-		t.Fatalf("triple spans %v, want [{3 2}]", spans)
-	}
-	// Everything dead collapses to the single full-ring span.
-	all := func(msg.NodeID) bool { return true }
-	spans = c.UnservableSpans(all)
-	if !reflect.DeepEqual(spans, []DiskSpan{{Start: 0, Len: 8}}) {
-		t.Fatalf("full-ring spans %v", spans)
-	}
-}

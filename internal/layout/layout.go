@@ -233,44 +233,3 @@ func (c Config) UnservableDisks(dead func(msg.NodeID) bool) []int {
 	}
 	return out
 }
-
-// DiskSpan is a maximal run of consecutive unservable disks in striping
-// order: a stream whose play position enters [Start, Start+Len) in disk
-// space cannot be served for Len consecutive block times.
-type DiskSpan struct {
-	Start int // first unservable disk of the run
-	Len   int // number of consecutive unservable disks
-}
-
-// UnservableSpans groups UnservableDisks into maximal runs of
-// consecutive disks, folding the wrap at NumDisks-1 → 0 into one span.
-// Block b of file f is unservable iff PrimaryDisk(f, b) falls in some
-// span, so these runs translate directly into slot/block trajectories:
-// a viewer hits a span of length L for L consecutive block-play times,
-// every NumDisks blocks.
-func (c Config) UnservableSpans(dead func(msg.NodeID) bool) []DiskSpan {
-	disks := c.UnservableDisks(dead)
-	if len(disks) == 0 {
-		return nil
-	}
-	n := c.NumDisks()
-	if len(disks) == n {
-		return []DiskSpan{{Start: 0, Len: n}}
-	}
-	bad := make([]bool, n)
-	for _, d := range disks {
-		bad[d] = true
-	}
-	var spans []DiskSpan
-	for _, d := range disks {
-		if bad[(d+n-1)%n] {
-			continue // interior of a run; counted from its start
-		}
-		l := 1
-		for bad[(d+l)%n] {
-			l++
-		}
-		spans = append(spans, DiskSpan{Start: d, Len: l})
-	}
-	return spans
-}

@@ -31,16 +31,6 @@ type ClusterSpec struct {
 	FileBlocks  int   `json:"file_blocks"`
 	FileSeed    int64 `json:"file_seed"`
 
-	// Protocol timings, in milliseconds; zero takes core's defaults,
-	// scaled to the block play time.
-	MinVStateLeadMs int `json:"min_vstate_lead_ms,omitempty"`
-	MaxVStateLeadMs int `json:"max_vstate_lead_ms,omitempty"`
-	ForwardMs       int `json:"forward_interval_ms,omitempty"`
-	DeschedHoldMs   int `json:"deschedule_hold_ms,omitempty"`
-	ReadAheadMs     int `json:"read_ahead_ms,omitempty"`
-	HeartbeatMs     int `json:"heartbeat_ms,omitempty"`
-	DeadmanMs       int `json:"deadman_ms,omitempty"`
-
 	// Addresses: "ctl" plus one entry per cub number.
 	Addrs map[string]string `json:"addrs,omitempty"`
 }
@@ -66,11 +56,14 @@ func Default(cubs int) ClusterSpec {
 // Load reads a spec from a JSON file.
 func Load(path string) (ClusterSpec, error) {
 	var s ClusterSpec
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return s, err
 	}
-	if err := json.Unmarshal(b, &s); err != nil {
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields() // a misspelt or retired field fails loudly
+	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("spec %s: %w", path, err)
 	}
 	return s, nil
@@ -85,45 +78,23 @@ func (s ClusterSpec) Save(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-
-// Config expands the spec into a validated core.Config. Unset protocol
-// timings take core's defaults, which scale with the block play time.
+// Config expands the spec into a validated core.Config. The protocol
+// timings are core's, scaled to the block play time.
 func (s ClusterSpec) Config() (*core.Config, error) {
 	if s.BlockPlayMs <= 0 {
 		return nil, fmt.Errorf("spec: block_play_ms is %d; it must be positive", s.BlockPlayMs)
 	}
-	cfg, err := core.BuildConfig(core.SystemSpec{
+	return core.BuildConfig(core.SystemSpec{
 		Cubs:        s.Cubs,
 		DisksPerCub: s.DisksPerCub,
 		Decluster:   s.Decluster,
-		BlockPlay:   ms(s.BlockPlayMs),
+		BlockPlay:   time.Duration(s.BlockPlayMs) * time.Millisecond,
 		BlockSize:   s.BlockSize,
 		Bitrate:     s.BitrateBps,
 		NumFiles:    s.NumFiles,
 		FileBlocks:  s.FileBlocks,
 		FileSeed:    s.FileSeed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range []struct {
-		d  *time.Duration
-		ms int
-	}{
-		{&cfg.MinVStateLead, s.MinVStateLeadMs},
-		{&cfg.MaxVStateLead, s.MaxVStateLeadMs},
-		{&cfg.ForwardInterval, s.ForwardMs},
-		{&cfg.DescheduleHold, s.DeschedHoldMs},
-		{&cfg.ReadAhead, s.ReadAheadMs},
-		{&cfg.HeartbeatInterval, s.HeartbeatMs},
-		{&cfg.DeadmanTimeout, s.DeadmanMs},
-	} {
-		if o.ms > 0 {
-			*o.d = ms(o.ms)
-		}
-	}
-	return cfg, cfg.Validate()
 }
 
 // NodeAddrs converts the string-keyed address map into node IDs.

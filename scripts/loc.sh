@@ -1,7 +1,9 @@
 #!/bin/sh
 # loc.sh — non-test Go lines per top-level directory, excluding bench/
 # (the closed benchmark harness): the number ROADMAP requires every
-# CHANGES.md entry to state a delta of. "." is the root package.
+# CHANGES.md entry to state a delta of. "." is the root package. A second
+# total counts the _test.go lines outside bench/, so a cut that only
+# moved code into tests shows.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,3 +15,5 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' |
     awk '{ n[$1] += $2; total += $2 }
          END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2")
                printf "%7d total non-test Go lines outside bench/\n", total }'
+find . -name '*_test.go' ! -path './bench/*' -exec cat {} + |
+    awk 'END { printf "%7d total test Go lines outside bench/\n", NR }'

@@ -166,3 +166,29 @@ func TestStartRestripeRefusesSharded(t *testing.T) {
 		t.Fatalf("%d blocks lost after the refused restripe", lost)
 	}
 }
+
+// TestShardedRefusesFlightRecorder: a recorder's triggers fire on shard
+// goroutines, and a dump reads shard 0's clock, the causal chains and
+// the ring — a data race under concurrent workers. A sharded cluster
+// attaches none, and deadline misses after two crashes still run clean.
+func TestShardedRefusesFlightRecorder(t *testing.T) {
+	c, err := New(shardedTestOptions(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableTrace(1024)
+	c.EnableCausalTrace(0, 0)
+	if fr := c.EnableFlightRecorder(0); fr != nil || c.FlightRecorder() != nil {
+		t.Fatal("a sharded cluster attached a flight recorder")
+	}
+	if err := c.RampTo(c.Capacity() / 2); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * time.Second)
+	c.CrashCub(2)
+	c.CrashCub(3)
+	c.RunFor(20 * time.Second)
+	if c.Loss.ServerMissed == 0 {
+		t.Fatal("no deadline missed: the run never reached the recorder's trigger")
+	}
+}

@@ -111,7 +111,7 @@ type Options struct {
 	// A sharded cluster is for scale experiments and trades away some
 	// single-threaded harness extras: the slot-conflict oracle and
 	// receipt-slack spans are off, and the flight recorder and the
-	// elastic restripe are unsupported. The registry is attached as on any cluster; read it
+	// elastic restripe are refused. The registry is attached as on any cluster; read it
 	// (Registry, ExportMetrics) between RunFor calls, the rule
 	// TotalCubStats already has. Chaos/fault injection IS supported — the
 	// runner applies steps and sweeps invariants between RunFor slices,
