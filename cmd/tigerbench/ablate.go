@@ -39,9 +39,9 @@ func runAblationForwarding(o tiger.Options) (*forwardingAblation, error) {
 			return nil, err
 		}
 		c.RunFor(20 * time.Second)
-		sampler := tiger.NewSampler(c)
+		w := snapshot(c)
 		c.RunFor(10 * time.Second)
-		ctl := sampler.Sample().CtlTrafficBps
+		ctl := w.load(c, 0, -1).CtlTrafficBps
 		c.FailCub(5)
 		c.RunFor(res.RunDuration)
 		_, lost, _ := c.ViewerTotals()
@@ -88,16 +88,12 @@ func runAblationDecluster(o tiger.Options, factors []int, hold time.Duration) ([
 		}
 		c.FailCub(5)
 		c.RunFor(c.Cfg.DeadmanTimeout + 2*time.Second)
-		sampler := tiger.NewSampler(c)
-		sampler.MirrorCub = 6
-		sampler.ProbeCub = 6
 		if err := c.RampTo(c.Capacity()); err != nil {
 			return err
 		}
-		sampler.Sample() // discard the ramp window; measure steady state
+		w := snapshot(c) // after the ramp: measure steady state
 		c.RunFor(hold)
-		s := sampler.Sample()
-		p.MirrorDiskLoad = s.MirrorDiskLoad
+		p.MirrorDiskLoad = w.load(c, 6, 6).MirrorDiskLoad
 		_, p.BlocksLost, _ = c.ViewerTotals()
 		out[i] = p
 		return nil
@@ -135,17 +131,16 @@ func runAblationLead(o tiger.Options, pairs [][2]time.Duration, hold time.Durati
 			return err
 		}
 		c.RunFor(15 * time.Second)
-		before := c.Net.NodeStats(0)
-		beforeAt := c.Now()
+		w := snapshot(c)
 		c.RunFor(hold)
-		after := c.Net.NodeStats(0)
-		wall := c.Now().Sub(beforeAt).Seconds()
+		d := w.delta(c)
+		wall, ns := d.at.Sub(w.at).Seconds(), d.net[0]
 		_, lost, _ := c.ViewerTotals()
 		out[i] = leadPoint{
 			MinLead:        pr[0],
 			MaxLead:        pr[1],
-			CtlMsgsPerSec:  float64(after.CtlMsgs-before.CtlMsgs) / wall,
-			CtlBps:         float64(after.CtlBytes-before.CtlBytes) / wall,
+			CtlMsgsPerSec:  float64(ns.CtlMsgs) / wall,
+			CtlBps:         float64(ns.CtlBytes) / wall,
 			MaxViewEntries: c.MaxViewSize(),
 			BlocksLost:     lost,
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"tiger"
@@ -107,19 +106,6 @@ func chaosSweep(o tiger.Options) error {
 			p.Rejoins, p.BlocksLost, p.MirrorBlocks, p.Violations)
 	}
 	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{
-			f1(p.PartitionSec), strconv.Itoa(p.Streams), f1(p.RecoverySec),
-			strconv.FormatInt(p.BlocksLost, 10), strconv.FormatInt(p.DeathsRefuted, 10),
-			strconv.FormatInt(p.Rejoins, 10), strconv.Itoa(p.Violations),
-		})
-	}
-	if err := writeCSV("chaos",
-		[]string{"partition_s", "streams", "recovery_s", "blocks_lost", "deaths_refuted", "rejoins", "violations"},
-		rows); err != nil {
 		return err
 	}
 	return writeJSON("chaos", pts)

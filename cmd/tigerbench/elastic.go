@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"tiger"
@@ -265,23 +264,6 @@ func elastic(o tiger.Options) error {
 		p.render(p.Dir+" "+p.Arm, "elastic")
 	}
 	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{
-			p.Dir, p.Arm, strconv.Itoa(p.FromCubs), strconv.Itoa(p.TargetCubs),
-			strconv.Itoa(p.Moves), strconv.FormatInt(p.Rerouted, 10),
-			f1(p.CopySec), f1(p.DrainSec), f1(p.TotalSec), f1(p.MoveMBps),
-			strconv.FormatInt(p.BlocksLost, 10), strconv.Itoa(p.DoubleServes),
-			strconv.Itoa(p.Violations), strconv.Itoa(p.ActiveAfter), strconv.Itoa(p.CapacityAfter),
-		})
-	}
-	if err := writeCSV("elastic",
-		[]string{"dir", "arm", "from_cubs", "target_cubs", "moves", "rerouted",
-			"copy_s", "drain_s", "total_s", "move_mbps", "blocks_lost",
-			"double_serves", "violations", "active_after", "capacity_after"},
-		rows); err != nil {
 		return err
 	}
 	return writeJSON("elastic", pts)

@@ -194,18 +194,5 @@ func grayfail(o tiger.Options) error {
 		}
 		p.render(fmt.Sprintf("factor %.2f, %s", p.Factor, arm), "grayfail")
 	}
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{
-			f1(p.Factor), strconv.FormatBool(p.Hedge), strconv.FormatInt(p.BlocksLost, 10),
-			f1(p.LossPct), strconv.FormatInt(p.HedgesIssued, 10),
-			f1(p.TimeToSuspectSec), f1(p.TimeToQuarantineSec), strconv.Itoa(p.DoubleServes),
-		})
-	}
-	if err := writeCSV("grayfail",
-		[]string{"factor", "monitor", "blocks_lost", "loss_pct", "hedges", "suspect_s", "quarantine_s", "double_serves"},
-		rows); err != nil {
-		return err
-	}
 	return writeJSON("grayfail", pts)
 }

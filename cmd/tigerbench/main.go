@@ -14,14 +14,12 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,7 +34,6 @@ var (
 	seed     = flag.Int64("seed", 1, "workload seed")
 	clients  = flag.Bool("client-drops", false, "model overloaded client machines (the paper's 8 client-side losses)")
 	failedAt = flag.Int("fail-cub", 5, "cub to fail in failed-mode runs")
-	csvDir   = flag.String("csv", "", "also write plot-ready CSV files for fig8/fig9/fig10/scale into this directory")
 	outDir   = flag.String("out", "", "also write machine-readable BENCH_*.json result artifacts into this directory")
 
 	grayFactorsFlag = flag.String("grayfactors", "1.5,2,3", "comma-separated disk slowdown factors for the grayfail sweep")
@@ -79,30 +76,6 @@ func listExperiments(w io.Writer, exps []experiment) {
 	}
 }
 
-// writeCSV emits rows into <csvDir>/<name>.csv when -csv is set.
-func writeCSV(name string, header []string, rows [][]string) error {
-	if *csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	if err := w.WriteAll(rows); err != nil {
-		return err
-	}
-	w.Flush()
-	return w.Error()
-}
-
 // writeJSON writes one experiment's full result object to
 // <outDir>/BENCH_<name>.json when -out is set.
 func writeJSON(name string, v any) error {
@@ -138,8 +111,6 @@ func writeArtifact(name string, fill func(io.Writer) error) error {
 	defer f.Close()
 	return fill(f)
 }
-
-func f1(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 
 func main() {
 	flag.Parse()

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"tiger"
@@ -39,7 +38,7 @@ func quickRamp() rampSpec {
 type loadCurveResult struct {
 	Capacity int
 	Failed   bool
-	Samples  []tiger.LoadSample
+	Samples  []loadSample
 
 	BlocksOK     int64
 	BlocksLost   int64
@@ -62,16 +61,14 @@ func runLoadCurve(o tiger.Options, failCub int, ramp rampSpec) (*loadCurveResult
 	}
 	res := &loadCurveResult{Capacity: c.Capacity(), Failed: failCub >= 0}
 
-	sampler := tiger.NewSampler(c)
+	probe, mirror := 0, -1
 	if failCub >= 0 {
 		c.FailCub(failCub)
 		// Let the deadman fire before offering load, as the paper's
 		// failed-mode test had the cub down for the entire run.
 		c.RunFor(c.Cfg.DeadmanTimeout + 2*time.Second)
-		mirror := (failCub + 1) % o.Cubs
-		sampler.ProbeCub = mirror
-		sampler.MirrorCub = mirror
-		sampler.Sample() // reset the window
+		mirror = (failCub + 1) % o.Cubs
+		probe = mirror
 	}
 
 	max := c.Capacity()
@@ -82,10 +79,9 @@ func runLoadCurve(o tiger.Options, failCub int, ramp rampSpec) (*loadCurveResult
 		if err := c.RampTo(target); err != nil {
 			return nil, err
 		}
-		sampler.Sample() // discard the ramp-transient window
+		w := snapshot(c) // after the ramp: its transient is not measured
 		c.RunFor(ramp.Settle)
-		s := sampler.Sample()
-		res.Samples = append(res.Samples, s)
+		res.Samples = append(res.Samples, w.load(c, probe, mirror))
 		if target == max {
 			break
 		}
@@ -303,9 +299,9 @@ func runScalability(o tiger.Options, cubCounts []int, settle time.Duration) ([]s
 			return err
 		}
 		c.RunFor(settle)
-		sampler := tiger.NewSampler(c)
+		w := snapshot(c)
 		c.RunFor(settle)
-		s := sampler.Sample()
+		s := w.load(c, 0, -1)
 		out[i] = scalePoint{
 			Cubs:            cubCounts[i],
 			Streams:         c.Active(),
@@ -387,37 +383,15 @@ func runFlashCrowd(o tiger.Options, viewers int, watch time.Duration) (*flashCro
 
 	// Measure disk balance during playback: striping must spread the
 	// single-title load over every disk.
-	busy := func() map[int]time.Duration {
-		m := map[int]time.Duration{}
-		for _, cub := range c.Cubs {
-			for id, d := range cub.Disks() {
-				m[id] = d.Stats().BusyTotal
-			}
-		}
-		return m
-	}
-	before := busy()
-	beforeAt := c.Now()
+	w := snapshot(c)
 	c.RunFor(watch)
-	wall := c.Now().Sub(beforeAt)
-	after := busy()
-	// Sum in disk order: a float sum in map order differs in its last
-	// digits from run to run.
-	ids := make([]int, 0, len(after))
-	for id := range after {
-		ids = append(ids, id)
+	d := w.delta(c)
+	wall := d.at.Sub(w.at)
+	var duties []float64
+	for _, id := range d.disks() {
+		duties = append(duties, duty(d.disk[id], wall))
 	}
-	slices.Sort(ids)
-	var sum, max float64
-	for _, id := range ids {
-		duty := metrics.Load(before[id], after[id], wall)
-		sum += duty
-		if duty > max {
-			max = duty
-		}
-	}
-	res.MeanDiskDuty = sum / float64(len(ids))
-	res.MaxDiskDuty = max
+	res.MeanDiskDuty, res.MaxDiskDuty = mean(duties), slices.Max(duties)
 	res.BlocksOK, res.BlocksLost, _ = c.ViewerTotals()
 	return res, nil
 }
@@ -462,18 +436,6 @@ func loadCurve(o tiger.Options, failCub int, ramp rampSpec) error {
 	if failCub >= 0 {
 		name = "fig9"
 	}
-	var rows [][]string
-	for _, smp := range res.Samples {
-		rows = append(rows, []string{
-			strconv.Itoa(smp.Streams), f1(smp.CubCPU), f1(smp.CtrlCPU), f1(smp.DiskLoad),
-			f1(smp.MirrorDiskLoad), f1(smp.CtlTrafficBps), f1(smp.DataRateBps),
-		})
-	}
-	if err := writeCSV(name,
-		[]string{"streams", "cub_cpu", "ctrl_cpu", "disk_load", "mirror_disk_load", "ctl_bps", "data_bps"},
-		rows); err != nil {
-		return err
-	}
 	return writeJSON(name, res)
 }
 
@@ -491,13 +453,6 @@ func fig10(o tiger.Options, ramp rampSpec) error {
 	fmt.Printf("starts=%d  floor=%v  mean@90-97%%=%v  >20s outliers=%d\n",
 		len(res.Points), res.Floor.Round(time.Millisecond),
 		res.MeanAt95.Round(time.Millisecond), res.Over20s)
-	var rows [][]string
-	for _, pt := range res.Points {
-		rows = append(rows, []string{f1(pt.Load), f1(pt.Latency.Seconds())})
-	}
-	if err := writeCSV("fig10", []string{"load", "latency_s"}, rows); err != nil {
-		return err
-	}
 	return writeJSON("fig10", res)
 }
 
@@ -556,17 +511,6 @@ func scale(o tiger.Options) error {
 	// The paper's 1000-cub extrapolation.
 	fmt.Printf("extrapolation: 40,000 streams -> central controller sends %.1f MB/s of viewer states\n",
 		40000*97/1e6)
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{
-			strconv.Itoa(p.Cubs), strconv.Itoa(p.Streams),
-			f1(p.PerCubCtlBps), f1(p.CentralizedBps), strconv.Itoa(p.MaxViewEntries),
-		})
-	}
-	if err := writeCSV("scale_ctl",
-		[]string{"cubs", "streams", "per_cub_ctl_bps", "centralized_bps", "view_entries"}, rows); err != nil {
-		return err
-	}
 	return writeJSON("scale_ctl", pts)
 }
 

@@ -182,21 +182,5 @@ func scalability(o tiger.Options) error {
 		}
 	}
 
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{
-			strconv.Itoa(p.Cubs), strconv.Itoa(p.Disks), strconv.Itoa(p.Shards),
-			strconv.Itoa(p.Rated), strconv.Itoa(p.Bound), f1(p.CapacityFrac),
-			strconv.Itoa(p.Achieved), strconv.FormatInt(p.BlocksLost, 10),
-			f1(p.NsPerEvent), f1(p.AllocsPerEvent),
-			strconv.FormatUint(p.HeapBytesPerCub, 10), strconv.Itoa(p.MaxViewEntries),
-		})
-	}
-	if err := writeCSV("scalability",
-		[]string{"cubs", "disks", "shards", "rated", "bound", "capacity_frac",
-			"streams", "blocks_lost", "ns_per_event", "allocs_per_event",
-			"heap_bytes_per_cub", "view_entries"}, rows); err != nil {
-		return err
-	}
 	return writeJSON("scale", pts)
 }

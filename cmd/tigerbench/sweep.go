@@ -12,13 +12,17 @@ import (
 
 	"tiger"
 	"tiger/internal/core"
+	"tiger/internal/msg"
+	"tiger/internal/netsim"
 	"tiger/internal/obs/attr"
+	"tiger/internal/sim"
 )
 
 // The mechanisms every sweep in this command shares: the fan-out over
 // independent points, the named arms of a gated fault sweep and their
 // zero-column gate, the traced variant of a run, the before/after
-// counter window, the drain-until-quiet loop and the option presets.
+// counter window with the CPU model it feeds, the drain-until-quiet loop
+// and the option presets.
 
 // forEachPoint runs fn(0..n-1), fanning out over at most -parallel
 // workers (0 = GOMAXPROCS). Every point builds its own cluster around
@@ -164,33 +168,201 @@ func (t traced) render(title, name string) {
 	}
 }
 
-// window is a cluster's cumulative delivery and protocol counters at one
-// instant; delta gives what accumulated since, the numbers a sweep
-// reports over its measured window.
+// window is a cluster's cumulative counters at one instant: delivery,
+// protocol, controller, disk and network. delta gives what accumulated
+// since, the numbers a sweep reports over its measured window, and load
+// turns that into the load factors of Figures 8 and 9.
 type window struct {
+	at               sim.Time
 	ok, lost, mirror int64
 	violations       int
-	cubs             core.CubStats
+	cubs             core.CubStats // summed over every cub
+	ctrl             core.ControllerStats
+	cub              map[msg.NodeID]core.CubStats
+	net              map[msg.NodeID]netsim.Stats
+	disk             map[int]time.Duration // busy time by native disk number
 }
 
 func snapshot(c *tiger.Cluster) window {
-	w := window{violations: c.InvariantViolations(), cubs: c.TotalCubStats()}
+	w := window{
+		at:         c.Now(),
+		violations: c.InvariantViolations(),
+		cubs:       c.TotalCubStats(),
+		ctrl:       c.Controller.Stats(),
+		cub:        make(map[msg.NodeID]core.CubStats, len(c.Cubs)),
+		net:        make(map[msg.NodeID]netsim.Stats, len(c.Cubs)),
+		disk:       make(map[int]time.Duration),
+	}
 	w.ok, w.lost, w.mirror = c.ViewerTotals()
+	for _, cub := range c.Cubs {
+		w.cub[cub.ID()] = cub.Stats()
+		w.net[cub.ID()] = c.Net.NodeStats(cub.ID())
+		for id, d := range cub.Disks() {
+			w.disk[id] = d.Stats().BusyTotal
+		}
+	}
 	return w
 }
 
-// delta returns the counters accumulated since w.
+// delta returns the counters accumulated since w, at the instant it is
+// taken. A cub or disk born since w (a restripe adds them) counts from
+// zero.
 func (w window) delta(c *tiger.Cluster) window {
 	d := snapshot(c)
 	d.ok -= w.ok
 	d.lost -= w.lost
 	d.mirror -= w.mirror
 	d.violations -= w.violations
-	dv, wv := reflect.ValueOf(&d.cubs).Elem(), reflect.ValueOf(w.cubs)
-	for i := 0; i < dv.NumField(); i++ {
-		dv.Field(i).SetInt(dv.Field(i).Int() - wv.Field(i).Int())
+	d.cubs = minus(d.cubs, w.cubs)
+	d.ctrl = minus(d.ctrl, w.ctrl)
+	for id, s := range d.cub {
+		d.cub[id] = minus(s, w.cub[id])
+	}
+	for id, s := range d.net {
+		d.net[id] = minus(s, w.net[id])
+	}
+	for id, b := range d.disk {
+		d.disk[id] = b - w.disk[id]
 	}
 	return d
+}
+
+// disks returns w's disk numbers in order. Sum over disks in this order:
+// a float sum in map order differs in its last digits from run to run.
+func (w window) disks() []int {
+	ids := make([]int, 0, len(w.disk))
+	for id := range w.disk {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// minus subtracts b from a field by field; every field of T is an
+// integer or a float.
+func minus[T any](a, b T) T {
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < av.NumField(); i++ {
+		if f := av.Field(i); f.CanFloat() {
+			f.SetFloat(f.Float() - bv.Field(i).Float())
+		} else {
+			f.SetInt(f.Int() - bv.Field(i).Int())
+		}
+	}
+	return a
+}
+
+// loadSample is one window's load factors, the quantities Figures 8
+// and 9 plot.
+type loadSample struct {
+	At      sim.Time
+	Streams int
+
+	CubCPU  float64 // mean CPU load across live cubs
+	CtrlCPU float64 // controller CPU load
+
+	DiskLoad       float64 // mean disk duty cycle across live disks
+	MirrorDiskLoad float64 // duty cycle of a mirroring cub's disks (failed mode)
+
+	CtlTrafficBps  float64 // control bytes/s from the probe cub to all others
+	DataRateBps    float64 // payload bytes/s from the probe cub
+	MaxViewEntries int     // largest per-cub view (scalability invariant)
+}
+
+// load closes w and returns its load factors. probeCub is the cub whose
+// outbound traffic is reported; in failed-mode runs it is a mirroring
+// cub, as the paper measured. mirrorCub is a cub covering for a failed
+// peer, whose disks' duty is reported as MirrorDiskLoad; -1 when none.
+func (w window) load(c *tiger.Cluster, probeCub, mirrorCub int) loadSample {
+	d := w.delta(c)
+	wall := d.at.Sub(w.at)
+	if wall <= 0 {
+		return loadSample{At: d.at, Streams: c.Active()}
+	}
+	var cpu, disks, mirror []float64
+	for _, cub := range c.Cubs {
+		if !c.Net.Failed(cub.ID()) {
+			cpu = append(cpu, duty(cubBusy(d.cub[cub.ID()], c.Cfg), wall))
+		}
+	}
+	var mirrorDisks []int
+	if mirrorCub >= 0 {
+		mirrorDisks = c.Cfg.Layout.DisksOfCub(msg.NodeID(mirrorCub))
+	}
+	for _, id := range d.disks() {
+		if c.Net.Failed(c.Cfg.Layout.CubOfDisk(id)) {
+			continue
+		}
+		u := duty(d.disk[id], wall)
+		disks = append(disks, u)
+		if slices.Contains(mirrorDisks, id) {
+			mirror = append(mirror, u)
+		}
+	}
+	ns := d.net[msg.NodeID(probeCub)]
+	return loadSample{
+		At: d.at, Streams: c.Active(),
+		CubCPU: mean(cpu), CtrlCPU: duty(ctrlBusy(d.ctrl), wall),
+		DiskLoad: mean(disks), MirrorDiskLoad: mean(mirror),
+		CtlTrafficBps:  float64(ns.CtlBytes) / wall.Seconds(),
+		DataRateBps:    float64(ns.DataBytes) / wall.Seconds(),
+		MaxViewEntries: c.MaxViewSize(),
+	}
+}
+
+// mean returns the mean of xs, summed in order, or 0 when xs is empty.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// The simulator has no CPUs, but Figures 8 and 9 plot CPU load, so a
+// machine's CPU time is modelled from its counters. The costs are
+// calibrated to the paper's Pentium-133 cubs: most CPU time went to
+// packetizing video data ("We believe that most of the CPU time was
+// spent packetizing the video data"), so a per-byte charge dominates,
+// sized so a cub sending 43 2 Mbit/s streams plus its mirroring share
+// runs at just over 80% CPU (§5).
+const (
+	perDataByte = 62 * time.Nanosecond   // packetizing one payload byte sent
+	perCtlMsg   = 100 * time.Microsecond // handling one control message
+	perDiskOp   = 500 * time.Microsecond // issuing and completing one disk read
+	perStartReq = 2 * time.Millisecond   // the controller handling a start or stop
+)
+
+// busy is the modelled CPU time of a machine that sent dataBytes of
+// video and handled msgs control messages, reads disk reads and reqs
+// start and stop requests.
+func busy(dataBytes, msgs, reads, reqs int64) time.Duration {
+	return time.Duration(dataBytes)*perDataByte + time.Duration(msgs)*perCtlMsg +
+		time.Duration(reads)*perDiskOp + time.Duration(reqs)*perStartReq
+}
+
+// cubBusy is a cub's modelled CPU time over counters s: every message
+// delivered and every gossip batch sent is one control message.
+func cubBusy(s core.CubStats, cfg *core.Config) time.Duration {
+	return busy(s.BlocksSent*cfg.BlockSize+s.PiecesSent*cfg.MirrorPartSize(),
+		s.MsgsRecv+s.GossipBatches, s.DiskReads, 0)
+}
+
+// ctrlBusy is the controller's modelled CPU time over counters s.
+func ctrlBusy(s core.ControllerStats) time.Duration {
+	return busy(0, s.MsgsRecv, 0, s.Requests)
+}
+
+// duty returns busy/wall, clamped at 1: a real machine or drive
+// saturates at 100%.
+func duty(busy, wall time.Duration) float64 {
+	if wall <= 0 {
+		return 0
+	}
+	return min(float64(busy)/float64(wall), 1)
 }
 
 // drainCap bounds the drain loop.

@@ -35,15 +35,10 @@ func TestFullLoadUnfailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler := NewSampler(c)
 	if err := c.RampTo(c.Capacity()); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(120 * time.Second)
-	s := sampler.Sample()
-	t.Logf("active=%d/%d cubCPU=%.2f ctrlCPU=%.4f disk=%.2f ctl=%.1fKB/s data=%.2fMB/s view=%d",
-		c.Active(), c.Capacity(), s.CubCPU, s.CtrlCPU, s.DiskLoad,
-		s.CtlTrafficBps/1e3, s.DataRateBps/1e6, s.MaxViewEntries)
 	var ok, lost int64
 	for _, st := range c.streams {
 		vs := st.Viewer.Stats()
@@ -80,16 +75,10 @@ func TestFullLoadOneCubFailed(t *testing.T) {
 	}
 	c.FailCub(5)
 	c.RunFor(5 * time.Second) // let the deadman notice before load arrives
-	sampler := NewSampler(c)
-	sampler.ProbeCub = 6 // a mirroring cub, as the paper measured
-	sampler.MirrorCub = 6
 	if err := c.RampTo(c.Capacity()); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(120 * time.Second)
-	s := sampler.Sample()
-	t.Logf("active=%d/%d cubCPU=%.2f mirrorDisk=%.2f ctl=%.1fKB/s data=%.2fMB/s",
-		c.Active(), c.Capacity(), s.CubCPU, s.MirrorDiskLoad, s.CtlTrafficBps/1e3, s.DataRateBps/1e6)
 	var ok, lost, mirror int64
 	for _, st := range c.streams {
 		vs := st.Viewer.Stats()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tiger/internal/clock"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/obs"
 	"tiger/internal/sim"
@@ -42,6 +41,8 @@ type ControllerStats struct {
 	EOFs      int64 `metric:"tiger_ctrl_eofs_total" help:"Streams that reached end of file."`
 	Rejected  int64 `metric:"tiger_ctrl_rejected_total" help:"Start requests refused by the admission limit."`
 	MaxActive int   `metric:"tiger_ctrl_active_streams_max,gauge" help:"Most streams ever inserted at once."`
+	Requests  int64 `metric:"tiger_ctrl_requests_total" help:"Start and stop requests received, counted while down too."`
+	MsgsRecv  int64 `metric:"tiger_ctrl_msgs_recv_total" help:"Control messages delivered, counted while down too."`
 
 	// Failover counters (scavenge.go).
 	Takeovers       int64 `metric:"tiger_ctrl_takeovers_total" help:"Controller incarnation restarts performed."`
@@ -58,7 +59,6 @@ type Controller struct {
 	cfg *Config
 	clk clock.Clock
 	net Transport
-	cpu metrics.CPU
 
 	nextInstance msg.InstanceID
 	plays        map[msg.InstanceID]*playRecord
@@ -137,7 +137,6 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		slotWait: obs.NewHistogram(startWaitBounds),
 		takeover: obs.NewHistogram(RecoveryBounds),
 	}
-	c.cpu.Model = metrics.DefaultCPUModel()
 	c.onHB = c.hbTick
 	return c
 }
@@ -191,9 +190,6 @@ func (c *Controller) GenLoad(gen int32) int { return c.genLoad[gen] }
 // as traced.
 func (c *Controller) SetSink(s *trace.Sink) { c.sink = s }
 
-// CPUBusy returns the controller's cumulative modelled CPU time.
-func (c *Controller) CPUBusy() time.Duration { return c.cpu.Busy() }
-
 // Stats returns a snapshot of controller counters.
 func (c *Controller) Stats() ControllerStats { return c.stats }
 
@@ -212,7 +208,7 @@ func (c *Controller) StartPlay(viewer msg.ViewerID, file msg.FileID, startBlock 
 // which rides in every viewer state so cubs know where to send blocks
 // (the real-time transport uses it; the simulator routes by ViewerID).
 func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.FileID, startBlock int32, bitrate int32) (msg.InstanceID, error) {
-	c.cpu.ChargeStartReq()
+	c.stats.Requests++
 	if c.down {
 		return 0, ErrControllerDown
 	}
@@ -308,7 +304,7 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 // forwards an idempotent deschedule request to it and its successor
 // (§4.1.2).
 func (c *Controller) StopPlay(inst msg.InstanceID) {
-	c.cpu.ChargeStartReq()
+	c.stats.Requests++
 	if c.down {
 		return
 	}
@@ -409,7 +405,7 @@ func (c *Controller) pendingAndActive() int {
 // (fence.go) is dispatched. m is valid only during the call, as for
 // Cub.Deliver; none of the kinds kept here is one a msg.Pool reuses.
 func (c *Controller) Deliver(from msg.NodeID, m msg.Message) {
-	c.cpu.ChargeCtlMsg()
+	c.stats.MsgsRecv++
 	if c.down {
 		// A crashed incarnation is inert: anything addressed to it — a
 		// StartAck racing the crash, a late commit — is lost exactly as a

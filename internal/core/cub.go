@@ -8,7 +8,6 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/obs"
@@ -176,6 +175,8 @@ type CubStats struct {
 	StartsDup     int64 `metric:"tiger_cub_starts_dup_total" help:"Duplicate start-play enqueues ignored."`
 	GossipBatches int64 `metric:"tiger_cub_gossip_batches_total" help:"Viewer-state gossip batches sent."`
 	GossipMsgs    int64 `metric:"tiger_cub_gossip_msgs_total" help:"Messages carried inside gossip batches."`
+	MsgsRecv      int64 `metric:"tiger_cub_msgs_recv_total" help:"Control messages delivered, a gossip batch counting once."`
+	DiskReads     int64 `metric:"tiger_cub_disk_reads_total" help:"Drive operations issued: block reads, quarantine probes, restripe copies shipped or landed."`
 
 	// Restart and reintegration counters.
 	Rejoins         int64 `metric:"tiger_cub_rejoins_total" help:"Cold restarts this cub performed."`
@@ -300,7 +301,6 @@ type Cub struct {
 	// — wiped on Restart.
 	mover moverState
 
-	cpu   metrics.CPU
 	stats CubStats
 	sink  *trace.Sink // nil until SetSink; where protocol steps are reported
 
@@ -348,7 +348,6 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		recovery:      obs.NewHistogram(RecoveryBounds),
 		fwdPending:    make(map[msg.NodeID][]msg.Message),
 	}
-	c.cpu.Model = metrics.DefaultCPUModel()
 	c.onForward, c.onHeartbeat = c.forwardTick, c.heartbeatTick
 	for i, d := range diskNums {
 		dr := &c.drives[i]
@@ -421,9 +420,6 @@ func (c *Cub) countDrives(lo, hi DiskHealthState) int {
 
 // RecoveryTimes returns the restart-to-reintegration histogram (seconds).
 func (c *Cub) RecoveryTimes() *obs.Histogram { return c.recovery }
-
-// CPUBusy returns cumulative modelled CPU busy time.
-func (c *Cub) CPUBusy() time.Duration { return c.cpu.Busy() }
 
 // ViewSize returns the number of schedule entries currently in the cub's
 // view — the quantity the scalability argument of §4 bounds.
@@ -583,7 +579,7 @@ func (c *Cub) firstLivingSuccessorOfIn(lay layout.Config, z msg.NodeID) bool {
 // copies every pooled kind by value and step emits by value; only the
 // kinds a pool never reuses are kept by pointer.
 func (c *Cub) Deliver(from msg.NodeID, m msg.Message) {
-	c.cpu.ChargeCtlMsg()
+	c.stats.MsgsRecv++
 	switch t := m.(type) {
 	case *msg.Batch:
 		for _, inner := range t.Msgs {

@@ -147,7 +147,7 @@ func (c *Cub) scheduleEntry(e *entry) { c.driveOf(e).walk.insert(e) }
 // generation places the copy on its drive; a generation this cub is not
 // part of places nothing here.
 func (c *Cub) issueRead(e *entry) {
-	c.cpu.ChargeDiskOp()
+	c.stats.DiskReads++
 	cfg := c.cfgOf(e.key.slot)
 	if cfg == nil || !c.participatesIn(cfg) {
 		c.stats.IndexMisses++
@@ -249,7 +249,6 @@ func (c *Cub) service(e *entry) {
 		bytes = c.cfg.MirrorPartSize()
 		parts = int8(c.cfg.Layout.Decluster)
 	}
-	c.cpu.ChargeData(bytes)
 	c.data.SendBlock(c.id, netsim.BlockDelivery{
 		Viewer:   e.vs.Viewer,
 		Instance: e.vs.Instance,
@@ -587,6 +586,5 @@ func (c *Cub) flushForwards() {
 		}
 		c.stats.GossipBatches++
 		c.stats.GossipMsgs += int64(len(msgs))
-		c.cpu.ChargeCtlMsg()
 	}
 }

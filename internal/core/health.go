@@ -303,7 +303,7 @@ func (c *Cub) probeDisk(dr *drive) {
 	h := &dr.health
 	start := c.clk.Now()
 	budget := probeBudget(c.cfg.DiskParams, c.cfg.BlockSize)
-	c.cpu.ChargeDiskOp()
+	c.stats.DiskReads++
 	c.stats.DiskProbes++
 	dr.dk.Read(c.cfg.BlockSize, disk.Outer, start.Add(budget), func(done sim.Time, ok bool) {
 		if h.state != DiskQuarantined {

@@ -188,7 +188,7 @@ func (c *Cub) startNextMove(dr *drive) {
 	dr.copying = j
 	start := c.clk.Now()
 	farDue := start.Add(time.Hour)
-	c.cpu.ChargeDiskOp()
+	c.stats.DiskReads++
 	dr.dk.Read(j.bytes, j.zone, farDue, func(done sim.Time, ok bool) {
 		c.finishMove(dr, j, start, done, ok)
 	})

@@ -1,91 +1,24 @@
 // Package metrics provides the measurement machinery for Tiger
-// experiments: a calibrated CPU-cost model (the simulator has no real
-// CPUs, but Figures 8-9 plot CPU load), cumulative counters designed to
-// be diffed over sampling windows, and an order-statistics summary for
-// startup-latency distributions (Figure 10).
+// experiments that the protocol's counters do not: a list of exact
+// samples for startup-latency distributions (Figure 10) and the loss log
+// shared by every cub and viewer of a cluster.
 package metrics
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"tiger/internal/sim"
 )
 
-// CPUModel holds the per-operation CPU costs used to model node load.
-// The defaults are calibrated to the paper's Pentium-133 cubs: most CPU
-// time went to packetizing video data ("We believe that most of the CPU
-// time was spent packetizing the video data"), so cost is dominated by a
-// per-data-byte charge, sized so a cub sending 43 2 Mbit/s streams plus
-// its mirroring share runs at just over 80% CPU (§5).
-type CPUModel struct {
-	PerDataByte time.Duration // packetization cost per payload byte sent
-	PerCtlMsg   time.Duration // handling one control message
-	PerDiskOp   time.Duration // issuing and completing one disk read
-	PerStartReq time.Duration // controller-side handling of a start/stop
-}
-
-// DefaultCPUModel returns the Pentium-133 calibration.
-func DefaultCPUModel() CPUModel {
-	return CPUModel{
-		PerDataByte: 62 * time.Nanosecond,
-		PerCtlMsg:   100 * time.Microsecond,
-		PerDiskOp:   500 * time.Microsecond,
-		PerStartReq: 2 * time.Millisecond,
-	}
-}
-
-// CPU accumulates modelled busy time for one machine.
-type CPU struct {
-	Model CPUModel
-	busy  time.Duration
-}
-
-// ChargeData charges the packetization cost for n payload bytes.
-func (c *CPU) ChargeData(n int64) {
-	c.busy += time.Duration(n) * c.Model.PerDataByte
-}
-
-// ChargeCtlMsg charges handling of one control message.
-func (c *CPU) ChargeCtlMsg() { c.busy += c.Model.PerCtlMsg }
-
-// ChargeDiskOp charges one disk operation.
-func (c *CPU) ChargeDiskOp() { c.busy += c.Model.PerDiskOp }
-
-// ChargeStartReq charges one start/stop request (controller).
-func (c *CPU) ChargeStartReq() { c.busy += c.Model.PerStartReq }
-
-// Busy returns cumulative modelled busy time.
-func (c *CPU) Busy() time.Duration { return c.busy }
-
-// Load returns busy/wall for a window given two busy snapshots.
-func Load(busyStart, busyEnd time.Duration, wall time.Duration) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	l := float64(busyEnd-busyStart) / float64(wall)
-	if l > 1 {
-		l = 1 // a real machine saturates at 100%
-	}
-	return l
-}
-
-// Summary is an order-statistics accumulator for latency-style samples.
+// Summary is a list of exact latency-style samples, kept in arrival
+// order.
 type Summary struct {
 	vals []float64
-	// sortedVals caches an ordered copy for Quantile; the raw samples
-	// are never reordered, so Values() and interleaved Add calls can
-	// never observe a half-sorted slice.
-	sortedVals []float64
 }
 
 // Add appends a sample.
-func (s *Summary) Add(v float64) {
-	s.vals = append(s.vals, v)
-	s.sortedVals = nil
-}
+func (s *Summary) Add(v float64) { s.vals = append(s.vals, v) }
 
 // AddDuration appends a duration sample in seconds.
 func (s *Summary) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
@@ -103,59 +36,6 @@ func (s *Summary) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.vals))
-}
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 {
-	var m float64
-	for i, v := range s.vals {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 {
-	var m float64
-	for i, v := range s.vals {
-		if i == 0 || v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) by nearest-rank.
-func (s *Summary) Quantile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	if s.sortedVals == nil {
-		s.sortedVals = make([]float64, len(s.vals))
-		copy(s.sortedVals, s.vals)
-		sort.Float64s(s.sortedVals)
-	}
-	idx := int(math.Ceil(p*float64(len(s.vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.sortedVals) {
-		idx = len(s.sortedVals) - 1
-	}
-	return s.sortedVals[idx]
-}
-
-// CountAbove returns how many samples exceed v.
-func (s *Summary) CountAbove(v float64) int {
-	n := 0
-	for _, x := range s.vals {
-		if x > v {
-			n++
-		}
-	}
-	return n
 }
 
 // Values returns a copy of the raw samples.

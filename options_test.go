@@ -108,67 +108,6 @@ func TestUnknownFileRejected(t *testing.T) {
 	}
 }
 
-func TestSamplerWindows(t *testing.T) {
-	c, err := New(smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSampler(c)
-	if err := c.RampTo(10); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(20 * time.Second)
-	first := s.Sample()
-	if first.Streams != 10 {
-		t.Fatalf("streams %d", first.Streams)
-	}
-	if first.CubCPU <= 0 || first.DiskLoad <= 0 || first.CtlTrafficBps <= 0 {
-		t.Fatalf("empty loads: %+v", first)
-	}
-	// A zero-length window returns zeros rather than dividing by zero.
-	empty := s.Sample()
-	if empty.CubCPU != 0 || empty.CtlTrafficBps != 0 {
-		t.Fatalf("zero window produced loads: %+v", empty)
-	}
-	// Loads reflect only the new window, not cumulative history.
-	c.StopAll()
-	c.RunFor(30 * time.Second)
-	s.Sample() // reset
-	c.RunFor(10 * time.Second)
-	idle := s.Sample()
-	if idle.CubCPU > 0.01 || idle.DataRateBps > 1 {
-		t.Fatalf("idle window shows load: %+v", idle)
-	}
-}
-
-// TestSamplerSumIsDeterministic closes one window on many copies of a
-// sampler: each copy must report the same bits. Summed over the disks in
-// map order, the mean duty differs in its last digits between copies.
-func TestSamplerSumIsDeterministic(t *testing.T) {
-	o := DefaultOptions()
-	o.ClientDropProb = 0
-	c, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RampTo(300); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(10 * time.Second)
-	copies := make([]Sampler, 32)
-	s := NewSampler(c)
-	for i := range copies {
-		copies[i] = *s
-	}
-	c.RunFor(10 * time.Second)
-	want := copies[0].Sample()
-	for i := range copies[1:] {
-		if got := copies[1+i].Sample(); got != want {
-			t.Fatalf("copy %d sampled %+v, copy 0 %+v", 1+i, got, want)
-		}
-	}
-}
-
 func TestViewerMachineGrouping(t *testing.T) {
 	c, err := New(smallOptions())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"tiger/internal/clock"
 	"tiger/internal/core"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
@@ -15,6 +16,10 @@ import (
 // viewerSlack is how far ahead of its play deadline a viewer wants each
 // block: the client's buffering.
 const viewerSlack = 500 * time.Millisecond
+
+// clockOf is the clock of the cluster's engine (shard 0's in a sharded
+// cluster).
+func clockOf(c *Cluster) clock.Clock { return clock.Sim{Eng: c.Eng} }
 
 // Stream is one viewer's play of one file.
 type Stream struct {

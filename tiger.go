@@ -567,8 +567,7 @@ func (c *Cluster) machineFor(v msg.ViewerID) *viewer.Machine {
 // built-in oracle; it must be zero in every run.
 func (c *Cluster) InvariantViolations() int { return c.oracle.violations }
 
-// MaxViewSize returns the largest per-cub view observed via polling; see
-// Sampler for periodic collection.
+// MaxViewSize returns the largest view any cub holds now.
 func (c *Cluster) MaxViewSize() int {
 	m := 0
 	for _, cub := range c.Cubs {
