@@ -279,14 +279,20 @@ type Cub struct {
 	startWait *obs.Histogram // queue-to-insertion wait of start requests
 	recovery  *obs.Histogram // restart-to-reintegration time
 
-	fwdPending map[msg.NodeID][]msg.Message // batch under assembly, per target ever sent to
-	fwdQueued  bool                         // fwdPending holds a message
-	// Scratch slices recycled across the periodic forwarding path, so
-	// the per-tick collect and per-flush target ordering allocate
-	// nothing in steady state. A queued message slice is recycled only
-	// when it went out as one message: a dispatched Batch travels the
-	// transport (in flight in the simulator, or queued on a mesh writer)
-	// after flushForwards returns, so reusing its slice would corrupt it.
+	// Gossip under assembly. fwdPending is the batch per target ever sent
+	// to; every viewer state in it is a slot of fwdStates, the one array
+	// of states staged since the last flush (made fwdStatesLen long). A
+	// flush hands the array to the transport — in flight in the
+	// simulator, or queued on a mesh writer, after flushForwards returns —
+	// and the cub never writes it again: the next state staged starts a
+	// new array, so a state handed off is never rewritten. A Batch's
+	// slice is handed off the same way; a target's slice is recycled only
+	// when it went out as one message. The scratch slices make the
+	// per-tick collect and per-flush target ordering allocate nothing.
+	fwdPending       map[msg.NodeID][]msg.Message
+	fwdQueued        bool // fwdPending holds a message
+	fwdStates        []msg.ViewerState
+	fwdStatesLen     int
 	fwdScratch       []*entry
 	fwdTargetScratch []msg.NodeID
 

@@ -143,8 +143,7 @@ func (c *Cub) refuteDeath(z msg.NodeID) {
 		pk := visit{pvs.Slot, pvs.Due}
 		if pvs.Due > now && !handed[pk] {
 			handed[pk] = true
-			cp := pvs
-			c.enqueueForward(z, &cp)
+			c.enqueueForward(z, c.stage(pvs))
 		}
 		c.dropEntryRelease(k)
 		c.stats.MirrorsRetired++

@@ -42,8 +42,9 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 	// Remove any matching entries: primary and mirror pieces alike. The
 	// semantics are exactly "if this instance is in this slot, remove
 	// it", so a stale request is harmless.
-	doomed := c.view.sortedKeys(func(e *entry) bool {
-		return e.key.slot == d.Slot && e.vs.Instance == d.Instance
+	var buf [8]entryKey // a slot's chain is a handful of entries
+	doomed := c.view.slotKeys(buf[:], d.Slot, func(e *entry) bool {
+		return e.vs.Instance == d.Instance
 	})
 	for _, k := range doomed {
 		if e := c.view.get(k); e != nil {

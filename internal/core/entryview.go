@@ -112,6 +112,24 @@ func (v *view) sortedKeys(pred func(*entry) bool) []entryKey {
 	return ks
 }
 
+// slotKeys appends to ks[:0] the keys of slot's entries that pred
+// accepts, in sortedKeys order, walking that slot's chain alone. A
+// caller that passes a small array of its own allocates nothing.
+func (v *view) slotKeys(ks []entryKey, slot int32, pred func(*entry) bool) []entryKey {
+	ks = ks[:0]
+	for e := v.slots[slot]; e != nil; e = e.next {
+		if pred(e) {
+			ks = append(ks, e.key)
+		}
+	}
+	for i := 1; i < len(ks); i++ { // a chain is a handful of entries
+		for j := i; j > 0 && fwdKeyLess(ks[j], ks[j-1]); j-- {
+			ks[j], ks[j-1] = ks[j-1], ks[j]
+		}
+	}
+	return ks
+}
+
 // keysInOrder returns m's keys sorted: the order in which anything that
 // acts on several entries of a map visits them.
 func keysInOrder[K cmp.Ordered, V any](m map[K]V) []K {

@@ -54,7 +54,7 @@ func TestViewAgainstMap(t *testing.T) {
 		return true
 	}
 	chainPos := map[string]int{}
-	longest := 0
+	longest, longestSlotKeys := 0, 0
 	for step := 0; step < 20000; step++ {
 		k := randKey()
 		switch op := rng.Intn(3); {
@@ -111,6 +111,21 @@ func TestViewAgainstMap(t *testing.T) {
 			if got, want := v.sortedKeys(pred), refKeys(pred); !sameKeys(got, want) {
 				t.Fatalf("step %d: sortedKeys(pred) = %v, want %v", step, got, want)
 			}
+			// The slot form walks one chain: it equals sortedKeys
+			// filtered to that slot.
+			for slot := int32(0); slot < 7; slot++ {
+				inSlot := func(e *entry) bool { return e.key.slot == slot && pred(e) }
+				if got, want := v.slotKeys(nil, slot, pred), refKeys(inSlot); !sameKeys(got, want) {
+					t.Fatalf("step %d: slotKeys(%d, pred) = %v, want %v", step, slot, got, want)
+				}
+				all := func(*entry) bool { return true }
+				inSlot = func(e *entry) bool { return e.key.slot == slot }
+				got, want := v.slotKeys(make([]entryKey, 2), slot, all), refKeys(inSlot)
+				if !sameKeys(got, want) {
+					t.Fatalf("step %d: slotKeys(%d) = %v, want %v", step, slot, got, want)
+				}
+				longestSlotKeys = max(longestSlotKeys, len(want))
+			}
 			seen := 0
 			v.each(func(e *entry) {
 				seen++
@@ -130,6 +145,9 @@ func TestViewAgainstMap(t *testing.T) {
 	}
 	if longest < decluster+2 {
 		t.Errorf("longest chain %d, want a primary, %d pieces and a second visit", longest, decluster)
+	}
+	if longestSlotKeys < decluster+2 {
+		t.Errorf("slotKeys compared on chains of at most %d, want %d", longestSlotKeys, decluster+2)
 	}
 	// Emptied, the view keeps nothing: memory follows the view, not the
 	// slots ever seen.

@@ -398,8 +398,7 @@ func (c *Cub) routeMirror(mvs msg.ViewerState) {
 			c.acceptMirror(mvs)
 			return
 		}
-		cp := mvs
-		c.enqueueForward(pc, &cp)
+		c.enqueueForward(pc, c.stage(mvs))
 		// Redundant copy of the next piece's state to its holder, so a
 		// single covering-cub failure cannot sever the chain (the mirror
 		// analogue of primary double forwarding).
@@ -410,7 +409,7 @@ func (c *Cub) routeMirror(mvs msg.ViewerState) {
 			nd := cfg.Layout.SecondaryDiskFor(int(next.OrigDisk), int(next.Part))
 			nc := cfg.Layout.CubOfDisk(nd)
 			if nc != pc && nc != c.id && !c.believedDead[nc] {
-				c.enqueueForward(nc, &next)
+				c.enqueueForward(nc, c.stage(next))
 			}
 		}
 		return
@@ -527,31 +526,45 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 			c.acceptPrimary(next, nextDisk)
 		}
 	}
-	// Both successors are sent the same record: enqueueForward stamps it
-	// once with one epoch, a receiver copies it on arrival and the mesh
-	// writer only encodes it.
+	// Both successors are sent the same staged record: enqueueForward
+	// stamps it once with one epoch, a receiver copies it on arrival and
+	// the mesh writer only encodes it.
+	var staged *msg.ViewerState
 	s1, ok1 := c.nthLivingSuccessorIn(cfg.Layout, 1)
 	if ok1 {
-		c.enqueueForward(s1, &next)
+		staged = c.stage(next)
+		c.enqueueForward(s1, staged)
 	}
 	if c.cfg.SingleForward {
 		return
 	}
 	s2, ok2 := c.nthLivingSuccessorIn(cfg.Layout, 2)
 	if ok2 && s2 != s1 {
-		c.enqueueForward(s2, &next)
+		if staged == nil {
+			staged = c.stage(next)
+		}
+		c.enqueueForward(s2, staged)
 	}
 }
 
-func (c *Cub) enqueueForward(to msg.NodeID, m msg.Message) {
+// stage gives vs a slot in the array of states this flush hands to the
+// network and returns it. The array is made when the first state of a
+// flush needs it, at fwdStatesLen; flushForwards lets it go.
+func (c *Cub) stage(vs msg.ViewerState) *msg.ViewerState {
+	if c.fwdStates == nil {
+		c.fwdStates = make([]msg.ViewerState, 0, max(c.fwdStatesLen, 1))
+	}
+	c.fwdStates = append(c.fwdStates, vs)
+	return &c.fwdStates[len(c.fwdStates)-1]
+}
+
+func (c *Cub) enqueueForward(to msg.NodeID, vs *msg.ViewerState) {
 	// Every outgoing viewer state is stamped with the sender's current
 	// liveness epoch here, the single choke point all gossip flows
 	// through; receivers fence on it (peerLive) so a restarted cub's
 	// pre-crash gossip cannot be mistaken for fresh state.
-	if vs, ok := m.(*msg.ViewerState); ok {
-		vs.Epoch = c.Epoch()
-	}
-	c.fwdPending[to] = append(c.fwdPending[to], m)
+	vs.Epoch = c.Epoch()
+	c.fwdPending[to] = append(c.fwdPending[to], vs)
 	c.fwdQueued = true
 }
 
@@ -562,6 +575,13 @@ func (c *Cub) flushForwards() {
 		return
 	}
 	c.fwdQueued = false
+	// The staged states go to the network with the batches below, and
+	// this cub never writes their array again. The next is sized at this
+	// flush's length, or half the last size if that is more, so a flush
+	// of a state or two between forward ticks (an insertion's, a healed
+	// death's) does not leave the next tick's array to grow from one.
+	c.fwdStatesLen = max(len(c.fwdStates), c.fwdStatesLen/2)
+	c.fwdStates = nil
 	targets := c.fwdTargetScratch[:0]
 	for to := range c.fwdPending {
 		targets = append(targets, to)

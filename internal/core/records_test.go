@@ -326,3 +326,57 @@ func TestMirrorEntriesNotPooled(t *testing.T) {
 		}
 	}
 }
+
+// keeper is a Transport that passes every message on and keeps each
+// viewer state it is handed, with a copy taken at the hand-off.
+type keeper struct {
+	net  Transport
+	sent []*msg.ViewerState
+	was  []msg.ViewerState
+}
+
+func (k *keeper) Send(from, to msg.NodeID, m msg.Message) {
+	ms := []msg.Message{m}
+	if b, ok := m.(*msg.Batch); ok {
+		ms = b.Msgs
+	}
+	for _, m := range ms {
+		if vs, ok := m.(*msg.ViewerState); ok {
+			k.sent = append(k.sent, vs)
+			k.was = append(k.was, *vs)
+		}
+	}
+	k.net.Send(from, to, m)
+}
+
+// TestForwardedStatesNotRewritten: a flush hands its staged viewer
+// states to the transport, which may hold them after flushForwards
+// returns (a mesh writer encodes them later), so the cub never writes
+// them again: every state of one forward tick still reads as sent after
+// the next tick has staged and flushed its own.
+func TestForwardedStatesNotRewritten(t *testing.T) {
+	r := newRig(t, defaultRigOptions())
+	for v := msg.ViewerID(1); v <= 40; v++ {
+		r.play(v, msg.FileID(int(v)%4), 0)
+	}
+	r.run(20 * time.Second)
+	c := r.cubs[2]
+	k := &keeper{net: c.net}
+	c.net = k
+	// Tick by tick until one has forwarded, then until another has.
+	for i := 0; i < 10 && len(k.sent) == 0; i++ {
+		r.run(r.cfg.ForwardInterval)
+	}
+	first := len(k.sent)
+	for i := 0; i < 10 && len(k.sent) == first; i++ {
+		r.run(r.cfg.ForwardInterval)
+	}
+	if first < 2 || len(k.sent) == first {
+		t.Fatalf("%d states in the first forwarding tick, %d in the next", first, len(k.sent)-first)
+	}
+	for i := range first {
+		if *k.sent[i] != k.was[i] {
+			t.Fatalf("state %d of the first tick rewritten after its flush: sent %+v, now %+v", i, k.was[i], *k.sent[i])
+		}
+	}
+}

@@ -102,12 +102,3 @@ func (l *LossLog) LossSpan() time.Duration {
 	}
 	return l.LastLoss.Sub(l.FirstLoss)
 }
-
-// Rate returns losses as "1 in N" given the number of blocks attempted;
-// it returns 0 when there were no losses.
-func (l *LossLog) Rate(attempted int64) float64 {
-	if l.Total() == 0 || attempted == 0 {
-		return 0
-	}
-	return float64(attempted) / float64(l.Total())
-}

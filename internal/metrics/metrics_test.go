@@ -40,7 +40,7 @@ func TestSummaryValuesCopy(t *testing.T) {
 
 func TestLossLog(t *testing.T) {
 	var l LossLog
-	if l.Total() != 0 || l.LossSpan() != 0 || l.Rate(100) != 0 {
+	if l.Total() != 0 || l.LossSpan() != 0 {
 		t.Fatal("empty loss log not zero")
 	}
 	l.RecordServerMiss(sim.Time(5 * time.Second))
@@ -52,8 +52,5 @@ func TestLossLog(t *testing.T) {
 	// §5's reconfiguration metric: earliest to latest lost block.
 	if l.LossSpan() != 7*time.Second {
 		t.Fatalf("span %v", l.LossSpan())
-	}
-	if r := l.Rate(300); r != 100 {
-		t.Fatalf("rate %v, want 1 in 100", r)
 	}
 }

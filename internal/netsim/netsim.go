@@ -131,11 +131,12 @@ type nodeStats struct {
 	dataDrops int64
 
 	// net and clk are the network and the clock of the node's executor,
-	// for the block-in-flight records' callback. freeSends are the
-	// records ready for reuse.
+	// for the callbacks of the records in flight. freeSends and freeCtl
+	// are the records ready for reuse.
 	net       *Network
 	clk       clock.Clock
 	freeSends []*blockSend
+	freeCtl   []*ctlSend
 
 	// jitter is the sender-local latency-jitter stream (splitmix64),
 	// used instead of the network-wide rng when the simulation is
@@ -165,7 +166,7 @@ type Network struct {
 	nodes   map[msg.NodeID]Handler
 	viewers map[msg.ViewerID]DataSink
 	failed  map[msg.NodeID]bool
-	incarn  map[msg.NodeID]int // bumped by Crash; dooms in-flight messages
+	incarn  map[msg.NodeID]int32 // bumped by Crash; dooms in-flight messages
 	stats   map[msg.NodeID]*nodeStats
 	links   map[pairKey]*linkFault // directed link faults; absent = healthy
 	shard   *ShardMap              // nil for a single-engine simulation
@@ -192,7 +193,7 @@ func New(params Params, clk clock.Clock, rng *rand.Rand) *Network {
 		nodes:   make(map[msg.NodeID]Handler),
 		viewers: make(map[msg.ViewerID]DataSink),
 		failed:  make(map[msg.NodeID]bool),
-		incarn:  make(map[msg.NodeID]int),
+		incarn:  make(map[msg.NodeID]int32),
 		stats:   make(map[msg.NodeID]*nodeStats),
 		links:   make(map[pairKey]*linkFault),
 	}
@@ -263,22 +264,6 @@ func (n *Network) clockFor(id msg.NodeID) clock.Clock {
 		return n.shard.Clocks[n.shard.ShardOf(id)]
 	}
 	return n.clk
-}
-
-// scheduleAt schedules fn at instant at in node to's execution context,
-// on behalf of node from. Cross-shard it goes through the coordinator's
-// mailboxes; same-shard (or unsharded) it is a plain timer.
-func (n *Network) scheduleAt(from, to msg.NodeID, at sim.Time, fn func()) {
-	if n.shard != nil {
-		src, dst := n.shard.ShardOf(from), n.shard.ShardOf(to)
-		if src != dst {
-			n.shard.Post(src, dst, at, fn)
-			return
-		}
-		n.shard.Clocks[src].At(at, fn)
-		return
-	}
-	n.clk.At(at, fn)
 }
 
 // Register attaches a node to the switch.
@@ -540,7 +525,7 @@ func (n *Network) deliverCtl(from, to msg.NodeID, st *nodeStats, m msg.Message, 
 	if jitter {
 		lat = n.latency(st)
 	}
-	arrive := n.clockFor(from).Now().Add(lat + extra)
+	arrive := st.clk.Now().Add(lat + extra)
 	if st.lastArr == nil {
 		st.lastArr = make(map[msg.NodeID]sim.Time)
 	}
@@ -549,19 +534,67 @@ func (n *Network) deliverCtl(from, to msg.NodeID, st *nodeStats, m msg.Message, 
 	}
 	st.lastArr[to] = arrive
 	fromInc, toInc := n.incarn[from], n.incarn[to]
-	n.scheduleAt(from, to, arrive, func() {
-		if n.failed[to] || n.failed[from] {
-			return // failed while in flight
-		}
-		if n.incarn[from] != fromInc || n.incarn[to] != toInc {
-			return // an endpoint crashed while the message was in flight
-		}
-		h := n.nodes[to]
-		if h == nil {
+	if n.shard != nil {
+		if src, dst := n.shard.ShardOf(from), n.shard.ShardOf(to); src != dst {
+			// The arrival runs on another shard's executor, where the
+			// sender's free list must not be touched (as in SendBlock).
+			n.shard.Post(src, dst, arrive, func() { n.deliverOne(from, to, fromInc, toInc, m) })
 			return
 		}
+	}
+	r := st.newCtlSend()
+	r.from, r.to, r.fromInc, r.toInc, r.m = from, to, fromInc, toInc, m
+	st.clk.At(arrive, r.arrive)
+}
+
+// deliverOne hands m to its destination unless an endpoint failed, or
+// crashed out of the incarnation it was sent in, while it was in flight.
+func (n *Network) deliverOne(from, to msg.NodeID, fromInc, toInc int32, m msg.Message) {
+	if n.failed[to] || n.failed[from] {
+		return // failed while in flight
+	}
+	if n.incarn[from] != fromInc || n.incarn[to] != toInc {
+		return // an endpoint crashed while the message was in flight
+	}
+	if h := n.nodes[to]; h != nil {
 		h.Deliver(from, m)
-	})
+	}
+}
+
+// maxFreeCtl bounds a sender's free control records, so a burst (a crash
+// storm's re-sends) does not stay on the heap after it has landed.
+const maxFreeCtl = 64
+
+// ctlSend is one control message in flight to a node on the sender's
+// executor. Like blockSend it belongs to the sending node, is reused
+// through its free list and has its callback bound once; it is never
+// cancelled, so it is free again when it has fired.
+type ctlSend struct {
+	st             *nodeStats
+	from, to       msg.NodeID
+	fromInc, toInc int32
+	m              msg.Message
+	arrive         func()
+}
+
+func (st *nodeStats) newCtlSend() *ctlSend {
+	if k := len(st.freeCtl); k > 0 {
+		r := st.freeCtl[k-1]
+		st.freeCtl = st.freeCtl[:k-1]
+		return r
+	}
+	r := &ctlSend{st: st}
+	r.arrive = r.onArrive
+	return r
+}
+
+func (r *ctlSend) onArrive() {
+	st := r.st
+	st.net.deliverOne(r.from, r.to, r.fromInc, r.toInc, r.m)
+	r.m = nil // the free list keeps no message alive
+	if len(st.freeCtl) < maxFreeCtl {
+		st.freeCtl = append(st.freeCtl, r)
+	}
 }
 
 // SendBlock starts a paced data send of d.Bytes from a cub to a viewer

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -464,6 +465,121 @@ func TestBlockSendRecordReuse(t *testing.T) {
 	}
 	if free := len(n.stats[0].freeSends); free != 2 {
 		t.Fatalf("%d records pooled after three rounds of two overlapping sends, want 2", free)
+	}
+}
+
+// TestSendAllocs: a control message to a node on the sender's executor
+// travels on a record the sender reuses, so on a warmed sender
+// overlapping sends cost no allocation and one engine event each.
+func TestSendAllocs(t *testing.T) {
+	eng, n := testNet(t, nil)
+	delivered := 0
+	n.Register(0, HandlerFunc(func(msg.NodeID, msg.Message) { delivered++ }))
+	n.Register(1, HandlerFunc(func(msg.NodeID, msg.Message) {}))
+	hb := &msg.Heartbeat{From: 1}
+	round := func() {
+		for i := 0; i < 3; i++ { // overlapping sends: three records
+			n.Send(1, 0, hb)
+		}
+		eng.Run()
+	}
+	round()
+	if a := testing.AllocsPerRun(200, round); a != 0 {
+		t.Fatalf("%v allocs per three sends", a)
+	}
+	if delivered != 3*202 {
+		t.Fatalf("%d deliveries, want %d", delivered, 3*202)
+	}
+	if ev := eng.Processed(); ev != 3*202 {
+		t.Fatalf("%d events for %d sends, want one each", ev, 3*202)
+	}
+}
+
+// TestCtlSendRecordReuse: control records in flight are reused without
+// changing what arrives. Overlapping sends each deliver their own
+// message, FIFO per pair; a crash in flight still drops one; a flaky
+// duplicate still trails its original; a delivered message is not kept
+// by the free list, and the list stays within its cap after a burst.
+func TestCtlSendRecordReuse(t *testing.T) {
+	eng, n := testNet(t, func(p *Params) { p.LatencyJitter = 5 * time.Millisecond })
+	r0 := &recorder{eng: eng}
+	r1 := &recorder{eng: eng}
+	n.Register(0, r0)
+	n.Register(1, r1)
+	for round := 0; round < 3; round++ {
+		var sent0, sent1 []msg.Message
+		for i := 0; i < 5; i++ {
+			m := &msg.Heartbeat{From: 1, Epoch: int32(i)}
+			n.Send(1, 0, m)
+			sent0 = append(sent0, m)
+			m = &msg.Heartbeat{From: 0, Epoch: int32(i)}
+			n.Send(0, 1, m)
+			sent1 = append(sent1, m)
+		}
+		eng.Run()
+		for _, c := range []struct {
+			got, want []msg.Message
+		}{{r0.msgs, sent0}, {r1.msgs, sent1}} {
+			if len(c.got) != len(c.want) {
+				t.Fatalf("round %d: %d deliveries, want %d", round, len(c.got), len(c.want))
+			}
+			for i := range c.want {
+				if c.got[i] != c.want[i] {
+					t.Fatalf("round %d: delivery %d is %+v, want %+v", round, i, c.got[i], c.want[i])
+				}
+			}
+		}
+		r0.msgs, r1.msgs = r0.msgs[:0], r1.msgs[:0]
+	}
+
+	// A crash in flight dooms the message its record carries.
+	n.Send(1, 0, &msg.Heartbeat{From: 1})
+	n.Crash(0)
+	eng.Run()
+	n.Revive(0)
+	if len(r0.msgs) != 0 {
+		t.Fatal("a message to a crashed incarnation was delivered")
+	}
+
+	// A duplicate trails its original through the same FIFO link.
+	n.SetFlakyOneWay(1, 0, FlakyParams{DupProb: 1})
+	a, b := &msg.Heartbeat{From: 1, Epoch: 1}, &msg.Heartbeat{From: 1, Epoch: 2}
+	n.Send(1, 0, a)
+	n.Send(1, 0, b)
+	eng.Run()
+	n.SetFlakyOneWay(1, 0, FlakyParams{})
+	if len(r0.msgs) != 4 || r0.msgs[0] != a || r0.msgs[1] != a || r0.msgs[2] != b || r0.msgs[3] != b {
+		t.Fatalf("duplicated sends arrived as %+v", r0.msgs)
+	}
+
+	// A delivered message is not kept alive by its record.
+	freed := make(chan struct{})
+	func() {
+		m := &msg.ViewerState{Slot: 3}
+		runtime.SetFinalizer(m, func(*msg.ViewerState) { close(freed) })
+		n.Register(2, HandlerFunc(func(msg.NodeID, msg.Message) {}))
+		n.Send(1, 2, m)
+	}()
+	eng.Run()
+	deadline := time.After(5 * time.Second)
+	for freedYet := false; !freedYet; {
+		runtime.GC()
+		select {
+		case <-freed:
+			freedYet = true
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("a delivered message is still held by its record")
+		}
+	}
+
+	// A burst of more than the cap in flight leaves the cap pooled.
+	for i := 0; i < 3*maxFreeCtl; i++ {
+		n.Send(1, 2, &msg.Heartbeat{From: 1})
+	}
+	eng.Run()
+	if free := len(n.stats[1].freeCtl); free != maxFreeCtl {
+		t.Fatalf("%d records pooled after a burst of %d, want the cap %d", free, 3*maxFreeCtl, maxFreeCtl)
 	}
 }
 
