@@ -43,18 +43,18 @@ func steadyWindow(t *testing.T) (blocks int64, mallocs, events uint64) {
 // TestSteadyBlockPathAllocs pins what a delivered block costs the heap
 // in the paper's system at rated load: state accepted, read armed, disk
 // completes, block sent, viewer checks — every step runs on a record
-// its owner reuses, and so does every control message in flight, so
-// what remains is the gossip each flush hands to the network and keeps
-// no longer (a batch's slice and its record, one array for the viewer
-// states forwarded since the last flush) and the heartbeat; the
-// periodic ticks re-arm with callbacks bound once. 0.32 is measured;
-// the bound is that plus 10 %.
+// its owner reuses, and so does every control message in flight. The
+// gossip a flush hands to the network (the state array, each batch and
+// its slice) and the heartbeats come back to their sender when the
+// network is done with them and are reused, and the periodic ticks
+// re-arm with callbacks bound once, so nearly nothing is left: under
+// 0.001 is measured, and the bound is 0.01.
 func TestSteadyBlockPathAllocs(t *testing.T) {
 	blocks, mallocs, _ := steadyWindow(t)
 	per := float64(mallocs) / float64(blocks)
-	t.Logf("%d blocks, %.3f allocs/block", blocks, per)
-	if per > 0.35 {
-		t.Fatalf("%.2f heap allocations per delivered block, budget 0.35", per)
+	t.Logf("%d blocks, %.4f allocs/block", blocks, per)
+	if per > 0.01 {
+		t.Fatalf("%.4f heap allocations per delivered block, budget 0.01", per)
 	}
 }
 

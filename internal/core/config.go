@@ -36,6 +36,19 @@ type SteadySender interface {
 	SendSteady(from, to msg.NodeID, m msg.Message)
 }
 
+// Returner is an optional Transport refinement: Returns reports whether
+// a message sent from→to now will be handed back to the sender's Reclaim
+// (netsim.Reclaimer), after which the sender may reuse its record.
+// netsim.Network implements it; the TCP mesh returns nothing.
+type Returner interface {
+	Returns(from, to msg.NodeID) bool
+}
+
+func returns(net Transport, from, to msg.NodeID) bool {
+	r, ok := net.(Returner)
+	return ok && r.Returns(from, to)
+}
+
 // Config is the static, globally agreed configuration of a Tiger system.
 // Every node gets an identical copy; nothing in it is negotiated at run
 // time.

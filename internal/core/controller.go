@@ -90,6 +90,7 @@ type Controller struct {
 	started    bool
 	hbTimer    clock.Timer
 	onHB       func()         // c.hbTick, bound once
+	hb         heartbeat      // the heartbeat's record (deadman.go)
 	slotWait   *obs.Histogram // request-to-insertion latency
 	takeover   *obs.Histogram // restart-to-rebuilt time
 

@@ -248,6 +248,7 @@ type Cub struct {
 	queue          map[int32][]*startReq // pending starts per genDiskKey
 	queueLen       int                   // total queued starts, all genDiskKeys
 	scanning       map[int32]bool        // ownership scan active per genDiskKey
+	scanFns        map[int32]func()      // scanTick bound to each scanned genDiskKey
 	redundantStart map[msg.InstanceID]*startReq
 	cancelledStart tombstones[msg.InstanceID, struct{}] // acks and cancels seen
 	enqueuedStart  tombstones[msg.InstanceID, struct{}] // dedup of start enqueues
@@ -281,20 +282,22 @@ type Cub struct {
 
 	// Gossip under assembly. fwdPending is the batch per target ever sent
 	// to; every viewer state in it is a slot of fwdStates, the one array
-	// of states staged since the last flush (made fwdStatesLen long). A
-	// flush hands the array to the transport — in flight in the
-	// simulator, or queued on a mesh writer, after flushForwards returns —
-	// and the cub never writes it again: the next state staged starts a
-	// new array, so a state handed off is never rewritten. A Batch's
-	// slice is handed off the same way; a target's slice is recycled only
-	// when it went out as one message. The scratch slices make the
-	// per-tick collect and per-flush target ordering allocate nothing.
-	fwdPending       map[msg.NodeID][]msg.Message
+	// of states staged since the last flush. A flush hands array, batches
+	// and slices to the transport — in flight in the simulator, or queued
+	// on a mesh writer — and the cub never rewrites them until the
+	// transport hands them back (Reclaim); the rt mesh never does.
+	// fwdOut is the last flush's batches still out, fwdOutStates its
+	// array if it is to be reused. The scratch slices make the per-tick
+	// collect and per-flush target ordering allocate nothing.
+	fwdPending       map[msg.NodeID]*msg.Batch
 	fwdQueued        bool // fwdPending holds a message
 	fwdStates        []msg.ViewerState
 	fwdStatesLen     int
+	fwdOut           []*msg.Batch
+	fwdOutStates     []msg.ViewerState
 	fwdScratch       []*entry
 	fwdTargetScratch []msg.NodeID
+	hb               heartbeat // the deadman heartbeat's record (deadman.go)
 
 	// Block buffers held as of the last settleBuffers, and the ones out on
 	// paced sends, each due back when its send completes. Both are facts
@@ -338,6 +341,7 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		desch:          newTombstones[descKey, struct{}](clk, cfg.MaxVStateLead+cfg.DescheduleHold+cfg.Sched.BlockPlay),
 		queue:          make(map[int32][]*startReq),
 		scanning:       make(map[int32]bool),
+		scanFns:        make(map[int32]func()),
 		redundantStart: make(map[msg.InstanceID]*startReq),
 		cancelledStart: newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
 		enqueuedStart:  newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
@@ -352,7 +356,7 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		peers:         make(marks[msg.NodeID, struct{}]),
 		startWait:     obs.NewHistogram(startWaitBounds),
 		recovery:      obs.NewHistogram(RecoveryBounds),
-		fwdPending:    make(map[msg.NodeID][]msg.Message),
+		fwdPending:    make(map[msg.NodeID]*msg.Batch),
 	}
 	c.onForward, c.onHeartbeat = c.forwardTick, c.heartbeatTick
 	for i, d := range diskNums {

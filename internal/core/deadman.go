@@ -12,8 +12,9 @@ import (
 
 func (c *Cub) heartbeatTick() {
 	now := c.clk.Now()
-	hb := &msg.Heartbeat{From: c.id, Epoch: c.Epoch(), Now: int64(now)}
+	hb := c.hb.next(msg.Heartbeat{From: c.id, Epoch: c.Epoch(), Now: int64(now)})
 	for _, n := range c.monitored {
+		c.hb.sent(returns(c.net, c.id, n))
 		c.net.Send(c.id, n, hb)
 	}
 	// Check for silent neighbours.
@@ -27,6 +28,29 @@ func (c *Cub) heartbeatTick() {
 	}
 	c.ctlDeadmanCheck(now)
 	c.clk.After(c.cfg.HeartbeatInterval, c.onHeartbeat)
+}
+
+// heartbeat is a node's heartbeat record, sent to every receiver of a
+// tick. A later tick reuses it only once every send of it has come back
+// (netsim.Reclaimer); otherwise that tick makes another.
+type heartbeat struct {
+	rec *msg.Heartbeat // nil once a send of it will not come back
+	out int            // sends of rec not yet back
+}
+
+func (h *heartbeat) next(hb msg.Heartbeat) *msg.Heartbeat {
+	if h.rec == nil || h.out > 0 {
+		h.rec = new(msg.Heartbeat)
+	}
+	*h.rec, h.out = hb, 0
+	return h.rec
+}
+
+// sent counts one send of the record; ret says whether it comes back.
+func (h *heartbeat) sent(ret bool) {
+	if h.out++; !ret {
+		h.rec = nil
+	}
 }
 
 func (c *Cub) markDead(z msg.NodeID) {

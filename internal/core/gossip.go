@@ -548,8 +548,9 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 }
 
 // stage gives vs a slot in the array of states this flush hands to the
-// network and returns it. The array is made when the first state of a
-// flush needs it, at fwdStatesLen; flushForwards lets it go.
+// network and returns it. The array is the last flush's, if it came back
+// (reclaimBatch), or one made when the first state of a flush needs it,
+// at fwdStatesLen.
 func (c *Cub) stage(vs msg.ViewerState) *msg.ViewerState {
 	if c.fwdStates == nil {
 		c.fwdStates = make([]msg.ViewerState, 0, max(c.fwdStatesLen, 1))
@@ -564,24 +565,38 @@ func (c *Cub) enqueueForward(to msg.NodeID, vs *msg.ViewerState) {
 	// through; receivers fence on it (peerLive) so a restarted cub's
 	// pre-crash gossip cannot be mistaken for fresh state.
 	vs.Epoch = c.Epoch()
-	c.fwdPending[to] = append(c.fwdPending[to], vs)
+	b := c.fwdPending[to]
+	if b == nil {
+		b = new(msg.Batch)
+		c.fwdPending[to] = b
+	}
+	b.Msgs = append(b.Msgs, vs)
 	c.fwdQueued = true
 }
 
 // flushForwards sends all queued per-target batches, in target order
 // for run-to-run determinism.
+//
+// A flush's state array, batches and slices are one generation, never
+// written again until the network hands them back (Reclaim). A batch to
+// a target that returns records waits on fwdOut; one to any other
+// target is left to the collector, and the target's next is made at its
+// size. The array is reused only if every message went out in such a
+// batch, once all are back. The next flush forgets a generation still
+// out.
 func (c *Cub) flushForwards() {
 	if !c.fwdQueued {
 		return
 	}
 	c.fwdQueued = false
-	// The staged states go to the network with the batches below, and
-	// this cub never writes their array again. The next is sized at this
-	// flush's length, or half the last size if that is more, so a flush
-	// of a state or two between forward ticks (an insertion's, a healed
-	// death's) does not leave the next tick's array to grow from one.
+	// The next array is sized at this flush's length, or half the last
+	// size if that is more, so a flush of a state or two between forward
+	// ticks (an insertion's, a healed death's) does not leave the next
+	// tick's array to grow from one.
 	c.fwdStatesLen = max(len(c.fwdStates), c.fwdStatesLen/2)
-	c.fwdStates = nil
+	c.fwdOutStates, c.fwdStates = c.fwdStates, nil
+	clear(c.fwdOut)
+	c.fwdOut = c.fwdOut[:0]
 	targets := c.fwdTargetScratch[:0]
 	for to := range c.fwdPending {
 		targets = append(targets, to)
@@ -589,22 +604,67 @@ func (c *Cub) flushForwards() {
 	slices.Sort(targets)
 	c.fwdTargetScratch = targets
 	for _, to := range targets {
-		msgs := c.fwdPending[to]
-		if len(msgs) == 0 {
+		b := c.fwdPending[to]
+		if b == nil || len(b.Msgs) == 0 {
 			continue
 		}
-		// A lone message leaves its slice for the next enqueue. A Batch,
-		// still in flight when this returns, takes its slice away, and
-		// the next is made at its size rather than grown from nothing.
-		if len(msgs) == 1 {
-			c.net.Send(c.id, to, msgs[0])
-			clear(msgs)
-			c.fwdPending[to] = msgs[:0]
-		} else {
-			c.fwdPending[to] = make([]msg.Message, 0, len(msgs))
-			c.net.Send(c.id, to, &msg.Batch{Msgs: msgs})
+		n := len(b.Msgs)
+		switch {
+		case n == 1:
+			// A lone message goes out by itself, and its batch stays.
+			c.net.Send(c.id, to, b.Msgs[0])
+			clear(b.Msgs)
+			b.Msgs = b.Msgs[:0]
+			c.fwdOutStates = nil
+		case returns(c.net, c.id, to):
+			c.fwdPending[to] = nil
+			c.fwdOut = append(c.fwdOut, b)
+			c.net.Send(c.id, to, b)
+		default:
+			c.fwdPending[to] = &msg.Batch{Msgs: make([]msg.Message, 0, n)}
+			c.net.Send(c.id, to, b)
+			c.fwdOutStates = nil
 		}
 		c.stats.GossipBatches++
-		c.stats.GossipMsgs += int64(len(msgs))
+		c.stats.GossipMsgs += int64(n)
 	}
 }
+
+// Reclaim implements netsim.Reclaimer. A batch of the generation in
+// flight is its target's pending batch again unless the target has
+// queued since; when the last is back, the array is the next to stage
+// in unless states have been staged since. The heartbeat's record counts
+// its sends back (deadman.go). Anything else is left to the collector.
+func (c *Cub) Reclaim(to msg.NodeID, m msg.Message) {
+	if hb, ok := m.(*msg.Heartbeat); ok && hb == c.hb.rec {
+		c.hb.out--
+	}
+	b, ok := m.(*msg.Batch)
+	if !ok {
+		return
+	}
+	i := slices.Index(c.fwdOut, b)
+	if i < 0 {
+		return // of a generation no longer tracked
+	}
+	c.fwdOut = slices.Delete(c.fwdOut, i, i+1)
+	if c.fwdPending[to] == nil {
+		if snug(b.Msgs) {
+			clear(b.Msgs)
+			b.Msgs = b.Msgs[:0]
+		} else {
+			b.Msgs = make([]msg.Message, 0, len(b.Msgs))
+		}
+		c.fwdPending[to] = b
+	}
+	if s := c.fwdOutStates; len(c.fwdOut) == 0 && s != nil {
+		if c.fwdStates == nil && snug(s) {
+			c.fwdStates = s[:0]
+		}
+		c.fwdOutStates = nil
+	}
+}
+
+// snug reports whether a returned slice is worth keeping: append, which
+// doubles, did not leave it half again as long as what it holds.
+func snug[S ~[]E, E any](s S) bool { return 2*cap(s) <= 3*len(s) }

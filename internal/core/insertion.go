@@ -101,9 +101,14 @@ func (c *Cub) scanTick(k int32) {
 	if ok {
 		c.tryInsert(k, genBase(GenOf(k))|slot, due)
 	}
-	// Wake at the next window opening.
-	next := nextWindowOpen(cfg.Sched, gd, now)
-	c.clk.At(next, func() { c.scanTick(k) })
+	// Wake at the next window opening, through the key's callback, made
+	// once.
+	fn := c.scanFns[k]
+	if fn == nil {
+		fn = func() { c.scanTick(k) }
+		c.scanFns[k] = fn
+	}
+	c.clk.At(nextWindowOpen(cfg.Sched, gd, now), fn)
 }
 
 // nextWindowOpen returns the next time disk d's pointer enters a new

@@ -351,9 +351,10 @@ func (k *keeper) Send(from, to msg.NodeID, m msg.Message) {
 
 // TestForwardedStatesNotRewritten: a flush hands its staged viewer
 // states to the transport, which may hold them after flushForwards
-// returns (a mesh writer encodes them later), so the cub never writes
-// them again: every state of one forward tick still reads as sent after
-// the next tick has staged and flushed its own.
+// returns (a mesh writer encodes them later), so the cub never rewrites
+// them until they are returned — and this transport returns nothing:
+// every state of one forward tick still reads as sent after the next
+// tick has staged and flushed its own.
 func TestForwardedStatesNotRewritten(t *testing.T) {
 	r := newRig(t, defaultRigOptions())
 	for v := msg.ViewerID(1); v <= 40; v++ {
@@ -378,5 +379,160 @@ func TestForwardedStatesNotRewritten(t *testing.T) {
 		if *k.sent[i] != k.was[i] {
 			t.Fatalf("state %d of the first tick rewritten after its flush: sent %+v, now %+v", i, k.was[i], *k.sent[i])
 		}
+	}
+}
+
+// viewerStates lists the viewer states a control message carries.
+func viewerStates(m msg.Message) []*msg.ViewerState {
+	ms := []msg.Message{m}
+	if b, ok := m.(*msg.Batch); ok {
+		ms = b.Msgs
+	}
+	var out []*msg.ViewerState
+	for _, m := range ms {
+		if vs, ok := m.(*msg.ViewerState); ok {
+			out = append(out, vs)
+		}
+	}
+	return out
+}
+
+// tap is a Transport that passes every message on to the network and
+// asks the network which sends come back (Returner), so the cub
+// reuses its records as it would without it; see is shown every send.
+type tap struct {
+	net *netsim.Network
+	see func(to msg.NodeID, m msg.Message)
+}
+
+func (p *tap) Send(from, to msg.NodeID, m msg.Message) {
+	p.see(to, m)
+	p.net.Send(from, to, m)
+}
+
+func (p *tap) Returns(from, to msg.NodeID) bool { return p.net.Returns(from, to) }
+
+// TestGenerationWaitsForEveryBatch: a flush's state array is reused only
+// once every batch of it has come back. Cub 2's link to its second
+// successor is slowed by up to four forward intervals, so its batch is
+// often still in flight when the next tick stages while the batch to the
+// first successor is long back; every state cub 4 receives from cub 2
+// must still equal the copy taken when it was sent.
+func TestGenerationWaitsForEveryBatch(t *testing.T) {
+	const from, late = 2, 4
+	var got []msg.ViewerState
+	o := defaultRigOptions()
+	o.handler = func(c *Cub) netsim.Handler {
+		if c.id != late {
+			return c
+		}
+		return netsim.HandlerFunc(func(f msg.NodeID, m msg.Message) {
+			if f == from {
+				for _, vs := range viewerStates(m) {
+					got = append(got, *vs)
+				}
+			}
+			c.Deliver(f, m)
+		})
+	}
+	r := newRig(t, o)
+	var sent []msg.ViewerState
+	overlaps := 0 // sends to late made while an earlier one was in flight
+	c := r.cubs[from]
+	c.net = &tap{net: r.net, see: func(to msg.NodeID, m msg.Message) {
+		if to != late {
+			return
+		}
+		if len(got) < len(sent) {
+			overlaps++
+		}
+		for _, vs := range viewerStates(m) {
+			sent = append(sent, *vs)
+		}
+	}}
+	for v := msg.ViewerID(1); v <= 40; v++ {
+		r.play(v, msg.FileID(int(v)%4), 0)
+	}
+	r.run(10 * time.Second)
+	r.net.SetFlakyOneWay(from, late, netsim.FlakyParams{ExtraDelay: 4 * r.cfg.ForwardInterval})
+	r.run(30 * time.Second)
+	r.net.SetFlakyOneWay(from, late, netsim.FlakyParams{})
+	r.run(5 * time.Second)
+	if overlaps < 10 {
+		t.Fatalf("only %d sends to cub %d overlapped one in flight; the test exercises nothing", overlaps, late)
+	}
+	// The last flush may still be in flight.
+	if len(got) > len(sent) || len(got) < len(sent)-20 {
+		t.Fatalf("cub %d received %d states from cub %d, which sent %d", late, len(got), from, len(sent))
+	}
+	for i := range got {
+		if got[i] != sent[i] {
+			t.Fatalf("state %d rewritten in flight: sent %+v, received %+v", i, sent[i], got[i])
+		}
+	}
+}
+
+// TestGossipBuffersBounded: what a cub keeps of its gossip between
+// flushes — the state array it will stage in, the batches pending per
+// target and their slices — stays within one generation of its largest
+// flush while the load grows and shrinks: one array, at most half again
+// as long as that flush, and slices at most twice its messages. A spare
+// generation kept beside the current one, or an array append doubled,
+// would exceed it.
+func TestGossipBuffersBounded(t *testing.T) {
+	r := newRig(t, defaultRigOptions())
+	c := r.cubs[2]
+	// The largest flush, as the states and messages sent at one instant
+	// (flushes at one instant count as one: the bound is only looser).
+	var at sim.Time
+	var states, msgs, maxStates, maxMsgs int
+	seen := map[*msg.ViewerState]bool{}
+	c.net = &tap{net: r.net, see: func(_ msg.NodeID, m msg.Message) {
+		if now := r.eng.Now(); now != at {
+			at, states, msgs = now, 0, 0
+			clear(seen)
+		}
+		for _, vs := range viewerStates(m) {
+			msgs++
+			if !seen[vs] {
+				seen[vs] = true
+				states++
+			}
+		}
+		maxStates, maxMsgs = max(maxStates, states), max(maxMsgs, msgs)
+	}}
+	checked := 0
+	check := func(d time.Duration) {
+		for end := r.eng.Now().Add(d); r.eng.Now() < end; {
+			r.run(r.cfg.ForwardInterval / 5)
+			if len(c.fwdOut) > 0 {
+				continue // a flush is in flight
+			}
+			slots := 0
+			for _, b := range c.fwdPending {
+				if b != nil {
+					slots += cap(b.Msgs)
+				}
+			}
+			if arr := cap(c.fwdStates) + cap(c.fwdOutStates); arr > maxStates+maxStates/2 || slots > 2*maxMsgs {
+				t.Fatalf("at %v the cub keeps %d states and %d message slots; its largest flush was %d states in %d messages",
+					r.eng.Now(), arr, slots, maxStates, maxMsgs)
+			}
+			checked++
+		}
+	}
+	var insts []msg.InstanceID
+	for v := msg.ViewerID(1); v <= 60; v++ {
+		insts = append(insts, r.play(v, msg.FileID(int(v)%4), 0))
+		if v%20 == 0 {
+			check(10 * time.Second)
+		}
+	}
+	for _, inst := range insts[:50] {
+		r.ctl.StopPlay(inst)
+	}
+	check(20 * time.Second)
+	if checked < 200 || maxStates < 4 {
+		t.Fatalf("%d checks, largest flush %d states: the test exercises nothing", checked, maxStates)
 	}
 }

@@ -57,8 +57,10 @@ func (c *Cub) Restart() {
 	c.enqueuedStart.reset()
 	c.believedDead = make(map[msg.NodeID]bool)
 	c.peers = make(marks[msg.NodeID, struct{}])
-	c.fwdPending = make(map[msg.NodeID][]msg.Message)
-	c.fwdStates = nil
+	clear(c.scanFns)
+	c.fwdPending = make(map[msg.NodeID]*msg.Batch)
+	c.fwdStates, c.fwdOut, c.fwdOutStates = nil, nil, nil
+	c.hb = heartbeat{}
 	// The mover's copy queues are volatile too: queued restripe copies
 	// die with the incarnation, and the coordinator's resend timer
 	// re-orders them. A copy the drive is serving (or pacing after) is

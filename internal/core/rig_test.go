@@ -35,6 +35,9 @@ type rigOptions struct {
 	fileBlocks                   int
 	blockPlay                    time.Duration
 	mutate                       func(*Config)
+	// handler, if set, is what the network delivers a cub's messages to
+	// in place of the cub.
+	handler func(*Cub) netsim.Handler
 }
 
 // subscribe attaches fn to the given event kinds on every cub of the rig.
@@ -98,7 +101,11 @@ func newRig(t *testing.T, o rigOptions) *rig {
 	net.Register(msg.Controller, r.ctl)
 	for i := 0; i < o.cubs; i++ {
 		cub := NewCub(msg.NodeID(i), cfg, clk, net, net, eng.Rand())
-		net.Register(msg.NodeID(i), cub)
+		var h netsim.Handler = cub
+		if o.handler != nil {
+			h = o.handler(cub)
+		}
+		net.Register(msg.NodeID(i), h)
 		r.cubs = append(r.cubs, cub)
 	}
 	for _, c := range r.cubs {

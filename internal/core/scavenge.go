@@ -89,7 +89,7 @@ func (c *Controller) hbTick() {
 		return
 	}
 	now := c.clk.Now()
-	hb := &msg.Heartbeat{From: msg.Controller, Epoch: c.Epoch(), Now: int64(now)}
+	hb := c.hb.next(msg.Heartbeat{From: msg.Controller, Epoch: c.Epoch(), Now: int64(now)})
 	// Steady (jitter-free) delivery when the transport offers it: the
 	// heartbeat is periodic background traffic, and drawing per-send
 	// jitter from the simulation's shared randomness stream would
@@ -100,9 +100,18 @@ func (c *Controller) hbTick() {
 		send = s.SendSteady
 	}
 	for i := 0; i < c.allCubs(); i++ {
+		c.hb.sent(returns(c.net, msg.Controller, msg.NodeID(i)))
 		send(msg.Controller, msg.NodeID(i), hb)
 	}
 	c.hbTimer = c.clk.After(c.cfg.HeartbeatInterval, c.onHB)
+}
+
+// Reclaim implements netsim.Reclaimer: the heartbeat's record comes
+// back for reuse; every other message is left to the collector.
+func (c *Controller) Reclaim(_ msg.NodeID, m msg.Message) {
+	if hb, ok := m.(*msg.Heartbeat); ok && hb == c.hb.rec {
+		c.hb.out--
+	}
 }
 
 // Crash makes the incarnation inert in place: timers stop, deliveries
@@ -139,6 +148,7 @@ func (c *Controller) Restart() {
 	c.genLoad = make(map[int32]int)
 	c.rs = restriperState{restripeRun: c.rs.restripeRun}
 	c.gov = governorState{}
+	c.hb = heartbeat{}
 
 	c.scavParked = make(marks[msg.InstanceID, msg.ScavengedPark])
 	cubs := make([]msg.NodeID, c.allCubs())

@@ -50,6 +50,16 @@ type HandlerFunc func(from msg.NodeID, m msg.Message)
 
 func (f HandlerFunc) Deliver(from msg.NodeID, m msg.Message) { f(from, m) }
 
+// Reclaimer is an optional Handler refinement. When the network has
+// finished with a control message the node sent to a node on its own
+// executor, it hands the message back through Reclaim in the arrival
+// event, after the destination's Deliver has run (or the arrival was
+// dropped because an endpoint failed or crashed in flight). Returns says
+// up front which sends come back; no other send is ever returned.
+type Reclaimer interface {
+	Reclaim(to msg.NodeID, m msg.Message)
+}
+
 // BlockDelivery describes one block (or declustered mirror piece) sent to
 // a viewer.
 type BlockDelivery struct {
@@ -132,11 +142,13 @@ type nodeStats struct {
 
 	// net and clk are the network and the clock of the node's executor,
 	// for the callbacks of the records in flight. freeSends and freeCtl
-	// are the records ready for reuse.
+	// are the records ready for reuse. reclaim is the node's handler if
+	// it takes its sent messages back (Reclaimer).
 	net       *Network
 	clk       clock.Clock
 	freeSends []*blockSend
 	freeCtl   []*ctlSend
+	reclaim   Reclaimer
 
 	// jitter is the sender-local latency-jitter stream (splitmix64),
 	// used instead of the network-wide rng when the simulation is
@@ -272,7 +284,7 @@ func (n *Network) Register(id msg.NodeID, h Handler) {
 		panic(fmt.Sprintf("netsim: node %v registered twice", id))
 	}
 	n.nodes[id] = h
-	n.statsFor(id)
+	n.statsFor(id).reclaim, _ = h.(Reclaimer)
 }
 
 // AttachObs exports per-node traffic counters (labelled by node): the
@@ -482,6 +494,10 @@ func (n *Network) send(from, to msg.NodeID, m msg.Message, jitter bool) {
 	st.ctlBytes += int64(m.Size())
 	st.ctlMsgs++
 
+	// Whether the message comes back to the sender (Returns); a cross-shard
+	// arrival never uses ret.
+	ret := st.reclaim != nil && n.DropControl == nil
+
 	// Link faults. The sender already paid for the bytes above: a cut or
 	// lossy link loses traffic in the network, it does not stop the
 	// sender transmitting.
@@ -493,6 +509,7 @@ func (n *Network) send(from, to msg.NodeID, m msg.Message, jitter bool) {
 			return
 		}
 		f := lf.flaky
+		ret = ret && f.DropProb == 0 && f.DupProb == 0
 		if f.DropProb > 0 && n.chance(st) < f.DropProb {
 			st.linkDrops++
 			return
@@ -508,19 +525,38 @@ func (n *Network) send(from, to msg.NodeID, m msg.Message, jitter bool) {
 			dup = true
 		}
 	}
-	n.deliverCtl(from, to, st, m, extra, jitter)
+	n.deliverCtl(from, to, st, m, extra, jitter, ret)
 	if dup {
 		// The duplicate trails the original through the same FIFO link,
 		// like a retransmission whose first copy also arrived.
 		st.linkDups++
-		n.deliverCtl(from, to, st, m, extra, jitter)
+		n.deliverCtl(from, to, st, m, extra, jitter, ret)
 	}
+}
+
+// Returns reports whether a control message sent from→to now will be
+// handed back to the sender's Reclaim. A message comes back, exactly
+// once and in its arrival event, if and only if Returns was true when it
+// was sent: the sender is a Reclaimer, both endpoints are up, no
+// DropControl hook is installed, the link is not cut and neither drops
+// nor duplicates (the first copy of a duplicate to arrive could not tell
+// whether the other is still in flight), and both nodes run on one
+// executor.
+func (n *Network) Returns(from, to msg.NodeID) bool {
+	if st := n.stats[from]; st == nil || st.reclaim == nil || n.failed[from] || n.failed[to] || n.DropControl != nil {
+		return false
+	}
+	if lf := n.links[pairKey{from, to}]; lf != nil && (lf.cut || lf.flaky.DropProb > 0 || lf.flaky.DupProb > 0) {
+		return false
+	}
+	return n.shard == nil || n.shard.ShardOf(from) == n.shard.ShardOf(to)
 }
 
 // deliverCtl schedules one control-message arrival, preserving FIFO per
 // (from, to) pair and dooming the delivery if either endpoint fails or
-// crashes while it is in flight.
-func (n *Network) deliverCtl(from, to msg.NodeID, st *nodeStats, m msg.Message, extra time.Duration, jitter bool) {
+// crashes while it is in flight. With ret, the arrival hands m back to
+// the sender (Returns).
+func (n *Network) deliverCtl(from, to msg.NodeID, st *nodeStats, m msg.Message, extra time.Duration, jitter, ret bool) {
 	lat := n.params.LatencyBase
 	if jitter {
 		lat = n.latency(st)
@@ -543,7 +579,7 @@ func (n *Network) deliverCtl(from, to msg.NodeID, st *nodeStats, m msg.Message, 
 		}
 	}
 	r := st.newCtlSend()
-	r.from, r.to, r.fromInc, r.toInc, r.m = from, to, fromInc, toInc, m
+	r.from, r.to, r.fromInc, r.toInc, r.m, r.ret = from, to, fromInc, toInc, m, ret
 	st.clk.At(arrive, r.arrive)
 }
 
@@ -568,12 +604,14 @@ const maxFreeCtl = 64
 // ctlSend is one control message in flight to a node on the sender's
 // executor. Like blockSend it belongs to the sending node, is reused
 // through its free list and has its callback bound once; it is never
-// cancelled, so it is free again when it has fired.
+// cancelled, so it is free again when it has fired. ret says whether
+// the arrival hands m back to the sender.
 type ctlSend struct {
 	st             *nodeStats
 	from, to       msg.NodeID
 	fromInc, toInc int32
 	m              msg.Message
+	ret            bool
 	arrive         func()
 }
 
@@ -591,6 +629,9 @@ func (st *nodeStats) newCtlSend() *ctlSend {
 func (r *ctlSend) onArrive() {
 	st := r.st
 	st.net.deliverOne(r.from, r.to, r.fromInc, r.toInc, r.m)
+	if r.ret {
+		st.reclaim.Reclaim(r.to, r.m)
+	}
 	r.m = nil // the free list keeps no message alive
 	if len(st.freeCtl) < maxFreeCtl {
 		st.freeCtl = append(st.freeCtl, r)

@@ -583,6 +583,138 @@ func TestCtlSendRecordReuse(t *testing.T) {
 	}
 }
 
+// reclaimer is a sender that takes its messages back: it records each
+// one handed back, the instant, and whether the destination had been
+// handed the message by then.
+type reclaimer struct {
+	recorder
+	dst   *recorder
+	back  []msg.Message
+	at    []sim.Time
+	after []bool
+}
+
+func (r *reclaimer) Reclaim(to msg.NodeID, m msg.Message) {
+	r.back = append(r.back, m)
+	r.at = append(r.at, r.eng.Now())
+	r.after = append(r.after, len(r.dst.msgs) > 0 && r.dst.msgs[len(r.dst.msgs)-1] == m)
+}
+
+// TestReclaimAfterLastDelivery: a message comes back to its sender
+// exactly once, in its arrival event and after the destination's handler
+// has run, also when the destination failed or crashed while it was in
+// flight; it never comes back from a duplicated send, a cut or lossy
+// link, a DropControl hook or another shard, and Returns says so before
+// each send.
+func TestReclaimAfterLastDelivery(t *testing.T) {
+	eng, n := testNet(t, nil)
+	dst := &recorder{eng: eng}
+	src := &reclaimer{recorder: recorder{eng: eng}, dst: dst}
+	n.Register(0, dst)
+	n.Register(1, src)
+	// send sends a message from 1 to 0 under a fault set up by arrange
+	// and lifted by lift (either may be nil) and runs the network dry; it
+	// reports how often the message was delivered and handed back.
+	send := func(name string, arrange, lift func()) (delivered, back int) {
+		t.Helper()
+		if arrange != nil {
+			arrange()
+		}
+		returns := n.Returns(1, 0)
+		dst.msgs, src.back, src.at, src.after = nil, nil, nil, nil
+		m := &msg.Heartbeat{From: 1}
+		n.Send(1, 0, m)
+		eng.Run()
+		if lift != nil {
+			lift()
+		}
+		for i, b := range src.back {
+			if b != m {
+				t.Fatalf("%s: handed back %+v, not the message sent", name, b)
+			}
+			if src.at[i] != eng.Now() {
+				t.Fatalf("%s: handed back at %v, the arrival was at %v", name, src.at[i], eng.Now())
+			}
+		}
+		if returns != (len(src.back) == 1) || len(src.back) > 1 {
+			t.Fatalf("%s: Returns said %v, handed back %d times", name, returns, len(src.back))
+		}
+		return len(dst.msgs), len(src.back)
+	}
+
+	if d, b := send("healthy", nil, nil); d != 1 || b != 1 || !src.after[0] {
+		t.Fatalf("healthy: delivered %d, back %d, after the handler %v", d, b, src.after)
+	}
+	if d, b := send("extra delay", func() { n.SetFlakyOneWay(1, 0, FlakyParams{ExtraDelay: time.Millisecond}) },
+		func() { n.SetFlakyOneWay(1, 0, FlakyParams{}) }); d != 1 || b != 1 || !src.after[0] {
+		t.Fatalf("extra delay: delivered %d, back %d, after the handler %v", d, b, src.after)
+	}
+	for _, c := range []struct {
+		name string
+		down func(msg.NodeID)
+	}{{"failed in flight", n.Fail}, {"crashed in flight", n.Crash}} {
+		if d, b := send(c.name, func() { eng.At(eng.Now().Add(time.Microsecond), func() { c.down(0) }) },
+			func() { n.Revive(0) }); d != 0 || b != 1 {
+			t.Fatalf("%s: delivered %d, back %d", c.name, d, b)
+		}
+	}
+	never := []struct {
+		name           string
+		arrange, lift  func()
+		wantDeliveries int
+	}{
+		{"duplicated", func() { n.SetFlakyOneWay(1, 0, FlakyParams{DupProb: 1}) }, func() { n.HealOneWay(1, 0) }, 2},
+		{"cut", func() { n.CutOneWay(1, 0) }, func() { n.HealOneWay(1, 0) }, 0},
+		{"lossy, dropped", func() { n.SetFlakyOneWay(1, 0, FlakyParams{DropProb: 1}) }, func() { n.HealOneWay(1, 0) }, 0},
+		{"lossy, delivered", func() { n.SetFlakyOneWay(1, 0, FlakyParams{DropProb: 1e-9}) }, func() { n.HealOneWay(1, 0) }, 1},
+		{"DropControl, dropped", func() { n.DropControl = func(msg.NodeID, msg.NodeID, msg.Message) bool { return true } },
+			func() { n.DropControl = nil }, 0},
+		{"DropControl, passed", func() { n.DropControl = func(msg.NodeID, msg.NodeID, msg.Message) bool { return false } },
+			func() { n.DropControl = nil }, 1},
+		{"receiver down", func() { n.Fail(0) }, func() { n.Revive(0) }, 0},
+		{"sender down", func() { n.Fail(1) }, func() { n.Revive(1) }, 0},
+	}
+	for _, c := range never {
+		if d, b := send(c.name, c.arrange, c.lift); d != c.wantDeliveries || b != 0 {
+			t.Fatalf("%s: delivered %d, back %d", c.name, d, b)
+		}
+	}
+	if d, b := send("healed", nil, nil); d != 1 || b != 1 {
+		t.Fatalf("healed: delivered %d, back %d", d, b)
+	}
+
+	// Across shards the arrival is posted to the other executor, which
+	// must not touch the sender: nothing comes back, on the same shard
+	// everything does.
+	eng, n = testNet(t, nil)
+	dst, far := &recorder{eng: eng}, &recorder{eng: eng}
+	src = &reclaimer{recorder: recorder{eng: eng}, dst: dst}
+	n.Register(0, dst)
+	n.Register(1, src)
+	n.Register(2, far)
+	clk := clock.Sim{Eng: eng}
+	n.SetSharded(&ShardMap{
+		ShardOf: func(id msg.NodeID) int {
+			if id == 2 {
+				return 1
+			}
+			return 0
+		},
+		Clocks: []clock.Clock{clk, clk},
+		Post:   func(_, _ int, at sim.Time, fn func()) { eng.At(at, fn) },
+	})
+	if !n.Returns(1, 0) || n.Returns(1, 2) {
+		t.Fatalf("Returns same shard %v, across %v", n.Returns(1, 0), n.Returns(1, 2))
+	}
+	near, other := &msg.Heartbeat{From: 1}, &msg.Heartbeat{From: 1, Epoch: 2}
+	n.Send(1, 0, near)
+	n.Send(1, 2, other)
+	eng.Run()
+	if len(dst.msgs) != 1 || len(far.msgs) != 1 || len(src.back) != 1 || src.back[0] != near {
+		t.Fatalf("delivered %d and %d, handed back %v", len(dst.msgs), len(far.msgs), src.back)
+	}
+}
+
 // TestLazyNICEqualsEager drives randomized paced sends — primary and
 // mirror-piece paces mixed, start instants on a grid both paces divide so
 // a pace often ends at the very instant another send starts, a crash and

@@ -80,13 +80,16 @@ gotest -run 'TestStepOffPathAllocs|TestStepSubscribedAllocs' ./internal/core
 gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 
 # Event-diet gate: what a delivered block costs at the paper's rated
-# load stays inside its budgets (0.35 heap allocations, 5.8 engine
-# events, 1 500 events pending; 0.32, 5.70 and 1 365 measured). A
+# load stays inside its budgets (0.01 heap allocations, 5.8 engine
+# events, 1 500 events pending; under 0.001, 5.70 and 1 365 measured). A
 # control message in flight in the simulator rides a record its sender
 # reuses (0 allocations and one engine event a message, its free list
-# capped, the message not kept once delivered; under the race
-# detector), and the viewer states a flush hands to the network are
-# never written again by the cub. The mechanisms that bought the cuts
+# capped, the message not kept once delivered), and comes back to the
+# sender exactly once, after its delivery, exactly when Returns said it
+# would (under the race detector). The cub rewrites no gossip it handed
+# to the network until all of it is back — a flush's state array waits
+# for every batch — and keeps at most one generation of it between
+# flushes. The mechanisms that bought the cuts
 # stay equal to their plain references —
 # the engine's queue (a timing wheel of 1 024 buckets of 2^20 ns, each
 # sorted once when opened, in front of a 4-ary heap for the far events)
@@ -111,9 +114,9 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # nothing more — all under the race detector, beside the pooled
 # decoder's differential fuzz seeds.
 gotest -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
-gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel|TestForwardedStatesNotRewritten' ./internal/core
+gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel|TestForwardedStatesNotRewritten|TestGenerationWaitsForEveryBatch|TestGossipBuffersBounded' ./internal/core
 gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
-gotest -race -run 'TestSendAllocs|TestCtlSendRecordReuse' ./internal/netsim
+gotest -race -run 'TestSendAllocs|TestCtlSendRecordReuse|TestReclaimAfterLastDelivery' ./internal/netsim
 gotest -run 'TestQueueAgainstSortedModel|TestSortNodes|TestShardedDeterministicAcrossWorkers' ./internal/sim
 gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestNodeTimerAllocs|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
 gotest -run 'TestWriteFlushCoalesces' ./internal/wire
