@@ -94,3 +94,41 @@ func TestSteadyPendingEvents(t *testing.T) {
 		t.Fatalf("%d view entries: the load is not the rated one", entries)
 	}
 }
+
+// TestChurnBlockPathAllocs pins what a delivered block costs the heap
+// when streams come and go: one-minute files at 90 % of rated load, each
+// replayed at its end, so about nine streams a second stop at end of
+// file and start again. What a start and a stop cost the protocol runs
+// on reused records — the queued start, the play record and its expiry,
+// the tombstones, the insertion's gossip — and only what goes on the
+// wire is allocated (two StartPlay copies and a StartAck). The rest is
+// the harness's viewer, its stream and their closures, about 0.18 a
+// block. 0.24 is measured, and the bound is 0.27.
+func TestChurnBlockPathAllocs(t *testing.T) {
+	o := DefaultOptions()
+	o.FileBlocks = 60
+	c, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RampTo(int(0.9 * float64(c.Capacity()))); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(60 * time.Second)
+	ok0, _, _ := c.ViewerTotals()
+	starts0 := c.Controller.Stats().Starts
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	c.RunFor(60 * time.Second)
+	runtime.ReadMemStats(&m1)
+	ok1, _, _ := c.ViewerTotals()
+	blocks, starts := ok1-ok0, c.Controller.Stats().Starts-starts0
+	if blocks < int64(c.Capacity())*45 || starts < 300 {
+		t.Fatalf("%d blocks delivered and %d starts in the window", blocks, starts)
+	}
+	per := float64(m1.Mallocs-m0.Mallocs) / float64(blocks)
+	t.Logf("%d blocks, %d starts, %.4f allocs/block", blocks, starts, per)
+	if per > 0.27 {
+		t.Fatalf("%.4f heap allocations per delivered block, budget 0.27", per)
+	}
+}

@@ -20,7 +20,12 @@ const (
 	PlayDone                    // stopped or reached end of file
 )
 
+// maxFreePlays bounds the controller's free list of play records: the
+// finishes of a few seconds.
+const maxFreePlays = 16
+
 type playRecord struct {
+	inst       msg.InstanceID
 	viewer     msg.ViewerID
 	file       msg.FileID
 	startBlock int32
@@ -63,6 +68,14 @@ type Controller struct {
 	nextInstance msg.InstanceID
 	plays        map[msg.InstanceID]*playRecord
 	active       int
+
+	// Finished plays wait a minute in finished, in the order their
+	// timers fire; each timer, the one callback onExpire, forgets the
+	// oldest and recycles its record onto freePlays. finished outlives
+	// Restart, as the timers do; freePlays does not.
+	finished  fifo[*playRecord]
+	onExpire  func() // c.expire, bound once
+	freePlays []*playRecord
 
 	// Striping generations: during an elastic restripe two schedules
 	// coexist and admission must respect the disks they share. gens maps
@@ -138,7 +151,7 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		slotWait: obs.NewHistogram(startWaitBounds),
 		takeover: obs.NewHistogram(RecoveryBounds),
 	}
-	c.onHB = c.hbTick
+	c.onHB, c.onExpire = c.hbTick, c.expire
 	return c
 }
 
@@ -257,7 +270,15 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 	d0 := acfg.Layout.PrimaryDisk(f, int(startBlock))
 	primary := acfg.Layout.CubOfDisk(d0)
 	now := c.clk.Now()
-	c.plays[inst] = &playRecord{
+	var rec *playRecord
+	if n := len(c.freePlays); n > 0 {
+		rec, c.freePlays = c.freePlays[n-1], c.freePlays[:n-1]
+	} else {
+		rec = new(playRecord)
+	}
+	c.plays[inst] = rec
+	*rec = playRecord{
+		inst:       inst,
 		viewer:     viewer,
 		file:       file,
 		startBlock: startBlock,
@@ -319,7 +340,7 @@ func (c *Controller) StopPlay(inst msg.InstanceID) {
 		target = c.genCfg(rec.gen).Layout.CubOfDisk(c.servingDisk(rec.slot))
 	}
 	c.deschedule(rec, inst, rec.slot, target) // slot -1 while queued: cancels the start
-	c.finish(inst, rec)
+	c.finish(rec)
 }
 
 // deschedule sends the idempotent removal of rec's instance inst from
@@ -343,10 +364,10 @@ func (c *Controller) NotifyEOF(inst msg.InstanceID) {
 		return
 	}
 	c.stats.EOFs++
-	c.finish(inst, rec)
+	c.finish(rec)
 }
 
-func (c *Controller) finish(inst msg.InstanceID, rec *playRecord) {
+func (c *Controller) finish(rec *playRecord) {
 	if rec.state == PlayActive {
 		c.active--
 	}
@@ -361,11 +382,20 @@ func (c *Controller) finish(inst msg.InstanceID, rec *playRecord) {
 	// PlayDone path) — then forget it. A minute dwarfs any transport
 	// delay, and bounds the map at O(active + recently finished) instead
 	// of every play ever admitted.
-	c.clk.After(time.Minute, func() {
-		if r, ok := c.plays[inst]; ok && r == rec {
-			delete(c.plays, inst)
-		}
-	})
+	c.finished.push(rec)
+	c.clk.After(time.Minute, c.onExpire)
+}
+
+// expire forgets the play finished longest ago, unless a Restart has
+// replaced its record, and recycles the record: nothing else holds it.
+func (c *Controller) expire() {
+	rec := c.finished.pop()
+	if c.plays[rec.inst] == rec {
+		delete(c.plays, rec.inst)
+	}
+	if len(c.freePlays) < maxFreePlays {
+		c.freePlays = append(c.freePlays, rec)
+	}
 }
 
 // servingDisk returns the generation-local disk about to serve the

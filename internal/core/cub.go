@@ -245,11 +245,13 @@ type Cub struct {
 
 	desch tombstones[descKey, struct{}] // held deschedule records (§4.1.2)
 
-	queue          map[int32][]*startReq // pending starts per genDiskKey
-	queueLen       int                   // total queued starts, all genDiskKeys
-	scanning       map[int32]bool        // ownership scan active per genDiskKey
-	scanFns        map[int32]func()      // scanTick bound to each scanned genDiskKey
-	redundantStart map[msg.InstanceID]*startReq
+	// Pending starts per genDiskKey, and the neighbours' starts held in
+	// case their cub dies, in instance order.
+	queue          map[int32][]startReq
+	redundantStart []startReq
+	queueLen       int                                  // total queued starts, all genDiskKeys
+	scanning       map[int32]bool                       // ownership scan active per genDiskKey
+	scanFns        map[int32]func()                     // scanTick bound to each scanned genDiskKey
 	cancelledStart tombstones[msg.InstanceID, struct{}] // acks and cancels seen
 	enqueuedStart  tombstones[msg.InstanceID, struct{}] // dedup of start enqueues
 
@@ -286,15 +288,17 @@ type Cub struct {
 	// and slices to the transport — in flight in the simulator, or queued
 	// on a mesh writer — and the cub never rewrites them until the
 	// transport hands them back (Reclaim); the rt mesh never does.
-	// fwdOut is the last flush's batches still out, fwdOutStates its
-	// array if it is to be reused. The scratch slices make the per-tick
-	// collect and per-flush target ordering allocate nothing.
+	// fwdOut is every flush's sends still out that will come back, and
+	// fwdSpare the longest array whose every send came back. The scratch
+	// slices make the per-tick collect and per-flush target ordering
+	// allocate nothing.
 	fwdPending       map[msg.NodeID]*msg.Batch
 	fwdQueued        bool // fwdPending holds a message
 	fwdStates        []msg.ViewerState
 	fwdStatesLen     int
-	fwdOut           []*msg.Batch
-	fwdOutStates     []msg.ViewerState
+	fwdFlushes       uint64 // flushes so far; names a send's flush in fwdOut
+	fwdOut           []gossipSend
+	fwdSpare         []msg.ViewerState
 	fwdScratch       []*entry
 	fwdTargetScratch []msg.NodeID
 	hb               heartbeat // the deadman heartbeat's record (deadman.go)
@@ -339,10 +343,9 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		// Hold a deschedule record until no viewer state for its slot
 		// could still arrive.
 		desch:          newTombstones[descKey, struct{}](clk, cfg.MaxVStateLead+cfg.DescheduleHold+cfg.Sched.BlockPlay),
-		queue:          make(map[int32][]*startReq),
+		queue:          make(map[int32][]startReq),
 		scanning:       make(map[int32]bool),
 		scanFns:        make(map[int32]func()),
-		redundantStart: make(map[msg.InstanceID]*startReq),
 		cancelledStart: newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
 		enqueuedStart:  newTombstones[msg.InstanceID, struct{}](clk, time.Minute),
 		lastSeen:       make(map[msg.NodeID]sim.Time),

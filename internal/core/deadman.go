@@ -99,16 +99,17 @@ func (c *Cub) markDead(z msg.NodeID) {
 	}
 	// Promote redundant start requests targeting z's disks, in instance
 	// order for determinism.
-	for _, inst := range keysInOrder(c.redundantStart) {
-		req := c.redundantStart[inst]
+	kept := c.redundantStart[:0]
+	for _, req := range c.redundantStart {
 		g := GenOf(req.dkey)
 		if cfg := c.planes[g]; cfg == nil || !decider[g] || cfg.Layout.CubOfDisk(int(RawSlot(req.dkey))) != z {
+			kept = append(kept, req)
 			continue
 		}
-		delete(c.redundantStart, inst)
 		c.enqueueStart(req)
 		c.stats.RedundantRuns++
 	}
+	c.redundantStart = trimStarts(kept)
 	c.flushForwards()
 }
 

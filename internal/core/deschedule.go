@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"tiger/internal/msg"
 	"tiger/internal/trace"
 )
@@ -19,11 +21,11 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 		// copies and leave a tombstone so a late promotion cannot
 		// resurrect it.
 		c.cancelledStart.add(d.Instance, struct{}{})
-		delete(c.redundantStart, d.Instance)
+		c.dropRedundant(d.Instance)
 		for disk, q := range c.queue {
 			for i, req := range q {
 				if req.sp.Instance == d.Instance {
-					c.queue[disk] = append(q[:i:i], q[i+1:]...)
+					c.queue[disk] = trimStarts(slices.Delete(q, i, i+1))
 					c.queueLen--
 					break
 				}

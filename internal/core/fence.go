@@ -93,12 +93,19 @@ func (r *round) heard(who msg.NodeID) bool {
 func (r *round) close() { r.open, r.pending = false, nil }
 
 // tombstones remembers keys for ttl: each add arms one timer that
-// forgets its key, and a re-add one more. reset forgets everything, and
-// the timers armed before it forget from the map it replaced.
+// forgets its key, and a re-add one more. Every timer runs ttl after its
+// add, and a clock runs timers due at one instant in the order they were
+// armed, so they fire in add order: the keys wait in armed, and each
+// timer, the one callback bound at the first add, forgets the oldest.
+// reset forgets everything; the timers armed before it are stale, and
+// forget nothing from the map that replaced it.
 type tombstones[K comparable, V any] struct {
-	m   map[K]V
-	clk clock.Clock
-	ttl time.Duration
+	m       map[K]V
+	clk     clock.Clock
+	ttl     time.Duration
+	armed   fifo[K]
+	stale   int // timers armed before the last reset still to fire
+	onTimer func()
 }
 
 func newTombstones[K comparable, V any](clk clock.Clock, ttl time.Duration) tombstones[K, V] {
@@ -106,14 +113,56 @@ func newTombstones[K comparable, V any](clk clock.Clock, ttl time.Duration) tomb
 }
 
 func (t *tombstones[K, V]) add(k K, v V) {
-	m := t.m
-	m[k] = v
-	t.clk.After(t.ttl, func() { delete(m, k) })
+	t.m[k] = v
+	if t.onTimer == nil {
+		t.onTimer = t.expire
+	}
+	t.armed.push(k)
+	t.clk.After(t.ttl, t.onTimer)
+}
+
+func (t *tombstones[K, V]) expire() {
+	k := t.armed.pop()
+	if t.stale > 0 {
+		t.stale--
+		return
+	}
+	delete(t.m, k)
 }
 
 func (t *tombstones[K, V]) has(k K) bool { _, ok := t.m[k]; return ok }
 
-func (t *tombstones[K, V]) reset() { t.m = make(map[K]V) }
+func (t *tombstones[K, V]) reset() { t.m, t.stale = make(map[K]V), t.armed.n }
+
+// fifo is a first-in, first-out queue in a ring that doubles when full
+// and is given up when it empties: while it is in use it allocates
+// nothing once it has held its peak, and a burst's ring does not outlive
+// the burst.
+type fifo[T any] struct {
+	ring    []T
+	head, n int
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.ring) {
+		ring := make([]T, max(8, 2*len(q.ring)))
+		copy(ring[copy(ring, q.ring[q.head:]):], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = v
+	q.n++
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.ring[q.head]
+	var zero T
+	q.ring[q.head] = zero
+	q.head = (q.head + 1) % len(q.ring)
+	if q.n--; q.n == 0 {
+		q.ring, q.head = nil, 0
+	}
+	return v
+}
 
 // fence is what a receiver checks a message kind against.
 type fence uint8

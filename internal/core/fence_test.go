@@ -199,8 +199,8 @@ func cubState(c *Cub) string {
 		}
 	}
 	redundant := make(map[msg.InstanceID]bool, len(c.redundantStart))
-	for inst := range c.redundantStart {
-		redundant[inst] = true
+	for _, req := range c.redundantStart {
+		redundant[req.sp.Instance] = true
 	}
 	fmt.Fprint(&b, c.queueLen, redundant, c.desch.m, c.cancelledStart.m, c.enqueuedStart.m,
 		c.parkedInst.m, c.parkedTickets.m)

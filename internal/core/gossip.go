@@ -548,12 +548,19 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 }
 
 // stage gives vs a slot in the array of states this flush hands to the
-// network and returns it. The array is the last flush's, if it came back
-// (reclaimBatch), or one made when the first state of a flush needs it,
-// at fwdStatesLen.
+// network and returns it. The array is the spare, if a flush's came
+// back (Reclaim), or one made when the first state of a flush needs it,
+// at fwdStatesLen: a transport that returns nothing leaves every flush
+// to make one. A full array grows by half, not append's double, since
+// it may be kept.
 func (c *Cub) stage(vs msg.ViewerState) *msg.ViewerState {
 	if c.fwdStates == nil {
-		c.fwdStates = make([]msg.ViewerState, 0, max(c.fwdStatesLen, 1))
+		c.fwdStates, c.fwdSpare = c.fwdSpare, nil
+	}
+	if n := len(c.fwdStates); n == cap(c.fwdStates) {
+		grown := make([]msg.ViewerState, n, max(n+n/2, n+1, c.fwdStatesLen))
+		copy(grown, c.fwdStates)
+		c.fwdStates = grown
 	}
 	c.fwdStates = append(c.fwdStates, vs)
 	return &c.fwdStates[len(c.fwdStates)-1]
@@ -574,29 +581,49 @@ func (c *Cub) enqueueForward(to msg.NodeID, vs *msg.ViewerState) {
 	c.fwdQueued = true
 }
 
+// maxGossipOut bounds fwdOut: a flush sends to the two successors, and
+// outside a burst a second flush (an insertion's beside a forward
+// tick's) is the most that overlaps it. A burst's further sends (a
+// death's mirrors, a rejoin's) go out as though they would not come
+// back; keeping them would save nothing, since a burst's arrays
+// outnumber the one spare.
+const maxGossipOut = 4
+
+// gossipSend is a send of a flush that the network will hand back: a
+// batch, or a lone state, with the flush's array while every send of it
+// comes back.
+type gossipSend struct {
+	m      msg.Message
+	flush  uint64
+	states []msg.ViewerState // nil once a send of the flush will not come back
+}
+
 // flushForwards sends all queued per-target batches, in target order
-// for run-to-run determinism.
+// for run-to-run determinism. A target's lone message goes out by
+// itself, and its batch stays.
 //
-// A flush's state array, batches and slices are one generation, never
-// written again until the network hands them back (Reclaim). A batch to
-// a target that returns records waits on fwdOut; one to any other
-// target is left to the collector, and the target's next is made at its
-// size. The array is reused only if every message went out in such a
-// batch, once all are back. The next flush forgets a generation still
-// out.
+// A flush's state array, batches and slices are never written again
+// until the network hands them back (Reclaim). A send to a target that
+// returns records waits on fwdOut, if it has room; a batch to any other
+// target, or past the room, is left to the collector, and the target's
+// next is made at its size. The array is reused only if every send of
+// it comes back, once all have, and a flush that sends a batch gives up
+// an array it leaves sparse: a burst (a death's mirrors, a rejoin) grew
+// it.
 func (c *Cub) flushForwards() {
 	if !c.fwdQueued {
 		return
 	}
 	c.fwdQueued = false
+	c.fwdFlushes++
+	states, first := c.fwdStates, len(c.fwdOut)
 	// The next array is sized at this flush's length, or half the last
 	// size if that is more, so a flush of a state or two between forward
 	// ticks (an insertion's, a healed death's) does not leave the next
 	// tick's array to grow from one.
-	c.fwdStatesLen = max(len(c.fwdStates), c.fwdStatesLen/2)
-	c.fwdOutStates, c.fwdStates = c.fwdStates, nil
-	clear(c.fwdOut)
-	c.fwdOut = c.fwdOut[:0]
+	c.fwdStatesLen = max(len(states), c.fwdStatesLen/2)
+	kept, batched := true, false
+	c.fwdStates = nil
 	targets := c.fwdTargetScratch[:0]
 	for to := range c.fwdPending {
 		targets = append(targets, to)
@@ -609,62 +636,72 @@ func (c *Cub) flushForwards() {
 			continue
 		}
 		n := len(b.Msgs)
+		ret := returns(c.net, c.id, to) && len(c.fwdOut) < maxGossipOut
+		var m msg.Message = b
 		switch {
 		case n == 1:
-			// A lone message goes out by itself, and its batch stays.
-			c.net.Send(c.id, to, b.Msgs[0])
+			m = b.Msgs[0]
 			clear(b.Msgs)
 			b.Msgs = b.Msgs[:0]
-			c.fwdOutStates = nil
-		case returns(c.net, c.id, to):
-			c.fwdPending[to] = nil
-			c.fwdOut = append(c.fwdOut, b)
-			c.net.Send(c.id, to, b)
+		case ret:
+			c.fwdPending[to], batched = nil, true
 		default:
-			c.fwdPending[to] = &msg.Batch{Msgs: make([]msg.Message, 0, n)}
-			c.net.Send(c.id, to, b)
-			c.fwdOutStates = nil
+			c.fwdPending[to], batched = &msg.Batch{Msgs: make([]msg.Message, 0, n)}, true
 		}
+		if ret {
+			c.fwdOut = append(c.fwdOut, gossipSend{m, c.fwdFlushes, states})
+		} else {
+			kept = false
+		}
+		c.net.Send(c.id, to, m)
 		c.stats.GossipBatches++
 		c.stats.GossipMsgs += int64(n)
 	}
+	if !kept || batched && sparse(states) {
+		for i := first; i < len(c.fwdOut); i++ {
+			c.fwdOut[i].states = nil
+		}
+	}
 }
 
-// Reclaim implements netsim.Reclaimer. A batch of the generation in
-// flight is its target's pending batch again unless the target has
-// queued since; when the last is back, the array is the next to stage
-// in unless states have been staged since. The heartbeat's record counts
-// its sends back (deadman.go). Anything else is left to the collector.
+// Reclaim implements netsim.Reclaimer. A returned batch is its target's
+// pending batch again, unless it came back sparse or the target has
+// queued since into one with a longer slice; when the last send of a
+// flush is back, its array is the spare unless the spare is longer. The
+// heartbeat's record counts its sends back (deadman.go). Anything else
+// is left to the collector.
 func (c *Cub) Reclaim(to msg.NodeID, m msg.Message) {
 	if hb, ok := m.(*msg.Heartbeat); ok && hb == c.hb.rec {
 		c.hb.out--
-	}
-	b, ok := m.(*msg.Batch)
-	if !ok {
 		return
 	}
-	i := slices.Index(c.fwdOut, b)
-	if i < 0 {
-		return // of a generation no longer tracked
+	i := 0
+	for i < len(c.fwdOut) && c.fwdOut[i].m != m {
+		i++
 	}
+	if i == len(c.fwdOut) {
+		return // of a flush before a restart, or past fwdOut's room
+	}
+	s := c.fwdOut[i]
 	c.fwdOut = slices.Delete(c.fwdOut, i, i+1)
-	if c.fwdPending[to] == nil {
-		if snug(b.Msgs) {
-			clear(b.Msgs)
-			b.Msgs = b.Msgs[:0]
-		} else {
-			b.Msgs = make([]msg.Message, 0, len(b.Msgs))
+	if b, ok := s.m.(*msg.Batch); ok && !sparse(b.Msgs) {
+		clear(b.Msgs)
+		b.Msgs = b.Msgs[:0]
+		if p := c.fwdPending[to]; p == nil || len(p.Msgs) == 0 && cap(p.Msgs) < cap(b.Msgs) {
+			c.fwdPending[to] = b
 		}
-		c.fwdPending[to] = b
 	}
-	if s := c.fwdOutStates; len(c.fwdOut) == 0 && s != nil {
-		if c.fwdStates == nil && snug(s) {
-			c.fwdStates = s[:0]
+	if s.states == nil || cap(s.states) <= cap(c.fwdSpare) {
+		return
+	}
+	for _, o := range c.fwdOut {
+		if o.flush == s.flush {
+			return // a send of the flush is still out
 		}
-		c.fwdOutStates = nil
 	}
+	c.fwdSpare = s.states[:0]
 }
 
-// snug reports whether a returned slice is worth keeping: append, which
-// doubles, did not leave it half again as long as what it holds.
-func snug[S ~[]E, E any](s S) bool { return 2*cap(s) <= 3*len(s) }
+// sparse reports whether a used array or slice filled less than a
+// quarter of its capacity: a burst grew it, and it is not kept.
+func sparse[S ~[]E, E any](s S) bool { return cap(s) > 4*len(s) }

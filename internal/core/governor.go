@@ -283,7 +283,7 @@ func (c *Controller) parkOne(inst msg.InstanceID) {
 	g.parked[inst] = t
 	g.queue = append(g.queue, t)
 	g.stats.Parks++
-	c.finish(inst, rec)
+	c.finish(rec)
 }
 
 // ensureGovTick keeps a rolling park sweep running one tick apart while

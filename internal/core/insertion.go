@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"tiger/internal/msg"
@@ -28,7 +30,7 @@ func (c *Cub) onStartPlay(sp msg.StartPlay) {
 		return // unknown content; the controller validated, so ignore
 	}
 	d := ap.Layout.PrimaryDisk(f, int(sp.StartBlock))
-	req := &startReq{sp: sp, dkey: genDiskKey(c.activeGen, d), enqueued: c.clk.Now()}
+	req := startReq{sp: sp, dkey: genDiskKey(c.activeGen, d), enqueued: c.clk.Now()}
 	if !sp.Primary {
 		if c.cancelledStart.has(sp.Instance) {
 			return
@@ -42,13 +44,13 @@ func (c *Cub) onStartPlay(sp msg.StartPlay) {
 			c.stats.RedundantRuns++
 			return
 		}
-		c.redundantStart[sp.Instance] = req
+		c.holdRedundant(req)
 		return
 	}
 	c.enqueueStart(req)
 }
 
-func (c *Cub) enqueueStart(req *startReq) {
+func (c *Cub) enqueueStart(req startReq) {
 	// Idempotence guard: a duplicated StartPlay (an at-least-once
 	// transport retrying across a blip, or a redundant copy racing its
 	// promotion) must not enqueue the same instance twice — two inserts
@@ -65,8 +67,38 @@ func (c *Cub) enqueueStart(req *startReq) {
 }
 
 func (c *Cub) onStartAck(a msg.StartAck) {
-	delete(c.redundantStart, a.Instance)
+	c.dropRedundant(a.Instance)
 	c.cancelledStart.add(a.Instance, struct{}{})
+}
+
+// holdRedundant keeps a neighbour's start until its insertion is
+// acknowledged; a second copy of one replaces it.
+func (c *Cub) holdRedundant(req startReq) {
+	i, found := slices.BinarySearchFunc(c.redundantStart, req.sp.Instance, byInstance)
+	if found {
+		c.redundantStart[i] = req
+		return
+	}
+	c.redundantStart = slices.Insert(c.redundantStart, i, req)
+}
+
+// dropRedundant forgets the held copy of inst's start, if any.
+func (c *Cub) dropRedundant(inst msg.InstanceID) {
+	if i, found := slices.BinarySearchFunc(c.redundantStart, inst, byInstance); found {
+		c.redundantStart = trimStarts(slices.Delete(c.redundantStart, i, i+1))
+	}
+}
+
+func byInstance(r startReq, inst msg.InstanceID) int { return cmp.Compare(r.sp.Instance, inst) }
+
+// trimStarts gives up the array of an emptied start list longer than
+// four starts, which a burst of starts grew; a shorter one is kept for
+// the next.
+func trimStarts(q []startReq) []startReq {
+	if len(q) == 0 && cap(q) > 4 {
+		return nil
+	}
+	return q
 }
 
 // ensureScan starts the ownership scan loop for a (generation, disk)
@@ -130,20 +162,22 @@ func (c *Cub) tryInsert(k, slot int32, due sim.Time) {
 	if c.view.occupied(slot) {
 		return
 	}
+	// Pop the head, and any cancelled starts before it, moving the rest
+	// down so the queue keeps its backing array (trimStarts).
 	q := c.queue[k]
-	var req *startReq
-	for len(q) > 0 {
-		head := q[0]
-		q = q[1:]
-		c.queueLen--
-		if c.cancelledStart.has(head.sp.Instance) {
-			continue
-		}
-		req = head
-		break
+	i := 0
+	for i < len(q) && c.cancelledStart.has(q[i].sp.Instance) {
+		i++
 	}
-	c.queue[k] = q
-	if req == nil {
+	var req startReq
+	found := i < len(q)
+	if found {
+		req = q[i]
+		i++
+	}
+	c.queueLen -= i
+	c.queue[k] = trimStarts(slices.Delete(q, 0, i))
+	if !found {
 		return
 	}
 	cfg := c.planes[GenOf(k)]

@@ -473,12 +473,12 @@ func TestGenerationWaitsForEveryBatch(t *testing.T) {
 }
 
 // TestGossipBuffersBounded: what a cub keeps of its gossip between
-// flushes — the state array it will stage in, the batches pending per
-// target and their slices — stays within one generation of its largest
-// flush while the load grows and shrinks: one array, at most half again
-// as long as that flush, and slices at most twice its messages. A spare
-// generation kept beside the current one, or an array append doubled,
-// would exceed it.
+// flushes — the spare state array it will stage in, the batches pending
+// per target and their slices — stays within what its largest flush
+// needed while the load grows and shrinks: one array, at most half again
+// as long as that flush, and slices at most twice its messages. A second
+// array kept beside the spare, or an array append doubled, would exceed
+// it.
 func TestGossipBuffersBounded(t *testing.T) {
 	r := newRig(t, defaultRigOptions())
 	c := r.cubs[2]
@@ -514,7 +514,7 @@ func TestGossipBuffersBounded(t *testing.T) {
 					slots += cap(b.Msgs)
 				}
 			}
-			if arr := cap(c.fwdStates) + cap(c.fwdOutStates); arr > maxStates+maxStates/2 || slots > 2*maxMsgs {
+			if arr := cap(c.fwdStates) + cap(c.fwdSpare); arr > maxStates+maxStates/2 || slots > 2*maxMsgs {
 				t.Fatalf("at %v the cub keeps %d states and %d message slots; its largest flush was %d states in %d messages",
 					r.eng.Now(), arr, slots, maxStates, maxMsgs)
 			}
@@ -534,5 +534,167 @@ func TestGossipBuffersBounded(t *testing.T) {
 	check(20 * time.Second)
 	if checked < 200 || maxStates < 4 {
 		t.Fatalf("%d checks, largest flush %d states: the test exercises nothing", checked, maxStates)
+	}
+}
+
+// TestTombstoneExpiresIntoItsMap: each add arms one timer, ttl later,
+// and each timer forgets one key, once: the key of its own add, from the
+// map that add was made against. A reset forgets everything, and the
+// timers armed before it forget nothing from the map that replaced it,
+// not even a key re-added there; the queue of armed keys is given up
+// once the last timer has fired.
+func TestTombstoneExpiresIntoItsMap(t *testing.T) {
+	eng := sim.New(1)
+	ts := newTombstones[int, struct{}](clock.Sim{Eng: eng}, time.Second)
+	step := func(d time.Duration) { eng.RunFor(d) }
+	pending := eng.Pending()
+	ts.add(1, struct{}{})
+	step(250 * time.Millisecond)
+	ts.add(2, struct{}{})
+	if n := eng.Pending() - pending; n != 2 {
+		t.Fatalf("%d timers armed for two adds", n)
+	}
+	step(250 * time.Millisecond)
+	old := ts.m
+	ts.reset()
+	ts.add(1, struct{}{}) // the new map's, expiring at 1.5 s
+	if !ts.has(1) || ts.has(2) || len(old) != 2 {
+		t.Fatalf("after the reset: has(1) %v has(2) %v, old map %v", ts.has(1), ts.has(2), old)
+	}
+	step(500 * time.Millisecond) // 1 s: the first add's timer fires, stale
+	if !ts.has(1) || ts.stale != 1 {
+		t.Fatalf("a timer armed before the reset forgot the re-added key: has(1) %v, %d stale", ts.has(1), ts.stale)
+	}
+	step(250 * time.Millisecond) // 1.25 s: the second add's, stale too
+	if !ts.has(1) || ts.stale != 0 || ts.armed.n != 1 {
+		t.Fatalf("has(1) %v, %d stale, %d armed", ts.has(1), ts.stale, ts.armed.n)
+	}
+	step(250 * time.Millisecond) // 1.5 s: the re-add's own timer
+	if ts.has(1) || len(ts.m) != 0 || ts.armed.n != 0 || ts.armed.ring != nil {
+		t.Fatalf("at 1.5 s: map %v, %d armed, ring %d long", ts.m, ts.armed.n, len(ts.armed.ring))
+	}
+	if eng.Pending() != pending {
+		t.Fatalf("%d timers still armed", eng.Pending()-pending)
+	}
+}
+
+// TestPlayRecordRecycledByItsOwnExpiry: a finished play's record stays
+// in the controller's map for its minute, then goes back on the free
+// list — at its own expiry and no other, also when a Restart replaced
+// the map and the takeover's scavenge rebuilt a record for the same
+// instance, which the old record's expiry must leave in place. The free
+// list is the incarnation's and does not survive a Restart.
+func TestPlayRecordRecycledByItsOwnExpiry(t *testing.T) {
+	r := newRig(t, defaultRigOptions())
+	c := r.ctl
+	a, x := r.play(1, 0, 0), r.play(3, 2, 0)
+	r.run(15 * time.Second)
+	recA, recX := c.plays[a], c.plays[x]
+	if recA == nil || recA.state != PlayActive {
+		t.Fatalf("play not active: %+v", recA)
+	}
+	c.StopPlay(a)
+	r.run(3 * time.Second)
+	c.StopPlay(x) // its record is freed three seconds after a's
+	r.run(56 * time.Second)
+	if c.plays[a] != recA || len(c.freePlays) != 0 {
+		t.Fatalf("record left the map or was freed before its minute: %v, free %d", c.plays[a], len(c.freePlays))
+	}
+	r.run(2 * time.Second)
+	if c.plays[a] != nil || len(c.freePlays) != 1 || c.freePlays[0] != recA {
+		t.Fatalf("record not recycled at its expiry: %v, free %v", c.plays[a], c.freePlays)
+	}
+	b := r.play(2, 1, 0)
+	if c.plays[b] != recA || recA.viewer != 2 || recA.state != PlayQueued || len(c.freePlays) != 0 {
+		t.Fatalf("next play did not take the record cleanly: %+v", recA)
+	}
+
+	// b is served by the cubs but the controller takes it for finished;
+	// then the controller is restarted and the scavenge rebuilds b from
+	// the cubs' views under a new record.
+	r.run(15 * time.Second)
+	c.NotifyEOF(b)
+	if len(c.freePlays) != 1 || c.freePlays[0] != recX {
+		t.Fatalf("free list %v, want x's record", c.freePlays)
+	}
+	c.Restart()
+	if len(c.freePlays) != 0 {
+		t.Fatal("the free list outlived the Restart")
+	}
+	r.run(2 * time.Second)
+	rebuilt := c.plays[b]
+	if rebuilt == nil || rebuilt == recA || rebuilt.state != PlayActive || len(c.freePlays) != 0 {
+		t.Fatalf("scavenge did not rebuild the play: %+v (old %p), free %d", rebuilt, recA, len(c.freePlays))
+	}
+	r.run(time.Minute)
+	if c.plays[b] != rebuilt || len(c.freePlays) != 1 || c.freePlays[0] != recA {
+		t.Fatalf("old record's expiry touched the rebuilt one: map %p (rebuilt %p), free %v", c.plays[b], rebuilt, c.freePlays)
+	}
+	if c.finished.n != 0 {
+		t.Fatalf("%d finished plays still waiting", c.finished.n)
+	}
+}
+
+// TestLoneFlushGetsArrayBack: an insertion flushes the one state it
+// staged by itself, a lone message to each successor; both sends come
+// back, and the array is then the spare the next flush stages in.
+func TestLoneFlushGetsArrayBack(t *testing.T) {
+	r := newRig(t, defaultRigOptions())
+	c := r.cubs[0]
+	var sent []*msg.ViewerState
+	c.net = &tap{net: r.net, see: func(_ msg.NodeID, m msg.Message) {
+		if vs, ok := m.(*msg.ViewerState); ok {
+			sent = append(sent, vs)
+			// Each flush's first send waits alone, its second beside it.
+			if len(c.fwdOut) != 2-len(sent)%2 || c.fwdSpare != nil {
+				t.Fatalf("send %d: %d sends waited for, spare %d", len(sent), len(c.fwdOut), cap(c.fwdSpare))
+			}
+		}
+	}}
+	c.Deliver(msg.Controller, &msg.StartPlay{Viewer: 1, Instance: 1, File: 0, Bitrate: 2_000_000, Primary: true})
+	for i := 0; i < 100 && len(sent) == 0; i++ {
+		r.run(10 * time.Millisecond)
+	}
+	if len(sent) != 2 || sent[0] != sent[1] {
+		t.Fatalf("insertion sent %d lone states, want the one staged state to each successor", len(sent))
+	}
+	r.run(10 * time.Millisecond)
+	if len(c.fwdOut) != 0 || cap(c.fwdSpare) == 0 || &c.fwdSpare[:1][0] != sent[0] {
+		t.Fatalf("array not back: %d out, spare %d", len(c.fwdOut), cap(c.fwdSpare))
+	}
+	c.Deliver(msg.Controller, &msg.StartPlay{Viewer: 2, Instance: 2, File: 0, Bitrate: 2_000_000, Primary: true})
+	for i := 0; i < 100 && len(sent) == 2; i++ {
+		r.run(10 * time.Millisecond)
+	}
+	if len(sent) != 4 || sent[2] != sent[0] {
+		t.Fatalf("next flush did not stage in the spare: %d sends", len(sent))
+	}
+}
+
+// TestStartCycleAllocatesWireRecordsOnly: once warm, a start, its
+// insertion, four blocks of play and the end of file allocate only what
+// goes on the wire — the controller's two StartPlay copies and the
+// cub's StartAck. The queued start, the play record, the tombstones,
+// the gossip the insertion sends and the records of everything in
+// flight are all reused.
+func TestStartCycleAllocatesWireRecordsOnly(t *testing.T) {
+	o := defaultRigOptions()
+	o.fileBlocks = 4
+	r := newRig(t, o)
+	cycle := func() {
+		inst := r.play(1, 0, 0)
+		r.run(20 * time.Second)
+		r.ctl.NotifyEOF(inst)
+	}
+	for range 5 { // the finish hold recycles a play record a minute on
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(10, cycle)
+	t.Logf("%.1f allocations per start cycle", allocs)
+	if r.got(1) != 4 || r.totals().Inserts != 16 {
+		t.Fatalf("%d blocks played, %d inserts: the cycle exercises nothing", r.got(1), r.totals().Inserts)
+	}
+	if allocs > 3 {
+		t.Fatalf("%.1f allocations per start cycle, want the 3 wire records", allocs)
 	}
 }

@@ -50,16 +50,16 @@ func (c *Cub) Restart() {
 	}
 	c.freeEntries = nil // record pools are volatile state too
 	c.desch.reset()
-	c.queue = make(map[int32][]*startReq)
+	c.queue = make(map[int32][]startReq)
 	c.queueLen = 0
-	c.redundantStart = make(map[msg.InstanceID]*startReq)
+	c.redundantStart = nil
 	c.cancelledStart.reset()
 	c.enqueuedStart.reset()
 	c.believedDead = make(map[msg.NodeID]bool)
 	c.peers = make(marks[msg.NodeID, struct{}])
 	clear(c.scanFns)
 	c.fwdPending = make(map[msg.NodeID]*msg.Batch)
-	c.fwdStates, c.fwdOut, c.fwdOutStates = nil, nil, nil
+	c.fwdStates, c.fwdOut, c.fwdSpare = nil, nil, nil
 	c.hb = heartbeat{}
 	// The mover's copy queues are volatile too: queued restripe copies
 	// die with the incarnation, and the coordinator's resend timer

@@ -144,6 +144,7 @@ func (c *Controller) Restart() {
 	c.down = false
 	c.stats.Takeovers++
 	c.plays = make(map[msg.InstanceID]*playRecord)
+	c.freePlays = nil
 	c.active = 0
 	c.genLoad = make(map[int32]int)
 	c.rs = restriperState{restripeRun: c.rs.restripeRun}
@@ -190,6 +191,7 @@ func (c *Controller) onScavengeReply(r *msg.ScavengeReply) {
 				gcfg = c.gens[gen]
 			}
 			rec = &playRecord{
+				inst:       vs.Instance,
 				viewer:     vs.Viewer,
 				file:       vs.File,
 				startBlock: vs.Block,
@@ -352,7 +354,7 @@ func (c *Cub) onScavengeReq(q msg.ScavengeReq) {
 	// or held as a redundant copy for a neighbour. Reported with Due 0
 	// (no schedule position yet) and the gen-tagged primary disk in
 	// Slot; at token 0 a real state for the same instance wins the fold.
-	addQueued := func(req *startReq) {
+	addQueued := func(req startReq) {
 		best.admit(req.sp.Instance, 0, msg.ViewerState{Viewer: req.sp.Viewer, Instance: req.sp.Instance,
 			File: req.sp.File, Block: req.sp.StartBlock, Slot: req.dkey, Bitrate: req.sp.Bitrate})
 	}
@@ -361,8 +363,8 @@ func (c *Cub) onScavengeReq(q msg.ScavengeReq) {
 			addQueued(req)
 		}
 	}
-	for _, inst := range keysInOrder(c.redundantStart) {
-		addQueued(c.redundantStart[inst])
+	for _, req := range c.redundantStart {
+		addQueued(req)
 	}
 
 	reply := &msg.ScavengeReply{From: c.id, ForEpoch: q.Epoch, GovFence: int32(c.govMark)}

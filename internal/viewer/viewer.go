@@ -153,7 +153,7 @@ func (v *Viewer) Begin(inst msg.InstanceID, file msg.FileID, startBlock, totalBl
 	v.maxSeq = -1
 	v.nextCheck = 0
 	v.consecLost = 0
-	v.received = make(map[int32]partState)
+	clear(v.received)
 	if v.machine != nil {
 		v.machine.Attach()
 	}

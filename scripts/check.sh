@@ -113,7 +113,7 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # it returns, and a closed viewer client or controller host serves
 # nothing more — all under the race detector, beside the pooled
 # decoder's differential fuzz seeds.
-gotest -run 'TestSteadyBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
+gotest -run 'TestSteadyBlockPathAllocs|TestChurnBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents' .
 gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel|TestForwardedStatesNotRewritten|TestGenerationWaitsForEveryBatch|TestGossipBuffersBounded' ./internal/core
 gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
 gotest -race -run 'TestSendAllocs|TestCtlSendRecordReuse|TestReclaimAfterLastDelivery' ./internal/netsim
@@ -122,6 +122,19 @@ gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEv
 gotest -run 'TestWriteFlushCoalesces' ./internal/wire
 gotest -race -run 'TestMeshRecvAllocs|TestViewerClientBlockAllocs|TestMeshBlockPathAllocs|TestRecordHeldUntilHandlerReturns|TestViewerClientSilentAfterClose|TestControllerCloseStopsEpochService' ./internal/rt
 gotest -race -run 'FuzzDecode' ./internal/msg
+
+# Start/stop record gate: a start, its insertion and its end allocate
+# only what goes on the wire (two StartPlay copies and a StartAck), and
+# a delivered block at 90 % load with every stream replayed at the end of
+# its one-minute file stays inside 0.27 allocations (0.24 measured). A
+# tombstone's timer forgets its own key, once, from the map it was armed
+# against, also across a reset; a play record is recycled by its own
+# expiry only, also when a Restart's scavenge rebuilt its instance; an
+# insertion's lone-message flush gets its state array back. These
+# records recycle on the tigerd executor too, so the real-time start,
+# stop, failover and restart tests run under the race detector.
+gotest -run 'TestStartCycleAllocatesWireRecordsOnly|TestTombstoneExpiresIntoItsMap|TestPlayRecordRecycledByItsOwnExpiry|TestLoneFlushGetsArrayBack' ./internal/core
+gotest -race -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP' ./internal/rt
 
 # Config gate: core.BuildConfig is the one place a Config is derived
 # from a shape. tiger.New and the cluster spec must equal it, the
