@@ -68,9 +68,9 @@ func TestLazyBufferReleaseEqualsEager(t *testing.T) {
 				if e.vs.Mirror {
 					pace = cfg.MirrorPace()
 				}
-				c.service(e)
-				sends++
 				changes = append(changes, change{at: clk.now.Add(pace), release: true, seq: op, delta: -e.buffered, read: -1})
+				c.service(e) // hands the record back: read nothing of it after
+				sends++
 			}
 		}
 		clk.now = clk.now.Add(2 * cfg.Sched.BlockPlay)

@@ -7,6 +7,7 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/msg"
 	"tiger/internal/obs"
+	"tiger/internal/recycle"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -75,7 +76,7 @@ type Controller struct {
 	// Restart, as the timers do; freePlays does not.
 	finished  fifo[*playRecord]
 	onExpire  func() // c.expire, bound once
-	freePlays []*playRecord
+	freePlays recycle.List[*playRecord]
 
 	// Striping generations: during an elastic restripe two schedules
 	// coexist and admission must respect the disks they share. gens maps
@@ -270,10 +271,8 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 	d0 := acfg.Layout.PrimaryDisk(f, int(startBlock))
 	primary := acfg.Layout.CubOfDisk(d0)
 	now := c.clk.Now()
-	var rec *playRecord
-	if n := len(c.freePlays); n > 0 {
-		rec, c.freePlays = c.freePlays[n-1], c.freePlays[:n-1]
-	} else {
+	rec, ok := c.freePlays.Get()
+	if !ok {
 		rec = new(playRecord)
 	}
 	c.plays[inst] = rec
@@ -393,9 +392,7 @@ func (c *Controller) expire() {
 	if c.plays[rec.inst] == rec {
 		delete(c.plays, rec.inst)
 	}
-	if len(c.freePlays) < maxFreePlays {
-		c.freePlays = append(c.freePlays, rec)
-	}
+	c.freePlays.Put(rec, maxFreePlays)
 }
 
 // servingDisk returns the generation-local disk about to serve the

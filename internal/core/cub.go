@@ -11,6 +11,7 @@ import (
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/obs"
+	"tiger/internal/recycle"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -66,10 +67,8 @@ type entry struct {
 // newEntry takes a record from the free list, or allocates one and
 // binds its callback, and installs it in the view under key.
 func (c *Cub) newEntry(key entryKey, vs msg.ViewerState, disk int) *entry {
-	var e *entry
-	if n := len(c.freeEntries); n > 0 {
-		e = c.freeEntries[n-1]
-		c.freeEntries = c.freeEntries[:n-1]
+	e, ok := c.freeEntries.Get()
+	if ok {
 		*e = entry{c: c, onReadDone: e.onReadDone}
 	} else {
 		e = &entry{c: c}
@@ -93,7 +92,7 @@ func (e *entry) unpin() {
 // the component is back. Their records go to the collector.
 func (e *entry) retire() {
 	if e.pins == 0 && !e.live && e.key.part == -1 {
-		e.c.freeEntries = append(e.c.freeEntries, e)
+		e.c.freeEntries.Put(e, 0)
 	}
 }
 
@@ -240,8 +239,8 @@ type Cub struct {
 	activeGen  int32
 	nativeCubs int
 
-	view        view     // the schedule entries this cub holds
-	freeEntries []*entry // records ready for reuse; wiped by Restart
+	view        view                 // the schedule entries this cub holds
+	freeEntries recycle.List[*entry] // wiped by Restart
 
 	desch tombstones[descKey, struct{}] // held deschedule records (§4.1.2)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"tiger/internal/msg"
+	"tiger/internal/recycle"
 )
 
 // This file implements the deadman failure detector (§2.3) and what a
@@ -12,9 +13,8 @@ import (
 
 func (c *Cub) heartbeatTick() {
 	now := c.clk.Now()
-	hb := c.hb.next(msg.Heartbeat{From: c.id, Epoch: c.Epoch(), Now: int64(now)})
+	hb := c.hb.next(msg.Heartbeat{From: c.id, Epoch: c.Epoch(), Now: int64(now)}, len(c.monitored))
 	for _, n := range c.monitored {
-		c.hb.sent(returns(c.net, c.id, n))
 		c.net.Send(c.id, n, hb)
 	}
 	// Check for silent neighbours.
@@ -32,25 +32,32 @@ func (c *Cub) heartbeatTick() {
 
 // heartbeat is a node's heartbeat record, sent to every receiver of a
 // tick. A later tick reuses it only once every send of it has come back
-// (netsim.Reclaimer); otherwise that tick makes another.
+// (netsim.Reclaimer); a send that never comes back leaves out above zero,
+// and the next tick makes another.
 type heartbeat struct {
-	rec *msg.Heartbeat // nil once a send of it will not come back
-	out int            // sends of rec not yet back
+	rec *msg.Heartbeat
+	out int // sends of rec not yet back
 }
 
-func (h *heartbeat) next(hb msg.Heartbeat) *msg.Heartbeat {
+// next returns the record, holding hb, for a tick that sends it sends times.
+func (h *heartbeat) next(hb msg.Heartbeat, sends int) *msg.Heartbeat {
 	if h.rec == nil || h.out > 0 {
 		h.rec = new(msg.Heartbeat)
 	}
-	*h.rec, h.out = hb, 0
+	*h.rec, h.out = hb, sends
 	return h.rec
 }
 
-// sent counts one send of the record; ret says whether it comes back.
-func (h *heartbeat) sent(ret bool) {
-	if h.out++; !ret {
+// back counts m back if it is a send of the record, and reports whether
+// it was.
+func (h *heartbeat) back(m msg.Message) bool {
+	if hb, ok := m.(*msg.Heartbeat); !ok || hb != h.rec {
+		return false
+	}
+	if h.out--; h.out == 0 && !recycle.Reuse(h.rec) {
 		h.rec = nil
 	}
+	return true
 }
 
 func (c *Cub) markDead(z msg.NodeID) {

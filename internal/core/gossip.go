@@ -6,6 +6,7 @@ import (
 
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/recycle"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -215,8 +216,11 @@ func (e *entry) readDone(done sim.Time, ok bool) {
 
 // service runs at an entry's due time: send the block if its read
 // completed, otherwise report a missed block (§5's server-side loss
-// path).
+// path). It holds a pin while it reads the entry out of the view, so
+// the record goes back when it returns.
 func (c *Cub) service(e *entry) {
+	e.pins++
+	defer e.unpin()
 	c.dropEntry(e)
 	if !e.ready {
 		// The read did not complete in time. Feed the health monitor
@@ -671,8 +675,7 @@ func (c *Cub) flushForwards() {
 // heartbeat's record counts its sends back (deadman.go). Anything else
 // is left to the collector.
 func (c *Cub) Reclaim(to msg.NodeID, m msg.Message) {
-	if hb, ok := m.(*msg.Heartbeat); ok && hb == c.hb.rec {
-		c.hb.out--
+	if c.hb.back(m) {
 		return
 	}
 	i := 0
@@ -687,7 +690,7 @@ func (c *Cub) Reclaim(to msg.NodeID, m msg.Message) {
 	if b, ok := s.m.(*msg.Batch); ok && !sparse(b.Msgs) {
 		clear(b.Msgs)
 		b.Msgs = b.Msgs[:0]
-		if p := c.fwdPending[to]; p == nil || len(p.Msgs) == 0 && cap(p.Msgs) < cap(b.Msgs) {
+		if p := c.fwdPending[to]; recycle.Reuse(b) && (p == nil || len(p.Msgs) == 0 && cap(p.Msgs) < cap(b.Msgs)) {
 			c.fwdPending[to] = b
 		}
 	}
@@ -699,7 +702,9 @@ func (c *Cub) Reclaim(to msg.NodeID, m msg.Message) {
 			return // a send of the flush is still out
 		}
 	}
-	c.fwdSpare = s.states[:0]
+	if recycle.Reuse(s.states) {
+		c.fwdSpare = s.states[:0]
+	}
 }
 
 // sparse reports whether a used array or slice filled less than a

@@ -48,7 +48,7 @@ func (c *Cub) Restart() {
 	for _, k := range c.view.sortedKeys(nil) {
 		c.dropEntryRelease(k)
 	}
-	c.freeEntries = nil // record pools are volatile state too
+	c.freeEntries.Wipe() // record pools are volatile state too
 	c.desch.reset()
 	c.queue = make(map[int32][]startReq)
 	c.queueLen = 0

@@ -89,7 +89,7 @@ func (c *Controller) hbTick() {
 		return
 	}
 	now := c.clk.Now()
-	hb := c.hb.next(msg.Heartbeat{From: msg.Controller, Epoch: c.Epoch(), Now: int64(now)})
+	hb := c.hb.next(msg.Heartbeat{From: msg.Controller, Epoch: c.Epoch(), Now: int64(now)}, c.allCubs())
 	// Steady (jitter-free) delivery when the transport offers it: the
 	// heartbeat is periodic background traffic, and drawing per-send
 	// jitter from the simulation's shared randomness stream would
@@ -100,7 +100,6 @@ func (c *Controller) hbTick() {
 		send = s.SendSteady
 	}
 	for i := 0; i < c.allCubs(); i++ {
-		c.hb.sent(returns(c.net, msg.Controller, msg.NodeID(i)))
 		send(msg.Controller, msg.NodeID(i), hb)
 	}
 	c.hbTimer = c.clk.After(c.cfg.HeartbeatInterval, c.onHB)
@@ -108,11 +107,7 @@ func (c *Controller) hbTick() {
 
 // Reclaim implements netsim.Reclaimer: the heartbeat's record comes
 // back for reuse; every other message is left to the collector.
-func (c *Controller) Reclaim(_ msg.NodeID, m msg.Message) {
-	if hb, ok := m.(*msg.Heartbeat); ok && hb == c.hb.rec {
-		c.hb.out--
-	}
-}
+func (c *Controller) Reclaim(_ msg.NodeID, m msg.Message) { c.hb.back(m) }
 
 // Crash makes the incarnation inert in place: timers stop, deliveries
 // drop, and no further orders leave. The object survives because the
@@ -144,7 +139,7 @@ func (c *Controller) Restart() {
 	c.down = false
 	c.stats.Takeovers++
 	c.plays = make(map[msg.InstanceID]*playRecord)
-	c.freePlays = nil
+	c.freePlays.Wipe()
 	c.active = 0
 	c.genLoad = make(map[int32]int)
 	c.rs = restriperState{restripeRun: c.rs.restripeRun}

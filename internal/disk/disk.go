@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tiger/internal/clock"
+	"tiger/internal/recycle"
 	"tiger/internal/sim"
 )
 
@@ -134,7 +135,7 @@ type Disk struct {
 	rng    *rand.Rand
 
 	pending pendingHeap
-	free    []*pending // records ready for reuse
+	free    recycle.List[*pending]
 	seq     uint64
 	busy    bool
 	cur     *pending // the read on the platter, nil when idle
@@ -261,9 +262,7 @@ func (d *Disk) finish(p *pending) {
 }
 
 func (d *Disk) newPending() *pending {
-	if n := len(d.free); n > 0 {
-		p := d.free[n-1]
-		d.free = d.free[:n-1]
+	if p, ok := d.free.Get(); ok {
 		return p
 	}
 	p := &pending{}
@@ -276,7 +275,7 @@ func (d *Disk) newPending() *pending {
 func (d *Disk) recycle(p *pending) {
 	p.done = nil
 	p.cancelled = false
-	d.free = append(d.free, p)
+	d.free.Put(p, 0)
 }
 
 func (d *Disk) serviceTime(size int64, z Zone) time.Duration {

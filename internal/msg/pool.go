@@ -1,6 +1,10 @@
 package msg
 
-import "sync"
+import (
+	"sync"
+
+	"tiger/internal/recycle"
+)
 
 // pooled marks the kinds a cub receives once per block served: a Pool
 // keeps these, and only these, for reuse.
@@ -23,7 +27,7 @@ const maxFree = 1024
 // takes records while its executor hands them back.
 type Pool struct {
 	mu   sync.Mutex
-	free [numTypes][]Message
+	free [numTypes]recycle.List[Message]
 }
 
 // Get returns a record of kind t: one released earlier if p holds one,
@@ -31,14 +35,11 @@ type Pool struct {
 func (p *Pool) Get(t Type) Message {
 	if p != nil && pooled[t] {
 		p.mu.Lock()
-		if f := p.free[t]; len(f) > 0 {
-			m := f[len(f)-1]
-			f[len(f)-1] = nil
-			p.free[t] = f[:len(f)-1]
-			p.mu.Unlock()
+		m, ok := p.free[t].Get()
+		p.mu.Unlock()
+		if ok {
 			return m
 		}
-		p.mu.Unlock()
 	}
 	return types[t].new()
 }
@@ -65,7 +66,5 @@ func (p *Pool) put(m Message) {
 		}
 		b.Msgs = b.Msgs[:0]
 	}
-	if len(p.free[t]) < maxFree {
-		p.free[t] = append(p.free[t], m)
-	}
+	p.free[t].Put(m, maxFree)
 }

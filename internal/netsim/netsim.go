@@ -19,6 +19,7 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/msg"
 	"tiger/internal/obs"
+	"tiger/internal/recycle"
 	"tiger/internal/sim"
 )
 
@@ -146,8 +147,8 @@ type nodeStats struct {
 	// it takes its sent messages back (Reclaimer).
 	net       *Network
 	clk       clock.Clock
-	freeSends []*blockSend
-	freeCtl   []*ctlSend
+	freeSends recycle.List[*blockSend]
+	freeCtl   recycle.List[*ctlSend]
 	reclaim   Reclaimer
 
 	// jitter is the sender-local latency-jitter stream (splitmix64),
@@ -616,9 +617,7 @@ type ctlSend struct {
 }
 
 func (st *nodeStats) newCtlSend() *ctlSend {
-	if k := len(st.freeCtl); k > 0 {
-		r := st.freeCtl[k-1]
-		st.freeCtl = st.freeCtl[:k-1]
+	if r, ok := st.freeCtl.Get(); ok {
 		return r
 	}
 	r := &ctlSend{st: st}
@@ -633,9 +632,7 @@ func (r *ctlSend) onArrive() {
 		st.reclaim.Reclaim(r.to, r.m)
 	}
 	r.m = nil // the free list keeps no message alive
-	if len(st.freeCtl) < maxFreeCtl {
-		st.freeCtl = append(st.freeCtl, r)
-	}
+	st.freeCtl.Put(r, maxFreeCtl)
 }
 
 // SendBlock starts a paced data send of d.Bytes from a cub to a viewer
@@ -699,9 +696,7 @@ type blockSend struct {
 }
 
 func (st *nodeStats) newBlockSend() *blockSend {
-	if k := len(st.freeSends); k > 0 {
-		b := st.freeSends[k-1]
-		st.freeSends = st.freeSends[:k-1]
+	if b, ok := st.freeSends.Get(); ok {
 		return b
 	}
 	b := &blockSend{st: st}
@@ -711,7 +706,7 @@ func (st *nodeStats) newBlockSend() *blockSend {
 
 func (b *blockSend) onLastByte() {
 	b.st.net.deliverBlock(b.d)
-	b.st.freeSends = append(b.st.freeSends, b)
+	b.st.freeSends.Put(b, 0)
 }
 
 // settleNIC applies the pace ends that have fallen due by now, each at

@@ -13,6 +13,7 @@ import (
 	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/recycle"
 	"tiger/internal/sim"
 )
 
@@ -79,7 +80,7 @@ type Viewer struct {
 	totalBlocks int32 // blocks this play will deliver
 
 	nextCheck  int32
-	freeChecks []*deadlineCheck // fired check records ready for reuse
+	freeChecks recycle.List[*deadlineCheck] // fired check records
 	received   map[int32]partState
 	maxSeq     int32 // highest play sequence with any delivery (-1: none)
 
@@ -263,7 +264,7 @@ type deadlineCheck struct {
 
 func (c *deadlineCheck) run() {
 	v, k, inst := c.v, c.k, c.inst
-	v.freeChecks = append(v.freeChecks, c)
+	v.freeChecks.Put(c, 0)
 	v.check(k, inst)
 }
 
@@ -272,11 +273,8 @@ func (v *Viewer) scheduleCheck() {
 	if now := v.clk.Now(); at < now {
 		at = now // inferred timeline: the deadline already passed
 	}
-	var c *deadlineCheck
-	if n := len(v.freeChecks); n > 0 {
-		c = v.freeChecks[n-1]
-		v.freeChecks = v.freeChecks[:n-1]
-	} else {
+	c, ok := v.freeChecks.Get()
+	if !ok {
 		c = &deadlineCheck{v: v}
 		c.fire = c.run
 	}

@@ -87,9 +87,13 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # capped, the message not kept once delivered), and comes back to the
 # sender exactly once, after its delivery, exactly when Returns said it
 # would (under the race detector). The cub rewrites no gossip it handed
-# to the network until all of it is back — a flush's state array waits
-# for every batch — and keeps at most one generation of it between
-# flushes. The mechanisms that bought the cuts
+# to the network until all of it is back: a flush's state array is the
+# spare only once its last send is back, and a state received from a
+# slow link equals the copy taken when it was sent. What the cub keeps
+# between flushes stays within its largest flush: one spare array, the
+# longest whose sends are all back, at most half again that flush, and
+# batch slices at most twice its messages, with up to maxGossipOut sends
+# tracked. The mechanisms that bought the cuts
 # stay equal to their plain references —
 # the engine's queue (a timing wheel of 1 024 buckets of 2^20 ns, each
 # sorted once when opened, in front of a 4-ary heap for the far events)
@@ -128,13 +132,40 @@ gotest -race -run 'FuzzDecode' ./internal/msg
 # a delivered block at 90 % load with every stream replayed at the end of
 # its one-minute file stays inside 0.27 allocations (0.24 measured). A
 # tombstone's timer forgets its own key, once, from the map it was armed
-# against, also across a reset; a play record is recycled by its own
-# expiry only, also when a Restart's scavenge rebuilt its instance; an
+# against, also across a reset; each reused record goes back on its
+# owner's recycle.List only when its own lifetime ends (a play record at
+# its expiry, also when a Restart's scavenge rebuilt its instance), and an
 # insertion's lone-message flush gets its state array back. These
 # records recycle on the tigerd executor too, so the real-time start,
 # stop, failover and restart tests run under the race detector.
 gotest -run 'TestStartCycleAllocatesWireRecordsOnly|TestTombstoneExpiresIntoItsMap|TestPlayRecordRecycledByItsOwnExpiry|TestLoneFlushGetsArrayBack' ./internal/core
 gotest -race -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP' ./internal/rt
+
+# No-reuse gate: built with the tag norecycle, no record is reused and
+# every record handed back is poisoned (internal/recycle), so a holder
+# that reads one after handing it back reads poison where the untagged
+# build reads a plausible new occupant. Reuse is invisible when the
+# tagged build prints what the untagged one does: churn-fail-14's block
+# line at three seeds (its crash and restart recycle the most), the chaos
+# and random-operation suites, byte determinism, and the real-time start,
+# stop, failover and restart tests under the race detector. The
+# allocation and reuse tests stay out of this gate: they measure reuse,
+# which the tag turns off. They run untagged above, and none is skipped.
+go vet -tags norecycle ./...
+gotest -tags norecycle ./internal/recycle
+for seed in 1 2 3; do
+    plain=$(go run ./bench -workload churn-fail-14 -seed "$seed")
+    tagged=$(go run -tags norecycle ./bench -workload churn-fail-14 -seed "$seed")
+    plain=$(printf '%s\n' "$plain" | grep '^blocks due')
+    tagged=$(printf '%s\n' "$tagged" | grep '^blocks due')
+    if [ "$plain" != "$tagged" ]; then
+        echo "check.sh: churn-fail-14 seed $seed differs under norecycle:" >&2
+        printf '  %s\n  %s\n' "$plain" "$tagged" >&2
+        exit 1
+    fi
+done
+gotest -tags norecycle -run 'TestChaos|TestRandomOperationsInvariants|TestDeterministicReplay' .
+gotest -race -tags norecycle -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP' ./internal/rt
 
 # Config gate: core.BuildConfig is the one place a Config is derived
 # from a shape. tiger.New and the cluster spec must equal it, the
