@@ -137,6 +137,13 @@ func New(id msg.ViewerID, clk clock.Clock, blockPlay, slack time.Duration, machi
 	}
 }
 
+// Reset readies a finished viewer for another play under a new ID on the
+// given machine, its stats at zero. Its callbacks, check records and
+// received map are kept; Begin arms the play.
+func (v *Viewer) Reset(id msg.ViewerID, machine *Machine) {
+	v.ID, v.machine, v.stats = id, machine, Stats{}
+}
+
 // Stats returns the viewer's cumulative observations.
 func (v *Viewer) Stats() Stats { return v.stats }
 

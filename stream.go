@@ -9,6 +9,7 @@ import (
 	"tiger/internal/core"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/recycle"
 	"tiger/internal/trace"
 	"tiger/internal/viewer"
 )
@@ -21,14 +22,20 @@ const viewerSlack = 500 * time.Millisecond
 // cluster).
 func clockOf(c *Cluster) clock.Clock { return clock.Sim{Eng: c.Eng} }
 
-// Stream is one viewer's play of one file.
+// Stream is one viewer's play of one file. A stream the replay loop
+// started (RampTo) is re-armed at end of file: the same record, and its
+// Viewer, carry the next play under a new Instance and viewer ID, and
+// Done reads false again. A *Stream that Play returns to its caller is
+// never re-armed.
 type Stream struct {
 	Viewer   *viewer.Viewer
 	Instance msg.InstanceID
 	File     msg.FileID
 
-	cluster *Cluster
-	done    bool
+	cluster       *Cluster
+	done          bool
+	startBlock    int32
+	loadAtRequest float64 // schedule load when the play was requested
 
 	// OnEOF, if set, fires when the stream plays to end of file; drivers
 	// use it to start a replay ("played it from beginning to end and
@@ -40,14 +47,32 @@ type Stream struct {
 // request goes to the controller immediately; the viewer may wait in a
 // cub's queue until a free slot passes under an ownership window.
 func (c *Cluster) Play(file msg.FileID, startBlock int32) (*Stream, error) {
+	return c.play(nil, file, startBlock)
+}
+
+// play starts a play on s, a finished replay-loop stream whose record
+// and viewer are re-armed, or on a fresh record when s is nil.
+func (c *Cluster) play(s *Stream, file msg.FileID, startBlock int32) (*Stream, error) {
 	f, ok := c.Cfg.Files[file]
 	if !ok {
 		return nil, fmt.Errorf("tiger: unknown file %d", file)
 	}
 	c.nextViewer++
 	vid := c.nextViewer
-	v := viewer.New(vid, clockOf(c), c.Cfg.Sched.BlockPlay, viewerSlack,
-		c.machineFor(vid), c.Loss)
+	if s == nil {
+		s = &Stream{cluster: c}
+		v := viewer.New(vid, clockOf(c), c.Cfg.Sched.BlockPlay, viewerSlack,
+			c.machineFor(vid), c.Loss)
+		v.OnFirstBlock, v.OnDone = s.firstBlock, s.eof
+		if c.Opt.RestartStalled > 0 {
+			v.StallThreshold = int32(c.Opt.RestartStalled)
+			v.OnStalled = s.stalled
+		}
+		s.Viewer = v
+	} else {
+		s.Viewer.Reset(vid, c.machineFor(vid))
+	}
+	v := s.Viewer
 	c.Net.RegisterViewer(vid, v)
 
 	// The load this request joins includes starts still waiting for a
@@ -61,53 +86,63 @@ func (c *Cluster) Play(file msg.FileID, startBlock int32) (*Stream, error) {
 		c.Net.UnregisterViewer(vid)
 		return nil, err
 	}
-	s := &Stream{Viewer: v, Instance: inst, File: file, cluster: c}
+	s.Instance, s.File, s.startBlock, s.loadAtRequest, s.done = inst, file, startBlock, loadAtRequest, false
 	c.streams[inst] = s
 
 	v.Begin(inst, file, startBlock, int32(f.Blocks)-startBlock)
-	v.OnFirstBlock = func(lat time.Duration) {
-		c.StartupLatency.AddDuration(lat)
-		c.StartupPoints = append(c.StartupPoints, StartupPoint{Load: loadAtRequest, Latency: lat})
-	}
 	// Close the block-lifecycle span at the client: margin of each
 	// delivered piece against the viewer's play deadline, recorded under
 	// the serving cub's label so per-cub receipt slack is comparable with
 	// its insert/state/read/send stages. Not under sharding: the viewer
 	// runs on shard 0 and must not reach into another shard's cub.
+	// Assigned on every play, so a wrapper a caller chained onto the
+	// previous play's viewer does not carry over.
+	v.OnTimedDelivery = nil
 	if c.sharded == nil {
-		v.OnTimedDelivery = c.timedDelivery
-	}
-	v.OnDone = func() {
-		if s.done {
-			return
-		}
-		s.finish()
-		c.Controller.NotifyEOF(inst)
-		if s.OnEOF != nil {
-			s.OnEOF(s)
-		}
-	}
-	if c.Opt.RestartStalled > 0 {
-		v.StallThreshold = int32(c.Opt.RestartStalled)
-		v.OnStalled = func() {
-			if s.done {
-				return
-			}
-			onEOF := s.OnEOF
-			s.Stop()
-			if ns, err := c.Play(file, startBlock); err == nil {
-				ns.OnEOF = onEOF
-			}
-		}
+		v.OnTimedDelivery = c.timedDeliveryFn
 	}
 	return s, nil
+}
+
+// firstBlock records the play's startup latency against the load its
+// request joined (Figure 10).
+func (s *Stream) firstBlock(lat time.Duration) {
+	c := s.cluster
+	c.StartupLatency.AddDuration(lat)
+	c.StartupPoints = append(c.StartupPoints, StartupPoint{Load: s.loadAtRequest, Latency: lat})
+}
+
+// eof ends the play at its last deadline and fires OnEOF, which may
+// re-arm s for the next play.
+func (s *Stream) eof() {
+	if s.done {
+		return
+	}
+	s.finish()
+	s.cluster.Controller.NotifyEOF(s.Instance)
+	if s.OnEOF != nil {
+		s.OnEOF(s)
+	}
+}
+
+// stalled gives the play up and requests it again from its start on a
+// fresh stream, as a real client would (Options.RestartStalled).
+func (s *Stream) stalled() {
+	if s.done {
+		return
+	}
+	onEOF := s.OnEOF
+	s.Stop()
+	if ns, err := s.cluster.Play(s.File, s.startBlock); err == nil {
+		ns.OnEOF = onEOF
+	}
 }
 
 // timedDelivery reports the receipt step: the delivery's last byte
 // against the viewer's play deadline, under the serving cub's name so
 // its receipt slack is comparable with its other stages and the block's
 // causal chain closes in that cub's log (see the OnTimedDelivery wiring
-// above).
+// in play). It is bound once, as Cluster.timedDeliveryFn.
 func (c *Cluster) timedDelivery(d netsim.BlockDelivery, slack time.Duration) {
 	if i := int(d.From); i >= 0 && i < len(c.Cubs) && c.sink.Wants(trace.Receipt) {
 		c.sink.Emit(trace.Event{
@@ -153,13 +188,15 @@ func (c *Cluster) PlayRandom() (*Stream, error) {
 // random files, and leaves them looping: on EOF each viewer immediately
 // replays a new random file, like the paper's workload. Requests are
 // staggered by Options.RampSpacing, as the paper's client starts were.
+// A looping stream's record is re-armed at each EOF, under a new
+// Instance and viewer ID (see Stream).
 func (c *Cluster) RampTo(target int) error {
 	for c.liveStreams() < target {
 		s, err := c.PlayRandom()
 		if err != nil {
 			return err
 		}
-		s.OnEOF = c.replay
+		s.OnEOF = c.replayFn
 		if c.Opt.RampSpacing > 0 && c.liveStreams() < target {
 			// Jitter the spacing so request arrivals do not alias with
 			// the schedule cycle; resonance would cluster slot
@@ -242,6 +279,10 @@ func (c *Cluster) StartRetryStats() (retries, abandoned int64) {
 	return c.startRetries, c.startAbandoned
 }
 
+// replay is the workload loop's OnEOF (bound once, as c.replayFn): it
+// starts the next play on a random file. No caller holds old, a finished
+// stream of the loop, so its record and viewer carry the next play; under
+// the norecycle build they are poisoned and the play gets fresh ones.
 func (c *Cluster) replay(old *Stream) {
 	if c.rs.Phase == core.RestripeCutover {
 		// Restripe cutover quiesce: hold the replay and re-issue it the
@@ -249,12 +290,16 @@ func (c *Cluster) replay(old *Stream) {
 		c.rs.DeferredReplays++
 		return
 	}
-	s, err := c.PlayRandom()
+	if old != nil && !recycle.Reuse(old.Viewer) {
+		recycle.Reuse(old) // poisoned too
+		old = nil
+	}
+	s, err := c.play(old, msg.FileID(c.rng.Intn(c.Opt.NumFiles)), 0)
 	if err != nil {
 		if failoverErr(err) {
 			// Controller outage: keep the viewer's intent alive across the
 			// takeover with the client retry policy.
-			c.retryStart(1, c.PlayRandom, func(s *Stream) { s.OnEOF = c.replay })
+			c.retryStart(1, c.PlayRandom, func(s *Stream) { s.OnEOF = c.replayFn })
 			return
 		}
 		if c.rs.Phase.Active() {
@@ -269,13 +314,16 @@ func (c *Cluster) replay(old *Stream) {
 		}
 		return // admission refused; the viewer gives up
 	}
-	s.OnEOF = c.replay
+	s.OnEOF = c.replayFn
 }
 
 // liveStreams counts streams not yet done (queued or active).
 func (c *Cluster) liveStreams() int { return len(c.streams) }
 
-// Streams returns the currently live streams, keyed by instance.
+// Streams returns the currently live streams, keyed by instance. A
+// stream of the replay loop (RampTo) is re-armed at EOF: the same *Stream
+// comes back under a new Instance and viewer ID, and Done reads false
+// again.
 func (c *Cluster) Streams() map[msg.InstanceID]*Stream { return c.streams }
 
 // StopAll stops every live stream.

@@ -211,6 +211,10 @@ type Cluster struct {
 
 	// cumulative viewer tallies, folded in as streams finish
 	tallyOK, tallyLost, tallyMirror int64
+
+	// replay and timedDelivery, bound once (stream.go)
+	replayFn        func(*Stream)
+	timedDeliveryFn func(netsim.BlockDelivery, time.Duration)
 }
 
 // StartupPoint is one stream start: the schedule load when it was
@@ -278,6 +282,7 @@ func New(o Options) (*Cluster, error) {
 		streams:        make(map[msg.InstanceID]*Stream),
 		oracle:         newSlotOracle(),
 	}
+	c.replayFn, c.timedDeliveryFn = c.replay, c.timedDelivery
 	shardOf := func(id msg.NodeID) int {
 		if id < 0 {
 			return 0 // controller (and any other sentinel) lives with the harness
