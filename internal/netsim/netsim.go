@@ -52,11 +52,12 @@ type HandlerFunc func(from msg.NodeID, m msg.Message)
 func (f HandlerFunc) Deliver(from msg.NodeID, m msg.Message) { f(from, m) }
 
 // Reclaimer is an optional Handler refinement. When the network has
-// finished with a control message the node sent to a node on its own
-// executor, it hands the message back through Reclaim in the arrival
-// event, after the destination's Deliver has run (or the arrival was
-// dropped because an endpoint failed or crashed in flight). Returns says
-// up front which sends come back; no other send is ever returned.
+// finished with a control message the node sent, it hands the message
+// back through Reclaim after the destination's Deliver has run (or the
+// arrival was dropped because an endpoint failed or crashed in flight):
+// in the arrival event when both nodes run on one executor, else at the
+// next window barrier of a sharded run. Returns says up front which
+// sends come back; no other send is ever returned.
 type Reclaimer interface {
 	Reclaim(to msg.NodeID, m msg.Message)
 }
@@ -143,13 +144,17 @@ type nodeStats struct {
 
 	// net and clk are the network and the clock of the node's executor,
 	// for the callbacks of the records in flight. freeSends and freeCtl
-	// are the records ready for reuse. reclaim is the node's handler if
-	// it takes its sent messages back (Reclaimer).
-	net       *Network
-	clk       clock.Clock
-	freeSends recycle.List[*blockSend]
-	freeCtl   recycle.List[*ctlSend]
-	reclaim   Reclaimer
+	// are the records ready for reuse; one that arrived on another
+	// shard's executor is put back at the barrier. blocksAway is the
+	// viewer shard's hand-back list when that shard is not the node's.
+	// reclaim is the node's handler if it takes its sent messages back
+	// (Reclaimer).
+	net        *Network
+	clk        clock.Clock
+	freeSends  recycle.List[*blockSend]
+	freeCtl    recycle.List[*ctlSend]
+	blocksAway *handBack
+	reclaim    Reclaimer
 
 	// jitter is the sender-local latency-jitter stream (splitmix64),
 	// used instead of the network-wide rng when the simulation is
@@ -183,6 +188,7 @@ type Network struct {
 	stats   map[msg.NodeID]*nodeStats
 	links   map[pairKey]*linkFault // directed link faults; absent = healthy
 	shard   *ShardMap              // nil for a single-engine simulation
+	back    []handBack             // per shard: records that arrived there from another shard
 
 	// DropControl, if non-nil, is consulted for each control message;
 	// returning true drops it. Used by fault-injection tests only — the
@@ -224,7 +230,10 @@ func New(params Params, clk clock.Clock, rng *rand.Rand) *Network {
 // NodeStats reads happen only between RunUntil calls from the driver,
 // and every viewer lives on ViewerShard. Under those rules the shared
 // maps (nodes, failed, incarn, links) are read-only during windows and
-// all mutable state is shard-owned.
+// all mutable state is shard-owned. A send that arrives on another
+// shard rides its sender's record like any other; the destination shard
+// lists it when it fires, and the barrier hook hands it back to the
+// sender (and the message to its Reclaim) between windows.
 type ShardMap struct {
 	// ShardOf maps a node to its shard; it must be a pure function and
 	// must cover msg.Controller.
@@ -235,6 +244,9 @@ type ShardMap struct {
 	// Post schedules fn at instant at on shard dst, called from shard
 	// src's execution context (sim.Sharded.Post).
 	Post func(src, dst int, at sim.Time, fn func())
+	// OnBarrier sets the hook to run, single-threaded, after every
+	// window's mailbox drain (sim.Sharded.OnBarrier).
+	OnBarrier func(hook func())
 	// ViewerShard hosts every viewer endpoint (and the harness code
 	// that registers them); block deliveries are posted to it.
 	ViewerShard int
@@ -248,9 +260,11 @@ type ShardMap struct {
 // per-sender jitter streams of already-registered nodes.
 func (n *Network) SetSharded(sm *ShardMap) {
 	n.shard = sm
+	n.back = make([]handBack, len(sm.Clocks))
+	sm.OnBarrier(n.giveBack)
 	for id, st := range n.stats {
 		st.jitter = jitterSeed(sm.Seed, id)
-		st.clk = n.clockFor(id)
+		st.clk, st.blocksAway = n.clockFor(id), n.blocksAway(id)
 	}
 }
 
@@ -279,6 +293,15 @@ func (n *Network) clockFor(id msg.NodeID) clock.Clock {
 	return n.clk
 }
 
+// blocksAway returns the viewer shard's hand-back list if node id runs
+// on another shard, else nil.
+func (n *Network) blocksAway(id msg.NodeID) *handBack {
+	if n.shard == nil || n.shard.ShardOf(id) == n.shard.ViewerShard {
+		return nil
+	}
+	return &n.back[n.shard.ViewerShard]
+}
+
 // Register attaches a node to the switch.
 func (n *Network) Register(id msg.NodeID, h Handler) {
 	if _, dup := n.nodes[id]; dup {
@@ -304,7 +327,7 @@ func (n *Network) AttachObs(reg *obs.Registry) {
 func (n *Network) statsFor(id msg.NodeID) *nodeStats {
 	st := n.stats[id]
 	if st == nil {
-		st = &nodeStats{net: n, clk: n.clockFor(id)}
+		st = &nodeStats{net: n, clk: n.clockFor(id), blocksAway: n.blocksAway(id)}
 		st.lastChange = st.clk.Now()
 		if n.shard != nil {
 			st.jitter = jitterSeed(n.shard.Seed, id)
@@ -495,8 +518,7 @@ func (n *Network) send(from, to msg.NodeID, m msg.Message, jitter bool) {
 	st.ctlBytes += int64(m.Size())
 	st.ctlMsgs++
 
-	// Whether the message comes back to the sender (Returns); a cross-shard
-	// arrival never uses ret.
+	// Whether the message comes back to the sender (Returns).
 	ret := st.reclaim != nil && n.DropControl == nil
 
 	// Link faults. The sender already paid for the bytes above: a cut or
@@ -537,20 +559,18 @@ func (n *Network) send(from, to msg.NodeID, m msg.Message, jitter bool) {
 
 // Returns reports whether a control message sent from→to now will be
 // handed back to the sender's Reclaim. A message comes back, exactly
-// once and in its arrival event, if and only if Returns was true when it
-// was sent: the sender is a Reclaimer, both endpoints are up, no
-// DropControl hook is installed, the link is not cut and neither drops
-// nor duplicates (the first copy of a duplicate to arrive could not tell
-// whether the other is still in flight), and both nodes run on one
-// executor.
+// once, in its arrival event or (across shards) at the next barrier, if
+// and only if Returns was true when it was sent: the sender is a
+// Reclaimer, both endpoints are up, no DropControl hook is installed,
+// the link is not cut and neither drops nor duplicates (the first copy
+// of a duplicate to arrive could not tell whether the other is still in
+// flight).
 func (n *Network) Returns(from, to msg.NodeID) bool {
 	if st := n.stats[from]; st == nil || st.reclaim == nil || n.failed[from] || n.failed[to] || n.DropControl != nil {
 		return false
 	}
-	if lf := n.links[pairKey{from, to}]; lf != nil && (lf.cut || lf.flaky.DropProb > 0 || lf.flaky.DupProb > 0) {
-		return false
-	}
-	return n.shard == nil || n.shard.ShardOf(from) == n.shard.ShardOf(to)
+	lf := n.links[pairKey{from, to}]
+	return lf == nil || !lf.cut && lf.flaky.DropProb <= 0 && lf.flaky.DupProb <= 0
 }
 
 // deliverCtl schedules one control-message arrival, preserving FIFO per
@@ -570,17 +590,15 @@ func (n *Network) deliverCtl(from, to msg.NodeID, st *nodeStats, m msg.Message, 
 		arrive = last + 1 // preserve FIFO per pair
 	}
 	st.lastArr[to] = arrive
-	fromInc, toInc := n.incarn[from], n.incarn[to]
+	r := st.newCtlSend()
+	r.from, r.to, r.fromInc, r.toInc, r.m, r.ret, r.away = from, to, n.incarn[from], n.incarn[to], m, ret, nil
 	if n.shard != nil {
 		if src, dst := n.shard.ShardOf(from), n.shard.ShardOf(to); src != dst {
-			// The arrival runs on another shard's executor, where the
-			// sender's free list must not be touched (as in SendBlock).
-			n.shard.Post(src, dst, arrive, func() { n.deliverOne(from, to, fromInc, toInc, m) })
+			r.away = &n.back[dst]
+			n.shard.Post(src, dst, arrive, r.arrive)
 			return
 		}
 	}
-	r := st.newCtlSend()
-	r.from, r.to, r.fromInc, r.toInc, r.m, r.ret = from, to, fromInc, toInc, m, ret
 	st.clk.At(arrive, r.arrive)
 }
 
@@ -602,17 +620,19 @@ func (n *Network) deliverOne(from, to msg.NodeID, fromInc, toInc int32, m msg.Me
 // storm's re-sends) does not stay on the heap after it has landed.
 const maxFreeCtl = 64
 
-// ctlSend is one control message in flight to a node on the sender's
-// executor. Like blockSend it belongs to the sending node, is reused
-// through its free list and has its callback bound once; it is never
-// cancelled, so it is free again when it has fired. ret says whether
-// the arrival hands m back to the sender.
+// ctlSend is one control message in flight. Like blockSend it belongs
+// to the sending node, is reused through its free list and has its
+// callback bound once; it is never cancelled, so it is free again when
+// it has fired, or at the next barrier when it fired on another shard's
+// executor (away, that shard's hand-back list). ret says whether m goes
+// back to the sender.
 type ctlSend struct {
 	st             *nodeStats
 	from, to       msg.NodeID
 	fromInc, toInc int32
 	m              msg.Message
 	ret            bool
+	away           *handBack
 	arrive         func()
 }
 
@@ -626,8 +646,18 @@ func (st *nodeStats) newCtlSend() *ctlSend {
 }
 
 func (r *ctlSend) onArrive() {
+	r.st.net.deliverOne(r.from, r.to, r.fromInc, r.toInc, r.m)
+	if r.away != nil {
+		r.away.ctl = append(r.away.ctl, r)
+		return
+	}
+	r.free()
+}
+
+// free hands m back to the sender if it returns and the record to the
+// sender's free list.
+func (r *ctlSend) free() {
 	st := r.st
-	st.net.deliverOne(r.from, r.to, r.fromInc, r.toInc, r.m)
 	if r.ret {
 		st.reclaim.Reclaim(r.to, r.m)
 	}
@@ -662,19 +692,12 @@ func (n *Network) SendBlock(from msg.NodeID, d BlockDelivery, pace time.Duration
 	// LastByte >= now + LatencyBase even for a zero pace, which is what
 	// lets a sharded run post the delivery to the viewer shard.
 	d.LastByte = now.Add(pace + n.latency(st))
-	if n.shard != nil {
-		if src := n.shard.ShardOf(from); src != n.shard.ViewerShard {
-			// The delivery runs on another shard's executor, where the
-			// sender's records and free list must not be touched: it
-			// carries its own copy of d (declared here so that only
-			// this branch pays for the heap copy).
-			posted := d
-			n.shard.Post(src, n.shard.ViewerShard, d.LastByte, func() { n.deliverBlock(posted) })
-			return
-		}
-	}
 	b := st.newBlockSend()
 	b.d = d
+	if st.blocksAway != nil {
+		n.shard.Post(n.shard.ShardOf(from), n.shard.ViewerShard, d.LastByte, b.lastByte)
+		return
+	}
 	clk.At(d.LastByte, b.lastByte)
 }
 
@@ -684,11 +707,12 @@ func (n *Network) deliverBlock(d BlockDelivery) {
 	}
 }
 
-// blockSend is the arrival of one block's last byte at a viewer that
-// runs on the sender's executor. Records belong to the sending node and
-// are reused through its free list; the callback is bound once, when the
-// record is first allocated, and reads its argument from it. The event
-// is never cancelled, so the record is free again when it has fired.
+// blockSend is the arrival of one block's last byte at a viewer.
+// Records belong to the sending node and are reused through its free
+// list; the callback is bound once, when the record is first allocated,
+// and reads its argument from it. The event is never cancelled, so the
+// record is free again when it has fired, or at the next barrier when
+// the viewer shard is not the sender's.
 type blockSend struct {
 	st       *nodeStats
 	d        BlockDelivery
@@ -706,7 +730,37 @@ func (st *nodeStats) newBlockSend() *blockSend {
 
 func (b *blockSend) onLastByte() {
 	b.st.net.deliverBlock(b.d)
+	if away := b.st.blocksAway; away != nil {
+		away.blocks = append(away.blocks, b)
+		return
+	}
 	b.st.freeSends.Put(b, 0)
+}
+
+// handBack lists the records that fired on one shard's executor but
+// belong to a sender on another. Only that shard appends to it during a
+// window, so it needs no lock.
+type handBack struct {
+	ctl    []*ctlSend
+	blocks []*blockSend
+}
+
+// giveBack is the barrier hook of a sharded run: it gives every record
+// that arrived on another shard's executor back to its sender, in shard
+// order, while no shard runs.
+func (n *Network) giveBack() {
+	for i := range n.back {
+		hb := &n.back[i]
+		for _, r := range hb.ctl {
+			r.free()
+		}
+		for _, b := range hb.blocks {
+			b.st.freeSends.Put(b, 0)
+		}
+		clear(hb.ctl)
+		clear(hb.blocks)
+		hb.ctl, hb.blocks = hb.ctl[:0], hb.blocks[:0]
+	}
 }
 
 // settleNIC applies the pace ends that have fallen due by now, each at

@@ -604,8 +604,8 @@ func (r *reclaimer) Reclaim(to msg.NodeID, m msg.Message) {
 // exactly once, in its arrival event and after the destination's handler
 // has run, also when the destination failed or crashed while it was in
 // flight; it never comes back from a duplicated send, a cut or lossy
-// link, a DropControl hook or another shard, and Returns says so before
-// each send.
+// link or a DropControl hook, and Returns says so before each send.
+// Across shards it comes back the same way, at the next barrier.
 func TestReclaimAfterLastDelivery(t *testing.T) {
 	eng, n := testNet(t, nil)
 	dst := &recorder{eng: eng}
@@ -683,36 +683,179 @@ func TestReclaimAfterLastDelivery(t *testing.T) {
 		t.Fatalf("healed: delivered %d, back %d", d, b)
 	}
 
-	// Across shards the arrival is posted to the other executor, which
-	// must not touch the sender: nothing comes back, on the same shard
-	// everything does.
-	eng, n = testNet(t, nil)
-	dst, far := &recorder{eng: eng}, &recorder{eng: eng}
-	src = &reclaimer{recorder: recorder{eng: eng}, dst: dst}
-	n.Register(0, dst)
-	n.Register(1, src)
-	n.Register(2, far)
-	clk := clock.Sim{Eng: eng}
-	n.SetSharded(&ShardMap{
-		ShardOf: func(id msg.NodeID) int {
-			if id == 2 {
-				return 1
-			}
-			return 0
+	reclaimAcrossShards(t)
+}
+
+// shardRig is a two-shard run: node 1 on shard 0 sends and takes its
+// messages back; node 2 and viewer 7 are on shard 1. It logs each
+// barrier and what node 1's records and messages did around it.
+type shardRig struct {
+	co       *sim.Sharded
+	n        *Network
+	barriers int  // barriers begun so far: during a window, its index
+	inHook   bool // the barrier hook is running
+	got      []int
+	back     []int // barrier of each message handed back, -1 in a window
+	backMsgs []msg.Message
+	log      []barrierLog
+}
+
+// barrierLog is one barrier: records listed on shard 1 and records on
+// node 1's free lists before the hook, and on its free lists after it.
+type barrierLog struct{ listed, freeBefore, freeAfter int }
+
+func newShardRig(t *testing.T) *shardRig {
+	t.Helper()
+	e0, e1 := sim.New(1), sim.New(2)
+	p := DefaultParams()
+	r := &shardRig{co: sim.NewSharded([]*sim.Engine{e0, e1}, p.LatencyBase, 1)}
+	r.n = New(p, clock.Sim{Eng: e0}, rand.New(rand.NewSource(9)))
+	r.n.Register(1, r)
+	r.n.Register(2, HandlerFunc(func(msg.NodeID, msg.Message) { r.got = append(r.got, r.barriers) }))
+	r.n.RegisterViewer(7, sinkFunc(func(BlockDelivery) { r.got = append(r.got, r.barriers) }))
+	r.n.SetSharded(&ShardMap{
+		ShardOf:     func(id msg.NodeID) int { return int(id) / 2 },
+		Clocks:      []clock.Clock{clock.Sim{Eng: e0}, clock.Sim{Eng: e1}},
+		Post:        r.co.Post,
+		ViewerShard: 1,
+		OnBarrier: func(hook func()) {
+			r.co.OnBarrier(func() {
+				r.barriers++
+				l := barrierLog{listed: len(r.n.back[1].ctl) + len(r.n.back[1].blocks), freeBefore: r.pooled()}
+				r.inHook = true
+				hook()
+				r.inHook = false
+				l.freeAfter = r.pooled()
+				r.log = append(r.log, l)
+			})
 		},
-		Clocks: []clock.Clock{clk, clk},
-		Post:   func(_, _ int, at sim.Time, fn func()) { eng.At(at, fn) },
 	})
-	if !n.Returns(1, 0) || n.Returns(1, 2) {
-		t.Fatalf("Returns same shard %v, across %v", n.Returns(1, 0), n.Returns(1, 2))
+	return r
+}
+
+func (r *shardRig) pooled() int {
+	st := r.n.stats[1]
+	return len(st.freeCtl) + len(st.freeSends)
+}
+
+func (r *shardRig) Deliver(msg.NodeID, msg.Message) {}
+
+func (r *shardRig) Reclaim(_ msg.NodeID, m msg.Message) {
+	at := -1
+	if r.inHook {
+		at = r.barriers
 	}
-	near, other := &msg.Heartbeat{From: 1}, &msg.Heartbeat{From: 1, Epoch: 2}
-	n.Send(1, 0, near)
-	n.Send(1, 2, other)
-	eng.Run()
-	if len(dst.msgs) != 1 || len(far.msgs) != 1 || len(src.back) != 1 || src.back[0] != near {
-		t.Fatalf("delivered %d and %d, handed back %v", len(dst.msgs), len(far.msgs), src.back)
+	r.back, r.backMsgs = append(r.back, at), append(r.backMsgs, m)
+}
+
+// reclaimAcrossShards: a cross-shard arrival runs on the destination
+// shard's executor, which lists its record; the record goes back to the
+// sender, and the message to its Reclaim, exactly once, in the barrier
+// hook right after the window of the arrival and never inside a window.
+// That holds for a block and for a message, also when the destination
+// failed or crashed in flight, and Returns says so before each send; a
+// duplicated, cut or lossy send's message never comes back.
+func reclaimAcrossShards(t *testing.T) {
+	r := newShardRig(t)
+	// send sends a message (or, with block, a block) from node 1 under a
+	// fault arrange sets up, runs 1 µs, applies inFlight, runs the rest of
+	// the way and lifts the fault. Any of the three may be nil.
+	send := func(name string, block bool, arrange, inFlight, lift func()) {
+		t.Helper()
+		if arrange != nil {
+			arrange()
+		}
+		returns := r.n.Returns(1, 2)
+		r.got, r.back, r.backMsgs, r.log = nil, nil, nil, nil
+		r.n.stats[1].freeCtl.Wipe()
+		r.n.stats[1].freeSends.Wipe()
+		m := &msg.Heartbeat{From: 1}
+		if block {
+			r.n.SendBlock(1, BlockDelivery{Viewer: 7, Bytes: 65536, Parts: 1}, 10*time.Millisecond)
+		} else {
+			r.n.Send(1, 2, m)
+		}
+		first := r.barriers
+		r.co.RunFor(time.Microsecond)
+		if inFlight != nil {
+			inFlight()
+		}
+		r.co.RunFor(50 * time.Millisecond)
+		if lift != nil {
+			lift()
+		}
+		// Every record that arrived is listed at exactly one barrier, the
+		// first after its window, and the hook of that barrier moves it
+		// to the free list; nothing moves inside a window.
+		listedAt, sent := -1, 0
+		for i, l := range r.log {
+			if l.listed > 0 && listedAt < 0 {
+				listedAt = first + i + 1
+			}
+			if l.freeAfter-l.freeBefore != l.listed {
+				t.Fatalf("%s: barrier %d listed %d records and freed %d", name, first+i+1, l.listed, l.freeAfter-l.freeBefore)
+			}
+			if i > 0 && l.freeBefore != r.log[i-1].freeAfter {
+				t.Fatalf("%s: a record went back inside the window before barrier %d", name, first+i+1)
+			}
+			sent += l.listed
+		}
+		for _, g := range r.got {
+			if g+1 != listedAt {
+				t.Fatalf("%s: arrived in window %d, listed at barrier %d", name, g, listedAt)
+			}
+		}
+		for i, b := range r.back {
+			if r.backMsgs[i] != m || b != listedAt {
+				t.Fatalf("%s: handed back %+v at barrier %d (-1: in a window), its record listed at %d", name, r.backMsgs[i], b, listedAt)
+			}
+		}
+		if !block && returns != (len(r.back) == 1) || len(r.back) > 1 || block && len(r.back) > 0 {
+			t.Fatalf("%s: Returns said %v, handed back %d times", name, returns, len(r.back))
+		}
+		if r.pooled() != sent || r.inHook {
+			t.Fatalf("%s: %d records back of %d listed", name, r.pooled(), sent)
+		}
 	}
+	check := func(name string, wantGot, wantBack int) {
+		t.Helper()
+		if len(r.got) != wantGot || len(r.back) != wantBack {
+			t.Fatalf("%s: delivered %d, back %d; want %d and %d", name, len(r.got), len(r.back), wantGot, wantBack)
+		}
+	}
+	if !r.n.Returns(1, 2) {
+		t.Fatal("Returns refuses a healthy cross-shard send")
+	}
+	send("block", true, nil, nil, nil)
+	check("block", 1, 0)
+	if r.pooled() != 1 {
+		t.Fatalf("the block's record is not back: %d free", r.pooled())
+	}
+	send("healthy", false, nil, nil, nil)
+	check("healthy", 1, 1)
+	for _, c := range []struct {
+		name string
+		down func(msg.NodeID)
+	}{{"failed in flight", r.n.Fail}, {"crashed in flight", r.n.Crash}} {
+		send(c.name, false, nil, func() { c.down(2) }, func() { r.n.Revive(2) })
+		check(c.name, 0, 1)
+	}
+	never := []struct {
+		name          string
+		arrange, lift func()
+		wantGot       int
+	}{
+		{"duplicated", func() { r.n.SetFlakyOneWay(1, 2, FlakyParams{DupProb: 1}) }, func() { r.n.HealOneWay(1, 2) }, 2},
+		{"cut", func() { r.n.CutOneWay(1, 2) }, func() { r.n.HealOneWay(1, 2) }, 0},
+		{"lossy, dropped", func() { r.n.SetFlakyOneWay(1, 2, FlakyParams{DropProb: 1}) }, func() { r.n.HealOneWay(1, 2) }, 0},
+		{"lossy, delivered", func() { r.n.SetFlakyOneWay(1, 2, FlakyParams{DropProb: 1e-9}) }, func() { r.n.HealOneWay(1, 2) }, 1},
+	}
+	for _, c := range never {
+		send(c.name, false, c.arrange, nil, c.lift)
+		check(c.name, c.wantGot, 0)
+	}
+	send("healed", false, nil, nil, nil)
+	check("healed", 1, 1)
 }
 
 // TestLazyNICEqualsEager drives randomized paced sends — primary and

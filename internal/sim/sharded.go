@@ -20,7 +20,9 @@ import "fmt"
 //  2. Barrier.
 //  3. Drain the S×S mailboxes single-threaded in a fixed order —
 //     destination-major, then source 0..S-1, preserving append order —
-//     injecting each posted callback into its destination engine.
+//     injecting each posted callback into its destination engine, then
+//     run the barrier hook (OnBarrier), still single-threaded, where the
+//     model may touch any shard's state.
 //
 // Because shard execution is deterministic (each engine's order is a
 // pure function of its queue) and the drain order is fixed, the
@@ -38,6 +40,7 @@ type Sharded struct {
 	// read only by the coordinator after the barrier, so it needs no
 	// lock; the WaitGroup/channel barrier provides the happens-before.
 	mail [][][]post
+	hook func()
 }
 
 // post is one cross-shard injection: run fn at instant at on the
@@ -100,6 +103,11 @@ func (s *Sharded) Processed() uint64 {
 func (s *Sharded) Post(src, dst int, at Time, fn func()) {
 	s.mail[src][dst] = append(s.mail[src][dst], post{at: at, fn: fn})
 }
+
+// OnBarrier sets fn to run on the coordinator after every drain: the
+// one that opens each RunUntil and the one after every window. No shard
+// runs while fn does.
+func (s *Sharded) OnBarrier(fn func()) { s.hook = fn }
 
 // RunUntil advances the whole sharded model to t, window by window.
 func (s *Sharded) RunUntil(t Time) {
@@ -214,7 +222,8 @@ func (s *Sharded) nextEvent() (Time, bool) {
 
 // drain injects every mailbox post into its destination engine, in a
 // fixed order so injected sequence numbers — and hence the global event
-// order — do not depend on the worker count.
+// order — do not depend on the worker count, and then runs the barrier
+// hook.
 func (s *Sharded) drain() {
 	for dst := range s.engines {
 		e := s.engines[dst]
@@ -229,5 +238,8 @@ func (s *Sharded) drain() {
 			}
 			s.mail[src][dst] = box[:0]
 		}
+	}
+	if s.hook != nil {
+		s.hook()
 	}
 }

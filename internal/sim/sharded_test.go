@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,5 +140,77 @@ func TestRunBefore(t *testing.T) {
 	}
 	if got := e.Processed(); got != 2 {
 		t.Fatalf("Processed = %d, want 2", got)
+	}
+}
+
+// TestShardedBarrierHook: the hook runs once after every drain — the one
+// that opens a RunUntil and the one after each window, the final window
+// included — with every engine at the window's end, the mailboxes
+// drained and no shard running, at any worker count. Every shard's
+// events and the hook write the same per-shard counters, so under -race
+// a hook that overlapped a window would also show as a race.
+func TestShardedBarrierHook(t *testing.T) {
+	const (
+		lookahead = 300 * time.Microsecond
+		period    = 10 * time.Microsecond
+	)
+	for _, workers := range []int{1, 2, 4} {
+		engines := make([]*Engine, 4)
+		for i := range engines {
+			engines[i] = New(int64(i))
+		}
+		co := NewSharded(engines, lookahead, workers)
+		events := make([]int, len(engines)) // per shard, since the last hook: written by both
+		last := make([]Time, len(engines))  // per shard, the last event's instant
+		var inHook atomic.Bool
+		var overlaps atomic.Int64
+		for i, e := range engines {
+			var tick func()
+			tick = func() {
+				if inHook.Load() {
+					overlaps.Add(1)
+				}
+				events[i]++
+				last[i] = e.Now()
+				co.Post(i, (i+1)%len(engines), e.Now().Add(lookahead), func() {})
+				e.After(period, tick)
+			}
+			e.At(0, tick)
+		}
+		var at []Time
+		co.OnBarrier(func() {
+			inHook.Store(true)
+			defer inHook.Store(false)
+			end := engines[0].Now()
+			for i, e := range engines {
+				if e.Now() != end || last[i] > end {
+					t.Fatalf("workers=%d: shard %d at %v, last event %v, at a barrier at %v", workers, i, e.Now(), last[i], end)
+				}
+				for dst := range engines {
+					if len(co.mail[i][dst]) > 0 {
+						t.Fatalf("workers=%d: the hook ran before the drain", workers)
+					}
+				}
+				events[i] = 0
+			}
+			at = append(at, end)
+		})
+		co.RunUntil(Time(1000 * time.Microsecond))
+		co.RunUntil(Time(1400 * time.Microsecond))
+		us := func(d int64) Time { return Time(d * int64(time.Microsecond)) }
+		// The second RunUntil opens with a drain at 1 ms and hops to the
+		// next event, 10 µs on.
+		want := []Time{0, us(300), us(600), us(900), us(1000), us(1000), us(1310), us(1400)}
+		if fmt.Sprint(at) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: hook ran at %v, want %v", workers, at, want)
+		}
+		for i := range engines {
+			if last[i] != us(1400) {
+				t.Fatalf("workers=%d: shard %d's last event at %v, before the final window's end", workers, i, last[i])
+			}
+		}
+		if overlaps.Load() != 0 {
+			t.Fatalf("workers=%d: %d events ran during the hook", workers, overlaps.Load())
+		}
 	}
 }

@@ -90,8 +90,14 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # reuses (0 allocations and one engine event a message, its free list
 # capped, the message not kept once delivered), and comes back to the
 # sender exactly once, after its delivery, exactly when Returns said it
-# would (under the race detector). The cub rewrites no gossip it handed
-# to the network until all of it is back: a flush's state array is the
+# would (under the race detector). Across shards a message or block
+# rides its sender's record too and goes back at the next window
+# barrier, never inside a window: the barrier hook runs once after every
+# drain with no shard running (under the race detector at 1, 2 and 4
+# workers), and a delivered block on two shards at rated load stays
+# inside the serial engine's 0.01 allocations at one worker and at two.
+# The cub rewrites no gossip it handed to the network until all of it is
+# back: a flush's state array is the
 # spare only once its last send is back, and a state received from a
 # slow link equals the copy taken when it was sent. What the cub keeps
 # between flushes stays within its largest flush: one spare array, the
@@ -121,10 +127,11 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # it returns, and a closed viewer client or controller host serves
 # nothing more — all under the race detector, beside the pooled
 # decoder's differential fuzz seeds.
-gotest -run 'TestSteadyBlockPathAllocs|TestChurnBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents|TestReplayRearmsStream' .
+gotest -run 'TestSteadyBlockPathAllocs|TestChurnBlockPathAllocs|TestShardedBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents|TestReplayRearmsStream' .
 gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel|TestForwardedStatesNotRewritten|TestGenerationWaitsForEveryBatch|TestGossipBuffersBounded' ./internal/core
 gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
 gotest -race -run 'TestSendAllocs|TestCtlSendRecordReuse|TestReclaimAfterLastDelivery' ./internal/netsim
+gotest -race -run 'TestShardedBarrierHook' ./internal/sim
 gotest -run 'TestQueueAgainstSortedModel|TestSortNodes|TestShardedDeterministicAcrossWorkers' ./internal/sim
 gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestNodeTimerAllocs|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
 gotest -run 'TestWriteFlushCoalesces' ./internal/wire
@@ -150,7 +157,8 @@ gotest -race -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejo
 # that reads one after handing it back reads poison where the untagged
 # build reads a plausible new occupant. Reuse is invisible when the
 # tagged build prints what the untagged one does: churn-fail-14's block
-# line at three seeds (its crash and restart recycle the most), the chaos
+# line at three seeds (its crash and restart recycle the most) and
+# sharded-56's at one (its records come back at window barriers), the chaos
 # and random-operation suites, byte determinism, the replay loop's
 # re-armed stream, and the real-time start, stop, failover and restart
 # tests under the race detector. The
@@ -158,13 +166,14 @@ gotest -race -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejo
 # which the tag turns off. They run untagged above, and none is skipped.
 go vet -tags norecycle ./...
 gotest -tags norecycle ./internal/recycle
-for seed in 1 2 3; do
-    plain=$(go run ./bench -workload churn-fail-14 -seed "$seed")
-    tagged=$(go run -tags norecycle ./bench -workload churn-fail-14 -seed "$seed")
+for run in churn-fail-14:1 churn-fail-14:2 churn-fail-14:3 sharded-56:1; do
+    workload=${run%:*} seed=${run#*:}
+    plain=$(go run ./bench -workload "$workload" -seed "$seed")
+    tagged=$(go run -tags norecycle ./bench -workload "$workload" -seed "$seed")
     plain=$(printf '%s\n' "$plain" | grep '^blocks due')
     tagged=$(printf '%s\n' "$tagged" | grep '^blocks due')
     if [ "$plain" != "$tagged" ]; then
-        echo "check.sh: churn-fail-14 seed $seed differs under norecycle:" >&2
+        echo "check.sh: $workload seed $seed differs under norecycle:" >&2
         printf '  %s\n  %s\n' "$plain" "$tagged" >&2
         exit 1
     fi
@@ -261,14 +270,16 @@ gotest -race -run 'TestControllerFailover' .
 # the race detector — this is the coordination code's correctness proof —
 # and the sharded cluster's metrics surface, then a short 200-cub
 # scalability smoke at rated load with the ns/event and allocs/event
-# budgets enforced (1.0 allocs/event: the block path allocates nothing,
-# what is left is gossip and cross-shard posts — about 4.1 allocations
-# over 5.7 events on six shards, 0.72 measured) and zero loss required
-# (the experiment fails itself on any lost block).
+# budgets enforced (0.15 allocs/event: cross-shard sends ride their
+# senders' records, and what is left is view entries while the views
+# still grow, the controller's heartbeat fanning out to more cubs than
+# its free list keeps records for, and the viewer model — 0.064 measured)
+# and zero loss required (the experiment fails itself on any lost
+# block).
 gotest -race -run 'TestSharded' .
 scdir=$(mktemp -d)
 go run ./cmd/tigerbench -exp scalability -scalecubs 200 -scalesettle 5s -scalehold 15s \
-    -nsevent-budget 6000 -allocs-budget 1.0 -out "$scdir" >/dev/null
+    -nsevent-budget 6000 -allocs-budget 0.15 -out "$scdir" >/dev/null
 [ -s "$scdir/BENCH_scale.json" ]
 rm -rf "$scdir"
 

@@ -303,6 +303,7 @@ func New(o Options) (*Cluster, error) {
 			ShardOf:     shardOf,
 			Clocks:      clocks,
 			Post:        c.sharded.Post,
+			OnBarrier:   c.sharded.OnBarrier,
 			ViewerShard: 0,
 			Seed:        o.Seed,
 		})
