@@ -18,6 +18,7 @@ import (
 	"tiger/internal/disk"
 	"tiger/internal/layout"
 	"tiger/internal/msg"
+	"tiger/internal/recycle"
 	"tiger/internal/schedule"
 )
 
@@ -39,7 +40,7 @@ type SteadySender interface {
 // Returner is an optional Transport refinement: Returns reports whether
 // a message sent from→to now will be handed back to the sender's Reclaim
 // (netsim.Reclaimer), after which the sender may reuse its record.
-// netsim.Network implements it; the TCP mesh returns nothing.
+// netsim.Network and the TCP mesh (rt.Mesh) implement it.
 type Returner interface {
 	Returns(from, to msg.NodeID) bool
 }
@@ -47,6 +48,26 @@ type Returner interface {
 func returns(net Transport, from, to msg.NodeID) bool {
 	r, ok := net.(Returner)
 	return ok && r.Returns(from, to)
+}
+
+// maxFreeCopies bounds each list sendCopy draws on: a few starts' sends.
+const maxFreeCopies = 16
+
+// sendCopy sends v from→to on a record of its own: one off l, which the
+// sender's Reclaim refills, if this send will come back too, else new.
+func sendCopy[T any, P interface {
+	*T
+	msg.Message
+}](net Transport, l *recycle.List[P], from, to msg.NodeID, v T) {
+	r, ok := P(nil), false
+	if returns(net, from, to) {
+		r, ok = l.Get()
+	}
+	if !ok {
+		r = new(T)
+	}
+	*r = v
+	net.Send(from, to, r)
 }
 
 // Config is the static, globally agreed configuration of a Tiger system.

@@ -77,6 +77,9 @@ type Controller struct {
 	finished  fifo[*playRecord]
 	onExpire  func() // c.expire, bound once
 	freePlays recycle.List[*playRecord]
+	// Sent starts' and stops' records, back (Reclaim); no play holds one.
+	freeStarts recycle.List[*msg.StartPlay]
+	freeDescs  recycle.List[*msg.Deschedule]
 
 	// Striping generations: during an elastic restripe two schedules
 	// coexist and admission must respect the disks they share. gens maps
@@ -312,10 +315,8 @@ func (c *Controller) StartPlayFrom(viewer msg.ViewerID, addr [16]byte, file msg.
 	}
 	p := sp
 	p.Primary = true
-	c.net.Send(msg.Controller, primary, &p)
-	r := sp
-	r.Primary = false
-	c.net.Send(msg.Controller, acfg.Layout.Successor(primary), &r)
+	sendCopy(c.net, &c.freeStarts, msg.Controller, primary, p)
+	sendCopy(c.net, &c.freeStarts, msg.Controller, acfg.Layout.Successor(primary), sp)
 	c.stats.Starts++
 	return inst, nil
 }
@@ -346,9 +347,8 @@ func (c *Controller) StopPlay(inst msg.InstanceID) {
 // slot to cub and, for redundancy, to its successor (§4.1.2).
 func (c *Controller) deschedule(rec *playRecord, inst msg.InstanceID, slot int32, cub msg.NodeID) {
 	d := msg.Deschedule{Viewer: rec.viewer, Instance: inst, Slot: slot, Created: int64(c.clk.Now())}
-	d1 := d
-	c.net.Send(msg.Controller, cub, &d1)
-	c.net.Send(msg.Controller, c.genCfg(rec.gen).Layout.Successor(cub), &d)
+	sendCopy(c.net, &c.freeDescs, msg.Controller, cub, d)
+	sendCopy(c.net, &c.freeDescs, msg.Controller, c.genCfg(rec.gen).Layout.Successor(cub), d)
 }
 
 // NotifyEOF records that a viewer reached end of file; the stream left

@@ -239,8 +239,9 @@ type Cub struct {
 	activeGen  int32
 	nativeCubs int
 
-	view        view                 // the schedule entries this cub holds
-	freeEntries recycle.List[*entry] // wiped by Restart
+	view        view                          // the schedule entries this cub holds
+	freeEntries recycle.List[*entry]          // wiped by Restart
+	freeDescs   recycle.List[*msg.Deschedule] // forwarded deschedules back (Reclaim); wiped by Restart
 
 	desch tombstones[descKey, struct{}] // held deschedule records (§4.1.2)
 
@@ -286,7 +287,7 @@ type Cub struct {
 	// of states staged since the last flush. A flush hands array, batches
 	// and slices to the transport — in flight in the simulator, or queued
 	// on a mesh writer — and the cub never rewrites them until the
-	// transport hands them back (Reclaim); the rt mesh never does.
+	// transport hands them back (Reclaim).
 	// fwdOut is every flush's sends still out that will come back, and
 	// fwdSpare the longest array whose every send came back. The scratch
 	// slices make the per-tick collect and per-flush target ordering

@@ -66,12 +66,11 @@ func (c *Cub) onDeschedule(d msg.Deschedule) {
 	if c.schedTimeOfSlot(d.Slot).Sub(now) <= c.cfg.MaxVStateLead+c.cfg.Sched.BlockPlay {
 		s1, ok1 := c.nthLivingSuccessorIn(cfg.Layout, 1)
 		s2, ok2 := c.nthLivingSuccessorIn(cfg.Layout, 2)
-		fwd := d
 		if ok1 {
-			c.net.Send(c.id, s1, &fwd)
+			sendCopy(c.net, &c.freeDescs, c.id, s1, d)
 		}
 		if ok2 && s2 != s1 {
-			c.net.Send(c.id, s2, &fwd)
+			sendCopy(c.net, &c.freeDescs, c.id, s2, d)
 		}
 	}
 }

@@ -552,11 +552,10 @@ func (c *Cub) forwardEntryNow(vs msg.ViewerState) {
 }
 
 // stage gives vs a slot in the array of states this flush hands to the
-// network and returns it. The array is the spare, if a flush's came
-// back (Reclaim), or one made when the first state of a flush needs it,
-// at fwdStatesLen: a transport that returns nothing leaves every flush
-// to make one. A full array grows by half, not append's double, since
-// it may be kept.
+// network and returns it. The array is the spare, if a flush's came back
+// (Reclaim), else, after a send that did not (a burst to a dead cub or past
+// fwdOut's room, a lossy or cut link), one made at fwdStatesLen. A full
+// array grows by half, not append's double, since it may be kept.
 func (c *Cub) stage(vs msg.ViewerState) *msg.ViewerState {
 	if c.fwdStates == nil {
 		c.fwdStates, c.fwdSpare = c.fwdSpare, nil
@@ -607,13 +606,13 @@ type gossipSend struct {
 // itself, and its batch stays.
 //
 // A flush's state array, batches and slices are never written again
-// until the network hands them back (Reclaim). A send to a target that
-// returns records waits on fwdOut, if it has room; a batch to any other
-// target, or past the room, is left to the collector, and the target's
-// next is made at its size. The array is reused only if every send of
-// it comes back, once all have, and a flush that sends a batch gives up
-// an array it leaves sparse: a burst (a death's mirrors, a rejoin) grew
-// it.
+// until the network hands them back (Reclaim). A send that will come
+// back waits on fwdOut, if it has room; any other batch (to a dead cub,
+// over a lossy or cut link, past the room) is left to the collector, and
+// the target's next is made at its size. The array is reused only if
+// every send of it comes back, once all have, and a flush that sends a
+// batch gives up an array it leaves sparse: a burst (a death's mirrors,
+// a rejoin) grew it.
 func (c *Cub) flushForwards() {
 	if !c.fwdQueued {
 		return
@@ -672,10 +671,14 @@ func (c *Cub) flushForwards() {
 // pending batch again, unless it came back sparse or the target has
 // queued since into one with a longer slice; when the last send of a
 // flush is back, its array is the spare unless the spare is longer. The
-// heartbeat's record counts its sends back (deadman.go). Anything else
-// is left to the collector.
+// heartbeat's record counts its sends back (deadman.go), and a forwarded
+// deschedule's is free again. Anything else is left to the collector.
 func (c *Cub) Reclaim(to msg.NodeID, m msg.Message) {
 	if c.hb.back(m) {
+		return
+	}
+	if d, ok := m.(*msg.Deschedule); ok {
+		c.freeDescs.Put(d, maxFreeCopies)
 		return
 	}
 	i := 0

@@ -672,11 +672,13 @@ func TestLoneFlushGetsArrayBack(t *testing.T) {
 }
 
 // TestStartCycleAllocatesWireRecordsOnly: once warm, a start, its
-// insertion, four blocks of play and the end of file allocate only what
-// goes on the wire — the controller's two StartPlay copies and the
-// cub's StartAck. The queued start, the play record, the tombstones,
-// the gossip the insertion sends and the records of everything in
-// flight are all reused.
+// insertion, four blocks of play and the end of file allocate only the
+// cub's StartAck: what goes on the wire and does not come back to be
+// kept. The controller's two StartPlay copies, the queued start, the play
+// record, the tombstones, the gossip the insertion sends and the records
+// of everything in flight are all reused. A stop in mid-play adds
+// nothing: the controller's two Deschedule copies and the ones each cub
+// forwards come back too.
 func TestStartCycleAllocatesWireRecordsOnly(t *testing.T) {
 	o := defaultRigOptions()
 	o.fileBlocks = 4
@@ -686,6 +688,14 @@ func TestStartCycleAllocatesWireRecordsOnly(t *testing.T) {
 		r.run(20 * time.Second)
 		r.ctl.NotifyEOF(inst)
 	}
+	// Stops come a few seconds apart, so each cub's deschedule tombstones
+	// never all expire: an emptied tombstone ring is given up.
+	stopped := func() {
+		inst := r.play(1, 0, 0)
+		r.run(2 * time.Second)
+		r.ctl.StopPlay(inst)
+		r.run(3 * time.Second)
+	}
 	for range 5 { // the finish hold recycles a play record a minute on
 		cycle()
 	}
@@ -694,7 +704,25 @@ func TestStartCycleAllocatesWireRecordsOnly(t *testing.T) {
 	if r.got(1) != 4 || r.totals().Inserts != 16 {
 		t.Fatalf("%d blocks played, %d inserts: the cycle exercises nothing", r.got(1), r.totals().Inserts)
 	}
-	if allocs > 3 {
-		t.Fatalf("%.1f allocations per start cycle, want the 3 wire records", allocs)
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations per start cycle, want the StartAck", allocs)
+	}
+	deschedRecv := func() (n int64) {
+		for _, c := range r.cubs {
+			n += c.Stats().DeschedRecv
+		}
+		return n
+	}
+	for range 10 { // the tombstone rings grow to the stops' rate
+		stopped()
+	}
+	desched := deschedRecv()
+	allocs = testing.AllocsPerRun(10, stopped)
+	t.Logf("%.1f allocations per stopped start", allocs)
+	if deschedRecv() == desched {
+		t.Fatal("no deschedule received: the stop exercises nothing")
+	}
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations per stopped start, want the StartAck", allocs)
 	}
 }

@@ -49,6 +49,7 @@ func (c *Cub) Restart() {
 		c.dropEntryRelease(k)
 	}
 	c.freeEntries.Wipe() // record pools are volatile state too
+	c.freeDescs.Wipe()
 	c.desch.reset()
 	c.queue = make(map[int32][]startReq)
 	c.queueLen = 0

@@ -105,9 +105,18 @@ func (c *Controller) hbTick() {
 	c.hbTimer = c.clk.After(c.cfg.HeartbeatInterval, c.onHB)
 }
 
-// Reclaim implements netsim.Reclaimer: the heartbeat's record comes
-// back for reuse; every other message is left to the collector.
-func (c *Controller) Reclaim(_ msg.NodeID, m msg.Message) { c.hb.back(m) }
+// Reclaim implements netsim.Reclaimer: the heartbeat's, starts' and stops'
+// records come back for reuse; every other message is left to the collector.
+func (c *Controller) Reclaim(_ msg.NodeID, m msg.Message) {
+	switch t := m.(type) {
+	case *msg.StartPlay:
+		c.freeStarts.Put(t, maxFreeCopies)
+	case *msg.Deschedule:
+		c.freeDescs.Put(t, maxFreeCopies)
+	default:
+		c.hb.back(m)
+	}
+}
 
 // Crash makes the incarnation inert in place: timers stop, deliveries
 // drop, and no further orders leave. The object survives because the

@@ -617,7 +617,8 @@ func (n *Network) deliverOne(from, to msg.NodeID, fromInc, toInc int32, m msg.Me
 }
 
 // maxFreeCtl bounds a sender's free control records, so a burst (a crash
-// storm's re-sends) does not stay on the heap after it has landed.
+// storm's re-sends) does not stay on the heap after it has landed, or one
+// per registered node if more: a heartbeat tick to all reuses every one.
 const maxFreeCtl = 64
 
 // ctlSend is one control message in flight. Like blockSend it belongs
@@ -662,7 +663,7 @@ func (r *ctlSend) free() {
 		st.reclaim.Reclaim(r.to, r.m)
 	}
 	r.m = nil // the free list keeps no message alive
-	st.freeCtl.Put(r, maxFreeCtl)
+	st.freeCtl.Put(r, max(maxFreeCtl, len(st.net.nodes)))
 }
 
 // SendBlock starts a paced data send of d.Bytes from a cub to a viewer

@@ -583,6 +583,32 @@ func TestCtlSendRecordReuse(t *testing.T) {
 	}
 }
 
+// TestFanOutReusesEveryRecord: a sender whose tick reaches every node,
+// as the controller's heartbeat does, keeps a record per registered
+// node, so past maxFreeCtl nodes a tick after the first makes none.
+func TestFanOutReusesEveryRecord(t *testing.T) {
+	eng, n := testNet(t, nil)
+	const nodes = 200
+	for i := 0; i < nodes; i++ {
+		n.Register(msg.NodeID(i), HandlerFunc(func(msg.NodeID, msg.Message) {}))
+	}
+	n.Register(msg.Controller, HandlerFunc(func(msg.NodeID, msg.Message) {}))
+	hb := &msg.Heartbeat{From: msg.Controller}
+	tick := func() {
+		for i := 0; i < nodes; i++ {
+			n.SendSteady(msg.Controller, msg.NodeID(i), hb)
+		}
+		eng.Run()
+	}
+	tick()
+	if a := testing.AllocsPerRun(20, tick); a != 0 {
+		t.Fatalf("%v allocations per tick to %d nodes after the first", a, nodes)
+	}
+	if free := len(n.stats[msg.Controller].freeCtl); free != nodes {
+		t.Fatalf("%d records kept for a fan-out of %d", free, nodes)
+	}
+}
+
 // reclaimer is a sender that takes its messages back: it records each
 // one handed back, the instant, and whether the destination had been
 // handed the message by then.

@@ -38,6 +38,7 @@ func StartCubHost(id msg.NodeID, cfg *core.Config, listenAddr string,
 		return nil, err
 	}
 	cub = core.NewCub(id, cfg, node, mesh, mesh, rand.New(rand.NewSource(seed)))
+	node.SetReclaim(cub.Reclaim)
 	mesh.SetEpoch(cub.Epoch())
 	h := &CubHost{Node: node, Mesh: mesh, Cub: cub}
 	cub.SetSink(&h.sink)
@@ -179,6 +180,7 @@ func StartControllerHost(cfg *core.Config, listenAddr string,
 	}
 	h.Mesh = mesh
 	h.Ctl = core.NewController(cfg, node, mesh)
+	node.SetReclaim(h.Ctl.Reclaim)
 	h.Ctl.OnAck = h.onAck
 	h.Ctl.SetSink(&h.sink)
 	return h, nil

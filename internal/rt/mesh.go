@@ -60,6 +60,7 @@ const maxQueued = 4096
 // SendBlock returns. Equal instants leave in the order they were queued,
 // which keeps control traffic FIFO per peer (§4.1.3).
 type peer struct {
+	to   msg.NodeID // the node, or ClientNode for a viewer
 	mu   sync.Mutex
 	q    clock.Releases[msg.Message] // guarded by mu
 	wake chan struct{}               // one slot: a frame was queued at the head
@@ -345,6 +346,7 @@ func (m *Mesh) serveConn(c *wire.Conn) {
 // Send implements core.Transport: mm leaves for its node now, after
 // whatever is already queued there. The from argument must be this mesh's
 // own node (each machine has its own mesh). A closed mesh sends nothing.
+// Written or dropped, mm comes back (Returns), never inside Send.
 func (m *Mesh) Send(from, to msg.NodeID, mm msg.Message) {
 	if from != m.self {
 		panic(fmt.Sprintf("rt: node %v sending as %v", m.self, from))
@@ -352,6 +354,7 @@ func (m *Mesh) Send(from, to msg.NodeID, mm msg.Message) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
+		m.done(to, mm)
 		return
 	}
 	p, ok := m.peers[to]
@@ -360,13 +363,22 @@ func (m *Mesh) Send(from, to msg.NodeID, mm msg.Message) {
 		if !known {
 			m.mu.Unlock()
 			m.logf("rt: no address for %v", to)
+			m.done(to, mm)
 			return
 		}
-		p = m.newPeer(addr)
+		p = m.newPeer(addr, to)
 		m.peers[to] = p
 	}
 	m.mu.Unlock()
 	p.queue(m, m.node.Now(), mm)
+}
+
+// Returns implements core.Returner: with a reclaimer (Node.SetReclaim)
+// every send comes back once, but one still queued when the mesh closes.
+func (m *Mesh) Returns(from, to msg.NodeID) bool {
+	m.node.back.mu.Lock()
+	defer m.node.back.mu.Unlock()
+	return m.node.back.reclaim != nil
 }
 
 // sendViewer queues mm to leave for the viewer listening at addr at
@@ -376,24 +388,32 @@ func (m *Mesh) sendViewer(addr [16]byte, at sim.Time, mm msg.Message) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.recycle(mm)
+		m.done(ClientNode, mm)
 		return
 	}
 	p, ok := m.viewers[addr]
 	if !ok {
-		p = m.newPeer(DecodeAddr(addr))
+		p = m.newPeer(DecodeAddr(addr), ClientNode)
 		m.viewers[addr] = p
 	}
 	m.mu.Unlock()
 	p.queue(m, at, mm)
 }
 
-// recycle hands a BlockData frame that has been written, or dropped,
-// back to SendBlock.
-func (m *Mesh) recycle(mm msg.Message) {
-	if b, ok := mm.(*msg.BlockData); ok {
-		m.sends.Release(b)
+// done hands back frames for node to that were written or dropped: a
+// BlockData to SendBlock, anything else to the node's reclaimer.
+func (m *Mesh) done(to msg.NodeID, frames ...msg.Message) {
+	b := &m.node.back
+	b.mu.Lock()
+	for _, mm := range frames {
+		if d, ok := mm.(*msg.BlockData); ok {
+			m.sends.Release(d)
+		} else if b.reclaim != nil {
+			b.q = append(b.q, returned{to, mm})
+		}
 	}
+	b.n.Store(int32(len(b.q)))
+	b.mu.Unlock()
 }
 
 // queue adds mm to leave at instant at, or drops it if maxQueued frames
@@ -405,7 +425,7 @@ func (p *peer) queue(m *Mesh, at sim.Time, mm msg.Message) {
 		p.mu.Unlock()
 		m.queueDrops.Add(1)
 		m.logf("rt: outbound queue full; dropping %v", mm.Type())
-		m.recycle(mm)
+		m.done(p.to, mm)
 		return
 	}
 	p.q.Add(at, mm)
@@ -431,8 +451,8 @@ func (p *peer) queue(m *Mesh, at sim.Time, mm msg.Message) {
 // which frames are dropped without dialing. Without this, every frame to
 // a dead peer eats a fresh dialTimeout, stalling the queue so badly that
 // heartbeats back up for the whole outage.
-func (m *Mesh) newPeer(addr string) *peer {
-	p := &peer{wake: make(chan struct{}, 1)}
+func (m *Mesh) newPeer(addr string, to msg.NodeID) *peer {
+	p := &peer{to: to, wake: make(chan struct{}, 1)}
 	go func() {
 		var conn *wire.Conn
 		everConnected := false
@@ -493,9 +513,7 @@ func (m *Mesh) newPeer(addr string) *peer {
 				}
 				break
 			}
-			for _, mm := range due { // written or dropped
-				m.recycle(mm)
-			}
+			m.done(p.to, due...) // written or dropped
 			clear(due)
 			due = due[:0]
 			if armed {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tiger/internal/clock"
+	"tiger/internal/msg"
 	"tiger/internal/sim"
 )
 
@@ -32,6 +33,46 @@ type Node struct {
 	timers *sim.Engine // its clock is the instant of the last timer taken
 	closed bool        // Close has dropped the timers; At arms nothing
 	wake   chan struct{}
+
+	back returns // control messages the mesh is done with (Mesh.Returns)
+}
+
+// returns holds the node's control messages its mesh has written or
+// dropped. The mesh adds (Mesh.done); the executor hands them to reclaim
+// just before the next event it runs anyway, never as an event of its own.
+type returns struct {
+	mu      sync.Mutex
+	reclaim func(to msg.NodeID, m msg.Message) // guarded by mu; nil: none come back
+	q       []returned                         // guarded by mu
+	run     []returned                         // the executor's: the other buffer
+	n       atomic.Int32                       // len(q)
+}
+
+type returned struct {
+	to msg.NodeID
+	m  msg.Message
+}
+
+// SetReclaim makes each control message the node's mesh sends come back to fn.
+func (n *Node) SetReclaim(fn func(to msg.NodeID, m msg.Message)) {
+	n.back.mu.Lock()
+	n.back.reclaim = fn
+	n.back.mu.Unlock()
+}
+
+func (r *returns) pass() {
+	if r.n.Load() == 0 {
+		return
+	}
+	r.mu.Lock()
+	run, fn := r.q, r.reclaim
+	r.q, r.run = r.run[:0], run
+	r.n.Store(0)
+	r.mu.Unlock()
+	for _, x := range run {
+		fn(x.to, x.m)
+	}
+	clear(run)
 }
 
 // NewNode creates and starts a node executor. All nodes of one system
@@ -68,6 +109,7 @@ func (n *Node) loop() {
 		select {
 		case fn := <-n.exec:
 			n.processed.Add(1)
+			n.back.pass()
 			fn()
 		case <-n.wake:
 		case <-wall.C:
@@ -115,6 +157,7 @@ func (n *Node) runDue() (next sim.Time, ok bool) {
 		fn := n.timers.Take()
 		n.mu.Unlock()
 		n.processed.Add(1)
+		n.back.pass()
 		fn()
 	}
 }

@@ -90,7 +90,8 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 # reuses (0 allocations and one engine event a message, its free list
 # capped, the message not kept once delivered), and comes back to the
 # sender exactly once, after its delivery, exactly when Returns said it
-# would (under the race detector). Across shards a message or block
+# would (under the race detector), and a sender keeps a record for each
+# node its tick reaches. Across shards a message or block
 # rides its sender's record too and goes back at the next window
 # barrier, never inside a window: the barrier hook runs once after every
 # drain with no shard running (under the race detector at 1, 2 and 4
@@ -130,7 +131,7 @@ gotest -run 'TestChainRecordAllocBudget' ./internal/trace
 gotest -run 'TestSteadyBlockPathAllocs|TestChurnBlockPathAllocs|TestShardedBlockPathAllocs|TestSteadyEventsPerBlock|TestSteadyPendingEvents|TestReplayRearmsStream' .
 gotest -run 'TestLazyBufferReleaseEqualsEager|TestViewAgainstMap|TestWalkAgainstSortedModel|TestForwardedStatesNotRewritten|TestGenerationWaitsForEveryBatch|TestGossipBuffersBounded' ./internal/core
 gotest -run 'TestLazyNICEqualsEager' ./internal/netsim
-gotest -race -run 'TestSendAllocs|TestCtlSendRecordReuse|TestReclaimAfterLastDelivery' ./internal/netsim
+gotest -race -run 'TestSendAllocs|TestCtlSendRecordReuse|TestReclaimAfterLastDelivery|TestFanOutReusesEveryRecord' ./internal/netsim
 gotest -race -run 'TestShardedBarrierHook' ./internal/sim
 gotest -run 'TestQueueAgainstSortedModel|TestSortNodes|TestShardedDeterministicAcrossWorkers' ./internal/sim
 gotest -run 'TestBlockCostsThreeExecutorEvents|TestMeshBlockCostsThreeExecutorEvents|TestNodeTimerAllocs|TestMeshSendBlockAllocs|TestPacedSendsLeaveInDueOrder|TestPeerQueueBound|TestNoPeerAfterClose' ./internal/rt
@@ -138,8 +139,9 @@ gotest -run 'TestWriteFlushCoalesces' ./internal/wire
 gotest -race -run 'TestMeshRecvAllocs|TestViewerClientBlockAllocs|TestMeshBlockPathAllocs|TestRecordHeldUntilHandlerReturns|TestViewerClientSilentAfterClose|TestControllerCloseStopsEpochService' ./internal/rt
 gotest -race -run 'FuzzDecode' ./internal/msg
 
-# Start/stop record gate: a start, its insertion and its end allocate
-# only what goes on the wire (two StartPlay copies and a StartAck), and
+# Start/stop record gate: a start, its insertion and its end or a stop
+# allocate only the StartAck (the StartPlay and Deschedule copies come
+# back to the controller, a cub's forwarded Deschedules to the cub), and
 # a delivered block at 90 % load with every stream replayed at the end of
 # its one-minute file stays inside 0.10 allocations (0.059 measured). A
 # tombstone's timer forgets its own key, once, from the map it was armed
@@ -147,10 +149,15 @@ gotest -race -run 'FuzzDecode' ./internal/msg
 # owner's recycle.List only when its own lifetime ends (a play record at
 # its expiry, also when a Restart's scavenge rebuilt its instance), and an
 # insertion's lone-message flush gets its state array back. These
-# records recycle on the tigerd executor too, so the real-time start,
-# stop, failover and restart tests run under the race detector.
+# records recycle on the tigerd executor too: the mesh hands every
+# control message back to its sender's executor exactly once, written or
+# dropped, before the next event and never as one of its own, and cubs
+# gossiping over TCP allocate next to nothing per flush. The real-time
+# start, stop, failover and restart tests and the hand-back test run
+# under the race detector, and again under the no-reuse tag below, which
+# poisons each record as it comes back.
 gotest -run 'TestStartCycleAllocatesWireRecordsOnly|TestTombstoneExpiresIntoItsMap|TestPlayRecordRecycledByItsOwnExpiry|TestLoneFlushGetsArrayBack' ./internal/core
-gotest -race -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP' ./internal/rt
+gotest -race -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP|TestEverySendComesBack|TestGossipOverTCPAllocs' ./internal/rt
 
 # No-reuse gate: built with the tag norecycle, no record is reused and
 # every record handed back is poisoned (internal/recycle), so a holder
@@ -179,7 +186,7 @@ for run in churn-fail-14:1 churn-fail-14:2 churn-fail-14:3 sharded-56:1; do
     fi
 done
 gotest -tags norecycle -run 'TestChaos|TestRandomOperationsInvariants|TestDeterministicReplay|TestReplayRearmsStream' .
-gotest -race -tags norecycle -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP' ./internal/rt
+gotest -race -tags norecycle -run 'TestEndToEndStreamOverTCP|TestFailoverOverTCP|TestRestartRejoinOverTCP|TestEverySendComesBack' ./internal/rt
 
 # Config gate: core.BuildConfig is the one place a Config is derived
 # from a shape. tiger.New and the cluster spec must equal it, the
@@ -272,8 +279,7 @@ gotest -race -run 'TestControllerFailover' .
 # scalability smoke at rated load with the ns/event and allocs/event
 # budgets enforced (0.15 allocs/event: cross-shard sends ride their
 # senders' records, and what is left is view entries while the views
-# still grow, the controller's heartbeat fanning out to more cubs than
-# its free list keeps records for, and the viewer model — 0.064 measured)
+# still grow and the viewer model — 0.052 measured)
 # and zero loss required (the experiment fails itself on any lost
 # block).
 gotest -race -run 'TestSharded' .
